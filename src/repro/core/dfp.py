@@ -237,10 +237,17 @@ class StratifiedReplay:
                 setattr(self, head_attr, 0)
 
 
-def _mlp(dims: list[int], rngs: list[np.random.Generator], final_activation: bool) -> Sequential:
+def _mlp(
+    dims: list[int],
+    rngs: list[np.random.Generator],
+    final_activation: bool,
+    input_grad: bool = True,
+) -> Sequential:
+    """An MLP; ``input_grad=False`` for an input module, whose first
+    layer sees raw inputs that nothing backpropagates into."""
     layers: list = []
     for i in range(len(dims) - 1):
-        layers.append(Dense(dims[i], dims[i + 1], rng=rngs[i]))
+        layers.append(Dense(dims[i], dims[i + 1], rng=rngs[i], input_grad=input_grad or i > 0))
         if i < len(dims) - 2 or final_activation:
             layers.append(LeakyReLU())
     return Sequential(layers)
@@ -271,15 +278,16 @@ class DFPNetwork:
                 [c.state_dim, c.state_hidden[0], c.state_hidden[1], c.state_out],
                 rngs[0:3],
                 final_activation=True,
+                input_grad=False,
             )
             state_out = c.state_out
         self._state_out = state_out
         # §IV-C: three-layer fully-connected measurement and goal modules.
         self.meas_net = _mlp(
-            [c.n_measurements, c.module_hidden, c.module_out], rngs[3:5], True
+            [c.n_measurements, c.module_hidden, c.module_out], rngs[3:5], True, input_grad=False
         )
         self.goal_net = _mlp(
-            [c.n_measurements, c.module_hidden, c.module_out], rngs[5:7], True
+            [c.n_measurements, c.module_hidden, c.module_out], rngs[5:7], True, input_grad=False
         )
         joint = state_out + 2 * c.module_out
         self._joint_dim = joint
@@ -303,6 +311,9 @@ class DFPNetwork:
         # see :meth:`set_inference_dtype` for the reduced-precision mode.
         self._score_ws = InferenceWorkspace()
         self._batch_ws = InferenceWorkspace()
+        # ``forward``/``backward`` pack their joint and head tensors here
+        # (always float64; the layers own their activation buffers).
+        self._train_ws = InferenceWorkspace()
 
     def set_inference_dtype(self, dtype: np.dtype | str | None) -> None:
         """Choose the inference precision (training is unaffected).
@@ -351,54 +362,59 @@ class DFPNetwork:
         goal: np.ndarray,
         training: bool = False,
     ) -> np.ndarray:
-        """Predict future measurement changes: (B, n_actions, pred_dim)."""
+        """Predict future measurement changes: (B, n_actions, pred_dim).
+
+        The result is a fresh array; with ``training`` the intermediate
+        activations live in buffers the layers reuse batch after batch.
+        """
         c = self.config
-        s = self.state_net.forward(state, training=training)
-        m = self.meas_net.forward(measurement, training=training)
-        g = self.goal_net.forward(goal, training=training)
-        joint = np.concatenate([s, m, g], axis=1)
+        ws = self._train_ws
+        joint = self._joint_into(
+            ws,
+            self.state_net.forward(state, training=training),
+            self.meas_net.forward(measurement, training=training),
+            self.goal_net.forward(goal, training=training),
+        )
         expectation = self.expectation_stream.forward(joint, training=training)
         batch = joint.shape[0]
         if c.action_stream == "shared":
-            slots = state[:, : c.n_actions * c.slot_dim].reshape(
-                batch, c.n_actions, c.slot_dim
-            )
-            head_in = np.concatenate(
-                [
-                    np.repeat(joint[:, None, :], c.n_actions, axis=1),
-                    slots,
-                ],
-                axis=2,
-            ).reshape(batch * c.n_actions, self._joint_dim + c.slot_dim)
-            actions = self.action_stream.forward(head_in, training=training).reshape(
-                batch, c.n_actions, c.pred_dim
-            )
+            head_in = self._shared_head_in(ws, state, joint)
         else:
-            raw = self.action_stream.forward(joint, training=training)
-            actions = raw.reshape(batch, c.n_actions, c.pred_dim)
+            head_in = joint
+        actions = self.action_stream.forward(head_in, training=training).reshape(
+            batch, c.n_actions, c.pred_dim
+        )
         # Dueling normalisation: per-(measurement, offset) zero mean
         # across actions, so the expectation stream carries the average.
         normalised = actions - actions.mean(axis=1, keepdims=True)
         return expectation[:, None, :] + normalised
 
     def _joint_into(
+        self, ws: InferenceWorkspace, s: np.ndarray, m: np.ndarray, g: np.ndarray
+    ) -> np.ndarray:
+        """Pack the three input modules' outputs into the reused
+        joint-representation buffer (what ``np.concatenate`` built)."""
+        joint = ws.buffer("joint", (s.shape[0], self._joint_dim))
+        i, j = self._joint_splits
+        joint[:, :i] = s
+        joint[:, i:j] = m
+        joint[:, j:] = g
+        return joint
+
+    def _infer_joint(
         self,
         ws: InferenceWorkspace,
         state: np.ndarray,
         measurement: np.ndarray,
         goal: np.ndarray,
     ) -> np.ndarray:
-        """Run the three input modules and pack them into the reused
-        joint-representation buffer (what ``np.concatenate`` built)."""
-        s = self.state_net.infer(state, ws, "state")
-        m = self.meas_net.infer(measurement, ws, "meas")
-        g = self.goal_net.infer(goal, ws, "goal")
-        joint = ws.buffer("joint", (state.shape[0], self._joint_dim))
-        i, j = self._joint_splits
-        joint[:, :i] = s
-        joint[:, i:j] = m
-        joint[:, j:] = g
-        return joint
+        """The joint representation on the inference path."""
+        return self._joint_into(
+            ws,
+            self.state_net.infer(state, ws, "state"),
+            self.meas_net.infer(measurement, ws, "meas"),
+            self.goal_net.infer(goal, ws, "goal"),
+        )
 
     def _shared_head_in(
         self, ws: InferenceWorkspace, state: np.ndarray, joint: np.ndarray
@@ -446,7 +462,7 @@ class DFPNetwork:
         measurement = ws.cast("in_meas", np.ascontiguousarray(measurement))
         goal = ws.cast("in_goal", np.ascontiguousarray(goal))
         weights = ws.cast("in_weights", weights)
-        joint = self._joint_into(ws, state, measurement, goal)
+        joint = self._infer_joint(ws, state, measurement, goal)
         batch = joint.shape[0]
 
         exp_h = joint
@@ -495,7 +511,7 @@ class DFPNetwork:
         state = ws.cast("in_state", np.ascontiguousarray(state))
         measurement = ws.cast("in_meas", np.ascontiguousarray(measurement))
         goal = ws.cast("in_goal", np.ascontiguousarray(goal))
-        joint = self._joint_into(ws, state, measurement, goal)
+        joint = self._infer_joint(ws, state, measurement, goal)
         batch = joint.shape[0]
         expectation = self.expectation_stream.infer(joint, ws, "exp")
         if c.action_stream == "shared":
@@ -516,7 +532,8 @@ class DFPNetwork:
         grad_exp = grad_pred.sum(axis=1)
         # y_a = A_a - mean_a(A)  =>  dA_a = dy_a - mean_a(dy).
         grad_act = grad_pred - grad_pred.mean(axis=1, keepdims=True)
-        grad_joint = self.expectation_stream.backward(grad_exp)
+        grad_joint = self._train_ws.buffer("grad_joint", (batch, self._joint_dim))
+        grad_exp_joint = self.expectation_stream.backward(grad_exp)
         if c.action_stream == "shared":
             grad_head_in = self.action_stream.backward(
                 grad_act.reshape(batch * c.n_actions, c.pred_dim)
@@ -524,13 +541,18 @@ class DFPNetwork:
             # Joint features were broadcast to every slot; gradients sum
             # back over slots. Slot features are raw inputs — no
             # parameters behind them, so their gradient is dropped.
-            grad_joint = grad_joint + grad_head_in[:, : self._joint_dim].reshape(
-                batch, c.n_actions, self._joint_dim
-            ).sum(axis=1)
+            grad_act_joint = np.sum(
+                grad_head_in[:, : self._joint_dim].reshape(
+                    batch, c.n_actions, self._joint_dim
+                ),
+                axis=1,
+                out=grad_joint,
+            )
         else:
-            grad_joint = grad_joint + self.action_stream.backward(
+            grad_act_joint = self.action_stream.backward(
                 grad_act.reshape(batch, c.n_actions * c.pred_dim)
             )
+        np.add(grad_exp_joint, grad_act_joint, out=grad_joint)
         i, j = self._joint_splits
         self.state_net.backward(grad_joint[:, :i])
         self.meas_net.backward(grad_joint[:, i:j])
@@ -586,6 +608,7 @@ class DFPAgent:
         self.optimizer = Adam(self.network.layers, lr=config.lr)
         self.replay = StratifiedReplay(config.replay_capacity)
         self.epsilon = config.epsilon_start
+        self._minibatch = InferenceWorkspace()  # train_batch gathers into it
         # Goal vectors are constant within a scheduling instance but the
         # agent scores once per selection — memoise the last flattening.
         self._weights_key: bytes | None = None
@@ -754,6 +777,12 @@ class DFPAgent:
         ]
         return picks
 
+    def _gather(self, name: str, rows: list[np.ndarray], width: int) -> np.ndarray:
+        """``np.vstack(rows)`` into the reused ``(len(rows), width)`` buffer."""
+        out = self._minibatch.buffer(name, (len(rows), width))
+        np.concatenate(rows, out=out.reshape(-1))
+        return out
+
     def train_batch(self) -> float:
         """One minibatch of MSE regression on taken-action predictions."""
         c = self.config
@@ -761,11 +790,11 @@ class DFPAgent:
             return 0.0
         n = min(c.batch_size, len(self.replay))
         batch = self._sample_batch(n)
-        states = np.vstack([e.state for e in batch])
-        meas = np.vstack([e.measurement for e in batch])
-        goals = np.vstack([e.goal for e in batch])
+        states = self._gather("state", [e.state for e in batch], c.state_dim)
+        meas = self._gather("meas", [e.measurement for e in batch], c.n_measurements)
+        goals = self._gather("goal", [e.goal for e in batch], c.n_measurements)
         actions = np.array([e.action for e in batch])
-        targets_taken = np.vstack([e.target for e in batch])
+        targets_taken = self._gather("target", [e.target for e in batch], c.pred_dim)
 
         preds = self.network.forward(states, meas, goals, training=True)
         targets = preds.copy()

@@ -11,10 +11,12 @@ which is exactly what the Fig. 4 ordering study sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 from repro.cluster.resources import SystemConfig
+from repro.obs import runtime as _obs
 from repro.sched.base import Scheduler
 from repro.sim.simulator import Simulator
 from repro.workload.job import Job
@@ -51,6 +53,41 @@ def _check_trainable(scheduler: Scheduler) -> None:
                 f"{scheduler.name} is not trainable (missing {attr!r}); "
                 "only MRSch and scalar RL learn from episodes"
             )
+
+
+def _learn(
+    lane: Scheduler, scheduler: Scheduler, phase: str, result: TrainingResult
+) -> None:
+    """Learn from ``lane``'s finished episode and append it to ``result``.
+
+    With a telemetry session on, also emits one ``train_episode`` event
+    (phase, loss, ε, replay size, optimiser batches, learning wall);
+    with it off nothing is timed. ``scheduler`` owns the agent every
+    lane shares.
+    """
+    session = _obs.session
+    learner = getattr(scheduler, "agent", scheduler)
+    optimizer = getattr(learner, "optimizer", None)
+    if session is not None:
+        start = perf_counter()
+        steps_before = getattr(optimizer, "steps", 0)
+    loss = lane.finish_episode()  # type: ignore[attr-defined]
+    epsilon = float(getattr(learner, "epsilon", np.nan))
+    result.losses.append(loss)
+    result.phases.append(phase)
+    result.epsilons.append(epsilon)
+    if session is not None:
+        replay = getattr(learner, "replay", None)
+        session.event(
+            "train_episode",
+            phase=phase,
+            episode=result.episodes,
+            loss=float(loss),
+            epsilon=None if np.isnan(epsilon) else epsilon,
+            replay_size=None if replay is None else len(replay),
+            batches=getattr(optimizer, "steps", 0) - steps_before,
+            train_wall_s=perf_counter() - start,
+        )
 
 
 def train_episodes(
@@ -90,11 +127,7 @@ def train_episodes(
         for jobs in jobsets:
             scheduler.start_episode()  # type: ignore[attr-defined]
             sim.run(jobs)
-            loss = scheduler.finish_episode()  # type: ignore[attr-defined]
-            result.losses.append(loss)
-            result.phases.append(phase)
-            epsilon = getattr(getattr(scheduler, "agent", None), "epsilon", np.nan)
-            result.epsilons.append(float(epsilon))
+            _learn(scheduler, scheduler, phase, result)
     finally:
         scheduler.training = False  # type: ignore[attr-defined]
     return result
@@ -133,11 +166,7 @@ def _train_episodes_lockstep(
             else:
                 BatchedSimulator(system, group, record_timeline=False).run(chunk)
             for lane in group:
-                loss = lane.finish_episode()  # type: ignore[attr-defined]
-                result.losses.append(loss)
-                result.phases.append(phase)
-                epsilon = getattr(getattr(scheduler, "agent", None), "epsilon", np.nan)
-                result.epsilons.append(float(epsilon))
+                _learn(lane, scheduler, phase, result)
     finally:
         scheduler.training = False  # type: ignore[attr-defined]
     return result

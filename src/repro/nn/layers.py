@@ -7,6 +7,11 @@ Each layer follows the same protocol:
 * ``backward(grad_out)`` consumes the upstream gradient and returns the
   gradient with respect to the layer input, accumulating parameter
   gradients in ``self.grads``,
+* ``Dense`` and ``LeakyReLU`` — the layers every training step runs —
+  write ``forward(x, training=True)`` and ``backward`` results into
+  buffers they own and reuse, so those arrays are valid only until the
+  layer's next training forward / backward; ``forward(x)`` without
+  ``training`` returns a fresh array the caller may keep,
 * ``params`` / ``grads`` are dicts keyed by parameter name so optimizers
   and serialisation can treat all layers uniformly.
 
@@ -42,6 +47,15 @@ class Layer:
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The layer's persistent ``name`` scratch array, reallocated only
+        when the batch shape changes."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape, dtype=dtype)
+        return buf
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -70,7 +84,12 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully-connected layer ``y = x @ W + b``."""
+    """Fully-connected layer ``y = x @ W + b``.
+
+    ``input_grad=False`` marks a layer fed raw inputs (the first of a
+    branch): nothing consumes its input gradient, so ``backward`` skips
+    the ``grad_out @ W.T`` product and returns ``None``.
+    """
 
     def __init__(
         self,
@@ -78,6 +97,7 @@ class Dense(Layer):
         out_features: int,
         rng: np.random.Generator | int | None = None,
         init: str = "he",
+        input_grad: bool = True,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
@@ -86,6 +106,7 @@ class Dense(Layer):
         initializer = he_init if init == "he" else xavier_init
         self.in_features = in_features
         self.out_features = out_features
+        self.input_grad = input_grad
         self.params = {
             "W": initializer((in_features, out_features), rng),
             "b": np.zeros(out_features),
@@ -99,14 +120,24 @@ class Dense(Layer):
                 f"Dense expected input (B, {self.in_features}), got {x.shape}"
             )
         self._x = x
-        return x @ self.params["W"] + self.params["b"]
+        if not training:
+            return x @ self.params["W"] + self.params["b"]
+        out = self._buffer("out", (x.shape[0], self.out_features))
+        np.matmul(x, self.params["W"], out=out)
+        out += self.params["b"]
+        return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.grads["W"] += self._x.T @ grad_out
+        grad_w = self._buffer("grad_W", self.params["W"].shape)
+        np.matmul(self._x.T, grad_out, out=grad_w)
+        self.grads["W"] += grad_w
         self.grads["b"] += grad_out.sum(axis=0)
-        return grad_out @ self.params["W"].T
+        if not self.input_grad:
+            return None
+        grad_in = self._buffer("grad_in", self._x.shape)
+        return np.matmul(grad_out, self.params["W"].T, out=grad_in)
 
     def infer(self, x: np.ndarray, workspace=None, key=None) -> np.ndarray:
         if workspace is None:
@@ -301,13 +332,25 @@ class LeakyReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
+        if not training or self.alpha > 1.0:
+            self._mask = x > 0
+            return np.where(self._mask, x, self.alpha * x)
+        self._mask = np.greater(x, 0, out=self._buffer("mask", x.shape, bool))
+        # max(x, αx) is the leaky rectifier for α ≤ 1 (see ``infer``).
+        out = self._buffer("out", x.shape)
+        np.multiply(x, self.alpha, out=out)
+        return np.maximum(x, out, out=out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * np.where(self._mask, 1.0, self.alpha)
+        if self.alpha > 1.0:
+            return grad_out * np.where(self._mask, 1.0, self.alpha)
+        # The slope, branch-free: max(mask, α) is 1 where x > 0 and α
+        # elsewhere, exactly, for α ≤ 1.
+        grad_in = self._buffer("grad_in", grad_out.shape)
+        np.maximum(self._mask, self.alpha, out=grad_in)
+        return np.multiply(grad_out, grad_in, out=grad_in)
 
     def infer(self, x: np.ndarray, workspace=None, key=None) -> np.ndarray:
         if workspace is None or self.alpha > 1.0:

@@ -97,7 +97,9 @@ class Sequential:
             x = layer.infer(x, workspace, (key, i))
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
+        """Backpropagate through the chain; returns the input gradient
+        (``None`` when the first layer was built with ``input_grad=False``)."""
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out)
         return grad_out

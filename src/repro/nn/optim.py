@@ -5,6 +5,14 @@ gradients accumulated in each layer's ``grads`` dict and updates the
 matching entry in ``params`` in place (in-place updates keep the arrays
 shared with any serialisation references, per the HPC guide's
 "in-place operations" idiom).
+
+Updates allocate nothing either: ``step()`` sweeps every tensor in
+cache-sized blocks of its flat storage and hands each block, with two
+scratch blocks, to the subclass's elementwise ``_update``. The
+operations and their order are those of the textbook whole-tensor
+expressions, so the results are bit-identical to them
+(``tests/unit/_nn_reference.py`` keeps the allocating Adam as the
+oracle).
 """
 
 from __future__ import annotations
@@ -15,26 +23,62 @@ from repro.nn.layers import Layer
 
 __all__ = ["Optimizer", "SGD", "Momentum", "RMSProp", "Adam"]
 
+#: Elements per block of the update sweep. An update makes up to 14
+#: elementwise passes over parameter, gradient, moments and scratch; at
+#: 128 KiB an array the six of them stay in L2 from the first pass to
+#: the last instead of streaming a multi-megabyte tensor through memory
+#: once per pass.
+_BLOCK = 16384
+
+
+def _flat(array: np.ndarray) -> np.ndarray:
+    """1-D view of ``array`` (``reshape`` would silently hand a *copy* of
+    a non-contiguous array, and the update would be lost)."""
+    if not array.flags.c_contiguous:
+        raise ValueError("optimizers need C-contiguous parameters and gradients")
+    return array.reshape(-1)
+
 
 class Optimizer:
-    """Base optimizer; subclasses implement :meth:`_update`."""
+    """Base optimizer; subclasses implement :meth:`_update` and list the
+    per-parameter state it keeps in ``_state``."""
 
     def __init__(self, layers: list[Layer], lr: float = 1e-3) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.layers = list(layers)
         self.lr = lr
+        #: ``step()`` calls so far
+        self.steps = 0
+        #: one ``{parameter key: array}`` dict per kind of state (moments,
+        #: velocity); entries appear, as zeros, at a parameter's first step
+        self._state: tuple[dict[str, np.ndarray], ...] = ()
+        self._scratch = np.empty(2 * _BLOCK)
 
     def zero_grad(self) -> None:
         for layer in self.layers:
             layer.zero_grad()
 
     def step(self) -> None:
+        self.steps += 1
+        a, b = self._scratch[:_BLOCK], self._scratch[_BLOCK : 2 * _BLOCK]
         for li, layer in enumerate(self.layers):
             for name, param in layer.params.items():
-                self._update(f"{li}.{name}", param, layer.grads[name])
+                key = f"{li}.{name}"
+                arrays = [param, layer.grads[name]]
+                for store in self._state:
+                    if key not in store:
+                        store[key] = np.zeros_like(param)
+                    arrays.append(store[key])
+                flat = [_flat(x) for x in arrays]
+                for lo in range(0, param.size, _BLOCK):
+                    n = min(_BLOCK, param.size - lo)
+                    self._update(*(x[lo : lo + n] for x in flat), a[:n], b[:n])
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+    def _update(self, param: np.ndarray, grad: np.ndarray, *state_and_scratch) -> None:
+        """Update one block in place: ``(param, grad, *state, a, b)`` are
+        aligned 1-D views, ``a`` and ``b`` scratch. Elementwise only —
+        a block must not depend on its neighbours."""
         raise NotImplementedError
 
     def clip_gradients(self, max_norm: float) -> float:
@@ -44,7 +88,12 @@ class Optimizer:
         total = 0.0
         for layer in self.layers:
             for grad in layer.grads.values():
-                total += float((grad**2).sum())
+                # Whole-tensor squares in a layout-matched scratch view:
+                # blocking would change the pairwise summation order.
+                if self._scratch.size < grad.size:
+                    self._scratch = np.empty(grad.size)
+                squares = self._scratch[: grad.size].reshape(grad.shape)
+                total += float(np.square(grad, out=squares).sum())
         norm = float(np.sqrt(total))
         if norm > max_norm:
             scale = max_norm / (norm + 1e-12)
@@ -57,8 +106,9 @@ class Optimizer:
 class SGD(Optimizer):
     """Plain stochastic gradient descent."""
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        param -= self.lr * grad
+    def _update(self, param, grad, a, b) -> None:
+        np.multiply(grad, self.lr, out=a)
+        param -= a
 
 
 class Momentum(Optimizer):
@@ -70,11 +120,12 @@ class Momentum(Optimizer):
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
         self._velocity: dict[str, np.ndarray] = {}
+        self._state = (self._velocity,)
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        vel = self._velocity.setdefault(key, np.zeros_like(param))
+    def _update(self, param, grad, vel, a, b) -> None:
         vel *= self.momentum
-        vel -= self.lr * grad
+        np.multiply(grad, self.lr, out=a)
+        vel -= a
         param += vel
 
 
@@ -94,12 +145,18 @@ class RMSProp(Optimizer):
         self.decay = decay
         self.eps = eps
         self._cache: dict[str, np.ndarray] = {}
+        self._state = (self._cache,)
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        cache = self._cache.setdefault(key, np.zeros_like(param))
+    def _update(self, param, grad, cache, a, b) -> None:
         cache *= self.decay
-        cache += (1.0 - self.decay) * grad**2
-        param -= self.lr * grad / (np.sqrt(cache) + self.eps)
+        np.square(grad, out=a)
+        a *= 1.0 - self.decay
+        cache += a
+        np.multiply(grad, self.lr, out=a)
+        np.sqrt(cache, out=b)
+        b += self.eps
+        a /= b
+        param -= a
 
 
 class Adam(Optimizer):
@@ -121,19 +178,27 @@ class Adam(Optimizer):
         self.eps = eps
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._t = 0
+        self._state = (self._m, self._v)
+        self._bias = (1.0, 1.0)
 
     def step(self) -> None:
-        self._t += 1
+        # Bias corrections of this step, hoisted out of the block sweep.
+        t = self.steps + 1
+        self._bias = (1.0 - self.beta1**t, 1.0 - self.beta2**t)
         super().step()
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        m = self._m.setdefault(key, np.zeros_like(param))
-        v = self._v.setdefault(key, np.zeros_like(param))
+    def _update(self, param, grad, m, v, a, b) -> None:
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad**2
-        m_hat = m / (1.0 - self.beta1**self._t)
-        v_hat = v / (1.0 - self.beta2**self._t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.square(grad, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(m, self._bias[0], out=a)  # m_hat
+        np.divide(v, self._bias[1], out=b)  # v_hat
+        a *= self.lr
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        param -= a

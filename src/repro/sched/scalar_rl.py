@@ -67,7 +67,7 @@ class ScalarRLScheduler(Scheduler):
         rngs = spawn_generators(self.rng, 3)
         self.policy = Sequential(
             [
-                Dense(self.obs_dim, hidden[0], rng=rngs[0]),
+                Dense(self.obs_dim, hidden[0], rng=rngs[0], input_grad=False),
                 LeakyReLU(),
                 Dense(hidden[0], hidden[1], rng=rngs[1]),
                 LeakyReLU(),

@@ -132,13 +132,14 @@ def build_curriculum(
     Defaults follow §V-B: 10 sampled + 10 real + 20 synthetic job sets.
     Returns ``{"sampled": [...], "real": [...], "synthetic": [...]}``;
     pass the phases to the trainer in whichever order is under study
-    (Fig. 4 compares all six orderings).
+    (Fig. 4 compares all six orderings). A count of zero leaves that
+    phase empty.
     """
     rng = as_generator(seed)
     per_set = jobs_per_set or max(1, len(train_jobs) // max(n_real, 1))
     sampled = [
         poisson_resample(train_jobs, per_set, seed=rng) for _ in range(n_sampled)
     ]
-    real = real_jobsets(train_jobs, n_real)
+    real = real_jobsets(train_jobs, n_real) if n_real else []
     synthetic = synthetic_jobsets(template, n_synthetic, per_set, seed=rng)
     return {"sampled": sampled, "real": real, "synthetic": synthetic}

@@ -5,9 +5,12 @@ structure and invariants, not scheduling quality (the benchmarks do
 that at realistic scale).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.api import run_scenario
 from repro.experiments.figures import (
     fig7_kiviat,
     fig8_rbb_timeline,
@@ -57,6 +60,22 @@ class TestHarness:
         assert result is not None
         assert result.episodes == 3
         assert result.phases == ["sampled", "real", "synthetic"]
+
+    def test_zero_count_curriculum_phase_is_empty(self, tiny_config):
+        config = replace(tiny_config, curriculum_sets=(1, 0, 0))
+        system = config.system()
+        result = train_method(make_method("mrsch", system, config), system, config)
+        assert result.phases == ["sampled"]
+
+    def test_zero_count_curriculum_runs_end_to_end(self):
+        result = run_scenario({
+            "name": "one-phase", "methods": ["mrsch"], "workloads": ["S3"],
+            "train": True, "seed": 3,
+            "system": {"name": "mini_theta", "nodes": 32, "bb_units": 16},
+            "config": {"curriculum_sets": [1, 0, 0], "jobs_per_trainset": 20,
+                       "n_jobs": 30, "window_size": 5},
+        })
+        assert result.report("S3", "mrsch").n_jobs == 30
 
     def test_run_comparison_structure(self, tiny_config):
         reports = run_comparison(

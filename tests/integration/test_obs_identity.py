@@ -17,7 +17,7 @@ import pytest
 
 import repro.obs as obs
 from repro.exp import ExperimentRunner, grid_tasks
-from repro.experiments.harness import ExperimentConfig
+from repro.experiments.harness import ExperimentConfig, make_method, train_method
 from repro.obs.events import read_events
 from repro.obs.spans import export_chrome_trace, load_spans
 from repro.sched.fcfs import FCFSScheduler
@@ -68,6 +68,38 @@ class TestBitIdentity:
         finally:
             obs.disable()
         assert instrumented == plain
+
+    def test_training_identical_and_logged_per_episode(self, tmp_path):
+        config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=25, window_size=5,
+                                  seed=41, curriculum_sets=(1, 1, 1), jobs_per_trainset=20)
+
+        def train():
+            system = config.system()
+            sched = make_method("mrsch", system, config)
+            result = train_method(sched, system, config)
+            return result, sched.agent.state_dict()
+
+        plain, plain_weights = train()
+        assert not list(tmp_path.iterdir())  # telemetry off: nothing emitted
+        obs.enable(tmp_path / "telemetry")
+        try:
+            logged, logged_weights = train()
+        finally:
+            obs.disable()
+        assert (logged.losses, logged.phases, logged.epsilons) == (
+            plain.losses, plain.phases, plain.epsilons)
+        for key, value in plain_weights.items():
+            assert (logged_weights[key] == value).all()
+
+        episodes = [e for e in read_events(tmp_path / "telemetry")
+                    if e["event"] == "train_episode"]
+        assert [e["phase"] for e in episodes] == plain.phases
+        assert [e["loss"] for e in episodes] == plain.losses
+        assert [e["epsilon"] for e in episodes] == plain.epsilons
+        assert [e["episode"] for e in episodes] == [1, 2, 3]
+        for e in episodes:
+            assert e["batches"] == 128 and e["replay_size"] > 0
+            assert e["train_wall_s"] > 0
 
     def test_queue_dispatch_identical_with_telemetry(self, grid_config, tmp_path):
         tasks = grid_tasks(["heuristic"], ["S1"], grid_config, n_seeds=2)

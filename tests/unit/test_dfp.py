@@ -1,9 +1,12 @@
 """Tests for the DFP network and agent."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.dfp import DFPAgent, DFPConfig, DFPNetwork
+from repro.nn.serialize import load_params, save_params
 
 
 def small_config(**overrides) -> DFPConfig:
@@ -309,3 +312,65 @@ class TestAgentLearning:
         assert b.epsilon == pytest.approx(0.123)
         s, m, g = rng.random(12), rng.random(2), rng.random(2)
         np.testing.assert_allclose(a.action_scores(s, m, g), b.action_scores(s, m, g))
+
+
+class TestTrainingStepStorage:
+    """The training step runs on storage it keeps; what it hands out
+    stays the caller's."""
+
+    @staticmethod
+    def _agent() -> DFPAgent:
+        # The first state layer is 1.2 MiB, so every weight-sized
+        # temporary of the step (gradient product, Adam terms, clip
+        # squares) is far above the pin's 64 KiB. The batch is small so
+        # that NumPy's own iteration buffer — min(8192, size) doubles,
+        # borrowed by each broadcast bias add — stays well below it.
+        config = DFPConfig(state_dim=600, n_measurements=2, n_actions=4,
+                           batch_size=8, stream_hidden=64)
+        agent = DFPAgent(config, rng=4)
+        rng = np.random.default_rng(8)
+        steps = [(rng.random(600), rng.random(2), rng.random(2), i % 4, i % 6 == 0)
+                 for i in range(48)]
+        agent.record_episode(steps, [rng.random(2) for _ in steps])
+        return agent
+
+    def test_steady_state_batch_allocates_no_large_array(self):
+        agent = self._agent()
+        agent.train_batch()
+        agent.train_batch()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            agent.train_batch()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The allocating step peaks near 5 MiB here.
+        assert peak - before < 64 * 1024
+
+    def test_inference_forward_returns_a_fresh_array(self, rng):
+        agent = self._agent()
+        s, m, g = rng.random((8, 600)), rng.random((8, 2)), rng.random((8, 2))
+        kept = agent.network.forward(s, m, g)
+        snapshot = kept.copy()
+        agent.train_batch()
+        again = agent.network.forward(s + 1.0, m, g)
+        assert not np.shares_memory(kept, again)
+        np.testing.assert_array_equal(kept, snapshot)
+        layer = agent.network.state_net.layers[0]
+        out = layer.forward(s)
+        assert not np.shares_memory(out, layer.forward(s, training=True))
+
+    def test_save_load_then_continue_is_uninterrupted_training(self, tmp_path):
+        straight, resumed = self._agent(), self._agent()
+        for agent in (straight, resumed):
+            for _ in range(3):
+                agent.train_batch()
+        save_params(tmp_path / "agent.npz", resumed.state_dict())
+        resumed.load_state_dict(load_params(tmp_path / "agent.npz"))
+        assert [straight.train_batch() for _ in range(3)] == [
+            resumed.train_batch() for _ in range(3)
+        ]
+        for key, value in straight.state_dict().items():
+            np.testing.assert_array_equal(resumed.state_dict()[key], value)

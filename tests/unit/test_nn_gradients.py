@@ -2,7 +2,10 @@
 
 The hand-written backward passes are the foundation of the whole agent;
 each is checked against central finite differences on both inputs and
-parameters.
+parameters. The training step reuses its storage and skips the input
+gradient of branch-first layers; ``_nn_reference.py`` keeps the
+allocating step it replaced, and the twin-run tests at the bottom hold
+the two bit-identical.
 """
 
 import numpy as np
@@ -19,7 +22,11 @@ from repro.nn.layers import (
     Softmax,
     Tanh,
 )
+from repro.core.dfp import DFPAgent, DFPConfig, DFPNetwork, Experience
 from repro.nn.network import Sequential
+from repro.sched.scalar_rl import ScalarRLScheduler
+from repro.sim.simulator import Simulator
+from tests.unit._nn_reference import as_reference
 
 EPS = 1e-6
 TOL = 1e-5
@@ -163,3 +170,120 @@ class TestNetworkGradients:
         np.testing.assert_allclose(
             analytic_x, numeric_grad(scalar, x), atol=TOL, rtol=1e-4
         )
+
+
+class TestInputGradSkipped:
+    def test_disabled_input_grad_keeps_parameter_grads(self, rng):
+        seed = int(rng.integers(1 << 30))
+        full = Dense(6, 4, rng=seed)
+        first = Dense(6, 4, rng=seed, input_grad=False)
+        x, grad_out = rng.normal(size=(5, 6)), rng.normal(size=(5, 4))
+        for layer in (full, first):
+            layer.forward(x, training=True)
+        assert full.backward(grad_out).shape == x.shape
+        assert first.backward(grad_out) is None
+        for name in full.grads:
+            np.testing.assert_array_equal(first.grads[name], full.grads[name])
+        check_param_grads(first, x)
+
+    def test_only_branch_first_layers_skip_it(self, rng):
+        cfg = DFPConfig(state_dim=12, n_measurements=2, n_actions=3,
+                        offsets=(1, 2), temporal_weights=(0.5, 1.0),
+                        state_hidden=(6, 5), state_out=4, module_hidden=4,
+                        module_out=3, stream_hidden=5)
+        net = DFPNetwork(cfg, rng=rng)
+        inputs = (net.state_net, net.meas_net, net.goal_net)
+        first = [branch.layers[0] for branch in inputs]
+        assert not any(layer.input_grad for layer in first)
+        for layer in net.layers:
+            if isinstance(layer, Dense) and not any(layer is f for f in first):
+                assert layer.input_grad
+                check_input_grad(layer, rng.normal(size=(3, layer.in_features)))
+
+
+def _fill_replay(agent: DFPAgent, n: int, target_scale: float) -> None:
+    c = agent.config
+    rng = np.random.default_rng(99)
+    for i in range(n):
+        agent.replay.append(
+            Experience(
+                rng.random(c.state_dim),
+                rng.random(c.n_measurements),
+                rng.random(c.n_measurements),
+                int(rng.integers(c.n_actions)),
+                target_scale * rng.normal(size=c.pred_dim),
+                terminal=i % 5 == 0,
+            )
+        )
+
+
+def _record_norms(agent: DFPAgent) -> list[float]:
+    """Pre-clip norms of every later ``train_batch`` (it drops them)."""
+    norms: list[float] = []
+    clip = agent.optimizer.clip_gradients
+
+    def recording(max_norm):
+        norms.append(clip(max_norm))
+        return norms[-1]
+
+    agent.optimizer.clip_gradients = recording
+    return norms
+
+
+SMALL = dict(state_dim=40, n_measurements=2, n_actions=4, batch_size=16,
+             state_hidden=(24, 12), state_out=8, module_hidden=6, module_out=5,
+             stream_hidden=10)
+
+TWIN_CASES = {
+    "shared": (dict(SMALL, action_stream="shared"), 1.0),
+    "dense": (dict(SMALL, action_stream="dense"), 1.0),
+    # DFPConfig.paper_scale's shape: dense stream, 4:1 state layers,
+    # 128-style measurement/goal modules, a wide stream.
+    "paper_shaped": (dict(SMALL, state_dim=300, n_actions=10, batch_size=64,
+                          state_hidden=(400, 100), state_out=52, module_hidden=13,
+                          module_out=13, stream_hidden=52, action_stream="dense"), 1.0),
+    # Targets large enough that every batch takes the scaling branch.
+    "clipped": (dict(SMALL, grad_clip=0.5), 40.0),
+}
+
+
+class TestBufferedStepMatchesReference:
+    @pytest.mark.parametrize("case", TWIN_CASES)
+    def test_twenty_batches_bit_identical(self, case):
+        kwargs, target_scale = TWIN_CASES[case]
+        config = DFPConfig(**kwargs)
+        agent = DFPAgent(config, rng=5)
+        oracle = as_reference(DFPAgent(config, rng=5))
+        for twin in (agent, oracle):
+            _fill_replay(twin, 3 * config.batch_size, target_scale)
+        norms, oracle_norms = _record_norms(agent), _record_norms(oracle)
+
+        losses = [agent.train_batch() for _ in range(20)]
+        assert losses == [oracle.train_batch() for _ in range(20)]
+        assert norms == oracle_norms and len(norms) == 20
+        if case == "clipped":
+            assert min(norms) > config.grad_clip
+        for layer, ref in zip(agent.network.layers, oracle.network.layers):
+            for name in layer.params:
+                np.testing.assert_array_equal(layer.params[name], ref.params[name])
+        optimizer, ref = agent.optimizer, oracle.optimizer
+        assert optimizer.steps == ref.steps == 20
+        assert optimizer._m.keys() == ref._m.keys()
+        for key in ref._m:
+            np.testing.assert_array_equal(optimizer._m[key], ref._m[key])
+            np.testing.assert_array_equal(optimizer._v[key], ref._v[key])
+
+    def test_scalar_rl_finish_episode_bit_identical(self, mini_system, theta_trace):
+        def episode(reference: bool):
+            sched = ScalarRLScheduler(mini_system, window_size=5, seed=11)
+            if reference:
+                as_reference(sched.optimizer, *sched.policy.layers)
+            sched.training = True
+            sched.start_episode()
+            Simulator(mini_system, sched, record_timeline=False).run(theta_trace)
+            return sched.finish_episode(), sched.policy.state_dict()
+
+        (loss, params), (ref_loss, ref_params) = episode(False), episode(True)
+        assert loss == ref_loss and loss != 0.0
+        for key, value in ref_params.items():
+            np.testing.assert_array_equal(params[key], value)

@@ -7,6 +7,7 @@ from repro.nn.layers import Dense
 from repro.nn.losses import mse_loss
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD, Adam, Momentum, RMSProp
+from tests.unit._nn_reference import whole_tensor_update
 
 
 def quadratic_step_count(optimizer_cls, lr, tol=1e-3, max_steps=3000, **kwargs) -> int:
@@ -123,3 +124,28 @@ def test_zero_grad_via_optimizer(rng):
     for layer in net.layers:
         for grad in layer.grads.values():
             assert np.all(grad == 0)
+
+
+@pytest.mark.parametrize("opt_cls", [SGD, Momentum, RMSProp], ids=["sgd", "momentum", "rmsprop"])
+def test_blocked_update_is_the_whole_tensor_expression(opt_cls, rng):
+    """A weight spanning several sweep blocks, five steps: bit-identical
+    to the textbook update (Adam's twin runs are in test_nn_gradients)."""
+    layer = Dense(300, 120, rng=rng)
+    opt = opt_cls([layer], lr=0.01)
+    expected = {name: param.copy() for name, param in layer.params.items()}
+    states = {name: {} for name in expected}
+    for _ in range(5):
+        for name, grad in layer.grads.items():
+            grad[...] = rng.normal(size=grad.shape)
+            whole_tensor_update(opt, states[name], expected[name], grad)
+        opt.step()
+    for name, param in layer.params.items():
+        np.testing.assert_array_equal(param, expected[name])
+
+
+def test_non_contiguous_parameter_is_refused(rng):
+    """A flat view of it would be a copy, and the update silently lost."""
+    layer = Dense(3, 4, rng=rng)
+    layer.params["W"] = np.asfortranarray(layer.params["W"])
+    with pytest.raises(ValueError, match="contiguous"):
+        SGD([layer], lr=0.1).step()
