@@ -25,12 +25,13 @@ paper plus every substrate its evaluation depends on:
 Quickstart::
 
     from repro import (SystemConfig, ThetaTraceConfig, generate_theta_trace,
-                       build_workload, Simulator, make_scheduler)
+                       build_workload, Simulator)
+    from repro.api import SCHEDULERS
 
     system = SystemConfig.mini_theta()
     base = generate_theta_trace(ThetaTraceConfig(total_nodes=128, n_jobs=300), seed=1)
     jobs = build_workload("S4", base, system, seed=1)
-    sched = make_scheduler("heuristic", system)
+    sched = SCHEDULERS.get("heuristic").build(system)
     result = Simulator(system, sched).run(jobs)
     print(result.metrics.as_dict())
 """
@@ -49,7 +50,6 @@ from repro.core.training import TrainingResult, curriculum_training, train_episo
 from repro.sched.base import Scheduler, SchedulingContext
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.ga import GAScheduler
-from repro.sched.registry import available_schedulers, make_scheduler
 from repro.sched.scalar_rl import ScalarRLScheduler
 from repro.sim.metrics import MetricReport, compute_metrics, kiviat_normalize
 from repro.sim.simulator import SimulationResult, Simulator
@@ -99,8 +99,6 @@ __all__ = [
     "FCFSScheduler",
     "GAScheduler",
     "ScalarRLScheduler",
-    "make_scheduler",
-    "available_schedulers",
     # MRSch core
     "MRSchScheduler",
     "DFPConfig",

@@ -52,8 +52,6 @@ from repro.dist.store import (
     Store,
     StoreUnavailable,
     classify_errno,
-    seal_line,
-    unseal_line,
 )
 from repro.dist.supervise import SupervisorReport, WorkerSupervisor
 from repro.dist.worker import (
@@ -77,8 +75,6 @@ __all__ = [
     "StoreUnavailable",
     "RetryPolicy",
     "classify_errno",
-    "seal_line",
-    "unseal_line",
     "dispatch_tasks",
     "worker_process_entry",
     "new_worker_id",

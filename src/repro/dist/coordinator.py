@@ -282,12 +282,15 @@ def dispatch_tasks(
             ),
         )
 
-        def outstanding() -> list[str]:
-            done = queue.done_keys()
-            return [k for k in keys if k not in done]
+        def outstanding() -> tuple[list[str], list[str]]:
+            """This dispatch's cells still owed, and the poisoned ones
+            among them, from one frontier snapshot."""
+            frontier = queue.frontier()
+            poisoned = [k for k in frontier.poisoned if k in key_set]
+            owed = [k for k in frontier.claimable if k in key_set]
+            return owed + poisoned, poisoned
 
-        pending_now = outstanding()
-        if pending_now:
+        if outstanding()[0]:
             from repro.api.registry import registration_modules
 
             if mp_start_method is None:
@@ -329,7 +332,7 @@ def dispatch_tasks(
 
         fallback_deadline: float | None = None
         while True:
-            pending = outstanding()
+            pending, poisoned = outstanding()
             if not pending:
                 break
             injector.on_coordinator("dispatch")
@@ -343,7 +346,6 @@ def dispatch_tasks(
                             "coordinator reaped expired lease",
                             extra=kv(key=lease.key, owner=lease.owner),
                         )
-            poisoned = [k for k in pending if queue.poisoned(k)]
             if poisoned:
                 errors = queue.failure_errors(poisoned[0])
                 _log.error(

@@ -272,15 +272,13 @@ class _Audit:
     def cells(self, manifest, done: set):
         queue = self.queue
         keys = queue.task_keys()
-        pending = [k for k in keys if k not in done]
-        poisoned = [k for k in pending if queue.poisoned(k)]
+        live_pending, poisoned = queue.frontier()
         for key in poisoned:
             self.add(
                 "cell-poisoned", "warn", queue.tasks_dir / key,
                 f"cell failed {queue.failure_count(key)}/{MAX_ATTEMPTS} "
                 f"attempts and was withdrawn; see failed/ for errors",
             )
-        live_pending = [k for k in pending if k not in poisoned]
         if live_pending and manifest is not None and manifest.complete:
             self.add(
                 "complete-but-pending", "error", queue.manifest_path,
@@ -350,14 +348,7 @@ class _Audit:
                 f"provenance — inspect before deleting; the cells were "
                 f"re-issued, no data was merged from them",
             )
-        spool = 0
-        for snap in queue.worker_metrics():
-            counters = snap.get("counters", {})
-            spool += max(
-                0,
-                int(counters.get("store.degraded_entries", 0))
-                - int(counters.get("store.spool_flushed", 0)),
-            )
+        spool = queue.spool_backlog()
         if spool:
             self.add(
                 "spool-backlog", "warn", queue.metrics_dir,

@@ -7,7 +7,6 @@ filesystem)::
       meta.json                      # execution context (trace dir, …)
       manifest.json                  # CRC-sealed run manifest (repro.dist.manifest)
       staging/batch-g<n>.jsonl       # batch specs awaiting manifest seal
-      tasks/<key>.json               # one ExperimentTask spec per cell
       tasks/batch-g<n>.jsonl         # published batch specs (one line per cell)
       leases/<key>.json              # lease protocol (repro.dist.lease)
       done/<key>.json                # completion marker: {worker, host, t}
@@ -17,19 +16,17 @@ filesystem)::
       workers/<worker>.json          # worker registration + heartbeat
       metrics/<worker>.json          # per-worker metrics snapshots
 
-Cells are written once — by the coordinator or by any worker running the
-same deterministic :func:`~repro.exp.runner.grid_tasks` expansion; the
-task key is the config hash, so concurrent enqueues of the same grid
-collapse to identical files. Coordinators enqueue **in batch**: one
-sealed-JSONL spec file per generation lands atomically in ``staging/``
-and is published by the run manifest's seal (see
-:mod:`repro.dist.manifest`), so a 10⁶-cell grid is one create, and a
-half-written enqueue is *detectable and resumable* instead of a silent
-race. The per-file :meth:`WorkQueue.enqueue` path remains for elastic
-workers racing to enqueue and for old queue directories. Completed cells append to *per-worker*
-JSONL journal shards (appenders never contend on one file) which are
-merged on read; duplicates from straggler re-issues collapse by key and
-are bit-identical by construction (per-cell ``SeedSequence`` seeding).
+Cells enter a queue one way: :func:`repro.dist.manifest.ensure_enqueued`
+writes one sealed-JSONL spec file per generation atomically into
+``staging/`` and the run manifest's seal publishes it, so a 10⁶-cell
+grid is one create, and a half-written enqueue is *detectable and
+resumable* instead of a silent race. The task key is the config hash,
+so re-enqueueing the same deterministic
+:func:`~repro.exp.runner.grid_tasks` expansion is a no-op. Completed
+cells append to *per-worker* JSONL journal shards (appenders never
+contend on one file) which are merged on read; duplicates from
+straggler re-issues collapse by key and are bit-identical by
+construction (per-cell ``SeedSequence`` seeding).
 
 Storage robustness: every filesystem operation routes through the
 :class:`~repro.dist.store.Store` seam (transient-errno retry with
@@ -47,23 +44,27 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.dist.lease import LeaseBoard
 from repro.dist.manifest import MANIFEST_NAME, ManifestCorrupt, RunManifest
-from repro.dist.store import (
-    Store,
-    seal_line,
-    unseal_line,
-    verify_sealed_payload,
-)
+from repro.dist.store import Store
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs.logbridge import get_logger, kv
+from repro.utils.durable import (
+    CORRUPT,
+    OK,
+    scan_sealed_jsonl,
+    seal_json_payload,
+    seal_line,
+    verify_sealed_payload,
+)
 
-__all__ = ["WorkQueue", "QueueStatus", "fsync_append"]
+__all__ = ["WorkQueue", "QueueStatus", "Frontier"]
 
 _log = get_logger("repro.dist.queue")
 
@@ -72,38 +73,14 @@ _log = get_logger("repro.dist.queue")
 MAX_ATTEMPTS = 3
 
 
-def fsync_append(path: Path, line: str) -> None:
-    """Durably append one journal line: write, flush, ``fsync``.
+class Frontier(NamedTuple):
+    """One scan-start snapshot of the cells that are not done."""
 
-    The fsync makes a torn tail a last resort (power loss mid-write)
-    rather than the common case (process death with a full OS buffer);
-    the directory is fsynced on first create so the file's existence is
-    durable too. (Kept as the plain, seam-free primitive; queue writes
-    go through :meth:`repro.dist.store.Store.fsync_append`.)
-    """
-    existed = path.exists()
-    with open(path, "a") as handle:
-        handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    if not existed:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    #: enqueued, no done marker, re-issue budget left — sorted, so
+    #: every worker scans in the same stable order
+    claimable: list[str]
+    #: enqueued, no done marker, ``MAX_ATTEMPTS`` failures on record
+    poisoned: list[str]
 
 
 @dataclass
@@ -216,6 +193,14 @@ class QueueStatus:
         return "\n".join(lines)
 
 
+def _decode_batch_line(record: object) -> tuple[str, dict] | None:
+    """``(key, spec)`` of one batch line, or None for a malformed one."""
+    try:
+        return str(record["key"]), record["spec"]
+    except (KeyError, TypeError):
+        return None
+
+
 class WorkQueue:
     """One shared-directory queue of lease-able experiment cells."""
 
@@ -312,7 +297,7 @@ class WorkQueue:
     def write_manifest(self, manifest: RunManifest) -> None:
         """Atomically publish ``manifest`` (CRC-sealed, last-wins)."""
         self.store.atomic_write_json(
-            self.manifest_path, manifest.to_json_dict(), seal=True
+            self.manifest_path, seal_json_payload(manifest.to_json_dict())
         )
 
     def quarantine_manifest(self, reason: str) -> None:
@@ -382,28 +367,16 @@ class WorkQueue:
         except FileNotFoundError:
             return {}
         specs: dict[str, dict] = {}
-        for line_no, line in enumerate(text.split("\n")):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            body, verdict = unseal_line(stripped)
-            if verdict is False:
+        for line in scan_sealed_jsonl(text, _decode_batch_line):
+            if line.verdict == OK:
+                specs.setdefault(*line.value)
+            else:
+                # The file was published whole (atomic replace), so even
+                # an unsealed bad last line is damage, not a torn write.
                 self._quarantine(
-                    path.name, line_no + 1, stripped,
-                    "batch spec line checksum mismatch",
+                    path.name, line.line_no, line.raw,
+                    f"batch spec line {line.reason or 'failed to parse'}",
                 )
-                continue
-            try:
-                record = json.loads(body)
-                key = record["key"]
-                spec = record["spec"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                self._quarantine(
-                    path.name, line_no + 1, stripped,
-                    "batch spec line failed to parse",
-                )
-                continue
-            specs.setdefault(str(key), spec)
         self._batch_cache[path.name] = specs
         return specs
 
@@ -417,74 +390,24 @@ class WorkQueue:
 
     # -- task records -----------------------------------------------------
 
-    def enqueue(self, tasks: list[ExperimentTask]) -> list[str]:
-        """Write task specs for every cell; returns their keys.
-
-        Idempotent: a key whose spec file already exists is left alone
-        (its content is identical by construction — the key *is* the
-        config hash), so any number of workers may race to enqueue the
-        same deterministic grid expansion. Specs are written with an
-        embedded CRC32 so a worker can detect on-disk corruption before
-        executing garbage.
-        """
-        keys = []
-        for task in tasks:
-            key = task.key()
-            keys.append(key)
-            path = self.tasks_dir / f"{key}.json"
-            if not path.exists():
-                self.store.atomic_write_json(
-                    path, task.to_json_dict(), seal=True
-                )
-        return keys
-
     def task_keys(self) -> list[str]:
-        """Every enqueued cell key, sorted for a stable scan order.
-
-        The union of per-file specs (``tasks/<key>.json``) and published
-        batch specs (``tasks/batch-g<n>.jsonl`` lines) — the two enqueue
-        paths coexist in one directory.
-        """
-        keys = {path.stem for path in self.tasks_dir.glob("*.json")}
-        keys.update(self._batch_specs())
-        return sorted(keys)
+        """Every enqueued cell key, sorted for a stable scan order."""
+        return sorted(self._batch_specs())
 
     def load_task(self, key: str) -> ExperimentTask:
-        """Load and checksum-verify one task spec.
+        """The task spec of one enqueued cell.
 
-        Per-file specs win over batch lines (both are keyed by the
-        config hash, so the content is identical by construction). A
-        spec that fails its checksum (or no longer parses) is
-        quarantined with provenance and raises — executing a corrupted
-        spec would publish a result under a key that no longer matches
-        its content.
+        Specs were checksum-verified when their batch file was parsed
+        (a line failing its seal is quarantined and never becomes a
+        key), so an unknown key — never enqueued, or its line was
+        quarantined — raises ``FileNotFoundError``.
         """
-        path = self.tasks_dir / f"{key}.json"
-        try:
-            text = self.store.read_text(path)
-        except FileNotFoundError:
-            spec = self._batch_specs().get(key)
-            if spec is None:
-                raise
-            return ExperimentTask.from_json_dict(spec)
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            self._quarantine(f"task-{key}", 1, text, "task spec is not JSON")
-            raise ValueError(
-                f"task spec for {key} is corrupt (unparseable JSON); "
-                f"quarantined under {self.quarantine_dir}"
-            ) from None
-        body, verdict = verify_sealed_payload(payload)
-        if verdict is False:
-            self._quarantine(
-                f"task-{key}", 1, text, "task spec checksum mismatch"
+        spec = self._batch_specs().get(key)
+        if spec is None:
+            raise FileNotFoundError(
+                f"no task spec for {key} under {self.tasks_dir}"
             )
-            raise ValueError(
-                f"task spec for {key} failed its CRC32 checksum; "
-                f"quarantined under {self.quarantine_dir}"
-            )
-        return ExperimentTask.from_json_dict(body)
+        return ExperimentTask.from_json_dict(spec)
 
     # -- completion -------------------------------------------------------
 
@@ -528,11 +451,39 @@ class WorkQueue:
         """Whether ``key`` has exhausted its re-issue budget."""
         return self.failure_count(key) >= MAX_ATTEMPTS
 
+    def frontier(self) -> Frontier:
+        """The cells still owed, from one ``done/`` and one ``failed/``
+        listing (not a ``stat`` and a directory glob per key).
+
+        A snapshot: a cell may finish right after it was taken, which
+        is why a claimer re-checks :meth:`is_done` once it holds the
+        lease.
+        """
+        done = self.done_keys()
+        failures = self.failures()
+        claimable, poisoned = [], []
+        for key in self.task_keys():
+            if key in done:
+                continue
+            if failures.get(key, 0) >= MAX_ATTEMPTS:
+                poisoned.append(key)
+            else:
+                claimable.append(key)
+        return Frontier(claimable, poisoned)
+
     def failure_errors(self, key: str) -> list[str]:
+        return [
+            doc.get("error", "?")
+            for doc in self._read_docs(self.failed_dir, f"{key}-*.json")
+        ]
+
+    def _read_docs(self, directory: Path, pattern: str = "*.json") -> list[dict]:
+        """Every readable JSON document matching ``pattern``, in name
+        order; a missing directory or an unreadable file is skipped."""
         out = []
-        for path in sorted(self.failed_dir.glob(f"{key}-*.json")):
+        for path in sorted(directory.glob(pattern)):
             try:
-                out.append(self.store.read_json(path).get("error", "?"))
+                out.append(self.store.read_json(path))
             except (json.JSONDecodeError, OSError):
                 continue
         return out
@@ -549,8 +500,6 @@ class WorkQueue:
         best-effort — a store failure here is logged, not raised, so a
         flaky quarantine write can never take down a merge.
         """
-        import zlib
-
         digest = f"{zlib.crc32(raw.encode('utf-8', 'replace')) & 0xFFFFFFFF:08x}"
         name = f"{origin}-L{line_no}-{digest}.json"
         record = {
@@ -581,13 +530,7 @@ class WorkQueue:
 
     def quarantined(self) -> list[dict]:
         """Every quarantine record (missing dir → [])."""
-        out = []
-        for path in sorted(self.quarantine_dir.glob("*.json")):
-            try:
-                out.append(self.store.read_json(path))
-            except (json.JSONDecodeError, OSError):
-                continue
-        return out
+        return self._read_docs(self.quarantine_dir)
 
     def quarantine_count(self) -> int:
         return sum(1 for _ in self.quarantine_dir.glob("*.json"))
@@ -604,8 +547,7 @@ class WorkQueue:
         carry a CRC32 seal so later corruption is detected, not merged.
         """
         self.store.fsync_append(
-            self.shard_path(worker_id),
-            seal_line(json.dumps(result.to_json_dict(), sort_keys=True)),
+            self.shard_path(worker_id), result.to_sealed_line()
         )
         self.mark_done(result.key, worker_id)
 
@@ -614,17 +556,12 @@ class WorkQueue:
 
         Duplicate keys across shards come only from straggler re-issues
         and are bit-identical by construction, so the first shard wins.
-        Three kinds of bad line are distinguished:
-
-        * a **torn tail** — the last non-empty line of a shard failing
-          to parse, with no checksum seal: the writer died mid-append.
-          Skipped silently; the cell re-issues (pre-seam behaviour).
-        * **interior corruption** — any other unparseable line, or any
-          line whose CRC32 seal does not match: the storage layer
-          mangled a record that was once written whole. Quarantined
-          with provenance, never silently dropped.
-        * a **sealed-but-unparseable** line — checksum matches, JSON
-          decode still fails (writer bug): quarantined too.
+        The shared reader's verdicts decide each line's fate: a **torn
+        tail** (the writer died mid-append) is skipped silently and the
+        cell re-issues; a **corrupt** line (bad seal, sealed but not a
+        well-formed result, or an unparseable interior line — the
+        storage layer mangled a record that was once written whole) is
+        quarantined with provenance, never silently dropped.
         """
         merged: dict[str, TaskResult] = {}
         for shard in sorted(self.results_dir.glob("journal-*.jsonl")):
@@ -632,39 +569,14 @@ class WorkQueue:
                 text = self.store.read_text(shard)
             except FileNotFoundError:
                 continue
-            lines = text.split("\n")
-            last_content = max(
-                (i for i, line in enumerate(lines) if line.strip()),
-                default=-1,
-            )
-            for line_no, line in enumerate(lines):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                body, verdict = unseal_line(stripped)
-                if verdict is False:
+            for line in scan_sealed_jsonl(text, TaskResult.decode):
+                if line.verdict == OK:
+                    merged.setdefault(line.value.key, line.value)
+                elif line.verdict == CORRUPT:
                     self._quarantine(
-                        shard.name, line_no + 1, stripped,
-                        "journal line checksum mismatch",
+                        shard.name, line.line_no, line.raw,
+                        f"journal line {line.reason}",
                     )
-                    continue
-                try:
-                    result = TaskResult.from_json_dict(json.loads(body))
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-                    if verdict is True:
-                        self._quarantine(
-                            shard.name, line_no + 1, stripped,
-                            "sealed journal line failed to parse",
-                        )
-                    elif line_no == last_content:
-                        pass  # torn tail of a crashed worker
-                    else:
-                        self._quarantine(
-                            shard.name, line_no + 1, stripped,
-                            "interior journal corruption (unsealed)",
-                        )
-                    continue
-                merged.setdefault(result.key, result)
         return merged
 
     # -- worker registry --------------------------------------------------
@@ -677,13 +589,7 @@ class WorkQueue:
         )
 
     def workers(self) -> list[dict]:
-        out = []
-        for path in sorted(self.workers_dir.glob("*.json")):
-            try:
-                out.append(self.store.read_json(path))
-            except (json.JSONDecodeError, OSError):
-                continue
-        return out
+        return self._read_docs(self.workers_dir)
 
     # -- worker metrics snapshots ------------------------------------------
 
@@ -703,13 +609,20 @@ class WorkQueue:
 
     def worker_metrics(self) -> list[dict]:
         """Every worker's latest metrics snapshot (missing dir → [])."""
-        out = []
-        for path in sorted(self.metrics_dir.glob("*.json")):
-            try:
-                out.append(self.store.read_json(path))
-            except (json.JSONDecodeError, OSError):
-                continue
-        return out
+        return self._read_docs(self.metrics_dir)
+
+    def spool_backlog(self) -> int:
+        """Results parked on worker-local disk awaiting store recovery,
+        summed over the workers' metrics snapshots."""
+        backlog = 0
+        for snap in self.worker_metrics():
+            counters = snap.get("counters", {})
+            backlog += max(
+                0,
+                int(counters.get("store.degraded_entries", 0))
+                - int(counters.get("store.spool_flushed", 0)),
+            )
+        return backlog
 
     def _throughput(self, pending: int) -> tuple[float | None, float | None]:
         """(cells/sec, eta seconds) from the workers' snapshots.
@@ -787,14 +700,6 @@ class WorkQueue:
                     "cells": len(manifest.keys),
                     "batches": list(manifest.batches),
                 }
-        spool = 0
-        for snap in self.worker_metrics():
-            counters = snap.get("counters", {})
-            spool += max(
-                0,
-                int(counters.get("store.degraded_entries", 0))
-                - int(counters.get("store.spool_flushed", 0)),
-            )
         return QueueStatus(
             total=len(keys),
             done=n_done,
@@ -808,6 +713,6 @@ class WorkQueue:
             quarantined=self.quarantine_count(),
             manifest=manifest_info,
             enqueue=enqueue,
-            spool_backlog=spool,
+            spool_backlog=self.spool_backlog(),
             coordinator=coordinator,
         )

@@ -5,7 +5,7 @@ may as well be infallible; on the NFS-style shared mounts the 10⁶-cell
 sweep targets they are the *primary* failure surface — transient
 ``EIO``/``ESTALE`` flakes, ``ENOSPC`` on a filled volume, torn writes
 from a dying client. :class:`Store` routes every queue, lease and
-journal operation through one seam that layers three behaviours the
+journal operation through one seam that layers two behaviours the
 raw calls lack:
 
 * **Deterministic fault injection** — the worker's
@@ -22,18 +22,14 @@ raw calls lack:
   raise :class:`StoreUnavailable`, the worker's cue to degrade
   gracefully. *Semantic* errnos (``ENOENT``, ``EEXIST``, …) propagate
   untouched — the lease protocol's atomicity is built on them.
-* **Line checksums** — journal lines are sealed with a CRC32 suffix
-  (:func:`seal_line`/:func:`unseal_line`) and task specs carry a
-  ``_crc32`` field (:func:`seal_json_payload`), so interior corruption
-  is *detected* at read time and quarantined with provenance instead of
-  being silently merged away as if it were a torn tail.
 
-Appends get one extra recovery rule: after a failed append attempt an
-unknown number of bytes may have landed, so the retry first terminates
-any partial line with a newline before re-appending the full line. The
-stranded fragment then fails its checksum on merge and lands in
-``quarantine/`` — corruption is accounted for, never double-counted as
-a result.
+The bytes themselves — atomic replace, fsynced append with its newline
+guard, CRC32 seals — are :mod:`repro.utils.durable`'s; this module adds
+the failure handling around them. After a failed append attempt an
+unknown number of bytes may have landed; the append's newline guard
+makes the retry start on a fresh line, so the stranded fragment fails
+its checksum on merge and lands in ``quarantine/`` — corruption is
+accounted for, never double-counted as a result.
 """
 
 from __future__ import annotations
@@ -42,11 +38,12 @@ import errno as _errno
 import json
 import os
 import random
-import tempfile
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.utils.durable import append_line, atomic_write
 
 __all__ = [
     "Store",
@@ -55,11 +52,6 @@ __all__ = [
     "classify_errno",
     "TRANSIENT_ERRNOS",
     "PERMANENT_ERRNOS",
-    "seal_line",
-    "unseal_line",
-    "seal_json_payload",
-    "verify_sealed_payload",
-    "CHECKSUM_KEY",
 ]
 
 #: errnos worth retrying: the operation may succeed on the next attempt
@@ -123,67 +115,6 @@ class StoreUnavailable(OSError):
         self.attempts = attempts
 
 
-# -- line / payload checksums ---------------------------------------------
-
-#: seal suffix marker on journal lines: ``<json> @crc32=deadbeef``
-SEAL_MARK = " @crc32="
-
-#: embedded checksum key on sealed JSON documents (task specs)
-CHECKSUM_KEY = "_crc32"
-
-
-def _crc(text: str) -> str:
-    return f"{zlib.crc32(text.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-
-def seal_line(text: str) -> str:
-    """Append the CRC32 seal: ``<text> @crc32=<8 hex digits>``."""
-    return f"{text}{SEAL_MARK}{_crc(text)}"
-
-
-def unseal_line(line: str) -> tuple[str, bool | None]:
-    """Split a (possibly) sealed line into ``(text, verdict)``.
-
-    ``verdict`` is True (seal present and valid), False (seal present
-    but the checksum does not match — the line is corrupt), or None
-    (no seal: a pre-checksum legacy line or a torn fragment; the caller
-    falls back to JSON-parse validation).
-    """
-    idx = line.rfind(SEAL_MARK)
-    if idx < 0:
-        return line, None
-    text, digest = line[:idx], line[idx + len(SEAL_MARK):]
-    if len(digest) != 8:
-        return text, False
-    return text, _crc(text) == digest
-
-
-def seal_json_payload(payload: dict) -> dict:
-    """A copy of ``payload`` with an embedded ``_crc32`` checksum.
-
-    The checksum covers the canonical (sorted-key) JSON rendering of
-    the payload *without* the checksum field, so readers that ignore
-    unknown keys keep working and :func:`verify_sealed_payload` can
-    re-derive it exactly.
-    """
-    body = {k: v for k, v in payload.items() if k != CHECKSUM_KEY}
-    sealed = dict(body)
-    sealed[CHECKSUM_KEY] = _crc(json.dumps(body, sort_keys=True))
-    return sealed
-
-
-def verify_sealed_payload(payload: dict) -> tuple[dict, bool | None]:
-    """``(payload without checksum, verdict)`` for a sealed document.
-
-    Verdict semantics match :func:`unseal_line`: None means the
-    document predates checksumming (accepted as-is).
-    """
-    if CHECKSUM_KEY not in payload:
-        return payload, None
-    body = {k: v for k, v in payload.items() if k != CHECKSUM_KEY}
-    return body, _crc(json.dumps(body, sort_keys=True)) == payload[CHECKSUM_KEY]
-
-
 # -- retry policy ----------------------------------------------------------
 
 
@@ -217,22 +148,25 @@ class RetryPolicy:
         """A fresh, deterministically seeded jitter stream."""
         return random.Random(zlib.crc32(self.seed.encode("utf-8")))
 
+    def _delay(self, attempt: int, u: float) -> float:
+        """The backoff before retry ``attempt`` for jitter draw ``u``."""
+        base = min(self.max_delay_s, self.base_delay_s * 2 ** (attempt - 1))
+        return base * (1.0 + u * self.jitter)
+
     def delays(self) -> list[float]:
         """The full retry schedule (deterministic for a given seed)."""
         rng = self.rng()
-        out = []
-        for attempt in range(1, self.max_retries + 1):
-            base = min(self.max_delay_s, self.base_delay_s * 2 ** (attempt - 1))
-            out.append(base * (1.0 + rng.random() * self.jitter))
-        return out
+        return [
+            self._delay(attempt, rng.random())
+            for attempt in range(1, self.max_retries + 1)
+        ]
 
     def max_total_wait_s(self) -> float:
         """Upper bound on the summed backoff sleeps (jitter maximal)."""
-        total = 0.0
-        for attempt in range(1, self.max_retries + 1):
-            base = min(self.max_delay_s, self.base_delay_s * 2 ** (attempt - 1))
-            total += base * (1.0 + self.jitter)
-        return total
+        return sum(
+            self._delay(attempt, 1.0)
+            for attempt in range(1, self.max_retries + 1)
+        )
 
 
 # -- the seam --------------------------------------------------------------
@@ -271,9 +205,6 @@ class Store:
         self.metrics = metrics
         self._sleep = sleep
         self._jitter = self.retry.rng()
-        #: set after any append attempt fails: the next append on that
-        #: path first newline-terminates whatever partial line landed.
-        self._append_dirty: set[str] = set()
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -281,20 +212,13 @@ class Store:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    def _next_delay(self, attempt: int) -> float:
-        base = min(
-            self.retry.max_delay_s,
-            self.retry.base_delay_s * 2 ** (attempt - 1),
-        )
-        return base * (1.0 + self._jitter.random() * self.retry.jitter)
-
     def _fire(self, op: str, path: Path) -> dict | None:
         """The scripted fault (if any) matching this op, already counted."""
         if self.faults is None:
             return None
         return self.faults.on_io(op, str(path))
 
-    def _apply_fault(self, fault: dict, handle=None, payload: str | None = None):
+    def _apply_fault(self, fault: dict, handle=None, payload: bytes | None = None):
         """Carry out one fired fault spec: slow IO, torn write, errno."""
         delay = float(fault.get("delay_s", 0.0))
         if delay > 0:
@@ -303,7 +227,7 @@ class Store:
             # A dying writer: a prefix of the bytes lands, then the
             # error surfaces. The stranded fragment is exactly what the
             # checksum/quarantine path exists to catch.
-            handle.write(payload[: max(1, len(payload) // 2)].rstrip("\n"))
+            handle.write(payload[: max(1, len(payload) // 2)].rstrip(b"\n"))
             handle.flush()
         code = fault.get("errno")
         if code is not None:
@@ -322,12 +246,6 @@ class Store:
                 return fn()
             except OSError as exc:
                 kind = classify_errno(exc.errno)
-                if op == "append":
-                    # Unknown how much of the line landed; arm the
-                    # newline guard so the retry (or a later append)
-                    # never extends a partial line into garbage that
-                    # swallows a good record.
-                    self._append_dirty.add(str(path))
                 if kind == "semantic":
                     raise
                 if kind == "permanent":
@@ -345,7 +263,9 @@ class Store:
                     ) from exc
                 if self.metrics is not None:
                     self.metrics.counter(f"store.retried.{op}").inc()
-                self._sleep(self._next_delay(attempt))
+                self._sleep(
+                    self.retry._delay(attempt, self._jitter.random())
+                )
 
     # -- operations --------------------------------------------------------
 
@@ -361,27 +281,16 @@ class Store:
         path = Path(path)
         return self._run("stat", path, lambda: path.stat().st_mtime)
 
-    def atomic_write_json(
-        self, path: str | os.PathLike, payload: dict, seal: bool = False
-    ) -> None:
+    def atomic_write_json(self, path: str | os.PathLike, payload: dict) -> None:
         """Write ``payload`` via temp file + ``os.replace`` (idempotent,
         so the retry loop can safely re-run the whole sequence)."""
         path = Path(path)
-        if seal:
-            payload = seal_json_payload(payload)
-
-        def write() -> None:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, sort_keys=True)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
-        self._run("write", path, write)
+        self._run(
+            "write", path,
+            lambda: atomic_write(
+                path, lambda handle: json.dump(payload, handle, sort_keys=True)
+            ),
+        )
 
     def atomic_write_text(self, path: str | os.PathLike, text: str) -> None:
         """Write ``text`` whole via temp file + ``os.replace``.
@@ -392,21 +301,12 @@ class Store:
         in for 10⁶ individual spec creates.
         """
         path = Path(path)
-
-        def write() -> None:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
-        self._run("write", path, write)
+        self._run(
+            "write", path,
+            lambda: atomic_write(
+                path, lambda handle: handle.write(text), fsync=True
+            ),
+        )
 
     def fsync_append(self, path: str | os.PathLike, line: str) -> None:
         """Durably append one line: write, flush, ``fsync`` (file, and
@@ -418,29 +318,16 @@ class Store:
         """
         path = Path(path)
 
-        def append() -> None:
-            existed = path.exists()
-            payload = line + "\n"
-            if str(path) in self._append_dirty:
-                # A prior attempt may have stranded a partial line;
-                # terminate it so this record starts on a clean line.
-                payload = "\n" + payload
-            with open(path, "a") as handle:
-                fault = self._fire("append", path)
-                if fault is not None:
-                    self._apply_fault(fault, handle=handle, payload=payload)
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._append_dirty.discard(str(path))
-            if not existed:
-                dir_fd = os.open(path.parent, os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
+        def inject(handle, payload: bytes) -> None:
+            fault = self._fire("append", path)
+            if fault is not None:
+                self._apply_fault(fault, handle=handle, payload=payload)
 
-        self._run("append", path, append, fire=False)
+        self._run(
+            "append", path,
+            lambda: append_line(path, line, before_write=inject),
+            fire=False,
+        )
 
     def create_excl_json(self, path: str | os.PathLike, payload: dict) -> bool:
         """``O_CREAT | O_EXCL`` claim write; False when the race is lost.

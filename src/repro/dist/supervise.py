@@ -385,13 +385,9 @@ class WorkerSupervisor:
         """No cell a fresh worker could make progress on (done, poisoned,
         or — conservatively — none at all readable)."""
         try:
-            for key in self.queue.task_keys():
-                if self.queue.is_done(key) or self.queue.poisoned(key):
-                    continue
-                return False
+            return not self.queue.frontier().claimable
         except OSError:
             return False  # can't tell: keep supervising
-        return True
 
     def _event(self, name: str, **fields) -> None:
         session = _obs_runtime.session

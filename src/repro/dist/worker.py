@@ -43,12 +43,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dist.faults import FaultInjector, FaultPlan
-from repro.dist.queue import WorkQueue, fsync_append
-from repro.dist.store import RetryPolicy, Store, StoreUnavailable, seal_line
+from repro.dist.queue import WorkQueue
+from repro.dist.store import RetryPolicy, Store, StoreUnavailable
 from repro.exp.tasks import execute_task
 from repro.obs.events import bind
 from repro.obs.logbridge import get_logger, kv
 from repro.obs.metrics import MetricsRegistry
+from repro.utils.durable import append_line
 
 __all__ = [
     "QueueWorker",
@@ -403,11 +404,7 @@ class QueueWorker:
         that owner may yet die, so the worker keeps polling until the
         cell is done (or poisoned by repeated failures).
         """
-        for key in self.queue.task_keys():
-            if self.queue.is_done(key) or self.queue.poisoned(key):
-                continue
-            return False
-        return True
+        return not self.queue.frontier().claimable
 
     def _run_complete(self) -> bool:
         """Whether the run manifest says every promised cell is done.
@@ -425,10 +422,8 @@ class QueueWorker:
         return manifest is not None and manifest.complete
 
     def _scan_once(self, meta: dict) -> bool:
-        """One pass over the task records; True when a cell executed."""
-        for key in self.queue.task_keys():
-            if self.queue.is_done(key) or self.queue.poisoned(key):
-                continue
+        """One pass over the frontier; True when a cell executed."""
+        for key in self.queue.frontier().claimable:
             lease = self.queue.leases.read(key)
             if lease is not None:
                 if not lease.expired():
@@ -444,7 +439,8 @@ class QueueWorker:
             if not self.queue.leases.try_claim(key, self.worker_id):
                 continue
             if self.queue.is_done(key):
-                # Raced a straggler's publish between scan and claim.
+                # Finished between the frontier snapshot and our claim
+                # (a straggler's publish, or another worker's whole cell).
                 self.queue.leases.release(key, self.worker_id)
                 self.metrics.counter("queue.straggler_dedupes").inc()
                 _log.info(
@@ -620,9 +616,8 @@ class QueueWorker:
         self.metrics.counter("store.degraded_entries").inc()
         try:
             self.spool_dir.mkdir(parents=True, exist_ok=True)
-            fsync_append(
-                self.spool_dir / "results.jsonl",
-                seal_line(json.dumps(result.to_json_dict(), sort_keys=True)),
+            append_line(
+                self.spool_dir / "results.jsonl", result.to_sealed_line()
             )
         except OSError as spool_exc:
             _log.warning(

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from repro.utils.durable import atomic_write
 
 __all__ = ["DecisionTrace", "TraceStore", "trace_key"]
 
@@ -167,15 +168,11 @@ class DecisionTrace:
         meta["schema"] = TRACE_SCHEMA_VERSION
         meta["compact"] = bool(compact)
         payload["meta"] = np.array(json.dumps(meta, sort_keys=True))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(
+            path,
+            lambda handle: np.savez_compressed(handle, **payload),
+            binary=True,
+        )
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "DecisionTrace":
@@ -197,8 +194,8 @@ class DecisionTrace:
 class TraceStore:
     """A directory of decision traces keyed by ``<task_key>_<workload>``.
 
-    Writes are atomic (temp file + ``os.replace``) so concurrent worker
-    processes can record into one store; every successful ``put`` also
+    Writes are atomic replaces so concurrent worker processes can
+    record into one store; every successful ``put`` also
     appends a one-line JSON summary to ``index.jsonl`` for cheap
     inspection without decompressing any NPZ. The index is strictly
     append-only (rewriting it would break concurrent recording), so a

@@ -2,9 +2,10 @@
 
 Layout: one JSON file per task under the cache directory,
 ``<cache_dir>/<key>.json``, holding a :class:`TaskResult` rendered by
-:meth:`TaskResult.to_json_dict`. Writes go through a temp file +
-``os.replace`` so concurrent workers (or interrupted runs) can never
-leave a torn entry — readers either see a complete result or nothing.
+:meth:`TaskResult.to_json_dict`. Writes are atomic replaces
+(:func:`repro.utils.durable.atomic_write`) so concurrent workers (or
+interrupted runs) can never leave a torn entry — readers either see a
+complete result or nothing.
 
 Because the key hashes the *entire* task (method, workloads, seed,
 config, training flags), a cache hit is exact: same inputs, same
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from repro.exp.records import TaskResult
+from repro.utils.durable import atomic_write
 
 __all__ = ["ResultCache"]
 
@@ -39,27 +40,21 @@ class ResultCache:
         if not path.exists():
             return None
         try:
-            data = json.loads(path.read_text())
-            result = TaskResult.from_json_dict(data)
-        except (json.JSONDecodeError, KeyError, ValueError):
-            # A torn or stale-schema entry counts as a miss; the task
-            # reruns and the entry is rewritten.
-            return None
-        result.source = "cache"
+            result = TaskResult.decode(json.loads(path.read_text()))
+        except json.JSONDecodeError:
+            result = None
+        if result is not None:
+            result.source = "cache"
+        # A torn, stale-schema or wrong-shape entry counts as a miss;
+        # the task reruns and the entry is rewritten.
         return result
 
     def put(self, result: TaskResult) -> None:
         """Atomically persist ``result`` under its key."""
         payload = json.dumps(result.to_json_dict(), sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, self._path(result.key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(
+            self._path(result.key), lambda handle: handle.write(payload)
+        )
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.sim.metrics import MetricReport
+from repro.utils.durable import seal_line
 
 if TYPE_CHECKING:
     from repro.experiments.harness import ExperimentConfig
@@ -84,7 +85,7 @@ class ExperimentTask:
     Parameters
     ----------
     method:
-        Paper method name (see :func:`repro.sched.registry.make_scheduler`).
+        Registered scheduler name (see :data:`repro.api.registry.SCHEDULERS`).
     workloads:
         Workload specs evaluated *in order* by one scheduler instance, so
         train-once/evaluate-many semantics (and the scheduler's RNG
@@ -100,7 +101,7 @@ class ExperimentTask:
         Use the §V-E three-resource (power-extended) system and the
         case-study workload builder.
     extra:
-        Additional ``make_scheduler`` keyword arguments as a tuple of
+        Additional scheduler-constructor keyword arguments as a tuple of
         (name, value) pairs; values must be JSON primitives so the task
         stays hashable (e.g. ``(("state_module", "cnn"),)``).
     label:
@@ -238,3 +239,23 @@ class TaskResult:
             worker_id=data.get("worker_id", ""),
             hostname=data.get("hostname", ""),
         )
+
+    def to_sealed_line(self) -> str:
+        """The journal form of a result (checkpoint, queue shards, the
+        worker spool): canonical JSON plus a CRC32 seal."""
+        return seal_line(json.dumps(self.to_json_dict(), sort_keys=True))
+
+    @classmethod
+    def decode(cls, data: object) -> "TaskResult | None":
+        """Decode-or-reject for records read back from disk.
+
+        The single rule every persisted-result reader (cache,
+        checkpoint journal, queue shards) applies: a document that is
+        valid JSON but not a well-formed result — wrong container type,
+        missing or null fields, a stale schema — is rejected (None),
+        never raised out of the read.
+        """
+        try:
+            return cls.from_json_dict(data)
+        except (KeyError, ValueError, TypeError, AttributeError):
+            return None

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import multiprocessing
 import os
 import sys
-import tempfile
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,6 +40,7 @@ from repro.exp.records import ExperimentTask, TaskResult
 from repro.exp.tasks import execute_task
 from repro.obs import runtime as _obs_runtime
 from repro.obs.progress import ProgressLine
+from repro.utils.durable import OK, append_line, scan_sealed_jsonl
 
 if TYPE_CHECKING:
     from repro.experiments.harness import ExperimentConfig
@@ -263,54 +263,31 @@ class ExperimentRunner:
     # -- checkpointing ----------------------------------------------------
 
     def _load_checkpoint(self) -> dict[str, TaskResult]:
+        """Completed cells of an earlier run of this journal.
+
+        Lines are CRC-sealed (unsealed lines of older journals still
+        load); anything the shared reader does not judge OK — the torn
+        tail of an interrupted run, a corrupt or wrong-shape line — is
+        skipped, so its cell simply re-executes. The file is never
+        rewritten: the next append starts on a fresh line regardless.
+        """
         if self.checkpoint_path is None or not self.checkpoint_path.exists():
             return {}
         done: dict[str, TaskResult] = {}
-        valid_lines: list[str] = []
-        torn = False
-        with open(self.checkpoint_path) as handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    result = TaskResult.from_json_dict(json.loads(stripped))
-                except (json.JSONDecodeError, KeyError, ValueError):
-                    torn = True  # torn final line of an interrupted run
-                    continue
-                result.source = "checkpoint"
-                done[result.key] = result
-                valid_lines.append(stripped)
-        if torn:
-            # Rewrite the journal without the torn fragment so later
-            # appends extend a clean line instead of merging into it.
-            fd, tmp = tempfile.mkstemp(
-                dir=self.checkpoint_path.parent, suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as handle:
-                handle.write("".join(line + "\n" for line in valid_lines))
-            os.replace(tmp, self.checkpoint_path)
+        text = self.checkpoint_path.read_text()
+        for line in scan_sealed_jsonl(text, TaskResult.decode):
+            if line.verdict == OK:
+                line.value.source = "checkpoint"
+                done[line.value.key] = line.value
         return done
 
     def _append_checkpoint(self, result: TaskResult) -> None:
         if self.checkpoint_path is None:
             return
         self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        # flush() alone leaves the line in the OS page cache, so a crash
-        # could tear the journal tail; fsync the fd (and the directory on
-        # first create, making the file's existence durable) so the
-        # torn-fragment recovery in _load_checkpoint stays a last resort.
-        existed = self.checkpoint_path.exists()
-        with open(self.checkpoint_path, "a") as handle:
-            handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if not existed:
-            dir_fd = os.open(self.checkpoint_path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+        # fsynced (file, and directory on first create) so a torn tail
+        # is a last resort, not the common case of an interrupted run.
+        append_line(self.checkpoint_path, result.to_sealed_line())
 
     # -- execution --------------------------------------------------------
 
@@ -485,15 +462,33 @@ class ExperimentRunner:
                     trace_dir,
                     self.trace_compact,
                     self.batch_episodes,
-                )
-                for task in pending.values()
+                ): key
+                for key, task in pending.items()
             }
             # Drain as results land so the checkpoint journal always
             # reflects real progress, even if a later cell crashes.
-            while futures:
-                finished, futures = wait(futures, return_when=FIRST_COMPLETED)
+            waiting = set(futures)
+            lost: list[str] = []
+            while waiting:
+                finished, waiting = wait(waiting, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    self._record(resolved, future.result())
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        # A dead worker fails every unfinished future;
+                        # keep draining so the ones that did finish are
+                        # still recorded before we report.
+                        lost.append(futures[future])
+                    else:
+                        self._record(resolved, result)
+            if lost:
+                raise RuntimeError(
+                    f"a pool worker process died (killed, out of memory, "
+                    f"or os._exit) with {len(lost)} cell(s) in flight: "
+                    f"{sorted(lost)}. Every cell that finished is recorded "
+                    f"— the checkpoint journal and result cache are intact "
+                    f"— so re-running the same grid executes only these."
+                )
 
     def _run_queue(
         self,

@@ -14,7 +14,6 @@
 from repro.experiments.harness import (
     ExperimentConfig,
     prepare_base_trace,
-    run_comparison,
     train_method,
 )
 from repro.experiments.figures import (
@@ -33,7 +32,6 @@ __all__ = [
     "ExperimentConfig",
     "prepare_base_trace",
     "train_method",
-    "run_comparison",
     "fig3_mlp_vs_cnn",
     "fig4_training_order",
     "fig5_fig6_comparison",

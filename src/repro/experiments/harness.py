@@ -15,14 +15,12 @@ explicit, so the same harness drives full-scale runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.api.registry import SCHEDULERS, paper_methods
 from repro.cluster.resources import SystemConfig
 from repro.core.training import TrainingResult, curriculum_training
 from repro.sched.base import Scheduler
 from repro.sched.ga import NSGA2Config
-from repro.sim.metrics import MetricReport
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.utils.rng import as_generator, spawn_generators
 from repro.workload.job import Job
@@ -30,10 +28,7 @@ from repro.workload.sampling import build_curriculum
 from repro.workload.suites import build_case_study_workload, build_workload
 from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
 
-if TYPE_CHECKING:
-    from repro.exp.runner import ExperimentRunner
-
-__all__ = ["ExperimentConfig", "prepare_base_trace", "train_method", "run_comparison"]
+__all__ = ["ExperimentConfig", "prepare_base_trace", "train_method"]
 
 #: the §IV-D comparison methods, sourced from the scheduler registry
 PAPER_METHODS = paper_methods()
@@ -204,48 +199,6 @@ def _without_power(system: SystemConfig) -> SystemConfig:
     from repro.cluster.resources import POWER
 
     return SystemConfig(tuple(r for r in system.resources if r.name != POWER))
-
-
-def run_comparison(
-    workloads: list[str],
-    methods: list[str] | None = None,
-    config: ExperimentConfig | None = None,
-    case_study: bool = False,
-    train: bool = True,
-    runner: "ExperimentRunner | None" = None,
-    n_workers: int = 1,
-) -> dict[str, dict[str, MetricReport]]:
-    """Run the (method × workload) grid behind Figs 5–7 / 10.
-
-    Returns ``{workload: {method: MetricReport}}``. Trainable methods are
-    curriculum-trained once and reused across workloads (matching the
-    paper: one trained agent evaluated on S1–S5).
-
-    Deprecated shim — delegates to :func:`repro.api.facade.compare`,
-    which compiles an inline :class:`~repro.api.scenario.Scenario` to
-    the identical (method × workload) grid on the :mod:`repro.exp`
-    engine. Pass ``runner`` (or ``n_workers``) to fan methods out over
-    processes; results are bit-identical at any worker count.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.experiments.harness.run_comparison is deprecated; use "
-        "repro.api.compare (identical grid, identical results)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.facade import compare
-
-    return compare(
-        workloads=list(workloads),
-        methods=list(methods) if methods is not None else None,
-        config=config or ExperimentConfig(),
-        train=train,
-        case_study=case_study,
-        runner=runner,
-        n_workers=n_workers,
-    )
 
 
 def run_single(

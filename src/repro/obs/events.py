@@ -30,6 +30,8 @@ import os
 import time
 from pathlib import Path
 
+from repro.utils.durable import OK, scan_sealed_jsonl
+
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "JsonlSink",
@@ -121,24 +123,25 @@ class JsonlSink:
         self._pid = None
 
 
+def _as_record(doc: object) -> dict | None:
+    return doc if isinstance(doc, dict) else None
+
+
 def read_jsonl(directory: str | os.PathLike, prefix: str) -> list[dict]:
     """All ``<prefix>-*.jsonl`` records under ``directory``, time-sorted.
 
-    Torn tails (a record cut mid-write by a crash) are skipped, matching
-    the journal-shard convention everywhere else in the library.
+    Read through the shared line reader; telemetry is best-effort, so
+    torn tails (a record cut mid-write by a crash) and corrupt lines
+    are both skipped rather than quarantined.
     """
     records: list[dict] = []
     directory = Path(directory)
     for path in sorted(directory.glob(f"{prefix}-*.jsonl")):
-        with open(path) as handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    records.append(json.loads(stripped))
-                except json.JSONDecodeError:
-                    continue
+        records.extend(
+            line.value
+            for line in scan_sealed_jsonl(path.read_text(), _as_record)
+            if line.verdict == OK
+        )
     records.sort(key=lambda r: r.get("t", 0.0))
     return records
 

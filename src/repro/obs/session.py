@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import uuid
 from pathlib import Path
@@ -25,6 +24,7 @@ from pathlib import Path
 from repro.obs.events import JsonlSink, make_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
+from repro.utils.durable import atomic_write
 
 __all__ = ["TelemetrySession", "DecisionProbe", "DEFAULT_DECISION_SAMPLE"]
 
@@ -115,15 +115,9 @@ class TelemetrySession:
         snapshot = self.metrics.snapshot(
             run_id=self.run_id, pid=os.getpid(), started_at=self.started_at, **extra
         )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(snapshot, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(
+            path, lambda handle: json.dump(snapshot, handle, sort_keys=True)
+        )
         return path
 
     def close(self) -> None:

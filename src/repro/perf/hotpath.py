@@ -570,20 +570,13 @@ def bench_dispatch_overhead(
     *real* end-to-end queue run against the serial results. Worker
     process spawn is deliberately out of scope: a fixed per-worker cost,
     not part of the per-cell scaling this bench guards.
-
-    On checkouts predating ``repro.dist`` only the serial floor is
-    measured (``meta.dispatch`` says which).
     """
     import tempfile
 
+    from repro.dist import QueueWorker, WorkQueue, ensure_enqueued
     from repro.exp.runner import grid_tasks
     from repro.exp.tasks import execute_task
     from repro.experiments.harness import ExperimentConfig
-
-    try:
-        from repro.dist import QueueWorker, WorkQueue
-    except ImportError:  # pre-dist checkout: measure the serial floor
-        QueueWorker = WorkQueue = None
 
     config = ExperimentConfig(
         nodes=nodes, bb_units=bb_units, n_jobs=n_jobs,
@@ -597,7 +590,7 @@ def bench_dispatch_overhead(
             t0 = time.perf_counter()
             queue = WorkQueue(tmp, lease_ttl=30.0)
             queue.write_meta(batch_episodes=1)
-            queue.enqueue(tasks)
+            ensure_enqueued(queue, tasks)
             QueueWorker(queue, worker_id="bench-inline", execute=execute).run()
             merged = queue.merged_results()
             return time.perf_counter() - t0, merged
@@ -609,10 +602,15 @@ def bench_dispatch_overhead(
         results = {task.key(): execute_task(task, None, False, 1) for task in tasks}
         serial_wall = min(serial_wall, time.perf_counter() - t0)
         serial = serial or results
-        if WorkQueue is not None:
-            coord_wall, _ = queue_drain(lambda task, *args: serial[task.key()])
-            wall = min(wall, coord_wall)
+        coord_wall, _ = queue_drain(lambda task, *args: serial[task.key()])
+        wall = min(wall, coord_wall)
 
+    _, merged = queue_drain(execute_task)  # real end-to-end run
+    identical = all(
+        merged[key].metrics[w].full_dict() == result.metrics[w].full_dict()
+        for key, result in serial.items()
+        for w in result.metrics
+    )
     meta = {
         "nodes": nodes,
         "bb_units": bb_units,
@@ -620,24 +618,11 @@ def bench_dispatch_overhead(
         "n_cells": len(tasks),
         "repeats": max(1, repeats),
         "serial_wall_s": serial_wall,
+        "dispatch": "queue-inline",
+        "enqueue": "ensure_enqueued",
+        "overhead_fraction": wall / serial_wall if serial_wall > 0 else float("inf"),
+        "bit_identical": bool(identical),
     }
-    if WorkQueue is None:
-        meta["dispatch"] = "serial-only"
-        wall = serial_wall
-    else:
-        _, merged = queue_drain(execute_task)  # real end-to-end run
-        identical = all(
-            merged[key].metrics[w].full_dict() == result.metrics[w].full_dict()
-            for key, result in serial.items()
-            for w in result.metrics
-        )
-        meta.update(
-            dispatch="queue-inline",
-            overhead_fraction=wall / serial_wall
-            if serial_wall > 0
-            else float("inf"),
-            bit_identical=bool(identical),
-        )
     return BenchResult(
         name="dispatch_overhead",
         wall_s=wall,

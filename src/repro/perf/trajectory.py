@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 from repro.perf.hotpath import BenchResult
+from repro.utils.durable import atomic_write
 
 __all__ = [
     "TRAJECTORY_PATH",
@@ -99,11 +100,12 @@ def append_entry(entry: dict, path: str | os.PathLike = TRAJECTORY_PATH) -> dict
     path = Path(path)
     doc = load_trajectory(path)
     doc["trajectory"].append(entry)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as handle:
+
+    def dump(handle) -> None:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    os.replace(tmp, path)
+
+    atomic_write(path, dump)
     return doc
 
 

@@ -17,7 +17,6 @@ of the first non-fitting selection, EASY backfilling):
 from repro.sched.base import SchedulingContext, Scheduler, WindowPolicyScheduler
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.ga import GAScheduler, NSGA2Config
-from repro.sched.registry import available_schedulers, make_scheduler
 from repro.sched.scalar_rl import ScalarRLScheduler
 
 __all__ = [
@@ -28,6 +27,4 @@ __all__ = [
     "GAScheduler",
     "NSGA2Config",
     "ScalarRLScheduler",
-    "make_scheduler",
-    "available_schedulers",
 ]

@@ -34,6 +34,7 @@ from repro.dist import (
     WorkQueue,
     audit_queue,
     dispatch_tasks,
+    ensure_enqueued,
 )
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
@@ -149,7 +150,7 @@ class TestChaosSoak:
         tasks = _tasks(grid_config)
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
-        queue.enqueue(tasks)
+        ensure_enqueued(queue, tasks)
         worker = QueueWorker(
             queue,
             worker_id="brownout",

@@ -16,7 +16,13 @@ import time
 
 import pytest
 
-from repro.dist import FaultPlan, QueueWorker, WorkQueue, dispatch_tasks
+from repro.dist import (
+    FaultPlan,
+    QueueWorker,
+    WorkQueue,
+    dispatch_tasks,
+    ensure_enqueued,
+)
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
 
@@ -89,7 +95,7 @@ class TestQueueDispatchIdentity:
         tasks = _tasks(grid_config)
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
-        queue.enqueue(tasks)
+        ensure_enqueued(queue, tasks)
         QueueWorker(queue, worker_id="early", max_cells=2).run()
         assert queue.status().done == 2
         results = dispatch_tasks(
@@ -169,7 +175,7 @@ class TestElasticJoin:
         queue_dir = tmp_path / "q"
         queue = WorkQueue(queue_dir, lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
-        queue.enqueue(tasks)
+        ensure_enqueued(queue, tasks)
 
         context = multiprocessing.get_context("fork")
         joiner = context.Process(
@@ -192,7 +198,7 @@ class TestElasticJoin:
         tasks = _tasks(grid_config)
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
-        queue.enqueue(tasks)
+        ensure_enqueued(queue, tasks)
         QueueWorker(queue, worker_id="leaver", max_cells=1).run()
         status = queue.status()
         assert status.done == 1

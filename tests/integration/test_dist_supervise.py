@@ -54,7 +54,7 @@ class TestWorkerSupervisor:
         tasks = _tasks(grid_config)
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
-        queue.enqueue(tasks)
+        ensure_enqueued(queue, tasks)
         supervisor = WorkerSupervisor(
             queue,
             n_workers=1,
@@ -80,7 +80,7 @@ class TestWorkerSupervisor:
         tasks = _tasks(grid_config)
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
-        queue.enqueue(tasks)
+        ensure_enqueued(queue, tasks)
         crash_every_time = [FaultPlan(kill_after_claims=1)] * 5
         supervisor = WorkerSupervisor(
             queue,

@@ -17,11 +17,11 @@ from repro.experiments.figures import (
     fig9_rbb_distribution,
     overhead_study,
 )
+from repro.api import compare
 from repro.experiments.harness import (
     ExperimentConfig,
     make_method,
     prepare_base_trace,
-    run_comparison,
     run_single,
     train_method,
 )
@@ -78,7 +78,7 @@ class TestHarness:
         assert result.report("S3", "mrsch").n_jobs == 30
 
     def test_run_comparison_structure(self, tiny_config):
-        reports = run_comparison(
+        reports = compare(
             ["S1", "S5"], ["heuristic", "scalar_rl"], tiny_config
         )
         assert set(reports) == {"S1", "S5"}
@@ -88,7 +88,7 @@ class TestHarness:
                 assert report.n_jobs == tiny_config.n_jobs
 
     def test_run_comparison_case_study_adds_power(self, tiny_config):
-        reports = run_comparison(
+        reports = compare(
             ["S6"], ["heuristic"], tiny_config, case_study=True
         )
         assert reports["S6"]["heuristic"].avg_power_units > 0
@@ -114,7 +114,7 @@ class TestFigures:
             assert stats["min"] <= stats["median"] <= stats["max"]
 
     def test_fig7_from_precomputed_reports(self, tiny_config):
-        reports = run_comparison(["S1"], ["heuristic", "scalar_rl"], tiny_config,
+        reports = compare(["S1"], ["heuristic", "scalar_rl"], tiny_config,
                                  train=False)
         out = fig7_kiviat(reports=reports)
         chart = out["data"]["S1"]

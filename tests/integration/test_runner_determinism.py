@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import compare
 from repro.exp import ExperimentRunner, grid_tasks, pivot_results
-from repro.experiments.harness import ExperimentConfig, run_comparison
+from repro.experiments.harness import ExperimentConfig
 from repro.sched.ga import NSGA2Config
 
 METHODS = ["heuristic", "optimization", "scalar_rl"]
@@ -54,8 +55,8 @@ class TestSerialParallelIdentity:
         assert _exact(backward) == _exact(list(reversed(forward)))
 
     def test_run_comparison_identical_serial_vs_parallel(self, grid_config):
-        serial = run_comparison(["S1", "S3"], METHODS, grid_config, train=False)
-        parallel = run_comparison(
+        serial = compare(["S1", "S3"], METHODS, grid_config, train=False)
+        parallel = compare(
             ["S1", "S3"], METHODS, grid_config, train=False, n_workers=3
         )
         assert {
@@ -67,8 +68,8 @@ class TestSerialParallelIdentity:
     @pytest.mark.slow
     def test_trained_comparison_identical_serial_vs_parallel(self, grid_config):
         """Full-grid variant including curriculum training (slow tier)."""
-        serial = run_comparison(["S2"], ["mrsch", "scalar_rl"], grid_config, train=True)
-        parallel = run_comparison(
+        serial = compare(["S2"], ["mrsch", "scalar_rl"], grid_config, train=True)
+        parallel = compare(
             ["S2"], ["mrsch", "scalar_rl"], grid_config, train=True, n_workers=2
         )
         for method in ("mrsch", "scalar_rl"):
@@ -176,7 +177,7 @@ class TestScenarioCompilation:
         self, grid_config
     ):
         """Compared against grid_tasks + the engine *directly* — not the
-        run_comparison shim, which now shares the scenario code path —
+        ``api.compare``, which shares the scenario code path —
         so a compile regression cannot cancel out of both sides."""
         from repro.api import Scenario, run_scenario
 
@@ -261,6 +262,55 @@ class TestScenarioCompilation:
             assert toy["n_jobs"] == fcfs["n_jobs"] == grid_config.n_jobs
         finally:
             SCHEDULERS.unregister("toy_lifo")
+
+
+class TestPoolWorkerDeath:
+    def test_dead_worker_names_lost_cells_and_a_rerun_resumes(
+        self, grid_config, tmp_path
+    ):
+        """A pool worker killed mid-grid (OOM, SIGKILL, os._exit) must
+        not cost the cells that finished: they are journaled before the
+        run raises, the error names what was in flight, and a second
+        run() executes only those."""
+        import os
+
+        from repro.api import SCHEDULERS, register_scheduler
+
+        parent = os.getpid()
+
+        @register_scheduler("dies_in_pool", description="os._exit in a child")
+        def dies_in_pool(system, window_size=10, seed=None):
+            if os.getpid() != parent:
+                os._exit(3)
+            return SCHEDULERS.get("heuristic").build(
+                system, window_size=window_size, seed=seed
+            )
+
+        try:
+            tasks = grid_tasks(
+                ["heuristic"], ["S1"], grid_config, n_seeds=3
+            ) + grid_tasks(["dies_in_pool"], ["S1"], grid_config)
+            ckpt = tmp_path / "ckpt.jsonl"
+            with pytest.raises(RuntimeError, match="pool worker process died") as exc:
+                ExperimentRunner(
+                    n_workers=2, mp_start_method="fork", checkpoint_path=ckpt
+                ).run(tasks)
+            message = str(exc.value)
+            assert "re-running the same grid" in message
+            assert tasks[-1].key() in message  # the killer was in flight
+            lost = {t.key() for t in tasks if t.key() in message}
+            survivor = ExperimentRunner(n_workers=1, checkpoint_path=ckpt)
+            finished = set(survivor._load_checkpoint())
+            # Whatever finished before the death is in the journal …
+            assert finished and finished == {t.key() for t in tasks} - lost
+            # … and the re-run (inline: the parent does not die) executes
+            # only the rest.
+            resumed = survivor.run(tasks)
+            assert [r.source for r in resumed] == [
+                "checkpoint" if t.key() in finished else "run" for t in tasks
+            ]
+        finally:
+            SCHEDULERS.unregister("dies_in_pool")
 
 
 class TestSeedSpawning:

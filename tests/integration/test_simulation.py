@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SCHEDULERS
 from repro.cluster.resources import BURST_BUFFER, NODE, ResourceSpec, SystemConfig
 from repro.sched.ga import NSGA2Config
-from repro.sched.registry import make_scheduler
 from repro.sim.simulator import Simulator
 from repro.workload.suites import build_workload
 from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
@@ -50,7 +50,7 @@ class TestAllMethods:
         kwargs = {}
         if method == "optimization":
             kwargs["config"] = NSGA2Config(population=6, generations=2)
-        return make_scheduler(method, system, window_size=5, seed=1, **kwargs)
+        return SCHEDULERS.get(method).build(system, window_size=5, seed=1, **kwargs)
 
     def test_all_jobs_complete(self, method, small_workload):
         system, jobs = small_workload
@@ -88,13 +88,13 @@ class TestAllMethods:
 
 class TestSimulatorEdgeCases:
     def test_empty_trace(self, tiny_system):
-        sched = make_scheduler("heuristic", tiny_system)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system)
         result = Simulator(tiny_system, sched).run([])
         assert result.metrics.n_jobs == 0
         assert result.makespan == 0.0
 
     def test_single_job(self, tiny_system):
-        sched = make_scheduler("heuristic", tiny_system)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system)
         job = make_job(job_id=1, submit=10.0, runtime=100.0, nodes=4)
         result = Simulator(tiny_system, sched).run([job])
         done = result.jobs[0]
@@ -102,19 +102,19 @@ class TestSimulatorEdgeCases:
         assert done.end_time == 110.0
 
     def test_oversized_job_rejected(self, tiny_system):
-        sched = make_scheduler("heuristic", tiny_system)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system)
         with pytest.raises(ValueError, match="capacity"):
             Simulator(tiny_system, sched).run([make_job(nodes=999)])
 
     def test_simultaneous_submissions(self, tiny_system):
-        sched = make_scheduler("heuristic", tiny_system)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system)
         jobs = [make_job(job_id=i, submit=0.0, runtime=50.0, nodes=4) for i in (1, 2, 3, 4)]
         result = Simulator(tiny_system, sched).run(jobs)
         assert all(j.start_time == 0.0 for j in result.jobs)
 
     def test_release_visible_to_same_instant_submit(self, tiny_system):
         """A job ending at t frees resources for a job submitted at t."""
-        sched = make_scheduler("heuristic", tiny_system)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system)
         first = make_job(job_id=1, submit=0.0, runtime=100.0, nodes=16)
         second = make_job(job_id=2, submit=100.0, runtime=50.0, nodes=16)
         result = Simulator(tiny_system, sched).run([first, second])
@@ -122,13 +122,13 @@ class TestSimulatorEdgeCases:
         assert by_id[2].start_time == 100.0
 
     def test_instances_triggered_by_events(self, tiny_system, tiny_trace):
-        sched = make_scheduler("heuristic", tiny_system)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system)
         result = Simulator(tiny_system, sched).run(tiny_trace)
         # At most one instance per event time; at least one per job.
         assert result.n_scheduling_instances >= len(tiny_trace)
 
     def test_utilization_recorded(self, tiny_system, tiny_trace):
-        sched = make_scheduler("heuristic", tiny_system)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system)
         result = Simulator(tiny_system, sched).run(tiny_trace)
         times, values = result.recorder.utilization_series
         assert times.size == result.n_scheduling_instances
@@ -163,7 +163,7 @@ def test_fcfs_invariants_property(jobs_data):
             make_job(job_id=i + 1, submit=t, runtime=float(runtime),
                      walltime=float(runtime * wfac), nodes=nodes, bb=bb)
         )
-    sched = make_scheduler("heuristic", system, window_size=4)
+    sched = SCHEDULERS.get("heuristic").build(system, window_size=4)
     result = Simulator(system, sched, record_timeline=False).run(jobs)
     assert all(j.finished for j in result.jobs)
     capacity_never_exceeded(result.jobs, system)

@@ -191,15 +191,17 @@ class TestCanonicalNames:
 
 
 class TestLegacyShim:
-    """The old sched.registry entry points keep working (deprecation shims)."""
+    """What the removed sched.registry / run_comparison shims promised,
+    asserted on the ``repro.api`` entry points that replaced them."""
 
     def test_run_comparison_preserves_caller_spelling(self):
         """Case-insensitive method names stay usable as result keys, as
         they were before the registry rewrite."""
-        from repro.experiments.harness import ExperimentConfig, run_comparison
+        from repro.api.facade import compare
+        from repro.experiments.harness import ExperimentConfig
 
         config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=20, window_size=5)
-        reports = run_comparison(["S1"], ["Heuristic"], config, train=False)
+        reports = compare(["S1"], ["Heuristic"], config, train=False)
         assert list(reports["S1"]) == ["Heuristic"]
 
     def test_compare_preserves_caller_spelling_per_seed(self):
@@ -270,12 +272,10 @@ class TestLegacyShim:
             WORKLOADS.unregister("toy_pw_mix")
 
     def test_make_scheduler_forwards_kwargs(self, tiny_system):
-        from repro.sched.registry import make_scheduler
-
-        sched = make_scheduler("heuristic", tiny_system, backfill=False)
+        sched = SCHEDULERS.get("heuristic").build(tiny_system, backfill=False)
         assert sched.backfill_enabled is False
 
     def test_available_schedulers_matches_registry(self):
-        from repro.sched.registry import available_schedulers
+        from repro.api import list_schedulers
 
-        assert set(SCHEDULERS.names()) == set(available_schedulers())
+        assert SCHEDULERS.names() == list_schedulers()

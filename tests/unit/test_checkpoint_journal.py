@@ -1,4 +1,4 @@
-"""Unit tests for checkpoint journal durability and torn-tail repair."""
+"""Unit tests for checkpoint journal durability and torn-tail handling."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 from repro.exp.records import TaskResult
 from repro.exp.runner import ExperimentRunner
 from repro.sim.metrics import MetricReport
+from repro.utils.durable import unseal_line
 
 
 def make_result(key: str) -> TaskResult:
@@ -41,19 +42,6 @@ class TestTornFragmentRecovery:
         assert set(done) == {"a", "b"}
         assert all(r.source == "checkpoint" for r in done.values())
 
-    def test_journal_is_rewritten_without_the_fragment(self, tmp_path):
-        path, lines = self._journal(tmp_path, ["a", "b"], tail='{"torn')
-        ExperimentRunner(checkpoint_path=path)._load_checkpoint()
-        # The rewrite keeps exactly the valid lines, newline-terminated,
-        # so later appends extend a clean line instead of merging into
-        # the fragment.
-        assert path.read_text() == "".join(line + "\n" for line in lines)
-
-    def test_rewrite_is_atomic_no_temp_left_behind(self, tmp_path):
-        path, _ = self._journal(tmp_path, ["a"], tail='{"torn')
-        ExperimentRunner(checkpoint_path=path)._load_checkpoint()
-        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.jsonl"]
-
     def test_clean_journal_is_not_rewritten(self, tmp_path):
         path, _ = self._journal(tmp_path, ["a", "b"])
         before = path.stat().st_mtime_ns
@@ -62,13 +50,24 @@ class TestTornFragmentRecovery:
         assert path.stat().st_mtime_ns == before
 
     def test_interior_torn_line_is_also_dropped(self, tmp_path):
-        """Corruption anywhere — not just the tail — is repaired."""
+        """Corruption anywhere — not just the tail — is skipped, and
+        the journal itself is left alone (appends start on a fresh line
+        regardless; see tests/unit/test_durable.py)."""
         path, lines = self._journal(tmp_path, ["a"])
         good = json.dumps(make_result("b").to_json_dict(), sort_keys=True)
-        path.write_text(lines[0] + "\n" + '{"key": "x", "bro\n' + good + "\n")
+        text = lines[0] + "\n" + '{"key": "x", "bro\n' + good + "\n"
+        path.write_text(text)
         done = ExperimentRunner(checkpoint_path=path)._load_checkpoint()
         assert set(done) == {"a", "b"}
-        assert path.read_text() == lines[0] + "\n" + good + "\n"
+        assert path.read_text() == text
+
+    def test_append_after_torn_tail_keeps_old_and_new_records(self, tmp_path):
+        """An interrupted run's fragment never swallows the resumed
+        run's first record: the append lands on its own line."""
+        path, _ = self._journal(tmp_path, ["a", "b"], tail='{"key": "c", "met')
+        runner = ExperimentRunner(checkpoint_path=path)
+        runner._append_checkpoint(make_result("c"))
+        assert set(runner._load_checkpoint()) == {"a", "b", "c"}
 
 
 class TestAppendDurability:
@@ -79,10 +78,13 @@ class TestAppendDurability:
         runner._append_checkpoint(make_result("b"))
         done = runner._load_checkpoint()
         assert set(done) == {"a", "b"}
-        # Two fully-terminated JSON lines on disk.
+        # Two fully-terminated, CRC-sealed JSON lines on disk.
         lines = path.read_text().splitlines()
         assert len(lines) == 2
-        assert all(json.loads(line)["key"] in {"a", "b"} for line in lines)
+        for line in lines:
+            body, verdict = unseal_line(line)
+            assert verdict is True
+            assert json.loads(body)["key"] in {"a", "b"}
 
     def test_append_fsyncs_the_fd(self, tmp_path, monkeypatch):
         import os as os_mod
@@ -107,7 +109,7 @@ class TestAppendDurability:
 class TestJournalInteriorCorruptionQuarantine:
     """Interior corruption in queue journal shards is *quarantined*.
 
-    The runner's checkpoint journal above may silently repair torn
+    The runner's checkpoint journal above may silently skip torn
     lines — it is single-writer, and a torn line there can only be its
     own crash. The distributed journal shards cannot: an interior bad
     line means the storage layer mangled a record that was once whole,

@@ -195,7 +195,7 @@ class TestBench:
 
 class TestWorkQueueCommands:
     def _enqueue(self, tmp_path):
-        from repro.dist import WorkQueue
+        from repro.dist import WorkQueue, ensure_enqueued
         from repro.exp import grid_tasks
         from repro.experiments.harness import ExperimentConfig
 
@@ -207,7 +207,7 @@ class TestWorkQueueCommands:
             ExperimentConfig(nodes=32, bb_units=16, n_jobs=15, window_size=5, seed=3),
             n_seeds=2,
         )
-        queue.enqueue(tasks)
+        ensure_enqueued(queue, tasks)
         return queue
 
     def test_work_drains_queue(self, tmp_path, capsys):

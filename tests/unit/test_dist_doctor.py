@@ -157,7 +157,7 @@ def test_live_coordinator_is_informational(tmp_path):
 def test_orphan_and_expired_task_leases(tmp_path):
     queue = WorkQueue(tmp_path / "q", lease_ttl=0.05)
     tasks = tiny_tasks()
-    queue.enqueue(tasks)
+    ensure_enqueued(queue, tasks)
     done_key, pending_key = tasks[0].key(), tasks[1].key()
     # Orphan: lease on a cell that is already done.
     assert queue.leases.try_claim(done_key, "w-dead")

@@ -141,21 +141,6 @@ class TestBatchEnqueue:
         # Idempotent: a second promote is a silent no-op.
         assert queue.promote_staged((name,)) == []
 
-    def test_batch_and_per_file_specs_union(self, tmp_path):
-        """The two enqueue paths coexist: per-file specs (elastic
-        workers, old queues) and batch lines merge into one key space,
-        and load_task serves either."""
-        queue = WorkQueue(tmp_path / "q")
-        batch_tasks = tiny_tasks(n_seeds=2)
-        file_tasks = tiny_tasks(n_seeds=2, workload="S4")
-        queue.stage_batch(batch_tasks, batch_name(1))
-        queue.promote_staged((batch_name(1),))
-        queue.enqueue(file_tasks)
-        expected = sorted(t.key() for t in batch_tasks + file_tasks)
-        assert queue.task_keys() == expected
-        for task in batch_tasks + file_tasks:
-            assert queue.load_task(task.key()) == task
-
     def test_corrupt_batch_line_is_quarantined_not_merged(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         tasks = tiny_tasks()
@@ -257,20 +242,6 @@ class TestEnsureEnqueued:
         assert manifest.state == "sealed"
         assert queue.quarantine_count() == 1
         assert set(manifest.keys) == {t.key() for t in tasks}
-
-    def test_batch_equivalence_with_per_file_enqueue(self, tmp_path):
-        """The batch path and the legacy per-file path publish the same
-        key space for the same grid."""
-        tasks = tiny_tasks()
-        batch_q = WorkQueue(tmp_path / "batch")
-        ensure_enqueued(batch_q, tasks)
-        file_q = WorkQueue(tmp_path / "file")
-        file_q.enqueue(tasks)
-        assert batch_q.task_keys() == file_q.task_keys()
-        for task in tasks:
-            assert batch_q.load_task(task.key()) == file_q.load_task(
-                task.key()
-            )
 
 
 class TestStatusSurface:

@@ -8,13 +8,15 @@ import pytest
 
 from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.lease import LeaseBoard
-from repro.dist.queue import MAX_ATTEMPTS, WorkQueue, fsync_append
+from repro.dist.manifest import ensure_enqueued
+from repro.dist.queue import MAX_ATTEMPTS, WorkQueue
 from repro.dist.store import RetryPolicy, Store
 from repro.dist.worker import QueueWorker, new_worker_id
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.exp.runner import grid_tasks
 from repro.experiments.harness import ExperimentConfig
 from repro.sim.metrics import MetricReport
+from repro.utils.durable import append_line
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -25,6 +27,13 @@ def tiny_config(**overrides) -> ExperimentConfig:
 
 def tiny_tasks(n_seeds: int = 2) -> list[ExperimentTask]:
     return grid_tasks(["heuristic"], ["S1"], tiny_config(), n_seeds=n_seeds)
+
+
+def enqueue(queue: WorkQueue, tasks: list[ExperimentTask]) -> list[str]:
+    """Enqueue through the one path (a sealed manifest batch); returns
+    the keys in task order."""
+    ensure_enqueued(queue, tasks)
+    return [task.key() for task in tasks]
 
 
 def make_result(key: str, worker_id: str = "w0") -> TaskResult:
@@ -107,14 +116,15 @@ class TestWorkQueue:
     def test_enqueue_is_idempotent(self, tmp_path):
         queue = WorkQueue(tmp_path)
         tasks = tiny_tasks()
-        keys = queue.enqueue(tasks)
-        assert queue.enqueue(tasks) == keys
-        assert queue.task_keys() == sorted(keys)
+        manifest = ensure_enqueued(queue, tasks)
+        assert ensure_enqueued(queue, tasks) == manifest
+        assert queue.task_keys() == sorted(task.key() for task in tasks)
+        assert len(list(queue.tasks_dir.iterdir())) == 1  # one batch file
 
     def test_task_spec_roundtrips_to_same_key(self, tmp_path):
         queue = WorkQueue(tmp_path)
         task = tiny_tasks()[0]
-        (key,) = queue.enqueue([task])
+        (key,) = enqueue(queue, [task])
         loaded = queue.load_task(key)
         assert loaded.key() == key == task.key()
         assert loaded.config == task.config
@@ -165,7 +175,7 @@ class TestWorkQueue:
     def test_status_counts(self, tmp_path):
         queue = WorkQueue(tmp_path, lease_ttl=30.0)
         tasks = tiny_tasks()
-        keys = queue.enqueue(tasks)
+        keys = enqueue(queue, tasks)
         queue.leases.try_claim(keys[0], "w0")
         status = queue.status()
         assert status.total == 2 and status.done == 0
@@ -179,9 +189,76 @@ class TestWorkQueue:
 
     def test_fsync_append_creates_durable_lines(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        fsync_append(path, "one")
-        fsync_append(path, "two")
+        append_line(path, "one")
+        append_line(path, "two")
         assert path.read_text() == "one\ntwo\n"
+
+
+class TestFrontier:
+    """``frontier()`` = enqueued keys − one done/ listing − keys with
+    MAX_ATTEMPTS entries in one failed/ listing."""
+
+    def _queue(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        tasks = grid_tasks(["heuristic"], ["S1"], tiny_config(), n_seeds=4)
+        return queue, sorted(enqueue(queue, tasks))
+
+    def _poison(self, queue, key):
+        for attempt in range(MAX_ATTEMPTS):
+            queue.record_failure(key, f"w{attempt}", "boom")
+
+    def test_neither_done_nor_poisoned_is_claimable_in_sorted_order(
+        self, tmp_path
+    ):
+        queue, keys = self._queue(tmp_path)
+        assert queue.frontier() == (keys, [])
+
+    def test_done_poisoned_both_and_neither(self, tmp_path):
+        queue, (done, poisoned, both, neither) = self._queue(tmp_path)
+        queue.mark_done(done, "w0")
+        self._poison(queue, poisoned)
+        self._poison(queue, both)
+        queue.mark_done(both, "w0")  # a late straggler publish wins
+        queue.record_failure(neither, "w0", "one strike is not poison")
+        frontier = queue.frontier()
+        assert frontier.claimable == [neither]
+        assert frontier.poisoned == [poisoned]
+
+    def test_agrees_with_the_per_key_predicates(self, tmp_path):
+        queue, keys = self._queue(tmp_path)
+        queue.mark_done(keys[0], "w0")
+        self._poison(queue, keys[1])
+        frontier = queue.frontier()
+        assert frontier.claimable == [
+            k for k in keys if not queue.is_done(k) and not queue.poisoned(k)
+        ]
+        assert frontier.poisoned == [
+            k for k in keys if not queue.is_done(k) and queue.poisoned(k)
+        ]
+
+    def test_empty_queue_has_an_empty_frontier(self, tmp_path):
+        assert WorkQueue(tmp_path).frontier() == ([], [])
+
+    def test_key_finished_after_the_snapshot_is_released_by_the_recheck(
+        self, tmp_path, monkeypatch
+    ):
+        """The snapshot may be stale by the time a key is claimed; the
+        post-claim ``is_done`` re-check is what makes that safe."""
+        queue, keys = self._queue(tmp_path)
+        stale = queue.frontier()
+        queue.publish("other", make_result(keys[0], "other"))  # finishes now
+        monkeypatch.setattr(queue, "frontier", lambda: stale)
+        executed = []
+        worker = QueueWorker(
+            queue, worker_id="late", max_cells=1,
+            execute=lambda task, *a: executed.append(task.key())
+            or make_result(task.key(), "late"),
+        )
+        assert worker._scan_once({}) is True
+        assert executed == [keys[1]]  # keys[0] was skipped, not re-run
+        assert queue.leases.read(keys[0]) is None  # claim released
+        counters = worker.metrics.snapshot()["counters"]
+        assert counters["queue.straggler_dedupes"] == 1
 
 
 class TestFaultPlan:
@@ -224,7 +301,7 @@ class TestQueueWorker:
     def test_drains_queue_and_publishes_provenance(self, tmp_path):
         queue = WorkQueue(tmp_path)
         tasks = tiny_tasks()
-        keys = queue.enqueue(tasks)
+        keys = enqueue(queue, tasks)
         report = QueueWorker(queue, worker_id="solo").run()
         assert sorted(report.executed) == sorted(keys)
         merged = queue.merged_results()
@@ -235,14 +312,14 @@ class TestQueueWorker:
 
     def test_max_cells_bounds_the_loop(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(tiny_tasks())
+        enqueue(queue, tiny_tasks())
         report = QueueWorker(queue, worker_id="one", max_cells=1).run()
         assert report.cells_done == 1
         assert queue.status().done == 1
 
     def test_respects_live_foreign_lease(self, tmp_path):
         queue = WorkQueue(tmp_path, lease_ttl=30.0)
-        keys = queue.enqueue(tiny_tasks())
+        keys = enqueue(queue, tiny_tasks())
         queue.leases.try_claim(keys[0], "other")
         report = QueueWorker(queue, worker_id="me", max_cells=1).run()
         assert report.executed == [keys[1]]
@@ -250,14 +327,14 @@ class TestQueueWorker:
 
     def test_reaps_expired_lease_and_reexecutes(self, tmp_path):
         queue = WorkQueue(tmp_path, lease_ttl=0.001)
-        keys = queue.enqueue(tiny_tasks(n_seeds=1))
+        keys = enqueue(queue, tiny_tasks(n_seeds=1))
         queue.leases.try_claim(keys[0], "crashed", now=0.0)
         report = QueueWorker(queue, worker_id="rescuer").run()
         assert report.reaped == keys and report.executed == keys
 
     def test_failing_cell_is_retried_then_poisoned(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        keys = queue.enqueue(tiny_tasks(n_seeds=1))
+        keys = enqueue(queue, tiny_tasks(n_seeds=1))
 
         def explode(task, *args):
             raise RuntimeError("scripted failure")
@@ -376,21 +453,22 @@ class TestQuarantine:
 
     def test_corrupt_task_spec_is_detected_before_execution(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        (key,) = queue.enqueue(tiny_tasks(n_seeds=1))
-        spec = queue.tasks_dir / f"{key}.json"
-        doc = __import__("json").loads(spec.read_text())
-        doc["seed"] = doc["seed"] + 1  # bit-flip without breaking JSON
-        spec.write_text(__import__("json").dumps(doc))
-        with pytest.raises(ValueError, match="CRC32"):
-            queue.load_task(key)
-        assert queue.quarantine_count() == 1
+        (key,) = enqueue(queue, tiny_tasks(n_seeds=1))
+        (batch,) = queue.tasks_dir.glob("batch-*.jsonl")
+        # bit-flip without breaking JSON
+        batch.write_text(batch.read_text().replace('"seed": ', '"seed": 1'))
+        fresh = WorkQueue(tmp_path, create=False)  # cold batch cache
+        with pytest.raises(FileNotFoundError, match="no task spec"):
+            fresh.load_task(key)
+        assert fresh.quarantine_count() == 1
+        assert "checksum" in fresh.quarantined()[0]["reason"]
 
     def test_legacy_unsealed_records_still_merge(self, tmp_path):
         """Pre-seam shards (no checksum suffix) keep working."""
         import json as _json
 
         queue = WorkQueue(tmp_path)
-        fsync_append(
+        append_line(
             queue.shard_path("old"),
             _json.dumps(make_result("k1", "old").to_json_dict(), sort_keys=True),
         )
@@ -404,7 +482,7 @@ class TestCellTimeout:
         import threading
 
         queue = WorkQueue(tmp_path)
-        keys = queue.enqueue(tiny_tasks(n_seeds=1))
+        keys = enqueue(queue, tiny_tasks(n_seeds=1))
         release = threading.Event()
 
         def hang(task, *args):
@@ -431,7 +509,7 @@ class TestCellTimeout:
 
     def test_fast_cell_under_deadline_completes_normally(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        keys = queue.enqueue(tiny_tasks(n_seeds=1))
+        keys = enqueue(queue, tiny_tasks(n_seeds=1))
         report = QueueWorker(
             queue, worker_id="fast", cell_timeout_s=120.0
         ).run()
@@ -454,7 +532,7 @@ class TestDegradedMode:
 
     def test_publish_failure_spools_then_flushes_on_recovery(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
-        keys = queue.enqueue(tiny_tasks())
+        keys = enqueue(queue, tiny_tasks())
         # ENOSPC on the first two journal appends, then the volume
         # "recovers": publish #1 fails + the first flush try fails, the
         # second flush succeeds.
@@ -471,7 +549,7 @@ class TestDegradedMode:
 
     def test_store_that_stays_down_exits_actionably(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
-        queue.enqueue(tiny_tasks(n_seeds=1))
+        enqueue(queue, tiny_tasks(n_seeds=1))
         plan = FaultPlan(io_faults=[
             {"op": "append", "path": "results/*", "errno": "ENOSPC",
              "count": 0},
@@ -481,7 +559,7 @@ class TestDegradedMode:
             worker.run()
         # The finished result survived on local disk, sealed.
         spooled = (queue.root.parent / "spool" / "results.jsonl").read_text()
-        from repro.dist.store import unseal_line
+        from repro.utils.durable import unseal_line
 
         body, verdict = unseal_line(spooled.strip())
         assert verdict is True

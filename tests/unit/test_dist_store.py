@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 
 from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.store import (
-    CHECKSUM_KEY,
     PERMANENT_ERRNOS,
     TRANSIENT_ERRNOS,
     RetryPolicy,
     Store,
     StoreUnavailable,
     classify_errno,
+)
+from repro.utils.durable import (
+    CHECKSUM_KEY,
     seal_json_payload,
     seal_line,
     unseal_line,

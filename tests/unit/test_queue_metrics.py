@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.dist.manifest import ensure_enqueued
 from repro.dist.queue import WorkQueue
 from repro.exp.runner import grid_tasks
 from repro.experiments.harness import ExperimentConfig
@@ -16,7 +17,9 @@ from repro.obs.metrics import MetricsRegistry
 def make_queue(tmp_path, n_seeds: int = 2) -> WorkQueue:
     queue = WorkQueue(tmp_path / "queue", lease_ttl=30.0)
     config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=15, window_size=5, seed=3)
-    queue.enqueue(grid_tasks(["heuristic"], ["S1"], config, n_seeds=n_seeds))
+    ensure_enqueued(
+        queue, grid_tasks(["heuristic"], ["S1"], config, n_seeds=n_seeds)
+    )
     return queue
 
 

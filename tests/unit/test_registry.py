@@ -1,16 +1,16 @@
-"""Tests for the scheduler factory."""
+"""Tests for the scheduler factory (``repro.api.SCHEDULERS``)."""
 
 import pytest
 
+from repro.api import SCHEDULERS, list_schedulers
 from repro.core.mrsch import MRSchScheduler
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.ga import GAScheduler
-from repro.sched.registry import available_schedulers, make_scheduler
 from repro.sched.scalar_rl import ScalarRLScheduler
 
 
 def test_available_names():
-    assert set(available_schedulers()) == {
+    assert set(list_schedulers()) == {
         "heuristic",
         "optimization",
         "scalar_rl",
@@ -28,20 +28,20 @@ def test_available_names():
     ],
 )
 def test_factory_types(name, cls, tiny_system):
-    sched = make_scheduler(name, tiny_system, window_size=4, seed=0)
+    sched = SCHEDULERS.get(name).build(tiny_system, window_size=4, seed=0)
     assert isinstance(sched, cls)
     assert sched.window_size == 4
 
 
 def test_case_insensitive(tiny_system):
-    assert isinstance(make_scheduler("HEURISTIC", tiny_system), FCFSScheduler)
+    assert isinstance(SCHEDULERS.get("HEURISTIC").build(tiny_system), FCFSScheduler)
 
 
 def test_unknown_name(tiny_system):
     with pytest.raises(KeyError, match="unknown scheduler"):
-        make_scheduler("slurm", tiny_system)
+        SCHEDULERS.get("slurm").build(tiny_system)
 
 
 def test_kwargs_forwarded(tiny_system):
-    sched = make_scheduler("heuristic", tiny_system, backfill=False)
+    sched = SCHEDULERS.get("heuristic").build(tiny_system, backfill=False)
     assert sched.backfill_enabled is False
