@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a shared work queue as an elastic worker",
         description="Claim, execute and durably publish grid cells from a "
                     "shared-directory work queue (written by "
-                    "ExperimentRunner(dispatch='queue'), 'repro run "
+                    "ExperimentRunner(queue_dir=...), 'repro run "
                     "--queue', or another worker's deterministic grid "
                     "expansion). Workers may be started or killed at any "
                     "time mid-grid: a crashed worker's cells re-issue after "

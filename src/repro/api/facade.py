@@ -213,12 +213,6 @@ def run_scenario(
             "pass queue_dir either to run_scenario or to the "
             "ExperimentRunner, not both"
         )
-    effective_queue_dir = (
-        queue_dir if queue_dir is not None else execution.get("queue_dir")
-    )
-    dispatch = execution.get("dispatch", "pool")
-    if queue_dir is not None:
-        dispatch = "queue"
     if n_workers is None:
         n_workers = int(execution.get("workers", 1))
     runner = runner or ExperimentRunner(
@@ -231,8 +225,11 @@ def run_scenario(
             if scenario.evaluation
             else False
         ),
-        dispatch=dispatch,
-        queue_dir=effective_queue_dir if dispatch == "queue" else None,
+        # Scenario validation already ties execution.dispatch to
+        # execution.queue_dir; the runner derives the path from this.
+        queue_dir=(
+            queue_dir if queue_dir is not None else execution.get("queue_dir")
+        ),
         lease_ttl=float(execution.get("lease_ttl", 30.0)),
         cell_timeout_s=(
             float(execution["cell_timeout_s"])

@@ -136,7 +136,9 @@ class Scenario:
     #: computes (task keys and metrics are dispatch-invariant). Keys:
     #: ``dispatch`` ("pool" | "queue"), ``queue_dir`` (shared work-queue
     #: directory, required for "queue"), ``workers`` (local worker
-    #: count) and ``lease_ttl`` (queue-mode lease expiry, seconds).
+    #: count), ``lease_ttl`` (queue-mode lease expiry, seconds),
+    #: ``cell_timeout_s`` (queue-mode per-cell execution deadline) and
+    #: ``supervise`` (queue mode: respawn crashed local workers).
     execution: Mapping = field(default_factory=dict)
 
     # -- validation -------------------------------------------------------

@@ -327,9 +327,6 @@ class ResourcePool:
         except ValueError:
             pass
 
-    def allocation_of(self, job_id: int) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._allocations[job_id].items()}
-
     # -- state transitions -------------------------------------------------
 
     def allocate(self, job: Job, now: float) -> None:

@@ -24,19 +24,21 @@ The *run* is crash-safe end to end: a CRC-sealed run manifest
 (:class:`~repro.dist.manifest.RunManifest`) records the grid expansion
 and publishes the atomic batch enqueue, a coordinator leader-lease lets
 any re-invocation attach to a live run or take over a dead one
-(resuming to bit-identical merged metrics), crashed local workers can
-be respawned with backoff and a crash-loop circuit breaker
-(:class:`~repro.dist.supervise.WorkerSupervisor`, ``repro work
---supervise N``), and :func:`~repro.dist.doctor.audit_queue`
-(``repro doctor``) reports/repairs whatever an incident left behind.
+(resuming to bit-identical merged metrics), local worker processes are
+started, watched and stopped by one launcher
+(:class:`~repro.dist.supervise.WorkerSupervisor` — optionally
+respawning crashed workers with backoff and a crash-loop circuit
+breaker; ``repro work --supervise N``), and
+:func:`~repro.dist.doctor.audit_queue` (``repro doctor``)
+reports/repairs whatever an incident left behind.
 
-Use it through ``ExperimentRunner(dispatch="queue", queue_dir=...)``,
+Use it through ``ExperimentRunner(queue_dir=...)``,
 a scenario's ``execution`` block, or the ``repro work`` /
 ``repro queue-status`` / ``repro doctor`` CLI subcommands. Scripted
 failures for tests live in :mod:`repro.dist.faults`.
 """
 
-from repro.dist.coordinator import dispatch_tasks, worker_process_entry
+from repro.dist.coordinator import dispatch_tasks
 from repro.dist.doctor import DoctorReport, Finding, audit_queue
 from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.lease import Lease, LeaseBoard
@@ -76,7 +78,6 @@ __all__ = [
     "RetryPolicy",
     "classify_errno",
     "dispatch_tasks",
-    "worker_process_entry",
     "new_worker_id",
     "RunManifest",
     "ManifestCorrupt",

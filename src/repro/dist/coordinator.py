@@ -1,16 +1,17 @@
-"""Queue-mode grid dispatch: enqueue, spawn workers, reap, collect.
+"""Queue-mode grid dispatch: enqueue, launch workers, reap, collect.
 
 :func:`dispatch_tasks` is what :class:`~repro.exp.runner.ExperimentRunner`
-delegates to in ``dispatch="queue"`` mode. It plays the *coordinator*
-role of the lease protocol — which is deliberately thin, because the
-protocol is serverless: the coordinator seals the run manifest (the
-deterministic grid expansion, published by an atomic batch enqueue —
-see :mod:`repro.dist.manifest`), starts N local worker processes, and
-then polls the queue while reaping expired leases until every cell is
-done. External workers (``repro work --queue DIR`` on any host sharing
-the directory) can join or leave at any point; the coordinator neither
-knows nor cares who executes a cell, because completion is defined by
-the queue state, not by its children.
+delegates to when it was given a ``queue_dir``. It plays the
+*coordinator* role of the lease protocol — which is deliberately thin,
+because the protocol is serverless: the coordinator seals the run
+manifest (the deterministic grid expansion, published by an atomic
+batch enqueue — see :mod:`repro.dist.manifest`), hands N local worker
+slots to a :class:`~repro.dist.supervise.WorkerSupervisor` (the one
+launcher of worker processes), and then polls the queue while reaping
+expired leases until every cell is done. External workers (``repro work
+--queue DIR`` on any host sharing the directory) can join or leave at
+any point; the coordinator neither knows nor cares who executes a cell,
+because completion is defined by the queue state, not by its children.
 
 The coordinator itself is crash-safe. It holds a **leader lease** (the
 reserved ``__coordinator__`` key on the ordinary lease board) renewed by
@@ -25,67 +26,42 @@ against the same queue directory does the right thing:
   drain continues from done-markers/journals — merged metrics are
   bit-identical to an uninterrupted run.
 
-Liveness guarantee: if every local worker dies (scripted faults, OOM,
-operator SIGKILL) while cells remain and no external worker shows up
-within a lease ttl, the coordinator drains the remainder *inline* — the
-grid always terminates with the same bit-identical results. With
-``supervise=True`` the local workers additionally sit under a
-:class:`~repro.dist.supervise.WorkerSupervisor` that respawns crashed
-processes with exponential backoff and a crash-loop circuit breaker.
+``supervise`` only picks the launcher's crash budget: ``False`` never
+respawns (the breaker opens on a slot's first crash), ``True`` respawns
+crashed workers with exponential backoff until the crash-loop breaker
+opens. Either way a crashed worker's held cell takes a failure strike
+and is released at once, so a worker-killing cell poisons at
+``MAX_ATTEMPTS`` instead of being re-issued forever.
+
+Liveness guarantee: if every local worker is gone (scripted faults,
+OOM, operator SIGKILL, every breaker open) while cells remain and no
+external worker shows up within a lease ttl, the coordinator drains the
+remainder *inline* — the grid always terminates with the same
+bit-identical results.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
-import sys
 import time
 
 from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.manifest import COORDINATOR_KEY, RunManifest, ensure_enqueued
 from repro.dist.queue import WorkQueue
+from repro.dist.supervise import DEFAULT_MAX_CRASHES, WorkerSupervisor
 from repro.dist.worker import Heartbeat, QueueWorker
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs import runtime as _obs_runtime
 from repro.obs.logbridge import get_logger, kv
 from repro.obs.metrics import merge_snapshots
 
-__all__ = ["dispatch_tasks", "worker_process_entry"]
+__all__ = ["dispatch_tasks"]
 
 _log = get_logger("repro.dist.coordinator")
 
-
-def worker_process_entry(
-    queue_dir: str,
-    worker_id: str,
-    lease_ttl: float,
-    plan: FaultPlan | None,
-    modules: tuple[str, ...],
-    parent_path: list[str],
-    options: dict | None = None,
-) -> None:
-    """Subprocess target for a coordinator-spawned worker.
-
-    Mirrors the process-pool initializer contract: a ``spawn``-started
-    interpreter first restores the parent's ``sys.path`` and re-imports
-    the plugin registration modules so ``@register_*``'d components
-    resolve; under ``fork`` both steps are cached no-ops. ``options``
-    carries extra :class:`QueueWorker` keyword arguments (the
-    supervisor uses it for ``wait_for_work``/``cell_timeout_s``/…).
-    """
-    from repro.api.registry import import_plugin_modules
-
-    for entry in parent_path:
-        if entry not in sys.path:
-            sys.path.append(entry)
-    import_plugin_modules(modules)
-    QueueWorker(
-        WorkQueue(queue_dir, lease_ttl=lease_ttl, create=False),
-        worker_id=worker_id,
-        faults=plan,
-        **(options or {}),
-    ).run()
+#: seconds between coordinator passes over the queue state
+POLL_INTERVAL_S = 0.2
 
 
 def _coordinator_owner() -> str:
@@ -125,7 +101,6 @@ def _acquire_leadership(
     queue: WorkQueue,
     owner: str,
     keys: list[str],
-    poll_interval: float,
 ) -> dict[str, TaskResult] | None:
     """Claim the coordinator leader lease, or attach to a live leader.
 
@@ -187,7 +162,7 @@ def _acquire_leadership(
                     extra=kv(cells=len(keys)),
                 )
                 return {k: merged[k] for k in keys}
-        time.sleep(poll_interval)
+        time.sleep(POLL_INTERVAL_S)
 
 
 def dispatch_tasks(
@@ -196,14 +171,12 @@ def dispatch_tasks(
     *,
     n_workers: int = 1,
     lease_ttl: float = 30.0,
-    poll_interval: float = 0.2,
     mp_start_method: str | None = None,
     trace_dir: str | None = None,
     trace_compact: bool = False,
     batch_episodes: int = 1,
     cell_timeout_s: float | None = None,
     worker_faults: "list[FaultPlan | None] | None" = None,
-    inline_fallback: bool = True,
     supervise: bool = False,
     coordinator_faults: "FaultPlan | FaultInjector | None" = None,
 ) -> dict[str, TaskResult]:
@@ -211,15 +184,16 @@ def dispatch_tasks(
 
     Seals the run manifest and publishes the cells in one atomic batch
     (re-dispatching a half-finished — or half-*enqueued* — grid into
-    the same directory resumes it), starts ``n_workers`` local worker
-    processes (supervised with respawn/backoff when ``supervise``), and
-    coordinates until every cell has a published result: reaping
-    expired leases so crashed/straggling workers' cells re-issue, and
-    draining inline if all workers are lost with no elastic replacement
-    in sight. ``worker_faults`` aligns scripted :class:`FaultPlan`\\ s
-    with local worker indices; ``coordinator_faults`` scripts the
-    coordinator's own death (``kill_coordinator_at``), defaulting to
-    the ``REPRO_DIST_FAULTS`` environment plan (testing/CI only).
+    the same directory resumes it), launches ``n_workers`` local worker
+    processes (respawned with backoff after a crash when ``supervise``,
+    never otherwise), and coordinates until every cell has a published
+    result: reaping expired leases so crashed/straggling workers' cells
+    re-issue, and draining inline if all workers are lost with no
+    elastic replacement in sight. ``worker_faults`` aligns scripted
+    :class:`FaultPlan`\\ s with local worker indices;
+    ``coordinator_faults`` scripts the coordinator's own death
+    (``kill_coordinator_at``), defaulting to the ``REPRO_DIST_FAULTS``
+    environment plan (testing/CI only).
     """
     queue = WorkQueue(queue_dir, lease_ttl=lease_ttl)
     if coordinator_faults is None:
@@ -237,7 +211,7 @@ def dispatch_tasks(
     key_set = set(keys)
 
     owner = _coordinator_owner()
-    attached = _acquire_leadership(queue, owner, keys, poll_interval)
+    attached = _acquire_leadership(queue, owner, keys)
     if attached is not None:
         return attached
     if session is not None:
@@ -252,7 +226,6 @@ def dispatch_tasks(
     heartbeat.start()
 
     supervisor = None
-    procs: list = []
     try:
         telemetry_dir = (
             str(session.directory)
@@ -290,45 +263,16 @@ def dispatch_tasks(
             owed = [k for k in frontier.claimable if k in key_set]
             return owed + poisoned, poisoned
 
-        if outstanding()[0]:
-            from repro.api.registry import registration_modules
-
-            if mp_start_method is None:
-                mp_start_method = (
-                    "fork" if sys.platform.startswith("linux") else "spawn"
-                )
-            mp_context = multiprocessing.get_context(mp_start_method)
-            modules = registration_modules()
-            faults = list(worker_faults or [])
-            if supervise and n_workers > 0:
-                from repro.dist.supervise import WorkerSupervisor
-
-                supervisor = WorkerSupervisor(
-                    queue,
-                    n_workers,
-                    lease_ttl=lease_ttl,
-                    cell_timeout_s=cell_timeout_s,
-                    spawn_faults=[[plan] for plan in faults],
-                    mp_start_method=mp_start_method,
-                )
-                supervisor.start()
-            else:
-                for index in range(max(0, n_workers)):
-                    plan = faults[index] if index < len(faults) else None
-                    proc = mp_context.Process(
-                        target=worker_process_entry,
-                        args=(
-                            str(queue.root),
-                            f"w{index}-{os.getpid()}",
-                            lease_ttl,
-                            plan,
-                            modules,
-                            list(sys.path),
-                        ),
-                        daemon=False,
-                    )
-                    proc.start()
-                    procs.append(proc)
+        if n_workers >= 1 and outstanding()[0]:
+            supervisor = WorkerSupervisor(
+                queue,
+                n_workers,
+                max_crashes=DEFAULT_MAX_CRASHES if supervise else 1,
+                cell_timeout_s=cell_timeout_s,
+                spawn_faults=[[plan] for plan in worker_faults or []],
+                mp_start_method=mp_start_method,
+            )
+            supervisor.start()
 
         fallback_deadline: float | None = None
         while True:
@@ -357,16 +301,11 @@ def dispatch_tasks(
                     f"{queue.failure_count(poisoned[0])} attempt(s) and were "
                     f"withdrawn; first error:\n{errors[-1] if errors else '?'}"
                 )
-            locals_gone = (
-                supervisor.done
-                if supervisor is not None
-                else all(p.exitcode is not None for p in procs)
-            )
-            if locals_gone:
-                # Every local worker exited (or the supervisor gave up)
-                # with cells still pending. Give an elastic external
-                # worker one lease ttl to pick the grid up, then drain
-                # inline so the dispatch always terminates.
+            if supervisor is None or supervisor.done:
+                # No local worker is running or will be respawned (or
+                # none was asked for) with cells still pending. Give an
+                # elastic external worker one lease ttl to pick the grid
+                # up, then drain inline so the dispatch always terminates.
                 if fallback_deadline is None:
                     fallback_deadline = now + lease_ttl
                     _log.warning(
@@ -374,7 +313,7 @@ def dispatch_tasks(
                         "waiting one lease ttl for elastic pickup",
                         extra=kv(pending=len(pending), ttl_s=lease_ttl),
                     )
-                elif now >= fallback_deadline and inline_fallback:
+                elif now >= fallback_deadline:
                     _log.warning(
                         "no elastic worker appeared; draining inline",
                         extra=kv(pending=len(pending)),
@@ -383,15 +322,10 @@ def dispatch_tasks(
                     break
             else:
                 fallback_deadline = None
-            time.sleep(poll_interval)
+            time.sleep(POLL_INTERVAL_S)
     finally:
         if supervisor is not None:
             supervisor.stop()
-        for proc in procs:
-            proc.join(timeout=30.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
         heartbeat.stop()
         try:
             queue.leases.release(COORDINATOR_KEY, owner)

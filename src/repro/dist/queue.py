@@ -238,6 +238,20 @@ class WorkQueue:
         # by filename for the lifetime of this queue handle.
         self._batch_cache: dict[str, dict[str, dict]] = {}
 
+    @classmethod
+    def attach(
+        cls,
+        queue: "WorkQueue | str | os.PathLike",
+        lease_ttl: float | None = None,
+    ) -> "WorkQueue":
+        """An *existing* queue from a handle or its directory path;
+        ``lease_ttl`` (when given) overrides the lease expiry."""
+        if not isinstance(queue, cls):
+            return cls(queue, lease_ttl=lease_ttl or 30.0, create=False)
+        if lease_ttl is not None:
+            queue.leases.ttl = float(lease_ttl)
+        return queue
+
     def use_store(self, store: Store) -> None:
         """Route this queue (and its lease board) through ``store``.
 

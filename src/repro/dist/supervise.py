@@ -1,8 +1,9 @@
-"""Worker supervision: respawn crashed queue workers, break crash loops.
+"""The one launcher of local queue-worker processes: start, watch, stop.
 
-A :class:`WorkerSupervisor` owns N worker *slots*. Each slot runs one
-``repro.dist.worker.QueueWorker`` subprocess; when the process dies with
-a non-zero exit code (SIGKILL, OOM, unhandled exception) the slot
+A :class:`WorkerSupervisor` owns N worker *slots* and is the only code
+under :mod:`repro.dist` that constructs a worker process. Each slot runs
+one ``repro.dist.worker.QueueWorker`` subprocess; when the process dies
+with a non-zero exit code (SIGKILL, OOM, unhandled exception) the slot
 respawns it — under a fresh worker id, after an exponential backoff —
 until the queue drains or the slot's **circuit breaker** opens.
 
@@ -11,7 +12,9 @@ The breaker exists because respawning is only safe when crashes are
 install, poisoned host, corrupt mount) would otherwise burn through the
 whole grid's attempt budget. ``max_crashes`` consecutive crashes —
 where "consecutive" resets once an incarnation survives
-``healthy_after_s`` — opens the slot for good.
+``HEALTHY_AFTER_S`` — opens the slot for good. ``max_crashes=1`` is
+therefore plain *unsupervised* launching: the first crash opens the
+breaker and nothing respawns.
 
 Crashes feed the existing failure accounting: every lease the dead
 worker still held gets a recorded failure attempt (it crashed *holding*
@@ -22,9 +25,14 @@ forever. Lifecycle events (``supervisor_spawn`` / ``supervisor_crash``
 / ``supervisor_circuit_open``) route through ``repro.obs`` when a
 telemetry session is active.
 
-Drive it from the CLI as ``repro work --queue DIR --supervise N`` or
-let the coordinator own it via ``dispatch_tasks(..., supervise=True)``
-(scenario ``execution.supervise``).
+Stopping is graceful: :meth:`WorkerSupervisor.stop` lets every live
+worker finish (its exit registration and final metrics snapshot
+included) for up to ``STOP_GRACE_S`` before terminating what is left.
+
+Drive it from the CLI as ``repro work --queue DIR --supervise N``; the
+coordinator (:func:`~repro.dist.coordinator.dispatch_tasks`) always
+launches its local workers through one, respawning
+(``supervise=True``, scenario ``execution.supervise``) or not.
 """
 
 from __future__ import annotations
@@ -40,12 +48,58 @@ from dataclasses import dataclass, field
 
 from repro.dist.faults import FaultPlan
 from repro.dist.queue import WorkQueue
+from repro.dist.worker import QueueWorker
+from repro.exp.tasks import worker_context
 from repro.obs import runtime as _obs_runtime
 from repro.obs.logbridge import get_logger, kv
 
-__all__ = ["WorkerSupervisor", "SupervisorReport"]
+__all__ = ["WorkerSupervisor", "SupervisorReport", "DEFAULT_MAX_CRASHES"]
 
 _log = get_logger("repro.dist.supervise")
+
+#: consecutive crashes that open a slot's breaker unless the caller
+#: says otherwise (``repro work --max-crashes``; 1 = never respawn)
+DEFAULT_MAX_CRASHES = 5
+#: seconds between supervision passes over the slots
+POLL_INTERVAL_S = 0.2
+#: an incarnation surviving this long resets its slot's consecutive-
+#: crash counter (the crash streak was broken)
+HEALTHY_AFTER_S = 5.0
+#: how long :meth:`WorkerSupervisor.stop` lets live workers finish
+#: before terminating them
+STOP_GRACE_S = 30.0
+
+
+def _worker_process_entry(
+    queue_dir: str,
+    worker_id: str,
+    lease_ttl: float,
+    plan: FaultPlan | None,
+    modules: tuple[str, ...],
+    parent_path: list[str],
+    options: dict,
+) -> None:
+    """Subprocess target for a launched worker.
+
+    Mirrors the process-pool initializer contract: a ``spawn``-started
+    interpreter first restores the parent's ``sys.path`` and re-imports
+    the plugin registration modules so ``@register_*``'d components
+    resolve; under ``fork`` both steps are cached no-ops. ``options``
+    carries the remaining :class:`QueueWorker` keyword arguments.
+    """
+    from repro.api.registry import import_plugin_modules
+
+    for entry in parent_path:
+        if entry not in sys.path:
+            sys.path.append(entry)
+    import_plugin_modules(modules)
+    QueueWorker(
+        queue_dir,
+        worker_id=worker_id,
+        lease_ttl=lease_ttl,
+        faults=plan,
+        **options,
+    ).run()
 
 
 @dataclass
@@ -91,10 +145,8 @@ class WorkerSupervisor:
         Respawn delay after the n-th consecutive crash:
         ``min(backoff_max_s, backoff_base_s * 2**(n-1))``.
     max_crashes:
-        Consecutive crashes that open a slot's circuit breaker.
-    healthy_after_s:
-        An incarnation surviving this long resets its slot's
-        consecutive-crash counter (the crash streak was broken).
+        Consecutive crashes that open a slot's circuit breaker; ``1``
+        never respawns.
     wait_for_work:
         Spawn elastic workers (``--wait`` semantics: they exit on a
         complete run manifest instead of a drained scan).
@@ -109,11 +161,9 @@ class WorkerSupervisor:
         n_workers: int,
         *,
         lease_ttl: float | None = None,
-        poll_interval: float = 0.2,
         backoff_base_s: float = 0.5,
         backoff_max_s: float = 30.0,
-        max_crashes: int = 5,
-        healthy_after_s: float = 5.0,
+        max_crashes: int = DEFAULT_MAX_CRASHES,
         wait_for_work: bool = False,
         cell_timeout_s: float | None = None,
         worker_poll_interval: float = 0.2,
@@ -124,26 +174,15 @@ class WorkerSupervisor:
             raise ValueError(
                 f"supervisor needs at least one worker slot, got {n_workers!r}"
             )
-        if not isinstance(queue, WorkQueue):
-            queue = WorkQueue(queue, lease_ttl=lease_ttl or 30.0, create=False)
-        elif lease_ttl is not None:
-            queue.leases.ttl = float(lease_ttl)
-        self.queue = queue
-        self.lease_ttl = queue.leases.ttl
-        self.poll_interval = poll_interval
+        self.queue = WorkQueue.attach(queue, lease_ttl)
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.max_crashes = max_crashes
-        self.healthy_after_s = healthy_after_s
         self.wait_for_work = wait_for_work
         self.cell_timeout_s = cell_timeout_s
         self.worker_poll_interval = worker_poll_interval
         self.spawn_faults = spawn_faults or []
-        if mp_start_method is None:
-            mp_start_method = (
-                "fork" if sys.platform.startswith("linux") else "spawn"
-            )
-        self._context = multiprocessing.get_context(mp_start_method)
+        self._context = worker_context(mp_start_method)
         self._slots = [_Slot(i) for i in range(n_workers)]
         self._halt = threading.Event()
         self._thread: threading.Thread | None = None
@@ -162,23 +201,26 @@ class WorkerSupervisor:
         )
         self._thread.start()
 
-    def stop(self, timeout: float = 35.0) -> None:
-        """Halt supervision and terminate any live workers."""
+    def stop(self) -> None:
+        """Halt supervision, let live workers finish, terminate the rest.
+
+        A worker that sees the queue drained is at this moment writing
+        its exit registration and final metrics snapshot; it gets until
+        ``STOP_GRACE_S`` (shared across slots) to finish on its own, so
+        a clean run never leaves a ``worker-stale`` record behind.
+        """
         self._halt.set()
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=STOP_GRACE_S)
+        deadline = time.monotonic() + STOP_GRACE_S
         for slot in self._slots:
             proc = slot.proc
-            if proc is not None and proc.is_alive():
+            if proc is None:
+                continue
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-
-    def alive_count(self) -> int:
-        return sum(
-            1
-            for slot in self._slots
-            if slot.proc is not None and slot.proc.is_alive()
-        )
 
     # -- the loop ----------------------------------------------------------
 
@@ -208,7 +250,7 @@ class WorkerSupervisor:
                         else "circuit_open"
                     )
                     break
-                self._halt.wait(self.poll_interval)
+                self._halt.wait(POLL_INTERVAL_S)
             else:
                 self.report.exit_reason = "stopped"
         finally:
@@ -258,7 +300,7 @@ class WorkerSupervisor:
             return
         self.report.crashes += 1
         uptime = now - slot.started_at
-        if uptime >= self.healthy_after_s:
+        if uptime >= HEALTHY_AFTER_S:
             slot.consecutive = 1  # streak broken by a healthy run
         else:
             slot.consecutive += 1
@@ -327,7 +369,6 @@ class WorkerSupervisor:
 
     def _spawn(self, slot: _Slot) -> None:
         from repro.api.registry import registration_modules
-        from repro.dist.coordinator import worker_process_entry
 
         plan = self._plan_for(slot)
         worker_id = (
@@ -342,11 +383,11 @@ class WorkerSupervisor:
         if self.cell_timeout_s is not None:
             options["cell_timeout_s"] = self.cell_timeout_s
         proc = self._context.Process(
-            target=worker_process_entry,
+            target=_worker_process_entry,
             args=(
                 str(self.queue.root),
                 worker_id,
-                self.lease_ttl,
+                self.queue.leases.ttl,
                 plan,
                 registration_modules(),
                 list(sys.path),

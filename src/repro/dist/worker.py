@@ -61,6 +61,11 @@ __all__ = [
 
 _log = get_logger("repro.dist.worker")
 
+#: mid-run metrics snapshots are throttled to one per this many seconds
+#: so sub-second cells don't pay one atomic JSON write each (the exit
+#: snapshot always publishes)
+METRICS_PUBLISH_INTERVAL_S = 0.5
+
 
 def new_worker_id() -> str:
     """A short host-qualified id (``host-pid-rand``) for shard naming."""
@@ -164,9 +169,6 @@ class QueueWorker:
         The :class:`WorkQueue` (or its directory path).
     worker_id:
         Shard / lease owner id; defaults to a fresh host-qualified id.
-    heartbeat_interval:
-        Lease renewal period; defaults to a quarter of the queue's ttl
-        so a healthy worker never comes close to expiry.
     poll_interval:
         Sleep between scans when nothing was claimable.
     max_cells:
@@ -202,7 +204,6 @@ class QueueWorker:
         queue: WorkQueue | str | os.PathLike,
         worker_id: str | None = None,
         lease_ttl: float | None = None,
-        heartbeat_interval: float | None = None,
         poll_interval: float = 0.2,
         max_cells: int | None = None,
         wait_for_work: bool = False,
@@ -211,17 +212,8 @@ class QueueWorker:
         execute=None,
         spool_dir: str | os.PathLike | None = None,
     ) -> None:
-        if not isinstance(queue, WorkQueue):
-            queue = WorkQueue(queue, lease_ttl=lease_ttl or 30.0, create=False)
-        elif lease_ttl is not None:
-            queue.leases.ttl = float(lease_ttl)
-        self.queue = queue
+        self.queue = WorkQueue.attach(queue, lease_ttl)
         self.worker_id = worker_id or new_worker_id()
-        self.heartbeat_interval = (
-            heartbeat_interval
-            if heartbeat_interval is not None
-            else queue.leases.ttl / 4.0
-        )
         self.poll_interval = poll_interval
         self.max_cells = max_cells
         self.wait_for_work = wait_for_work
@@ -251,9 +243,6 @@ class QueueWorker:
         self._spooled: list = []  # TaskResults awaiting a store recovery
         self._store_strikes = 0
         self._started_at = time.time()
-        #: mid-run snapshot publishes are throttled so sub-second cells
-        #: don't pay one atomic JSON write each (exit always publishes)
-        self.metrics_publish_interval = 0.5
         self._metrics_published_at = 0.0
 
     # -- the loop ---------------------------------------------------------
@@ -383,7 +372,7 @@ class QueueWorker:
     def _publish_metrics(self, exited: bool = False) -> None:
         now = time.time()
         if not exited and (
-            now - self._metrics_published_at < self.metrics_publish_interval
+            now - self._metrics_published_at < METRICS_PUBLISH_INTERVAL_S
         ):
             return
         self._metrics_published_at = now
@@ -503,9 +492,11 @@ class QueueWorker:
         return box["result"]
 
     def _execute_cell(self, key: str, meta: dict) -> None:
+        # Renew at a quarter of the ttl so a healthy worker never comes
+        # close to expiry.
         heartbeat = Heartbeat(
-            self.queue, key, self.worker_id, self.heartbeat_interval, self.faults,
-            metrics=self.metrics,
+            self.queue, key, self.worker_id, self.queue.leases.ttl / 4.0,
+            self.faults, metrics=self.metrics,
         )
         heartbeat.start()
         t0 = time.perf_counter()

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import multiprocessing
 import os
-import sys
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -37,7 +35,7 @@ import numpy as np
 
 from repro.exp.cache import ResultCache
 from repro.exp.records import ExperimentTask, TaskResult
-from repro.exp.tasks import execute_task
+from repro.exp.tasks import execute_task, worker_context
 from repro.obs import runtime as _obs_runtime
 from repro.obs.progress import ProgressLine
 from repro.utils.durable import OK, append_line, scan_sealed_jsonl
@@ -157,20 +155,19 @@ class ExperimentRunner:
         cores and amortize network dispatch at the same time. Pure
         execution knob: metric values, cache keys and checkpoints are
         identical to the sequential path.
-    dispatch:
-        ``"pool"`` (default) fans pending cells over a local
-        :class:`~concurrent.futures.ProcessPoolExecutor`; ``"queue"``
-        dispatches them through the shared-directory work queue at
+    queue_dir:
+        Without it pending cells run inline or fan out over a local
+        :class:`~concurrent.futures.ProcessPoolExecutor`; with it they
+        are dispatched through the shared-directory work queue at
         ``queue_dir`` (:mod:`repro.dist`): ``n_workers`` local worker
         processes are started, external ``repro work --queue DIR``
         workers on any host sharing the directory may join or leave
-        mid-grid, and crashed workers' cells are re-issued after their
-        lease expires. Pure execution knob — metrics, cache keys and
-        checkpoints are bit-identical to the pool and serial paths.
-    queue_dir:
-        Work-queue directory for ``dispatch="queue"`` (required then,
-        rejected otherwise). Reusing the directory resumes a
-        half-finished grid — published cells are never re-executed.
+        mid-grid, and crashed workers' cells are re-issued. Reusing the
+        directory resumes a half-finished grid — published cells are
+        never re-executed. Pure execution choice — metrics, cache keys
+        and checkpoints are bit-identical to the pool and serial paths.
+        The read-only :attr:`dispatch` property (``"pool"`` |
+        ``"queue"``) names the path taken, for telemetry.
     lease_ttl:
         Queue-mode lease expiry in seconds; a worker silent for this
         long forfeits its cell to re-issue.
@@ -182,6 +179,11 @@ class ExperimentRunner:
     worker_faults:
         Scripted :class:`~repro.dist.faults.FaultPlan` per local queue
         worker index (fault-injection tests/CI only).
+    supervise:
+        Queue mode only: respawn crashed local workers (exponential
+        backoff, crash-loop circuit breaker) instead of leaving their
+        slots empty. Either way a crashed worker's held cell takes a
+        failure strike and is released at once.
     progress:
         Live one-line stderr progress (done/total cells, recalled
         count, elapsed/ETA) for the serial and pool paths. ``None``
@@ -199,7 +201,6 @@ class ExperimentRunner:
         trace_dir: str | os.PathLike | None = None,
         trace_compact: bool = False,
         batch_episodes: int = 1,
-        dispatch: str = "pool",
         queue_dir: str | os.PathLike | None = None,
         lease_ttl: float = 30.0,
         cell_timeout_s: float | None = None,
@@ -212,21 +213,6 @@ class ExperimentRunner:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        if dispatch not in ("pool", "queue"):
-            raise ValueError(
-                f"dispatch must be 'pool' or 'queue', got {dispatch!r}"
-            )
-        if dispatch == "queue" and queue_dir is None:
-            raise ValueError(
-                "dispatch='queue' needs the shared work-queue directory; "
-                "pass ExperimentRunner(queue_dir=...)"
-            )
-        if dispatch != "queue" and queue_dir is not None:
-            raise ValueError(
-                "queue_dir given but dispatch is 'pool'; set "
-                "dispatch='queue' to use the work queue"
-            )
-        self.dispatch = dispatch
         self.queue_dir = Path(queue_dir) if queue_dir is not None else None
         self.lease_ttl = float(lease_ttl)
         if cell_timeout_s is not None and cell_timeout_s <= 0:
@@ -237,8 +223,6 @@ class ExperimentRunner:
             float(cell_timeout_s) if cell_timeout_s is not None else None
         )
         self.worker_faults = list(worker_faults) if worker_faults else []
-        #: queue mode only: run local workers under the respawning
-        #: WorkerSupervisor instead of bare subprocesses
         self.supervise = bool(supervise)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
@@ -246,10 +230,6 @@ class ExperimentRunner:
         #: store recorded decision traces as float32 (storage fidelity
         #: only — simulated decisions and metrics are unaffected)
         self.trace_compact = bool(trace_compact)
-        if mp_start_method is None:
-            mp_start_method = (
-                "fork" if sys.platform.startswith("linux") else "spawn"
-            )
         self.mp_start_method = mp_start_method
         if batch_episodes < 1:
             raise ValueError("batch_episodes must be >= 1")
@@ -259,6 +239,11 @@ class ExperimentRunner:
         self._journaled_keys: set[str] = set()
         self._progress_line: ProgressLine | None = None
         self._recalled = 0
+
+    @property
+    def dispatch(self) -> str:
+        """``"queue"`` when a ``queue_dir`` was given, else ``"pool"``."""
+        return "queue" if self.queue_dir is not None else "pool"
 
     # -- checkpointing ----------------------------------------------------
 
@@ -447,7 +432,7 @@ class ExperimentRunner:
         # @register_*'d component (the registry-module note).
         from repro.api.registry import import_plugin_modules, registration_modules
 
-        context = multiprocessing.get_context(self.mp_start_method)
+        context = worker_context(self.mp_start_method)
         workers = min(self.n_workers, len(pending))
         with ProcessPoolExecutor(
             max_workers=workers,

@@ -21,13 +21,25 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import multiprocessing
 import os
+import sys
 import time
 
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs import runtime as _obs_runtime
 
-__all__ = ["execute_task"]
+__all__ = ["execute_task", "worker_context"]
+
+
+def worker_context(start_method: str | None = None):
+    """The multiprocessing context cell-executing processes start under
+    (pool and queue workers alike): ``start_method`` when given, else
+    "fork" where available (cheap, inherits the warm interpreter) and
+    "spawn" elsewhere."""
+    if start_method is None:
+        start_method = "fork" if sys.platform.startswith("linux") else "spawn"
+    return multiprocessing.get_context(start_method)
 
 
 def execute_task(

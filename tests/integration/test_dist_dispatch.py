@@ -73,7 +73,6 @@ class TestQueueDispatchIdentity:
         tasks = _tasks(grid_config)
         runner = ExperimentRunner(
             n_workers=2,
-            dispatch="queue",
             queue_dir=tmp_path / "q",
             lease_ttl=10.0,
             cache_dir=tmp_path / "cache",

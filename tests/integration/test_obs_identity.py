@@ -108,7 +108,6 @@ class TestBitIdentity:
         try:
             queued = ExperimentRunner(
                 n_workers=2,
-                dispatch="queue",
                 queue_dir=tmp_path / "queue",
                 lease_ttl=20.0,
             ).run(tasks)

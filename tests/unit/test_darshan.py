@@ -47,6 +47,19 @@ class TestRecordGeneration:
         with pytest.raises(ValueError):
             generate_darshan_records(big_trace, p_has_record=0.1, p_over_1gb=0.2)
 
+    def test_quantile_edges_follow_the_normal_limits(self, big_trace):
+        """p_over_1gb = 0 puts the median at -inf (every volume 0) and
+        p_over_1gb = p_has_record at +inf (every volume at the cap)."""
+        none_over = generate_darshan_records(big_trace, p_over_1gb=0.0, seed=0)
+        assert none_over and all(r.bytes_moved_gb == 0.0 for r in none_over)
+        all_over = generate_darshan_records(
+            big_trace, p_has_record=0.4, p_over_1gb=0.4,
+            max_volume_gb=100.0, seed=0,
+        )
+        assert all_over and all(r.bytes_moved_gb == 100.0 for r in all_over)
+        # The record draw itself is untouched by the quantile.
+        assert [r.job_id for r in none_over] == [r.job_id for r in all_over]
+
     def test_node_scaling_effect(self):
         """With node scaling on, volume correlates with node count."""
         jobs = [make_job(job_id=i, nodes=1 if i < 500 else 64) for i in range(1000)]
@@ -87,3 +100,24 @@ class TestExtraction:
     def test_invalid_unit(self):
         with pytest.raises(ValueError):
             extract_bb_requests([], [], bb_unit_gb=0.0)
+
+
+def test_scenario_run_needs_no_scipy():
+    """numpy is the only declared runtime dependency: a trace build
+    through the public API must not reach for scipy."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, repro.api as api\n"
+        "result = api.run_scenario({'methods': ['heuristic'], "
+        "'workloads': ['S1', 'S2'], 'train': False, "
+        "'system': {'name': 'mini_theta', 'nodes': 32, 'bb_units': 16}, "
+        "'config': {'n_jobs': 15, 'window_size': 5}, 'replications': 2})\n"
+        "assert len(result.results) == 2, result.results\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
