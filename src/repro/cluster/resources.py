@@ -345,7 +345,10 @@ class ResourcePool:
         for name, amount in job.requests.items():
             if amount <= 0:
                 continue
-            free_idx = np.flatnonzero(~self._busy[name])[:amount]
+            # A copy: the slice alone would keep the whole flatnonzero
+            # result alive for as long as the grant (and any tracker
+            # chunk) is held.
+            free_idx = np.flatnonzero(~self._busy[name])[:amount].copy()
             self._busy[name][free_idx] = True
             self._est_free[name][free_idx] = est
             self._free[name] -= amount
@@ -356,7 +359,9 @@ class ResourcePool:
                 for tracker in trackers:
                     tracker.mark(name, free_idx, True, est)
         self._allocations[job.job_id] = grant
-        job.allocation = {k: v.tolist() for k, v in grant.items()}
+        # Shares the (never mutated) index arrays with the pool's own
+        # record rather than expanding them into Python ints.
+        job.allocation = dict(grant)
 
     def release(self, job: Job) -> None:
         """Free every unit held by ``job``."""

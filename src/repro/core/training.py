@@ -142,20 +142,18 @@ def _train_episodes_lockstep(
     batch: int,
 ) -> TrainingResult:
     """Group jobsets into lockstep batches; learn after each group."""
-    from repro.sim.batched import BatchedSimulator
+    from repro.sim.batched import BatchedSimulator, lockstep_lanes
 
     try:
         scheduler.training = True  # type: ignore[attr-defined]
-        lanes: list[Scheduler] = [scheduler]
-        for _ in range(min(batch, len(jobsets)) - 1):
-            clone = scheduler.lockstep_clone()
-            if clone is None:
-                raise ValueError(
-                    f"{scheduler.name} does not support lockstep episode "
-                    "collection (no lockstep_clone); use batch_episodes=1"
-                )
+        lanes = lockstep_lanes(scheduler, min(batch, len(jobsets)))
+        if lanes is None:
+            raise ValueError(
+                f"{scheduler.name} does not support lockstep episode "
+                "collection (no lockstep_clone); use batch_episodes=1"
+            )
+        for clone in lanes[1:]:
             _check_trainable(clone)
-            lanes.append(clone)
         for i in range(0, len(jobsets), batch):
             chunk = jobsets[i : i + batch]
             group = lanes[: len(chunk)]

@@ -174,7 +174,6 @@ def dispatch_tasks(
     mp_start_method: str | None = None,
     trace_dir: str | None = None,
     trace_compact: bool = False,
-    batch_episodes: int = 1,
     cell_timeout_s: float | None = None,
     worker_faults: "list[FaultPlan | None] | None" = None,
     supervise: bool = False,
@@ -235,7 +234,6 @@ def dispatch_tasks(
         context_doc = dict(
             trace_dir=trace_dir,
             trace_compact=bool(trace_compact),
-            batch_episodes=int(batch_episodes),
             # Late-joining `repro work` processes follow the
             # coordinator's telemetry directory without per-worker
             # flags; same for the per-cell execution deadline.

@@ -86,7 +86,7 @@ class RunManifest:
         The full grid expansion — every cell key this run has promised,
         across all generations.
     context:
-        Execution context snapshot (trace dir, batching, timeouts, …)
+        Execution context snapshot (trace dir, timeouts, …)
         — the same document published to ``meta.json`` for workers.
     state:
         ``staged`` | ``sealed`` | ``complete`` (see module docstring).

@@ -265,11 +265,12 @@ class WorkQueue:
     # -- execution context ------------------------------------------------
 
     def write_meta(self, **meta) -> None:
-        """Publish shared execution context (trace dir, batching, …).
+        """Publish shared execution context (trace dir, timeouts, …).
 
         Written by whoever enqueues the grid so that late-joining
         ``repro work`` processes agree on where trace artifacts go
-        without per-worker flags.
+        without per-worker flags. Workers read the keys they know and
+        ignore the rest, so a document from an older writer still drains.
         """
         self.store.atomic_write_json(self.root / "meta.json", meta)
 

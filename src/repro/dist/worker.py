@@ -463,7 +463,6 @@ class QueueWorker:
                 self.queue.load_task(key),
                 meta.get("trace_dir"),
                 bool(meta.get("trace_compact", False)),
-                int(meta.get("batch_episodes", 1)),
             )
 
         timeout = self.cell_timeout_s

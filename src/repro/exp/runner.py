@@ -146,15 +146,6 @@ class ExperimentRunner:
         result of a trace-capturing task is only honoured when every
         trace it recorded still exists in this store — otherwise the
         cell re-executes and re-records.
-    batch_episodes:
-        Lockstep batch width for each cell's evaluation replays (see
-        :func:`~repro.exp.tasks.execute_task`). Orthogonal to
-        ``n_workers``: the pool fans *cells* out across processes,
-        while ``batch_episodes`` batches the *workload episodes inside
-        one cell* into shared network calls — combine both to use many
-        cores and amortize network dispatch at the same time. Pure
-        execution knob: metric values, cache keys and checkpoints are
-        identical to the sequential path.
     queue_dir:
         Without it pending cells run inline or fan out over a local
         :class:`~concurrent.futures.ProcessPoolExecutor`; with it they
@@ -200,7 +191,6 @@ class ExperimentRunner:
         mp_start_method: str | None = None,
         trace_dir: str | os.PathLike | None = None,
         trace_compact: bool = False,
-        batch_episodes: int = 1,
         queue_dir: str | os.PathLike | None = None,
         lease_ttl: float = 30.0,
         cell_timeout_s: float | None = None,
@@ -231,9 +221,6 @@ class ExperimentRunner:
         #: only — simulated decisions and metrics are unaffected)
         self.trace_compact = bool(trace_compact)
         self.mp_start_method = mp_start_method
-        if batch_episodes < 1:
-            raise ValueError("batch_episodes must be >= 1")
-        self.batch_episodes = batch_episodes
         self.progress = progress
         #: keys already present in the journal during the current run()
         self._journaled_keys: set[str] = set()
@@ -333,12 +320,7 @@ class ExperimentRunner:
                         for key, task in pending.items():
                             self._record(
                                 resolved,
-                                execute_task(
-                                    task,
-                                    trace_dir,
-                                    self.trace_compact,
-                                    self.batch_episodes,
-                                ),
+                                execute_task(task, trace_dir, self.trace_compact),
                             )
                     else:
                         self._run_pool(pending, resolved, trace_dir)
@@ -441,13 +423,7 @@ class ExperimentRunner:
             initargs=(registration_modules(),),
         ) as pool:
             futures = {
-                pool.submit(
-                    execute_task,
-                    task,
-                    trace_dir,
-                    self.trace_compact,
-                    self.batch_episodes,
-                ): key
+                pool.submit(execute_task, task, trace_dir, self.trace_compact): key
                 for key, task in pending.items()
             }
             # Drain as results land so the checkpoint journal always
@@ -498,7 +474,6 @@ class ExperimentRunner:
             mp_start_method=self.mp_start_method,
             trace_dir=trace_dir,
             trace_compact=self.trace_compact,
-            batch_episodes=self.batch_episodes,
             cell_timeout_s=self.cell_timeout_s,
             worker_faults=self.worker_faults,
             supervise=self.supervise,

@@ -31,6 +31,12 @@ from repro.obs import runtime as _obs_runtime
 
 __all__ = ["execute_task", "worker_context"]
 
+#: Most replays of one cell scored together. One decision at Theta
+#: geometry streams the 23 MB first-layer weight matrix whether it
+#: carries one state row or eight (the stacked product costs the same
+#: from 2 to 8 rows), so wider groups only add resident episode state.
+LOCKSTEP_LANES = 8
+
 
 def worker_context(start_method: str | None = None):
     """The multiprocessing context cell-executing processes start under
@@ -46,7 +52,6 @@ def execute_task(
     task: ExperimentTask,
     trace_dir: "str | os.PathLike | None" = None,
     trace_compact: bool = False,
-    batch_episodes: int = 1,
 ) -> TaskResult:
     """Run one grid cell: build, (optionally) train, evaluate in order.
 
@@ -59,17 +64,20 @@ def execute_task(
     :meth:`repro.eval.trace.DecisionTrace.save`); it affects storage
     fidelity only, never the simulated decisions.
 
-    ``batch_episodes > 1`` evaluates the cell's workloads in lockstep
-    groups of that size through
-    :class:`~repro.sim.batched.BatchedSimulator`, one batched network
-    call per macro-step instead of one per decision. This is an
-    execution knob, not part of the task identity: it is only engaged
-    for policies that declare lockstep cloning safe
-    (:meth:`~repro.sched.base.Scheduler.lockstep_clone`), whose
-    evaluation replays are RNG-free — every metric value is identical
-    to the sequential path, so cache keys and checkpoints are shared
-    either way. Trace-capturing cells always run sequentially (the
-    trace recorder is a per-scheduler attachment).
+    How the replays run follows from the cell, never from the caller. A
+    cell with more than one workload, no trace capture, and a policy
+    that declares lockstep cloning safe
+    (:meth:`~repro.sched.base.Scheduler.lockstep_clone` — its
+    evaluation replays are RNG-free) replays its workloads as lanes of
+    one :class:`~repro.sim.batched.BatchedSimulator`, at most
+    :data:`LOCKSTEP_LANES` at a time: one stacked network call per
+    macro-step instead of one per decision, every decision and metric
+    value identical to the sequential path, so cache keys and
+    checkpoints do not know the difference. Everything else — one
+    workload, trace capture (the recorder is a per-scheduler
+    attachment), FCFS, the GA, scalar RL — is one
+    :meth:`Simulator.run <repro.sim.simulator.Simulator.run>` per
+    workload.
     """
     t0 = time.perf_counter()
     config = task.config
@@ -99,7 +107,7 @@ def execute_task(
     with _cell_obs:
         result = _execute_task_body(
             task, config, task_key, obs_session, t0,
-            trace_dir, trace_compact, batch_episodes,
+            trace_dir, trace_compact,
         )
     if obs_session is not None:
         obs_session.metrics.counter("cells.executed").inc()
@@ -118,7 +126,6 @@ def _execute_task_body(
     t0: float,
     trace_dir: "str | os.PathLike | None",
     trace_compact: bool,
-    batch_episodes: int,
 ) -> TaskResult:
     # Imported lazily: repro.experiments.harness imports the runner, and
     # worker processes should only pay for what the task touches.
@@ -169,47 +176,40 @@ def _execute_task_body(
             return jobs
         return build_workload(workload, base, eval_system, seed=config.seed)
 
-    batch = max(1, int(batch_episodes))
-    if (
-        batch > 1
-        and recorder is None
-        and len(task.workloads) > 1
-        and sched.lockstep_clone() is not None
-    ):
-        from repro.sim.batched import BatchedSimulator
+    names = list(task.workloads)
+    lanes = None
+    if recorder is None and len(names) > 1:
+        from repro.sim.batched import BatchedSimulator, lockstep_lanes
 
-        names = list(task.workloads)
-        jobsets = {workload: build_jobs(workload) for workload in names}
-        for i in range(0, len(names), batch):
-            chunk = names[i : i + batch]
-            if len(chunk) == 1:
-                with workload_span(chunk[0]):
-                    metrics[chunk[0]] = (
-                        Simulator(eval_system, sched).run(jobsets[chunk[0]]).metrics
-                    )
-                continue
-            sim = BatchedSimulator.for_scheduler(eval_system, sched, len(chunk))
+        lanes = lockstep_lanes(sched, min(LOCKSTEP_LANES, len(names)))
+    width = len(lanes) if lanes else 1
+    for i in range(0, len(names), width):
+        chunk = names[i : i + width]
+        if len(chunk) > 1:
+            sim = BatchedSimulator(eval_system, lanes[: len(chunk)])
+            jobsets = [build_jobs(workload) for workload in chunk]
             with (
                 obs_session.span("lockstep", episodes=len(chunk))
                 if obs_session is not None
                 else contextlib.nullcontext()
             ):
-                for workload, result in zip(chunk, sim.run([jobsets[w] for w in chunk])):
-                    metrics[workload] = result.metrics
-    else:
-        for workload in task.workloads:
-            jobs = build_jobs(workload)
-            if recorder is not None:
-                recorder.start(
-                    method=task.method,
-                    workload=workload,
-                    seed=task.seed,
-                    task_key=task_key,
-                )
-            with workload_span(workload):
-                metrics[workload] = Simulator(eval_system, sched).run(jobs).metrics
-            if recorder is not None and store is not None:
-                trace_keys.append(store.put(recorder.finish()))
+                results = sim.run(jobsets)
+            for workload, result in zip(chunk, results):
+                metrics[workload] = result.metrics
+            continue
+        (workload,) = chunk
+        jobs = build_jobs(workload)
+        if recorder is not None:
+            recorder.start(
+                method=task.method,
+                workload=workload,
+                seed=task.seed,
+                task_key=task_key,
+            )
+        with workload_span(workload):
+            metrics[workload] = Simulator(eval_system, sched).run(jobs).metrics
+        if recorder is not None and store is not None:
+            trace_keys.append(store.put(recorder.finish()))
 
     if recorder is not None:
         sched.decision_recorder = None

@@ -46,8 +46,20 @@ class Layer:
 
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] | None = None
         self._buffers: dict[str, np.ndarray] = {}
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """Parameter gradients, keyed like ``params``.
+
+        The arrays appear, as zeros, at first access (the first backward
+        pass or optimiser step), so a process that only ever runs
+        ``infer`` never holds a dead copy of its weights.
+        """
+        if self._grads is None:
+            self._grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        return self._grads
 
     def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """The layer's persistent ``name`` scratch array, reallocated only
@@ -76,8 +88,8 @@ class Layer:
         return self.forward(x)
 
     def zero_grad(self) -> None:
-        for key in self.grads:
-            self.grads[key][...] = 0.0
+        for grad in (self._grads or {}).values():
+            grad[...] = 0.0
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -111,7 +123,6 @@ class Dense(Layer):
             "W": initializer((in_features, out_features), rng),
             "b": np.zeros(out_features),
         }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -176,7 +187,6 @@ class Conv1D(Layer):
             "W": he_init((kernel_size, in_channels, out_channels), rng),
             "b": np.zeros(out_channels),
         }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 

@@ -55,14 +55,16 @@ class SpanRecorder:
 
     @contextlib.contextmanager
     def span(self, name: str, **attrs):
-        """Time a region; record it (with its parent) when it closes."""
+        """Time a region; record it (with its parent) when it closes.
+
+        Yields ``attrs``, open for values only known by then."""
         span_id = self._new_id()
         stack = _STACK.get()
         token = _STACK.set(stack + (span_id,))
         wall_start = time.time()
         t0 = time.perf_counter()
         try:
-            yield
+            yield attrs
         finally:
             duration = time.perf_counter() - t0
             _STACK.reset(token)

@@ -583,13 +583,13 @@ def bench_dispatch_overhead(
         window_size=window_size, seed=seed,
     )
     tasks = grid_tasks(["heuristic", "scalar_rl"], ["S1"], config, n_seeds=n_seeds)
-    execute_task(tasks[0], None, False, 1)  # warm imports/caches
+    execute_task(tasks[0])  # warm imports/caches
 
     def queue_drain(execute) -> tuple[float, dict]:
         with tempfile.TemporaryDirectory(prefix="bench-dispatch-") as tmp:
             t0 = time.perf_counter()
             queue = WorkQueue(tmp, lease_ttl=30.0)
-            queue.write_meta(batch_episodes=1)
+            queue.write_meta(trace_dir=None)
             ensure_enqueued(queue, tasks)
             QueueWorker(queue, worker_id="bench-inline", execute=execute).run()
             merged = queue.merged_results()
@@ -599,7 +599,7 @@ def bench_dispatch_overhead(
     serial: dict | None = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        results = {task.key(): execute_task(task, None, False, 1) for task in tasks}
+        results = {task.key(): execute_task(task) for task in tasks}
         serial_wall = min(serial_wall, time.perf_counter() - t0)
         serial = serial or results
         coord_wall, _ = queue_drain(lambda task, *args: serial[task.key()])

@@ -48,29 +48,45 @@ from repro.nn.network import InferenceWorkspace
 from repro.obs import runtime as _obs_runtime
 from repro.sched.base import DecisionInputs, Scheduler
 from repro.sim.episode import EpisodeState, SimulationResult
+from repro.sim.simulator import Simulator
 from repro.workload.job import Job
 
-__all__ = ["BatchedSimulator"]
+__all__ = ["BatchedSimulator", "lockstep_lanes"]
+
+
+def lockstep_lanes(scheduler: Scheduler, n: int) -> list[Scheduler] | None:
+    """``scheduler`` plus ``n - 1`` lockstep clones of it, one per lane.
+
+    ``None`` when the policy declares itself unsafe to batch
+    (:meth:`~repro.sched.base.Scheduler.lockstep_clone`); the probe that
+    finds out is kept as lane 2 rather than thrown away.
+    """
+    lanes = [scheduler]
+    while len(lanes) < n:
+        clone = scheduler.lockstep_clone()
+        if clone is None:
+            return None
+        lanes.append(clone)
+    return lanes
 
 
 class _Episode:
-    """One lockstep lane: an episode state plus its paused instance loop."""
+    """One lockstep lane: a simulator plus its paused instance loop."""
 
-    __slots__ = ("scheduler", "state", "gen", "pending")
+    __slots__ = ("sim", "scheduler", "state", "gen", "pending")
 
-    def __init__(self, scheduler: Scheduler, state: EpisodeState) -> None:
-        self.scheduler = scheduler
-        self.state = state
+    def __init__(self, sim: Simulator) -> None:
+        #: brackets the lane's episode (:meth:`Simulator.run` with
+        #: ``drive``), so a lane is one ``run`` call like a solo replay
+        self.sim = sim
+        self.scheduler = sim.scheduler
+        self.state: EpisodeState = sim.state
         #: the live ``schedule_gen`` generator while an instance is
         #: paused at a staged decision; ``None`` between instances
         self.gen = None
         #: the :class:`DecisionInputs` awaiting scores; ``None`` once
         #: the episode's event queue drained
         self.pending: DecisionInputs | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.pending is None and self.gen is None
 
     def run_until_pause(self, scores: np.ndarray | None = None) -> None:
         """Advance until the next staged decision or the episode's end.
@@ -128,7 +144,7 @@ class BatchedSimulator:
         self.schedulers = list(schedulers)
         self.record_timeline = record_timeline
         self._episodes = [
-            _Episode(sched, EpisodeState(system, record_timeline))
+            _Episode(Simulator(system, sched, record_timeline))
             for sched in self.schedulers
         ]
         #: stacked-input staging buffers, reused across macro-steps
@@ -150,22 +166,21 @@ class BatchedSimulator:
         """N lockstep lanes driven by ``scheduler`` and its clones."""
         if n_episodes <= 0:
             raise ValueError("n_episodes must be positive")
-        schedulers = [scheduler]
-        for _ in range(n_episodes - 1):
-            clone = scheduler.lockstep_clone()
-            if clone is None:
-                raise ValueError(
-                    f"{scheduler.name} does not support lockstep cloning"
-                )
-            schedulers.append(clone)
+        schedulers = lockstep_lanes(scheduler, n_episodes)
+        if schedulers is None:
+            raise ValueError(f"{scheduler.name} does not support lockstep cloning")
         return cls(system, schedulers, record_timeline)
 
     def run(self, jobsets: list[list[Job]]) -> list[SimulationResult]:
         """Replay one jobset per episode; results in episode order.
 
-        Each jobset is copied (as with ``Simulator.run``); every
-        scheduler is reset. Episodes finishing early simply drop out of
-        the lockstep batch — the rest keep batching among themselves.
+        Every lane *is* one ``Simulator.run`` call — jobset copied,
+        scheduler reset, result packaged, ``episode`` telemetry and
+        whatever wraps ``Simulator.run`` all as for a solo replay. The
+        calls open one around the next, since the lanes run interleaved
+        (four Python frames a lane), and the innermost drives them all.
+        Episodes finishing early simply drop out of the lockstep batch —
+        the rest keep batching among themselves.
         """
         episodes = self._episodes
         if len(jobsets) != len(episodes):
@@ -174,21 +189,32 @@ class BatchedSimulator:
             )
         self.batch_calls = 0
         self.scored_rows = 0
-        for ep, jobs in zip(episodes, jobsets):
-            ep.state.load(jobs)
-            ep.scheduler.reset()
-            ep.gen = None
-            ep.pending = None
+        results: list = [None] * len(episodes)
+        self._enter(0, jobsets, results)
+        return results
+
+    # -- internals ------------------------------------------------------
+
+    def _enter(self, lane: int, jobsets: list[list[Job]], results: list) -> None:
+        """Open lane ``lane``'s ``Simulator.run`` around the later lanes'."""
+        if lane == len(self._episodes):
+            self._drive()
+            return
+        results[lane] = self._episodes[lane].sim.run(
+            jobsets[lane], drive=lambda: self._enter(lane + 1, jobsets, results)
+        )
+
+    def _drive(self) -> None:
+        """Advance every (freshly loaded) lane to the end of its episode."""
+        episodes = self._episodes
         for ep in episodes:
+            ep.gen = ep.pending = None
             ep.run_until_pause()
         while True:
             ready = [ep for ep in episodes if ep.pending is not None]
             if not ready:
                 break
             self._score_macro_step(ready)
-        return [ep.state.finish() for ep in episodes]
-
-    # -- internals ------------------------------------------------------
 
     def _score_macro_step(self, ready: list[_Episode]) -> None:
         """Score every paused decision once; resume each episode."""

@@ -195,7 +195,7 @@ class EpisodeState:
                 job.job_id: (
                     job.start_time,
                     job.end_time,
-                    {k: list(v) for k, v in job.allocation.items()},
+                    dict(job.allocation),
                 )
                 for job in self.jobs
             },
@@ -220,7 +220,7 @@ class EpisodeState:
             job = by_id[jid]
             job.start_time = start
             job.end_time = end
-            job.allocation = {k: list(v) for k, v in alloc.items()}
+            job.allocation = dict(alloc)
         self.queue = JobQueue(self.system.names)
         for jid in snap["queue"]:
             self.queue.append(by_id[jid])

@@ -70,22 +70,33 @@ class Simulator:
 
     # -- public API ------------------------------------------------------
 
-    def run(self, jobs: list[Job]) -> SimulationResult:
+    def run(self, jobs: list[Job], *, drive=None) -> SimulationResult:
         """Replay ``jobs`` to completion and return metrics.
 
         Jobs are copied; the caller's list is never mutated, so the same
         trace can be replayed under many schedulers.
+
+        ``drive`` is how :class:`~repro.sim.batched.BatchedSimulator`
+        runs a lane: called in place of this simulator's own instance
+        loop, it must leave the episode drained (it co-advances the
+        whole lane group). A lane is thereby loaded, reset, packaged and
+        reported by the same call as a solo replay.
         """
         session = _obs_runtime.session
         if session is None:
-            self._state.load(jobs)
-            self.scheduler.reset()
-            return self._state.run_to_completion(self.scheduler)
+            return self._episode(jobs, drive)
         with session.span(
             "episode", scheduler=self.scheduler.name, jobs=len(jobs)
-        ):
-            self._state.load(jobs)
-            self.scheduler.reset()
-            result = self._state.run_to_completion(self.scheduler)
+        ) as attrs:
+            result = self._episode(jobs, drive)
+            attrs["instances"] = result.n_scheduling_instances
         session.metrics.counter("sim.episodes").inc()
         return result
+
+    def _episode(self, jobs: list[Job], drive) -> SimulationResult:
+        self._state.load(jobs)
+        self.scheduler.reset()
+        if drive is None:
+            return self._state.run_to_completion(self.scheduler)
+        drive()
+        return self._state.finish()

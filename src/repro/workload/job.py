@@ -49,7 +49,9 @@ class Job:
     # --- mutable simulation state -------------------------------------
     start_time: float | None = field(default=None, compare=False)
     end_time: float | None = field(default=None, compare=False)
-    allocation: dict[str, list[int]] = field(default_factory=dict, compare=False)
+    #: resource name -> granted unit indices (the pool's own index
+    #: arrays, shared read-only — never expanded into Python ints)
+    allocation: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.runtime <= 0:

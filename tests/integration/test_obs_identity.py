@@ -55,6 +55,38 @@ class TestBitIdentity:
             obs.disable()
         assert _exact(instrumented) == _exact(plain)
 
+    def test_lockstep_cell_identical_and_one_episode_per_lane(
+        self, grid_config, tmp_path
+    ):
+        """A multi-workload MRSch cell replays as lockstep lanes; each is
+        a ``Simulator.run`` and reports its own ``episode``."""
+        workloads = ["S1", "S3", "S5"]
+        tasks = grid_tasks(["mrsch"], workloads, grid_config)
+        plain = ExperimentRunner(n_workers=1).run(tasks)
+        session = obs.enable(tmp_path / "telemetry")
+        try:
+            instrumented = ExperimentRunner(n_workers=1).run(tasks)
+            counters = session.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert _exact(instrumented) == _exact(plain)
+
+        assert counters["sim.episodes"] == len(workloads)
+        assert counters["sim.batch_calls"] > 0
+        spans = load_spans(tmp_path / "telemetry")
+        (lockstep,) = [s for s in spans if s["name"] == "lockstep"]
+        episodes = [s for s in spans if s["name"] == "episode"]
+        assert len(episodes) == len(workloads)
+        # interleaved lanes: each lane's span opens inside the one before
+        parent = lockstep
+        for episode in episodes:
+            assert episode["parent_id"] == parent["span_id"]
+            assert episode["attrs"]["scheduler"] == "mrsch"
+            assert episode["attrs"]["jobs"] == grid_config.n_jobs
+            assert episode["attrs"]["instances"] > 0
+            assert 0 < episode["dur_s"] <= parent["dur_s"]
+            parent = episode
+
     def test_episode_decision_stream_identical(self, mini_system, theta_trace):
         def starts():
             sim = Simulator(mini_system, FCFSScheduler(), record_timeline=False)

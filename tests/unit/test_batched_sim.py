@@ -10,6 +10,9 @@ training collection.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,25 @@ class TestLockstepDecisionIdentity:
         first = [_outcome(r) for r in batched.run(jobsets[:4])]
         again = [_outcome(r) for r in batched.run(jobsets[:4])]
         assert again == first
+
+    def test_a_finished_run_is_freed_without_the_cycle_collector(
+        self, mini_system, jobsets
+    ):
+        """Lanes hold the agent (23 MB of weights at Theta): a reference
+        cycle left by ``run`` would keep every finished cell's copy until
+        a full collection — the peak RSS of back-to-back cells."""
+        batched = BatchedSimulator.for_scheduler(
+            mini_system, MRSchScheduler(mini_system, window_size=5, seed=3), 3
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            batched.run(jobsets[:3])
+            gone = weakref.ref(batched._episodes[0].sim)
+            del batched
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestFallbackAndValidation:

@@ -58,6 +58,19 @@ class TestDense:
         layer.zero_grad()
         assert np.all(layer.grads["W"] == 0)
 
+    def test_gradient_buffers_appear_at_first_training_use(self, rng):
+        """Forward passes and ``zero_grad`` leave them unset; the first
+        backward pass finds them as zeros."""
+        layer = Dense(3, 2, rng=rng)
+        x = rng.random((4, 3))
+        layer.infer(x)
+        layer.forward(x, training=True)
+        layer.zero_grad()
+        assert layer._grads is None
+        layer.backward(np.ones((4, 2)))
+        np.testing.assert_array_equal(layer.grads["W"], x.T @ np.ones((4, 2)))
+        np.testing.assert_array_equal(layer.grads["b"], [4.0, 4.0])
+
     def test_deterministic_init(self):
         a = Dense(6, 4, rng=np.random.default_rng(3))
         b = Dense(6, 4, rng=np.random.default_rng(3))

@@ -79,6 +79,23 @@ class TestPoolBasics:
         assert pool.free_units(BURST_BUFFER) == 8
         assert BURST_BUFFER not in job.allocation
 
+    def test_allocation_is_compact_and_owns_its_memory(self, tiny_system):
+        """``job.allocation`` holds index arrays, not a Python int per
+        unit — and not views, which would pin the full free-index scan
+        each grant was sliced from for the life of the episode."""
+        pool = ResourcePool(tiny_system)
+        first, second = make_job(job_id=1, nodes=3, bb=2), make_job(job_id=2, nodes=4)
+        pool.allocate(first, now=0.0)
+        pool.allocate(second, now=0.0)
+        assert first.allocation[NODE].tolist() == [0, 1, 2]
+        assert first.allocation[BURST_BUFFER].tolist() == [0, 1]
+        assert second.allocation[NODE].tolist() == [3, 4, 5, 6]
+        for job in (first, second):
+            for units in job.allocation.values():
+                assert isinstance(units, np.ndarray) and units.base is None
+        pool.release(first)
+        assert first.allocation[NODE].tolist() == [0, 1, 2]  # kept for the record
+
     def test_double_allocate_rejected(self, tiny_system):
         pool = ResourcePool(tiny_system)
         job = make_job(nodes=1)
