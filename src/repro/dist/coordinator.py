@@ -7,8 +7,9 @@ because the protocol is serverless: the coordinator seals the run
 manifest (the deterministic grid expansion, published by an atomic
 batch enqueue — see :mod:`repro.dist.manifest`), hands N local worker
 slots to a :class:`~repro.dist.supervise.WorkerSupervisor` (the one
-launcher of worker processes), and then polls the queue while reaping
-expired leases until every cell is done. External workers (``repro work
+launcher of worker processes), and then watches the queue — woken by a
+worker's exit, or every ``POLL_INTERVAL_S`` — while reaping expired
+leases until every cell is done. External workers (``repro work
 --queue DIR`` on any host sharing the directory) can join or leave at
 any point; the coordinator neither knows nor cares who executes a cell,
 because completion is defined by the queue state, not by its children.
@@ -29,9 +30,11 @@ against the same queue directory does the right thing:
 ``supervise`` only picks the launcher's crash budget: ``False`` never
 respawns (the breaker opens on a slot's first crash), ``True`` respawns
 crashed workers with exponential backoff until the crash-loop breaker
-opens. Either way a crashed worker's held cell takes a failure strike
-and is released at once, so a worker-killing cell poisons at
-``MAX_ATTEMPTS`` instead of being re-issued forever.
+opens. Either way every cell a crashed worker held takes a failure
+strike and is released at once, so a worker-killing cell poisons at
+``MAX_ATTEMPTS`` instead of being re-issued forever (and cells with a
+strike on record are never batched with others, so an innocent
+batch-mate takes at most one).
 
 Liveness guarantee: if every local worker is gone (scripted faults,
 OOM, operator SIGKILL, every breaker open) while cells remain and no
@@ -60,7 +63,8 @@ __all__ = ["dispatch_tasks"]
 
 _log = get_logger("repro.dist.coordinator")
 
-#: seconds between coordinator passes over the queue state
+#: longest gap between coordinator passes over the queue state (a local
+#: worker's exit starts one at once)
 POLL_INTERVAL_S = 0.2
 
 
@@ -242,7 +246,7 @@ def dispatch_tasks(
         )
         queue.write_meta(**context_doc)
         manifest = ensure_enqueued(
-            queue, tasks, context=context_doc, injector=injector
+            queue, tasks, keys=keys, context=context_doc, injector=injector
         )
         _log.info(
             "run manifest sealed",
@@ -318,9 +322,12 @@ def dispatch_tasks(
                     )
                     QueueWorker(queue, worker_id=f"coord-{os.getpid()}").run()
                     break
+                time.sleep(POLL_INTERVAL_S)
             else:
                 fallback_deadline = None
-            time.sleep(POLL_INTERVAL_S)
+                # Wake the moment a local worker exits — the grid's end,
+                # or a crash whose cells want reaping — not a poll later.
+                supervisor.wait(POLL_INTERVAL_S)
     finally:
         if supervisor is not None:
             supervisor.stop()

@@ -6,13 +6,15 @@ reproduce the same failure on every run:
 
 * ``kill_after_claims=n`` — SIGKILL the worker process the instant it
   wins its *n*-th lease claim (crash holding a lease, nothing published).
-* ``kill_before_publish=n`` — SIGKILL just before the *n*-th result
-  would be appended (the executed work is lost; the cell re-issues).
+* ``kill_before_publish=n`` — SIGKILL the instant the *n*-th result is
+  finished, before it joins the pending group commit (it and whatever
+  was still pending are lost; every held cell re-issues).
 * ``drop_heartbeats_after=n`` — the heartbeat thread silently stops
   renewing after *n* beats (simulated straggler/partition: the worker
   keeps executing, its lease expires, the cell is re-issued elsewhere
   and the late publish lands idempotently).
-* ``delay_publish_s=t`` — sleep before every publish (publish skew).
+* ``delay_publish_s=t`` — sleep at that same point for every result
+  (publish skew).
 * ``kill_coordinator_at=point`` — SIGKILL the *coordinator* process at
   a named run-lifecycle point: ``staged`` (manifest written, specs not
   yet staged — mid-enqueue), ``sealed`` (manifest sealed, batches not
@@ -243,7 +245,7 @@ class FaultInjector:
             self._kill_self()
 
     def on_publish(self, key: str) -> None:
-        """Called right before a result is appended to the shard."""
+        """Called as a finished result is handed over for publication."""
         self.publishes += 1
         if self.plan.kill_before_publish is not None and (
             self.publishes >= self.plan.kill_before_publish

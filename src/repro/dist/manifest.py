@@ -161,7 +161,7 @@ def new_run_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-def ensure_enqueued(queue, tasks, *, context=None, injector=None):
+def ensure_enqueued(queue, tasks, *, keys=None, context=None, injector=None):
     """Drive the queue to a sealed manifest covering ``tasks``; resume
     any interrupted enqueue found on disk.
 
@@ -171,7 +171,8 @@ def ensure_enqueued(queue, tasks, *, context=None, injector=None):
     deterministically under the same generation; a *sealed*/*complete*
     manifest first finishes any interrupted batch promotion, then opens
     a new generation only for cells it does not already cover (or whose
-    specs went missing). ``injector`` receives the coordinator kill
+    specs went missing). ``keys`` are the tasks' keys when the caller
+    already hashed them; ``injector`` receives the coordinator kill
     points (``staged``/``sealed``) for the chaos suite.
 
     Returns the sealed (or still-complete) :class:`RunManifest`.
@@ -179,9 +180,11 @@ def ensure_enqueued(queue, tasks, *, context=None, injector=None):
     on_point = injector.on_coordinator if injector is not None else (
         lambda point: None
     )
+    if keys is None:
+        keys = [task.key() for task in tasks]
     by_key: dict = {}
-    for task in tasks:
-        by_key.setdefault(task.key(), task)
+    for key, task in zip(keys, tasks):
+        by_key.setdefault(key, task)
 
     try:
         manifest = queue.read_manifest()
@@ -198,18 +201,17 @@ def ensure_enqueued(queue, tasks, *, context=None, injector=None):
         queue.promote_staged(manifest.batches)
         present = set(queue.task_keys())
         promised = set(manifest.keys)
-        missing = [
+        new_keys = [
             key for key in by_key
             if key not in promised or key not in present
         ]
-        if not missing:
+        if not new_keys:
             return manifest
         generation = manifest.generation + 1
         run_id = manifest.run_id
         created_at = manifest.created_at
-        keys = tuple(dict.fromkeys((*manifest.keys, *by_key)))
+        all_keys = tuple(dict.fromkeys((*manifest.keys, *by_key)))
         batches = manifest.batches
-        new_tasks = [by_key[key] for key in missing]
     else:
         # No manifest, or a staged one: pre-seal state was never
         # published, so the whole generation is (re)staged from this
@@ -220,17 +222,17 @@ def ensure_enqueued(queue, tasks, *, context=None, injector=None):
             manifest.created_at if manifest is not None else time.time()
         )
         present = set(queue.task_keys())
-        keys = tuple(by_key)
+        all_keys = tuple(by_key)
         batches = ()
-        new_tasks = [t for k, t in by_key.items() if k not in present]
+        new_keys = [key for key in by_key if key not in present]
 
     name = batch_name(generation)
-    if new_tasks:
+    if new_keys:
         batches = tuple(dict.fromkeys((*batches, name)))
     manifest = RunManifest(
         run_id=run_id,
         generation=generation,
-        keys=keys,
+        keys=all_keys,
         context=dict(context or {}),
         state="staged",
         batches=batches,
@@ -239,8 +241,8 @@ def ensure_enqueued(queue, tasks, *, context=None, injector=None):
     )
     queue.write_manifest(manifest)
     on_point("staged")
-    if new_tasks:
-        queue.stage_batch(new_tasks, name)
+    if new_keys:
+        queue.stage_batch([by_key[key] for key in new_keys], name, new_keys)
     manifest = replace(manifest, state="sealed", updated_at=time.time())
     queue.write_manifest(manifest)
     on_point("sealed")

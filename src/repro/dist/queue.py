@@ -329,21 +329,29 @@ class WorkQueue:
 
     # -- batch specs -------------------------------------------------------
 
-    def stage_batch(self, tasks: list[ExperimentTask], name: str) -> Path:
+    def stage_batch(
+        self,
+        tasks: list[ExperimentTask],
+        name: str,
+        keys: list[str] | None = None,
+    ) -> Path:
         """Write one generation's specs as a single sealed-JSONL file in
         ``staging/`` — unpublished until the manifest seal promotes it.
 
         One atomic create for the whole generation (the 10⁶-cells →
         10⁶-creates fix), deterministic content for a deterministic
         grid, so re-staging after a crash rewrites the identical file.
+        ``keys`` are the tasks' keys when the caller already hashed
+        them (each hash re-canonicalises the whole config).
         """
         self.staging_dir.mkdir(parents=True, exist_ok=True)
+        if keys is None:
+            keys = [task.key() for task in tasks]
         lines = [
             seal_line(json.dumps(
-                {"key": task.key(), "spec": task.to_json_dict()},
-                sort_keys=True,
+                {"key": key, "spec": task.to_json_dict()}, sort_keys=True,
             ))
-            for task in tasks
+            for key, task in zip(keys, tasks)
         ]
         path = self.staging_dir / name
         self.store.atomic_write_text(path, "\n".join(lines) + "\n")
@@ -395,19 +403,18 @@ class WorkQueue:
         self._batch_cache[path.name] = specs
         return specs
 
-    def _batch_specs(self) -> dict[str, dict]:
-        """Every published batch spec, merged across generations."""
-        merged: dict[str, dict] = {}
-        for path in sorted(self.tasks_dir.glob("batch-*.jsonl")):
-            for key, spec in self._load_batch(path).items():
-                merged.setdefault(key, spec)
-        return merged
+    def _batches(self) -> list[dict[str, dict]]:
+        """Every published batch's specs, in generation order."""
+        return [
+            self._load_batch(path)
+            for path in sorted(self.tasks_dir.glob("batch-*.jsonl"))
+        ]
 
     # -- task records -----------------------------------------------------
 
     def task_keys(self) -> list[str]:
         """Every enqueued cell key, sorted for a stable scan order."""
-        return sorted(self._batch_specs())
+        return sorted({key for batch in self._batches() for key in batch})
 
     def load_task(self, key: str) -> ExperimentTask:
         """The task spec of one enqueued cell.
@@ -417,12 +424,12 @@ class WorkQueue:
         key), so an unknown key — never enqueued, or its line was
         quarantined — raises ``FileNotFoundError``.
         """
-        spec = self._batch_specs().get(key)
-        if spec is None:
-            raise FileNotFoundError(
-                f"no task spec for {key} under {self.tasks_dir}"
-            )
-        return ExperimentTask.from_json_dict(spec)
+        for batch in self._batches():  # the earliest generation wins
+            if key in batch:
+                return ExperimentTask.from_json_dict(batch[key])
+        raise FileNotFoundError(
+            f"no task spec for {key} under {self.tasks_dir}"
+        )
 
     # -- completion -------------------------------------------------------
 
@@ -555,16 +562,21 @@ class WorkQueue:
     def shard_path(self, worker_id: str) -> Path:
         return self.results_dir / f"journal-{worker_id}.jsonl"
 
-    def publish(self, worker_id: str, result: TaskResult) -> None:
-        """Durably append ``result`` to the worker's own journal shard,
-        then flip the done marker. Ordering matters: a crash between the
-        two re-issues the cell, and the duplicate row merges away. Lines
-        carry a CRC32 seal so later corruption is detected, not merged.
+    def publish(self, worker_id: str, *results: TaskResult) -> None:
+        """Durably append ``results`` to the worker's own journal shard
+        — one line each, one fsync for all of them (group commit) —
+        then flip their done markers. Ordering matters: a crash between
+        the two re-issues the cells, and the duplicate rows merge away.
+        Lines carry a CRC32 seal so later corruption is detected, not
+        merged; a write torn mid-batch leaves whole lines that merge
+        and one fragment that does not.
         """
         self.store.fsync_append(
-            self.shard_path(worker_id), result.to_sealed_line()
+            self.shard_path(worker_id),
+            "\n".join(result.to_sealed_line() for result in results),
         )
-        self.mark_done(result.key, worker_id)
+        for result in results:
+            self.mark_done(result.key, worker_id)
 
     def merged_results(self) -> dict[str, TaskResult]:
         """All shards merged by key — corruption detected, not absorbed.

@@ -226,8 +226,12 @@ class Store:
         if fault.get("torn") and handle is not None and payload:
             # A dying writer: a prefix of the bytes lands, then the
             # error surfaces. The stranded fragment is exactly what the
-            # checksum/quarantine path exists to catch.
-            handle.write(payload[: max(1, len(payload) // 2)].rstrip(b"\n"))
+            # checksum/quarantine path exists to catch. A group commit
+            # carries several lines: cut *inside* one, never between two.
+            prefix = payload[: max(1, len(payload) // 2)]
+            if prefix.endswith(b"\n") or payload[len(prefix):].startswith(b"\n"):
+                prefix = prefix.rstrip(b"\n")[:-1]
+            handle.write(prefix)
             handle.flush()
         code = fault.get("errno")
         if code is not None:
@@ -309,8 +313,9 @@ class Store:
         )
 
     def fsync_append(self, path: str | os.PathLike, line: str) -> None:
-        """Durably append one line: write, flush, ``fsync`` (file, and
-        the directory on first create).
+        """Durably append ``line`` (or several, newline-joined: a group
+        commit) under one write, flush and ``fsync`` (file, and the
+        directory on first create).
 
         The torn-write fault injects mid-write through the open handle,
         so a scripted partial append leaves exactly the bytes a dying

@@ -38,6 +38,7 @@ launches its local workers through one, respawning
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import socket
 import sys
@@ -60,7 +61,8 @@ _log = get_logger("repro.dist.supervise")
 #: consecutive crashes that open a slot's breaker unless the caller
 #: says otherwise (``repro work --max-crashes``; 1 = never respawn)
 DEFAULT_MAX_CRASHES = 5
-#: seconds between supervision passes over the slots
+#: longest gap between supervision passes over the slots (a worker's
+#: exit starts one at once)
 POLL_INTERVAL_S = 0.2
 #: an incarnation surviving this long resets its slot's consecutive-
 #: crash counter (the crash streak was broken)
@@ -185,6 +187,8 @@ class WorkerSupervisor:
         self._context = worker_context(mp_start_method)
         self._slots = [_Slot(i) for i in range(n_workers)]
         self._halt = threading.Event()
+        #: set whenever a pass saw a worker exit, and when the loop ends
+        self._exit_seen = threading.Event()
         self._thread: threading.Thread | None = None
         self.report = SupervisorReport(slots=n_workers)
         #: True once the supervision loop has ended (all slots retired,
@@ -250,11 +254,12 @@ class WorkerSupervisor:
                         else "circuit_open"
                     )
                     break
-                self._halt.wait(POLL_INTERVAL_S)
+                self._sleep()
             else:
                 self.report.exit_reason = "stopped"
         finally:
             self.done = True
+            self._exit_seen.set()
             self.report.circuit_open = [
                 s.index for s in self._slots if s.open
             ]
@@ -270,6 +275,27 @@ class WorkerSupervisor:
             )
         return self.report
 
+    def _sleep(self) -> None:
+        """Until a running worker exits, at most ``POLL_INTERVAL_S``.
+
+        Every process still on a slot was running at the last pass, so
+        its sentinel turning ready *is* the next thing to handle; with
+        none running (backing off before a respawn) only a halt is.
+        """
+        sentinels = [
+            slot.proc.sentinel for slot in self._slots if slot.proc is not None
+        ]
+        if sentinels:
+            multiprocessing.connection.wait(sentinels, POLL_INTERVAL_S)
+        else:
+            self._halt.wait(POLL_INTERVAL_S)
+
+    def wait(self, timeout: float) -> None:
+        """Block the caller until the supervision loop has seen a worker
+        exit since the last call (or has ended), at most ``timeout`` s."""
+        if self._exit_seen.wait(timeout):
+            self._exit_seen.clear()
+
     def _tick_slot(self, slot: _Slot, now: float) -> None:
         if slot.open or slot.retired:
             return
@@ -278,6 +304,7 @@ class WorkerSupervisor:
             if proc.exitcode is None:
                 return  # running fine
             self._on_exit(slot, proc.exitcode, now)
+            self._exit_seen.set()  # after the strikes: waiters see them
             if slot.open or slot.retired:
                 return
         if now < slot.next_spawn_at:

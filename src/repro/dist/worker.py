@@ -11,6 +11,14 @@ re-claims the cell. Results of re-issued cells are bit-identical to the
 lost original (per-cell ``SeedSequence`` seeds), so publishes are
 idempotent by construction.
 
+The hot path does not wait on itself: a pass walks *one* frontier
+listing (from a per-worker offset, claiming one cell at a time), and
+finished results are **group-committed** — up to ``COMMIT_CELLS`` of
+them, or ``COMMIT_AGE_S`` worth, share one journal fsync, their leases
+renewed by the worker's single :class:`Heartbeat` until the done
+markers are down. What lands in the queue directory is unchanged, only
+when; a crash before a commit loses work the lease protocol re-issues.
+
 Storage robustness (this layer's contribution on shared mounts):
 
 * every queue/lease operation goes through the worker's own
@@ -39,11 +47,12 @@ import threading
 import time
 import traceback
 import uuid
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dist.faults import FaultInjector, FaultPlan
-from repro.dist.queue import WorkQueue
+from repro.dist.queue import MAX_ATTEMPTS, WorkQueue
 from repro.dist.store import RetryPolicy, Store, StoreUnavailable
 from repro.exp.tasks import execute_task
 from repro.obs.events import bind
@@ -61,10 +70,20 @@ __all__ = [
 
 _log = get_logger("repro.dist.worker")
 
-#: mid-run metrics snapshots are throttled to one per this many seconds
-#: so sub-second cells don't pay one atomic JSON write each (the exit
-#: snapshot always publishes)
+#: mid-run registration + metrics snapshots are throttled to one per
+#: this many seconds so sub-second cells don't pay two atomic JSON
+#: writes each (the exit snapshot always publishes)
 METRICS_PUBLISH_INTERVAL_S = 0.5
+#: group commit: finished results wait — leases held and renewed — for
+#: one shared fsync until this many are pending …
+COMMIT_CELLS = 8
+#: … or the oldest of them was claimed this long ago, so a cell slower
+#: than this publishes alone and a crash loses at most this much (or
+#: ``COMMIT_CELLS`` cells) of finished work
+COMMIT_AGE_S = 0.25
+#: first sleep of a worker that found nothing claimable; doubles up to
+#: ``poll_interval`` while the queue stays idle
+IDLE_BACKOFF_S = 0.01
 
 
 def new_worker_id() -> str:
@@ -80,60 +99,93 @@ class CellTimeout(RuntimeError):
 
 
 class Heartbeat(threading.Thread):
-    """Background lease renewal for the cell currently executing."""
+    """Background lease renewal for every cell its owner currently holds.
+
+    One thread per owner: the worker calls :meth:`hold` when it wins a
+    claim and :meth:`drop` just before the release, so cells whose
+    results are still waiting for their group commit stay leased. The
+    coordinator runs one over its single leader lease.
+    """
 
     def __init__(
         self,
         queue: WorkQueue,
-        key: str,
+        key: str | None,
         owner: str,
         interval: float,
         faults: FaultInjector,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(name=f"heartbeat-{key[:8]}", daemon=True)
+        super().__init__(name=f"heartbeat-{owner[:16]}", daemon=True)
         self.queue = queue
-        self.key = key
         self.owner = owner
         self.interval = interval
         self.faults = faults
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._halt = threading.Event()
-        #: False once a renewal was refused (lease reaped + re-claimed);
-        #: execution continues — the publish is idempotent — but the
-        #: worker knows it became a straggler on this cell.
-        self.owned = True
+        self._held: set[str] = set() if key is None else {key}
+        #: serialises a renewal against :meth:`drop`, so a lease is
+        #: never rewritten after its owner released it
+        self._lock = threading.Lock()
+        #: held keys whose renewal was refused (lease reaped and
+        #: re-claimed); execution continues — the publish is idempotent
+        #: — but the owner knows it became a straggler on those cells.
+        self.lost: set[str] = set()
+
+    @property
+    def owned(self) -> bool:
+        """False once any held lease was lost to a refusal."""
+        return not self.lost
+
+    def hold(self, key: str) -> None:
+        """Start renewing ``key`` (its claim was just won)."""
+        self._held.add(key)
+
+    def drop(self, key: str) -> bool:
+        """Stop renewing ``key``; False when its lease had been lost.
+
+        Returns only once no renewal of ``key`` is in flight, so the
+        caller's release cannot be undone by a late rewrite.
+        """
+        with self._lock:
+            self._held.discard(key)
+            owned = key not in self.lost
+            self.lost.discard(key)
+        return owned
 
     def run(self) -> None:
         while not self._halt.wait(self.interval):
             if not self.faults.on_heartbeat():
                 continue  # scripted heartbeat loss: skip the renewal
-            try:
-                renewed = self.queue.leases.renew(self.key, self.owner)
-            except OSError as exc:
-                # A store flake is not a refusal: the lease may well
-                # still be ours. Keep beating — renewal succeeding on a
-                # later tick is exactly how a degraded worker holds its
-                # claim through a storage brown-out.
-                if self.metrics is not None:
-                    self.metrics.counter("lease.renew_errors").inc()
-                _log.warning(
-                    "lease renewal errored; will keep trying",
-                    extra=kv(key=self.key, error=str(exc)),
-                )
-                continue
-            if renewed:
-                if self.metrics is not None:
-                    self.metrics.counter("lease.renews").inc()
-            else:
-                if self.owned:
-                    _log.warning(
-                        "lease renewal refused; continuing as straggler",
-                        extra=kv(key=self.key, worker_id=self.owner),
-                    )
-                if self.metrics is not None:
-                    self.metrics.counter("lease.renew_refused").inc()
-                self.owned = False
+            for key in list(self._held):
+                with self._lock:
+                    if key in self._held:
+                        self._renew(key)
+
+    def _renew(self, key: str) -> None:
+        try:
+            renewed = self.queue.leases.renew(key, self.owner)
+        except OSError as exc:
+            # A store flake is not a refusal: the lease may well still
+            # be ours. Keep beating — renewal succeeding on a later
+            # tick is exactly how a degraded worker holds its claim
+            # through a storage brown-out.
+            self.metrics.counter("lease.renew_errors").inc()
+            _log.warning(
+                "lease renewal errored; will keep trying",
+                extra=kv(key=key, error=str(exc)),
+            )
+            return
+        if renewed:
+            self.metrics.counter("lease.renews").inc()
+            return
+        if key not in self.lost:
+            _log.warning(
+                "lease renewal refused; continuing as straggler",
+                extra=kv(key=key, worker_id=self.owner),
+            )
+        self.metrics.counter("lease.renew_refused").inc()
+        self.lost.add(key)
 
     def stop(self) -> None:
         self._halt.set()
@@ -161,7 +213,7 @@ class WorkerReport:
 
 
 class QueueWorker:
-    """One claim/execute/publish loop over a shared work queue.
+    """One claim/execute/commit loop over a shared work queue.
 
     Parameters
     ----------
@@ -170,7 +222,8 @@ class QueueWorker:
     worker_id:
         Shard / lease owner id; defaults to a fresh host-qualified id.
     poll_interval:
-        Sleep between scans when nothing was claimable.
+        Longest sleep between scans while nothing is claimable (the
+        idle back-off starts at ``IDLE_BACKOFF_S`` and doubles up to it).
     max_cells:
         Stop after executing this many cells (None = unbounded).
     wait_for_work:
@@ -241,9 +294,17 @@ class QueueWorker:
             else Path(tempfile.gettempdir()) / f"repro-spool-{self.worker_id}"
         )
         self._spooled: list = []  # TaskResults awaiting a store recovery
+        self._pending: list = []  # TaskResults awaiting their group commit
+        self._pending_since = 0.0  # when the oldest pending cell was claimed
         self._store_strikes = 0
         self._started_at = time.time()
-        self._metrics_published_at = 0.0
+        self._progress_published_at = 0.0
+        # Renew at a quarter of the ttl so a healthy worker never comes
+        # close to expiry.
+        self._heartbeat = Heartbeat(
+            self.queue, None, self.worker_id, self.queue.leases.ttl / 4.0,
+            self.faults, metrics=self.metrics,
+        )
 
     # -- the loop ---------------------------------------------------------
 
@@ -260,104 +321,96 @@ class QueueWorker:
         if self.cell_timeout_s is None and meta.get("cell_timeout_s"):
             self.cell_timeout_s = float(meta["cell_timeout_s"])
         self._started_at = time.time()
-        self._best_effort(
-            lambda: self.queue.register_worker(self.worker_id, cells_done=0),
-            "worker registration",
-        )
-        with bind(worker_id=self.worker_id):
-            _log.info(
-                "worker started",
-                extra=kv(
-                    queue=str(self.queue.root),
-                    wait=self.wait_for_work,
-                    cell_timeout_s=self.cell_timeout_s,
-                ),
-            )
-            while True:
-                try:
-                    if self._spooled:
-                        self._try_flush_spool()
-                    progress = self._scan_once(meta)
-                except StoreUnavailable as exc:
-                    self._store_strikes += 1
-                    self.metrics.counter("store.scan_failures").inc()
-                    if self._store_strikes >= self.MAX_STORE_STRIKES:
-                        raise self._degraded_exit_error(exc) from exc
-                    _log.warning(
-                        "store unavailable during scan; backing off",
-                        extra=kv(
-                            strikes=self._store_strikes,
-                            budget=self.MAX_STORE_STRIKES,
-                            error=str(exc),
-                        ),
-                    )
-                    time.sleep(self.poll_interval)
-                    continue
-                self._store_strikes = 0
-                if self.max_cells is not None and (
-                    len(self.report.executed) >= self.max_cells
-                ):
-                    self.report.exit_reason = "max_cells"
-                    break
-                if not progress:
-                    if self._drained():
-                        if not self.wait_for_work:
-                            self.report.exit_reason = "drained"
-                            break
-                        if self._run_complete():
-                            # The coordinator marked the run manifest
-                            # complete: every promised cell is done, no
-                            # later generation is coming. An elastic
-                            # --wait worker exits with a distinct
-                            # status instead of polling forever.
-                            self.report.exit_reason = "run_complete"
-                            _log.info(
-                                "run manifest complete; elastic worker "
-                                "exiting",
-                                extra=kv(queue=str(self.queue.root)),
-                            )
-                            break
-                    time.sleep(self.poll_interval)
-            if self._spooled:
-                # Last chance before exit: the queue may have drained
-                # around our spooled cells (idempotent re-issue), but a
-                # spooled result that never lands loses nothing *only*
-                # if someone else published the cell — flush or fail
-                # loudly.
-                try:
-                    self._try_flush_spool()
-                except StoreUnavailable:
-                    pass
-                undelivered = [
-                    r for r in self._spooled
-                    if not self.queue.is_done(r.key)
-                ]
-                if undelivered:
-                    raise self._degraded_exit_error(None)
-                self._spooled.clear()
-            self._best_effort(
-                lambda: self.queue.register_worker(
-                    self.worker_id,
-                    cells_done=self.report.cells_done,
-                    exited=True,
-                ),
-                "exit registration",
-            )
-            self._best_effort(
-                lambda: self._publish_metrics(exited=True), "metrics publish"
-            )
-            _log.info(
-                "worker exiting",
-                extra=kv(
-                    executed=len(self.report.executed),
-                    reaped=len(self.report.reaped),
-                    straggled=len(self.report.straggled),
-                    failed=len(self.report.failed),
-                    timed_out=len(self.report.timed_out),
-                    exit_reason=self.report.exit_reason,
-                ),
-            )
+        self._publish_progress()
+        self._heartbeat.start()
+        try:
+            with bind(worker_id=self.worker_id):
+                self._work(meta)
+        finally:
+            self._heartbeat.stop()
         return self.report
+
+    def _work(self, meta: dict) -> None:
+        _log.info(
+            "worker started",
+            extra=kv(
+                queue=str(self.queue.root),
+                wait=self.wait_for_work,
+                cell_timeout_s=self.cell_timeout_s,
+            ),
+        )
+        idle_s = IDLE_BACKOFF_S
+        while True:
+            try:
+                if self._spooled:
+                    self._try_flush_spool()
+                progress = self._scan_once(meta)
+            except StoreUnavailable as exc:
+                self._store_strikes += 1
+                self.metrics.counter("store.scan_failures").inc()
+                if self._store_strikes >= self.MAX_STORE_STRIKES:
+                    raise self._degraded_exit_error(exc) from exc
+                _log.warning(
+                    "store unavailable during scan; backing off",
+                    extra=kv(
+                        strikes=self._store_strikes,
+                        budget=self.MAX_STORE_STRIKES,
+                        error=str(exc),
+                    ),
+                )
+                time.sleep(self.poll_interval)
+                continue
+            self._store_strikes = 0
+            if self._budget_spent():
+                self.report.exit_reason = "max_cells"
+                break
+            if progress:
+                idle_s = IDLE_BACKOFF_S
+                continue
+            if self._drained():
+                if not self.wait_for_work:
+                    self.report.exit_reason = "drained"
+                    break
+                if self._run_complete():
+                    # The coordinator marked the run manifest complete:
+                    # every promised cell is done, no later generation
+                    # is coming. An elastic --wait worker exits with a
+                    # distinct status instead of polling forever.
+                    self.report.exit_reason = "run_complete"
+                    _log.info(
+                        "run manifest complete; elastic worker exiting",
+                        extra=kv(queue=str(self.queue.root)),
+                    )
+                    break
+            # Nothing claimable, but a peer still holds cells: it is
+            # usually milliseconds from done, so back off 10 ms → 20 →
+            # … → poll_interval instead of sleeping the full interval.
+            time.sleep(min(idle_s, self.poll_interval))
+            idle_s *= 2.0
+        if self._spooled:
+            # Last chance before exit: the queue may have drained
+            # around our spooled cells (idempotent re-issue), but a
+            # spooled result that never lands loses nothing *only* if
+            # someone else published the cell — flush or fail loudly.
+            try:
+                self._try_flush_spool()
+            except StoreUnavailable:
+                pass
+            if any(not self.queue.is_done(r.key) for r in self._spooled):
+                raise self._degraded_exit_error(None)
+            self._spooled.clear()
+        self._publish_progress(exited=True)
+        _log.info(
+            "worker exiting",
+            extra=kv(
+                executed=len(self.report.executed),
+                reaped=len(self.report.reaped),
+                straggled=len(self.report.straggled),
+                failed=len(self.report.failed),
+                timed_out=len(self.report.timed_out),
+                exit_reason=self.report.exit_reason,
+            ),
+        )
 
     def _best_effort(self, fn, what: str) -> None:
         """Run a non-critical store write; log-and-continue on failure."""
@@ -369,21 +422,37 @@ class QueueWorker:
                 extra=kv(worker_id=self.worker_id, error=str(exc)),
             )
 
-    def _publish_metrics(self, exited: bool = False) -> None:
+    def _publish_progress(self, exited: bool = False) -> None:
+        """Refresh ``workers/<id>.json`` and ``metrics/<id>.json`` — at
+        start, at exit, and at most once per
+        ``METRICS_PUBLISH_INTERVAL_S`` in between."""
         now = time.time()
         if not exited and (
-            now - self._metrics_published_at < METRICS_PUBLISH_INTERVAL_S
+            now - self._progress_published_at < METRICS_PUBLISH_INTERVAL_S
         ):
             return
-        self._metrics_published_at = now
-        self.queue.write_worker_metrics(
-            self.worker_id,
-            self.metrics.snapshot(
-                worker_id=self.worker_id,
-                started_at=self._started_at,
-                cells_done=self.report.cells_done,
-                exited=exited,
-            ),
+        self._progress_published_at = now
+        cells_done = self.report.cells_done
+
+        def publish() -> None:
+            self.queue.register_worker(
+                self.worker_id, cells_done=cells_done,
+                **({"exited": True} if exited else {}),
+            )
+            self.queue.write_worker_metrics(
+                self.worker_id,
+                self.metrics.snapshot(
+                    worker_id=self.worker_id, started_at=self._started_at,
+                    cells_done=cells_done, exited=exited,
+                ),
+            )
+
+        self._best_effort(publish, "registration / metrics publish")
+
+    def _budget_spent(self) -> bool:
+        """Whether ``max_cells`` cells have executed (published or not)."""
+        return self.max_cells is not None and (
+            self.report.cells_done + len(self._pending) >= self.max_cells
         )
 
     def _drained(self) -> bool:
@@ -411,38 +480,77 @@ class QueueWorker:
         return manifest is not None and manifest.complete
 
     def _scan_once(self, meta: dict) -> bool:
-        """One pass over the frontier; True when a cell executed."""
-        for key in self.queue.frontier().claimable:
-            lease = self.queue.leases.read(key)
-            if lease is not None:
-                if not lease.expired():
+        """One pass over one frontier snapshot; True when a cell executed.
+
+        The walk starts at a per-worker offset and wraps, so concurrent
+        workers spread over the grid instead of racing for the same
+        keys. Claims are lazy — one cell at a time, never ahead of
+        execution — and whatever is still pending when the pass ends,
+        for any reason, is committed before it returns.
+        """
+        keys = self.queue.frontier().claimable
+        offset = zlib.crc32(self.worker_id.encode()) % max(1, len(keys))
+        progress = False
+        try:
+            for key in keys[offset:] + keys[:offset]:
+                if self._budget_spent():
+                    break
+                # The snapshot ages as the pass goes on; a stat spares
+                # the claim/release round trip on cells a peer finished.
+                if self.queue.is_done(key) or not self._claim(key):
                     continue
-                if not self.queue.leases.reap(key):
-                    continue  # lost the reap race or the owner renewed
+                strikes = self.queue.failure_count(key)
+                if strikes >= MAX_ATTEMPTS:  # poisoned since the snapshot
+                    self._release(key)
+                    continue
+                progress = True
+                self._execute_cell(key, meta, alone=strikes > 0)
+        finally:
+            self._commit()
+        return progress
+
+    def _claim(self, key: str) -> bool:
+        """Win ``key``'s lease — reaping an expired one in the way — and
+        re-check it is still owed; True when the cell is ours to run."""
+        leases = self.queue.leases
+        if not leases.try_claim(key, self.worker_id):
+            lease = leases.read(key)
+            if lease is not None:
+                if not lease.expired() or not leases.reap(key):
+                    return False  # live owner, lost reap race, or renewed
                 self.report.reaped.append(key)
                 self.metrics.counter("lease.reaps").inc()
                 _log.warning(
                     "reaped expired lease",
                     extra=kv(key=key, prev_owner=lease.owner),
                 )
-            if not self.queue.leases.try_claim(key, self.worker_id):
-                continue
-            if self.queue.is_done(key):
-                # Finished between the frontier snapshot and our claim
-                # (a straggler's publish, or another worker's whole cell).
-                self.queue.leases.release(key, self.worker_id)
-                self.metrics.counter("queue.straggler_dedupes").inc()
-                _log.info(
-                    "claim raced a straggler's publish; released",
-                    extra=kv(key=key),
-                )
-                continue
-            self.metrics.counter("lease.claims").inc()
-            _log.info("claimed cell", extra=kv(key=key))
-            self.faults.on_claim(key)
-            self._execute_cell(key, meta)
-            return True
-        return False
+            if not leases.try_claim(key, self.worker_id):
+                return False
+        if self.queue.is_done(key):
+            # Finished between our stat and our claim (a straggler's
+            # publish, or another worker's whole cell).
+            leases.release(key, self.worker_id)
+            self.metrics.counter("queue.straggler_dedupes").inc()
+            _log.info(
+                "claim raced a straggler's publish; released",
+                extra=kv(key=key),
+            )
+            return False
+        self._heartbeat.hold(key)
+        self.metrics.counter("lease.claims").inc()
+        _log.info("claimed cell", extra=kv(key=key))
+        self.faults.on_claim(key)
+        return True
+
+    def _release(self, key: str) -> bool:
+        """Stop renewing ``key`` and drop its lease (best-effort: an
+        orphan ages out); False when the lease was lost mid-execution."""
+        owned = self._heartbeat.drop(key)
+        self._best_effort(
+            lambda: self.queue.leases.release(key, self.worker_id),
+            "lease release",
+        )
+        return owned
 
     # -- execution --------------------------------------------------------
 
@@ -490,15 +598,21 @@ class QueueWorker:
             raise box["error"]
         return box["result"]
 
-    def _execute_cell(self, key: str, meta: dict) -> None:
-        # Renew at a quarter of the ttl so a healthy worker never comes
-        # close to expiry.
-        heartbeat = Heartbeat(
-            self.queue, key, self.worker_id, self.queue.leases.ttl / 4.0,
-            self.faults, metrics=self.metrics,
-        )
-        heartbeat.start()
+    def _execute_cell(self, key: str, meta: dict, alone: bool) -> None:
+        """Run one claimed cell and queue its result for the next commit.
+
+        ``alone``: the cell has a failure on record. A supervised crash
+        strikes *every* lease the dead worker held, so such a cell is
+        never batched — pending results are committed before it runs
+        and its own right after. An innocent batch-mate thereby takes
+        at most one collateral strike, and a worker-killing cell still
+        reaches ``MAX_ATTEMPTS`` on its own.
+        """
+        if alone:
+            self._commit()
         t0 = time.perf_counter()
+        if not self._pending:
+            self._pending_since = t0
         try:
             result = self._execute_with_deadline(key, meta)
         except StoreUnavailable:
@@ -506,95 +620,84 @@ class QueueWorker:
             # is a scan-level storage problem — release and let the
             # run-loop strike budget decide, without burning one of the
             # cell's MAX_ATTEMPTS on a storage brown-out.
-            heartbeat.stop()
-            self._best_effort(
-                lambda: self.queue.leases.release(key, self.worker_id),
-                "lease release",
-            )
+            self._release(key)
             raise
-        except CellTimeout as exc:
-            heartbeat.stop()
-            self.report.timed_out.append(key)
+        except Exception as exc:
+            # Record-and-continue is deliberate (the lease protocol
+            # re-issues the cell elsewhere; MAX_ATTEMPTS poisons a
+            # deterministic failure) — but never silently.
+            timed_out = isinstance(exc, CellTimeout)
             self.report.failed.append(key)
-            self.metrics.counter("queue.cell_timeouts").inc()
+            if timed_out:
+                self.report.timed_out.append(key)
+            self.metrics.counter(
+                "queue.cell_timeouts" if timed_out else "queue.failures"
+            ).inc()
+            error = str(exc) if timed_out else traceback.format_exc(limit=20)
             attempts = 0
 
             def record() -> None:
                 nonlocal attempts
                 attempts = self.queue.record_failure(
-                    key, self.worker_id, str(exc)
+                    key, self.worker_id, error
                 )
 
-            self._best_effort(record, "timeout failure record")
+            self._best_effort(record, "failure record")
             _log.error(
-                "cell exceeded its deadline; abandoned",
-                extra=kv(
-                    key=key, timeout_s=self.cell_timeout_s, attempts=attempts
-                ),
-            )
-            self._best_effort(
-                lambda: self.queue.leases.release(key, self.worker_id),
-                "lease release",
-            )
-            self._best_effort(lambda: self._publish_metrics(), "metrics publish")
-            return
-        except Exception:
-            # Record-and-continue is deliberate (the lease protocol
-            # re-issues the cell elsewhere; MAX_ATTEMPTS poisons a
-            # deterministic failure) — but never silently.
-            heartbeat.stop()
-            self.report.failed.append(key)
-            self.metrics.counter("queue.failures").inc()
-            attempts = self.queue.record_failure(
-                key, self.worker_id, traceback.format_exc(limit=20)
-            )
-            _log.exception(
-                "cell execution failed",
+                "cell exceeded its deadline; abandoned" if timed_out
+                else "cell execution failed",
+                exc_info=not timed_out,
                 extra=kv(key=key, attempts=attempts),
             )
-            self.queue.leases.release(key, self.worker_id)
-            self._publish_metrics()
+            self._release(key)
+            self._publish_progress()
             return
-        heartbeat.stop()
-        if not heartbeat.owned:
-            self.report.straggled.append(key)
-            self.metrics.counter("queue.straggles").inc()
-            _log.warning(
-                "publishing as straggler (lease was reaped mid-execution)",
-                extra=kv(key=key),
-            )
+        self.metrics.histogram("queue.cell_wall_s").observe(
+            time.perf_counter() - t0
+        )
         result.worker_id = self.worker_id
         self.faults.on_publish(key)
+        self._pending.append(result)
+        if (
+            alone
+            or len(self._pending) >= COMMIT_CELLS
+            or time.perf_counter() - self._pending_since >= COMMIT_AGE_S
+        ):
+            self._commit()
+
+    def _commit(self) -> None:
+        """Publish every pending result under one fsync: k sealed lines,
+        then k done markers, then k lease releases."""
+        batch, self._pending = self._pending, []
+        if not batch:
+            return
         try:
-            self.queue.publish(self.worker_id, result)
+            self.queue.publish(self.worker_id, *batch)
         except StoreUnavailable as exc:
-            self._spool_result(key, result, exc)
+            for result in batch:
+                self._spool_result(result.key, result, exc)
         else:
             if self._spooled:
                 try:
                     self._try_flush_spool()
                 except StoreUnavailable:
                     pass
-        self._best_effort(
-            lambda: self.queue.leases.release(key, self.worker_id),
-            "lease release",
-        )
-        self.report.executed.append(key)
-        self.metrics.counter("queue.cells_executed").inc()
-        self.metrics.histogram("queue.cell_wall_s").observe(
-            time.perf_counter() - t0
-        )
-        self._best_effort(
-            lambda: self.queue.register_worker(
-                self.worker_id, cells_done=self.report.cells_done
-            ),
-            "worker registration",
-        )
-        self._best_effort(lambda: self._publish_metrics(), "metrics publish")
-        _log.info(
-            "published cell",
-            extra=kv(key=key, wall_s=round(result.wall_time, 3)),
-        )
+        for result in batch:
+            if not self._release(result.key):
+                self.report.straggled.append(result.key)
+                self.metrics.counter("queue.straggles").inc()
+                _log.warning(
+                    "published as straggler (lease was reaped mid-execution)",
+                    extra=kv(key=result.key),
+                )
+            self.report.executed.append(result.key)
+            _log.info(
+                "published cell",
+                extra=kv(key=result.key, wall_s=round(result.wall_time, 3)),
+            )
+        self.metrics.counter("queue.cells_executed").inc(len(batch))
+        self.metrics.histogram("queue.commit_cells").observe(len(batch))
+        self._publish_progress()
 
     # -- degraded mode ----------------------------------------------------
 
@@ -625,14 +728,14 @@ class QueueWorker:
         )
 
     def _try_flush_spool(self) -> None:
-        """Re-publish spooled results oldest-first; stop on first refusal
-        (StoreUnavailable propagates to the caller's strike handling)."""
-        while self._spooled:
-            result = self._spooled[0]
-            if not self.queue.is_done(result.key):
-                self.queue.publish(self.worker_id, result)
-            self._spooled.pop(0)
-            self.metrics.counter("store.spool_flushed").inc()
+        """Re-publish the spooled results still owed, as one commit; a
+        refusal (StoreUnavailable) propagates to the caller's strike
+        handling with the spool intact."""
+        owed = [r for r in self._spooled if not self.queue.is_done(r.key)]
+        if owed:
+            self.queue.publish(self.worker_id, *owed)
+        self.metrics.counter("store.spool_flushed").inc(len(self._spooled))
+        self._spooled.clear()
         try:
             (self.spool_dir / "results.jsonl").unlink(missing_ok=True)
         except OSError:

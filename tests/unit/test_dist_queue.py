@@ -242,23 +242,37 @@ class TestFrontier:
     def test_key_finished_after_the_snapshot_is_released_by_the_recheck(
         self, tmp_path, monkeypatch
     ):
-        """The snapshot may be stale by the time a key is claimed; the
-        post-claim ``is_done`` re-check is what makes that safe."""
+        """The snapshot ages while a pass walks it. A key finished before
+        the walk reaches it is skipped by a stat; one finished between
+        that stat and the claim is caught by the post-claim ``is_done``
+        re-check. Neither is re-run, neither keeps a lease."""
         queue, keys = self._queue(tmp_path)
         stale = queue.frontier()
-        queue.publish("other", make_result(keys[0], "other"))  # finishes now
+        early, raced = keys[0], keys[2]
+        queue.publish("other", make_result(early, "other"))  # finishes now
         monkeypatch.setattr(queue, "frontier", lambda: stale)
+        claim = queue.leases.try_claim
+
+        def racing_claim(key, owner, now=None):
+            if key == raced and not queue.is_done(raced):
+                # lands after the worker's stat, before its claim
+                queue.publish("other", make_result(raced, "other"))
+            return claim(key, owner, now)
+
+        monkeypatch.setattr(queue.leases, "try_claim", racing_claim)
         executed = []
         worker = QueueWorker(
-            queue, worker_id="late", max_cells=1,
+            queue, worker_id="late",
             execute=lambda task, *a: executed.append(task.key())
             or make_result(task.key(), "late"),
         )
         assert worker._scan_once({}) is True
-        assert executed == [keys[1]]  # keys[0] was skipped, not re-run
-        assert queue.leases.read(keys[0]) is None  # claim released
+        assert sorted(executed) == sorted(set(keys) - {early, raced})
+        assert queue.leases.leases() == []  # every claim released
+        merged = queue.merged_results()
+        assert merged[early].worker_id == merged[raced].worker_id == "other"
         counters = worker.metrics.snapshot()["counters"]
-        assert counters["queue.straggler_dedupes"] == 1
+        assert counters["queue.straggler_dedupes"] == 1  # raced, not early
 
 
 class TestFaultPlan:
@@ -540,8 +554,13 @@ class TestDegradedMode:
             {"op": "append", "path": "results/*", "errno": "ENOSPC",
              "count": 2},
         ])
-        report = self._worker(queue, plan).run()
-        assert len(report.spooled) == 1
+        worker = self._worker(queue, plan)
+        report = worker.run()
+        # However many results rode the refused append, every one of
+        # them was spooled, and every one flushed.
+        assert report.spooled and set(report.spooled) <= set(keys)
+        counters = worker.metrics.snapshot()["counters"]
+        assert counters["store.spool_flushed"] == len(report.spooled)
         assert sorted(report.executed) == sorted(keys)
         merged = queue.merged_results()
         assert set(merged) == set(keys)  # nothing lost to the outage
@@ -587,3 +606,277 @@ class TestDegradedMode:
         # kept beating and later renewals extended the lease.
         assert heartbeat.owned
         assert queue.leases.read("cell").renewals >= 1
+
+
+def served(executed: list | None = None):
+    """An ``execute`` override serving canned results (no simulation)."""
+
+    def execute(task, *args):
+        if executed is not None:
+            executed.append(task.key())
+        return make_result(task.key())
+
+    return execute
+
+
+def count_store_ops(worker: QueueWorker) -> list[str]:
+    """Every store operation ``worker`` performs from now on, as
+    ``"<op> <directory>"`` (the fault hook sits in front of each one)."""
+    ops: list[str] = []
+    on_io = worker.faults.on_io
+
+    def counting(op, path):
+        ops.append(f"{op} {os.path.basename(os.path.dirname(path))}")
+        return on_io(op, path)
+
+    worker.faults.on_io = counting
+    return ops
+
+
+def commit_sizes(worker: QueueWorker) -> dict:
+    return worker.metrics.snapshot()["histograms"]["queue.commit_cells"]
+
+
+@pytest.fixture
+def size_only_commits(monkeypatch):
+    """Batches close on size alone and nothing republishes on a timer,
+    so a loaded CI box cannot change the counts asserted below."""
+    import repro.dist.worker as worker_module
+
+    monkeypatch.setattr(worker_module, "COMMIT_AGE_S", 60.0)
+    monkeypatch.setattr(worker_module, "METRICS_PUBLISH_INTERVAL_S", 60.0)
+
+
+class TestOnePassDrain:
+    def test_a_big_drain_lists_the_frontier_a_handful_of_times(
+        self, tmp_path, monkeypatch, size_only_commits
+    ):
+        """One listing per pass, not per cell: 400 cells cost at most 3
+        ``frontier()`` calls and 6 store operations apiece."""
+        queue = WorkQueue(tmp_path)
+        tasks = grid_tasks(["heuristic"], ["S1"], tiny_config(), n_seeds=400)
+        keys = enqueue(queue, tasks)
+        listings = []
+        frontier = queue.frontier
+        monkeypatch.setattr(
+            queue, "frontier", lambda: listings.append(1) or frontier()
+        )
+        worker = QueueWorker(queue, worker_id="solo", execute=served())
+        ops = count_store_ops(worker)
+        report = worker.run()
+        assert sorted(report.executed) == sorted(keys)
+        assert len(listings) <= 3
+        assert len(ops) <= 6 * len(keys)
+        sizes = commit_sizes(worker)
+        assert sizes["total"] == len(keys) and sizes["max"] == 8
+        assert ops.count("append results") == sizes["count"] == len(keys) // 8
+
+    def test_workers_start_their_walk_at_different_keys(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        enqueue(queue, grid_tasks(
+            ["heuristic"], ["S1"], tiny_config(), n_seeds=32
+        ))
+        first = set()
+        for worker_id in ("w0", "w1", "w2", "w3"):
+            executed: list = []
+            QueueWorker(
+                queue, worker_id=worker_id, max_cells=1,
+                execute=served(executed),
+            ).run()
+            first.update(executed)
+        # Four ids, 32 → 29 claimable keys: the offsets cannot all
+        # coincide, and a taken key is never run twice.
+        assert len(first) == 4
+        assert queue.status().done == 4
+
+    def test_claim_comes_first_and_the_lease_is_read_only_on_refusal(
+        self, tmp_path
+    ):
+        queue = WorkQueue(tmp_path, lease_ttl=30.0)
+        keys = enqueue(queue, tiny_tasks())
+        queue.leases.try_claim(keys[0], "other")
+        worker = QueueWorker(queue, worker_id="me", execute=served())
+        ops = count_store_ops(worker)
+        assert worker._scan_once({}) is True
+        # keys[0]: refused create, then one read; keys[1]: create only.
+        assert ops.count("create leases") == 2
+        assert ops.count("read leases") == 1 + 1  # + the release's own read
+
+
+class TestGroupCommit:
+    def test_max_cells_executes_exactly_n_and_publishes_them(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        enqueue(queue, grid_tasks(
+            ["heuristic"], ["S1"], tiny_config(), n_seeds=6
+        ))
+        executed: list = []
+        worker = QueueWorker(
+            queue, worker_id="three", max_cells=3, execute=served(executed)
+        )
+        report = worker.run()
+        assert report.exit_reason == "max_cells"
+        assert len(executed) == 3 and sorted(report.executed) == sorted(executed)
+        assert set(queue.merged_results()) == queue.done_keys() == set(executed)
+        assert queue.leases.leases() == []
+        assert commit_sizes(worker)["total"] == 3
+
+    @pytest.mark.parametrize("wait, reason", [
+        (False, "drained"), (True, "run_complete"),
+    ])
+    def test_a_short_batch_is_published_before_the_exit(
+        self, tmp_path, wait, reason, size_only_commits
+    ):
+        from dataclasses import replace
+
+        queue = WorkQueue(tmp_path)
+        tasks = grid_tasks(["heuristic"], ["S1"], tiny_config(), n_seeds=5)
+        manifest = ensure_enqueued(queue, tasks)
+        queue.write_manifest(replace(manifest, state="complete"))
+        worker = QueueWorker(
+            queue, worker_id="short", poll_interval=0.01,
+            wait_for_work=wait, execute=served(),
+        )
+        report = worker.run()
+        assert report.exit_reason == reason
+        assert len(queue.merged_results()) == queue.status().done == 5
+        sizes = commit_sizes(worker)
+        assert (sizes["count"], sizes["total"]) == (1, 5)  # one fsync
+
+    def test_store_outage_mid_pass_commits_what_was_finished(self, tmp_path):
+        """The fourth claim hits a dead store: the three results already
+        pending are published on the way out, not lost with the pass."""
+        queue = WorkQueue(tmp_path / "q")
+        enqueue(queue, grid_tasks(
+            ["heuristic"], ["S1"], tiny_config(), n_seeds=6
+        ))
+        plan = FaultPlan(io_faults=[
+            {"op": "create", "path": "leases/*", "errno": "ENOSPC",
+             "nth": 4, "count": 0},
+        ])
+        executed: list = []
+        worker = QueueWorker(
+            queue, worker_id="cutoff", poll_interval=0.01,
+            faults=FaultInjector(plan), execute=served(executed),
+            spool_dir=tmp_path / "spool",
+        )
+        with pytest.raises(RuntimeError, match="stayed unavailable"):
+            worker.run()
+        assert len(executed) == 3
+        assert set(queue.merged_results()) == queue.done_keys() == set(executed)
+        assert queue.leases.leases() == []
+
+    def test_a_slow_cell_publishes_alone(self, tmp_path, monkeypatch):
+        """A cell older than COMMIT_AGE_S at its finish is not held back
+        for batch-mates — exactly the pre-batching behaviour."""
+        import repro.dist.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "COMMIT_AGE_S", 0.0)
+        queue = WorkQueue(tmp_path)
+        keys = enqueue(queue, tiny_tasks(n_seeds=3))
+        worker = QueueWorker(queue, worker_id="slow", execute=served())
+        worker.run()
+        sizes = commit_sizes(worker)
+        assert (sizes["count"], sizes["max"]) == (len(keys), 1)
+
+    def test_a_cell_with_a_strike_on_record_commits_alone(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        keys = enqueue(queue, grid_tasks(
+            ["heuristic"], ["S1"], tiny_config(), n_seeds=6
+        ))
+        queue.record_failure(keys[3], "dead", "crashed holding the lease")
+        held_at_execute = {}
+
+        def execute(task, *args):
+            held_at_execute[task.key()] = len(queue.leases.leases())
+            return make_result(task.key())
+
+        worker = QueueWorker(queue, worker_id="careful", execute=execute)
+        worker.run()
+        # Nothing else was leased while the struck cell ran, and it did
+        # not wait for anyone afterwards.
+        assert held_at_execute[keys[3]] == 1
+        sizes = commit_sizes(worker)
+        assert sizes["total"] == 6 and sizes["count"] >= 2 and sizes["min"] == 1
+        assert queue.status().done == 6
+
+    def test_torn_write_inside_a_batch_keeps_the_whole_lines(self, tmp_path):
+        """The writer dies (here: the volume fills) half-way through a
+        3-line append. The lines that landed whole merge, the fragment
+        is a torn tail — skipped, never quarantined — and every cell is
+        still owed, so a rescuer finishes the grid."""
+        queue = WorkQueue(tmp_path / "q")
+        keys = enqueue(queue, tiny_tasks(n_seeds=3))
+        plan = FaultPlan(io_faults=[
+            {"op": "append", "path": "results/*", "errno": "ENOSPC",
+             "torn": True, "nth": 1, "count": 1},
+            {"op": "append", "path": "results/*", "errno": "ENOSPC",
+             "nth": 2, "count": 0},
+        ])
+        doomed = QueueWorker(
+            queue, worker_id="doomed", poll_interval=0.01,
+            faults=FaultInjector(plan), execute=served(),
+            spool_dir=tmp_path / "spool",
+        )
+        with pytest.raises(RuntimeError, match="spooled"):
+            doomed.run()
+        shard = queue.shard_path("doomed").read_text()
+        assert not shard.endswith("\n")  # the append really was cut short
+        whole = queue.merged_results()
+        assert 1 <= len(whole) < len(keys)
+        assert queue.quarantine_count() == 0
+        assert queue.frontier().claimable == sorted(keys)  # all re-issue
+        QueueWorker(queue, worker_id="rescuer", execute=served()).run()
+        assert set(queue.merged_results()) == set(keys)
+        assert queue.quarantine_count() == 0
+        assert queue.status().pending == 0
+
+
+class TestOneHeartbeatPerWorker:
+    def test_refusal_on_one_of_three_held_leases_marks_only_that_cell(
+        self, tmp_path, size_only_commits
+    ):
+        import time
+
+        queue = WorkQueue(tmp_path, lease_ttl=0.4)  # renewals every 0.1 s
+        keys = enqueue(queue, tiny_tasks(n_seeds=3))
+        order: list = []
+
+        def execute(task, *args):
+            order.append(task.key())
+            if len(order) == 3:
+                # Two results pending, this cell running: all three
+                # leases are ours. The first is reaped and re-claimed.
+                assert len(queue.leases.owner_leases("beating")) == 3
+                queue.leases.force_release(order[0])
+                queue.leases.try_claim(order[0], "thief")
+                time.sleep(0.35)
+            return make_result(task.key())
+
+        worker = QueueWorker(queue, worker_id="beating", execute=execute)
+        report = worker.run()
+        assert sorted(report.executed) == sorted(keys)
+        assert report.straggled == [order[0]]
+        counters = worker.metrics.snapshot()["counters"]
+        assert counters["queue.straggles"] == 1
+        assert counters["lease.renew_refused"] >= 1
+        assert counters["lease.renews"] >= 2  # the other two kept beating
+        # The thief's lease was never touched by the straggler's release.
+        assert queue.leases.read(order[0]).owner == "thief"
+
+    def test_registration_is_throttled_like_the_metrics_snapshot(
+        self, tmp_path, size_only_commits
+    ):
+        queue = WorkQueue(tmp_path)
+        enqueue(queue, grid_tasks(
+            ["heuristic"], ["S1"], tiny_config(), n_seeds=40
+        ))
+        worker = QueueWorker(queue, worker_id="quiet", execute=served())
+        ops = count_store_ops(worker)
+        worker.run()
+        # start + exit (the drain never reaches the interval), each one
+        # registration and one snapshot — not one per cell.
+        assert ops.count("write done") == 40
+        assert ops.count("write workers") == ops.count("write metrics") == 2
+        (registration,) = queue.workers()
+        assert registration["exited"] is True
+        assert registration["cells_done"] == 40
