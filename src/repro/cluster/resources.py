@@ -222,7 +222,7 @@ class ResourcePool:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self._names: list[str] = config.names
+        self._names: tuple[str, ...] = tuple(config.names)
         self._busy: dict[str, np.ndarray] = {
             spec.name: np.zeros(spec.units, dtype=bool) for spec in config.resources
         }
@@ -265,6 +265,12 @@ class ResourcePool:
         self._trackers: list[PoolDirtyTracker] = []
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Resource names in config order — the order of every vector
+        this pool hands out."""
+        return self._names
 
     def free_units(self, name: str) -> int:
         return self._free[name]
@@ -359,9 +365,6 @@ class ResourcePool:
                 for tracker in trackers:
                     tracker.mark(name, free_idx, True, est)
         self._allocations[job.job_id] = grant
-        # Shares the (never mutated) index arrays with the pool's own
-        # record rather than expanding them into Python ints.
-        job.allocation = dict(grant)
 
     def release(self, job: Job) -> None:
         """Free every unit held by ``job``."""
@@ -502,8 +505,8 @@ class ResourcePool:
                 )
             times = self._sorted_busy_times(name)
             n_free = self._free[name]
-            below = int(np.searchsorted(times, now, side="left"))
-            at_or_below = int(np.searchsorted(times, now, side="right"))
+            below = int(times.searchsorted(now, side="left"))
+            at_or_below = int(times.searchsorted(now, side="right"))
             if amount <= below:
                 kth = float(times[amount - 1])
             elif amount <= at_or_below + n_free:
@@ -516,7 +519,19 @@ class ResourcePool:
     def free_units_at(self, name: str, when: float, now: float) -> int:
         """Estimated number of free units of ``name`` at time ``when``."""
         busy_by_then = int(
-            np.searchsorted(self._sorted_busy_times(name), when, side="right")
+            self._sorted_busy_times(name).searchsorted(when, side="right")
         )
         free_now = self._free[name] if now <= when else 0
         return free_now + busy_by_then
+
+    def free_vector_at(self, when: float, now: float) -> np.ndarray:
+        """:meth:`free_units_at` of every resource, config order.
+
+        A fresh float vector (counts are small integers, exact in
+        float64) the EASY pass owns and decrements as spare-consuming
+        candidates start.
+        """
+        out = self._free_arr.copy() if now <= when else np.zeros(len(self._names))
+        for i, name in enumerate(self._names):
+            out[i] += self._sorted_busy_times(name).searchsorted(when, side="right")
+        return out

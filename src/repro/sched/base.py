@@ -29,6 +29,19 @@ for bit, and since the Eq.-1 contention terms moved both queue forms
 onto one columnar summation order (:mod:`repro.core.goal`), MRSch's
 dynamic goal vector is bit-identical between them too.
 
+The vectorized EASY pass also *carries its rejections* from one
+scheduling instance to the next: it ends by recording what every row
+still queued was rejected under, and the next pass scans only the rows
+appended since iff (1) it sees the same queue object and the same
+reserved job, (2) ``now`` has not gone back, (3) the shadow time is
+``<=`` the recorded one, and (4) the free and the spare vectors are
+component-wise ``<=`` the recorded ones. Float addition is monotone, so
+under those four conditions ``now + walltime <= shadow``,
+``request <= free`` and ``request <= spare`` can only turn from true to
+false and every carried rejection is final. Anything else — a release,
+a new reservation, :meth:`Scheduler.reset`, an ``EpisodeState.restore``
+(a new queue object), a lockstep clone — takes the full scan.
+
 Policies that maintain *incremental per-decision state* (MRSch's
 persistent state buffer, fed by pool dirty trackers) rely on one
 invariant of this loop: every pool mutation between two ``select``
@@ -136,6 +149,10 @@ class Scheduler(ABC):
         #: reservation pick alike) is reported for offline evaluation.
         #: Recording is passive — no RNG, no behaviour change.
         self.decision_recorder = None
+        #: what the last vectorized EASY pass left every queued row
+        #: rejected under: ``(queue, reserved, now, shadow, free, spare,
+        #: queue.appended)`` — see :meth:`_easy_backfill_vectorized`
+        self._carried: tuple | None = None
 
     # -- policy hooks -----------------------------------------------------
 
@@ -162,6 +179,7 @@ class Scheduler(ABC):
     def reset(self) -> None:
         """Clear episode state; called by the simulator before a run."""
         self.reserved_job = None
+        self._carried = None
 
     # -- split decision protocol (batched lockstep scoring) ----------------
 
@@ -348,7 +366,7 @@ class Scheduler(ABC):
         assert reserved is not None
         shadow = ctx.pool.earliest_fit_time(reserved, ctx.now)
         queue = ctx.queue
-        if isinstance(queue, JobQueue) and list(queue.names) == ctx.system.names:
+        if isinstance(queue, JobQueue) and queue.names == ctx.pool.names:
             self._easy_backfill_vectorized(ctx, reserved, shadow)
             return
         spare = {
@@ -376,49 +394,110 @@ class Scheduler(ABC):
         """One EASY pass over the queue's columnar candidate arrays.
 
         Decision-identical to the reference loop above but evaluated as
-        ONE whole-queue NumPy scan. Correctness: free and spare units
-        only *shrink* during a pass (starts allocate, nothing releases),
-        so a candidate inadmissible under the pass's *initial* state can
+        ONE NumPy scan. Correctness: free and spare units only *shrink*
+        during a pass (starts allocate, nothing releases), so a
+        candidate inadmissible under the pass's *initial* state can
         never become admissible later in the same pass — the initial
         scan's rejections are final, and only its survivors need an O(R)
         re-verification against the live counters as earlier survivors
         start and consume units.
+
+        The same argument carries rejections *across* passes (module
+        docstring): when this pass's state is no looser than the one
+        the last pass ended in, every row that pass left in the queue
+        is still inadmissible and only the rows appended since are
+        scanned.
         """
         queue: JobQueue = ctx.queue  # type: ignore[assignment]
         pool = ctx.pool
         now = ctx.now
-        names = ctx.system.names
-        reqs, wall, alive, base = queue.candidate_arrays()
-        if reqs.shape[0] == 0:
-            return
-        spare = np.array(
-            [
-                pool.free_units_at(name, shadow, now) - reserved.request(name)
-                for name in names
-            ],
-            dtype=float,
-        )
-        ends_ok = now + wall <= shadow  # static: the clock is fixed mid-pass
         free = pool.free_vector()  # live view — allocate updates in place
-        ok = alive & (reqs <= free).all(axis=1)
-        ok &= ends_ok | (reqs <= spare).all(axis=1)
-        ok[queue.slot_of(reserved) - base] = False
-        cand = np.flatnonzero(ok)  # queue-ordered survivors
-        while cand.size:
-            rel = int(cand[0])
-            # The head survivor is admissible under the *current*
-            # counters: the initial scan vouched for the first one, the
-            # re-filter below for every later head.
-            self._start(queue.job_at_slot(base + rel), ctx)
-            if not ends_ok[rel]:
-                spare -= reqs[rel]
-            rest = cand[1:]
-            if rest.size == 0:
-                return
-            sub = reqs[rest]
-            keep = (sub <= free).all(axis=1)
-            keep &= ends_ok[rest] | (sub <= spare).all(axis=1)
-            cand = rest[keep]
+        spare = pool.free_vector_at(shadow, now)
+        spare -= queue.request_row(reserved)
+        since = self._carried_since(queue, reserved, now, shadow, free, spare)
+        reqs, wall, alive, base = queue.candidate_arrays(since)
+        if reqs.shape[0] == 0:
+            return  # nothing new; what was carried stays carried
+        # Few rows of a saturated queue fit the free units at all, so
+        # that test runs over the whole view and the shadow/spare rule
+        # only over the rows that pass it.
+        fits = _rows_within(reqs, free)
+        fits &= alive
+        rel = queue.slot_of(reserved) - base
+        if rel >= 0:
+            fits[rel] = False
+        cand = fits.nonzero()[0]  # queue order
+        if cand.size:
+            sub = reqs[cand]
+            ends_ok = now + wall[cand] <= shadow  # the clock is fixed mid-pass
+            keep = _rows_within(sub, spare)
+            keep |= ends_ok
+            while True:
+                cand, sub, ends_ok = cand[keep], sub[keep], ends_ok[keep]
+                if cand.size == 0:
+                    break
+                # The head survivor is admissible under the *current*
+                # counters: the scan above vouched for the first one,
+                # the re-filter below for every later head.
+                self._start(queue.job_at_slot(base + int(cand[0])), ctx)
+                if not ends_ok[0]:
+                    spare -= sub[0]
+                cand, sub, ends_ok = cand[1:], sub[1:], ends_ok[1:]
+                if cand.size == 0:
+                    break
+                keep = _rows_within(sub, spare)
+                keep |= ends_ok
+                keep &= _rows_within(sub, free)
+        # Every row still queued is inadmissible under this end state:
+        # it is no looser than any state a row was rejected under above.
+        self._carried = (
+            queue, reserved, now, shadow, free.copy(), spare, queue.appended
+        )
+
+    def _carried_since(
+        self,
+        queue: JobQueue,
+        reserved: Job,
+        now: float,
+        shadow: float,
+        free: np.ndarray,
+        spare: np.ndarray,
+    ) -> int:
+        """The ``queue.appended`` reading whose rows need no second look.
+
+        Rows queued before it were all found inadmissible by the last
+        pass; that verdict stands iff it is the same queue and
+        reservation, the clock has not gone back, and shadow, free and
+        spare are each no larger than the pass recorded — every test a
+        candidate must pass is monotone in those. ``0`` scans everything.
+        """
+        if self._carried is None:
+            return 0
+        c_queue, c_reserved, c_now, c_shadow, c_free, c_spare, c_appended = (
+            self._carried
+        )
+        if (
+            c_queue is queue
+            and c_reserved is reserved
+            and c_now <= now
+            and shadow <= c_shadow
+            and (free <= c_free).all()
+            and (spare <= c_spare).all()
+        ):
+            return c_appended
+        return 0
+
+
+def _rows_within(reqs: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """``(reqs <= limit).all(axis=1)`` as one compare per resource column.
+
+    The reduction over an inner axis of two or three elements costs
+    several times the compares it reduces.
+    """
+    ok = reqs[:, 0] <= limit[0]
+    for j in range(1, reqs.shape[1]):
+        ok &= reqs[:, j] <= limit[j]
+    return ok
 
 
 class WindowPolicyScheduler(Scheduler):

@@ -66,6 +66,7 @@ class JobQueue:
         self._head = 0  # first slot that may be alive
         self._tail = 0  # one past the last used slot
         self._n_dead = 0  # tombstones in [head, tail)
+        self._appended = 0  # jobs ever appended; never renumbered
 
     # -- list-compatible surface ------------------------------------------
 
@@ -101,6 +102,7 @@ class JobQueue:
         self._alive[slot] = True
         self._slot[job.job_id] = slot
         self._tail += 1
+        self._appended += 1
 
     def remove(self, job: Job) -> None:
         """Tombstone ``job`` in O(1); storage indices stay stable."""
@@ -112,7 +114,9 @@ class JobQueue:
         self._n_dead += 1
 
     def clear(self) -> None:
+        appended = self._appended
         self.__init__(self._names)
+        self._appended = appended  # earlier readings stay in the past
 
     # -- scheduler fast paths ----------------------------------------------
 
@@ -142,23 +146,45 @@ class JobQueue:
                     break
         return out
 
-    def candidate_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    @property
+    def appended(self) -> int:
+        """Jobs ever appended — a clock for "which rows are new".
+
+        Unlike slot numbers, which :meth:`compact` reassigns, the count
+        only grows; hand an earlier reading to :meth:`candidate_arrays`
+        to get the rows appended since.
+        """
+        return self._appended
+
+    def candidate_arrays(
+        self, since: int = 0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Columnar view for one vectorized pass over the queue.
 
-        Returns ``(requests, walltimes, alive, head)`` where the arrays
-        cover storage slots ``[head, tail)`` in submission order; dead
+        Returns ``(requests, walltimes, alive, first)`` where the arrays
+        cover storage slots ``[first, tail)`` in submission order; dead
         slots are masked out by ``alive``. The arrays are *live* views:
         a :meth:`remove` during the pass flips ``alive`` in place (and
         nothing else moves), which is exactly the bookkeeping an EASY
         pass needs as it starts candidates mid-scan.
+
+        ``since`` is an earlier reading of :attr:`appended`: the view
+        then starts at the first row appended after that reading —
+        possibly earlier when appended rows have since been compacted
+        away, never later. The default covers every live slot.
         """
-        head, tail = self._head, self._tail
+        tail = self._tail
+        first = max(self._head, tail - (self._appended - since))
         return (
-            self._req[head:tail],
-            self._wall[head:tail],
-            self._alive[head:tail],
-            head,
+            self._req[first:tail],
+            self._wall[first:tail],
+            self._alive[first:tail],
+            first,
         )
+
+    def request_row(self, job: Job) -> np.ndarray:
+        """The columnar request row of a queued job (read-only view)."""
+        return self._req[self._slot[job.job_id]]
 
     def slot_of(self, job: Job) -> int:
         """Absolute storage slot of a queued job (KeyError when absent)."""

@@ -192,12 +192,7 @@ class EpisodeState:
             "running": list(self.running),
             "recorder": self.recorder.snapshot(),
             "jobs": {
-                job.job_id: (
-                    job.start_time,
-                    job.end_time,
-                    dict(job.allocation),
-                )
-                for job in self.jobs
+                job.job_id: (job.start_time, job.end_time) for job in self.jobs
             },
         }
 
@@ -216,11 +211,10 @@ class EpisodeState:
         self.events.restore(snap["events"])
         self.recorder.restore(snap["recorder"])
         by_id = {job.job_id: job for job in self.jobs}
-        for jid, (start, end, alloc) in snap["jobs"].items():
+        for jid, (start, end) in snap["jobs"].items():
             job = by_id[jid]
             job.start_time = start
             job.end_time = end
-            job.allocation = dict(alloc)
         self.queue = JobQueue(self.system.names)
         for jid in snap["queue"]:
             self.queue.append(by_id[jid])

@@ -7,9 +7,9 @@ of them for their whole runtime. A job carries:
 * static trace fields — submit time, actual runtime, user-supplied
   walltime estimate, and a per-resource request map in *units*
   (compute nodes, burst-buffer units, power units, ...),
-* mutable simulation state — start/end times and the allocated unit
-  indices, reset between simulator runs so one job list can be replayed
-  under many schedulers.
+* mutable simulation state — start/end times, reset between simulator
+  runs so one job list can be replayed under many schedulers. Which
+  units a running job holds is the pool's record, not the job's.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class Job:
     # --- mutable simulation state -------------------------------------
     start_time: float | None = field(default=None, compare=False)
     end_time: float | None = field(default=None, compare=False)
-    #: resource name -> granted unit indices (the pool's own index
-    #: arrays, shared read-only — never expanded into Python ints)
-    allocation: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.runtime <= 0:
@@ -72,7 +69,6 @@ class Job:
         """Clear simulation state so the job can be replayed."""
         self.start_time = None
         self.end_time = None
-        self.allocation = {}
 
     @property
     def started(self) -> bool:

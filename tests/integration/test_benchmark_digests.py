@@ -1,0 +1,44 @@
+"""Seed-7 ``result_digest``s equal ``benchmarks/e2e/reference/seed7.json``.
+
+The standing bit-identity contract of every performance PR, held here
+for the two replay workloads that exercise the scheduler's backfill
+path in both of its forms: ``replay_fcfs`` (``Scheduler.schedule`` on a
+saturated queue) and ``replay_theta`` (MRSch lanes in lockstep through
+``schedule_gen``). The benchmark's own files are *read*, never edited:
+the scenarios come from ``workloads.py``, the digest function from
+``check.py``, the expected values from the committed reference run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.api import run_scenario
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+
+
+def _load(name: str):
+    """Import one of the benchmark's scripts by path, off ``sys.path``
+    (its ``trace.py`` would shadow the standard-library module)."""
+    qualified = f"_benchmark_e2e_{name}"
+    spec = importlib.util.spec_from_file_location(qualified, E2E / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualified] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["replay_fcfs", "replay_theta"])
+def test_seed7_digest_equals_the_committed_reference(workload):
+    reference = json.loads((E2E / "reference" / "seed7.json").read_text())
+    assert reference["seed"] == 7
+    expected = reference["workloads"][workload]["end_to_end"]["result_digest"]
+    scenario = _load("workloads").WORKLOADS[workload].scenario_for(7)
+    results = run_scenario(scenario, progress=False).results
+    assert _load("check").result_digest(results) == expected

@@ -33,11 +33,9 @@ class TestLifecycle:
         job = make_job()
         job.start_time = 5.0
         job.end_time = 10.0
-        job.allocation = {"node": [0]}
         job.reset()
         assert job.start_time is None
         assert job.end_time is None
-        assert job.allocation == {}
 
     def test_copy_shares_statics_but_not_state(self):
         job = make_job(nodes=4, bb=2)

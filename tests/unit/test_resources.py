@@ -77,24 +77,27 @@ class TestPoolBasics:
         job = make_job(nodes=3, bb=0)
         pool.allocate(job, now=0.0)
         assert pool.free_units(BURST_BUFFER) == 8
-        assert BURST_BUFFER not in job.allocation
+        assert BURST_BUFFER not in pool.snapshot()["allocations"][job.job_id]
 
     def test_allocation_is_compact_and_owns_its_memory(self, tiny_system):
-        """``job.allocation`` holds index arrays, not a Python int per
-        unit — and not views, which would pin the full free-index scan
-        each grant was sliced from for the life of the episode."""
+        """The pool's record of a grant holds index arrays, not a Python
+        int per unit — and not views, which would pin the full
+        free-index scan each grant was sliced from for as long as the
+        job runs."""
         pool = ResourcePool(tiny_system)
         first, second = make_job(job_id=1, nodes=3, bb=2), make_job(job_id=2, nodes=4)
         pool.allocate(first, now=0.0)
         pool.allocate(second, now=0.0)
-        assert first.allocation[NODE].tolist() == [0, 1, 2]
-        assert first.allocation[BURST_BUFFER].tolist() == [0, 1]
-        assert second.allocation[NODE].tolist() == [3, 4, 5, 6]
-        for job in (first, second):
-            for units in job.allocation.values():
+        held = pool.snapshot()["allocations"]
+        assert held[1][NODE].tolist() == [0, 1, 2]
+        assert held[1][BURST_BUFFER].tolist() == [0, 1]
+        assert held[2][NODE].tolist() == [3, 4, 5, 6]
+        for grant in pool._allocations.values():
+            for units in grant.values():
                 assert isinstance(units, np.ndarray) and units.base is None
         pool.release(first)
-        assert first.allocation[NODE].tolist() == [0, 1, 2]  # kept for the record
+        assert list(pool.snapshot()["allocations"]) == [2]
+        assert not hasattr(first, "allocation")  # the pool's record is the only one
 
     def test_double_allocate_rejected(self, tiny_system):
         pool = ResourcePool(tiny_system)
@@ -187,6 +190,18 @@ class TestEarliestFit:
         pool.allocate(make_job(job_id=1, nodes=10, walltime=300.0, runtime=300.0), now=0.0)
         assert pool.free_units_at(NODE, when=0.0, now=0.0) == 6
         assert pool.free_units_at(NODE, when=300.0, now=0.0) == 16
+
+    def test_free_vector_at_is_free_units_at_per_resource(self, tiny_system):
+        pool = ResourcePool(tiny_system)
+        pool.allocate(make_job(job_id=1, nodes=10, bb=3, runtime=300.0), now=0.0)
+        pool.allocate(make_job(job_id=2, nodes=2, bb=4, runtime=700.0), now=50.0)
+        assert pool.names == tuple(tiny_system.names)
+        for when, now in [(0.0, 0.0), (300.0, 60.0), (749.9, 60.0), (750.0, 60.0),
+                          (100.0, 200.0)]:  # the last one looks into the past
+            expected = [pool.free_units_at(n, when, now) for n in pool.names]
+            got = pool.free_vector_at(when, now)
+            assert got.dtype == np.float64 and got.tolist() == expected
+        assert pool.free_vector_at(1e9, 0.0) is not pool.free_vector()  # caller-owned
 
 
 # -- property tests -----------------------------------------------------------
