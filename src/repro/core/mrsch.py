@@ -4,13 +4,23 @@ Each scheduling instance (§III):
 
 1. the **goal vector** is recomputed from the live contention via Eq. 1
    (dynamic resource prioritizing) and logged for Figs 8–9;
-2. for every selection, the window/pool state is encoded (§III-A) —
-   by default via the incremental encoder, which patches a persistent
-   buffer from pool dirty regions instead of rebuilding the
-   full-machine vector — the current measurement (per-resource
-   utilization) is read, and the DFP agent scores the whole window in
-   one batched pass and picks a slot — ε-greedily during training,
-   greedily by goal-weighted predicted outcome at test time;
+2. for every selection the scheduler first asks whether the network
+   could change the pick (:meth:`MRSchScheduler._settle`): a window
+   holding one job is forced, and under the guided policy a feasibility
+   prior — computed from the queue's request columns and the pool's
+   free counts, no state vector — whose leader is ahead by more than
+   twice the cap on the DFP tie-break has already decided. Those
+   selections are made at once. Otherwise the window/pool state is
+   encoded (§III-A) — by default via the incremental encoder, which
+   patches a persistent buffer from pool dirty regions instead of
+   rebuilding the full-machine vector — the current measurement
+   (per-resource utilization) is read, and the DFP agent scores the
+   whole window in one batched pass and picks a slot — ε-greedily
+   during training (which always encodes: the state is the experience;
+   a settled step skips only the forward pass), greedily by
+   goal-weighted predicted outcome at test time. With a decision
+   recorder attached nothing is settled: a trace carries every
+   decision's scores;
 3. the shared base-class machinery starts fitting selections, reserves
    the first non-fitting one, and EASY-backfills (§III-C).
 
@@ -32,6 +42,7 @@ from repro.core.goal import goal_vector
 from repro.core.measurements import measurement_vector
 from repro.nn.serialize import load_params, save_params
 from repro.sched.base import DecisionInputs, Scheduler, SchedulingContext
+from repro.sched.jobqueue import JobQueue
 from repro.workload.job import Job
 
 __all__ = ["MRSchScheduler"]
@@ -121,11 +132,11 @@ class MRSchScheduler(Scheduler):
         self._measurements: list[np.ndarray] = []
         #: inputs/outputs of the last select(), for the trace recorder
         self._last_features: dict | None = None
-        self._last_prior: np.ndarray | None = None
         self._last_scores: np.ndarray | None = None
         #: per-decision context staged by prepare_decision for
-        #: apply_decision: (state, measurement, mask, reqs, fits,
-        #: explore_action)
+        #: apply_decision: (state, measurement, mask, prior, action) —
+        #: ``action`` already set when the decision was explored or
+        #: settled, the three arrays unset when nothing will read them
         self._pending: tuple | None = None
 
     # -- scheduler hooks ---------------------------------------------------
@@ -141,13 +152,7 @@ class MRSchScheduler(Scheduler):
             self._goal = goal_vector(ctx.queue, ctx.running, self.system, ctx.now)
         self.goal_log.append((ctx.now, self._goal.copy()))
 
-    def _prior(
-        self,
-        window: list[Job],
-        ctx: SchedulingContext,
-        reqs: np.ndarray | None = None,
-        fits: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _prior(self, window: list[Job], ctx: SchedulingContext) -> np.ndarray:
         """Feasibility/age prior over window slots.
 
         Fitting jobs score in [0.5, 1.5] (lower goal-weighted demand →
@@ -156,15 +161,19 @@ class MRSchScheduler(Scheduler):
         The class gap is wide enough that DFP scores reorder within a
         class but cannot promote a non-fitting grab over a fitting one.
 
-        ``reqs``/``fits`` are the window's request matrix and
-        feasibility vector when the caller already holds them (the
-        incremental encoder caches both as byproducts of the state
-        assembly); feasibility is then free, and otherwise collapses to
-        one matrix compare against the pool's live free-count vector —
-        the same booleans ``can_fit`` returns for validated jobs.
+        Needs no state encode: on the simulator's
+        :class:`~repro.sched.jobqueue.JobQueue` the window's request
+        rows are read off the queue's columns and feasibility is one
+        compare against the pool's live free-count vector — the same
+        booleans ``can_fit`` returns for validated jobs, which is what
+        the plain-list form asks job by job.
         """
         n = len(window)
-        if reqs is None:
+        queue = ctx.queue
+        if isinstance(queue, JobQueue) and queue.names == ctx.pool.names:
+            reqs = queue.window_requests(window)
+            fits = (reqs <= ctx.pool.free_vector()).all(axis=1)
+        else:
             names = ctx.system.names
             reqs = np.array(
                 [[job.request(name) for name in names] for job in window], dtype=float
@@ -172,8 +181,6 @@ class MRSchScheduler(Scheduler):
             fits = np.fromiter(
                 (ctx.pool.can_fit(job) for job in window), dtype=bool, count=n
             )
-        elif fits is None:
-            fits = (reqs <= ctx.pool.free_vector()).all(axis=1)
         demand = (reqs / self._caps) @ self._goal
         prior = np.zeros(self.window_size)
         # Queue order = age order: the oldest non-fitting job outranks
@@ -185,6 +192,63 @@ class MRSchScheduler(Scheduler):
     #: cap on the normalised DFP contribution under the guided policy —
     #: enough to reorder near-ties, never enough to cross prior ranks
     _DFP_TIEBREAK_SCALE = 0.02
+    #: the cap plus the stated slack of :meth:`_settle`: one part in 1e9,
+    #: seven orders above the two roundings that produce a normalised score
+    _SETTLE_BOUND = _DFP_TIEBREAK_SCALE * (1.0 + 1e-9)
+
+    def _settle(
+        self, window: list[Job], ctx: SchedulingContext
+    ) -> tuple[int | None, np.ndarray | None]:
+        """``(action, prior)``: the slot no score vector can vote out.
+
+        ``action`` is ``None`` when the network has a say; ``prior`` is
+        the guided policy's prior whenever this method had to compute it
+        (:meth:`apply_decision` reuses it rather than computing it twice).
+
+        * One candidate: every arg-max over a one-slot mask is slot 0.
+        * ``prior_weight > 0``: write ``x = prior_weight * prior`` (the
+          very floats :meth:`apply_decision` adds the scores to), ``a``
+          for its arg-max and ``r`` for the runner-up value. The rule
+          settles on ``a`` iff ``x[a] - B > r + B`` *as computed*, with
+          ``B = _SETTLE_BOUND``. Proof that the guided arg-max is then
+          ``a``: a normalised score is ``s = fl(score * fl(T / peak))``
+          with ``|score| <= peak`` and ``T = _DFP_TIEBREAK_SCALE``, two
+          roundings, so ``|s| <= T(1+u)^2 < B`` (``u = 2^-53``); rounded
+          addition is monotone in each operand, hence
+          ``fl(x[a] + s[a]) >= fl(x[a] - B) > fl(r + B) >= fl(x[b] + B)
+          >= fl(x[b] + s[b])`` for every other slot ``b`` — a strict
+          lead, so no tie for ``argmax`` to break by position. Nothing
+          is assumed about magnitudes, and ``peak == 0`` (scores left
+          unscaled, all zero) is the case ``s = 0``.
+        * Pure DFP (``prior_weight == 0``) settles on nothing else: the
+          scores *are* the decision.
+        * A scheduler with a ``decision_recorder`` settles nothing — a
+          trace carries the scores of every decision, so the recorded
+          run is the always-score oracle the tests hold this rule to.
+
+        The one caveat: the proof needs finite scores whose ``peak``
+        does not overflow ``T / peak`` (a subnormal below ~1e-310). A
+        diverged network that emits NaN or inf used to steer the pick
+        through ``argmax``'s NaN-first rule; on a settled window it no
+        longer does — the prior's clear choice stands.
+        """
+        recording = self.decision_recorder is not None
+        n = len(window)
+        if n == 1 and not recording:
+            return 0, None
+        if self.prior_weight <= 0.0:
+            return None, None
+        prior = self._prior(window, ctx)
+        if recording:
+            return None, prior
+        weighted = self.prior_weight * prior[:n]
+        top = int(np.argmax(weighted))
+        lead = weighted[top]
+        weighted[top] = -np.inf
+        bound = self._SETTLE_BOUND
+        if lead - bound > weighted.max() + bound:
+            return top, prior
+        return None, prior
 
     # -- split decision protocol -------------------------------------------
     #
@@ -199,35 +263,41 @@ class MRSchScheduler(Scheduler):
     def prepare_decision(
         self, window: list[Job], ctx: SchedulingContext
     ) -> DecisionInputs:
+        self.encoder._check_pool(ctx.pool)
+        self._last_scores = None
+        action, prior = self._settle(window, ctx)
+        if action is not None and not self.training:
+            # Nothing downstream reads a state, a measurement or a mask:
+            # the encoder's dirty tracker keeps accumulating until the
+            # next decision that is scored.
+            self._pending = (None, None, None, prior, action)
+            return DecisionInputs(needs_scores=False)
         if self.incremental_encoding:
             # Patch the persistent decision buffer (bit-identical to a
-            # fresh encode); the window's raw request rows and
-            # feasibility bits come along for free and feed the prior.
-            state, reqs, fits = self._inc_encoder.encode_decision(
-                window, ctx.pool, ctx.now
-            )
+            # fresh encode). The bundle call, not ``encode``: it is the
+            # boundary outside tracers time the encode layer at.
+            state, _, _ = self._inc_encoder.encode_decision(window, ctx.pool, ctx.now)
             if self.training or self.decision_recorder is not None:
                 # Training steps and traces retain the state beyond
                 # this decision; the shared buffer must not leak.
                 state = state.copy()
         else:
             state = self.encoder.encode(window, ctx.pool, ctx.now)
-            reqs = None
-            fits = None
         measurement = measurement_vector(ctx.pool)
         mask = self.encoder.window_mask(window)
-        self._last_prior = None
-        self._last_scores = None
         agent = self.agent
-        explore_action: int | None = None
         if self.training and agent._sample_rng.random() < agent.epsilon:
-            explore_action = int(agent._sample_rng.choice(np.flatnonzero(mask)))
-        self._pending = (state, measurement, mask, reqs, fits, explore_action)
+            # Drawn whether or not the window was settled, so the
+            # ε-greedy stream stays where it always was.
+            action = int(agent._sample_rng.choice(np.flatnonzero(mask)))
+        self._pending = (state, measurement, mask, prior, action)
+        if action is None:
+            self.decisions_scored += 1
         return DecisionInputs(
             state=state,
             measurement=measurement,
             goal=self._goal,
-            needs_scores=explore_action is None,
+            needs_scores=action is None,
         )
 
     def score_decision(self, inputs: DecisionInputs) -> np.ndarray:
@@ -238,28 +308,25 @@ class MRSchScheduler(Scheduler):
         self, window: list[Job], ctx: SchedulingContext, scores: np.ndarray | None
     ) -> Job | None:
         assert self._pending is not None, "apply_decision without prepare_decision"
-        state, measurement, mask, reqs, fits, explore_action = self._pending
+        state, measurement, mask, prior, action = self._pending
         self._pending = None
         agent = self.agent
-        if explore_action is not None:
-            action = explore_action
-        elif self.prior_weight > 0.0:
-            # Prior-guided greedy rule: prior ranks, DFP predictions
-            # tie-break (normalised so they reorder near-ties but never
-            # cross prior ranks).
+        if action is None:
             assert scores is not None
-            peak = float(np.abs(scores[mask]).max()) if mask.any() else 0.0
-            if peak > 0:
-                scores = scores * (self._DFP_TIEBREAK_SCALE / peak)
-            prior = self._prior(window, ctx, reqs, fits)
-            combined = self.prior_weight * prior + scores
-            combined = np.where(mask, combined, -np.inf)
-            action = int(np.argmax(combined))
-            self._last_prior = prior
-            self._last_scores = combined
-        else:
-            assert scores is not None
-            action = int(np.argmax(np.where(mask, scores, -np.inf)))
+            if self.prior_weight > 0.0:
+                # Prior-guided greedy rule: prior ranks, DFP predictions
+                # tie-break (normalised so they reorder near-ties but
+                # never cross prior ranks).
+                assert prior is not None
+                peak = float(np.abs(scores[mask]).max()) if mask.any() else 0.0
+                if peak > 0:
+                    scores = scores * (self._DFP_TIEBREAK_SCALE / peak)
+                combined = self.prior_weight * prior + scores
+                combined = np.where(mask, combined, -np.inf)
+                action = int(np.argmax(combined))
+                self._last_scores = combined
+            else:
+                action = int(np.argmax(np.where(mask, scores, -np.inf)))
         if self.training:
             agent.epsilon = max(
                 agent.config.epsilon_min,
@@ -267,14 +334,10 @@ class MRSchScheduler(Scheduler):
             )
         if self.decision_recorder is not None:
             # Assembled only while tracing so the untraced hot path stays
-            # allocation-free.
-            prior = self._last_prior
-            if prior is None and self.prior_weight > 0.0:
-                # ε-greedy exploration skipped the guided computation,
-                # but a trace must still carry the prior that governs
-                # this policy's greedy rule — offline replay would
-                # otherwise score the decision with a zero prior.
-                prior = self._prior(window, ctx, reqs, fits)
+            # allocation-free. ``prior`` is set on exploration steps too:
+            # a trace must carry the prior that governs this policy's
+            # greedy rule — offline replay would otherwise score the
+            # decision with a zero prior.
             self._last_features = {
                 "state": state,
                 "measurement": measurement,

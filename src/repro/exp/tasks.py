@@ -31,10 +31,10 @@ from repro.obs import runtime as _obs_runtime
 
 __all__ = ["execute_task", "worker_context"]
 
-#: Most replays of one cell scored together. One decision at Theta
-#: geometry streams the 23 MB first-layer weight matrix whether it
-#: carries one state row or eight (the stacked product costs the same
-#: from 2 to 8 rows), so wider groups only add resident episode state.
+#: Most replays of one cell scored together. At Theta geometry a
+#: stacked forward over the 23 MB first-layer matrix costs about the
+#: same from 5 to 8 rows (and ~2.5x a single row's), so wider groups
+#: only add resident episode state.
 LOCKSTEP_LANES = 8
 
 

@@ -122,13 +122,15 @@ class DecisionInputs:
     episode its score row back through
     :meth:`Scheduler.apply_decision`. ``needs_scores`` is ``False``
     when the policy already committed to an action without the network
-    (an exploration draw): the decision still flows through the split
-    protocol, but the batch layer must not spend a scoring row on it.
+    (an exploration draw, or a window whose pick no score can change):
+    the decision still flows through the split protocol, but the batch
+    layer must not spend a scoring row on it — and the three arrays may
+    be left unset.
     """
 
-    state: np.ndarray
-    measurement: np.ndarray
-    goal: np.ndarray
+    state: np.ndarray | None = None
+    measurement: np.ndarray | None = None
+    goal: np.ndarray | None = None
     needs_scores: bool = True
 
 
@@ -153,6 +155,10 @@ class Scheduler(ABC):
         #: rejected under: ``(queue, reserved, now, shadow, free, spare,
         #: queue.appended)`` — see :meth:`_easy_backfill_vectorized`
         self._carried: tuple | None = None
+        #: selections made since :meth:`reset`, and how many of them ran
+        #: the policy's network (policies that have one count it)
+        self.decisions = 0
+        self.decisions_scored = 0
 
     # -- policy hooks -----------------------------------------------------
 
@@ -180,6 +186,8 @@ class Scheduler(ABC):
         """Clear episode state; called by the simulator before a run."""
         self.reserved_job = None
         self._carried = None
+        self.decisions = 0
+        self.decisions_scored = 0
 
     # -- split decision protocol (batched lockstep scoring) ----------------
 
@@ -285,6 +293,7 @@ class Scheduler(ABC):
         """Common tail of one selection; ``True`` keeps selecting."""
         if job is None:
             return False
+        self.decisions += 1
         if job not in window:
             raise RuntimeError(
                 f"{self.name}: selected job {job.job_id} outside the window"

@@ -186,6 +186,28 @@ class JobQueue:
         """The columnar request row of a queued job (read-only view)."""
         return self._req[self._slot[job.job_id]]
 
+    def window_requests(self, window: list[Job]) -> np.ndarray:
+        """The request rows of ``window``, one per job, in its order.
+
+        ``window`` is what :meth:`window` returned (any prefix-order
+        subset of the queued jobs works): the rows are found by walking
+        the storage from the head once, by identity, so nothing is
+        looked up per job. Read-only — a view when the jobs sit in
+        consecutive slots, which they do unless a backfill start
+        tombstoned one in between. IndexError when a job is not queued.
+        """
+        jobs = self._jobs
+        slot = self._head
+        slots = []
+        for job in window:
+            while jobs[slot] is not job:
+                slot += 1
+            slots.append(slot)
+            slot += 1
+        if slots and slots[-1] - slots[0] + 1 == len(slots):
+            return self._req[slots[0] : slots[-1] + 1]
+        return self._req[slots]
+
     def slot_of(self, job: Job) -> int:
         """Absolute storage slot of a queued job (KeyError when absent)."""
         return self._slot[job.job_id]

@@ -122,8 +122,13 @@ class ScalarRLScheduler(Scheduler):
     def select(self, window: list[Job], ctx: SchedulingContext) -> Job | None:
         if not window:
             return None
+        if len(window) == 1 and not self.training:
+            # The masked arg-max over one populated slot is that slot;
+            # training still samples (and records) through the policy.
+            return window[0]
         obs, mask = self.encode(window, ctx)
         probs = self._probabilities(obs, mask)
+        self.decisions_scored += 1
         if self.training:
             action = int(self.rng.choice(self.window_size, p=probs))
         else:

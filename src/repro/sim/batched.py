@@ -11,7 +11,10 @@ episodes currently paused at a staged decision are scored by ONE
 (N_ready × window) inputs. The B=1 GEMV per decision becomes a B=N GEMM
 whose weight traffic amortizes across the batch — the same dispatch
 structure a GPU/array-API backend needs, which is why this substrate is
-its precondition.
+its precondition. A lane pauses only for a decision that needs scores:
+one the policy settled without the network (a lone candidate, a clear
+prior, an exploration draw) is applied inside the lane's own advance,
+so a macro-step stacks only rows the GEMM can matter for.
 
 The pause/resume mechanics ride on
 :meth:`~repro.sched.base.Scheduler.schedule_gen`, the generator form of

@@ -90,7 +90,12 @@ class Simulator:
         ) as attrs:
             result = self._episode(jobs, drive)
             attrs["instances"] = result.n_scheduling_instances
-        session.metrics.counter("sim.episodes").inc()
+            attrs["decisions"] = self.scheduler.decisions
+            attrs["decisions_scored"] = self.scheduler.decisions_scored
+        metrics = session.metrics
+        metrics.counter("sim.episodes").inc()
+        metrics.counter("sim.decisions").inc(self.scheduler.decisions)
+        metrics.counter("sim.decisions_scored").inc(self.scheduler.decisions_scored)
         return result
 
     def _episode(self, jobs: list[Job], drive) -> SimulationResult:

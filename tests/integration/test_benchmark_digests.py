@@ -2,10 +2,14 @@
 
 The standing bit-identity contract of every performance PR, held here
 for the two replay workloads that exercise the scheduler's backfill
-path in both of its forms: ``replay_fcfs`` (``Scheduler.schedule`` on a
+path in both of its forms — ``replay_fcfs`` (``Scheduler.schedule`` on a
 saturated queue) and ``replay_theta`` (MRSch lanes in lockstep through
-``schedule_gen``). The benchmark's own files are *read*, never edited:
-the scenarios come from ``workloads.py``, the digest function from
+``schedule_gen``) — and for ``cold_cli``'s scenario, run in-process (its
+two cells: FCFS and an untrained MRSch over two workloads). The two
+training workloads run under the ``slow`` marker: training is where the
+agent's ε-greedy draw stream and replay buffer are held to the
+reference. The benchmark's own files are *read*, never edited: the
+scenarios come from ``workloads.py``, the digest function from
 ``check.py``, the expected values from the committed reference run.
 """
 
@@ -34,7 +38,16 @@ def _load(name: str):
     return module
 
 
-@pytest.mark.parametrize("workload", ["replay_fcfs", "replay_theta"])
+@pytest.mark.parametrize(
+    "workload",
+    [
+        "replay_fcfs",
+        "replay_theta",
+        "cold_cli",
+        pytest.param("train_mini", marks=pytest.mark.slow),
+        pytest.param("train_wide", marks=pytest.mark.slow),
+    ],
+)
 def test_seed7_digest_equals_the_committed_reference(workload):
     reference = json.loads((E2E / "reference" / "seed7.json").read_text())
     assert reference["seed"] == 7

@@ -11,6 +11,7 @@ then check the telemetry artifacts themselves are complete enough for
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -72,7 +73,6 @@ class TestBitIdentity:
         assert _exact(instrumented) == _exact(plain)
 
         assert counters["sim.episodes"] == len(workloads)
-        assert counters["sim.batch_calls"] > 0
         spans = load_spans(tmp_path / "telemetry")
         (lockstep,) = [s for s in spans if s["name"] == "lockstep"]
         episodes = [s for s in spans if s["name"] == "episode"]
@@ -84,8 +84,40 @@ class TestBitIdentity:
             assert episode["attrs"]["scheduler"] == "mrsch"
             assert episode["attrs"]["jobs"] == grid_config.n_jobs
             assert episode["attrs"]["instances"] > 0
+            assert episode["attrs"]["decisions"] == grid_config.n_jobs
             assert 0 < episode["dur_s"] <= parent["dur_s"]
             parent = episode
+        # A lightly loaded machine under the guided policy: one job per
+        # window or a clear prior, the network is never asked.
+        assert counters["sim.decisions"] == len(workloads) * grid_config.n_jobs
+        assert counters["sim.decisions_scored"] == 0
+        assert "sim.batch_calls" not in counters
+
+    def test_open_decisions_are_stacked_and_counted(self, grid_config, tmp_path):
+        """Pure DFP on a loaded machine: every window with more than one
+        job is scored, lanes pause together, and the counters say so."""
+        config = dataclasses.replace(grid_config, n_jobs=40, mean_interarrival=150.0)
+        workloads = ["S1", "S3", "S5"]
+        tasks = [
+            dataclasses.replace(task, extra=(("prior_weight", 0.0),))
+            for task in grid_tasks(["mrsch"], workloads, config)
+        ]
+        plain = ExperimentRunner(n_workers=1).run(tasks)
+        session = obs.enable(tmp_path / "telemetry")
+        try:
+            instrumented = ExperimentRunner(n_workers=1).run(tasks)
+            counters = session.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert _exact(instrumented) == _exact(plain)
+
+        assert counters["sim.batch_calls"] > 0
+        assert 0 < counters["sim.decisions_scored"] < counters["sim.decisions"]
+        episodes = [
+            s for s in load_spans(tmp_path / "telemetry") if s["name"] == "episode"
+        ]
+        for key in ("decisions", "decisions_scored"):
+            assert sum(e["attrs"][key] for e in episodes) == counters[f"sim.{key}"]
 
     def test_episode_decision_stream_identical(self, mini_system, theta_trace):
         def starts():

@@ -47,19 +47,34 @@ def _outcome(result) -> tuple:
 
 
 class TestLockstepDecisionIdentity:
-    def test_mrsch_lockstep_equals_sequential(self, mini_system, jobsets):
-        sequential = MRSchScheduler(mini_system, window_size=5, seed=3)
-        sim = Simulator(mini_system, sequential)
-        expected = [_outcome(sim.run(jobs)) for jobs in jobsets]
+    @staticmethod
+    def _lockstep_after_sequential(mini_system, jobsets, prior_weight):
+        """Both runs, outcomes asserted equal; the lockstep simulator."""
 
-        lockstep = MRSchScheduler(mini_system, window_size=5, seed=3)
-        batched = BatchedSimulator.for_scheduler(
-            mini_system, lockstep, N_EPISODES
-        )
+        def build():
+            return MRSchScheduler(
+                mini_system, window_size=5, seed=3, prior_weight=prior_weight
+            )
+
+        sim = Simulator(mini_system, build())
+        expected = [_outcome(sim.run(jobs)) for jobs in jobsets]
+        batched = BatchedSimulator.for_scheduler(mini_system, build(), N_EPISODES)
         results = batched.run(jobsets)
         assert [_outcome(r) for r in results] == expected
-        # The lockstep run actually batched: fewer calls than rows.
+        return batched
+
+    def test_mrsch_lockstep_equals_sequential(self, mini_system, jobsets):
+        batched = self._lockstep_after_sequential(mini_system, jobsets, 2.0)
+        # The lockstep run actually batched: fewer calls than rows. Under
+        # the guided policy only windows the prior leaves open get here.
         assert batched.scored_rows > batched.batch_calls > 0
+
+    def test_pure_dfp_lockstep_equals_sequential(self, mini_system, jobsets):
+        """The paper's policy scores every window of two or more jobs:
+        enough stacked rows for the identity to have been at stake."""
+        batched = self._lockstep_after_sequential(mini_system, jobsets, 0.0)
+        assert batched.scored_rows > batched.batch_calls > 0
+        assert batched.scored_rows >= 60
 
     def test_batch_of_one_is_bit_identical(self, mini_system, jobsets):
         sequential = MRSchScheduler(mini_system, window_size=5, seed=3)
