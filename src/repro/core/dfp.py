@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.layers import Dense, LeakyReLU
+from repro.nn.layers import Dense, LeakyReLU, SlotDense
 from repro.nn.losses import mse_loss
 from repro.nn.network import InferenceWorkspace, Sequential
 from repro.nn.optim import Adam
@@ -99,6 +99,8 @@ class DFPConfig:
             raise ValueError("invalid epsilon range")
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must be in (0, 1]")
+        if self.batch_size < 1 or self.train_batches_per_episode < 0:
+            raise ValueError("batch_size must be >= 1 and train_batches_per_episode >= 0")
         if self.action_stream not in ("shared", "dense"):
             raise ValueError("action_stream must be 'shared' or 'dense'")
         if self.action_stream == "shared":
@@ -296,9 +298,11 @@ class DFPNetwork:
         )
         if c.action_stream == "shared":
             # One head applied to every slot: (joint ⊕ slot features) → P.
-            self.action_stream = _mlp(
-                [joint + c.slot_dim, c.stream_hidden, c.pred_dim], rngs[9:11], False
-            )
+            self.action_stream = Sequential([
+                SlotDense(joint, c.slot_dim, c.stream_hidden, rng=rngs[9]),
+                LeakyReLU(),
+                Dense(c.stream_hidden, c.pred_dim, rng=rngs[10]),
+            ])
         else:
             self.action_stream = _mlp(
                 [joint, c.stream_hidden, c.n_actions * c.pred_dim], rngs[9:11], False
@@ -376,14 +380,9 @@ class DFPNetwork:
             self.goal_net.forward(goal, training=training),
         )
         expectation = self.expectation_stream.forward(joint, training=training)
-        batch = joint.shape[0]
-        if c.action_stream == "shared":
-            head_in = self._shared_head_in(ws, state, joint)
-        else:
-            head_in = joint
-        actions = self.action_stream.forward(head_in, training=training).reshape(
-            batch, c.n_actions, c.pred_dim
-        )
+        actions = self.action_stream.forward(
+            self._action_input(ws, state, joint), training=training
+        ).reshape(joint.shape[0], c.n_actions, c.pred_dim)
         # Dueling normalisation: per-(measurement, offset) zero mean
         # across actions, so the expectation stream carries the average.
         normalised = actions - actions.mean(axis=1, keepdims=True)
@@ -416,20 +415,16 @@ class DFPNetwork:
             self.goal_net.infer(goal, ws, "goal"),
         )
 
-    def _shared_head_in(
-        self, ws: InferenceWorkspace, state: np.ndarray, joint: np.ndarray
-    ) -> np.ndarray:
-        """(B·A, joint ⊕ slot) input of the shared action head, packed
-        into a reused buffer instead of repeat+concatenate copies."""
+    def _action_input(self, ws: InferenceWorkspace, state: np.ndarray, joint: np.ndarray):
+        """What the action stream consumes: the joint representation —
+        for the shared head paired with the window's slot features as
+        (B·A, slot) rows of a reused buffer (see :class:`SlotDense`)."""
         c = self.config
-        batch = joint.shape[0]
-        width = self._joint_dim + c.slot_dim
-        head = ws.buffer("head_in", (batch, c.n_actions, width))
-        head[:, :, : self._joint_dim] = joint[:, None, :]
-        head[:, :, self._joint_dim :] = state[:, : c.n_actions * c.slot_dim].reshape(
-            batch, c.n_actions, c.slot_dim
-        )
-        return head.reshape(batch * c.n_actions, width)
+        if c.action_stream != "shared":
+            return joint
+        slots = ws.buffer("slots", (joint.shape[0] * c.n_actions, c.slot_dim))
+        slots.reshape(joint.shape[0], -1)[...] = state[:, : c.n_actions * c.slot_dim]
+        return joint, slots
 
     def forward_scores(
         self,
@@ -474,18 +469,15 @@ class DFPNetwork:
         )  # (B,)
 
         act_last = self.action_stream.layers[-1]
+        act_h = self._action_input(ws, state, joint)
+        for li, layer in enumerate(self.action_stream.layers[:-1]):
+            act_h = layer.infer(act_h, ws, ("act", li))
         if c.action_stream == "shared":
-            act_h = self._shared_head_in(ws, state, joint)
-            for li, layer in enumerate(self.action_stream.layers[:-1]):
-                act_h = layer.infer(act_h, ws, ("act", li))
             actions = (
                 act_h @ (ws.param(act_last, "W") @ weights)
                 + ws.param(act_last, "b") @ weights
             ).reshape(batch, c.n_actions)
         else:
-            act_h = joint
-            for li, layer in enumerate(self.action_stream.layers[:-1]):
-                act_h = layer.infer(act_h, ws, ("act", li))
             w_fold = ws.param(act_last, "W").reshape(
                 -1, c.n_actions, c.pred_dim
             ) @ weights  # (in_features, n_actions)
@@ -512,16 +504,10 @@ class DFPNetwork:
         measurement = ws.cast("in_meas", np.ascontiguousarray(measurement))
         goal = ws.cast("in_goal", np.ascontiguousarray(goal))
         joint = self._infer_joint(ws, state, measurement, goal)
-        batch = joint.shape[0]
         expectation = self.expectation_stream.infer(joint, ws, "exp")
-        if c.action_stream == "shared":
-            head_in = self._shared_head_in(ws, state, joint)
-            actions = self.action_stream.infer(head_in, ws, "act").reshape(
-                batch, c.n_actions, c.pred_dim
-            )
-        else:
-            raw = self.action_stream.infer(joint, ws, "act")
-            actions = raw.reshape(batch, c.n_actions, c.pred_dim)
+        actions = self.action_stream.infer(
+            self._action_input(ws, state, joint), ws, "act"
+        ).reshape(joint.shape[0], c.n_actions, c.pred_dim)
         normalised = actions - actions.mean(axis=1, keepdims=True)
         return expectation[:, None, :] + normalised
 
@@ -534,24 +520,10 @@ class DFPNetwork:
         grad_act = grad_pred - grad_pred.mean(axis=1, keepdims=True)
         grad_joint = self._train_ws.buffer("grad_joint", (batch, self._joint_dim))
         grad_exp_joint = self.expectation_stream.backward(grad_exp)
-        if c.action_stream == "shared":
-            grad_head_in = self.action_stream.backward(
-                grad_act.reshape(batch * c.n_actions, c.pred_dim)
-            )
-            # Joint features were broadcast to every slot; gradients sum
-            # back over slots. Slot features are raw inputs — no
-            # parameters behind them, so their gradient is dropped.
-            grad_act_joint = np.sum(
-                grad_head_in[:, : self._joint_dim].reshape(
-                    batch, c.n_actions, self._joint_dim
-                ),
-                axis=1,
-                out=grad_joint,
-            )
-        else:
-            grad_act_joint = self.action_stream.backward(
-                grad_act.reshape(batch, c.n_actions * c.pred_dim)
-            )
+        # The shared head sees one row per (sample, slot) and sums the
+        # joint gradient back over slots itself (:class:`SlotDense`).
+        rows = batch * c.n_actions if c.action_stream == "shared" else batch
+        grad_act_joint = self.action_stream.backward(grad_act.reshape(rows, -1))
         np.add(grad_exp_joint, grad_act_joint, out=grad_joint)
         i, j = self._joint_splits
         self.state_net.backward(grad_joint[:, :i])
@@ -812,7 +784,8 @@ class DFPAgent:
 
     def train_epoch(self, n_batches: int | None = None) -> float:
         """Run ``n_batches`` replay updates; returns the mean loss."""
-        n_batches = n_batches or self.config.train_batches_per_episode
+        if n_batches is None:
+            n_batches = self.config.train_batches_per_episode
         losses = [self.train_batch() for _ in range(n_batches)]
         return float(np.mean(losses)) if losses else 0.0
 

@@ -65,17 +65,14 @@ class MRSchScheduler(Scheduler):
         time_scale: float = 4 * 3600.0,
         prior_weight: float = 2.0,
         dynamic_goal: bool = True,
-        incremental_encoding: bool = True,
     ) -> None:
         super().__init__(window_size=window_size, backfill=backfill)
         self.system = system
         self.encoder = StateEncoder(system, window_size=window_size, time_scale=time_scale)
-        #: decision-state fast path: patch a persistent state buffer via
-        #: pool dirty tracking instead of rebuilding ``state_dim`` zeros
-        #: per selection. Bit-identical to ``encoder.encode`` (pinned by
-        #: tests/unit/test_encoding_incremental.py); False retains the
-        #: fresh-encode reference path.
-        self.incremental_encoding = incremental_encoding
+        #: decision-state path: patch a persistent state buffer via pool
+        #: dirty tracking instead of rebuilding ``state_dim`` zeros per
+        #: selection. Bit-identical to ``encoder.encode`` (pinned by
+        #: tests/unit/test_encoding_incremental.py).
         self._inc_encoder = IncrementalStateEncoder(self.encoder)
         config = dfp_config or DFPConfig(
             state_dim=self.encoder.state_dim,
@@ -272,17 +269,14 @@ class MRSchScheduler(Scheduler):
             # next decision that is scored.
             self._pending = (None, None, None, prior, action)
             return DecisionInputs(needs_scores=False)
-        if self.incremental_encoding:
-            # Patch the persistent decision buffer (bit-identical to a
-            # fresh encode). The bundle call, not ``encode``: it is the
-            # boundary outside tracers time the encode layer at.
-            state, _, _ = self._inc_encoder.encode_decision(window, ctx.pool, ctx.now)
-            if self.training or self.decision_recorder is not None:
-                # Training steps and traces retain the state beyond
-                # this decision; the shared buffer must not leak.
-                state = state.copy()
-        else:
-            state = self.encoder.encode(window, ctx.pool, ctx.now)
+        # Patch the persistent decision buffer (bit-identical to a fresh
+        # encode). The bundle call, not ``encode``: it is the boundary
+        # outside tracers time the encode layer at.
+        state, _, _ = self._inc_encoder.encode_decision(window, ctx.pool, ctx.now)
+        if self.training or self.decision_recorder is not None:
+            # Training steps and traces retain the state beyond this
+            # decision; the shared buffer must not leak.
+            state = state.copy()
         measurement = measurement_vector(ctx.pool)
         mask = self.encoder.window_mask(window)
         agent = self.agent
@@ -384,7 +378,6 @@ class MRSchScheduler(Scheduler):
             time_scale=self.encoder.time_scale,
             prior_weight=self.prior_weight,
             dynamic_goal=self.dynamic_goal,
-            incremental_encoding=self.incremental_encoding,
         )
         clone.training = self.training
         return clone

@@ -29,6 +29,7 @@ from repro.utils.rng import as_generator
 __all__ = [
     "Layer",
     "Dense",
+    "SlotDense",
     "Conv1D",
     "MaxPool1D",
     "Flatten",
@@ -158,6 +159,62 @@ class Dense(Layer):
         np.matmul(x, w, out=out)
         out += workspace.param(self, "b")
         return out
+
+
+class SlotDense(Dense):
+    """``Dense`` over ``joint[b] ⊕ slots[b, a]`` — the first layer of a
+    head shared by the ``A`` slots of a row — without building that input:
+
+        ``pre[b, a] = slots[b, a] @ W[J:] + (joint[b] @ W[:J] + b)``
+
+    ``W`` is the one ``(J + slot, out)`` tensor a ``Dense`` over the
+    concatenated rows holds; the joint product runs once per row, not
+    once per slot. The input is the pair ``(joint (B, J), slots (B·A,
+    slot))``, the output ``(B·A, out)``; ``backward`` returns the joint
+    gradient only — slots are raw inputs.
+    """
+
+    def __init__(self, joint_features, slot_features, out_features, rng=None) -> None:
+        super().__init__(joint_features + slot_features, out_features, rng=rng)
+        self.joint_features = joint_features
+
+    def _pre(self, x, w, b, buffer=lambda name, shape: np.empty(shape)) -> np.ndarray:
+        """The definition on weights ``w``, ``b``, in arrays from
+        ``buffer(name, shape)`` (fresh ones by default)."""
+        joint, slots = x
+        j, batch, width = self.joint_features, joint.shape[0], self.out_features
+        base = np.matmul(joint, w[:j], out=buffer("base", (batch, width)))
+        base += b
+        out = np.matmul(slots, w[j:], out=buffer("out", (slots.shape[0], width)))
+        rows = out.reshape(batch, -1, width)
+        rows += base[:, None, :]
+        return out
+
+    def forward(self, x, training: bool = False) -> np.ndarray:
+        self._x = x
+        w, b = self.params["W"], self.params["b"]
+        return self._pre(x, w, b, self._buffer) if training else self._pre(x, w, b)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._x is None:
+            raise RuntimeError("backward called before forward")
+        joint, slots = self._x
+        j, batch, width = self.joint_features, joint.shape[0], self.out_features
+        summed = self._buffer("grad_base", (batch, width))
+        np.sum(grad_out.reshape(batch, -1, width), axis=1, out=summed)
+        grad_w = self._buffer("grad_W", self.params["W"].shape)
+        np.matmul(joint.T, summed, out=grad_w[:j])
+        np.matmul(slots.T, grad_out, out=grad_w[j:])
+        self.grads["W"] += grad_w
+        self.grads["b"] += summed.sum(axis=0)
+        grad_in = self._buffer("grad_in", joint.shape)
+        return np.matmul(summed, self.params["W"][:j].T, out=grad_in)
+
+    def infer(self, x, workspace=None, key=None) -> np.ndarray:
+        if workspace is None:
+            return self._pre(x, self.params["W"], self.params["b"])
+        w, b = workspace.param(self, "W"), workspace.param(self, "b")
+        return self._pre(x, w, b, lambda name, shape: workspace.buffer((key, name), shape))
 
 
 class Conv1D(Layer):

@@ -4,9 +4,20 @@ These are the bodies ``repro.nn`` and ``repro.core.dfp`` shipped before
 the training step learned to reuse its storage: every product,
 activation and optimiser term lands in a fresh array, every input
 gradient is computed, the minibatch is ``vstack``-ed and the joint /
-head inputs are ``concatenate``-d. The library's buffered step must
-reproduce them bit for bit — it only re-uses memory and drops a product
-nobody reads — and ``test_nn_gradients.py`` holds it to that.
+slot inputs are ``concatenate``-d / ``reshape``-d afresh. The library's
+buffered step must reproduce them bit for bit — it only re-uses memory
+and drops a product nobody reads — and ``test_nn_gradients.py`` holds it
+to that.
+
+The shared action head's first layer is *defined* factored
+(:class:`repro.nn.layers.SlotDense`: the joint product once per row, the
+slot product per slot); :class:`ReferenceSlotDense` is that definition
+in plain ``@`` / ``np.repeat``, bit-equal to the library. The form it
+replaced — one GEMM over the ``(B·A, joint ⊕ slot)`` concatenation,
+which sums the same terms in another order — survives here as
+:func:`concatenated_head` / :class:`ConcatenatedSlotDense`, the oracle
+the README reassociation budget is stated against
+(:func:`as_concatenating` builds the twin).
 
 :func:`as_reference` re-classes a freshly built object's layers,
 network, optimiser and agent onto the classes below, so the twin shares
@@ -19,15 +30,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dfp import DFPAgent, DFPNetwork
-from repro.nn.layers import Dense, LeakyReLU
+from repro.nn.layers import Dense, LeakyReLU, SlotDense
 from repro.nn.losses import mse_loss
 from repro.nn.optim import SGD, Adam, Momentum, RMSProp
 
 __all__ = [
     "ReferenceDense",
+    "ReferenceSlotDense",
     "ReferenceLeakyReLU",
     "ReferenceAdam",
+    "ConcatenatedSlotDense",
+    "concatenated_head",
+    "concatenated_rows",
     "as_reference",
+    "as_concatenating",
     "whole_tensor_update",
 ]
 
@@ -47,6 +63,59 @@ class ReferenceDense(Dense):
         self.grads["W"] += self._x.T @ grad_out
         self.grads["b"] += grad_out.sum(axis=0)
         return grad_out @ self.params["W"].T
+
+
+class ReferenceSlotDense(SlotDense):
+    def forward(self, x, training: bool = False) -> np.ndarray:
+        joint, slots = self._x = x
+        j = self.joint_features
+        w, b = self.params["W"], self.params["b"]
+        n_slots = slots.shape[0] // joint.shape[0]
+        return slots @ w[j:] + np.repeat(joint @ w[:j] + b, n_slots, axis=0)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._x is None:
+            raise RuntimeError("backward called before forward")
+        joint, slots = self._x
+        j = self.joint_features
+        summed = grad_out.reshape(joint.shape[0], -1, self.out_features).sum(axis=1)
+        self.grads["W"][:j] += joint.T @ summed
+        self.grads["W"][j:] += slots.T @ grad_out
+        self.grads["b"] += summed.sum(axis=0)
+        return summed @ self.params["W"][:j].T
+
+
+def concatenated_rows(joint: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The ``(B·A, joint ⊕ slot)`` input ``SlotDense`` never builds."""
+    n_slots = slots.shape[0] // joint.shape[0]
+    return np.concatenate([np.repeat(joint, n_slots, axis=0), slots], axis=1)
+
+
+def concatenated_head(
+    joint: np.ndarray, slots: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The shared head's first layer as one GEMM over the concatenated
+    rows — what ``SlotDense`` factors."""
+    return concatenated_rows(joint, slots) @ w + b
+
+
+class ConcatenatedSlotDense(SlotDense):
+    """The parent layout: a plain ``Dense`` over the concatenation, the
+    joint gradient summed back over slots afterwards."""
+
+    def forward(self, x, training: bool = False) -> np.ndarray:
+        self._x = x
+        return concatenated_head(*x, self.params["W"], self.params["b"])
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        joint, slots = self._x
+        self.grads["W"] += concatenated_rows(joint, slots).T @ grad_out
+        self.grads["b"] += grad_out.sum(axis=0)
+        grad_joint = (grad_out @ self.params["W"].T)[:, : self.joint_features]
+        return grad_joint.reshape(joint.shape[0], -1, self.joint_features).sum(axis=1)
+
+    def infer(self, x, workspace=None, key=None) -> np.ndarray:
+        return self.forward(x)
 
 
 class ReferenceLeakyReLU(LeakyReLU):
@@ -124,14 +193,11 @@ class ReferenceDFPNetwork(DFPNetwork):
         batch = joint.shape[0]
         if c.action_stream == "shared":
             slots = state[:, : c.n_actions * c.slot_dim].reshape(
-                batch, c.n_actions, c.slot_dim
+                batch * c.n_actions, c.slot_dim
             )
-            head_in = np.concatenate(
-                [np.repeat(joint[:, None, :], c.n_actions, axis=1), slots], axis=2
-            ).reshape(batch * c.n_actions, self._joint_dim + c.slot_dim)
-            actions = self.action_stream.forward(head_in, training=training).reshape(
-                batch, c.n_actions, c.pred_dim
-            )
+            actions = self.action_stream.forward(
+                (joint, slots), training=training
+            ).reshape(batch, c.n_actions, c.pred_dim)
         else:
             raw = self.action_stream.forward(joint, training=training)
             actions = raw.reshape(batch, c.n_actions, c.pred_dim)
@@ -145,12 +211,9 @@ class ReferenceDFPNetwork(DFPNetwork):
         grad_act = grad_pred - grad_pred.mean(axis=1, keepdims=True)
         grad_joint = self.expectation_stream.backward(grad_exp)
         if c.action_stream == "shared":
-            grad_head_in = self.action_stream.backward(
+            grad_joint = grad_joint + self.action_stream.backward(
                 grad_act.reshape(batch * c.n_actions, c.pred_dim)
             )
-            grad_joint = grad_joint + grad_head_in[:, : self._joint_dim].reshape(
-                batch, c.n_actions, self._joint_dim
-            ).sum(axis=1)
         else:
             grad_joint = grad_joint + self.action_stream.backward(
                 grad_act.reshape(batch, c.n_actions * c.pred_dim)
@@ -191,6 +254,7 @@ class ReferenceDFPAgent(DFPAgent):
 
 _REFERENCE = {
     Dense: ReferenceDense,
+    SlotDense: ReferenceSlotDense,
     LeakyReLU: ReferenceLeakyReLU,
     Adam: ReferenceAdam,
     DFPNetwork: ReferenceDFPNetwork,
@@ -208,4 +272,14 @@ def as_reference(obj, *more):
         reference = _REFERENCE.get(type(item))
         if reference is not None:
             item.__class__ = reference
+    return obj
+
+
+def as_concatenating(obj):
+    """Re-class the shared head's first layer of ``obj`` (an agent or a
+    network) onto the concatenated GEMM — the arithmetic of the layout
+    ``SlotDense`` replaced; returns ``obj``."""
+    head = getattr(obj, "network", obj).action_stream.layers[0]
+    assert type(head) is SlotDense, "shared action stream required"
+    head.__class__ = ConcatenatedSlotDense
     return obj

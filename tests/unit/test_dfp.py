@@ -97,6 +97,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(state_dim=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("batch_size", -3), ("train_batches_per_episode", -1)],
+    )
+    def test_training_sizes_validated(self, field, value):
+        with pytest.raises(ValueError):
+            small_config(**{field: value})
+        assert small_config(train_batches_per_episode=0).train_batches_per_episode == 0
+
     def test_paper_scale(self):
         cfg = DFPConfig.paper_scale(state_dim=11404, n_measurements=2, n_actions=10)
         assert cfg.state_hidden == (4000, 1000)
@@ -289,6 +298,21 @@ class TestAgentLearning:
     def test_train_batch_empty_replay(self):
         agent = DFPAgent(small_config(), rng=0)
         assert agent.train_batch() == 0.0
+
+    def test_train_epoch_zero_batches_takes_no_step(self, rng):
+        """An explicit 0 is a count, not "unset" (it used to run the
+        configured ``train_batches_per_episode``)."""
+        agent = DFPAgent(small_config(), rng=0)
+        steps = [(rng.random(12), rng.random(2), rng.random(2), i % 4, False)
+                 for i in range(16)]
+        agent.record_episode(steps, [rng.random(2) for _ in steps])
+        before = agent.state_dict()
+        assert agent.train_epoch(0) == 0.0
+        assert agent.optimizer.steps == 0
+        for key, value in agent.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+        assert agent.train_epoch() > 0.0  # unset: the configured count
+        assert agent.optimizer.steps == agent.config.train_batches_per_episode
 
     def test_training_reduces_loss_on_fixed_task(self, rng):
         """Regression sanity: repeated updates on a fixed replay buffer

@@ -10,6 +10,9 @@ Contracts pinned here:
 * the opt-in float32 mode stays within ~1e-5 relative of float64 and is
   fully reversible;
 * parameter updates invalidate cast-parameter caches;
+* the shared head's factored first layer (``SlotDense``) changed nothing
+  about what a network *is*: parameter names, shapes, initial draws and
+  saved files are those of a ``Dense`` over the concatenated input;
 * :class:`StratifiedReplay` reproduces ``deque(maxlen)`` semantics and
   the exact stratified draws of the seed implementation.
 """
@@ -24,6 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dfp import DFPAgent, DFPConfig, DFPNetwork, Experience, StratifiedReplay
+from repro.nn.layers import Dense
+from repro.nn.serialize import load_params, save_params
+from repro.utils.rng import spawn_generators
 
 
 def small_config(stream: str = "shared") -> DFPConfig:
@@ -51,14 +57,17 @@ def reference_scores(net: DFPNetwork, state, meas, goal, weights):
     expectation = exp_h @ (el.params["W"] @ weights) + (el.params["b"] @ weights)
     al = net.action_stream.layers[-1]
     if c.action_stream == "shared":
+        # The shared head's first layer as it is defined (SlotDense):
+        # joint part once per row, slot part per slot, plain ``@``.
         slots = state[:, : c.n_actions * c.slot_dim].reshape(
-            batch, c.n_actions, c.slot_dim
+            batch * c.n_actions, c.slot_dim
         )
-        head_in = np.concatenate(
-            [np.repeat(joint[:, None, :], c.n_actions, axis=1), slots], axis=2
-        ).reshape(batch * c.n_actions, -1)
-        act_h = head_in
-        for layer in net.action_stream.layers[:-1]:
+        first = net.action_stream.layers[0]
+        w, j = first.params["W"], first.joint_features
+        act_h = slots @ w[j:] + np.repeat(
+            joint @ w[:j] + first.params["b"], c.n_actions, axis=0
+        )
+        for layer in net.action_stream.layers[1:-1]:
             act_h = layer.forward(act_h)
         actions = (
             act_h @ (al.params["W"] @ weights) + al.params["b"] @ weights
@@ -110,6 +119,19 @@ class TestWorkspaceInference:
             net.forward(state, meas, goal),
         )
 
+    def test_training_forward_is_the_same_forward(self, net_and_inputs):
+        """One definition: the buffered training forward, the allocating
+        one and ``forward_infer`` agree bit for bit, and the folded
+        ``forward_scores`` stays within its 1e-12 of them."""
+        net, state, meas, goal, weights = net_and_inputs
+        plain = net.forward(state, meas, goal)
+        np.testing.assert_array_equal(net.forward(state, meas, goal, training=True), plain)
+        np.testing.assert_array_equal(net.forward_infer(state, meas, goal), plain)
+        np.testing.assert_allclose(
+            net.forward_scores(state, meas, goal, weights), plain @ weights,
+            rtol=0, atol=1e-12,
+        )
+
     def test_varying_batch_sizes_reuse_safely(self, net_and_inputs):
         net, state, meas, goal, weights = net_and_inputs
         for batch in (1, 3, 2, 3, 1):
@@ -144,6 +166,66 @@ class TestWorkspaceInference:
         net.notify_params_changed()
         after = net.forward_scores(state, meas, goal, weights)
         assert not np.array_equal(before, after)
+
+
+#: ``DFPAgent(small_config()).state_dict()`` as the tree before
+#: ``SlotDense`` wrote it (``action.0.W`` is joint 256 + slot 4 rows).
+PARENT_LAYOUT = {
+    "state.0.W": (60, 256), "state.0.b": (256,),
+    "state.2.W": (256, 128), "state.2.b": (128,),
+    "state.4.W": (128, 128), "state.4.b": (128,),
+    "meas.0.W": (2, 64), "meas.0.b": (64,), "meas.2.W": (64, 64), "meas.2.b": (64,),
+    "goal.0.W": (2, 64), "goal.0.b": (64,), "goal.2.W": (64, 64), "goal.2.b": (64,),
+    "expectation.0.W": (256, 128), "expectation.0.b": (128,),
+    "expectation.2.W": (128, 8), "expectation.2.b": (8,),
+    "action.0.W": (260, 128), "action.0.b": (128,),
+    "action.2.W": (128, 8), "action.2.b": (8,),
+    "__epsilon__": (1,),
+}
+
+
+class TestSharedHeadLayoutUnchanged:
+    def test_state_dict_keys_and_shapes_are_the_parents(self):
+        state = DFPAgent(small_config(), rng=7).state_dict()
+        assert {k: v.shape for k, v in state.items()} == PARENT_LAYOUT
+        assert list(state) == list(PARENT_LAYOUT)
+
+    def test_initial_head_weights_are_the_dense_draw(self):
+        net = DFPNetwork(small_config(), rng=1)
+        head = Dense(256 + 4, 128, rng=spawn_generators(np.random.default_rng(1), 16)[9])
+        np.testing.assert_array_equal(
+            net.action_stream.layers[0].params["W"], head.params["W"]
+        )
+        np.testing.assert_array_equal(net.state_dict()["action.0.W"], head.params["W"])
+
+    def test_parent_layout_file_loads_and_scores_bit_equal(self, tmp_path):
+        """A weights file in the parent's layout — one ``(J + slot,
+        hidden)`` tensor for the head's first layer — needs no migration."""
+        rng = np.random.default_rng(3)
+        arrays = {key: 0.1 * rng.normal(size=shape) for key, shape in PARENT_LAYOUT.items()}
+        arrays["__epsilon__"] = np.array([0.25])
+        save_params(tmp_path / "parent.npz", arrays)
+
+        loaded = DFPAgent(small_config(), rng=0)
+        loaded.load_state_dict(load_params(tmp_path / "parent.npz"))
+        fed = DFPAgent(small_config(), rng=1)
+        for branch, net in fed.network._branches():
+            for li, layer in enumerate(net.layers):
+                for name, param in layer.params.items():
+                    param[...] = arrays[f"{branch}.{li}.{name}"]
+        assert loaded.epsilon == 0.25
+        for key, value in loaded.state_dict().items():
+            np.testing.assert_array_equal(value, arrays[key])
+
+        c = loaded.config
+        state, meas, goal = rng.random(c.state_dim), rng.random(2), rng.random(2)
+        np.testing.assert_array_equal(
+            loaded.action_scores(state, meas, goal), fed.action_scores(state, meas, goal)
+        )
+        batch = (rng.random((5, c.state_dim)), rng.random((5, 2)), rng.random((5, 2)))
+        np.testing.assert_array_equal(
+            loaded.network.forward_infer(*batch), fed.network.forward(*batch)
+        )
 
 
 class TestAgentInference:

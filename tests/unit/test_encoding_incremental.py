@@ -334,18 +334,27 @@ class TestDirtyTracker:
         pool.unregister_tracker(tracker)  # unknown tracker: no-op
 
 
+class _FreshEncodes:
+    """Test-only stand-in for a scheduler's ``_inc_encoder``: the
+    fresh-encode path the incremental encoder replaced (a new state
+    vector from ``StateEncoder.encode`` per decision)."""
+
+    def __init__(self, encoder: StateEncoder) -> None:
+        self.encoder = encoder
+
+    def encode_decision(self, window, pool, now):
+        return self.encoder.encode(window, pool, now), None, None
+
+
 class TestMRSchEquivalence:
     def test_incremental_scheduler_matches_reference(self, tiny_system, tiny_trace):
         """The shipped fast path changes nothing about MRSch decisions."""
         from repro.core.mrsch import MRSchScheduler
 
         def run(incremental: bool):
-            sched = MRSchScheduler(
-                tiny_system,
-                window_size=4,
-                seed=11,
-                incremental_encoding=incremental,
-            )
+            sched = MRSchScheduler(tiny_system, window_size=4, seed=11)
+            if not incremental:
+                sched._inc_encoder = _FreshEncodes(sched.encoder)
             jobs = [
                 make_job(
                     job_id=j.job_id,

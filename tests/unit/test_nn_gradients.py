@@ -6,10 +6,19 @@ parameters. The training step reuses its storage and skips the input
 gradient of branch-first layers; ``_nn_reference.py`` keeps the
 allocating step it replaced, and the twin-run tests at the bottom hold
 the two bit-identical.
+
+The shared action head's first layer (``SlotDense``) is the one place a
+training step's sums are associated differently from the layout it
+replaced (one GEMM over the concatenated ``joint ⊕ slot`` rows):
+``TestSlotDense`` checks its gradients against finite differences and
+``TestFactoredHeadBudget`` pins how far it may sit from the concatenated
+form — the fifth row of README's reassociation table.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.layers import (
     Conv1D,
@@ -19,14 +28,20 @@ from repro.nn.layers import (
     MaxPool1D,
     ReLU,
     Sigmoid,
+    SlotDense,
     Softmax,
     Tanh,
 )
 from repro.core.dfp import DFPAgent, DFPConfig, DFPNetwork, Experience
-from repro.nn.network import Sequential
+from repro.nn.network import InferenceWorkspace, Sequential
 from repro.sched.scalar_rl import ScalarRLScheduler
 from repro.sim.simulator import Simulator
-from tests.unit._nn_reference import as_reference
+from tests.unit._nn_reference import (
+    as_concatenating,
+    as_reference,
+    concatenated_head,
+    concatenated_rows,
+)
 
 EPS = 1e-6
 TOL = 1e-5
@@ -198,7 +213,180 @@ class TestInputGradSkipped:
         for layer in net.layers:
             if isinstance(layer, Dense) and not any(layer is f for f in first):
                 assert layer.input_grad
-                check_input_grad(layer, rng.normal(size=(3, layer.in_features)))
+                if not isinstance(layer, SlotDense):  # pair input: TestSlotDense
+                    check_input_grad(layer, rng.normal(size=(3, layer.in_features)))
+
+
+class TestSlotDense:
+    """``pre[b, a] = slots[b, a] @ W[J:] + (joint[b] @ W[:J] + b)``."""
+
+    J, SLOT, OUT = 6, 3, 5
+
+    def _case(self, rng, batch: int, n_slots: int, empty: bool):
+        layer = SlotDense(self.J, self.SLOT, self.OUT, rng=rng)
+        layer.params["b"][...] = rng.normal(size=self.OUT)
+        joint = rng.normal(size=(batch, self.J))
+        slots = rng.normal(size=(batch * n_slots, self.SLOT))
+        if empty:  # an under-full window: every slot past the first is zeros
+            slots.reshape(batch, n_slots, self.SLOT)[:, 1:] = 0.0
+        return layer, (joint, slots)
+
+    CASES = pytest.mark.parametrize(
+        "batch, n_slots, empty",
+        [(3, 4, False), (1, 5, False), (1, 1, False), (2, 3, True)],
+        ids=["batch", "B=1", "B=1,A=1", "empty_slots"],
+    )
+
+    @CASES
+    def test_gradients_match_finite_differences(self, rng, batch, n_slots, empty):
+        layer, x = self._case(rng, batch, n_slots, empty)
+        proj = rng.normal(size=(batch * n_slots, self.OUT))
+
+        def scalar() -> float:
+            return float((layer.forward(x) * proj).sum())
+
+        layer.zero_grad()
+        layer.forward(x, training=True)
+        grad_joint = layer.backward(proj).copy()
+        assert grad_joint.shape == x[0].shape
+        grad_w = numeric_grad(scalar, layer.params["W"])
+        for name, rows in (("joint", slice(0, self.J)), ("slot", slice(self.J, None))):
+            np.testing.assert_allclose(
+                layer.grads["W"][rows], grad_w[rows], atol=TOL, rtol=1e-4, err_msg=name
+            )
+        np.testing.assert_allclose(
+            layer.grads["b"], numeric_grad(scalar, layer.params["b"]), atol=TOL, rtol=1e-4
+        )
+        np.testing.assert_allclose(
+            grad_joint, numeric_grad(scalar, x[0]), atol=TOL, rtol=1e-4
+        )
+        if empty:  # zero slots feed nothing into the slot block's rows
+            live = x[1].reshape(batch, n_slots, self.SLOT)[:, 0]
+            summed = proj.reshape(batch, n_slots, self.OUT)[:, 0]
+            np.testing.assert_allclose(layer.grads["W"][self.J :], live.T @ summed)
+
+    @CASES
+    def test_every_forward_is_the_one_definition(self, rng, batch, n_slots, empty):
+        layer, x = self._case(rng, batch, n_slots, empty)
+        joint, slots = x
+        w, b = layer.params["W"], layer.params["b"]
+        want = slots @ w[self.J :] + np.repeat(joint @ w[: self.J] + b, n_slots, axis=0)
+        fresh = layer.forward(x)
+        np.testing.assert_array_equal(fresh, want)
+        np.testing.assert_array_equal(layer.forward(x, training=True), want)
+        np.testing.assert_array_equal(layer.infer(x), want)
+        np.testing.assert_array_equal(layer.infer(x, InferenceWorkspace(), "k"), want)
+        assert not np.shares_memory(fresh, layer.forward(x, training=True))
+
+    def test_gradients_accumulate_until_zeroed(self, rng):
+        layer, x = self._case(rng, 2, 3, False)
+        proj = rng.normal(size=(6, self.OUT))
+        layer.forward(x, training=True)
+        layer.backward(proj)
+        once = {k: v.copy() for k, v in layer.grads.items()}
+        layer.backward(proj)
+        for name, value in once.items():
+            np.testing.assert_array_equal(layer.grads[name], 2 * value)
+
+    def test_state_and_init_are_a_plain_dense(self):
+        layer, dense = SlotDense(6, 3, 5, rng=3), Dense(9, 5, rng=3)
+        assert layer.params.keys() == dense.params.keys()
+        for name in dense.params:
+            np.testing.assert_array_equal(layer.params[name], dense.params[name])
+
+    def test_rejects_misshapen_pairs(self, rng):
+        layer, (joint, slots) = self._case(rng, 2, 3, False)
+        with pytest.raises(ValueError):
+            layer.forward((joint[:, :-1], slots))
+        with pytest.raises(ValueError):
+            layer.forward((joint, slots[:, :-1]))
+        with pytest.raises(ValueError):
+            layer.forward((joint, slots[:-1]))  # rows not a multiple of B
+        with pytest.raises(RuntimeError):
+            SlotDense(6, 3, 5, rng=0).backward(np.zeros((6, 5)))
+
+
+class TestFactoredHeadBudget:
+    """How far the factored head may sit from the concatenated GEMM it
+    replaced (``concatenated_head``) — the stated numeric budget."""
+
+    U = 2.0**-53
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 64),
+        n_slots=st.integers(1, 10),
+        slot=st.integers(1, 6),
+        joint=st.integers(8, 300),
+        x_exp=st.floats(-6.0, 6.0),
+        w_exp=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pre_activation_within_the_rounding_bound(
+        self, batch, n_slots, slot, joint, x_exp, w_exp, seed
+    ):
+        """Both forms sum the same ``K + 1`` terms (``K = J + slot``
+        products and the bias) in different orders, so each is within
+        ``γ_{K+1} ≤ (K + 2)·u`` of the exact value relative to
+        ``|x| @ |W| + |b|`` — whatever the magnitudes."""
+        rng = np.random.default_rng(seed)
+        layer = SlotDense(joint, slot, 24, rng=rng)
+        w, b = layer.params["W"], layer.params["b"]
+        w *= 10.0**w_exp
+        b[...] = rng.normal(size=b.shape) * 10.0**w_exp
+        x = (
+            rng.normal(size=(batch, joint)) * 10.0**x_exp,
+            rng.normal(size=(batch * n_slots, slot)) * 10.0**x_exp,
+        )
+        magnitude = np.abs(concatenated_rows(*x)) @ np.abs(w) + np.abs(b)
+        bound = 2 * (joint + slot + 2) * self.U * magnitude
+        gap = np.abs(layer.forward(x) - concatenated_head(*x, w, b))
+        assert np.all(gap <= bound), float((gap / bound).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        batch=st.integers(1, 64),
+        n_actions=st.integers(1, 10),
+        slot=st.integers(1, 6),
+        state_out=st.integers(4, 172),
+        module_out=st.integers(2, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_predictions_within_1e12_at_unit_scale(
+        self, batch, n_actions, slot, state_out, module_out, seed
+    ):
+        config = DFPConfig(state_dim=n_actions * slot + 7, n_measurements=2,
+                           n_actions=n_actions, slot_dim=slot, state_hidden=(32, 16),
+                           state_out=state_out, module_hidden=8, module_out=module_out,
+                           stream_hidden=24)
+        net, twin = DFPNetwork(config, rng=seed), DFPNetwork(config, rng=seed)
+        as_concatenating(twin)
+        rng = np.random.default_rng(seed)
+        inputs = (rng.normal(size=(batch, config.state_dim)),
+                  rng.random((batch, 2)), rng.random((batch, 2)))
+        np.testing.assert_allclose(
+            net.forward(*inputs), twin.forward(*inputs), rtol=0, atol=1e-12
+        )
+
+    def test_sixty_batches_track_the_concatenating_twin(self):
+        config = DFPConfig(**dict(SMALL, state_dim=120, n_actions=10, batch_size=64,
+                                  state_hidden=(64, 32), state_out=32, module_hidden=16,
+                                  module_out=16, stream_hidden=32))
+        agent = DFPAgent(config, rng=5)
+        twin = as_concatenating(DFPAgent(config, rng=5))
+        for each in (agent, twin):
+            _fill_replay(each, 3 * config.batch_size, 1.0)
+        losses = [agent.train_batch() for _ in range(60)]
+        twin_losses = [twin.train_batch() for _ in range(60)]
+        np.testing.assert_allclose(losses, twin_losses, rtol=1e-10, atol=0)
+        assert losses[-1] < losses[0]
+        for layer, ref in zip(agent.network.layers, twin.network.layers):
+            for name in layer.params:
+                np.testing.assert_allclose(
+                    layer.params[name], ref.params[name], rtol=0, atol=1e-9
+                )
+        assert agent._sample_rng.bit_generator.state == twin._sample_rng.bit_generator.state
+        assert agent.optimizer.steps == twin.optimizer.steps == 60
 
 
 def _fill_replay(agent: DFPAgent, n: int, target_scale: float) -> None:
