@@ -101,6 +101,8 @@ class DFPConfig:
             raise ValueError("epsilon_decay must be in (0, 1]")
         if self.batch_size < 1 or self.train_batches_per_episode < 0:
             raise ValueError("batch_size must be >= 1 and train_batches_per_episode >= 0")
+        if self.lr <= 0 or self.grad_clip <= 0:
+            raise ValueError("lr and grad_clip must be positive")
         if self.action_stream not in ("shared", "dense"):
             raise ValueError("action_stream must be 'shared' or 'dense'")
         if self.action_stream == "shared":
@@ -349,10 +351,6 @@ class DFPNetwork:
             + self.expectation_stream.layers
             + self.action_stream.layers
         )
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
 
     def parameter_count(self) -> int:
         return sum(p.size for layer in self.layers for p in layer.params.values())
@@ -775,7 +773,6 @@ class DFPAgent:
         mask[np.arange(n), actions] = 1.0
 
         loss, grad = mse_loss(preds, targets, mask=mask)
-        self.optimizer.zero_grad()
         self.network.backward(grad)
         self.optimizer.clip_gradients(c.grad_clip)
         self.optimizer.step()

@@ -41,6 +41,8 @@ class TrainingResult:
 
     def final_loss(self, tail: int = 5) -> float:
         """Mean loss over the last ``tail`` episodes (convergence level)."""
+        if tail < 1:
+            raise ValueError("tail must be >= 1")
         if not self.losses:
             return 0.0
         return float(np.mean(self.losses[-tail:]))

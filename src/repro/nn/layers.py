@@ -5,8 +5,8 @@ Each layer follows the same protocol:
 * ``forward(x, training=False)`` caches whatever the backward pass needs
   and returns the output,
 * ``backward(grad_out)`` consumes the upstream gradient and returns the
-  gradient with respect to the layer input, accumulating parameter
-  gradients in ``self.grads``,
+  gradient with respect to the layer input, overwriting the parameter
+  gradients in ``self.grads`` (nothing accumulates; nothing is zeroed),
 * ``Dense`` and ``LeakyReLU`` — the layers every training step runs —
   write ``forward(x, training=True)`` and ``backward`` results into
   buffers they own and reuse, so those arrays are valid only until the
@@ -52,7 +52,8 @@ class Layer:
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
-        """Parameter gradients, keyed like ``params``.
+        """Parameter gradients, keyed like ``params``: what the last
+        ``backward`` wrote, in place — optimisers hold views of them.
 
         The arrays appear, as zeros, at first access (the first backward
         pass or optimiser step), so a process that only ever runs
@@ -87,10 +88,6 @@ class Layer:
         :meth:`forward`. The default falls back to ``forward``.
         """
         return self.forward(x)
-
-    def zero_grad(self) -> None:
-        for grad in (self._grads or {}).values():
-            grad[...] = 0.0
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -142,10 +139,8 @@ class Dense(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        grad_w = self._buffer("grad_W", self.params["W"].shape)
-        np.matmul(self._x.T, grad_out, out=grad_w)
-        self.grads["W"] += grad_w
-        self.grads["b"] += grad_out.sum(axis=0)
+        np.matmul(self._x.T, grad_out, out=self.grads["W"])
+        np.sum(grad_out, axis=0, out=self.grads["b"])
         if not self.input_grad:
             return None
         grad_in = self._buffer("grad_in", self._x.shape)
@@ -202,11 +197,10 @@ class SlotDense(Dense):
         j, batch, width = self.joint_features, joint.shape[0], self.out_features
         summed = self._buffer("grad_base", (batch, width))
         np.sum(grad_out.reshape(batch, -1, width), axis=1, out=summed)
-        grad_w = self._buffer("grad_W", self.params["W"].shape)
+        grad_w = self.grads["W"]
         np.matmul(joint.T, summed, out=grad_w[:j])
         np.matmul(slots.T, grad_out, out=grad_w[j:])
-        self.grads["W"] += grad_w
-        self.grads["b"] += summed.sum(axis=0)
+        np.sum(summed, axis=0, out=self.grads["b"])
         grad_in = self._buffer("grad_in", joint.shape)
         return np.matmul(summed, self.params["W"][:j].T, out=grad_in)
 
@@ -280,9 +274,9 @@ class Conv1D(Layer):
             raise RuntimeError("backward called before forward")
         batch, out_len = grad_out.shape[0], grad_out.shape[1]
         flat = self._cols.reshape(batch, out_len, -1)
-        grad_w = np.einsum("bof,bok->fk", flat, grad_out)
-        self.grads["W"] += grad_w.reshape(self.params["W"].shape)
-        self.grads["b"] += grad_out.sum(axis=(0, 1))
+        grad_w = self.grads["W"].reshape(-1, self.out_channels)
+        np.einsum("bof,bok->fk", flat, grad_out, out=grad_w)
+        np.sum(grad_out, axis=(0, 1), out=self.grads["b"])
 
         w = self.params["W"].reshape(-1, self.out_channels)
         grad_cols = (grad_out @ w.T).reshape(

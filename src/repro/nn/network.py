@@ -104,10 +104,6 @@ class Sequential:
             grad_out = layer.backward(grad_out)
         return grad_out
 
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
     def parameter_count(self) -> int:
         """Total number of trainable scalars."""
         return sum(p.size for layer in self.layers for p in layer.params.values())

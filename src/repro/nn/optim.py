@@ -1,21 +1,22 @@
 """First-order optimizers operating on layer parameter dicts.
 
-An optimizer is bound to a list of layers; ``step()`` consumes the
-gradients accumulated in each layer's ``grads`` dict and updates the
-matching entry in ``params`` in place (in-place updates keep the arrays
-shared with any serialisation references, per the HPC guide's
-"in-place operations" idiom).
+An optimizer is bound to a list of layers; ``step()`` reads the
+gradients the last backward pass wrote into each layer's ``grads`` and
+updates the matching entry in ``params`` in place (in-place updates keep
+the arrays shared with any serialisation references).
 
 Updates allocate nothing either: ``step()`` sweeps every tensor in
-cache-sized blocks of its flat storage and hands each block, with two
-scratch blocks, to the subclass's elementwise ``_update``. The
-operations and their order are those of the textbook whole-tensor
-expressions, so the results are bit-identical to them
-(``tests/unit/_nn_reference.py`` keeps the allocating Adam as the
+cache-sized blocks of its flat storage, views built at the first step,
+and hands each block with two scratch blocks to the subclass's
+elementwise ``_update``. The operations and their order are those of the
+textbook whole-tensor expressions, so the results are bit-identical to
+them (``tests/unit/_nn_reference.py`` keeps the allocating Adam as the
 oracle).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,29 +52,43 @@ class Optimizer:
         #: ``step()`` calls so far
         self.steps = 0
         #: one ``{parameter key: array}`` dict per kind of state (moments,
-        #: velocity); entries appear, as zeros, at a parameter's first step
+        #: velocity); entries appear, as zeros, at the first step or clip
         self._state: tuple[dict[str, np.ndarray], ...] = ()
-        self._scratch = np.empty(2 * _BLOCK)
+        self._built: tuple[list, list] | None = None
 
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
+    def _views(self) -> tuple[list, list]:
+        """Built at the first step or clip: per tensor ``(params, name,
+        param, grad, squares)`` (stale check, clip norm), per block the
+        ``(param, grad, *state, a, b)`` views :meth:`_update` takes."""
+        if self._built is None:
+            sizes = [p.size for layer in self.layers for p in layer.params.values()]
+            scratch = np.empty(max([2 * _BLOCK, *sizes]))
+            a, b = scratch[:_BLOCK], scratch[_BLOCK : 2 * _BLOCK]
+            tensors, blocks = [], []
+            for li, layer in enumerate(self.layers):
+                for name, param in layer.params.items():
+                    grad = layer.grads[name]
+                    key = f"{li}.{name}"
+                    state = [s.setdefault(key, np.zeros_like(param)) for s in self._state]
+                    flat = [_flat(x) for x in (param, grad, *state)]
+                    for lo in range(0, param.size, _BLOCK):
+                        n = min(_BLOCK, param.size - lo)
+                        blocks.append((*(x[lo : lo + n] for x in flat), a[:n], b[:n]))
+                    # Whole-tensor squares in a layout-matched scratch view:
+                    # blocking would change the pairwise summation order.
+                    squares = scratch[: grad.size].reshape(grad.shape)
+                    tensors.append((layer.params, name, param, grad, squares))
+            self._built = tensors, blocks
+        return self._built
 
     def step(self) -> None:
+        tensors, blocks = self._views()
+        if any(params[name] is not param for params, name, param, *_ in tensors):
+            raise ValueError("a parameter was replaced after the first step; update it in place")
         self.steps += 1
-        a, b = self._scratch[:_BLOCK], self._scratch[_BLOCK : 2 * _BLOCK]
-        for li, layer in enumerate(self.layers):
-            for name, param in layer.params.items():
-                key = f"{li}.{name}"
-                arrays = [param, layer.grads[name]]
-                for store in self._state:
-                    if key not in store:
-                        store[key] = np.zeros_like(param)
-                    arrays.append(store[key])
-                flat = [_flat(x) for x in arrays]
-                for lo in range(0, param.size, _BLOCK):
-                    n = min(_BLOCK, param.size - lo)
-                    self._update(*(x[lo : lo + n] for x in flat), a[:n], b[:n])
+        update = self._update
+        for block in blocks:
+            update(*block)
 
     def _update(self, param: np.ndarray, grad: np.ndarray, *state_and_scratch) -> None:
         """Update one block in place: ``(param, grad, *state, a, b)`` are
@@ -82,24 +97,21 @@ class Optimizer:
         raise NotImplementedError
 
     def clip_gradients(self, max_norm: float) -> float:
-        """Global-norm gradient clipping; returns the pre-clip norm."""
+        """Global-norm gradient clipping; returns the pre-clip norm. A
+        non-finite norm raises: a step would write NaN into every weight."""
         if max_norm <= 0:
             raise ValueError("max_norm must be positive")
+        tensors = self._views()[0]
         total = 0.0
-        for layer in self.layers:
-            for grad in layer.grads.values():
-                # Whole-tensor squares in a layout-matched scratch view:
-                # blocking would change the pairwise summation order.
-                if self._scratch.size < grad.size:
-                    self._scratch = np.empty(grad.size)
-                squares = self._scratch[: grad.size].reshape(grad.shape)
-                total += float(np.square(grad, out=squares).sum())
-        norm = float(np.sqrt(total))
+        for *_, grad, squares in tensors:
+            total += float(np.square(grad, out=squares).sum())
+        norm = math.sqrt(total)
+        if not math.isfinite(norm):
+            raise FloatingPointError(f"gradient norm is {norm}")
         if norm > max_norm:
             scale = max_norm / (norm + 1e-12)
-            for layer in self.layers:
-                for grad in layer.grads.values():
-                    grad *= scale
+            for *_, grad, squares in tensors:
+                grad *= scale
         return norm
 
 

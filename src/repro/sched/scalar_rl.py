@@ -179,7 +179,6 @@ class ScalarRLScheduler(Scheduler):
         grad_logits = adv[:, None] * (probs - onehot) / len(actions)
         grad_logits = np.where(masks, grad_logits, 0.0)
 
-        self.optimizer.zero_grad()
         self.policy.backward(grad_logits)
         self.optimizer.clip_gradients(5.0)
         self.optimizer.step()

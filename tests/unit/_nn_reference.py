@@ -9,6 +9,11 @@ buffered step must reproduce them bit for bit — it only re-uses memory
 and drops a product nobody reads — and ``test_nn_gradients.py`` holds it
 to that.
 
+The library's layers *overwrite* ``grads`` on every backward pass; the
+reference layers accumulate into them (``grads += ...``), so the
+reference agent zeroes them before each backward pass
+(:func:`zero_grads`).
+
 The shared action head's first layer is *defined* factored
 (:class:`repro.nn.layers.SlotDense`: the joint product once per row, the
 slot product per slot); :class:`ReferenceSlotDense` is that definition
@@ -45,6 +50,7 @@ __all__ = [
     "as_reference",
     "as_concatenating",
     "whole_tensor_update",
+    "zero_grads",
 ]
 
 
@@ -108,9 +114,10 @@ class ConcatenatedSlotDense(SlotDense):
         return concatenated_head(*x, self.params["W"], self.params["b"])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        # Runs inside a library agent, which never zeroes: overwrite.
         joint, slots = self._x
-        self.grads["W"] += concatenated_rows(joint, slots).T @ grad_out
-        self.grads["b"] += grad_out.sum(axis=0)
+        self.grads["W"][...] = concatenated_rows(joint, slots).T @ grad_out
+        self.grads["b"][...] = grad_out.sum(axis=0)
         grad_joint = (grad_out @ self.params["W"].T)[:, : self.joint_features]
         return grad_joint.reshape(joint.shape[0], -1, self.joint_features).sum(axis=1)
 
@@ -161,6 +168,13 @@ class ReferenceAdam(Adam):
                 for grad in layer.grads.values():
                     grad *= scale
         return norm
+
+
+def zero_grads(layers) -> None:
+    """Zero every gradient of ``layers``: the reference layers accumulate."""
+    for layer in layers:
+        for grad in layer.grads.values():
+            grad[...] = 0.0
 
 
 def whole_tensor_update(optimizer, state: dict, param: np.ndarray, grad: np.ndarray) -> None:
@@ -244,7 +258,7 @@ class ReferenceDFPAgent(DFPAgent):
         mask[np.arange(n), actions] = 1.0
 
         loss, grad = mse_loss(preds, targets, mask=mask)
-        self.optimizer.zero_grad()
+        zero_grads(self.optimizer.layers)
         self.network.backward(grad)
         self.optimizer.clip_gradients(c.grad_clip)
         self.optimizer.step()

@@ -22,7 +22,6 @@ class TestBuild:
     def test_gradients_flow(self, rng):
         module, _ = build_cnn_state_module(60, out_dim=8, rng=rng)
         x = rng.random((2, 60))
-        module.zero_grad()
         module.forward(x, training=True)
         grad_in = module.backward(np.ones((2, 8)))
         assert grad_in.shape == x.shape

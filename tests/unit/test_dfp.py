@@ -99,7 +99,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("batch_size", 0), ("batch_size", -3), ("train_batches_per_episode", -1)],
+        [("batch_size", 0), ("batch_size", -3), ("train_batches_per_episode", -1),
+         ("lr", 0.0), ("lr", -1e-3), ("grad_clip", 0.0), ("grad_clip", -1.0)],
     )
     def test_training_sizes_validated(self, field, value):
         with pytest.raises(ValueError):
@@ -156,7 +157,6 @@ class TestNetwork:
         def scalar():
             return float((net.forward(s, m, g) * w).sum())
 
-        net.zero_grad()
         net.forward(s, m, g)
         net.backward(w)
         eps = 1e-6
@@ -398,3 +398,19 @@ class TestTrainingStepStorage:
         ]
         for key, value in straight.state_dict().items():
             np.testing.assert_array_equal(resumed.state_dict()[key], value)
+
+    def test_load_mid_training_then_step_moves_the_loaded_arrays(self):
+        """``load_state_dict`` copies into the arrays the optimiser's
+        prebuilt views point at, so the next step trains what was loaded."""
+        agent, donor = self._agent(), DFPAgent(self._agent().config, rng=9)
+        arrays = [p for layer in agent.network.layers for p in layer.params.values()]
+        for _ in range(2):
+            agent.train_batch()
+        loaded = donor.network.state_dict()
+        agent.load_state_dict(loaded)
+        agent.train_batch()
+        now = [p for layer in agent.network.layers for p in layer.params.values()]
+        assert all(a is b for a, b in zip(arrays, now, strict=True))
+        for key, value in agent.network.state_dict().items():
+            assert not np.array_equal(value, loaded[key]), key
+            np.testing.assert_allclose(value, loaded[key], rtol=0, atol=0.01)

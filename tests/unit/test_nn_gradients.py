@@ -85,7 +85,6 @@ def check_param_grads(layer, x: np.ndarray, seed: int = 0) -> None:
     def scalar() -> float:
         return float((layer.forward(x) * w).sum())
 
-    layer.zero_grad()
     layer.forward(x)
     layer.backward(w)
     for name, param in layer.params.items():
@@ -149,7 +148,6 @@ class TestNetworkGradients:
         def scalar() -> float:
             return float((net.forward(x) * w).sum())
 
-        net.zero_grad()
         net.forward(x)
         analytic_x = net.backward(w)
         np.testing.assert_allclose(
@@ -179,7 +177,6 @@ class TestNetworkGradients:
         def scalar() -> float:
             return float((net.forward(x) * w).sum())
 
-        net.zero_grad()
         net.forward(x)
         analytic_x = net.backward(w)
         np.testing.assert_allclose(
@@ -245,7 +242,6 @@ class TestSlotDense:
         def scalar() -> float:
             return float((layer.forward(x) * proj).sum())
 
-        layer.zero_grad()
         layer.forward(x, training=True)
         grad_joint = layer.backward(proj).copy()
         assert grad_joint.shape == x[0].shape
@@ -278,15 +274,22 @@ class TestSlotDense:
         np.testing.assert_array_equal(layer.infer(x, InferenceWorkspace(), "k"), want)
         assert not np.shares_memory(fresh, layer.forward(x, training=True))
 
-    def test_gradients_accumulate_until_zeroed(self, rng):
+    def test_backward_overwrites_both_row_blocks(self, rng):
+        """A second backward pass leaves exactly its own gradient in the
+        joint rows, the slot rows and the bias — nothing of the first."""
         layer, x = self._case(rng, 2, 3, False)
-        proj = rng.normal(size=(6, self.OUT))
+        twin = SlotDense(self.J, self.SLOT, self.OUT, rng=0)
+        twin.params = layer.params
+        first, second = rng.normal(size=(2, 6, self.OUT))
         layer.forward(x, training=True)
-        layer.backward(proj)
-        once = {k: v.copy() for k, v in layer.grads.items()}
-        layer.backward(proj)
-        for name, value in once.items():
-            np.testing.assert_array_equal(layer.grads[name], 2 * value)
+        layer.backward(first)
+        arrays = dict(layer.grads)
+        layer.backward(second)
+        twin.forward(x, training=True)
+        twin.backward(second)
+        for name, grad in layer.grads.items():
+            assert grad is arrays[name]
+            np.testing.assert_array_equal(grad, twin.grads[name])
 
     def test_state_and_init_are_a_plain_dense(self):
         layer, dense = SlotDense(6, 3, 5, rng=3), Dense(9, 5, rng=3)

@@ -46,26 +46,37 @@ class TestDense:
         with pytest.raises(RuntimeError):
             Dense(2, 2, rng=rng).backward(np.zeros((1, 2)))
 
-    def test_gradient_accumulates_until_zeroed(self, rng):
-        layer = Dense(3, 2, rng=rng)
-        x = rng.random((4, 3))
-        layer.forward(x)
-        layer.backward(np.ones((4, 2)))
-        g1 = layer.grads["W"].copy()
-        layer.forward(x)
-        layer.backward(np.ones((4, 2)))
-        np.testing.assert_allclose(layer.grads["W"], 2 * g1)
-        layer.zero_grad()
-        assert np.all(layer.grads["W"] == 0)
+    @pytest.mark.parametrize(
+        "make, x_shape, out_shape",
+        [
+            (lambda: Dense(3, 2, rng=4), (4, 3), (4, 2)),
+            (lambda: Conv1D(2, 3, kernel_size=3, stride=2, rng=4), (2, 9, 2), (2, 4, 3)),
+        ],
+        ids=["dense", "conv1d"],
+    )
+    def test_backward_overwrites_gradients(self, rng, make, x_shape, out_shape):
+        """``grads`` holds the last backward pass's gradient, in the same
+        arrays: a second pass leaves exactly what it alone writes."""
+        layer, twin = make(), make()
+        x = rng.normal(size=x_shape)
+        first, second = rng.normal(size=(2, *out_shape))
+        layer.forward(x, training=True)
+        layer.backward(first)
+        arrays = dict(layer.grads)
+        layer.backward(second)
+        twin.forward(x, training=True)
+        twin.backward(second)
+        for name, grad in layer.grads.items():
+            assert grad is arrays[name]
+            np.testing.assert_array_equal(grad, twin.grads[name])
 
     def test_gradient_buffers_appear_at_first_training_use(self, rng):
-        """Forward passes and ``zero_grad`` leave them unset; the first
-        backward pass finds them as zeros."""
+        """Forward passes leave them unset; the first backward pass
+        writes them."""
         layer = Dense(3, 2, rng=rng)
         x = rng.random((4, 3))
         layer.infer(x)
         layer.forward(x, training=True)
-        layer.zero_grad()
         assert layer._grads is None
         layer.backward(np.ones((4, 2)))
         np.testing.assert_array_equal(layer.grads["W"], x.T @ np.ones((4, 2)))

@@ -22,7 +22,6 @@ def quadratic_step_count(optimizer_cls, lr, tol=1e-3, max_steps=3000, **kwargs) 
         loss, grad = mse_loss(pred, y)
         if loss < tol:
             return step
-        opt.zero_grad()
         layer.backward(grad)
         opt.step()
     return max_steps
@@ -51,7 +50,6 @@ def test_adam_faster_than_sgd_on_ill_conditioned():
         opt = opt_cls([layer], lr=lr)
         for _ in range(300):
             loss, grad = mse_loss(layer.forward(x), y)
-            opt.zero_grad()
             layer.backward(grad)
             opt.step()
         return mse_loss(layer.forward(x), y)[0]
@@ -103,6 +101,20 @@ class TestGradientClipping:
         with pytest.raises(ValueError):
             SGD([Dense(2, 2, rng=rng)], lr=0.1).clip_gradients(0.0)
 
+    def test_non_finite_norm_raises_before_any_weight_moves(self, rng):
+        """A NaN norm is not ``> max_norm``; stepping on it would write
+        NaN into every weight."""
+        layer = Dense(3, 2, rng=rng)
+        opt = Adam([layer], lr=0.1)
+        before = {name: param.copy() for name, param in layer.params.items()}
+        layer.forward(rng.normal(size=(4, 3)), training=True)
+        layer.backward(np.full((4, 2), np.nan))
+        with pytest.raises(FloatingPointError):
+            opt.clip_gradients(1.0)
+            opt.step()
+        for name, param in layer.params.items():
+            np.testing.assert_array_equal(param, before[name])
+
 
 def test_optimizer_updates_in_place(rng):
     """Parameter arrays must keep their identity (serialisation aliases)."""
@@ -113,17 +125,6 @@ def test_optimizer_updates_in_place(rng):
     layer.backward(np.ones((1, 2)))
     opt.step()
     assert layer.params["W"] is ref
-
-
-def test_zero_grad_via_optimizer(rng):
-    net = Sequential([Dense(2, 4, rng=rng), Dense(4, 1, rng=rng)])
-    opt = SGD(net.layers, lr=0.1)
-    net.forward(np.ones((3, 2)))
-    net.backward(np.ones((3, 1)))
-    opt.zero_grad()
-    for layer in net.layers:
-        for grad in layer.grads.values():
-            assert np.all(grad == 0)
 
 
 @pytest.mark.parametrize("opt_cls", [SGD, Momentum, RMSProp], ids=["sgd", "momentum", "rmsprop"])
@@ -141,6 +142,25 @@ def test_blocked_update_is_the_whole_tensor_expression(opt_cls, rng):
         opt.step()
     for name, param in layer.params.items():
         np.testing.assert_array_equal(param, expected[name])
+
+
+@pytest.mark.parametrize("opt_cls", [SGD, Adam], ids=["sgd", "adam"])
+def test_parameter_replaced_after_first_step_is_refused(opt_cls, rng):
+    """The step's views point at the arrays of its first step; updating
+    them after the layer dropped one would train a dead array."""
+    net = Sequential([Dense(2, 4, rng=rng), Dense(4, 1, rng=rng)])
+    opt = opt_cls(net.layers, lr=0.1)
+    net.forward(np.ones((3, 2)), training=True)
+    net.backward(np.ones((3, 1)))
+    opt.step()
+    replaced = net.layers[1].params["W"] = net.layers[1].params["W"].copy()
+    before = [param.copy() for layer in net.layers for param in layer.params.values()]
+    with pytest.raises(ValueError, match="replaced"):
+        opt.step()
+    after = [param for layer in net.layers for param in layer.params.values()]
+    for param, value in zip(after, before):
+        np.testing.assert_array_equal(param, value)
+    assert opt.steps == 1 and net.layers[1].params["W"] is replaced
 
 
 def test_non_contiguous_parameter_is_refused(rng):

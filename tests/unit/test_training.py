@@ -80,3 +80,10 @@ class TestTrainingResult:
 
     def test_final_loss_empty(self):
         assert TrainingResult().final_loss() == 0.0
+
+    @pytest.mark.parametrize("tail", [0, -1])
+    def test_final_loss_rejects_empty_tail(self, tail):
+        """``losses[-0:]`` is the whole list: a tail of 0 would average
+        everything."""
+        with pytest.raises(ValueError):
+            TrainingResult(losses=[10.0, 1.0, 1.0]).final_loss(tail)
