@@ -1,6 +1,6 @@
 """``repro`` — the command-line front door to the scenario API.
 
-Four subcommands, each a thin shell over :mod:`repro.api`:
+Eight subcommands, each a thin shell over :mod:`repro.api`:
 
 ``repro list``
     Show every registered scheduler, workload and system with its
@@ -14,10 +14,6 @@ Four subcommands, each a thin shell over :mod:`repro.api`:
     Replay recorded decision traces through offline policies and print
     the agreement / rank-correlation / regret comparison (record traces
     with ``repro run`` on a scenario that has an ``evaluation`` block).
-``repro bench --scale smoke --check``
-    Run the hot-path micro-benchmarks (``repro.perf``), print the
-    timing table, optionally append a ``BENCH_hotpath.json`` trajectory
-    entry and enforce the normalised regression guard.
 ``repro work --queue DIR``
     Join a shared-directory work queue as an elastic worker: claim
     lease-able grid cells, execute them, publish durably, repeat until
@@ -180,42 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--list-policies", action="store_true",
                         help="list registered offline policies and exit")
     p_eval.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the hot-path micro-benchmarks (repro.perf)",
-        description="Time the simulate→decide→replay hot path: a saturated "
-                    "FCFS replay, an MRSch training episode, and pool/DFP "
-                    "micro-benchmarks. Timings are normalised by an "
-                    "on-machine calibration loop; --append records a "
-                    "BENCH_hotpath.json trajectory entry, --check fails "
-                    "(exit 1) when the run regresses more than --threshold "
-                    "versus the last committed entry at the same scale.",
-    )
-    p_bench.add_argument("--scale", "--suite", dest="scale",
-                         choices=("full", "smoke"), default="full",
-                         help="benchmark suite sizing (smoke: seconds, for "
-                              "CI); --suite is an alias")
-    p_bench.add_argument("--list", action="store_true", dest="list_benches",
-                         help="list available benchmarks with their "
-                              "per-suite sizings and exit")
-    p_bench.add_argument("--only", nargs="+", default=None, metavar="NAME",
-                         help="run only the named benchmark(s); see --list")
-    p_bench.add_argument("--label", default="local",
-                         help="trajectory label for this run")
-    p_bench.add_argument("--out", default=None, metavar="FILE",
-                         help="trajectory file (default: BENCH_hotpath.json "
-                              "at the repository root)")
-    p_bench.add_argument("--append", action="store_true",
-                         help="append this run to the trajectory file")
-    p_bench.add_argument("--check", action="store_true",
-                         help="fail if slower than the committed baseline")
-    p_bench.add_argument("--threshold", type=float, default=1.5,
-                         help="allowed normalised slowdown for --check")
-    p_bench.add_argument("--no-float32", action="store_true",
-                         help="skip the float32 scoring benchmark")
-    p_bench.add_argument("--json", action="store_true",
-                         help="machine-readable output")
 
     p_work = sub.add_parser(
         "work",
@@ -527,107 +487,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        TRAJECTORY_PATH,
-        append_entry,
-        calibrate,
-        check_regression,
-        load_trajectory,
-        make_entry,
-        run_suite,
-    )
-    from repro.perf import list_benches
-    from repro.perf.trajectory import format_entry, latest_entry
-
-    if args.list_benches:
-        benches = list_benches()
-        if args.json:
-            print(json.dumps(benches, indent=2, sort_keys=True))
-            return 0
-        print("Hot-path benchmarks:")
-        for bench in benches:
-            print(f"  {bench['name']:<22} {bench['description']}")
-            for scale_name, size in bench["sizes"].items():
-                sizing = ", ".join(f"{k}={v}" for k, v in size.items()) or "defaults"
-                print(f"  {'':<22}   {scale_name}: {sizing}")
-        return 0
-
-    if args.only and args.append:
-        # A partial entry would become the scale's newest baseline and
-        # silently blind --check for every benchmark it omits.
-        raise ValueError(
-            "--append records a full-suite baseline; it cannot be "
-            "combined with --only (drop --append, or run the whole suite)"
-        )
-
-    path = args.out if args.out is not None else TRAJECTORY_PATH
-    calibration = calibrate()
-    results = run_suite(
-        scale=args.scale,
-        float32=not args.no_float32,
-        only=_split_names(args.only) if args.only else None,
-    )
-    entry = make_entry(
-        args.label, results, calibration_s=calibration, scale=args.scale
-    )
-
-    failures: list[str] = []
-    baseline = None
-    if args.check:
-        # The baseline is resolved before any --append, so the current
-        # run can never be compared against itself — no label games.
-        baseline = latest_entry(load_trajectory(path), scale=args.scale)
-        if baseline is None:
-            raise ValueError(
-                f"--check needs a committed baseline entry at scale "
-                f"{args.scale!r} in {path}; record one with --append first"
-            )
-        compared = set(entry["results"]) & set(baseline.get("results", {}))
-        if not compared:
-            # check_regression skips non-overlapping names; a guard that
-            # compared nothing must not report success.
-            raise ValueError(
-                f"--check compared no benchmarks: the baseline entry "
-                f"{baseline.get('label', '?')!r} has none of "
-                f"{sorted(entry['results'])} — run the full suite or pick "
-                f"--only names the baseline covers"
-            )
-        failures = check_regression(entry, baseline, threshold=args.threshold)
-
-    appended = False
-    if args.append and not failures:
-        # Never record a run the guard rejected: it would become the
-        # newest same-scale entry and silently rebase later --check
-        # runs onto the regression.
-        append_entry(entry, path)
-        appended = True
-
-    if args.json:
-        print(json.dumps(
-            {"entry": entry,
-             "baseline": baseline,
-             "regressions": failures,
-             "trajectory_path": str(path)},
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print(format_entry(entry))
-        if appended:
-            print(f"\nappended to {path}")
-        elif args.append and failures:
-            print(f"\nNOT appended to {path}: the regression guard failed")
-        if baseline is not None and not failures:
-            print(f"\nregression guard OK vs {baseline.get('label', '?')} "
-                  f"({baseline.get('commit', '?')}, threshold "
-                  f"{args.threshold:.2f}x)")
-    if failures:
-        for failure in failures:
-            print(f"repro bench: REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_work(args: argparse.Namespace) -> int:
     from repro.dist import FaultPlan, QueueWorker, StoreUnavailable, WorkQueue
     from repro.obs.logbridge import configure_stderr_logging
@@ -853,7 +712,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
     "work": _cmd_work,
     "queue-status": _cmd_queue_status,
     "doctor": _cmd_doctor,

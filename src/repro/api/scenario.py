@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,6 +97,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_finite(value, where: str) -> None:
+    """Reject NaN and ±inf anywhere in ``value`` (JSON reads 1e400 as inf)."""
+    if isinstance(value, float):
+        _require(math.isfinite(value), f"{where} must be finite, got {value!r}")
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            _require_finite(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{where}[{i}]")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A declarative, serializable experiment description.
@@ -144,6 +157,8 @@ class Scenario:
     # -- validation -------------------------------------------------------
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            _require_finite(getattr(self, f.name), f"scenario.{f.name}")
         for field_name in ("methods", "workloads", "seeds"):
             value = getattr(self, field_name)
             if value is None and field_name == "seeds":
@@ -217,6 +232,13 @@ class Scenario:
             f"unknown system field(s) {sorted(unknown)}; "
             f"allowed: {sorted(_SYSTEM_KEYS)}",
         )
+        for key in ("nodes", "bb_units"):
+            size = self.system.get(key)
+            _require(
+                size is None
+                or (isinstance(size, int) and not isinstance(size, bool) and size > 0),
+                f"system.{key} must be a positive int, got {size!r}",
+            )
         self._lookup(SYSTEMS, self.system.get("name", "mini_theta"))
 
         _require(
@@ -322,8 +344,10 @@ class Scenario:
             policies = self.evaluation.get("policies")
             if policies is not None:
                 _require(
-                    isinstance(policies, (list, tuple)) and len(policies) > 0,
-                    f"evaluation.policies must be a non-empty list, got {policies!r}",
+                    isinstance(policies, (list, tuple)) and len(policies) > 0
+                    and all(isinstance(p, str) for p in policies),
+                    f"evaluation.policies must be a non-empty list of names, "
+                    f"got {policies!r}",
                 )
                 # Resolved against the offline-policy registry so a typo
                 # fails at load time, not after the whole grid has run.
@@ -443,6 +467,10 @@ class Scenario:
 
     @staticmethod
     def _lookup(registry, name: str):
+        _require(
+            isinstance(name, str),
+            f"{registry.kind} names must be strings, got {name!r}",
+        )
         try:
             return registry.get(name)
         except KeyError as exc:
@@ -613,7 +641,12 @@ class Scenario:
                 isinstance(sets, (list, tuple)) and len(sets) == 3,
                 f"config.curriculum_sets must be a 3-item list, got {sets!r}",
             )
-            kwargs["curriculum_sets"] = tuple(int(s) for s in sets)
+            try:
+                kwargs["curriculum_sets"] = tuple(int(s) for s in sets)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"config.curriculum_sets must hold ints, got {sets!r}"
+                ) from None
         if "ga" in self.config:
             ga = self.config["ga"]
             _require(

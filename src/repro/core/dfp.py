@@ -312,35 +312,13 @@ class DFPNetwork:
         self._joint_splits: tuple[int, int] = (state_out, state_out + c.module_out)
         # Reused inference buffers: one workspace per entry shape class
         # (per-decision scoring vs batched replay scoring), so the two
-        # paths do not thrash each other's buffers. Float64 by default —
-        # the workspace path is bit-identical to the allocating one;
-        # see :meth:`set_inference_dtype` for the reduced-precision mode.
+        # paths do not thrash each other's buffers; the workspace path is
+        # bit-identical to the allocating one.
         self._score_ws = InferenceWorkspace()
         self._batch_ws = InferenceWorkspace()
         # ``forward``/``backward`` pack their joint and head tensors here
         # (always float64; the layers own their activation buffers).
         self._train_ws = InferenceWorkspace()
-
-    def set_inference_dtype(self, dtype: np.dtype | str | None) -> None:
-        """Choose the inference precision (training is unaffected).
-
-        ``float32`` halves the memory traffic of every scoring matmul;
-        scores then deviate from the float64 path by ~1e-6 relative —
-        far below any scheduling-relevant margin, but *opt-in* because
-        the default contract is bit-identical scoring. ``None`` restores
-        float64.
-        """
-        self._score_ws = InferenceWorkspace(dtype or np.float64)
-        self._batch_ws = InferenceWorkspace(dtype or np.float64)
-
-    @property
-    def inference_dtype(self) -> np.dtype:
-        return self._score_ws.dtype
-
-    def notify_params_changed(self) -> None:
-        """Invalidate cast-parameter caches after a weight update."""
-        self._score_ws.invalidate_params()
-        self._batch_ws.invalidate_params()
 
     @property
     def layers(self) -> list:
@@ -451,10 +429,10 @@ class DFPNetwork:
         """
         c = self.config
         ws = self._score_ws
-        state = ws.cast("in_state", np.ascontiguousarray(state))
-        measurement = ws.cast("in_meas", np.ascontiguousarray(measurement))
-        goal = ws.cast("in_goal", np.ascontiguousarray(goal))
-        weights = ws.cast("in_weights", weights)
+        state = np.ascontiguousarray(state, dtype=np.float64)
+        measurement = np.ascontiguousarray(measurement, dtype=np.float64)
+        goal = np.ascontiguousarray(goal, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
         joint = self._infer_joint(ws, state, measurement, goal)
         batch = joint.shape[0]
 
@@ -462,8 +440,8 @@ class DFPNetwork:
         for li, layer in enumerate(self.expectation_stream.layers[:-1]):
             exp_h = layer.infer(exp_h, ws, ("exp", li))
         exp_last = self.expectation_stream.layers[-1]
-        expectation = exp_h @ (ws.param(exp_last, "W") @ weights) + (
-            ws.param(exp_last, "b") @ weights
+        expectation = exp_h @ (exp_last.params["W"] @ weights) + (
+            exp_last.params["b"] @ weights
         )  # (B,)
 
         act_last = self.action_stream.layers[-1]
@@ -472,14 +450,14 @@ class DFPNetwork:
             act_h = layer.infer(act_h, ws, ("act", li))
         if c.action_stream == "shared":
             actions = (
-                act_h @ (ws.param(act_last, "W") @ weights)
-                + ws.param(act_last, "b") @ weights
+                act_h @ (act_last.params["W"] @ weights)
+                + act_last.params["b"] @ weights
             ).reshape(batch, c.n_actions)
         else:
-            w_fold = ws.param(act_last, "W").reshape(
+            w_fold = act_last.params["W"].reshape(
                 -1, c.n_actions, c.pred_dim
             ) @ weights  # (in_features, n_actions)
-            b_fold = ws.param(act_last, "b").reshape(c.n_actions, c.pred_dim) @ weights
+            b_fold = act_last.params["b"].reshape(c.n_actions, c.pred_dim) @ weights
             actions = act_h @ w_fold + b_fold
         actions = actions - actions.mean(axis=1, keepdims=True)
         return expectation[:, None] + actions
@@ -490,17 +468,17 @@ class DFPNetwork:
         measurement: np.ndarray,
         goal: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`forward` for inference: same predictions (bit-identical
-        in float64), no gradient caches, intermediates in the batched
+        """:meth:`forward` for inference: same predictions (bit-identical),
+        no gradient caches, intermediates in the batched
         workspace. Used by replay-time batch scoring, where rows carry
         different goals and the weight folding of
         :meth:`forward_scores` does not apply.
         """
         c = self.config
         ws = self._batch_ws
-        state = ws.cast("in_state", np.ascontiguousarray(state))
-        measurement = ws.cast("in_meas", np.ascontiguousarray(measurement))
-        goal = ws.cast("in_goal", np.ascontiguousarray(goal))
+        state = np.ascontiguousarray(state, dtype=np.float64)
+        measurement = np.ascontiguousarray(measurement, dtype=np.float64)
+        goal = np.ascontiguousarray(goal, dtype=np.float64)
         joint = self._infer_joint(ws, state, measurement, goal)
         expectation = self.expectation_stream.infer(joint, ws, "exp")
         actions = self.action_stream.infer(
@@ -776,7 +754,6 @@ class DFPAgent:
         self.network.backward(grad)
         self.optimizer.clip_gradients(c.grad_clip)
         self.optimizer.step()
-        self.network.notify_params_changed()
         return loss
 
     def train_epoch(self, n_batches: int | None = None) -> float:
@@ -799,12 +776,3 @@ class DFPAgent:
         if eps is not None:
             self.epsilon = float(np.asarray(eps).ravel()[0])
         self.network.load_state_dict(state)
-        self.network.notify_params_changed()
-
-    def set_inference_dtype(self, dtype: np.dtype | str | None) -> None:
-        """Opt-in reduced-precision scoring — see
-        :meth:`DFPNetwork.set_inference_dtype`. Training precision is
-        untouched; only ``action_scores``/``action_scores_batch`` (and
-        anything built on them) run in the requested dtype.
-        """
-        self.network.set_inference_dtype(dtype)

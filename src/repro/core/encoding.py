@@ -306,9 +306,6 @@ class IncrementalStateEncoder:
         self._submits: list[float] = [0.0] * w
         self._slot_jobs: list[Job | None] = [None] * w
         self._scr_wr = np.zeros((w, r))
-        self._scr_wr_b = np.empty((w, r), dtype=bool)
-        self._fits = np.empty(w, dtype=bool)
-        self._fits_valid = False
         self._move_scratch = np.empty(w * base.job_dim)
         self._n_slots = 0
         #: id(job) → (job, raw requests, request fractions, squashed
@@ -373,36 +370,10 @@ class IncrementalStateEncoder:
         self._last_now = now
         return self._state
 
-    def encode_decision(
-        self, window: list[Job], pool: ResourcePool, now: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One call per decision: ``(state, requests, fits)``.
-
-        The scheduler's per-selection bundle — the state buffer plus
-        the window's raw request rows and feasibility bits, all three
-        views into this encoder's reused storage (valid until the next
-        encode, read-only).
-        """
-        state = self.encode(window, pool, now)
-        n = self._n_slots
-        self._ensure_fits(pool)
-        return state, self._reqs[:n], self._fits[:n]
-
-    def _ensure_fits(self, pool: ResourcePool) -> None:
-        """Materialise the feasibility bits for the last encoded window.
-
-        Usually a byproduct of the shortfall columns; this fallback
-        covers ``paper_layout`` mode (no shortfall block) and empty
-        windows.
-        """
-        if self._fits_valid:
-            return
-        n = self._n_slots
-        if n:
-            np.all(
-                self._reqs[:n] <= pool.free_vector(), axis=1, out=self._fits[:n]
-            )
-        self._fits_valid = True
+    #: The scheduler's once-per-decision entry point: :meth:`encode`
+    #: under its own name, so the encode layer can be timed where a
+    #: decision pays for it (``benchmarks/e2e/trace.py`` wraps it).
+    encode_decision = encode
 
     def _patch_units(self, pool: ResourcePool, now: float, same_clock: bool) -> None:
         # Clamping goes through :func:`_clamp` (the raw clip kernel)
@@ -492,7 +463,6 @@ class IncrementalStateEncoder:
         cache = self._job_cache
         ts, tclip = self._ts, self._tclip
         prev_n = self._n_slots
-        self._fits_valid = False
 
         # Shift fast path: the dominant window transition in the §III-C
         # loop is "job at position a started, later slots moved up one".
@@ -574,15 +544,8 @@ class IncrementalStateEncoder:
                 # The shortfall columns depend on the live free counts,
                 # which essentially always moved between decisions (a
                 # start or a release is what triggers re-selection).
-                # The subtract intermediate doubles as the feasibility
-                # test: request ≤ free ⟺ request − free ≤ 0 (exact in
-                # doubles for unit counts), serving window_fits.
                 short = self._scr_wr[:n]
                 np.subtract(self._reqs[:n], pool.free_vector(), out=short)
-                fits_wr = self._scr_wr_b[:n]
-                np.less_equal(short, 0.0, out=fits_wr)
-                np.logical_and.reduce(fits_wr, axis=1, out=self._fits[:n])
-                self._fits_valid = True
                 np.maximum(short, 0.0, out=short)
                 np.divide(short, self._caps, out=slots[:, nr + 2 :])
         if n < prev_n:
@@ -592,25 +555,3 @@ class IncrementalStateEncoder:
             for i in range(n, prev_n):
                 slot_jobs[i] = None
         self._n_slots = n
-
-    def window_requests(self, n: int) -> np.ndarray:
-        """The raw request matrix of the last encoded window's first
-        ``n`` slots (units, not fractions). Valid until the next
-        :meth:`encode`; read-only. Lets the MRSch feasibility prior
-        reuse the rows instead of re-extracting them per decision.
-        """
-        if n > self._n_slots:
-            raise ValueError(f"last encode populated {self._n_slots} slots, not {n}")
-        return self._reqs[:n]
-
-    def window_fits(self, n: int, pool: ResourcePool) -> np.ndarray:
-        """Per-slot feasibility of the last encoded window — the same
-        booleans ``pool.can_fit`` yields for validated jobs. Usually a
-        byproduct of the shortfall columns (computed at that instant's
-        free counts); recomputed here only in ``paper_layout`` mode.
-        Valid until the next :meth:`encode`; read-only.
-        """
-        if n > self._n_slots:
-            raise ValueError(f"last encode populated {self._n_slots} slots, not {n}")
-        self._ensure_fits(pool)
-        return self._fits[:n]

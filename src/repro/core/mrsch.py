@@ -270,9 +270,9 @@ class MRSchScheduler(Scheduler):
             self._pending = (None, None, None, prior, action)
             return DecisionInputs(needs_scores=False)
         # Patch the persistent decision buffer (bit-identical to a fresh
-        # encode). The bundle call, not ``encode``: it is the boundary
+        # encode). ``encode_decision``, not ``encode``: it is the boundary
         # outside tracers time the encode layer at.
-        state, _, _ = self._inc_encoder.encode_decision(window, ctx.pool, ctx.now)
+        state = self._inc_encoder.encode_decision(window, ctx.pool, ctx.now)
         if self.training or self.decision_recorder is not None:
             # Training steps and traces retain the state beyond this
             # decision; the shared buffer must not leak.

@@ -15,6 +15,7 @@ explicit, so the same harness drives full-scale runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.api.registry import SCHEDULERS, paper_methods
 from repro.cluster.resources import SystemConfig
@@ -67,10 +68,11 @@ class ExperimentConfig:
                 )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"ExperimentConfig.seed must be an int, got {self.seed!r}")
-        if self.mean_interarrival <= 0:
+        gap = self.mean_interarrival
+        if isinstance(gap, bool) or not isinstance(gap, (int, float)) or not 0 < gap < inf:
             raise ValueError(
-                "ExperimentConfig.mean_interarrival must be positive (seconds "
-                f"between submissions), got {self.mean_interarrival!r}"
+                "ExperimentConfig.mean_interarrival must be positive (a finite "
+                f"number of seconds between submissions), got {gap!r}"
             )
         sets = self.curriculum_sets
         if (

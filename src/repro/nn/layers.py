@@ -149,10 +149,9 @@ class Dense(Layer):
     def infer(self, x: np.ndarray, workspace=None, key=None) -> np.ndarray:
         if workspace is None:
             return x @ self.params["W"] + self.params["b"]
-        w = workspace.param(self, "W")
         out = workspace.buffer(key, (x.shape[0], self.out_features))
-        np.matmul(x, w, out=out)
-        out += workspace.param(self, "b")
+        np.matmul(x, self.params["W"], out=out)
+        out += self.params["b"]
         return out
 
 
@@ -173,13 +172,14 @@ class SlotDense(Dense):
         super().__init__(joint_features + slot_features, out_features, rng=rng)
         self.joint_features = joint_features
 
-    def _pre(self, x, w, b, buffer=lambda name, shape: np.empty(shape)) -> np.ndarray:
-        """The definition on weights ``w``, ``b``, in arrays from
-        ``buffer(name, shape)`` (fresh ones by default)."""
+    def _pre(self, x, buffer=lambda name, shape: np.empty(shape)) -> np.ndarray:
+        """The definition, in arrays from ``buffer(name, shape)`` (fresh
+        ones by default)."""
         joint, slots = x
         j, batch, width = self.joint_features, joint.shape[0], self.out_features
+        w = self.params["W"]
         base = np.matmul(joint, w[:j], out=buffer("base", (batch, width)))
-        base += b
+        base += self.params["b"]
         out = np.matmul(slots, w[j:], out=buffer("out", (slots.shape[0], width)))
         rows = out.reshape(batch, -1, width)
         rows += base[:, None, :]
@@ -187,8 +187,7 @@ class SlotDense(Dense):
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         self._x = x
-        w, b = self.params["W"], self.params["b"]
-        return self._pre(x, w, b, self._buffer) if training else self._pre(x, w, b)
+        return self._pre(x, self._buffer) if training else self._pre(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -206,9 +205,8 @@ class SlotDense(Dense):
 
     def infer(self, x, workspace=None, key=None) -> np.ndarray:
         if workspace is None:
-            return self._pre(x, self.params["W"], self.params["b"])
-        w, b = workspace.param(self, "W"), workspace.param(self, "b")
-        return self._pre(x, w, b, lambda name, shape: workspace.buffer((key, name), shape))
+            return self._pre(x)
+        return self._pre(x, lambda name, shape: workspace.buffer((key, name), shape))
 
 
 class Conv1D(Layer):

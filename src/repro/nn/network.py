@@ -11,57 +11,29 @@ __all__ = ["Sequential", "InferenceWorkspace"]
 
 
 class InferenceWorkspace:
-    """Reused output buffers and dtype-cast parameters for inference.
+    """Reused float64 output buffers for inference.
 
     The per-decision scoring path used to allocate every intermediate
     activation afresh — tens of small arrays per scheduling decision.
     A workspace hands each ``(chain, layer)`` key a persistent output
     buffer instead, so steady-state inference performs zero activation
-    allocations. It also memoises parameters cast to the workspace
-    dtype, which is what makes the opt-in ``float32`` scoring mode
-    cheap: weights are cast once per training update, not per decision.
+    allocations.
 
     Buffers are recycled by key: the result a layer returns is only
     valid until the same key is used again. Chains therefore give every
     layer its own key, and public APIs copy anything they hand out.
     """
 
-    def __init__(self, dtype: np.dtype | str = np.float64) -> None:
-        self.dtype = np.dtype(dtype)
+    def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
-        self._params: dict[tuple[int, str], np.ndarray] = {}
 
     def buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
         """A persistent ``shape``-sized scratch array for ``key``."""
         buf = self._buffers.get(key)
         if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=self.dtype)
+            buf = np.empty(shape, dtype=np.float64)
             self._buffers[key] = buf
         return buf
-
-    def param(self, layer: Layer, name: str) -> np.ndarray:
-        """``layer.params[name]``, cast to the workspace dtype (cached)."""
-        value = layer.params[name]
-        if value.dtype == self.dtype:
-            return value
-        key = (id(layer), name)
-        cached = self._params.get(key)
-        if cached is None:
-            cached = value.astype(self.dtype)
-            self._params[key] = cached
-        return cached
-
-    def cast(self, key, value: np.ndarray) -> np.ndarray:
-        """``value`` in the workspace dtype, via a reused buffer."""
-        if value.dtype == self.dtype:
-            return value
-        out = self.buffer(key, value.shape)
-        out[...] = value
-        return out
-
-    def invalidate_params(self) -> None:
-        """Drop cast-parameter caches (call after any weight update)."""
-        self._params.clear()
 
 
 class Sequential:

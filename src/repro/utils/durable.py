@@ -1,8 +1,7 @@
 """Durable records: how bytes reach disk and how they are trusted on
 the way back — decided here, once, for every artifact the library
 persists (cache entries, checkpoint and shard journals, batch specs,
-manifests, leases, telemetry snapshots, trace archives, the bench
-trajectory).
+manifests, leases, telemetry snapshots, trace archives).
 
 * :func:`atomic_write` replaces a file whole, so readers see the old
   file or the new one and a failed write leaves nothing behind.
@@ -14,7 +13,7 @@ trajectory).
   :data:`OK`, a :data:`TORN` tail, or :data:`CORRUPT`.
 
 Standard library only, so ``repro.exp`` / ``repro.obs`` /
-``repro.eval`` / ``repro.perf`` use it without importing ``repro.dist``.
+``repro.eval`` use it without importing ``repro.dist``.
 """
 
 from __future__ import annotations

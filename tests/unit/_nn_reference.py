@@ -262,7 +262,6 @@ class ReferenceDFPAgent(DFPAgent):
         self.network.backward(grad)
         self.optimizer.clip_gradients(c.grad_clip)
         self.optimizer.step()
-        self.network.notify_params_changed()
         return loss
 
 

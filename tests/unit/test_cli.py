@@ -1,9 +1,13 @@
 """Tests for the ``repro`` command-line entry point."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.api import cli
 from repro.api.cli import main
 
 TINY = {
@@ -104,6 +108,51 @@ class TestRun:
         assert first["reports"] == second["reports"]
 
 
+class TestCommands:
+    def test_docstring_names_every_subcommand(self):
+        action = next(
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        documented = re.findall(r"^``repro ([a-z-]+)", cli.__doc__, re.MULTILINE)
+        assert sorted(set(documented)) == sorted(action.choices)
+        assert len(action.choices) == 8
+        assert "\nEight subcommands," in cli.__doc__
+
+    def test_bench_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestMalformedScenarioFile:
+    """The first five rows once escaped ``main`` as a traceback; the
+    last three loaded without complaint."""
+
+    @pytest.mark.parametrize("example,mutate", [
+        ("smoke", lambda d: d.update(methods=[["heuristic"]])),
+        ("smoke", lambda d: d["system"].update(nodes={})),
+        ("bb_heavy_mix", lambda d: d["config"].update(curriculum_sets=[1, 1e400, 1])),
+        ("smoke", lambda d: d["config"].update(mean_interarrival="")),
+        ("offline_eval", lambda d: d["evaluation"].update(policies=[{}])),
+        ("power_aware_goals", lambda d: d["goal"]["weights"].update(node=float("nan"))),
+        ("bb_heavy_mix", lambda d: d["config"]["ga"].update(generations=float("inf"))),
+        ("smoke", lambda d: d["config"].update(mean_interarrival=float("inf"))),
+    ])
+    def test_one_line_and_exit_1(self, example, mutate, tmp_path, capsys):
+        doc = json.loads(
+            (Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+             / f"{example}.json").read_text()
+        )
+        mutate(doc)
+        path = tmp_path / f"{example}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: error: ") and err.count("\n") == 1
+
+
 class TestCompare:
     def test_inline_grid(self, capsys):
         code = main(
@@ -129,68 +178,6 @@ class TestCompare:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["S1"]) == {"heuristic@5", "heuristic@6"}
-
-
-class TestBench:
-    def test_list_benches(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "Hot-path benchmarks:" in out
-        assert "mrsch_theta_decision" in out and "fcfs_replay" in out
-        assert "smoke:" in out and "full:" in out
-
-    def test_list_benches_json(self, capsys):
-        assert main(["bench", "--list", "--json"]) == 0
-        benches = json.loads(capsys.readouterr().out)
-        names = {entry["name"] for entry in benches}
-        assert "mrsch_theta_decision" in names
-        theta = next(b for b in benches if b["name"] == "mrsch_theta_decision")
-        assert theta["sizes"]["full"]["nodes"] == 4392
-
-    def test_suite_alias_and_only(self, capsys):
-        code = main(
-            ["bench", "--suite", "smoke", "--only", "pool_accounting",
-             "--label", "t", "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["entry"]["scale"] == "smoke"
-        assert set(payload["entry"]["results"]) == {"pool_accounting"}
-
-    def test_only_with_append_is_refused(self, tmp_path, capsys):
-        """A partial entry must never become the scale's guard baseline."""
-        out_file = tmp_path / "traj.json"
-        code = main(
-            ["bench", "--only", "pool_accounting", "--append",
-             "--out", str(out_file)]
-        )
-        assert code == 1
-        assert "cannot be combined with --only" in capsys.readouterr().err
-        assert not out_file.exists()
-
-    def test_unknown_only_is_an_error(self, capsys):
-        assert main(["bench", "--only", "nope"]) == 1
-        assert "unknown benchmark" in capsys.readouterr().err
-
-    def test_check_with_no_overlap_is_an_error(self, tmp_path, capsys):
-        """--check must refuse a vacuous guard (zero compared benchmarks)."""
-        from repro.perf.hotpath import BenchResult
-        from repro.perf.trajectory import append_entry, make_entry
-
-        out_file = tmp_path / "traj.json"
-        baseline = make_entry(
-            "old",
-            {"fcfs_replay": BenchResult("fcfs_replay", wall_s=1.0, n_units=10)},
-            calibration_s=0.1,
-            scale="smoke",
-        )
-        append_entry(baseline, out_file)
-        code = main(
-            ["bench", "--scale", "smoke", "--only", "pool_accounting",
-             "--check", "--out", str(out_file)]
-        )
-        assert code == 1
-        assert "compared no benchmarks" in capsys.readouterr().err
 
 
 class TestWorkQueueCommands:

@@ -7,9 +7,9 @@ Contracts pinned here:
   float64 (buffer reuse must never change a score);
 * returned score arrays are safe to hold across calls (no aliasing of
   internal buffers);
-* the opt-in float32 mode stays within ~1e-5 relative of float64 and is
-  fully reversible;
-* parameter updates invalidate cast-parameter caches;
+* float32 or integer inputs are scored as float64;
+* inference reads the live parameters, so an in-place update, an
+  optimiser step or a loaded state shows in the very next score;
 * the shared head's factored first layer (``SlotDense``) changed nothing
   about what a network *is*: parameter names, shapes, initial draws and
   saved files are those of a ``Dense`` over the concatenated input;
@@ -143,29 +143,44 @@ class TestWorkspaceInference:
             )
             np.testing.assert_array_equal(got, want)
 
-    def test_float32_mode_close_and_reversible(self, net_and_inputs):
+    def test_narrow_inputs_are_scored_as_float64(self, net_and_inputs):
         net, state, meas, goal, weights = net_and_inputs
-        base = net.forward_scores(state, meas, goal, weights)
-        net.set_inference_dtype("float32")
-        fast = net.forward_scores(state, meas, goal, weights)
-        assert fast.dtype == np.float32
-        np.testing.assert_allclose(fast, base, rtol=1e-4, atol=1e-4)
-        assert net.inference_dtype == np.float32
-        net.set_inference_dtype(None)
+        state32, meas32, goal32 = (
+            a.astype(np.float32) for a in (state, meas, goal)
+        )
+        widened = [a.astype(np.float64) for a in (state32, meas32, goal32)]
+        scores = net.forward_scores(state32, meas32, goal32, weights.astype(np.float32))
+        assert scores.dtype == np.float64
         np.testing.assert_array_equal(
-            net.forward_scores(state, meas, goal, weights), base
+            scores,
+            net.forward_scores(*widened, weights.astype(np.float32).astype(np.float64)),
+        )
+        preds = net.forward_infer(state32, meas32, goal32)
+        assert preds.dtype == np.float64
+        np.testing.assert_array_equal(preds, net.forward(*widened))
+        ints = np.rint(state * 3).astype(np.int64)
+        np.testing.assert_array_equal(
+            net.forward_scores(ints, meas, goal, weights),
+            net.forward_scores(ints.astype(np.float64), meas, goal, weights),
         )
 
-    def test_param_updates_invalidate_cast_cache(self, net_and_inputs):
+    def test_param_updates_reach_the_next_forward(self, net_and_inputs):
+        """Inference reads the live parameters: an in-place update shows
+        in the very next call, with nothing cached to invalidate."""
         net, state, meas, goal, weights = net_and_inputs
-        net.set_inference_dtype("float32")
         before = net.forward_scores(state, meas, goal, weights).copy()
+        net.forward_infer(state, meas, goal)
         for layer in net.layers:
             for value in layer.params.values():
                 value *= 1.5
-        net.notify_params_changed()
         after = net.forward_scores(state, meas, goal, weights)
         assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(
+            after, reference_scores(net, state, meas, goal, weights)
+        )
+        np.testing.assert_array_equal(
+            net.forward_infer(state, meas, goal), net.forward(state, meas, goal)
+        )
 
 
 #: ``DFPAgent(small_config()).state_dict()`` as the tree before
@@ -242,26 +257,61 @@ class TestAgentInference:
         )[0]
         np.testing.assert_allclose(single, batched, atol=1e-12)
 
-    def test_float32_agent_actions_match_float64(self):
-        """Greedy actions survive the precision drop on clear margins."""
+    def test_float32_observations_act_as_float64(self):
         c = small_config()
         agent = DFPAgent(c, rng=7)
         rng = np.random.default_rng(1)
         mask = np.ones(c.n_actions, dtype=bool)
-        actions64 = []
-        inputs = [
-            (
-                rng.normal(size=c.state_dim),
-                rng.uniform(size=c.n_measurements),
-                rng.uniform(0.2, 0.8, size=c.n_measurements),
+        for _ in range(20):
+            obs32 = (
+                rng.normal(size=c.state_dim).astype(np.float32),
+                rng.uniform(size=c.n_measurements).astype(np.float32),
+                rng.uniform(0.2, 0.8, size=c.n_measurements).astype(np.float32),
             )
-            for _ in range(20)
+            obs64 = [a.astype(np.float64) for a in obs32]
+            scores = agent.action_scores(*obs32)
+            assert scores.dtype == np.float64
+            np.testing.assert_array_equal(scores, agent.action_scores(*obs64))
+            assert agent.act(*obs32, mask) == agent.act(*obs64, mask)
+
+    def test_training_step_reaches_the_next_score(self):
+        """A scored agent takes an optimiser step; its next scores are
+        those of a fresh agent loaded with the stepped weights."""
+        c = small_config()
+        agent = DFPAgent(c, rng=7)
+        rng = np.random.default_rng(2)
+        steps = [
+            (rng.normal(size=c.state_dim), rng.uniform(size=c.n_measurements),
+             rng.uniform(size=c.n_measurements), i % c.n_actions, i % 6 == 0)
+            for i in range(40)
         ]
-        for state, meas, goal in inputs:
-            actions64.append(agent.act(state, meas, goal, mask))
-        agent.set_inference_dtype("float32")
-        actions32 = [agent.act(state, meas, goal, mask) for state, meas, goal in inputs]
-        assert actions64 == actions32
+        agent.record_episode(steps, [rng.uniform(size=c.n_measurements) for _ in steps])
+        state, meas, goal = steps[0][:3]
+        batch = tuple(np.stack([s[k] for s in steps[:5]]) for k in range(3))
+        before = agent.action_scores(state, meas, goal).copy()
+        before_batch = agent.action_scores_batch(*batch).copy()
+        agent.train_batch()
+        twin = DFPAgent(c, rng=0)
+        twin.load_state_dict(agent.state_dict())
+        after = agent.action_scores(state, meas, goal)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, twin.action_scores(state, meas, goal))
+        after_batch = agent.action_scores_batch(*batch)
+        assert not np.array_equal(before_batch, after_batch)
+        np.testing.assert_array_equal(after_batch, twin.action_scores_batch(*batch))
+
+    def test_load_state_dict_reaches_the_next_score(self):
+        c = small_config()
+        agent, other = DFPAgent(c, rng=7), DFPAgent(c, rng=8)
+        rng = np.random.default_rng(3)
+        state = rng.normal(size=c.state_dim)
+        meas = rng.uniform(size=c.n_measurements)
+        goal = rng.uniform(size=c.n_measurements)
+        before = agent.action_scores(state, meas, goal).copy()
+        agent.load_state_dict(other.state_dict())
+        after = agent.action_scores(state, meas, goal)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, other.action_scores(state, meas, goal))
 
 
 # -- StratifiedReplay ---------------------------------------------------------

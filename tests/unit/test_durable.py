@@ -86,29 +86,6 @@ class TestAtomicWrite:
         atomic_write(target, lambda handle: handle.write(b"\x00\x01"), binary=True)
         assert target.read_bytes() == b"\x00\x01"
 
-    def test_bench_trajectory_append_cleans_up_a_failed_dump(
-        self, tmp_path, monkeypatch
-    ):
-        """perf.trajectory.append_entry used a fixed ``.tmp`` name that
-        concurrent recorders clobbered and a failed dump left behind."""
-        from repro.perf import trajectory
-
-        path = tmp_path / "BENCH.json"
-        trajectory.append_entry({"label": "first"}, path)
-        before = sorted(p.name for p in tmp_path.iterdir())
-
-        def failing_dump(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(trajectory.json, "dump", failing_dump)
-        with pytest.raises(OSError, match="disk full"):
-            trajectory.append_entry({"label": "second"}, path)
-        monkeypatch.undo()
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
-        assert [
-            e["label"] for e in trajectory.load_trajectory(path)["trajectory"]
-        ] == ["first"]
-
 
 class TestAppendLine:
     def test_lines_are_newline_terminated(self, tmp_path):

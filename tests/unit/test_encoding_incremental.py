@@ -4,9 +4,9 @@ The PR-5 decision fast path patches a persistent state buffer from pool
 dirty regions instead of rebuilding the §III-A vector per decision. Its
 whole contract is *bit-identity* with the fresh encoder — these tests
 pin it with a hypothesis property over random allocate/release/clock/
-reset histories (both layout modes), plus unit tests for the dirty
-tracker, the attachment lifecycle, and the window byproducts the MRSch
-prior consumes.
+reset histories (both layout modes) and a FIFO decision stream at full
+Theta geometry, plus unit tests for the dirty tracker and the attachment
+lifecycle.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 from repro.cluster.resources import (
     BURST_BUFFER,
     NODE,
+    PoolDirtyTracker,
     ResourcePool,
     ResourceSpec,
     SystemConfig,
 )
 from repro.core.encoding import IncrementalStateEncoder, StateEncoder
 from repro.sim.simulator import Simulator
+from repro.workload.job import Job
 from tests.conftest import make_job
 
 
@@ -112,11 +114,6 @@ class TestBitIdentity:
             a = fresh.encode(window, pool, now)
             b = inc.encode(window, pool, now)
             np.testing.assert_array_equal(a, b)
-            if size:
-                expected_fits = np.array([pool.can_fit(j) for j in window])
-                np.testing.assert_array_equal(
-                    inc.window_fits(size, pool), expected_fits
-                )
 
     def test_unsorted_release_burst_coalescing(self):
         """Release chunks whose concatenation would be unsorted must not
@@ -204,6 +201,80 @@ class TestBitIdentity:
         second = inc.encode([], pool, 1.0)
         assert first is second
 
+    def test_theta_decision_stream(self, monkeypatch):
+        """Every decision of a §III-C-shaped stream at full Theta
+        geometry (4,392 nodes, 1,290 burst-buffer units): scheduling
+        instances of 1–4 selections at one clock, the first fitting
+        window job started, finished jobs re-queued at the tail of the
+        FIFO queue and a clock advance between instances. At this size
+        a grant dirties a narrow slice of the pool, so the tracker's
+        chunk path — not only the full rebuild — runs."""
+        drains = []
+        drain = PoolDirtyTracker.drain
+
+        def spy(tracker):
+            out = drain(tracker)
+            drains.append(out)
+            return out
+
+        monkeypatch.setattr(PoolDirtyTracker, "drain", spy)
+        system = SystemConfig.theta()
+        fresh = StateEncoder(system, window_size=10)
+        inc = IncrementalStateEncoder(StateEncoder(system, window_size=10))
+        rng = np.random.default_rng(13)
+        queue = [
+            Job(
+                job_id=i,
+                submit_time=float(rng.integers(0, 50_000)),
+                runtime=float(rng.integers(300, 40_000)),
+                walltime=float(rng.integers(40_000, 90_000)),
+                requests={
+                    NODE: int(rng.integers(1, 4392 // 8)),
+                    BURST_BUFFER: int(rng.integers(0, 1290 // 8)),
+                },
+            )
+            for i in range(256)
+        ]
+        pool = ResourcePool(system)
+        running: list[tuple[float, Job]] = []
+        now = 0.0
+        decisions = 0
+        while decisions < 2_000:
+            now += float(rng.integers(30, 3_000))
+            for end, job in [pair for pair in running if pair[0] <= now]:
+                pool.release(job)
+                running.remove((end, job))
+                queue.append(job)
+            for _ in range(1 + int(rng.integers(0, 4))):
+                window = queue[:10]
+                np.testing.assert_array_equal(
+                    inc.encode_decision(window, pool, now),
+                    fresh.encode(window, pool, now),
+                    err_msg=f"decision {decisions}",
+                )
+                decisions += 1
+                job = next((j for j in window if pool.can_fit(j)), None)
+                if job is not None:
+                    pool.allocate(job, now)
+                    running.append((now + job.runtime, job))
+                    queue.remove(job)
+        assert drains[0] is None  # the attach-time full rebuild
+        assert any(drains[1:]), "the dirty-chunk path never ran"
+
+    @pytest.mark.parametrize("paper", [False, True])
+    def test_encode_decision_returns_the_state(self, paper):
+        """The scheduler's per-decision call hands back the encoder's
+        state buffer alone — the fresh encoding, whether or not the
+        window's jobs fit."""
+        system, fresh, inc = encoder_pair(paper)
+        pool = ResourcePool(system)
+        pool.allocate(make_job(job_id=9, nodes=12, runtime=100.0), 0.0)
+        window = [make_job(job_id=1, nodes=10), make_job(job_id=2, nodes=2, bb=1)]
+        state = inc.encode_decision(window, pool, 0.0)
+        assert isinstance(state, np.ndarray)
+        np.testing.assert_array_equal(state, fresh.encode(window, pool, 0.0))
+        assert state is inc.encode(window, pool, 0.0)
+
 
 class TestAttachment:
     def test_attaches_lazily_and_switches_pools(self):
@@ -261,38 +332,6 @@ class TestAttachment:
         )
 
 
-class TestWindowByproducts:
-    def test_window_requests_and_fits(self):
-        system, _, inc = encoder_pair(paper=False)
-        pool = ResourcePool(system)
-        pool.allocate(make_job(job_id=9, nodes=12, runtime=100.0), 0.0)
-        window = [
-            make_job(job_id=1, nodes=10),  # does not fit (4 free)
-            make_job(job_id=2, nodes=2, bb=1),  # fits
-        ]
-        state, reqs, fits = inc.encode_decision(window, pool, 0.0)
-        assert state is inc.encode(window, pool, 0.0)
-        np.testing.assert_array_equal(reqs, [[10.0, 0.0], [2.0, 1.0]])
-        np.testing.assert_array_equal(fits, [False, True])
-
-    def test_views_reject_overlong_requests(self):
-        system, _, inc = encoder_pair(paper=False)
-        pool = ResourcePool(system)
-        inc.encode([make_job(job_id=1, nodes=1)], pool, 0.0)
-        with pytest.raises(ValueError, match="populated"):
-            inc.window_requests(2)
-        with pytest.raises(ValueError, match="populated"):
-            inc.window_fits(2, pool)
-
-    def test_fits_in_paper_layout_mode(self):
-        system, _, inc = encoder_pair(paper=True)
-        pool = ResourcePool(system)
-        pool.allocate(make_job(job_id=9, nodes=15, runtime=100.0), 0.0)
-        window = [make_job(job_id=1, nodes=4), make_job(job_id=2, nodes=1)]
-        _, _, fits = inc.encode_decision(window, pool, 0.0)
-        np.testing.assert_array_equal(fits, [False, True])
-
-
 class TestDirtyTracker:
     def test_marks_and_drains_in_order(self):
         system = small_system()
@@ -343,7 +382,7 @@ class _FreshEncodes:
         self.encoder = encoder
 
     def encode_decision(self, window, pool, now):
-        return self.encoder.encode(window, pool, now), None, None
+        return self.encoder.encode(window, pool, now)
 
 
 class TestMRSchEquivalence:

@@ -12,7 +12,7 @@ training step's sums are associated differently from the layout it
 replaced (one GEMM over the concatenated ``joint ⊕ slot`` rows):
 ``TestSlotDense`` checks its gradients against finite differences and
 ``TestFactoredHeadBudget`` pins how far it may sit from the concatenated
-form — the fifth row of README's reassociation table.
+form — the fourth row of README's reassociation table.
 """
 
 import numpy as np

@@ -1,9 +1,13 @@
 """Tests for the declarative Scenario spec and its compilation."""
 
+import copy
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.scenario import Scenario, load_scenario
 from repro.exp.runner import grid_tasks
@@ -239,6 +243,97 @@ class TestValidation:
             Scenario.from_dict(
                 {"methods": ["heuristic"], "schedulers": ["mrsch"], "workloads": ["S1"]}
             )
+
+
+EXAMPLES = {
+    path.stem: json.loads(path.read_text())
+    for path in sorted(
+        (Path(__file__).resolve().parents[2] / "examples" / "scenarios").glob("*.json")
+    )
+}
+
+#: (example, path to the mutated value, new value, message): each row
+#: once escaped ``Scenario`` as a TypeError/OverflowError or loaded
+#: without complaint.
+MALFORMED = [
+    ("smoke", ("methods",), [["heuristic"]], "scheduler names must be strings"),
+    ("smoke", ("system", "nodes"), {}, "system.nodes must be a positive int"),
+    ("bb_heavy_mix", ("config", "curriculum_sets", 1), 1e400,
+     r"curriculum_sets\[1\] must be finite"),
+    ("smoke", ("config", "mean_interarrival"), "", "mean_interarrival must be"),
+    ("offline_eval", ("evaluation", "policies"), [{}],
+     "policies must be a non-empty list of names"),
+    ("power_aware_goals", ("goal", "weights", "node"), float("nan"),
+     "goal.weights.node must be finite"),
+    ("bb_heavy_mix", ("config", "ga", "generations"), float("inf"),
+     "ga.generations must be finite"),
+    ("smoke", ("config", "mean_interarrival"), float("inf"),
+     "mean_interarrival must be finite"),
+    ("smoke", ("workloads",), [["S1"]], "workload names must be strings"),
+    ("smoke", ("system", "name"), 7, "system names must be strings"),
+    ("smoke", ("system", "bb_units"), 0, "system.bb_units must be a positive int"),
+    ("smoke", ("system", "nodes"), True, "system.nodes must be a positive int"),
+]
+
+
+def container(doc, path: tuple):
+    """The dict or list holding the value at ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def mutated(example: str, path: tuple, value) -> dict:
+    doc = copy.deepcopy(EXAMPLES[example])
+    container(doc, path)[path[-1]] = value
+    return doc
+
+
+def value_paths(node, prefix=()):
+    """Every path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from value_paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["heuristic", "mrsch", "S1", "S9", "theta", "fcfs"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestMalformedDocuments:
+    def test_examples_load(self):
+        assert len(EXAMPLES) == 5
+        for doc in EXAMPLES.values():
+            Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("example,path,value,message", MALFORMED)
+    def test_rejected_with_a_named_field(self, example, path, value, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict(mutated(example, path, value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutations_load_or_raise_value_or_key_error(self, data):
+        doc = copy.deepcopy(EXAMPLES[data.draw(st.sampled_from(sorted(EXAMPLES)))])
+        for _ in range(data.draw(st.integers(1, 2))):
+            path = data.draw(st.sampled_from(list(value_paths(doc))))
+            parent = container(doc, path)
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(json_values)
+        try:
+            Scenario.from_dict(doc)
+        except (ValueError, KeyError):
+            pass
 
 
 class TestEvaluationBlock:
