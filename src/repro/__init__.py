@@ -36,75 +36,29 @@ Quickstart::
     print(result.metrics.as_dict())
 """
 
-from repro.cluster.resources import (
-    BURST_BUFFER,
-    NODE,
-    POWER,
-    ResourcePool,
-    ResourceSpec,
-    SystemConfig,
-)
-from repro.core.dfp import DFPAgent, DFPConfig, DFPNetwork
-from repro.core.mrsch import MRSchScheduler
-from repro.core.training import TrainingResult, curriculum_training, train_episodes
-from repro.sched.base import Scheduler, SchedulingContext
-from repro.sched.fcfs import FCFSScheduler
-from repro.sched.ga import GAScheduler
-from repro.sched.scalar_rl import ScalarRLScheduler
-from repro.sim.metrics import MetricReport, compute_metrics, kiviat_normalize
-from repro.sim.simulator import SimulationResult, Simulator
-from repro.workload.job import Job
-from repro.workload.sampling import build_curriculum, split_trace
-from repro.workload.suites import (
-    CASE_STUDY_SPECS,
-    WORKLOAD_SPECS,
-    build_case_study_workload,
-    build_workload,
-)
-from repro.workload.swf import parse_swf, write_swf
-from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # cluster
-    "ResourceSpec",
-    "SystemConfig",
-    "ResourcePool",
-    "NODE",
-    "BURST_BUFFER",
-    "POWER",
-    # workload
-    "Job",
-    "ThetaTraceConfig",
-    "generate_theta_trace",
-    "build_workload",
-    "build_case_study_workload",
-    "WORKLOAD_SPECS",
-    "CASE_STUDY_SPECS",
-    "split_trace",
-    "build_curriculum",
-    "parse_swf",
-    "write_swf",
-    # simulation
-    "Simulator",
-    "SimulationResult",
-    "MetricReport",
-    "compute_metrics",
-    "kiviat_normalize",
-    # scheduling
-    "Scheduler",
-    "SchedulingContext",
-    "FCFSScheduler",
-    "GAScheduler",
-    "ScalarRLScheduler",
-    # MRSch core
-    "MRSchScheduler",
-    "DFPConfig",
-    "DFPNetwork",
-    "DFPAgent",
-    "train_episodes",
-    "curriculum_training",
-    "TrainingResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cluster.resources": [
+        "ResourceSpec", "SystemConfig", "ResourcePool", "NODE", "BURST_BUFFER", "POWER",
+    ],
+    "repro.workload.job": ["Job"],
+    "repro.workload.theta": ["ThetaTraceConfig", "generate_theta_trace"],
+    "repro.workload.suites": [
+        "build_workload", "build_case_study_workload", "WORKLOAD_SPECS", "CASE_STUDY_SPECS",
+    ],
+    "repro.workload.sampling": ["split_trace", "build_curriculum"],
+    "repro.workload.swf": ["parse_swf", "write_swf"],
+    "repro.sim.simulator": ["Simulator", "SimulationResult"],
+    "repro.sim.metrics": ["MetricReport", "compute_metrics", "kiviat_normalize"],
+    "repro.sched.base": ["Scheduler", "SchedulingContext"],
+    "repro.sched.fcfs": ["FCFSScheduler"],
+    "repro.sched.ga": ["GAScheduler"],
+    "repro.sched.scalar_rl": ["ScalarRLScheduler"],
+    "repro.core.mrsch": ["MRSchScheduler"],
+    "repro.core.dfp": ["DFPConfig", "DFPNetwork", "DFPAgent"],
+    "repro.core.training": ["train_episodes", "curriculum_training", "TrainingResult"],
+})
+__all__ = ["__version__", *__all__]

@@ -3,7 +3,7 @@
 Imported (once) by :mod:`repro.api.registry` on first lookup. Scheduler
 factories import their implementation modules lazily so that listing
 names — the CLI's ``repro list``, scenario validation — never pays for
-the neural-network stack.
+the neural-network stack (``tests/integration/test_cold_start.py``).
 
 Registration order is the paper's reporting order; it defines what
 :func:`repro.api.registry.paper_methods` and

@@ -22,25 +22,14 @@ Prediction (DFP, Dosovitskiy & Koltun 2017), adapted to HPC per §III:
     Episode runner and the §III-D three-phase curriculum.
 """
 
-from repro.core.cnn_state import build_cnn_state_module
-from repro.core.dfp import DFPAgent, DFPConfig, DFPNetwork
-from repro.core.encoding import IncrementalStateEncoder, StateEncoder
-from repro.core.goal import goal_vector
-from repro.core.measurements import measurement_vector
-from repro.core.mrsch import MRSchScheduler
-from repro.core.training import TrainingResult, curriculum_training, train_episodes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StateEncoder",
-    "IncrementalStateEncoder",
-    "goal_vector",
-    "measurement_vector",
-    "DFPConfig",
-    "DFPNetwork",
-    "DFPAgent",
-    "build_cnn_state_module",
-    "MRSchScheduler",
-    "train_episodes",
-    "curriculum_training",
-    "TrainingResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.encoding": ["StateEncoder", "IncrementalStateEncoder"],
+    "repro.core.goal": ["goal_vector"],
+    "repro.core.measurements": ["measurement_vector"],
+    "repro.core.dfp": ["DFPConfig", "DFPNetwork", "DFPAgent"],
+    "repro.core.cnn_state": ["build_cnn_state_module"],
+    "repro.core.mrsch": ["MRSchScheduler"],
+    "repro.core.training": ["train_episodes", "curriculum_training", "TrainingResult"],
+})

@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import socket
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -173,6 +172,12 @@ class ExperimentTask:
         )
 
 
+def _hostname() -> str:
+    import socket
+
+    return socket.gethostname()
+
+
 @dataclass
 class TaskResult:
     """Structured outcome of one executed (or recalled) task."""
@@ -196,7 +201,7 @@ class TaskResult:
     worker_id: str = ""
     #: host the cell executed on; with ``worker_id`` this makes merged
     #: multi-worker journal shards auditable
-    hostname: str = field(default_factory=socket.gethostname)
+    hostname: str = field(default_factory=_hostname)
 
     @property
     def display_name(self) -> str:

@@ -26,8 +26,6 @@ import contextlib
 import dataclasses
 import os
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -412,6 +410,9 @@ class ExperimentRunner:
         # (re-import is a cached no-op), spawn workers start from a fresh
         # interpreter and would otherwise fail to resolve any
         # @register_*'d component (the registry-module note).
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.api.registry import import_plugin_modules, registration_modules
 
         context = worker_context(self.mp_start_method)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import multiprocessing
 import os
 import sys
 import time
@@ -43,6 +42,8 @@ def worker_context(start_method: str | None = None):
     (pool and queue workers alike): ``start_method`` when given, else
     "fork" where available (cheap, inherits the warm interpreter) and
     "spawn" elsewhere."""
+    import multiprocessing
+
     if start_method is None:
         start_method = "fork" if sys.platform.startswith("linux") else "spawn"
     return multiprocessing.get_context(start_method)

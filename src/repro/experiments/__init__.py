@@ -11,35 +11,13 @@
     index) and returns both raw data and printable text.
 """
 
-from repro.experiments.harness import (
-    ExperimentConfig,
-    prepare_base_trace,
-    train_method,
-)
-from repro.experiments.figures import (
-    fig3_mlp_vs_cnn,
-    fig4_training_order,
-    fig5_fig6_comparison,
-    fig7_kiviat,
-    fig8_rbb_timeline,
-    fig9_rbb_distribution,
-    fig10_three_resources,
-    overhead_study,
-)
-from repro.experiments.report import format_series, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "prepare_base_trace",
-    "train_method",
-    "fig3_mlp_vs_cnn",
-    "fig4_training_order",
-    "fig5_fig6_comparison",
-    "fig7_kiviat",
-    "fig8_rbb_timeline",
-    "fig9_rbb_distribution",
-    "fig10_three_resources",
-    "overhead_study",
-    "format_table",
-    "format_series",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.experiments.harness": ["ExperimentConfig", "prepare_base_trace", "train_method"],
+    "repro.experiments.figures": [
+        "fig3_mlp_vs_cnn", "fig4_training_order", "fig5_fig6_comparison", "fig7_kiviat",
+        "fig8_rbb_timeline", "fig9_rbb_distribution", "fig10_three_resources", "overhead_study",
+    ],
+    "repro.experiments.report": ["format_table", "format_series"],
+})

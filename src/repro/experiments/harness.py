@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
+from typing import TYPE_CHECKING
 
 from repro.api.registry import SCHEDULERS, paper_methods
 from repro.cluster.resources import SystemConfig
-from repro.core.training import TrainingResult, curriculum_training
 from repro.sched.base import Scheduler
 from repro.sched.ga import NSGA2Config
 from repro.sim.simulator import SimulationResult, Simulator
@@ -28,6 +28,9 @@ from repro.workload.job import Job
 from repro.workload.sampling import build_curriculum
 from repro.workload.suites import build_case_study_workload, build_workload
 from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
+
+if TYPE_CHECKING:
+    from repro.core.training import TrainingResult
 
 __all__ = ["ExperimentConfig", "prepare_base_trace", "train_method"]
 
@@ -162,6 +165,8 @@ def train_method(
     """
     if not hasattr(scheduler, "finish_episode"):
         return None
+    from repro.core.training import curriculum_training
+
     rng = as_generator(config.seed + 17)
     base_jobs = base_jobs or prepare_base_trace(config, n_jobs=config.jobs_per_trainset * 3)
     n_sampled, n_real, n_synth = config.curriculum_sets

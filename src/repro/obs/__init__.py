@@ -34,67 +34,33 @@ from __future__ import annotations
 import contextlib
 import os
 
+from repro._lazy import lazy_exports
 from repro.obs import runtime as _runtime
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    bind,
-    current_context,
-    read_events,
-)
-from repro.obs.logbridge import (
-    EventLogHandler,
-    configure_stderr_logging,
-    get_logger,
-    kv,
-    verbosity_level,
-)
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-    StreamingHistogram,
-    merge_snapshots,
-)
-from repro.obs.progress import ProgressLine
-from repro.obs.session import DEFAULT_DECISION_SAMPLE, DecisionProbe, TelemetrySession
-from repro.obs.spans import (
-    SPAN_SCHEMA_VERSION,
-    export_chrome_trace,
-    load_spans,
-    to_chrome_trace,
-)
 
+# Imported before the facade functions ``metrics()`` and ``session()``
+# below: a submodule imported later would rebind the package attribute
+# of the same name to the module.
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.session import DEFAULT_DECISION_SAMPLE, TelemetrySession
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.events": ["bind", "current_context", "read_events", "EVENT_SCHEMA_VERSION"],
+    "repro.obs.logbridge": [
+        "get_logger", "kv", "configure_stderr_logging", "verbosity_level", "EventLogHandler",
+    ],
+    "repro.obs.spans": [
+        "load_spans", "to_chrome_trace", "export_chrome_trace", "SPAN_SCHEMA_VERSION",
+    ],
+    "repro.obs.metrics": ["merge_snapshots", "StreamingHistogram", "METRICS_SCHEMA_VERSION"],
+    "repro.obs.progress": ["ProgressLine"],
+    "repro.obs.session": ["DecisionProbe"],
+})
 __all__ = [
-    "enable",
-    "disable",
-    "enabled",
-    "session",
-    "event",
-    "span",
-    "metrics",
-    "bind",
-    "current_context",
-    "get_logger",
-    "kv",
-    "configure_stderr_logging",
-    "verbosity_level",
-    "read_events",
-    "load_spans",
-    "to_chrome_trace",
-    "export_chrome_trace",
-    "merge_snapshots",
-    "ProgressLine",
-    "TelemetrySession",
-    "DecisionProbe",
-    "MetricsRegistry",
-    "StreamingHistogram",
-    "EventLogHandler",
-    "EVENT_SCHEMA_VERSION",
-    "SPAN_SCHEMA_VERSION",
-    "METRICS_SCHEMA_VERSION",
-    "DEFAULT_DECISION_SAMPLE",
+    "enable", "disable", "enabled", "session", "event", "span", "metrics",
+    "TelemetrySession", "MetricsRegistry", "DEFAULT_DECISION_SAMPLE", *__all__,
 ]
 
-_log_handler: EventLogHandler | None = None
+_log_handler = None  # the EventLogHandler installed while enabled
 
 
 def enable(
@@ -120,6 +86,8 @@ def enable(
     global _log_handler
     if _runtime.session is not None:
         return _runtime.session
+    from repro.obs.logbridge import EventLogHandler
+
     session_ = TelemetrySession(
         directory,
         run_id=run_id,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 from pathlib import Path
 
 from repro.obs.events import JsonlSink, make_event
@@ -79,7 +78,11 @@ class TelemetrySession:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self.run_id = run_id or f"r-{uuid.uuid4().hex[:8]}"
+        if not run_id:
+            import uuid
+
+            run_id = f"r-{uuid.uuid4().hex[:8]}"
+        self.run_id = run_id
         self.events = JsonlSink(self.directory, "events")
         self.spans = SpanRecorder(self.directory)
         self.metrics = MetricsRegistry()

@@ -14,17 +14,11 @@ of the first non-fitting selection, EASY backfilling):
   :class:`~repro.sched.base.Scheduler` interface.
 """
 
-from repro.sched.base import SchedulingContext, Scheduler, WindowPolicyScheduler
-from repro.sched.fcfs import FCFSScheduler
-from repro.sched.ga import GAScheduler, NSGA2Config
-from repro.sched.scalar_rl import ScalarRLScheduler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SchedulingContext",
-    "Scheduler",
-    "WindowPolicyScheduler",
-    "FCFSScheduler",
-    "GAScheduler",
-    "NSGA2Config",
-    "ScalarRLScheduler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sched.base": ["SchedulingContext", "Scheduler", "WindowPolicyScheduler"],
+    "repro.sched.fcfs": ["FCFSScheduler"],
+    "repro.sched.ga": ["GAScheduler", "NSGA2Config"],
+    "repro.sched.scalar_rl": ["ScalarRLScheduler"],
+})

@@ -24,23 +24,13 @@ re-implements those semantics:
     Timeline recording of measurements and goal vectors (Figs 8–9).
 """
 
-from repro.sim.batched import BatchedSimulator
-from repro.sim.episode import EpisodeState
-from repro.sim.events import Event, EventKind, EventQueue
-from repro.sim.metrics import MetricReport, compute_metrics, kiviat_normalize
-from repro.sim.recorder import TimelineRecorder
-from repro.sim.simulator import SimulationResult, Simulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "EpisodeState",
-    "Simulator",
-    "BatchedSimulator",
-    "SimulationResult",
-    "MetricReport",
-    "compute_metrics",
-    "kiviat_normalize",
-    "TimelineRecorder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.events": ["Event", "EventKind", "EventQueue"],
+    "repro.sim.episode": ["EpisodeState"],
+    "repro.sim.simulator": ["Simulator", "SimulationResult"],
+    "repro.sim.batched": ["BatchedSimulator"],
+    "repro.sim.metrics": ["MetricReport", "compute_metrics", "kiviat_normalize"],
+    "repro.sim.recorder": ["TimelineRecorder"],
+})

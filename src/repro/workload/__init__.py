@@ -22,32 +22,17 @@ each of those pieces:
     Curriculum job sets (sampled / real / synthetic) for §III-D training.
 """
 
-from repro.workload.darshan import DarshanRecord, extract_bb_requests, generate_darshan_records
-from repro.workload.job import Job
-from repro.workload.sampling import build_curriculum, poisson_resample, split_trace
-from repro.workload.suites import (
-    WORKLOAD_SPECS,
-    WorkloadSpec,
-    build_case_study_workload,
-    build_workload,
-)
-from repro.workload.swf import parse_swf, write_swf
-from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Job",
-    "parse_swf",
-    "write_swf",
-    "ThetaTraceConfig",
-    "generate_theta_trace",
-    "DarshanRecord",
-    "generate_darshan_records",
-    "extract_bb_requests",
-    "WorkloadSpec",
-    "WORKLOAD_SPECS",
-    "build_workload",
-    "build_case_study_workload",
-    "poisson_resample",
-    "split_trace",
-    "build_curriculum",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workload.job": ["Job"],
+    "repro.workload.swf": ["parse_swf", "write_swf"],
+    "repro.workload.theta": ["ThetaTraceConfig", "generate_theta_trace"],
+    "repro.workload.darshan": [
+        "DarshanRecord", "generate_darshan_records", "extract_bb_requests",
+    ],
+    "repro.workload.suites": [
+        "WorkloadSpec", "WORKLOAD_SPECS", "build_workload", "build_case_study_workload",
+    ],
+    "repro.workload.sampling": ["poisson_resample", "split_trace", "build_curriculum"],
+})

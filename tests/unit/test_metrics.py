@@ -1,10 +1,16 @@
 """Tests for metrics (§IV-B) and Kiviat normalization (Fig 7)."""
 
+import math
+import operator
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.resources import BURST_BUFFER, NODE, POWER, ResourceSpec, SystemConfig
-from repro.sim.metrics import MetricReport, compute_metrics, kiviat_normalize
+from repro.sim.metrics import MetricReport, _p95, compute_metrics, kiviat_normalize
 from repro.sim.recorder import TimelineRecorder
 from tests.conftest import make_job
 
@@ -68,6 +74,42 @@ class TestComputeMetrics:
         job = finished_job(1, submit=0.0, start=7200.0, runtime=100.0, nodes=1)
         report = compute_metrics([job], tiny_system)
         assert report.avg_wait_hours == pytest.approx(2.0)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_MAGNITUDE = st.floats(min_value=1e-300, max_value=1e300)
+_FINITE = st.one_of(_MAGNITUDE, _MAGNITUDE.map(operator.neg), st.just(0.0))
+
+
+class TestP95:
+    """``compute_metrics`` takes its p95 from ``_p95``, which must equal
+    ``np.percentile(x, 95)`` bit for bit (numpy imports ``numpy.ma`` to
+    compute that, and a cold run should not pay for it)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(_FINITE, min_size=1, max_size=500),
+            st.lists(st.integers(0, 3).map(float), min_size=1, max_size=500),  # ties
+            st.lists(st.one_of(_FINITE, st.just(math.nan)), min_size=1, max_size=500),
+        )
+    )
+    def test_equals_numpy_percentile(self, values):
+        x = np.array(values)
+        assert bits(_p95(x.copy())) == bits(float(np.percentile(x, 95)))
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 12, 21])  # t >= 0.5, t < 0.5, t == 0
+    def test_both_branches_of_numpys_lerp(self, n):
+        x = np.random.default_rng(n).lognormal(0.0, 2.0, n)
+        assert bits(_p95(x.copy())) == bits(float(np.percentile(x, 95)))
+
+    def test_does_not_reorder_its_input(self):
+        x = np.array([3.0, 1.0, 2.0])
+        _p95(x)
+        assert x.tolist() == [3.0, 1.0, 2.0]
 
 
 def report_with(node_util, bb_util, wait, slowdown) -> MetricReport:

@@ -1,0 +1,135 @@
+"""The package ``__init__``s export lazily, and the version has one source.
+
+Each lazy package resolves the names in its ``__all__`` on first access
+(``repro._lazy.lazy_exports``); the contract is the one an eager
+``from submodule import name`` gave: the same object, listed by
+``dir()``, and ``AttributeError`` for anything else.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.sched",
+    "repro.sim",
+    "repro.workload",
+    "repro.experiments",
+    "repro.obs",
+)
+
+_SRC = Path(repro.__file__).resolve().parents[1]
+
+
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter started in the source tree."""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=_SRC
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def defining_modules(name: str, value) -> list[str]:
+    """Loaded ``repro`` submodules (not packages) binding ``name`` to ``value``."""
+    return [
+        module.__name__
+        for module in list(sys.modules.values())
+        if module is not None
+        and module.__name__.startswith("repro.")
+        and not hasattr(module, "__path__")
+        and vars(module).get(name) is value
+    ]
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+class TestLazyExports:
+    def test_every_export_is_its_defining_modules_object(self, package):
+        module = importlib.import_module(package)
+        for name in set(module.__all__) - {"__version__"}:
+            value = getattr(module, name)
+            if callable(value):  # classes and functions say where they live
+                owners = [value.__module__]
+            else:
+                owners = defining_modules(name, value)
+            assert owners, f"{package}.{name} has no defining module"
+            for owner in owners:
+                assert getattr(sys.modules[owner], name) is value, (package, name, owner)
+
+    def test_every_export_is_listed_by_dir(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
+
+    def test_unknown_name_raises_attribute_error(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "no_such_name")
+
+
+def test_star_import_in_a_fresh_interpreter():
+    run_fresh(
+        "import repro\n"
+        "namespace = {}\n"
+        "exec('from repro import *', namespace)\n"
+        "missing = set(repro.__all__) - set(namespace)\n"
+        "assert not missing, missing\n"
+        "assert namespace['Simulator'].__module__ == 'repro.sim.simulator'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "imports",
+    [
+        "import repro.obs.metrics, repro.obs.session",
+        "import repro.obs.session, repro.obs.metrics",
+        "import repro.obs.logbridge, repro.obs.spans, repro.obs.metrics",
+    ],
+)
+def test_obs_facade_functions_survive_submodule_imports(imports):
+    """``obs.metrics()`` / ``obs.session()`` share their names with
+    submodules; importing those must not rebind the functions."""
+    run_fresh(
+        f"{imports}\n"
+        "import repro.obs as obs\n"
+        "assert obs.metrics() is None and obs.session() is None\n"
+        "obs.enable()\n"
+        "assert obs.session() is not None and obs.metrics() is not None\n"
+        "obs.disable()\n"
+    )
+
+
+class TestVersion:
+    def test_version_is_a_plain_literal_global(self):
+        """setuptools reads ``attr = "repro.__version__"`` statically:
+        that needs a literal assignment in ``repro/__init__.py``."""
+        tree = ast.parse((_SRC / "repro" / "__init__.py").read_text())
+        literals = [
+            node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
+            and isinstance(node.value, ast.Constant)
+        ]
+        assert literals == [repro.__version__]
+        assert "__version__" in vars(repro)
+
+    def test_pyproject_reads_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = _SRC.parent / "pyproject.toml"
+        if not pyproject.is_file():
+            pytest.skip("not running from a source checkout")
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        dynamic = config["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
