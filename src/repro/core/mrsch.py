@@ -42,7 +42,6 @@ from repro.core.goal import goal_vector
 from repro.core.measurements import measurement_vector
 from repro.nn.serialize import load_params, save_params
 from repro.sched.base import DecisionInputs, Scheduler, SchedulingContext
-from repro.sched.jobqueue import JobQueue
 from repro.workload.job import Job
 
 __all__ = ["MRSchScheduler"]
@@ -158,26 +157,15 @@ class MRSchScheduler(Scheduler):
         The class gap is wide enough that DFP scores reorder within a
         class but cannot promote a non-fitting grab over a fitting one.
 
-        Needs no state encode: on the simulator's
-        :class:`~repro.sched.jobqueue.JobQueue` the window's request
-        rows are read off the queue's columns and feasibility is one
-        compare against the pool's live free-count vector — the same
-        booleans ``can_fit`` returns for validated jobs, which is what
-        the plain-list form asks job by job.
+        Needs no state encode: the window's request rows are read off
+        the queue's columns and feasibility is one compare against the
+        pool's live free-count vector — the same booleans ``can_fit``
+        returns for validated jobs, which is what the per-job oracle in
+        ``tests/unit/_sched_reference.py`` asks job by job.
         """
         n = len(window)
-        queue = ctx.queue
-        if isinstance(queue, JobQueue) and queue.names == ctx.pool.names:
-            reqs = queue.window_requests(window)
-            fits = (reqs <= ctx.pool.free_vector()).all(axis=1)
-        else:
-            names = ctx.system.names
-            reqs = np.array(
-                [[job.request(name) for name in names] for job in window], dtype=float
-            )
-            fits = np.fromiter(
-                (ctx.pool.can_fit(job) for job in window), dtype=bool, count=n
-            )
+        reqs = ctx.queue.window_requests(window)
+        fits = (reqs <= ctx.pool.free_vector()).all(axis=1)
         demand = (reqs / self._caps) @ self._goal
         prior = np.zeros(self.window_size)
         # Queue order = age order: the oldest non-fitting job outranks

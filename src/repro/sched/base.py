@@ -15,19 +15,18 @@ MRSch — runs inside the same scheduling-instance machinery:
    not delay the reservation (Mu'alem & Feitelson).
 
 Policies implement :meth:`Scheduler.select`; everything else is shared.
+:meth:`Scheduler.schedule` and :meth:`Scheduler.schedule_gen` are two
+entry points into one instance body; only the second pauses at the
+policy's network calls.
 
-The machinery accepts the queue in two forms. A plain ``list`` drives
-the straightforward reference implementation (what the unit tests pin
-the semantics with); a :class:`~repro.sched.jobqueue.JobQueue` — what
-the simulator supplies — additionally enables the incremental hot path:
-O(window) window extraction instead of per-selection queue re-filters,
-O(1) dequeues instead of ``list.remove`` shifts, and a vectorized EASY
-pass over the queue's columnar request arrays instead of per-candidate
-``can_fit`` calls. The two queue forms make identical decisions —
-the golden FCFS-metrics test holds the fast path to the reference bit
-for bit, and since the Eq.-1 contention terms moved both queue forms
-onto one columnar summation order (:mod:`repro.core.goal`), MRSch's
-dynamic goal vector is bit-identical between them too.
+The queue is always the simulator's
+:class:`~repro.sched.jobqueue.JobQueue` (:class:`SchedulingContext`
+rejects anything else): O(window) window extraction, O(1) dequeues and
+one vectorized EASY pass over its columnar request arrays. The
+straightforward forms these replaced — a plain-list queue, the
+per-candidate ``can_fit`` EASY loop — live on as test oracles in
+``tests/unit/_sched_reference.py``, held to the fast path decision for
+decision.
 
 The vectorized EASY pass also *carries its rejections* from one
 scheduling instance to the next: it ends by recording what every row
@@ -55,7 +54,7 @@ selection/backfill machinery touches pool unit state directly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Callable, ValuesView
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -85,32 +84,24 @@ class SchedulingContext:
     """
 
     now: float
-    queue: list[Job]
+    queue: JobQueue
     pool: ResourcePool
     system: SystemConfig
     start: Callable[[Job], None]
-    #: jobs currently executing (needed by Eq. 1's contention terms)
-    running: list[Job] = field(default_factory=list)
+    #: jobs currently executing, in start order (needed by Eq. 1's
+    #: contention terms): a live view of the simulator's running table
+    running: ValuesView[Job] = field(default_factory=lambda: {}.values())
     #: jobs started during this instance (filled by the scheduler loop)
     started: list[Job] = field(default_factory=list)
 
-    def window(self, size: int) -> list[Job]:
-        """The first ``size`` waiting (unstarted) jobs, queue order.
-
-        O(size) on a :class:`JobQueue`; on plain lists the scan stops
-        as soon as ``size`` waiting jobs are found instead of filtering
-        the whole queue per selection.
-        """
+    def __post_init__(self) -> None:
         queue = self.queue
-        if isinstance(queue, JobQueue):
-            return queue.window(size)
-        out: list[Job] = []
-        for job in queue:
-            if not job.started:
-                out.append(job)
-                if len(out) == size:
-                    break
-        return out
+        if not isinstance(queue, JobQueue):
+            raise TypeError(f"queue must be a JobQueue, not {type(queue).__name__}")
+        if queue.names != self.pool.names:
+            raise ValueError(
+                f"queue columns {queue.names} do not match the pool's {self.pool.names}"
+            )
 
 
 @dataclass
@@ -151,9 +142,9 @@ class Scheduler(ABC):
         #: reservation pick alike) is reported for offline evaluation.
         #: Recording is passive — no RNG, no behaviour change.
         self.decision_recorder = None
-        #: what the last vectorized EASY pass left every queued row
-        #: rejected under: ``(queue, reserved, now, shadow, free, spare,
-        #: queue.appended)`` — see :meth:`_easy_backfill_vectorized`
+        #: what the last EASY pass left every queued row rejected under:
+        #: ``(queue, reserved, now, shadow, free, spare, queue.appended)``
+        #: — see :meth:`_easy_backfill`
         self._carried: tuple | None = None
         #: selections made since :meth:`reset`, and how many of them ran
         #: the policy's network (policies that have one count it)
@@ -241,10 +232,69 @@ class Scheduler(ABC):
     # -- the shared instance loop ------------------------------------------
 
     def schedule(self, ctx: SchedulingContext) -> None:
-        """Run one scheduling instance (§III-C)."""
+        """Run one scheduling instance (§III-C).
+
+        Every decision goes through :meth:`select`, the call the
+        decision probe times; unsplit, the instance body never pauses,
+        so one ``next`` runs it whole.
+        """
+        next(self._instance(ctx, split=False), None)
+
+    def schedule_gen(self, ctx: SchedulingContext):
+        """:meth:`schedule` as a generator that pauses at network calls.
+
+        Yields a :class:`DecisionInputs` at every point where the policy
+        staged a decision via :meth:`prepare_decision`; the driver
+        resumes the generator with ``send(scores)`` (or ``send(None)``
+        when the staged decision needs no scores). Policies without the
+        split protocol never yield — the generator runs the whole
+        instance on first advance. Decision order, recorder hooks and
+        reservation handling are identical to :meth:`schedule`.
+        """
+        return self._instance(ctx, split=True)
+
+    def _instance(self, ctx: SchedulingContext, split: bool):
+        """The instance body behind :meth:`schedule` and :meth:`schedule_gen`."""
         self.begin_instance(ctx)
         self._clear_stale_reservation(ctx)
-        self._selection_loop(ctx)
+        # Telemetry-off runs pay one module-attribute read per instance
+        # and one None check per selection; the probe itself only times
+        # every N-th selection. Purely passive — no RNG, no state.
+        probe = _obs_runtime.decision_probe
+        # An unsatisfied reservation blocks new head-of-queue
+        # selections; only backfilling may proceed.
+        while self.reserved_job is None:
+            window = ctx.queue.window(self.window_size)
+            if not window:
+                break
+            inputs = self.prepare_decision(window, ctx) if split else None
+            if inputs is not None:
+                # Untimed: a split decision spans a yield, and timing it
+                # would charge the batch layer's cross-episode wait to
+                # this scheduler.
+                scores = (yield inputs) if inputs.needs_scores else None
+                job = self.apply_decision(window, ctx, scores)
+            elif probe is not None and probe.tick():
+                t0 = perf_counter()
+                job = self.select(window, ctx)
+                probe.observe(self.name, perf_counter() - t0)
+            else:
+                job = self.select(window, ctx)
+            if job is None:
+                break
+            self.decisions += 1
+            if job not in window:
+                raise RuntimeError(
+                    f"{self.name}: selected job {job.job_id} outside the window"
+                )
+            if self.decision_recorder is not None:
+                # Before the start/reserve below, while the pool still
+                # reflects the state the policy decided on.
+                self.decision_recorder.on_decision(self, window, job, ctx)
+            if ctx.pool.can_fit(job):
+                self._start(job, ctx)
+            else:
+                self.reserved_job = job
         if self.backfill_enabled and self.reserved_job is not None:
             self._easy_backfill(ctx)
         self.end_instance(ctx)
@@ -265,94 +315,6 @@ class Scheduler(ABC):
             self._start(job, ctx)
             self.reserved_job = None
 
-    def _selection_loop(self, ctx: SchedulingContext) -> None:
-        if self.reserved_job is not None:
-            # An unsatisfied reservation blocks new head-of-queue
-            # selections; only backfilling may proceed.
-            return
-        # Telemetry-off runs pay one module-attribute read per instance
-        # and one None check per selection; the probe itself only times
-        # every N-th selection. Purely passive — no RNG, no state.
-        probe = _obs_runtime.decision_probe
-        while True:
-            window = ctx.window(self.window_size)
-            if not window:
-                return
-            if probe is not None and probe.tick():
-                t0 = perf_counter()
-                job = self.select(window, ctx)
-                probe.observe(self.name, perf_counter() - t0)
-            else:
-                job = self.select(window, ctx)
-            if not self._handle_selection(job, window, ctx):
-                return
-
-    def _handle_selection(
-        self, job: Job | None, window: list[Job], ctx: SchedulingContext
-    ) -> bool:
-        """Common tail of one selection; ``True`` keeps selecting."""
-        if job is None:
-            return False
-        self.decisions += 1
-        if job not in window:
-            raise RuntimeError(
-                f"{self.name}: selected job {job.job_id} outside the window"
-            )
-        if self.decision_recorder is not None:
-            # Before the start/reserve below, while the pool still
-            # reflects the state the policy decided on.
-            self.decision_recorder.on_decision(self, window, job, ctx)
-        if ctx.pool.can_fit(job):
-            self._start(job, ctx)
-            return True
-        self.reserved_job = job
-        return False
-
-    # -- generator form of the instance loop --------------------------------
-
-    def schedule_gen(self, ctx: SchedulingContext):
-        """:meth:`schedule` as a generator that pauses at network calls.
-
-        Yields a :class:`DecisionInputs` at every point where the policy
-        staged a decision via :meth:`prepare_decision`; the driver
-        resumes the generator with ``send(scores)`` (or ``send(None)``
-        when the staged decision needs no scores). Policies without the
-        split protocol never yield — the generator runs the whole
-        instance on first advance. Decision order, recorder hooks and
-        reservation handling are identical to :meth:`schedule`.
-        """
-        self.begin_instance(ctx)
-        self._clear_stale_reservation(ctx)
-        yield from self._selection_loop_gen(ctx)
-        if self.backfill_enabled and self.reserved_job is not None:
-            self._easy_backfill(ctx)
-        self.end_instance(ctx)
-
-    def _selection_loop_gen(self, ctx: SchedulingContext):
-        if self.reserved_job is not None:
-            return
-        probe = _obs_runtime.decision_probe
-        while True:
-            window = ctx.window(self.window_size)
-            if not window:
-                return
-            inputs = self.prepare_decision(window, ctx)
-            if inputs is None:
-                # Only the unsplit path is timed: a split decision spans
-                # a yield, and timing it would charge the batch layer's
-                # cross-episode wait to this scheduler.
-                if probe is not None and probe.tick():
-                    t0 = perf_counter()
-                    job = self.select(window, ctx)
-                    probe.observe(self.name, perf_counter() - t0)
-                else:
-                    job = self.select(window, ctx)
-            else:
-                scores = (yield inputs) if inputs.needs_scores else None
-                job = self.apply_decision(window, ctx, scores)
-            if not self._handle_selection(job, window, ctx):
-                return
-
     def _start(self, job: Job, ctx: SchedulingContext) -> None:
         ctx.start(job)
         ctx.started.append(job)
@@ -370,46 +332,17 @@ class Scheduler(ABC):
         placed. A candidate may backfill if it fits now and either (a)
         its walltime ends before the shadow time, or (b) it consumes only
         spare units.
-        """
-        reserved = self.reserved_job
-        assert reserved is not None
-        shadow = ctx.pool.earliest_fit_time(reserved, ctx.now)
-        queue = ctx.queue
-        if isinstance(queue, JobQueue) and queue.names == ctx.pool.names:
-            self._easy_backfill_vectorized(ctx, reserved, shadow)
-            return
-        spare = {
-            name: ctx.pool.free_units_at(name, shadow, ctx.now) - reserved.request(name)
-            for name in ctx.system.names
-        }
-        for job in list(ctx.queue):
-            if job is reserved or job.started:
-                continue
-            if not ctx.pool.can_fit(job):
-                continue
-            ends_before_shadow = ctx.now + job.walltime <= shadow
-            fits_spare = all(
-                job.request(name) <= spare[name] for name in ctx.system.names
-            )
-            if ends_before_shadow or fits_spare:
-                self._start(job, ctx)
-                if not ends_before_shadow:
-                    for name in ctx.system.names:
-                        spare[name] -= job.request(name)
 
-    def _easy_backfill_vectorized(
-        self, ctx: SchedulingContext, reserved: Job, shadow: float
-    ) -> None:
-        """One EASY pass over the queue's columnar candidate arrays.
-
-        Decision-identical to the reference loop above but evaluated as
-        ONE NumPy scan. Correctness: free and spare units only *shrink*
-        during a pass (starts allocate, nothing releases), so a
-        candidate inadmissible under the pass's *initial* state can
-        never become admissible later in the same pass — the initial
-        scan's rejections are final, and only its survivors need an O(R)
-        re-verification against the live counters as earlier survivors
-        start and consume units.
+        Evaluated as ONE NumPy scan over the queue's columnar candidate
+        arrays, decision-identical to the per-candidate ``can_fit`` loop
+        kept as the oracle in ``tests/unit/_sched_reference.py``.
+        Correctness: free and spare units only *shrink* during a pass
+        (starts allocate, nothing releases), so a candidate inadmissible
+        under the pass's *initial* state can never become admissible
+        later in the same pass — the initial scan's rejections are
+        final, and only its survivors need an O(R) re-verification
+        against the live counters as earlier survivors start and consume
+        units.
 
         The same argument carries rejections *across* passes (module
         docstring): when this pass's state is no looser than the one
@@ -417,9 +350,12 @@ class Scheduler(ABC):
         is still inadmissible and only the rows appended since are
         scanned.
         """
-        queue: JobQueue = ctx.queue  # type: ignore[assignment]
+        reserved = self.reserved_job
+        assert reserved is not None
+        queue = ctx.queue
         pool = ctx.pool
         now = ctx.now
+        shadow = pool.earliest_fit_time(reserved, now)
         free = pool.free_vector()  # live view — allocate updates in place
         spare = pool.free_vector_at(shadow, now)
         spare -= queue.request_row(reserved)
@@ -528,7 +464,7 @@ class WindowPolicyScheduler(Scheduler):
         """Return the window jobs in the order they should be started."""
 
     def begin_instance(self, ctx: SchedulingContext) -> None:
-        window = ctx.window(self.window_size)
+        window = ctx.queue.window(self.window_size)
         self._ordering = self.rank(window, ctx) if window else []
         self._cursor = 0
 

@@ -22,11 +22,11 @@ wall-clock time.
   evaluate every queued candidate with a handful of vectorized NumPy
   comparisons instead of per-job ``can_fit`` calls.
 
-The structure is duck-compatible with the ``list`` operations the
-scheduling machinery uses (iteration, ``len``, ``in``, ``remove``,
-``append``, indexing), so :class:`~repro.sched.base.Scheduler` accepts
-either; plain lists keep the straightforward reference behaviour and
-are what the unit tests drive directly.
+It is the one queue form :class:`~repro.sched.base.SchedulingContext`
+accepts. It keeps the ``list`` surface the machinery reads (iteration,
+``len``, ``in``, ``remove``, ``append``, indexing); the plain-list
+queue it replaced survives as a test oracle in
+``tests/unit/_sched_reference.py``.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ class JobQueue:
         self._jobs[slot] = None
         self._alive[slot] = False
         self._n_dead += 1
-
-    def clear(self) -> None:
-        appended = self._appended
-        self.__init__(self._names)
-        self._appended = appended  # earlier readings stay in the past
 
     # -- scheduler fast paths ----------------------------------------------
 

@@ -52,21 +52,12 @@ class EpisodeState:
         Resource configuration.
     record_timeline:
         Record a utilization sample at every scheduling instance.
-    pool:
-        Optional pre-built pool to adopt (reset on :meth:`load`); by
-        default the episode builds its own. Either way the pool object
-        persists for the lifetime of the episode state.
     """
 
-    def __init__(
-        self,
-        system: SystemConfig,
-        record_timeline: bool = True,
-        pool: ResourcePool | None = None,
-    ) -> None:
+    def __init__(self, system: SystemConfig, record_timeline: bool = True) -> None:
         self.system = system
         self.record_timeline = record_timeline
-        self.pool = pool if pool is not None else ResourcePool(system)
+        self.pool = ResourcePool(system)
         self.now = 0.0
         self.queue: JobQueue = JobQueue(system.names)
         self.events = EventQueue()
@@ -138,7 +129,7 @@ class EpisodeState:
             system=self.system,
             start=self.start_job,
             # A live view: iteration order is start order, as before.
-            running=self.running.values(),  # type: ignore[arg-type]
+            running=self.running.values(),
         )
 
     def end_instance(self) -> None:

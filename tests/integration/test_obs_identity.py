@@ -23,6 +23,7 @@ from repro.obs.events import read_events
 from repro.obs.spans import export_chrome_trace, load_spans
 from repro.sched.fcfs import FCFSScheduler
 from repro.sim.simulator import Simulator
+from tests.unit.test_mrsch import small_mrsch
 
 METHODS = ["heuristic", "optimization", "scalar_rl"]
 
@@ -132,6 +133,20 @@ class TestBitIdentity:
         finally:
             obs.disable()
         assert instrumented == plain
+
+    def test_sequential_mrsch_decisions_are_timed(self, tiny_system, tiny_trace):
+        """``Scheduler.schedule`` runs the instance body unsplit, so every
+        MRSch decision of a sequential replay is a timed ``select``; a
+        split decision spans a yield and is never timed."""
+        sched = small_mrsch(tiny_system)
+        session = obs.enable(sample_decisions=True, decision_sample_every=1)
+        try:
+            Simulator(tiny_system, sched, record_timeline=False).run(tiny_trace)
+            histograms = session.metrics.snapshot()["histograms"]
+        finally:
+            obs.disable()
+        assert sched.decisions > 0
+        assert histograms["sched.decision_us.mrsch"]["count"] == sched.decisions
 
     def test_training_identical_and_logged_per_episode(self, tmp_path):
         config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=25, window_size=5,

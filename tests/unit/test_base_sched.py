@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster.resources import NODE, ResourcePool, ResourceSpec, SystemConfig
 from repro.sched.base import Scheduler, SchedulingContext
 from repro.sched.fcfs import FCFSScheduler
+from repro.sched.jobqueue import JobQueue
 from repro.sim.simulator import Simulator
 from tests.conftest import make_job
 
@@ -27,17 +28,18 @@ class RecordingFCFS(FCFSScheduler):
         return job
 
 
-def make_ctx(system, pool, queue, now=0.0, running=None):
-    started = []
+def make_ctx(system, pool, queue, now=0.0):
+    """A context over ``queue``: a JobQueue, or jobs to enqueue in one."""
+    if not isinstance(queue, JobQueue):
+        jobs, queue = queue, JobQueue(pool.names)
+        for job in jobs:
+            queue.append(job)
 
     def start(job):
         pool.allocate(job, now)
         job.start_time = now
 
-    return SchedulingContext(
-        now=now, queue=queue, pool=pool, system=system,
-        start=start, running=running or [], started=started,
-    )
+    return SchedulingContext(now=now, queue=queue, pool=pool, system=system, start=start)
 
 
 @pytest.fixture
@@ -79,12 +81,29 @@ class TestWindow:
             sched.schedule(make_ctx(node_only_system, pool, queue))
 
 
+class TestContext:
+    def test_plain_list_queue_rejected(self, node_only_system):
+        pool = ResourcePool(node_only_system)
+        with pytest.raises(TypeError, match="JobQueue"):
+            SchedulingContext(now=0.0, queue=[njob(1, nodes=1)], pool=pool,
+                              system=node_only_system, start=pool.allocate)
+
+    def test_queue_columns_must_match_the_pool(self, tiny_system):
+        pool = ResourcePool(tiny_system)
+        for names in (["burst_buffer", "node"], ["node"]):
+            with pytest.raises(ValueError, match="do not match"):
+                SchedulingContext(now=0.0, queue=JobQueue(names), pool=pool,
+                                  system=tiny_system, start=pool.allocate)
+
+
 class TestReservation:
     def test_first_nonfitting_job_reserved(self, node_only_system):
         pool = ResourcePool(node_only_system)
-        queue = [njob(1, nodes=8), njob(2, nodes=8), njob(3, nodes=1)]
+        jobs = [njob(1, nodes=8), njob(2, nodes=8), njob(3, nodes=1)]
+        ctx = make_ctx(node_only_system, pool, jobs)
         sched = FCFSScheduler(window_size=5, backfill=False)
-        sched.schedule(make_ctx(node_only_system, pool, queue))
+        sched.schedule(ctx)
+        queue = ctx.queue
         assert queue[0].job_id == 2  # job 1 started, removed from queue
         assert sched.reserved_job is queue[0]
         # Job 3 fits but must not start without backfilling.
@@ -94,14 +113,14 @@ class TestReservation:
         pool = ResourcePool(node_only_system)
         blocker = njob(1, nodes=8)
         reserved = njob(2, nodes=8)
-        queue = [blocker, reserved]
+        ctx = make_ctx(node_only_system, pool, [blocker, reserved])
         sched = FCFSScheduler(window_size=5, backfill=False)
-        sched.schedule(make_ctx(node_only_system, pool, queue))
+        sched.schedule(ctx)
         assert sched.reserved_job is reserved
         # Blocker ends; next instance starts the reserved job first.
         blocker.end_time = 100.0
         pool.release(blocker)
-        sched.schedule(make_ctx(node_only_system, pool, queue, now=100.0))
+        sched.schedule(make_ctx(node_only_system, pool, ctx.queue, now=100.0))
         assert reserved.start_time == 100.0
         assert sched.reserved_job is None
 
@@ -238,7 +257,7 @@ class TestBackfill:
         queue = [njob(1, nodes=2), njob(2, nodes=2)]
         sched = FCFSScheduler(window_size=5, backfill=True)
         sched.schedule(make_ctx(node_only_system, pool, queue))
-        assert all(j.start_time == 0.0 for j in [])  # everything started
+        assert [j.start_time for j in queue] == [0.0, 0.0]  # everything started
         assert sched.reserved_job is None
 
 

@@ -1,10 +1,10 @@
 """Tests for the incremental JobQueue and the scheduler fast paths.
 
-The crucial property: the scheduler machinery must make *identical
-decisions* whether the queue is a plain list (the reference path the
-other unit tests pin) or a :class:`JobQueue` (the simulator's fast
-path) — window contents, selection order, reservation choice and every
-backfill admission included.
+The crucial property: the scheduler machinery on a :class:`JobQueue`
+(the simulator's fast path) must make *identical decisions* to the
+plain-list reference in ``tests/unit/_sched_reference.py`` — a list
+queue under the per-candidate EASY loop — window contents, selection
+order, reservation choice and every backfill admission included.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from repro.sched.jobqueue import JobQueue
 from repro.sim.episode import EpisodeState
 from repro.workload.job import Job
 from tests.conftest import make_job
+from tests.unit._sched_reference import ListQueue, as_reference
+from tests.unit.test_mrsch import small_mrsch
 
 
 def node_system(units: int = 10) -> SystemConfig:
@@ -159,9 +161,6 @@ class TestJobQueueBasics:
         assert [q.job_at_slot(first + i) for i in range(reqs.shape[0])] == late
         np.testing.assert_array_equal(reqs[:, 0], [2, 3, 4])
         assert q.candidate_arrays()[0].shape[0] == 303  # default: every live slot
-        q.clear()
-        assert q.appended == 903  # earlier readings stay in the past
-        assert q.candidate_arrays(mark)[0].shape[0] == 0
 
     def test_growth_beyond_initial_capacity(self):
         q = JobQueue([NODE])
@@ -207,21 +206,26 @@ def script_jobs(system: SystemConfig, script) -> list[Job]:
     return jobs
 
 
-def replay_log(system, jobs, *, as_list=False, restore_at=None, window_size=4):
-    """Per-instance ``(now, started ids, reservation)`` of one FCFS replay.
+def replay_log(system, jobs, *, as_list=False, restore_at=None, window_size=4,
+               sched=None):
+    """Per-instance ``(now, started ids, reservation)`` of one replay
+    (FCFS unless ``sched`` is given).
 
-    The *same* :class:`EpisodeState` event loop drives both queue forms:
-    ``as_list`` swaps the loaded state's JobQueue for a plain list, which
-    sends every pass down the reference ``_easy_backfill``.
+    The *same* :class:`EpisodeState` event loop drives both forms:
+    ``as_list`` swaps the loaded state's JobQueue for the reference
+    :class:`ListQueue` and re-classes the scheduler onto the
+    per-candidate EASY loop (``_sched_reference.as_reference``).
     ``restore_at`` snapshots and immediately restores the episode before
     that instance — a new queue object under the same scheduler.
     """
     state = EpisodeState(system, record_timeline=False)
-    sched = FCFSScheduler(window_size=window_size, backfill=True)
+    if sched is None:
+        sched = FCFSScheduler(window_size=window_size, backfill=True)
     state.load(jobs)
     sched.reset()
     if as_list:
-        state.queue = []
+        state.queue = ListQueue(system.names)
+        as_reference(sched)
     log = []
     while state.advance():
         if len(log) == restore_at:
@@ -279,9 +283,31 @@ def test_jobqueue_path_identical_to_list_path(data):
 @settings(max_examples=1000, deadline=None)
 @given(st.data())
 def test_jobqueue_path_identical_to_list_path_thorough(data):
-    """The same property at 1,000 examples and longer scripts (weekly CI)."""
+    """The same property at 1,000 examples and longer scripts (the
+    ``slow`` tier, which CI runs on every push)."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         _check_paths_identical(data, 120, monkeypatch)
+
+
+@pytest.mark.parametrize("prior_weight", [2.0, 0.0], ids=["guided", "pure-dfp"])
+def test_mrsch_replay_identical_to_list_path(prior_weight):
+    """MRSch adds two columnar reads to what the FCFS property covers —
+    the prior's window rows and the Eq.-1 queue half. The list reference
+    (per-job prior, per-row contention terms) decides every instance the
+    same, on a trace whose bursts fill the window and force reservations."""
+    rng = np.random.default_rng(28)
+    system = SYSTEMS[2]
+    script = [(int(rng.choice([0, 0, 0, 600])), int(rng.integers(100, 1500)),
+               int(rng.choice([0, 300])), int(rng.integers(0, 12)), int(rng.integers(0, 12)))
+              for _ in range(60)]
+    jobs = script_jobs(system, script)
+    logs = [
+        replay_log(system, jobs, as_list=as_list,
+                   sched=small_mrsch(system, prior_weight=prior_weight))
+        for as_list in (False, True)
+    ]
+    assert logs[0] == logs[1]
+    assert any(reserved for _, _, reserved in logs[0])
 
 
 class _PassSpy:

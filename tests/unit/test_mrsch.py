@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.resources import ResourcePool
 from repro.core.dfp import DFPConfig
 from repro.core.mrsch import MRSchScheduler
+from repro.sim.episode import EpisodeState
 from repro.sim.simulator import Simulator
 from tests.conftest import make_job
 from tests.unit.test_base_sched import make_ctx
@@ -92,6 +93,48 @@ class TestScheduling:
         result = Simulator(tiny_system, sched).run(tiny_trace)
         assert result.metrics.n_jobs == len(tiny_trace)
         assert all(j.finished for j in result.jobs)
+
+
+class TestOneInstanceBody:
+    """``schedule`` and ``schedule_gen`` are one body: driven through the
+    split protocol with the policy's own B=1 scorer, the generator starts
+    and reserves exactly what the sequential ``select`` path does."""
+
+    @staticmethod
+    def replay(system, trace, split):
+        sched = small_mrsch(system, prior_weight=0.0)  # every window open
+        state = EpisodeState(system, record_timeline=False)
+        state.load(trace)
+        sched.reset()
+        pauses = 0
+        while state.advance():
+            if not split:
+                sched.schedule(state.context())
+            else:
+                gen = sched.schedule_gen(state.context())
+                try:
+                    inputs = next(gen)
+                    while True:
+                        pauses += 1
+                        inputs = gen.send(sched.score_decision(inputs))
+                except StopIteration:
+                    pass
+            state.end_instance()
+        result = state.finish()
+        return [(j.job_id, j.start_time) for j in result.jobs], pauses
+
+    def test_mrsch_gen_and_sequential_start_the_same_jobs(self, tiny_system):
+        # three bursts of six onto 16 nodes / 8 burst-buffer units: full
+        # windows, reservations and backfill at every burst
+        trace = [
+            make_job(job_id=i + 1, submit=300.0 * (i // 6), runtime=150.0 + 70 * (i % 5),
+                     walltime=900.0, nodes=3 + (i * 5) % 10, bb=(i * 3) % 6)
+            for i in range(18)
+        ]
+        sequential, _ = self.replay(tiny_system, trace, split=False)
+        split, pauses = self.replay(tiny_system, trace, split=True)
+        assert pauses > 0  # the generator really paused at the network
+        assert split == sequential
 
 
 class TestEpisodes:

@@ -40,6 +40,7 @@ from repro.sched.jobqueue import JobQueue
 from repro.sched.scalar_rl import ScalarRLScheduler
 from repro.sim.simulator import Simulator
 from tests.conftest import make_job
+from tests.unit._sched_reference import as_reference
 from tests.unit.test_base_sched import make_ctx
 from tests.unit.test_mrsch import small_mrsch
 
@@ -84,17 +85,6 @@ def calls(monkeypatch):
     return seen
 
 
-def _queued(system, pool, jobs, as_list=False, now=0.0):
-    """A context over ``jobs`` in the simulator's queue form (or a list)."""
-    if as_list:
-        queue = list(jobs)
-    else:
-        queue = JobQueue(system.names)
-        for job in jobs:
-            queue.append(job)
-    return make_ctx(system, pool, queue, now=now)
-
-
 def _decide(sched, window, ctx, scores):
     """One decision with the network's answer dictated by the test."""
     inputs = sched.prepare_decision(window, ctx)
@@ -123,13 +113,14 @@ jobs_strategy = st.lists(
     goal=st.floats(0.0, 1.0),
     weight=st.sampled_from([0.0, 0.01, 0.5, 2.0, 50.0, 1e15]),
     scores=score_vectors,
-    as_list=st.booleans(),
+    per_job=st.booleans(),
 )
 def test_settled_action_equals_the_full_guided_argmax(
-    requests, held, goal, weight, scores, as_list
+    requests, held, goal, weight, scores, per_job
 ):
     """Whatever finite scores the network could return, a decision the
-    rule settles is the decision the always-score scheduler makes."""
+    rule settles is the decision the always-score scheduler makes — with
+    the columnar prior, or (``per_job``) both sides on the per-job one."""
     tiny_system = TINY
     pool = ResourcePool(tiny_system)
     if any(held):
@@ -142,8 +133,10 @@ def test_settled_action_equals_the_full_guided_argmax(
     picks = []
     for build in (small_mrsch, lambda *a, **k: as_oracle(small_mrsch(*a, **k))):
         sched = build(tiny_system, prior_weight=weight)
+        if per_job:
+            as_reference(sched)
         sched._goal = np.array([goal, 1.0 - goal])
-        ctx = _queued(tiny_system, pool, window, as_list)
+        ctx = make_ctx(tiny_system, pool, window)
         picks.append(_decide(sched, window, ctx, scores))
     assert picks[0] is picks[1]
 
@@ -154,8 +147,8 @@ def test_property_has_teeth_both_ways(tiny_system):
     sched = small_mrsch(tiny_system)
     clear = [make_job(job_id=1, nodes=12), make_job(job_id=2, nodes=2)]
     tied = [make_job(job_id=1, nodes=2), make_job(job_id=2, nodes=2)]
-    assert sched._settle(clear, _queued(tiny_system, pool, clear))[0] == 1
-    assert sched._settle(tied, _queued(tiny_system, pool, tied))[0] is None
+    assert sched._settle(clear, make_ctx(tiny_system, pool, clear))[0] == 1
+    assert sched._settle(tied, make_ctx(tiny_system, pool, tied))[0] is None
 
 
 # -- one test per condition ---------------------------------------------------
@@ -166,7 +159,7 @@ def test_one_candidate_is_forced_without_the_network(tiny_system, calls, weight)
     sched = small_mrsch(tiny_system, prior_weight=weight)
     pool = ResourcePool(tiny_system)
     window = [make_job(job_id=1, nodes=20)]  # does not even fit
-    ctx = _queued(tiny_system, pool, window)
+    ctx = make_ctx(tiny_system, pool, window)
     assert sched.select(window, ctx) is window[0]
     assert calls == {"encode": 0, "forward": 0}
     assert sched.decisions_scored == 0
@@ -177,7 +170,7 @@ def test_clear_prior_lead_is_settled_without_the_network(tiny_system, calls):
     pool = ResourcePool(tiny_system)
     pool.allocate(make_job(job_id=99, nodes=12), now=0.0)
     window = [make_job(job_id=1, nodes=10), make_job(job_id=2, nodes=2)]
-    ctx = _queued(tiny_system, pool, window)
+    ctx = make_ctx(tiny_system, pool, window)
     sched.begin_instance(ctx)
     assert sched.select(window, ctx) is window[1]  # the one that fits
     assert calls == {"encode": 0, "forward": 0}
@@ -190,7 +183,7 @@ def test_near_tie_in_the_prior_is_left_to_the_network(tiny_system, calls):
     window = [make_job(job_id=1, nodes=2), make_job(job_id=2, nodes=2)]
     for favoured in (0, 1):
         sched = small_mrsch(tiny_system)
-        ctx = _queued(tiny_system, pool, window)
+        ctx = make_ctx(tiny_system, pool, window)
         scores = np.zeros(W)
         scores[favoured] = 1.0
         assert _decide(sched, window, ctx, scores) is window[favoured]
@@ -203,7 +196,7 @@ def test_lead_just_inside_the_cap_is_open_just_outside_is_settled(tiny_system):
     sched = small_mrsch(tiny_system, prior_weight=1.0)
     pool = ResourcePool(tiny_system)
     window = [make_job(job_id=1, nodes=1), make_job(job_id=2, nodes=2)]
-    ctx = _queued(tiny_system, pool, window)
+    ctx = make_ctx(tiny_system, pool, window)
     cap = sched._DFP_TIEBREAK_SCALE
     for lead, settled in ((2 * cap, False), (2 * cap * (1 + 1e-6), True)):
         sched._prior = lambda window, ctx, lead=lead: np.array([1.0 + lead, 1.0, 0, 0])
@@ -223,7 +216,7 @@ def test_pure_dfp_scores_every_multi_candidate_window(
     pool = ResourcePool(tiny_system)
     pool.allocate(make_job(job_id=99, nodes=12), now=0.0)
     window = [make_job(job_id=1, nodes=10), make_job(job_id=2, nodes=2)]
-    ctx = _queued(tiny_system, pool, window)
+    ctx = make_ctx(tiny_system, pool, window)
     scores = np.zeros(W)
     scores[favoured] = 1.0
     assert _decide(sched, window, ctx, scores) is window[favoured]
@@ -242,7 +235,7 @@ def test_a_recorder_sees_the_scores_of_every_decision(tiny_system, calls):
         [make_job(job_id=1, nodes=2)],
         [make_job(job_id=1, nodes=10), make_job(job_id=2, nodes=2)],
     ):
-        ctx = _queued(tiny_system, pool, window)
+        ctx = make_ctx(tiny_system, pool, window)
         sched.select(window, ctx)
         features = sched.decision_features(window, ctx)
         assert features["state"].shape == (sched.encoder.state_dim,)
@@ -263,7 +256,7 @@ def test_training_skips_only_the_forward(tiny_system, calls):
         sched.agent.epsilon = 0.5
         sched.start_episode()
         for _ in range(12):
-            sched.select(window, _queued(tiny_system, pool, window))
+            sched.select(window, make_ctx(tiny_system, pool, window))
         outcomes.append(
             (
                 sched.agent._sample_rng.bit_generator.state,
@@ -289,8 +282,8 @@ def test_non_finite_scores_no_longer_steer_a_settled_window(tiny_system):
     scores = np.array([np.nan, 0.0, 0.0, 0.0])
     rule = small_mrsch(tiny_system)
     oracle = as_oracle(small_mrsch(tiny_system))
-    assert _decide(rule, window, _queued(tiny_system, pool, window), scores) is window[1]
-    assert _decide(oracle, window, _queued(tiny_system, pool, window), scores) is window[0]
+    assert _decide(rule, window, make_ctx(tiny_system, pool, window), scores) is window[1]
+    assert _decide(oracle, window, make_ctx(tiny_system, pool, window), scores) is window[0]
 
 
 # -- supporting pieces --------------------------------------------------------
@@ -323,8 +316,9 @@ class TestWindowRequests:
         pool.allocate(make_job(job_id=99, nodes=9, bb=3), now=0.0)
         window = [make_job(job_id=i, nodes=2 * i, bb=i) for i in (1, 2, 3, 4)]
         sched = small_mrsch(tiny_system)
-        columnar = sched._prior(window, _queued(tiny_system, pool, window))
-        listed = sched._prior(window, _queued(tiny_system, pool, window, as_list=True))
+        ctx = make_ctx(tiny_system, pool, window)
+        columnar = sched._prior(window, ctx)
+        listed = as_reference(small_mrsch(tiny_system))._prior(window, ctx)
         assert columnar.tobytes() == listed.tobytes()
 
 
