@@ -221,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--backoff", type=float, default=0.5, metavar="S",
                         help="base respawn backoff in seconds, doubled per "
                              "consecutive crash (with --supervise)")
-    p_work.add_argument("--faults", default=None, metavar="FILE",
-                        help="scripted FaultPlan JSON file (fault-injection "
-                             "testing; REPRO_DIST_FAULTS env overrides)")
     p_work.add_argument("--telemetry", nargs="?", const="telemetry", default=None,
                         metavar="DIR",
                         help="record structured telemetry under DIR; a "
@@ -487,22 +484,41 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_work_flags(args: argparse.Namespace) -> None:
+    """Reject a non-finite or out-of-range numeric ``repro work`` flag
+    before any worker starts, inline or supervised."""
+    import math
+
+    for flag, value, low, inclusive in (
+        ("--lease-ttl", args.lease_ttl, 0, False),
+        ("--poll", args.poll, 0, False),
+        ("--cell-timeout", args.cell_timeout, 0, True),  # 0: no watchdog
+        ("--max-cells", args.max_cells, 1, True),
+        ("--supervise", args.supervise, 1, True),
+        ("--max-crashes", args.max_crashes, 1, True),
+        ("--backoff", args.backoff, 0, False),
+    ):
+        if value is None:
+            continue
+        if not math.isfinite(value) or not (
+            value >= low if inclusive else value > low
+        ):
+            bound = f"at least {low}" if inclusive else f"above {low}"
+            raise ValueError(f"{flag} must be finite and {bound}, got {value}")
+
+
 def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.dist import FaultPlan, QueueWorker, StoreUnavailable, WorkQueue
+    from repro.dist import QueueWorker, StoreUnavailable, WorkQueue
     from repro.obs.logbridge import configure_stderr_logging
 
+    _check_work_flags(args)
     configure_stderr_logging(verbose=args.verbose, quiet=args.quiet)
     if args.telemetry is not None:
         import repro.obs as obs
 
         obs.enable(args.telemetry)
-    plan = FaultPlan.from_env()
-    if plan is None and args.faults:
-        from pathlib import Path
-
-        plan = FaultPlan.from_json(Path(args.faults).read_text())
     if args.supervise is not None:
-        return _run_supervised(args, plan)
+        return _run_supervised(args)
     worker = QueueWorker(
         WorkQueue(args.queue, create=False),
         worker_id=args.worker_id,
@@ -511,7 +527,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
         max_cells=args.max_cells,
         wait_for_work=args.wait,
         cell_timeout_s=args.cell_timeout,
-        faults=plan,
     )
     try:
         report = worker.run()
@@ -550,22 +565,11 @@ def _cmd_work(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-def _run_supervised(args: argparse.Namespace, plan) -> int:
+def _run_supervised(args: argparse.Namespace) -> int:
     """The ``repro work --supervise N`` branch: spawn-and-respawn N
     worker processes instead of running one inline loop."""
     from repro.dist import WorkerSupervisor
 
-    if args.supervise < 1:
-        raise ValueError(
-            f"--supervise needs at least one worker slot, "
-            f"got {args.supervise}"
-        )
-    if args.backoff <= 0:
-        raise ValueError(f"--backoff must be positive, got {args.backoff}")
-    if args.max_crashes < 1:
-        raise ValueError(
-            f"--max-crashes must be at least 1, got {args.max_crashes}"
-        )
     supervisor = WorkerSupervisor(
         args.queue,
         args.supervise,
@@ -575,10 +579,6 @@ def _run_supervised(args: argparse.Namespace, plan) -> int:
         wait_for_work=args.wait,
         cell_timeout_s=args.cell_timeout,
         worker_poll_interval=args.poll,
-        # A scripted plan applies to each slot's *first* incarnation
-        # only — respawned workers run clean, which is exactly the
-        # crash-then-recover rehearsal the flag exists for.
-        spawn_faults=[[plan] for _ in range(args.supervise)] if plan else None,
     )
     try:
         report = supervisor.run()

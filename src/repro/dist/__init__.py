@@ -15,10 +15,10 @@ bit-identical.
 Every filesystem byte of that protocol moves through one storage seam
 (:class:`~repro.dist.store.Store`): errno-classified bounded retry with
 per-worker seeded jitter, CRC32-checksummed journal lines and task
-specs with quarantine-on-corruption, deterministic IO fault injection
-for tests, and :class:`~repro.dist.store.StoreUnavailable` as the
-degraded-mode escalation signal (workers spool finished results locally
-and flush when the store recovers).
+specs with quarantine-on-corruption, and
+:class:`~repro.dist.store.StoreUnavailable` as the degraded-mode
+escalation signal (workers spool finished results locally and flush
+when the store recovers).
 
 The *run* is crash-safe end to end: a CRC-sealed run manifest
 (:class:`~repro.dist.manifest.RunManifest`) records the grid expansion
@@ -34,13 +34,11 @@ reports/repairs whatever an incident left behind.
 
 Use it through ``ExperimentRunner(queue_dir=...)``,
 a scenario's ``execution`` block, or the ``repro work`` /
-``repro queue-status`` / ``repro doctor`` CLI subcommands. Scripted
-failures for tests live in :mod:`repro.dist.faults`.
+``repro queue-status`` / ``repro doctor`` CLI subcommands.
 """
 
 from repro.dist.coordinator import dispatch_tasks
 from repro.dist.doctor import DoctorReport, Finding, audit_queue
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.lease import Lease, LeaseBoard
 from repro.dist.manifest import (
     COORDINATOR_KEY,
@@ -71,8 +69,6 @@ __all__ = [
     "QueueWorker",
     "WorkerReport",
     "CellTimeout",
-    "FaultPlan",
-    "FaultInjector",
     "Store",
     "StoreUnavailable",
     "RetryPolicy",

@@ -36,8 +36,8 @@ strike and is released at once, so a worker-killing cell poisons at
 strike on record are never batched with others, so an innocent
 batch-mate takes at most one).
 
-Liveness guarantee: if every local worker is gone (scripted faults,
-OOM, operator SIGKILL, every breaker open) while cells remain and no
+Liveness guarantee: if every local worker is gone (crashes, OOM,
+operator SIGKILL, every breaker open) while cells remain and no
 external worker shows up within a lease ttl, the coordinator drains the
 remainder *inline* — the grid always terminates with the same
 bit-identical results.
@@ -49,7 +49,6 @@ import os
 import socket
 import time
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.manifest import COORDINATOR_KEY, RunManifest, ensure_enqueued
 from repro.dist.queue import WorkQueue
 from repro.dist.supervise import DEFAULT_MAX_CRASHES, WorkerSupervisor
@@ -179,9 +178,7 @@ def dispatch_tasks(
     trace_dir: str | None = None,
     trace_compact: bool = False,
     cell_timeout_s: float | None = None,
-    worker_faults: "list[FaultPlan | None] | None" = None,
     supervise: bool = False,
-    coordinator_faults: "FaultPlan | FaultInjector | None" = None,
 ) -> dict[str, TaskResult]:
     """Run ``tasks`` through a shared-directory queue; results by key.
 
@@ -192,23 +189,9 @@ def dispatch_tasks(
     never otherwise), and coordinates until every cell has a published
     result: reaping expired leases so crashed/straggling workers' cells
     re-issue, and draining inline if all workers are lost with no
-    elastic replacement in sight. ``worker_faults`` aligns scripted
-    :class:`FaultPlan`\\ s with local worker indices;
-    ``coordinator_faults`` scripts the coordinator's own death
-    (``kill_coordinator_at``), defaulting to the ``REPRO_DIST_FAULTS``
-    environment plan (testing/CI only).
+    elastic replacement in sight.
     """
     queue = WorkQueue(queue_dir, lease_ttl=lease_ttl)
-    if coordinator_faults is None:
-        # Only the coordinator-facing fields matter here: spawned
-        # workers receive their plans explicitly and never read the
-        # environment, so a worker-facing env plan is inert.
-        coordinator_faults = FaultPlan.from_env()
-    injector = (
-        coordinator_faults
-        if isinstance(coordinator_faults, FaultInjector)
-        else FaultInjector(coordinator_faults)
-    )
     session = _obs_runtime.session
     keys = [task.key() for task in tasks]
     key_set = set(keys)
@@ -223,7 +206,7 @@ def dispatch_tasks(
             cells=len(key_set),
         )
     heartbeat = Heartbeat(
-        queue, COORDINATOR_KEY, owner, lease_ttl / 4.0, injector,
+        queue, COORDINATOR_KEY, owner, lease_ttl / 4.0,
         metrics=session.metrics if session is not None else None,
     )
     heartbeat.start()
@@ -245,9 +228,7 @@ def dispatch_tasks(
             **({"telemetry": telemetry_dir} if telemetry_dir else {}),
         )
         queue.write_meta(**context_doc)
-        manifest = ensure_enqueued(
-            queue, tasks, keys=keys, context=context_doc, injector=injector
-        )
+        manifest = ensure_enqueued(queue, tasks, keys=keys, context=context_doc)
         _log.info(
             "run manifest sealed",
             extra=kv(
@@ -271,7 +252,6 @@ def dispatch_tasks(
                 n_workers,
                 max_crashes=DEFAULT_MAX_CRASHES if supervise else 1,
                 cell_timeout_s=cell_timeout_s,
-                spawn_faults=[[plan] for plan in worker_faults or []],
                 mp_start_method=mp_start_method,
             )
             supervisor.start()
@@ -281,7 +261,6 @@ def dispatch_tasks(
             pending, poisoned = outstanding()
             if not pending:
                 break
-            injector.on_coordinator("dispatch")
             if session is not None:
                 session.metrics.gauge("dist.pending").set(len(pending))
             now = time.time()
@@ -337,7 +316,6 @@ def dispatch_tasks(
         except OSError:
             pass  # best-effort: an orphan leader lease ages out
 
-    injector.on_coordinator("merge")
     merged = queue.merged_results()
     quarantined = queue.quarantine_count()
     if quarantined:

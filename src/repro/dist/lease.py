@@ -14,8 +14,8 @@ on every POSIX filesystem (and NFS with close-to-open consistency):
   after which the key is open for a fresh claim race.
 
 Every one of those calls goes through the :class:`~repro.dist.store.Store`
-seam, which classifies and retries transient storage errors and lets
-tests script deterministic IO faults. The seam never weakens atomicity:
+seam, which classifies and retries transient storage errors. The seam
+never weakens atomicity:
 ``EEXIST``/``ENOENT`` stay semantic (they *are* the protocol), and a
 read that keeps flaking resolves **conservatively** — an unreadable
 claim is treated as still-claimed for one ttl, never as unclaimed,
@@ -31,6 +31,7 @@ keeps either copy (see :meth:`repro.dist.queue.WorkQueue.merged_results`).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -86,8 +87,8 @@ class LeaseBoard:
         ttl: float = 30.0,
         store: Store | None = None,
     ) -> None:
-        if ttl <= 0:
-            raise ValueError(f"lease ttl must be positive, got {ttl!r}")
+        if not math.isfinite(ttl) or ttl <= 0:
+            raise ValueError(f"lease ttl must be positive and finite, got {ttl!r}")
         self.root = Path(root)
         self.ttl = float(ttl)
         self.store = store if store is not None else Store()

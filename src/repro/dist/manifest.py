@@ -161,7 +161,7 @@ def new_run_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-def ensure_enqueued(queue, tasks, *, keys=None, context=None, injector=None):
+def ensure_enqueued(queue, tasks, *, keys=None, context=None):
     """Drive the queue to a sealed manifest covering ``tasks``; resume
     any interrupted enqueue found on disk.
 
@@ -172,14 +172,10 @@ def ensure_enqueued(queue, tasks, *, keys=None, context=None, injector=None):
     manifest first finishes any interrupted batch promotion, then opens
     a new generation only for cells it does not already cover (or whose
     specs went missing). ``keys`` are the tasks' keys when the caller
-    already hashed them; ``injector`` receives the coordinator kill
-    points (``staged``/``sealed``) for the chaos suite.
+    already hashed them.
 
     Returns the sealed (or still-complete) :class:`RunManifest`.
     """
-    on_point = injector.on_coordinator if injector is not None else (
-        lambda point: None
-    )
     if keys is None:
         keys = [task.key() for task in tasks]
     by_key: dict = {}
@@ -240,11 +236,9 @@ def ensure_enqueued(queue, tasks, *, keys=None, context=None, injector=None):
         updated_at=time.time(),
     )
     queue.write_manifest(manifest)
-    on_point("staged")
     if new_keys:
         queue.stage_batch([by_key[key] for key in new_keys], name, new_keys)
     manifest = replace(manifest, state="sealed", updated_at=time.time())
     queue.write_manifest(manifest)
-    on_point("sealed")
     queue.promote_staged(manifest.batches)
     return manifest

@@ -30,7 +30,7 @@ construction (per-cell ``SeedSequence`` seeding).
 
 Storage robustness: every filesystem operation routes through the
 :class:`~repro.dist.store.Store` seam (transient-errno retry with
-seeded backoff; deterministic fault injection in tests), journal lines
+seeded backoff), journal lines
 and task specs are CRC32-checksummed, and **interior** corruption —
 a bit-flipped line in the middle of a shard, as opposed to the torn
 tail of a crashed writer — is detected on merge and moved aside into
@@ -255,9 +255,9 @@ class WorkQueue:
     def use_store(self, store: Store) -> None:
         """Route this queue (and its lease board) through ``store``.
 
-        Workers install their own seam here so retries count into the
-        worker's metrics and scripted IO faults hit every queue/lease
-        operation the worker performs.
+        Workers install their own seam here so every queue/lease
+        operation the worker performs retries with its seeded jitter
+        and counts into its metrics.
         """
         self.store = store
         self.leases.store = store

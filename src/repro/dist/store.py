@@ -5,23 +5,17 @@ may as well be infallible; on the NFS-style shared mounts the 10⁶-cell
 sweep targets they are the *primary* failure surface — transient
 ``EIO``/``ESTALE`` flakes, ``ENOSPC`` on a filled volume, torn writes
 from a dying client. :class:`Store` routes every queue, lease and
-journal operation through one seam that layers two behaviours the
-raw calls lack:
-
-* **Deterministic fault injection** — the worker's
-  :class:`~repro.dist.faults.FaultInjector` scripts ``io_faults``
-  (errno, torn write, slow IO) on the Nth operation matching a path
-  pattern, so integration tests reproduce the same storage failure on
-  every run (``REPRO_DIST_FAULTS`` carries the plan to CLI workers).
-* **Errno-classified bounded retry** — transient errnos (``EIO``,
-  ``ESTALE``, ``ETIMEDOUT``, ``EAGAIN``, …) are retried with
-  exponential backoff and *seeded* jitter drawn from a private
-  ``random.Random`` keyed by the owner id, so the retry schedule is
-  reproducible per worker and never touches experiment RNG. Permanent
-  errnos (``ENOSPC``, ``EROFS``, ``EDQUOT``) and exhausted retries
-  raise :class:`StoreUnavailable`, the worker's cue to degrade
-  gracefully. *Semantic* errnos (``ENOENT``, ``EEXIST``, …) propagate
-  untouched — the lease protocol's atomicity is built on them.
+journal operation through one seam that adds what the raw calls lack,
+**errno-classified bounded retry**: transient errnos (``EIO``,
+``ESTALE``, ``ETIMEDOUT``, ``EAGAIN``, …) are retried with exponential
+backoff and *seeded* jitter drawn from a private ``random.Random``
+keyed by the owner id, so the retry schedule is reproducible per worker
+and never touches experiment RNG. Permanent errnos (``ENOSPC``,
+``EROFS``, ``EDQUOT``) and exhausted retries raise
+:class:`StoreUnavailable`, the worker's cue to degrade gracefully.
+*Semantic* errnos (``ENOENT``, ``EEXIST``, …) propagate untouched — the
+lease protocol's atomicity is built on them. Every operation runs
+through :meth:`Store._run`, so a subclass can wrap all of them at once.
 
 The bytes themselves — atomic replace, fsynced append with its newline
 guard, CRC32 seals — are :mod:`repro.utils.durable`'s; this module adds
@@ -173,7 +167,7 @@ class RetryPolicy:
 
 
 class Store:
-    """Checked, retried, fault-injectable filesystem operations.
+    """Checked, retried filesystem operations.
 
     Parameters
     ----------
@@ -181,9 +175,6 @@ class Store:
         The transient-errno :class:`RetryPolicy` (default: 5 attempts,
         50 ms base, 2 s cap). ``RetryPolicy(max_retries=0)`` disables
         retrying without disabling classification.
-    faults:
-        A :class:`~repro.dist.faults.FaultInjector` whose ``on_io``
-        hook scripts deterministic IO failures (tests/CI only).
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry`; retries,
         detected corruption and degraded transitions are counted under
@@ -196,12 +187,10 @@ class Store:
     def __init__(
         self,
         retry: RetryPolicy | None = None,
-        faults=None,
         metrics=None,
         sleep=time.sleep,
     ) -> None:
         self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults
         self.metrics = metrics
         self._sleep = sleep
         self._jitter = self.retry.rng()
@@ -212,41 +201,12 @@ class Store:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    def _fire(self, op: str, path: Path) -> dict | None:
-        """The scripted fault (if any) matching this op, already counted."""
-        if self.faults is None:
-            return None
-        return self.faults.on_io(op, str(path))
-
-    def _apply_fault(self, fault: dict, handle=None, payload: bytes | None = None):
-        """Carry out one fired fault spec: slow IO, torn write, errno."""
-        delay = float(fault.get("delay_s", 0.0))
-        if delay > 0:
-            self._sleep(delay)
-        if fault.get("torn") and handle is not None and payload:
-            # A dying writer: a prefix of the bytes lands, then the
-            # error surfaces. The stranded fragment is exactly what the
-            # checksum/quarantine path exists to catch. A group commit
-            # carries several lines: cut *inside* one, never between two.
-            prefix = payload[: max(1, len(payload) // 2)]
-            if prefix.endswith(b"\n") or payload[len(prefix):].startswith(b"\n"):
-                prefix = prefix.rstrip(b"\n")[:-1]
-            handle.write(prefix)
-            handle.flush()
-        code = fault.get("errno")
-        if code is not None:
-            num = getattr(_errno, code) if isinstance(code, str) else int(code)
-            raise OSError(num, f"injected fault: {code}")
-
-    def _run(self, op: str, path: Path, fn, fire: bool = True):
-        """Execute ``fn`` with fault injection, classification, retry."""
+    def _run(self, op: str, path: Path, fn):
+        """Execute ``fn`` (operation ``op`` on ``path``) with errno
+        classification and bounded retry."""
         attempt = 0
         while True:
             try:
-                if fire:
-                    fault = self._fire(op, path)
-                    if fault is not None:
-                        self._apply_fault(fault)
                 return fn()
             except OSError as exc:
                 kind = classify_errno(exc.errno)
@@ -315,24 +275,10 @@ class Store:
     def fsync_append(self, path: str | os.PathLike, line: str) -> None:
         """Durably append ``line`` (or several, newline-joined: a group
         commit) under one write, flush and ``fsync`` (file, and the
-        directory on first create).
-
-        The torn-write fault injects mid-write through the open handle,
-        so a scripted partial append leaves exactly the bytes a dying
-        NFS client would.
-        """
+        directory on first create). A retry after a partial write starts
+        on a fresh line (the append's newline guard)."""
         path = Path(path)
-
-        def inject(handle, payload: bytes) -> None:
-            fault = self._fire("append", path)
-            if fault is not None:
-                self._apply_fault(fault, handle=handle, payload=payload)
-
-        self._run(
-            "append", path,
-            lambda: append_line(path, line, before_write=inject),
-            fire=False,
-        )
+        self._run("append", path, lambda: append_line(path, line))
 
     def create_excl_json(self, path: str | os.PathLike, payload: dict) -> bool:
         """``O_CREAT | O_EXCL`` claim write; False when the race is lost.

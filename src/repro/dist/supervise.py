@@ -47,7 +47,6 @@ import time
 import uuid
 from dataclasses import dataclass, field
 
-from repro.dist.faults import FaultPlan
 from repro.dist.queue import WorkQueue
 from repro.dist.worker import QueueWorker
 from repro.exp.tasks import worker_context
@@ -76,7 +75,6 @@ def _worker_process_entry(
     queue_dir: str,
     worker_id: str,
     lease_ttl: float,
-    plan: FaultPlan | None,
     modules: tuple[str, ...],
     parent_path: list[str],
     options: dict,
@@ -96,11 +94,7 @@ def _worker_process_entry(
             sys.path.append(entry)
     import_plugin_modules(modules)
     QueueWorker(
-        queue_dir,
-        worker_id=worker_id,
-        lease_ttl=lease_ttl,
-        faults=plan,
-        **options,
+        queue_dir, worker_id=worker_id, lease_ttl=lease_ttl, **options
     ).run()
 
 
@@ -152,9 +146,9 @@ class WorkerSupervisor:
     wait_for_work:
         Spawn elastic workers (``--wait`` semantics: they exit on a
         complete run manifest instead of a drained scan).
-    spawn_faults:
-        Scripted :class:`FaultPlan`\\ s per slot *per incarnation*
-        (``spawn_faults[slot][generation]``), for testing respawns.
+
+    Worker ids are ``sup<slot>g<incarnation>-<host>-<pid>-<rand>``, so
+    a journal shard or lease names the slot and incarnation it came from.
     """
 
     def __init__(
@@ -169,7 +163,6 @@ class WorkerSupervisor:
         wait_for_work: bool = False,
         cell_timeout_s: float | None = None,
         worker_poll_interval: float = 0.2,
-        spawn_faults: "list[list[FaultPlan | None]] | None" = None,
         mp_start_method: str | None = None,
     ) -> None:
         if n_workers < 1:
@@ -183,7 +176,6 @@ class WorkerSupervisor:
         self.wait_for_work = wait_for_work
         self.cell_timeout_s = cell_timeout_s
         self.worker_poll_interval = worker_poll_interval
-        self.spawn_faults = spawn_faults or []
         self._context = worker_context(mp_start_method)
         self._slots = [_Slot(i) for i in range(n_workers)]
         self._halt = threading.Event()
@@ -397,7 +389,6 @@ class WorkerSupervisor:
     def _spawn(self, slot: _Slot) -> None:
         from repro.api.registry import registration_modules
 
-        plan = self._plan_for(slot)
         worker_id = (
             f"sup{slot.index}g{slot.generation}-"
             f"{socket.gethostname().split('.')[0]}-{os.getpid()}-"
@@ -415,7 +406,6 @@ class WorkerSupervisor:
                 str(self.queue.root),
                 worker_id,
                 self.queue.leases.ttl,
-                plan,
                 registration_modules(),
                 list(sys.path),
                 options,
@@ -439,15 +429,6 @@ class WorkerSupervisor:
             "supervisor_spawn", slot=slot.index, worker_id=worker_id,
             incarnation=slot.generation,
         )
-
-    def _plan_for(self, slot: _Slot) -> FaultPlan | None:
-        """The scripted fault plan of this slot's *next* incarnation."""
-        if slot.index >= len(self.spawn_faults):
-            return None
-        per_generation = self.spawn_faults[slot.index]
-        if slot.generation >= len(per_generation):
-            return None
-        return per_generation[slot.generation]
 
     def _no_work_left(self) -> bool:
         """No cell a fresh worker could make progress on (done, poisoned,

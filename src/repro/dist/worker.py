@@ -51,7 +51,6 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.queue import MAX_ATTEMPTS, WorkQueue
 from repro.dist.store import RetryPolicy, Store, StoreUnavailable
 from repro.exp.tasks import execute_task
@@ -113,14 +112,12 @@ class Heartbeat(threading.Thread):
         key: str | None,
         owner: str,
         interval: float,
-        faults: FaultInjector,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(name=f"heartbeat-{owner[:16]}", daemon=True)
         self.queue = queue
         self.owner = owner
         self.interval = interval
-        self.faults = faults
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._halt = threading.Event()
         self._held: set[str] = set() if key is None else {key}
@@ -155,8 +152,6 @@ class Heartbeat(threading.Thread):
 
     def run(self) -> None:
         while not self._halt.wait(self.interval):
-            if not self.faults.on_heartbeat():
-                continue  # scripted heartbeat loss: skip the renewal
             for key in list(self._held):
                 with self._lock:
                     if key in self._held:
@@ -235,12 +230,6 @@ class QueueWorker:
         lease released. None (default) defers to the queue meta's
         ``cell_timeout_s`` (set by ``execution.cell_timeout_s`` in the
         scenario spec); 0 disables the watchdog outright.
-    faults:
-        Scripted :class:`FaultPlan` for the integration tests / CI.
-    execute:
-        Override for :func:`~repro.exp.tasks.execute_task` (same
-        signature). The dispatch-overhead bench serves pre-computed
-        results through this to time the coordination term alone.
     spool_dir:
         Where results spool when the shared store refuses writes
         (default: a per-worker directory under the system temp dir —
@@ -261,8 +250,6 @@ class QueueWorker:
         max_cells: int | None = None,
         wait_for_work: bool = False,
         cell_timeout_s: float | None = None,
-        faults: FaultPlan | FaultInjector | None = None,
-        execute=None,
         spool_dir: str | os.PathLike | None = None,
     ) -> None:
         self.queue = WorkQueue.attach(queue, lease_ttl)
@@ -271,21 +258,16 @@ class QueueWorker:
         self.max_cells = max_cells
         self.wait_for_work = wait_for_work
         self.cell_timeout_s = cell_timeout_s
-        self.faults = (
-            faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-        )
-        self.execute = execute if execute is not None else execute_task
+        #: runs one cell: ``execute(task, trace_dir, trace_compact)``
+        self.execute = execute_task
         self.report = WorkerReport(worker_id=self.worker_id)
         #: always-on private registry, published to the queue's
         #: ``metrics/`` dir so throughput/ETA work without --telemetry
         self.metrics = MetricsRegistry()
         #: the worker's storage seam: retry jitter seeded by worker id,
-        #: scripted io_faults routed from the fault plan, retries and
-        #: degradations counted into the worker's own metrics
+        #: retries and degradations counted into the worker's own metrics
         self.store = Store(
-            retry=RetryPolicy(seed=self.worker_id),
-            faults=self.faults,
-            metrics=self.metrics,
+            retry=RetryPolicy(seed=self.worker_id), metrics=self.metrics,
         )
         self.queue.use_store(self.store)
         self.spool_dir = Path(
@@ -303,7 +285,7 @@ class QueueWorker:
         # close to expiry.
         self._heartbeat = Heartbeat(
             self.queue, None, self.worker_id, self.queue.leases.ttl / 4.0,
-            self.faults, metrics=self.metrics,
+            metrics=self.metrics,
         )
 
     # -- the loop ---------------------------------------------------------
@@ -539,7 +521,6 @@ class QueueWorker:
         self._heartbeat.hold(key)
         self.metrics.counter("lease.claims").inc()
         _log.info("claimed cell", extra=kv(key=key))
-        self.faults.on_claim(key)
         return True
 
     def _release(self, key: str) -> bool:
@@ -656,7 +637,6 @@ class QueueWorker:
             time.perf_counter() - t0
         )
         result.worker_id = self.worker_id
-        self.faults.on_publish(key)
         self._pending.append(result)
         if (
             alone

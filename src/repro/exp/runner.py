@@ -165,9 +165,6 @@ class ExperimentRunner:
         after this many seconds is abandoned by its worker's watchdog,
         recorded as a failed attempt (toward the re-issue budget) and
         its lease released. None (default) disables the watchdog.
-    worker_faults:
-        Scripted :class:`~repro.dist.faults.FaultPlan` per local queue
-        worker index (fault-injection tests/CI only).
     supervise:
         Queue mode only: respawn crashed local workers (exponential
         backoff, crash-loop circuit breaker) instead of leaving their
@@ -192,7 +189,6 @@ class ExperimentRunner:
         queue_dir: str | os.PathLike | None = None,
         lease_ttl: float = 30.0,
         cell_timeout_s: float | None = None,
-        worker_faults: Sequence | None = None,
         supervise: bool = False,
         progress: bool | None = None,
     ) -> None:
@@ -210,7 +206,6 @@ class ExperimentRunner:
         self.cell_timeout_s = (
             float(cell_timeout_s) if cell_timeout_s is not None else None
         )
-        self.worker_faults = list(worker_faults) if worker_faults else []
         self.supervise = bool(supervise)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
@@ -476,7 +471,6 @@ class ExperimentRunner:
             trace_dir=trace_dir,
             trace_compact=self.trace_compact,
             cell_timeout_s=self.cell_timeout_s,
-            worker_faults=self.worker_faults,
             supervise=self.supervise,
         )
         for key in pending:

@@ -71,17 +71,13 @@ def atomic_write(
         raise
 
 
-def append_line(
-    path: str | os.PathLike, line: str, before_write: Callable | None = None
-) -> None:
+def append_line(path: str | os.PathLike, line: str) -> None:
     """Durably append ``line`` plus a newline to ``path``.
 
     The fsync makes a torn tail a last resort (power loss mid-write)
     rather than the common case (process death with a full OS buffer);
     the directory is fsynced on first create so the file's existence is
-    durable too. ``before_write(handle, payload)`` runs on the open
-    binary handle just before the write — the fault-injection point of
-    :meth:`repro.dist.store.Store.fsync_append`.
+    durable too.
     """
     path = Path(path)
     payload = (line + "\n").encode("utf-8")
@@ -95,8 +91,6 @@ def append_line(
                 # so this record never extends a fragment into garbage
                 # that swallows a good record.
                 payload = b"\n" + payload
-        if before_write is not None:
-            before_write(handle, payload)
         handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())

@@ -28,9 +28,6 @@ import pytest
 
 from repro.dist import (
     COORDINATOR_KEY,
-    FaultInjector,
-    FaultPlan,
-    QueueWorker,
     WorkQueue,
     audit_queue,
     dispatch_tasks,
@@ -38,6 +35,8 @@ from repro.dist import (
 )
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
+from tests import _dist_faults
+from tests._dist_faults import FaultPlan, FaultyWorker
 
 METHODS = ["heuristic", "scalar_rl"]
 STORM_SEED = 0xC0FFEE
@@ -94,26 +93,26 @@ def storm_plan(rng: random.Random, *, torn_appends: int = 1) -> FaultPlan:
 
 class TestChaosSoak:
     def test_storm_with_sigkill_is_bit_identical_and_accounted(
-        self, grid_config, serial_exact, tmp_path
+        self, grid_config, serial_exact, tmp_path, monkeypatch
     ):
         """The headline soak: IO-fault storm on one worker, a real
         SIGKILL on the other, and the grid still converges exactly."""
         rng = random.Random(STORM_SEED)
         tasks = _tasks(grid_config)
+        _dist_faults.install({
+            # Worker 0: publishes one cell, then SIGKILLs itself right
+            # before its second publish (lease left behind, executed
+            # work lost, cell re-issues elsewhere).
+            "sup0g0": FaultPlan(kill_before_publish=2),
+            # Worker 1: rides out the storage storm — torn first
+            # append plus seeded transient flakes, all recoverable.
+            "sup1g0": storm_plan(rng),
+        }, monkeypatch)
         results = dispatch_tasks(
             tmp_path / "q",
             tasks,
             n_workers=2,
             lease_ttl=1.5,
-            worker_faults=[
-                # Worker 0: publishes one cell, then SIGKILLs itself
-                # right before its second publish (lease left behind,
-                # executed work lost, cell re-issues elsewhere).
-                FaultPlan(kill_before_publish=2),
-                # Worker 1: rides out the storage storm — torn first
-                # append plus seeded transient flakes, all recoverable.
-                storm_plan(rng),
-            ],
         )
         # Eventual completion, bit-identical to the serial run.
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
@@ -151,14 +150,14 @@ class TestChaosSoak:
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
         ensure_enqueued(queue, tasks)
-        worker = QueueWorker(
+        worker = FaultyWorker(
             queue,
             worker_id="brownout",
             poll_interval=0.01,
-            faults=FaultInjector(FaultPlan(io_faults=[
+            plan=FaultPlan(io_faults=[
                 {"op": "append", "path": "results/*", "errno": "ENOSPC",
                  "count": 2},
-            ])),
+            ]),
             spool_dir=tmp_path / "spool",
         )
         worker.store._sleep = lambda _s: None  # instant backoff
@@ -189,12 +188,12 @@ class TestChaosSoak:
 def _dispatch_in_child(queue_dir, config, plan_json):
     """Fork target: run a coordinator scripted to SIGKILL itself."""
     tasks = grid_tasks(METHODS, ["S1"], config, n_seeds=2)
+    _dist_faults.install({"coord": FaultPlan.from_json(plan_json)})
     dispatch_tasks(
         queue_dir,
         tasks,
         n_workers=2,
         lease_ttl=1.5,
-        coordinator_faults=FaultPlan.from_json(plan_json),
     )
 
 
@@ -237,7 +236,6 @@ class TestCoordinatorCrash:
             tasks,
             n_workers=2,
             lease_ttl=1.5,
-            coordinator_faults=FaultPlan(),
         )
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
         after = queue.read_manifest()
@@ -271,7 +269,6 @@ class TestCoordinatorCrash:
             tasks,
             n_workers=2,
             lease_ttl=10.0,
-            coordinator_faults=FaultPlan(),
         )
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
         # Attach mode never stole the leader lease.

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.dist import (
-    FaultPlan,
     QueueWorker,
     WorkQueue,
     dispatch_tasks,
@@ -25,6 +24,8 @@ from repro.dist import (
 )
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
+from tests import _dist_faults
+from tests._dist_faults import FaultPlan
 
 METHODS = ["heuristic", "scalar_rl"]
 
@@ -105,17 +106,19 @@ class TestQueueDispatchIdentity:
 
 class TestCrashRecovery:
     def test_sigkilled_worker_cells_reissue_bit_identically(
-        self, grid_config, serial_exact, tmp_path
+        self, grid_config, serial_exact, tmp_path, monkeypatch
     ):
         """One worker SIGKILLs itself between execute and publish; its
         lease expires, the cell re-issues, and nothing drifts."""
         tasks = _tasks(grid_config)
+        _dist_faults.install(
+            {"sup0g0": FaultPlan(kill_before_publish=1)}, monkeypatch
+        )
         results = dispatch_tasks(
             tmp_path / "q",
             tasks,
             n_workers=2,
             lease_ttl=1.5,
-            worker_faults=[FaultPlan(kill_before_publish=1), None],
         )
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
         # The dead worker published nothing for the killed cell — the
@@ -124,20 +127,20 @@ class TestCrashRecovery:
         assert len(queue.merged_results()) == len(tasks)
 
     def test_all_workers_dead_coordinator_drains_inline(
-        self, grid_config, serial_exact, tmp_path
+        self, grid_config, serial_exact, tmp_path, monkeypatch
     ):
         """Liveness: every local worker dies on its first claim, and the
         grid still terminates with bit-identical results."""
         tasks = _tasks(grid_config)
+        _dist_faults.install({
+            "sup0g0": FaultPlan(kill_after_claims=1),
+            "sup1g0": FaultPlan(kill_after_claims=1),
+        }, monkeypatch)
         results = dispatch_tasks(
             tmp_path / "q",
             tasks,
             n_workers=2,
             lease_ttl=1.0,
-            worker_faults=[
-                FaultPlan(kill_after_claims=1),
-                FaultPlan(kill_after_claims=1),
-            ],
         )
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
         # The coordinator's inline worker executed the remainder.
@@ -146,20 +149,19 @@ class TestCrashRecovery:
         assert any(w.startswith("coord-") for w in workers)
 
     def test_heartbeat_loss_makes_a_straggler_not_a_drift(
-        self, grid_config, serial_exact, tmp_path
+        self, grid_config, serial_exact, tmp_path, monkeypatch
     ):
         """A worker that stops heartbeating loses its lease; the cell
         re-issues and the duplicate publish merges away by key."""
         tasks = _tasks(grid_config)
+        _dist_faults.install({
+            "sup0g0": FaultPlan(drop_heartbeats_after=1, delay_publish_s=2.5),
+        }, monkeypatch)
         results = dispatch_tasks(
             tmp_path / "q",
             tasks,
             n_workers=2,
             lease_ttl=1.0,
-            worker_faults=[
-                FaultPlan(drop_heartbeats_after=1, delay_publish_s=2.5),
-                None,
-            ],
         )
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
 

@@ -9,9 +9,11 @@ import time
 
 import pytest
 
-from repro.dist import FaultPlan, WorkQueue, audit_queue, dispatch_tasks
+from repro.dist import WorkQueue, audit_queue, dispatch_tasks
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
+from tests import _dist_faults
+from tests._dist_faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +55,15 @@ def test_clean_drain_leaves_a_clean_queue(
 
 
 def test_unsupervised_crash_strikes_and_releases_the_held_cell(
-    tasks, serial_exact, tmp_path
+    tasks, serial_exact, tmp_path, monkeypatch
 ):
     """A worker SIGKILLed holding a lease, no respawn: the cell takes
     exactly one failure strike and re-issues at once — with a 60 s ttl
     the old wait-for-expiry behaviour could not finish in time."""
+    _dist_faults.install({"sup0g0": FaultPlan(kill_after_claims=1)}, monkeypatch)
     t0 = time.monotonic()
     results = dispatch_tasks(
         tmp_path / "q", tasks, n_workers=2, lease_ttl=60.0,
-        worker_faults=[FaultPlan(kill_after_claims=1), None],
     )
     assert time.monotonic() - t0 < 30.0
     assert _exact([results[t.key()] for t in tasks]) == serial_exact

@@ -9,7 +9,6 @@ from dataclasses import replace
 import pytest
 
 from repro.dist import (
-    FaultPlan,
     QueueWorker,
     WorkQueue,
     WorkerSupervisor,
@@ -18,6 +17,8 @@ from repro.dist import (
 )
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
+from tests import _dist_faults
+from tests._dist_faults import FaultPlan
 
 METHODS = ["heuristic", "scalar_rl"]
 
@@ -47,7 +48,7 @@ def _exact(results):
 
 class TestWorkerSupervisor:
     def test_crash_respawn_converges_bit_identically(
-        self, grid_config, serial_exact, tmp_path
+        self, grid_config, serial_exact, tmp_path, monkeypatch
     ):
         """Incarnation 1 SIGKILLs itself holding a lease; the respawn
         (fresh worker id) drains the queue and the merge is exact."""
@@ -55,12 +56,14 @@ class TestWorkerSupervisor:
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
         ensure_enqueued(queue, tasks)
+        _dist_faults.install(
+            {"sup0g0": FaultPlan(kill_after_claims=1)}, monkeypatch
+        )
         supervisor = WorkerSupervisor(
             queue,
             n_workers=1,
             backoff_base_s=0.05,
             worker_poll_interval=0.02,
-            spawn_faults=[[FaultPlan(kill_after_claims=1), None]],
         )
         report = supervisor.run()
         assert report.exit_reason == "drained"
@@ -74,14 +77,19 @@ class TestWorkerSupervisor:
         assert _exact([merged[t.key()] for t in tasks]) == serial_exact
         assert queue.status().pending == 0
 
-    def test_crash_loop_opens_circuit_breaker(self, grid_config, tmp_path):
+    def test_crash_loop_opens_circuit_breaker(
+        self, grid_config, tmp_path, monkeypatch
+    ):
         """A worker that dies instantly every incarnation must open the
         breaker after max_crashes, not burn the grid's attempt budget."""
         tasks = _tasks(grid_config)
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         queue.write_meta(batch_episodes=1)
         ensure_enqueued(queue, tasks)
-        crash_every_time = [FaultPlan(kill_after_claims=1)] * 5
+        # "sup0g": every incarnation of slot 0
+        _dist_faults.install(
+            {"sup0g": FaultPlan(kill_after_claims=1)}, monkeypatch
+        )
         supervisor = WorkerSupervisor(
             queue,
             n_workers=1,
@@ -89,7 +97,6 @@ class TestWorkerSupervisor:
             backoff_max_s=0.1,
             max_crashes=2,
             worker_poll_interval=0.02,
-            spawn_faults=[crash_every_time],
         )
         report = supervisor.run()
         assert report.exit_reason == "circuit_open"
@@ -108,19 +115,21 @@ class TestWorkerSupervisor:
         assert report.spawned == 0  # never spawned into a drained queue
 
     def test_dispatch_with_supervision_is_bit_identical(
-        self, grid_config, serial_exact, tmp_path
+        self, grid_config, serial_exact, tmp_path, monkeypatch
     ):
         """The coordinator path: dispatch_tasks(supervise=True) respawns
         a SIGKILLed worker instead of leaning on the inline fallback,
         and the merged grid is exact."""
         tasks = _tasks(grid_config)
+        _dist_faults.install(
+            {"sup0g0": FaultPlan(kill_after_claims=1)}, monkeypatch
+        )
         results = dispatch_tasks(
             tmp_path / "q",
             tasks,
             n_workers=2,
             lease_ttl=1.5,
             supervise=True,
-            worker_faults=[FaultPlan(kill_after_claims=1), None],
         )
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
         queue = WorkQueue(tmp_path / "q", create=False)
@@ -205,7 +214,7 @@ def no_age_commits(monkeypatch):
 
 class TestGroupCommitCrash:
     def test_kill_with_five_pending_strikes_and_reissues_all_five(
-        self, grid_config, tmp_path, no_age_commits
+        self, grid_config, tmp_path, no_age_commits, monkeypatch
     ):
         """SIGKILL just before the fifth result would join the batch:
         the worker dies holding five leases, nothing of theirs on disk.
@@ -215,12 +224,14 @@ class TestGroupCommitCrash:
         inline = _exact(ExperimentRunner(n_workers=1).run(tasks))
         queue = WorkQueue(tmp_path / "q", lease_ttl=10.0)
         ensure_enqueued(queue, tasks)
+        _dist_faults.install(
+            {"sup0g0": FaultPlan(kill_before_publish=5)}, monkeypatch
+        )
         supervisor = WorkerSupervisor(
             queue,
             n_workers=1,
             backoff_base_s=0.05,
             worker_poll_interval=0.02,
-            spawn_faults=[[FaultPlan(kill_before_publish=5), None]],
         )
         report = supervisor.run()
         assert report.exit_reason == "drained"

@@ -241,11 +241,23 @@ class TestWorkQueueCommands:
         payload = json.loads(capsys.readouterr().out)
         assert "utilization" in payload["reports"]["S1"]["heuristic"]
 
-    def test_work_faults_file_is_loaded(self, tmp_path, capsys):
-        """A scripted fault plan file parses; bad plans are an error."""
+    @pytest.mark.parametrize("supervise", [[], ["--supervise", "1"]])
+    @pytest.mark.parametrize("flag,value", [
+        ("--cell-timeout", "-1"),  # join(-1) returns at once: every cell timed out
+        ("--cell-timeout", "inf"),
+        ("--poll", "-1"),  # the first idle sleep raised
+        ("--poll", "nan"),
+        ("--max-cells", "0"),  # exited having done nothing
+        ("--lease-ttl", "nan"),  # passed `ttl <= 0`: leases never expired
+        ("--lease-ttl", "0"),
+        ("--backoff", "nan"),
+    ])
+    def test_malformed_work_flag_is_one_line_and_exit_1(
+        self, flag, value, supervise, tmp_path, capsys
+    ):
         queue = self._enqueue(tmp_path)
-        bad = tmp_path / "plan.json"
-        bad.write_text('{"explode": true}')
-        assert main(["work", "--queue", str(queue.root),
-                     "--faults", str(bad)]) == 1
-        assert "unknown fault plan" in capsys.readouterr().err
+        argv = ["work", "--queue", str(queue.root), *supervise, flag, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro work: error: {flag} ") and err.count("\n") == 1
+        assert queue.status().done == 0  # no worker started

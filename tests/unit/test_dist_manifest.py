@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.manifest import (
     COORDINATOR_KEY,
     ManifestCorrupt,
@@ -281,26 +280,3 @@ class TestStatusSurface:
         })
         assert queue.status().spool_backlog == 3
 
-
-class TestCoordinatorFaultPlan:
-    def test_kill_point_validation(self):
-        with pytest.raises(ValueError, match="kill_coordinator_at"):
-            FaultPlan(kill_coordinator_at="enqueue")
-        with pytest.raises(ValueError, match="kill_coordinator_nth"):
-            FaultPlan(kill_coordinator_at="merge", kill_coordinator_nth=0)
-        plan = FaultPlan(kill_coordinator_at="dispatch", kill_coordinator_nth=3)
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_on_coordinator_counts_and_fires_nth(self):
-        injector = FaultInjector(
-            FaultPlan(kill_coordinator_at="dispatch", kill_coordinator_nth=3)
-        )
-        fired = []
-        injector._kill_self = lambda: fired.append(True)
-        injector.on_coordinator("staged")
-        injector.on_coordinator("dispatch")
-        injector.on_coordinator("dispatch")
-        assert not fired
-        injector.on_coordinator("dispatch")
-        assert fired
-        assert injector.coordinator_points == {"staged": 1, "dispatch": 3}

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.lease import LeaseBoard
 from repro.dist.manifest import ensure_enqueued
 from repro.dist.queue import MAX_ATTEMPTS, WorkQueue
@@ -17,6 +16,7 @@ from repro.exp.runner import grid_tasks
 from repro.experiments.harness import ExperimentConfig
 from repro.sim.metrics import MetricReport
 from repro.utils.durable import append_line
+from tests._dist_faults import FaultInjector, FaultPlan, FaultStore, FaultyWorker
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -34,6 +34,13 @@ def enqueue(queue: WorkQueue, tasks: list[ExperimentTask]) -> list[str]:
     the keys in task order."""
     ensure_enqueued(queue, tasks)
     return [task.key() for task in tasks]
+
+
+def make_worker(queue, execute, cls=QueueWorker, **kwargs) -> QueueWorker:
+    """A worker whose cells run ``execute`` in place of ``execute_task``."""
+    worker = cls(queue, **kwargs)
+    worker.execute = execute
+    return worker
 
 
 def make_result(key: str, worker_id: str = "w0") -> TaskResult:
@@ -110,6 +117,12 @@ class TestLeaseBoard:
     def test_rejects_nonpositive_ttl(self, tmp_path):
         with pytest.raises(ValueError, match="ttl"):
             LeaseBoard(tmp_path, ttl=0.0)
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_ttl(self, tmp_path, ttl):
+        """A NaN ttl passed ``ttl <= 0`` and no lease ever expired."""
+        with pytest.raises(ValueError, match="finite"):
+            LeaseBoard(tmp_path, ttl=ttl)
 
 
 class TestWorkQueue:
@@ -261,10 +274,11 @@ class TestFrontier:
 
         monkeypatch.setattr(queue.leases, "try_claim", racing_claim)
         executed = []
-        worker = QueueWorker(
-            queue, worker_id="late",
-            execute=lambda task, *a: executed.append(task.key())
+        worker = make_worker(
+            queue,
+            lambda task, *a: executed.append(task.key())
             or make_result(task.key(), "late"),
+            worker_id="late",
         )
         assert worker._scan_once({}) is True
         assert sorted(executed) == sorted(set(keys) - {early, raced})
@@ -273,42 +287,6 @@ class TestFrontier:
         assert merged[early].worker_id == merged[raced].worker_id == "other"
         counters = worker.metrics.snapshot()["counters"]
         assert counters["queue.straggler_dedupes"] == 1  # raced, not early
-
-
-class TestFaultPlan:
-    def test_json_roundtrip(self):
-        plan = FaultPlan(kill_after_claims=2, delay_publish_s=0.5)
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown fault plan"):
-            FaultPlan.from_json('{"explode": true}')
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError, match="kill_after_claims"):
-            FaultPlan(kill_after_claims=0)
-        with pytest.raises(ValueError, match="delay_publish_s"):
-            FaultPlan(delay_publish_s=-1.0)
-
-    def test_from_env(self, monkeypatch):
-        from repro.dist.faults import FAULTS_ENV
-
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULTS_ENV, FaultPlan(kill_before_publish=1).to_json())
-        assert FaultPlan.from_env() == FaultPlan(kill_before_publish=1)
-
-    def test_heartbeat_dropping(self):
-        injector = FaultInjector(FaultPlan(drop_heartbeats_after=2))
-        assert injector.on_heartbeat() and injector.on_heartbeat()
-        assert not injector.on_heartbeat()
-        assert not injector.on_heartbeat()
-
-    def test_no_plan_is_inert(self):
-        injector = FaultInjector()
-        injector.on_claim("k")
-        injector.on_publish("k")
-        assert injector.on_heartbeat()
 
 
 class TestQueueWorker:
@@ -353,7 +331,7 @@ class TestQueueWorker:
         def explode(task, *args):
             raise RuntimeError("scripted failure")
 
-        report = QueueWorker(queue, worker_id="doomed", execute=explode).run()
+        report = make_worker(queue, explode, worker_id="doomed").run()
         assert report.failed == keys * MAX_ATTEMPTS
         assert queue.poisoned(keys[0])
         assert not queue.is_done(keys[0])
@@ -367,7 +345,7 @@ class TestQueueWorker:
 def storm_store(plan: FaultPlan, **kwargs) -> Store:
     """A fault-scripted store whose backoffs never actually sleep."""
     kwargs.setdefault("retry", RetryPolicy(seed="test"))
-    return Store(faults=FaultInjector(plan), sleep=lambda _s: None, **kwargs)
+    return FaultStore(FaultInjector(plan), sleep=lambda _s: None, **kwargs)
 
 
 class TestLeaseStatFlake:
@@ -502,9 +480,9 @@ class TestCellTimeout:
         def hang(task, *args):
             release.wait(30.0)  # a simulation that never returns
 
-        worker = QueueWorker(
-            queue, worker_id="watchdogged", cell_timeout_s=0.1,
-            poll_interval=0.01, execute=hang,
+        worker = make_worker(
+            queue, hang, worker_id="watchdogged", cell_timeout_s=0.1,
+            poll_interval=0.01,
         )
         report = worker.run()
         release.set()  # unblock the abandoned daemon threads
@@ -533,9 +511,8 @@ class TestCellTimeout:
 
 class TestDegradedMode:
     def _worker(self, queue, plan, **kwargs):
-        worker = QueueWorker(
-            queue, worker_id="degraded", poll_interval=0.01,
-            faults=FaultInjector(plan),
+        worker = FaultyWorker(
+            queue, worker_id="degraded", poll_interval=0.01, plan=plan,
             spool_dir=queue.root.parent / "spool",
             **kwargs,
         )
@@ -593,10 +570,7 @@ class TestDegradedMode:
             {"op": "write", "path": "leases/*", "errno": "EIO", "count": 1},
         ])
         queue.use_store(storm_store(plan, retry=RetryPolicy(max_retries=0, seed="h")))
-        heartbeat = Heartbeat(
-            queue, "cell", "hb-owner", interval=0.01,
-            faults=FaultInjector(),
-        )
+        heartbeat = Heartbeat(queue, "cell", "hb-owner", interval=0.01)
         heartbeat.start()
         import time
 
@@ -621,15 +595,15 @@ def served(executed: list | None = None):
 
 def count_store_ops(worker: QueueWorker) -> list[str]:
     """Every store operation ``worker`` performs from now on, as
-    ``"<op> <directory>"`` (the fault hook sits in front of each one)."""
+    ``"<op> <directory>"`` (every one runs through ``Store._run``)."""
     ops: list[str] = []
-    on_io = worker.faults.on_io
+    run = worker.store._run
 
-    def counting(op, path):
+    def counting(op, path, fn):
         ops.append(f"{op} {os.path.basename(os.path.dirname(path))}")
-        return on_io(op, path)
+        return run(op, path, fn)
 
-    worker.faults.on_io = counting
+    worker.store._run = counting
     return ops
 
 
@@ -661,7 +635,7 @@ class TestOnePassDrain:
         monkeypatch.setattr(
             queue, "frontier", lambda: listings.append(1) or frontier()
         )
-        worker = QueueWorker(queue, worker_id="solo", execute=served())
+        worker = make_worker(queue, served(), worker_id="solo")
         ops = count_store_ops(worker)
         report = worker.run()
         assert sorted(report.executed) == sorted(keys)
@@ -679,9 +653,8 @@ class TestOnePassDrain:
         first = set()
         for worker_id in ("w0", "w1", "w2", "w3"):
             executed: list = []
-            QueueWorker(
-                queue, worker_id=worker_id, max_cells=1,
-                execute=served(executed),
+            make_worker(
+                queue, served(executed), worker_id=worker_id, max_cells=1,
             ).run()
             first.update(executed)
         # Four ids, 32 → 29 claimable keys: the offsets cannot all
@@ -695,7 +668,7 @@ class TestOnePassDrain:
         queue = WorkQueue(tmp_path, lease_ttl=30.0)
         keys = enqueue(queue, tiny_tasks())
         queue.leases.try_claim(keys[0], "other")
-        worker = QueueWorker(queue, worker_id="me", execute=served())
+        worker = make_worker(queue, served(), worker_id="me")
         ops = count_store_ops(worker)
         assert worker._scan_once({}) is True
         # keys[0]: refused create, then one read; keys[1]: create only.
@@ -710,8 +683,8 @@ class TestGroupCommit:
             ["heuristic"], ["S1"], tiny_config(), n_seeds=6
         ))
         executed: list = []
-        worker = QueueWorker(
-            queue, worker_id="three", max_cells=3, execute=served(executed)
+        worker = make_worker(
+            queue, served(executed), worker_id="three", max_cells=3
         )
         report = worker.run()
         assert report.exit_reason == "max_cells"
@@ -732,9 +705,9 @@ class TestGroupCommit:
         tasks = grid_tasks(["heuristic"], ["S1"], tiny_config(), n_seeds=5)
         manifest = ensure_enqueued(queue, tasks)
         queue.write_manifest(replace(manifest, state="complete"))
-        worker = QueueWorker(
-            queue, worker_id="short", poll_interval=0.01,
-            wait_for_work=wait, execute=served(),
+        worker = make_worker(
+            queue, served(), worker_id="short", poll_interval=0.01,
+            wait_for_work=wait,
         )
         report = worker.run()
         assert report.exit_reason == reason
@@ -754,10 +727,9 @@ class TestGroupCommit:
              "nth": 4, "count": 0},
         ])
         executed: list = []
-        worker = QueueWorker(
-            queue, worker_id="cutoff", poll_interval=0.01,
-            faults=FaultInjector(plan), execute=served(executed),
-            spool_dir=tmp_path / "spool",
+        worker = make_worker(
+            queue, served(executed), FaultyWorker, worker_id="cutoff",
+            poll_interval=0.01, plan=plan, spool_dir=tmp_path / "spool",
         )
         with pytest.raises(RuntimeError, match="stayed unavailable"):
             worker.run()
@@ -773,7 +745,7 @@ class TestGroupCommit:
         monkeypatch.setattr(worker_module, "COMMIT_AGE_S", 0.0)
         queue = WorkQueue(tmp_path)
         keys = enqueue(queue, tiny_tasks(n_seeds=3))
-        worker = QueueWorker(queue, worker_id="slow", execute=served())
+        worker = make_worker(queue, served(), worker_id="slow")
         worker.run()
         sizes = commit_sizes(worker)
         assert (sizes["count"], sizes["max"]) == (len(keys), 1)
@@ -790,7 +762,7 @@ class TestGroupCommit:
             held_at_execute[task.key()] = len(queue.leases.leases())
             return make_result(task.key())
 
-        worker = QueueWorker(queue, worker_id="careful", execute=execute)
+        worker = make_worker(queue, execute, worker_id="careful")
         worker.run()
         # Nothing else was leased while the struck cell ran, and it did
         # not wait for anyone afterwards.
@@ -812,10 +784,9 @@ class TestGroupCommit:
             {"op": "append", "path": "results/*", "errno": "ENOSPC",
              "nth": 2, "count": 0},
         ])
-        doomed = QueueWorker(
-            queue, worker_id="doomed", poll_interval=0.01,
-            faults=FaultInjector(plan), execute=served(),
-            spool_dir=tmp_path / "spool",
+        doomed = make_worker(
+            queue, served(), FaultyWorker, worker_id="doomed",
+            poll_interval=0.01, plan=plan, spool_dir=tmp_path / "spool",
         )
         with pytest.raises(RuntimeError, match="spooled"):
             doomed.run()
@@ -825,7 +796,7 @@ class TestGroupCommit:
         assert 1 <= len(whole) < len(keys)
         assert queue.quarantine_count() == 0
         assert queue.frontier().claimable == sorted(keys)  # all re-issue
-        QueueWorker(queue, worker_id="rescuer", execute=served()).run()
+        make_worker(queue, served(), worker_id="rescuer").run()
         assert set(queue.merged_results()) == set(keys)
         assert queue.quarantine_count() == 0
         assert queue.status().pending == 0
@@ -852,7 +823,7 @@ class TestOneHeartbeatPerWorker:
                 time.sleep(0.35)
             return make_result(task.key())
 
-        worker = QueueWorker(queue, worker_id="beating", execute=execute)
+        worker = make_worker(queue, execute, worker_id="beating")
         report = worker.run()
         assert sorted(report.executed) == sorted(keys)
         assert report.straggled == [order[0]]
@@ -870,7 +841,7 @@ class TestOneHeartbeatPerWorker:
         enqueue(queue, grid_tasks(
             ["heuristic"], ["S1"], tiny_config(), n_seeds=40
         ))
-        worker = QueueWorker(queue, worker_id="quiet", execute=served())
+        worker = make_worker(queue, served(), worker_id="quiet")
         ops = count_store_ops(worker)
         worker.run()
         # start + exit (the drain never reaches the interval), each one

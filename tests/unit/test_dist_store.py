@@ -2,7 +2,7 @@
 
 Covers the errno taxonomy, the seeded-backoff retry schedule (property
 tests pin determinism and boundedness), CRC32 line/payload sealing, and
-the deterministic IO fault injector's window semantics.
+scripted IO faults travelling the real retry path.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.store import (
     PERMANENT_ERRNOS,
     TRANSIENT_ERRNOS,
@@ -30,17 +29,17 @@ from repro.utils.durable import (
     unseal_line,
     verify_sealed_payload,
 )
+from tests._dist_faults import FaultInjector, FaultPlan, FaultStore
 
 
 def quiet_store(plan: FaultPlan | None = None, **kwargs) -> tuple[Store, list]:
     """A store that never actually sleeps; returns (store, recorded sleeps)."""
     sleeps: list[float] = []
     kwargs.setdefault("retry", RetryPolicy(seed="test-worker"))
-    store = Store(
-        faults=FaultInjector(plan) if plan is not None else None,
-        sleep=sleeps.append,
-        **kwargs,
-    )
+    if plan is None:
+        store = Store(sleep=sleeps.append, **kwargs)
+    else:
+        store = FaultStore(FaultInjector(plan), sleep=sleeps.append, **kwargs)
     return store, sleeps
 
 
@@ -163,52 +162,6 @@ class TestSealing:
         assert seal_json_payload(seal_json_payload(payload)) == (
             seal_json_payload(payload)
         )
-
-
-class TestFaultInjectorWindows:
-    def plan(self, **entry) -> FaultInjector:
-        entry.setdefault("errno", "EIO")
-        return FaultInjector(FaultPlan(io_faults=[entry]))
-
-    def test_nth_fires_on_exactly_the_nth_match(self):
-        injector = self.plan(op="write", nth=2, count=1)
-        assert injector.on_io("write", "/q/a") is None
-        assert injector.on_io("read", "/q/a") is None  # op filter
-        assert injector.on_io("write", "/q/b") is not None
-        assert injector.on_io("write", "/q/c") is None  # window closed
-
-    def test_count_zero_fires_forever(self):
-        injector = self.plan(op="any", count=0)
-        for _ in range(5):
-            assert injector.on_io("unlink", "/q/x") is not None
-
-    def test_path_pattern_matches_anywhere(self):
-        injector = self.plan(path="results/*")
-        assert injector.on_io("write", "/tmp/q/results/j.jsonl") is not None
-        assert injector.on_io("write", "/tmp/q/tasks/t.json") is None
-
-    def test_match_counters_are_observable(self):
-        injector = self.plan(op="write", nth=3, count=1)
-        for _ in range(4):
-            injector.on_io("write", "/q/a")
-        assert injector.io_matches == [4]
-        assert injector.io_fired == [1]
-
-    def test_entry_validation(self):
-        with pytest.raises(ValueError, match="errno"):
-            FaultPlan(io_faults=[{"errno": "NOT_AN_ERRNO"}])
-        with pytest.raises(ValueError, match="op"):
-            FaultPlan(io_faults=[{"op": "chmod", "errno": "EIO"}])
-        with pytest.raises(ValueError, match="nth"):
-            FaultPlan(io_faults=[{"errno": "EIO", "nth": 0}])
-        with pytest.raises(ValueError, match="scripts nothing"):
-            FaultPlan(io_faults=[{"path": "*"}])
-
-    def test_plan_json_roundtrip_with_io_faults(self):
-        plan = FaultPlan(
-            io_faults=[{"op": "append", "errno": "ENOSPC", "count": 0}]
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
 
 
 class TestStoreRetry:

@@ -119,13 +119,11 @@ class TestAppendLine:
         append_line(tmp_path / "j.jsonl", "two")
         assert len(synced) == 3
 
-    def test_before_write_hook_sees_the_guarded_payload(self, tmp_path):
+    def test_newline_guard_terminates_a_stranded_fragment(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text("fragment")
-        seen = []
-        append_line(path, "rec", before_write=lambda h, payload: seen.append(payload))
-        assert seen == [b"\nrec\n"]
-        assert path.read_text() == "fragment\nrec\n"
+        append_line(path, "rec")
+        assert path.read_bytes() == b"fragment\nrec\n"
 
 
 KEYS = st.lists(
