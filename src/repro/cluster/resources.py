@@ -9,6 +9,7 @@ backfill machinery, exactly as a production scheduler would operate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,6 +72,14 @@ class SystemConfig:
     @property
     def n_resources(self) -> int:
         return len(self.resources)
+
+    @cached_property
+    def capacities(self) -> np.ndarray:
+        """Unit counts in config order as one read-only float vector,
+        built once per config (the divisor of every normalised request)."""
+        caps = np.array([spec.units for spec in self.resources], dtype=float)
+        caps.flags.writeable = False
+        return caps
 
     def capacity(self, name: str) -> int:
         for spec in self.resources:
@@ -237,14 +246,10 @@ class ResourcePool:
             spec.name: spec.units for spec in config.resources
         }
         self._free: dict[str, int] = dict(self._capacity)
-        self._caps_arr = np.array(
-            [spec.units for spec in config.resources], dtype=float
-        )
+        self._caps_arr = config.capacities
         # The same counters as a config-ordered vector, for the
         # vectorized backfill pass (read-only to callers).
-        self._free_arr = np.array(
-            [spec.units for spec in config.resources], dtype=float
-        )
+        self._free_arr = config.capacities.copy()
         self._name_pos: dict[str, int] = {
             spec.name: i for i, spec in enumerate(config.resources)
         }

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.nn.layers import Dense, LeakyReLU, SlotDense
 from repro.nn.losses import mse_loss
-from repro.nn.network import InferenceWorkspace, Sequential
+from repro.nn.network import InferenceWorkspace, Sequential, reject_unknown_keys
 from repro.nn.optim import Adam
 from repro.utils.rng import as_generator, spawn_generators
 
@@ -516,6 +516,12 @@ class DFPNetwork:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load every branch in place; a key no branch parameter takes
+        raises ``KeyError`` before anything is written."""
+        reject_unknown_keys(
+            state,
+            {f"{branch}.{key}" for branch, net in self._branches() for key in net.state_keys()},
+        )
         for branch, net in self._branches():
             prefix = f"{branch}."
             sub = {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
@@ -773,6 +779,6 @@ class DFPAgent:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         state = dict(state)
         eps = state.pop("__epsilon__", None)
+        self.network.load_state_dict(state)
         if eps is not None:
             self.epsilon = float(np.asarray(eps).ravel()[0])
-        self.network.load_state_dict(state)

@@ -120,7 +120,7 @@ class StateEncoder:
         self.time_scale = time_scale
         self.time_clip = time_clip
         self.paper_layout = paper_layout
-        self._caps = np.array([system.capacity(n) for n in system.names], dtype=float)
+        self._caps = system.capacities
         self._n_units = int(sum(system.capacity(n) for n in system.names))
         # Reused per-call scratch: the window request matrix. Rows are
         # refilled in place each encode, so window-block assembly

@@ -51,7 +51,7 @@ def contention_terms(
     from repro.sched.jobqueue import JobQueue  # late: avoids an import cycle
 
     names = system.names
-    caps = np.array([system.capacity(n) for n in names], dtype=float)
+    caps = system.capacities
     if isinstance(queued, JobQueue) and list(queued.names) == names:
         totals = queued.contention_totals(caps)
     else:

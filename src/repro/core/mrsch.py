@@ -118,9 +118,7 @@ class MRSchScheduler(Scheduler):
         #: Fig. 1 argues against; kept for the ablation benchmark.
         self.dynamic_goal = dynamic_goal
         self.training = False
-        self._caps = np.array(
-            [system.capacity(n) for n in system.names], dtype=float
-        )
+        self._caps = system.capacities
         #: (time, goal vector) samples of the current run — Figs 8–9
         self.goal_log: list[tuple[float, np.ndarray]] = []
         self._goal = np.full(system.n_resources, 1.0 / system.n_resources)

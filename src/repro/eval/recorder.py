@@ -137,7 +137,7 @@ class DecisionTraceRecorder:
         mask[: min(len(window), w)] = True
 
         names = ctx.system.names
-        caps = np.array([ctx.system.capacity(n) for n in names], dtype=float)
+        caps = ctx.system.capacities
         n_feats = len(names) + len(EXTRA_FEATURES)
         job_feats = np.zeros((w, n_feats))
         job_ids = np.full(w, -1, dtype=np.int64)

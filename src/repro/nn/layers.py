@@ -13,7 +13,14 @@ Each layer follows the same protocol:
   layer's next training forward / backward; ``forward(x)`` without
   ``training`` returns a fresh array the caller may keep,
 * ``params`` / ``grads`` are dicts keyed by parameter name so optimizers
-  and serialisation can treat all layers uniformly.
+  and serialisation can treat all layers uniformly,
+* ``params`` of a weighted layer (``Dense``, ``SlotDense``, ``Conv1D``)
+  are drawn at their first read — a forward, a backward, the optimiser's
+  first step, ``state_dict`` / ``load_state_dict`` or
+  ``parameter_count`` — from the generator the layer was given, which it
+  then drops. A layer owns that generator: give each layer its own
+  (``spawn_generators``), so when a layer draws cannot change what it
+  draws; a network that never consults a layer never holds its weights.
 
 Inputs are batched along the first axis: Dense consumes ``(B, F)``,
 Conv1D consumes ``(B, L, C)``.
@@ -46,9 +53,33 @@ class Layer:
     """Base class; parameter-free layers inherit the empty dicts."""
 
     def __init__(self) -> None:
-        self.params: dict[str, np.ndarray] = {}
+        self._params: dict[str, np.ndarray] | None = {}
+        self._draw: tuple | None = None
         self._grads: dict[str, np.ndarray] | None = None
         self._buffers: dict[str, np.ndarray] = {}
+
+    def _defer(self, initializer, shape: tuple[int, ...], rng) -> None:
+        """Hold ``W = initializer(shape, rng)`` and a zero bias of width
+        ``shape[-1]`` until ``params`` is first read."""
+        self._params = None
+        self._draw = (initializer, shape, as_generator(rng))
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Parameters keyed by name; the same dict and arrays on every
+        read (optimisers hold views of them, so update them in place).
+
+        A weighted layer draws them at the first read and drops its
+        generator (see the module docstring)."""
+        if self._params is None:
+            initializer, shape, rng = self._draw
+            self._draw = None
+            self._params = {"W": initializer(shape, rng), "b": np.zeros(shape[-1])}
+        return self._params
+
+    @params.setter
+    def params(self, value: dict[str, np.ndarray]) -> None:
+        self._params, self._draw = value, None
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
@@ -99,6 +130,9 @@ class Dense(Layer):
     ``input_grad=False`` marks a layer fed raw inputs (the first of a
     branch): nothing consumes its input gradient, so ``backward`` skips
     the ``grad_out @ W.T`` product and returns ``None``.
+
+    ``W`` is drawn at the first read of ``params`` from ``rng``, which
+    the layer owns: layers sharing a generator would draw in read order.
     """
 
     def __init__(
@@ -112,15 +146,11 @@ class Dense(Layer):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Dense dimensions must be positive")
-        rng = as_generator(rng)
         initializer = he_init if init == "he" else xavier_init
         self.in_features = in_features
         self.out_features = out_features
         self.input_grad = input_grad
-        self.params = {
-            "W": initializer((in_features, out_features), rng),
-            "b": np.zeros(out_features),
-        }
+        self._defer(initializer, (in_features, out_features), rng)
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -214,6 +244,8 @@ class Conv1D(Layer):
 
     Used by the CNN state-module variant (paper Fig. 3). Implemented via
     an im2col-style window expansion so the inner product is one matmul.
+    Like :class:`Dense`, it draws ``W`` at the first read of ``params``
+    from the ``rng`` it owns.
     """
 
     def __init__(
@@ -227,15 +259,11 @@ class Conv1D(Layer):
         super().__init__()
         if kernel_size <= 0 or stride <= 0:
             raise ValueError("kernel_size and stride must be positive")
-        rng = as_generator(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
-        self.params = {
-            "W": he_init((kernel_size, in_channels, out_channels), rng),
-            "b": np.zeros(out_channels),
-        }
+        self._defer(he_init, (kernel_size, in_channels, out_channels), rng)
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 

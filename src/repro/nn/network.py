@@ -7,7 +7,14 @@ import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["Sequential", "InferenceWorkspace"]
+__all__ = ["Sequential", "InferenceWorkspace", "reject_unknown_keys"]
+
+
+def reject_unknown_keys(state: dict, known: set[str]) -> None:
+    """Raise ``KeyError`` naming every key of ``state`` outside ``known``."""
+    unknown = sorted(set(state) - known)
+    if unknown:
+        raise KeyError(f"unexpected parameters: {', '.join(unknown)}")
 
 
 class InferenceWorkspace:
@@ -88,7 +95,16 @@ class Sequential:
             for name, param in layer.params.items()
         }
 
+    def state_keys(self) -> set[str]:
+        """The keys of :meth:`state_dict`, without copying a parameter."""
+        return {f"{li}.{name}" for li, layer in enumerate(self.layers) for name in layer.params}
+
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameters in place. Every key must
+        name a parameter: a checkpoint of another architecture raises
+        ``KeyError`` before anything is written, instead of loading in
+        part."""
+        reject_unknown_keys(state, self.state_keys())
         for li, layer in enumerate(self.layers):
             for name, param in layer.params.items():
                 key = f"{li}.{name}"

@@ -130,8 +130,7 @@ class GAScheduler(WindowPolicyScheduler):
                 free[name][sel] = end
                 used[name] += amount * job.walltime
         span = max(horizon - ctx.now, 1e-9)
-        caps = np.array([ctx.system.capacity(n) for n in names], dtype=float)
-        util = np.array([used[n] for n in names]) / (caps * span)
+        util = np.array([used[n] for n in names]) / (ctx.system.capacities * span)
         return -util  # NSGA-II minimizes
 
     # -- NSGA-II machinery -----------------------------------------------

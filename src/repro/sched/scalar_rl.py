@@ -83,7 +83,7 @@ class ScalarRLScheduler(Scheduler):
     def encode(self, window: list[Job], ctx: SchedulingContext) -> tuple[np.ndarray, np.ndarray]:
         """Return (observation, valid-slot mask)."""
         names = self.system.names
-        caps = np.array([self.system.capacity(n) for n in names], dtype=float)
+        caps = self.system.capacities
         obs = np.zeros(self.obs_dim)
         mask = np.zeros(self.window_size, dtype=bool)
         per = self.n_resources + 2

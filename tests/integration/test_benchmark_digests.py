@@ -11,6 +11,11 @@ agent's ε-greedy draw stream and replay buffer are held to the
 reference. The benchmark's own files are *read*, never edited: the
 scenarios come from ``workloads.py``, the digest function from
 ``check.py``, the expected values from the committed reference run.
+
+Seed 7's ``replay_theta`` settles every decision before the network is
+asked, so its pin would pass with any weights; the seed-15 row, whose
+expected value lives here, runs the untrained network and holds the
+weights it draws.
 """
 
 from __future__ import annotations
@@ -52,6 +57,20 @@ def test_seed7_digest_equals_the_committed_reference(workload):
     reference = json.loads((E2E / "reference" / "seed7.json").read_text())
     assert reference["seed"] == 7
     expected = reference["workloads"][workload]["end_to_end"]["result_digest"]
-    scenario = _load("workloads").WORKLOADS[workload].scenario_for(7)
+    assert _digest(workload, 7) == expected
+
+
+#: ``replay_theta`` at seed 15: four lockstep ``forward_infer`` calls of
+#: the untrained Theta-geometry network, digest as of weights drawn at
+#: construction.
+REPLAY_THETA_SEED15 = "c78b4b0aa0da1e0e04e83567dc8e8492a56e1d3ff505dc9d6097d7d82d2af7a5"
+
+
+def test_replay_theta_seed15_digest_where_the_network_runs():
+    assert _digest("replay_theta", 15) == REPLAY_THETA_SEED15
+
+
+def _digest(workload: str, seed: int) -> str:
+    scenario = _load("workloads").WORKLOADS[workload].scenario_for(seed)
     results = run_scenario(scenario, progress=False).results
-    assert _load("check").result_digest(results) == expected
+    return _load("check").result_digest(results)

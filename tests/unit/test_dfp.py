@@ -198,6 +198,36 @@ class TestNetwork:
         np.testing.assert_allclose(a.forward(s, m, g), b.forward(s, m, g))
 
 
+class TestWeightsAtFirstUse:
+    """Each layer draws from its own spawned generator when first read."""
+
+    def test_read_order_does_not_change_the_weights(self):
+        forward, backward = DFPNetwork(small_config(), rng=5), DFPNetwork(small_config(), rng=5)
+        for layer in forward.layers:
+            layer.params
+        for layer in reversed(backward.layers):
+            layer.params
+        expected = forward.state_dict()
+        for key, value in backward.state_dict().items():
+            np.testing.assert_array_equal(value, expected[key])
+
+    def test_untrained_theta_scheduler_draws_no_weights(self):
+        from repro.cluster.resources import SystemConfig
+        from repro.core.mrsch import MRSchScheduler
+
+        system = SystemConfig.theta()
+        MRSchScheduler(system)  # first-use imports and caches stay out
+        tracemalloc.start()
+        try:
+            sched = MRSchScheduler(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Drawing its 3,051,536 parameters at construction peaks near 24 MiB.
+        assert peak < 2 * 2**20
+        assert sched.agent.network.parameter_count() == 3_051_536
+
+
 class TestAgentActing:
     def test_objective_weights(self):
         agent = DFPAgent(small_config(), rng=0)
@@ -327,6 +357,19 @@ class TestAgentLearning:
             agent.train_batch()
         last = np.mean([agent.train_batch() for _ in range(5)])
         assert last < first
+
+    def test_load_rejects_keys_no_parameter_consumes(self):
+        """A checkpoint of another architecture raises, naming what it
+        could not place, and leaves the agent as it was."""
+        agent = DFPAgent(small_config(), rng=1)
+        before = agent.state_dict()
+        state = DFPAgent(small_config(), rng=2).state_dict()
+        state["action.7.W"] = np.zeros((8, 4))
+        state["bogus"] = np.zeros(1)
+        with pytest.raises(KeyError, match=r"action\.7\.W, bogus"):
+            agent.load_state_dict(state)
+        for key, value in agent.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
 
     def test_state_dict_roundtrip_with_epsilon(self, rng):
         a = DFPAgent(small_config(), rng=1)

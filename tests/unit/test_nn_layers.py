@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.init import he_init
 from repro.nn.layers import (
     Conv1D,
     Dense,
@@ -12,6 +13,7 @@ from repro.nn.layers import (
     MaxPool1D,
     ReLU,
     Sigmoid,
+    SlotDense,
     Softmax,
     Tanh,
 )
@@ -86,6 +88,33 @@ class TestDense:
         a = Dense(6, 4, rng=np.random.default_rng(3))
         b = Dense(6, 4, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(a.params["W"], b.params["W"])
+
+
+class TestWeightsAtFirstRead:
+    """Weighted layers draw from the generator they own at the first read
+    of ``params``, not at construction."""
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda rng: Dense(5, 3, rng=rng), (5, 3)),
+            (lambda rng: SlotDense(4, 2, 3, rng=rng), (6, 3)),
+            (lambda rng: Conv1D(2, 3, kernel_size=4, rng=rng), (4, 2, 3)),
+        ],
+        ids=["dense", "slot_dense", "conv1d"],
+    )
+    def test_first_read_is_he_init_from_a_twin_generator(self, make, shape):
+        rng = np.random.default_rng(11)
+        layer = make(rng)
+        assert rng.bit_generator.state == np.random.default_rng(11).bit_generator.state
+        params = layer.params
+        np.testing.assert_array_equal(params["W"], he_init(shape, np.random.default_rng(11)))
+        np.testing.assert_array_equal(params["b"], np.zeros(shape[-1]))
+        # The optimiser's stale check compares identities: every later
+        # read hands back the same dict and arrays.
+        again = layer.params
+        assert again is params
+        assert all(again[name] is array for name, array in params.items())
 
 
 class TestActivations:

@@ -53,6 +53,16 @@ class TestSequential:
         with pytest.raises(KeyError):
             net.load_state_dict(state)
 
+    def test_load_unconsumed_key_raises_before_writing(self):
+        net = build_net()
+        before = net.state_dict()
+        state = build_net(1).state_dict()
+        state["5.W"] = np.zeros((2, 2))
+        with pytest.raises(KeyError, match="5.W"):
+            net.load_state_dict(state)
+        for key, value in net.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
     def test_load_shape_mismatch_raises(self):
         net = build_net()
         state = net.state_dict()

@@ -43,6 +43,14 @@ class TestSpecs:
         assert powered.names == [NODE, BURST_BUFFER, "power"]
         assert powered.capacity("power") == 50
 
+    def test_capacities_vector_is_built_once_and_read_only(self, tiny_system):
+        powered = tiny_system.with_power(50)
+        caps = powered.capacities
+        assert caps is powered.capacities
+        assert caps.dtype == float and not caps.flags.writeable
+        np.testing.assert_array_equal(caps, [powered.capacity(n) for n in powered.names])
+        assert powered == tiny_system.with_power(50)  # not part of identity
+
     def test_unknown_capacity_raises(self, tiny_system):
         with pytest.raises(KeyError):
             tiny_system.capacity("gpu")
