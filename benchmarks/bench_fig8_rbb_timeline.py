@@ -11,6 +11,7 @@ from repro.core.goal import goal_vector
 from repro.experiments.figures import fig8_rbb_timeline
 from repro.experiments.harness import ExperimentConfig, prepare_base_trace
 from repro.sched.ga import NSGA2Config
+from repro.sched.jobqueue import JobQueue, RunningJobs
 from repro.workload.suites import build_workload
 
 
@@ -31,9 +32,12 @@ def test_fig8_rbb_timeline(benchmark, bench_config, save_result):
     system = config.system()
     base = prepare_base_trace(config)
     jobs = build_workload("S5", base, system, seed=config.seed)
-    queued, running = jobs[:20], jobs[20:40]
-    for job in running:
+    queued, running = JobQueue(system.names), RunningJobs(system.names)
+    for job in jobs[:20]:
+        queued.append(job)
+    for job in jobs[20:40]:
         job.start_time = 0.0
+        running.add(job)
     benchmark(goal_vector, queued, running, system, 100.0)
 
     # Shape (§V-D): under S5 the burst buffer dominates contention, so

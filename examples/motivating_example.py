@@ -18,6 +18,7 @@ from repro import FCFSScheduler, Simulator
 from repro.api import make_system, register_system
 from repro.cluster.resources import ResourceSpec, SystemConfig
 from repro.core.goal import goal_vector
+from repro.sched.jobqueue import JobQueue, RunningJobs
 from repro.workload.job import Job
 
 HOUR = 3600.0
@@ -60,7 +61,10 @@ def main() -> None:
                 f"end {job.end_time / HOUR:.0f} h"
             )
 
-    g = goal_vector(build(["J1", "J2", "J3", "J4"]), [], system, now=0.0)
+    queue = JobQueue(system.names)
+    for job in build(["J1", "J2", "J3", "J4"]):
+        queue.append(job)
+    g = goal_vector(queue, RunningJobs(system.names), system, now=0.0)
     print(f"\nEq. 1 goal vector at t=0: rA={g[0]:.3f}, rB={g[1]:.3f}")
     print("(resource A carries slightly more demand, but a static 0.5/0.5")
     print(" weighting cannot see the pairing structure at all)")

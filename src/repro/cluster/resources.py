@@ -356,10 +356,13 @@ class ResourcePool:
         for name, amount in job.requests.items():
             if amount <= 0:
                 continue
-            # A copy: the slice alone would keep the whole flatnonzero
-            # result alive for as long as the grant (and any tracker
-            # chunk) is held.
-            free_idx = np.flatnonzero(~self._busy[name])[:amount].copy()
+            # The lowest ``amount`` free units lie in the first
+            # ``busy + amount`` slots: that prefix holds at most ``busy``
+            # busy units. A copy: the slice alone would keep the whole
+            # flatnonzero result alive for as long as the grant (and any
+            # tracker chunk) is held.
+            prefix = self._capacity[name] - self._free[name] + amount
+            free_idx = np.flatnonzero(~self._busy[name][:prefix])[:amount].copy()
             self._busy[name][free_idx] = True
             self._est_free[name][free_idx] = est
             self._free[name] -= amount

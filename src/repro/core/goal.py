@@ -14,6 +14,11 @@ of capacity, and :math:`t_i` is the user runtime estimate for queued
 jobs or the *remaining* estimate for running jobs. The numerator is the
 (normalised) time needed to drain all demand for resource *j* at full
 utilization — a longer drain time means fiercer contention.
+
+Both sums are read off columns the simulator's two job tables keep:
+:class:`~repro.sched.jobqueue.JobQueue` for the waiting jobs and
+:class:`~repro.sched.jobqueue.RunningJobs` for the executing ones. A
+refresh is two small matrix-vector products; no per-job row is rebuilt.
 """
 
 from __future__ import annotations
@@ -21,72 +26,47 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.resources import SystemConfig
-from repro.workload.job import Job
+from repro.sched.jobqueue import JobQueue, RunningJobs
 
 __all__ = ["goal_vector", "contention_terms"]
 
 
 def contention_terms(
-    queued: list[Job],
-    running: list[Job],
+    queued: JobQueue,
+    running: RunningJobs,
     system: SystemConfig,
     now: float,
 ) -> np.ndarray:
     """Unnormalised per-resource drain times ``Σ_i P_ij · t_i``.
 
-    Both halves are one columnar matrix-vector product each,
-    ``(P / caps).T @ t`` over rows in queue/start order — this runs
-    every scheduling instance under dynamic prioritizing, so a Python
-    loop over a deep queue would dominate an MRSch replay. The shared
-    convention also makes the result *bit*-identical between the plain
-    ``list`` queue form and the simulator's
-    :class:`~repro.sched.jobqueue.JobQueue` (whose
-    ``contention_totals`` evaluates the identical product over its
-    columnar arrays): the historical per-job running-half loop summed
-    in a different float order, which let an exact score tie resolve
-    differently between queue forms (~1e-15 relative goal drift, since
-    resolved; the bound vs the per-job reference order is pinned by a
-    hypothesis property in tests/unit/test_goal.py).
+    Both halves are read off columns the two tables keep:
+    :meth:`JobQueue.contention_totals` over the waiting jobs in
+    submission order, :meth:`RunningJobs.contention_totals` over the
+    executing ones in start order, each one ``(P / caps).T @ t``
+    product. This runs every scheduling instance under dynamic
+    prioritizing, so nothing here loops over jobs in Python. The
+    product may re-associate the float adds of the per-job sum; the
+    bound vs that reference order is pinned by a hypothesis property in
+    tests/unit/test_goal.py.
     """
-    from repro.sched.jobqueue import JobQueue  # late: avoids an import cycle
-
-    names = system.names
+    if not isinstance(queued, JobQueue) or not isinstance(running, RunningJobs):
+        raise TypeError(
+            "contention_terms reads a JobQueue and a RunningJobs, not "
+            f"{type(queued).__name__} and {type(running).__name__}"
+        )
+    names = tuple(system.names)
+    if queued.names != names or running.names != names:
+        raise ValueError(
+            f"table columns {queued.names} / {running.names} do not match "
+            f"the system's {names}"
+        )
     caps = system.capacities
-    if isinstance(queued, JobQueue) and list(queued.names) == names:
-        totals = queued.contention_totals(caps)
-    else:
-        totals = _columnar_terms(queued, names, caps, None, now)
-    return totals + _columnar_terms(running, names, caps, "remaining", now)
-
-
-def _columnar_terms(
-    jobs, names: list[str], caps: np.ndarray, time_kind: str | None, now: float
-) -> np.ndarray:
-    """``(P / caps).T @ t`` over ``jobs`` in iteration order.
-
-    ``time_kind`` selects ``t``: ``None`` uses the full walltime
-    estimate (queued jobs), ``"remaining"`` the clamped remaining
-    estimate ``max(walltime − (now − start), 0)`` (running jobs).
-    """
-    rows = []
-    t = []
-    for job in jobs:
-        if time_kind == "remaining":
-            if job.start_time is None:
-                raise ValueError(f"running job {job.job_id} has no start time")
-            t.append(max(job.walltime - (now - job.start_time), 0.0))
-        else:
-            t.append(job.walltime)
-        rows.append([job.request(n) for n in names])
-    if not rows:
-        return np.zeros(len(names))
-    mat = np.asarray(rows, dtype=float)
-    return (mat / caps).T @ np.asarray(t)
+    return queued.contention_totals(caps) + running.contention_totals(caps, now)
 
 
 def goal_vector(
-    queued: list[Job],
-    running: list[Job],
+    queued: JobQueue,
+    running: RunningJobs,
     system: SystemConfig,
     now: float,
 ) -> np.ndarray:

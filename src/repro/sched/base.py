@@ -54,7 +54,7 @@ selection/backfill machinery touches pool unit state directly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, ValuesView
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -63,7 +63,7 @@ import numpy as np
 from repro.obs import runtime as _obs_runtime
 
 from repro.cluster.resources import ResourcePool, SystemConfig
-from repro.sched.jobqueue import JobQueue
+from repro.sched.jobqueue import JobQueue, RunningJobs
 from repro.workload.job import Job
 
 __all__ = [
@@ -88,9 +88,12 @@ class SchedulingContext:
     pool: ResourcePool
     system: SystemConfig
     start: Callable[[Job], None]
-    #: jobs currently executing, in start order (needed by Eq. 1's
-    #: contention terms): a live view of the simulator's running table
-    running: ValuesView[Job] = field(default_factory=lambda: {}.values())
+    #: jobs currently executing, in start order: the simulator's live
+    #: running table itself. Eq. 1's running half reads its columns
+    #: (:meth:`RunningJobs.contention_totals`), which are built on that
+    #: first read, so a policy that never computes the goal never pays
+    #: for them. ``None`` stands for an empty table (made here).
+    running: RunningJobs | None = None
     #: jobs started during this instance (filled by the scheduler loop)
     started: list[Job] = field(default_factory=list)
 
@@ -101,6 +104,12 @@ class SchedulingContext:
         if queue.names != self.pool.names:
             raise ValueError(
                 f"queue columns {queue.names} do not match the pool's {self.pool.names}"
+            )
+        if self.running is None:
+            self.running = RunningJobs(queue.names)
+        elif not isinstance(self.running, RunningJobs):
+            raise TypeError(
+                f"running must be a RunningJobs, not {type(self.running).__name__}"
             )
 
 

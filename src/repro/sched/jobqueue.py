@@ -27,6 +27,13 @@ accepts. It keeps the ``list`` surface the machinery reads (iteration,
 ``len``, ``in``, ``remove``, ``append``, indexing); the plain-list
 queue it replaced survives as a test oracle in
 ``tests/unit/_sched_reference.py``.
+
+:class:`RunningJobs` is the same treatment for the executing set: a
+start-ordered ``job_id → job`` table whose Eq. 1 columns (request /
+capacity rows, walltimes, start times) are built at the first
+:meth:`RunningJobs.contention_totals` call and maintained in place from
+then on. Only a policy that reads Eq. 1 ever asks, so a heuristic
+replay pays for the dict and nothing else.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 
 from repro.workload.job import Job
 
-__all__ = ["JobQueue"]
+__all__ = ["JobQueue", "RunningJobs"]
 
 #: storage slots allocated up front and added per growth step
 _MIN_CAPACITY = 256
@@ -220,9 +227,9 @@ class JobQueue:
         The queued-job half of the Eq. 1 contention terms as one
         matrix-vector product over the columnar arrays.
         """
-        reqs, wall, alive, _ = self.candidate_arrays()
-        if not alive.any():
+        if not self._slot:
             return np.zeros(len(self._names))
+        reqs, wall, alive, _ = self.candidate_arrays()
         return (reqs[alive] / caps).T @ wall[alive]
 
     # -- storage management ------------------------------------------------
@@ -266,3 +273,103 @@ class JobQueue:
         )
         self._wall = np.concatenate([self._wall, np.zeros(extra)])
         self._alive = np.concatenate([self._alive, np.zeros(extra, dtype=bool)])
+
+
+class RunningJobs:
+    """Executing jobs in start order, with lazily built Eq. 1 columns.
+
+    :meth:`add` at a start, :meth:`remove` at the job's END; iteration
+    yields the jobs in start order. The columns exist only once
+    :meth:`contention_totals` has been asked for; after that every
+    :meth:`add` appends a row and every :meth:`remove` closes the gap,
+    so the live rows stay packed ``[:n]`` in start order.
+    """
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self._names: tuple[str, ...] = tuple(names)
+        self._jobs: dict[int, Job] = {}
+        #: the capacity vector the rows were divided by; ``None`` until
+        #: the columns are built
+        self._caps: np.ndarray | None = None
+        self._ids: list[int] = []  # job ids in row order
+        self._rows = np.zeros((0, len(self._names)))
+        self._wall = np.zeros(0)
+        self._start = np.zeros(0)
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def __bool__(self) -> bool:
+        return bool(self._jobs)
+
+    def __iter__(self) -> Iterator[Job]:
+        return iter(self._jobs.values())
+
+    def __contains__(self, job: Job) -> bool:
+        return getattr(job, "job_id", None) in self._jobs
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self._names
+
+    def add(self, job: Job) -> None:
+        """Record a started job (its ``start_time`` already stamped)."""
+        if job.job_id in self._jobs:
+            raise ValueError(f"job {job.job_id} is already running")
+        if job.start_time is None:
+            raise ValueError(f"running job {job.job_id} has no start time")
+        self._jobs[job.job_id] = job
+        if self._caps is not None:
+            self._append_row(job)
+
+    def remove(self, job: Job) -> None:
+        """Drop a finished job; later rows shift up one, order kept."""
+        if self._jobs.pop(job.job_id, None) is None:
+            raise ValueError(f"job {job.job_id} is not running")
+        if self._caps is not None:
+            i = self._ids.index(job.job_id)
+            del self._ids[i]
+            n = len(self._ids)
+            self._rows[i:n] = self._rows[i + 1 : n + 1]
+            self._wall[i:n] = self._wall[i + 1 : n + 1]
+            self._start[i:n] = self._start[i + 1 : n + 1]
+
+    def contention_totals(self, caps: np.ndarray, now: float) -> np.ndarray:
+        """``Σ_i (req_ij / cap_j) · max(wall_i − (now − start_i), 0)``.
+
+        The running-job half of the Eq. 1 contention terms: one
+        matrix-vector product over the packed rows, in start order.
+        The first call (or one with other capacities) builds the
+        columns.
+        """
+        if caps is not self._caps:
+            if self._caps is None or not np.array_equal(caps, self._caps):
+                self._build(caps)
+            self._caps = caps
+        n = len(self._ids)
+        if not n:
+            return np.zeros(len(self._names))
+        remaining = np.maximum(self._wall[:n] - (now - self._start[:n]), 0.0)
+        return self._rows[:n].T @ remaining
+
+    def _build(self, caps: np.ndarray) -> None:
+        self._caps = caps
+        self._ids = []
+        size = max(_MIN_CAPACITY, 2 * len(self._jobs))
+        self._rows = np.zeros((size, len(self._names)))
+        self._wall = np.zeros(size)
+        self._start = np.zeros(size)
+        for job in self._jobs.values():
+            self._append_row(job)
+
+    def _append_row(self, job: Job) -> None:
+        i = len(self._ids)
+        if i == len(self._wall):
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
+            self._wall = np.concatenate([self._wall, np.zeros_like(self._wall)])
+            self._start = np.concatenate([self._start, np.zeros_like(self._start)])
+        self._rows[i] = [job.request(n) for n in self._names]
+        self._rows[i] /= self._caps
+        self._wall[i] = job.walltime
+        self._start[i] = job.start_time
+        self._ids.append(job.job_id)

@@ -3,8 +3,8 @@
 The event loop in :class:`~repro.sim.simulator.Simulator` owns five
 pieces of mutable state — pool arrays (plus their dirty trackers), the
 waiting :class:`~repro.sched.jobqueue.JobQueue`, the event heap, the
-timeline recorder and the running-job dict. :class:`EpisodeState`
-factors them behind one boundary so
+timeline recorder and the :class:`~repro.sched.jobqueue.RunningJobs`
+table. :class:`EpisodeState` factors them behind one boundary so
 
 * :class:`~repro.sim.batched.BatchedSimulator` can advance N episodes in
   lockstep, each owning its own state but sharing one network,
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.cluster.resources import ResourcePool, SystemConfig
 from repro.sched.base import Scheduler, SchedulingContext
-from repro.sched.jobqueue import JobQueue
+from repro.sched.jobqueue import JobQueue, RunningJobs
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.metrics import MetricReport, compute_metrics
 from repro.sim.recorder import TimelineRecorder
@@ -64,10 +64,8 @@ class EpisodeState:
         self.recorder = TimelineRecorder(system.n_resources)
         self.n_instances = 0
         self.jobs: list[Job] = []
-        #: running jobs keyed by job_id — O(1) END handling; the dict
-        #: preserves start order, so iterating (Eq. 1) matches the list
-        #: the seed implementation kept
-        self.running: dict[int, Job] = {}
+        #: executing jobs in start order — O(1) END handling
+        self.running = RunningJobs(system.names)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -84,7 +82,7 @@ class EpisodeState:
         self.recorder = TimelineRecorder(self.system.n_resources)
         self.n_instances = 0
         self.jobs = []
-        self.running = {}
+        self.running = RunningJobs(self.system.names)
         for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
             self.system.validate_job(job)
             copy = job.copy()
@@ -113,12 +111,12 @@ class EpisodeState:
             job = event.job
             job.end_time = self.now
             self.pool.release(job)
-            del self.running[job.job_id]
+            self.running.remove(job)
 
     def start_job(self, job: Job) -> None:
         self.pool.allocate(job, self.now)
         job.start_time = self.now
-        self.running[job.job_id] = job
+        self.running.add(job)
         self.events.push(Event(self.now + job.runtime, EventKind.END, job))
 
     def context(self) -> SchedulingContext:
@@ -128,8 +126,7 @@ class EpisodeState:
             pool=self.pool,
             system=self.system,
             start=self.start_job,
-            # A live view: iteration order is start order, as before.
-            running=self.running.values(),
+            running=self.running,
         )
 
     def end_instance(self) -> None:
@@ -180,7 +177,7 @@ class EpisodeState:
             "pool": self.pool.snapshot(),
             "events": self.events.snapshot(),
             "queue": [job.job_id for job in self.queue],
-            "running": list(self.running),
+            "running": [job.job_id for job in self.running],
             "recorder": self.recorder.snapshot(),
             "jobs": {
                 job.job_id: (job.start_time, job.end_time) for job in self.jobs
@@ -209,4 +206,6 @@ class EpisodeState:
         self.queue = JobQueue(self.system.names)
         for jid in snap["queue"]:
             self.queue.append(by_id[jid])
-        self.running = {jid: by_id[jid] for jid in snap["running"]}
+        self.running = RunningJobs(self.system.names)
+        for jid in snap["running"]:
+            self.running.add(by_id[jid])

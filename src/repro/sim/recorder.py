@@ -1,10 +1,10 @@
-"""Timeline recording of utilization and goal-vector samples.
+"""Timeline recording of utilization samples.
 
-The comparison figures need more than end-of-run aggregates: Fig. 8
-plots the burst-buffer goal weight over a 12-hour window and Fig. 9 its
-distribution per workload. The recorder stores step-function samples —
-values are constant between simulation events, so time-weighted
-integrals are exact.
+The comparison figures need more than end-of-run aggregates. The
+recorder stores step-function samples — values are constant between
+simulation events, so time-weighted integrals are exact. (The goal
+vector's timeline, Figs. 8/9, is the scheduler's own:
+:meth:`repro.core.mrsch.MRSchScheduler.goal_series`.)
 """
 
 from __future__ import annotations
@@ -15,22 +15,20 @@ __all__ = ["TimelineRecorder"]
 
 
 class TimelineRecorder:
-    """Collects (time, vector) samples for utilization and goal values.
+    """Collects (time, vector) utilization samples.
 
-    ``n_resources`` fixes the value width up front so empty series keep
-    their resource dimension — a recorder that saw no samples yet still
-    answers ``(T=0, n_resources)``-shaped values, which is what plotting
-    and metric consumers expect. When omitted, the width is inferred
-    from the first recorded sample (and empty series fall back to
-    width 0, the historical behaviour).
+    ``n_resources`` fixes the value width up front so an empty series
+    keeps its resource dimension — a recorder that saw no samples yet
+    still answers ``(T=0, n_resources)``-shaped values, which is what
+    plotting and metric consumers expect. When omitted, the width is
+    inferred from the first recorded sample (and an empty series falls
+    back to width 0, the historical behaviour).
     """
 
     def __init__(self, n_resources: int | None = None) -> None:
         self.n_resources = n_resources
         self._util_times: list[float] = []
         self._util_values: list[np.ndarray] = []
-        self._goal_times: list[float] = []
-        self._goal_values: list[np.ndarray] = []
 
     # -- recording ---------------------------------------------------------
 
@@ -41,30 +39,14 @@ class TimelineRecorder:
         self._util_times.append(time)
         self._util_values.append(value)
 
-    def record_goal(self, time: float, goal: np.ndarray) -> None:
-        value = np.asarray(goal, dtype=float).copy()
-        if self.n_resources is None:
-            self.n_resources = value.shape[-1]
-        self._goal_times.append(time)
-        self._goal_values.append(value)
-
     # -- retrieval ---------------------------------------------------------
-
-    def _empty_series(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(0), np.zeros((0, self.n_resources or 0))
 
     @property
     def utilization_series(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) arrays; values has shape (T, n_resources)."""
         if not self._util_times:
-            return self._empty_series()
+            return np.zeros(0), np.zeros((0, self.n_resources or 0))
         return np.asarray(self._util_times), np.vstack(self._util_values)
-
-    @property
-    def goal_series(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._goal_times:
-            return self._empty_series()
-        return np.asarray(self._goal_times), np.vstack(self._goal_values)
 
     # -- snapshot / restore -------------------------------------------------
 
@@ -74,8 +56,6 @@ class TimelineRecorder:
             "n_resources": self.n_resources,
             "util_times": list(self._util_times),
             "util_values": [v.copy() for v in self._util_values],
-            "goal_times": list(self._goal_times),
-            "goal_values": [v.copy() for v in self._goal_values],
         }
 
     def restore(self, snap: dict) -> None:
@@ -83,18 +63,6 @@ class TimelineRecorder:
         self.n_resources = snap["n_resources"]
         self._util_times = list(snap["util_times"])
         self._util_values = [v.copy() for v in snap["util_values"]]
-        self._goal_times = list(snap["goal_times"])
-        self._goal_values = [v.copy() for v in snap["goal_values"]]
-
-    def goal_window(self, t_start: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Goal samples within ``[t_start, t_end]`` (Fig. 8 windows)."""
-        if t_end < t_start:
-            raise ValueError("t_end must be >= t_start")
-        times, values = self.goal_series
-        if times.size == 0:
-            return times, values
-        mask = (times >= t_start) & (times <= t_end)
-        return times[mask], values[mask]
 
     def time_weighted_mean_utilization(self) -> np.ndarray:
         """Exact time-weighted mean of the utilization step function.

@@ -178,7 +178,8 @@ def build_workload(
         nodes = max(1, int(round(job.request(NODE) * spec.node_scale)))
         new.requests[NODE] = min(nodes, node_cap)
         if rng.random() < spec.bb_fraction:
-            units = int(np.ceil(rng.choice(pool)))
+            # The stream ``rng.choice(pool)`` draws, without its overhead.
+            units = int(np.ceil(pool[rng.integers(0, pool.size)]))
             new.requests[BURST_BUFFER] = min(max(1, units), bb_cap)
         else:
             new.requests[BURST_BUFFER] = 0

@@ -22,6 +22,7 @@ Every knob sits on :class:`ThetaTraceConfig`, so scaled-down systems
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +75,19 @@ class ThetaTraceConfig:
             raise ValueError("total_nodes must be positive")
         if self.n_jobs < 0:
             raise ValueError("n_jobs must be non-negative")
-        if self.mean_interarrival <= 0:
-            raise ValueError("mean_interarrival must be positive")
+        if not 0 < self.mean_interarrival < math.inf:
+            raise ValueError("mean_interarrival must be positive and finite")
         if self.min_runtime <= 0 or self.max_runtime < self.min_runtime:
             raise ValueError("invalid runtime bounds")
-        if len(self.hourly_profile) != 24:
+        if not 0 <= self.weekend_factor < math.inf:
+            raise ValueError("weekend_factor must be non-negative and finite")
+        profile = np.asarray(self.hourly_profile, dtype=float)
+        if profile.shape != (24,):
             raise ValueError("hourly_profile must have 24 entries")
+        if not np.isfinite(profile).all() or (profile < 0).any() or profile.sum() <= 0:
+            raise ValueError(
+                "hourly_profile must be finite, non-negative and not all zero"
+            )
 
 
 def _sample_arrivals(cfg: ThetaTraceConfig, rng: np.random.Generator) -> np.ndarray:
@@ -89,17 +97,21 @@ def _sample_arrivals(cfg: ThetaTraceConfig, rng: np.random.Generator) -> np.ndar
     if not cfg.diurnal:
         gaps = rng.exponential(cfg.mean_interarrival, size=cfg.n_jobs)
         return np.cumsum(gaps)
-    profile = cfg.hourly_profile / cfg.hourly_profile.mean()
+    profile = np.asarray(cfg.hourly_profile, dtype=float)
+    profile = (profile / profile.mean()).tolist()
+    # The thinning bound covers the weekend rate too when it is the
+    # higher one; a weekday-peak bound would cap it there.
+    bound = max(profile) * max(1, cfg.weekend_factor)
     arrivals = np.empty(cfg.n_jobs)
     t = 0.0
-    lam_max = float(profile.max()) / cfg.mean_interarrival
+    lam_max = bound / cfg.mean_interarrival
     count = 0
     while count < cfg.n_jobs:
         t += rng.exponential(1.0 / lam_max)
         hour = int(t // 3600) % 24
         day = int(t // 86400) % 7
         intensity = profile[hour] * (cfg.weekend_factor if day >= 5 else 1.0)
-        if rng.random() < intensity / profile.max():
+        if rng.random() < intensity / bound:
             arrivals[count] = t
             count += 1
     return arrivals

@@ -15,11 +15,13 @@ scenarios come from ``workloads.py``, the digest function from
 Seed 7's ``replay_theta`` settles every decision before the network is
 asked, so its pin would pass with any weights; the seed-15 row, whose
 expected value lives here, runs the untrained network and holds the
-weights it draws.
+weights it draws. The seed-7 goal-series row holds every Eq. 1 goal
+vector of the same replay, bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -68,6 +70,40 @@ REPLAY_THETA_SEED15 = "c78b4b0aa0da1e0e04e83567dc8e8492a56e1d3ff505dc9d6097d7d82
 
 def test_replay_theta_seed15_digest_where_the_network_runs():
     assert _digest("replay_theta", 15) == REPLAY_THETA_SEED15
+
+
+#: sha256 over the ``(times, goals)`` arrays of every ``goal_series()``
+#: an untrained MRSch logs replaying seed-7 ``replay_theta``'s S1–S5 one
+#: workload after another (sequentially, not in lockstep), and how many
+#: goal vectors that is: the §III-B Eq. 1 series itself, which the
+#: metric digests above see only through the decisions it sways.
+REPLAY_THETA_SEED7_GOAL_SERIES = (
+    "b1029c67a6a9b6ae1cf7d9f0d4715998d49c39d8cbe9f87147d6475aa8df827a",
+    2250,
+)
+
+
+def test_replay_theta_seed7_goal_series():
+    from repro.api.scenario import load_scenario
+    from repro.experiments.harness import make_method, prepare_base_trace
+    from repro.sim.simulator import Simulator
+    from repro.workload.suites import build_workload
+
+    scenario = _load("workloads").WORKLOADS["replay_theta"].scenario_for(7)
+    config = load_scenario(scenario).build_config()
+    system = config.system()
+    base = prepare_base_trace(config)
+    sched = make_method("mrsch", system, config)
+    digest = hashlib.sha256()
+    count = 0
+    for workload in scenario["workloads"]:
+        jobs = build_workload(workload, base, system, seed=config.seed)
+        Simulator(system, sched).run(jobs)
+        times, goals = sched.goal_series()
+        digest.update(times.tobytes())
+        digest.update(goals.tobytes())
+        count += len(times)
+    assert (digest.hexdigest(), count) == REPLAY_THETA_SEED7_GOAL_SERIES
 
 
 def _digest(workload: str, seed: int) -> str:

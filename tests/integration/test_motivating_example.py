@@ -82,9 +82,13 @@ def test_goal_vector_detects_resource_b_pressure():
     demand (17) exceeds A (20 vs 17 … A is higher here), so verify the
     exact Eq. 1 value instead of a direction guess."""
     from repro.core.goal import goal_vector
+    from repro.sched.jobqueue import JobQueue, RunningJobs
 
-    jobs = fig1_jobs(["J1", "J2", "J3", "J4"])
-    g = goal_vector(jobs, [], fig1_system(), now=0.0)
+    system = fig1_system()
+    queue = JobQueue(system.names)
+    for job in fig1_jobs(["J1", "J2", "J3", "J4"]):
+        queue.append(job)
+    g = goal_vector(queue, RunningJobs(system.names), system, now=0.0)
     total_a = sum(d[0] for d in FIG1_DEMANDS.values()) / 10
     total_b = sum(d[1] for d in FIG1_DEMANDS.values()) / 10
     assert g[0] == pytest.approx(total_a / (total_a + total_b))

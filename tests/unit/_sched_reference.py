@@ -9,7 +9,8 @@ decision for decision.
 
 * :class:`ListQueue` — the waiting queue as a ``list``: the window is a
   filter over the queue from its head, a start is a ``list.remove``
-  shift, and the Eq.-1 queue half is the per-row product over the list.
+  shift, and the Eq.-1 queue half is the product over rows rebuilt from
+  the list at every call.
   It subclasses ``JobQueue`` only to pass ``SchedulingContext``'s type
   check and keeps none of its columnar storage, so a run that reaches a
   columnar fast path on it fails with ``AttributeError`` instead of
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.goal import _columnar_terms
 from repro.core.mrsch import MRSchScheduler
 from repro.sched.jobqueue import JobQueue
 
@@ -66,7 +66,13 @@ class ListQueue(JobQueue):
         return out
 
     def contention_totals(self, caps: np.ndarray) -> np.ndarray:
-        return _columnar_terms(self._items, list(self._names), caps, None, 0.0)
+        if not self._items:
+            return np.zeros(len(self._names))
+        rows = np.asarray(
+            [[job.request(name) for name in self._names] for job in self._items],
+            dtype=float,
+        )
+        return (rows / caps).T @ np.asarray([job.walltime for job in self._items])
 
 
 def _easy_backfill(self, ctx) -> None:

@@ -24,6 +24,7 @@ from repro.cluster.resources import (
     SystemConfig,
 )
 from repro.sched.fcfs import FCFSScheduler
+from repro.sched.jobqueue import RunningJobs
 from repro.sim.episode import EpisodeState
 from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
 from tests.conftest import make_job
@@ -119,7 +120,7 @@ def _episode_fingerprint(state: EpisodeState) -> tuple:
         state.now,
         state.n_instances,
         tuple(job.job_id for job in state.queue),
-        tuple(state.running),
+        tuple(job.job_id for job in state.running),
         tuple((j.job_id, j.start_time, j.end_time) for j in state.jobs),
         state.events.snapshot()[1],
         _pool_fingerprint(state.pool, state.now),
@@ -205,3 +206,75 @@ class TestEpisodeSnapshotRestore:
         t2, v2 = state.recorder.utilization_series
         np.testing.assert_array_equal(t2, times)
         np.testing.assert_array_equal(v2, values)
+
+
+class TestRunningTable:
+    """``EpisodeState.running`` is one start-ordered :class:`RunningJobs`."""
+
+    @pytest.fixture()
+    def trace(self):
+        cfg = ThetaTraceConfig(total_nodes=32, n_jobs=60, mean_interarrival=120.0)
+        return generate_theta_trace(cfg, seed=13)
+
+    def _run_to(self, state, sched, instances, read_goal=False):
+        for _ in range(instances):
+            assert state.advance()
+            ctx = state.context()
+            assert ctx.running is state.running
+            if read_goal:
+                state.running.contention_totals(state.system.capacities, state.now)
+            sched.schedule(ctx)
+            state.end_instance()
+
+    @pytest.mark.parametrize("read_goal", [False, True])
+    def test_start_order_survives_snapshot_restore(self, mini_system, trace, read_goal):
+        state = EpisodeState(mini_system)
+        state.load(trace)
+        sched = FCFSScheduler(window_size=5)
+        sched.reset()
+        self._run_to(state, sched, 12, read_goal)
+        order = [job.job_id for job in state.running]
+        starts = [job.start_time for job in state.running]
+        assert len(order) > 2 and starts == sorted(starts)
+        caps = mini_system.capacities
+        totals = state.running.contention_totals(caps, state.now + 50.0)
+        snap = state.snapshot()
+        self._run_to(state, sched, 10, read_goal)
+        assert [job.job_id for job in state.running] != order
+        state.restore(snap)
+        assert [job.job_id for job in state.running] == order
+        restored = state.running.contention_totals(caps, state.now + 50.0)
+        assert restored.tobytes() == totals.tobytes()
+
+    @pytest.mark.parametrize("method", ["heuristic", "optimization", "scalar_rl", "mrsch"])
+    def test_only_a_policy_reading_eq1_builds_the_columns(self, method, monkeypatch):
+        """FCFS, GA and scalar-RL never read Eq. 1, so a replay under
+        them pays for the running dict and never for the columns."""
+        from repro.experiments.harness import ExperimentConfig, make_method
+        from repro.sched.ga import NSGA2Config
+        from repro.sim.simulator import Simulator
+        from repro.workload.suites import build_workload
+
+        builds = []
+        build = RunningJobs._build
+
+        def spy(self, caps):
+            builds.append(len(self))
+            build(self, caps)
+
+        monkeypatch.setattr(RunningJobs, "_build", spy)
+        config = ExperimentConfig(
+            nodes=32, bb_units=16, n_jobs=40, seed=5,
+            ga_config=NSGA2Config(population=4, generations=2),
+        )
+        system = config.system()
+        jobs = build_workload(
+            "S3", generate_theta_trace(config.trace_config(), seed=5), system, seed=5
+        )
+        sched = make_method(method, system, config)
+        result = Simulator(system, sched).run(jobs)
+        assert len(result.jobs) == 40
+        if method == "mrsch":
+            assert builds == [0]  # once per episode, at its first instance
+        else:
+            assert builds == []

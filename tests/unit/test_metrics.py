@@ -183,18 +183,6 @@ class TestRecorder:
         assert times.size == 0
         assert rec.time_weighted_mean_utilization().size == 0
 
-    def test_goal_window(self):
-        rec = TimelineRecorder()
-        for t in range(10):
-            rec.record_goal(float(t), np.array([t / 10, 1 - t / 10]))
-        times, goals = rec.goal_window(3.0, 6.0)
-        assert times.tolist() == [3.0, 4.0, 5.0, 6.0]
-        assert goals.shape == (4, 2)
-
-    def test_goal_window_invalid(self):
-        with pytest.raises(ValueError):
-            TimelineRecorder().goal_window(5.0, 1.0)
-
     def test_values_copied(self):
         rec = TimelineRecorder()
         v = np.array([0.5])

@@ -28,6 +28,53 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThetaTraceConfig(hourly_profile=np.ones(5))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -5.0])
+    def test_rejects_non_finite_interarrival(self, value):
+        with pytest.raises(ValueError, match="mean_interarrival"):
+            ThetaTraceConfig(mean_interarrival=value)
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_rejects_bad_weekend_factor(self, value):
+        with pytest.raises(ValueError, match="weekend_factor"):
+            ThetaTraceConfig(weekend_factor=value)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            np.r_[np.ones(23), np.nan],
+            np.r_[np.ones(23), np.inf],
+            np.r_[np.ones(23), -1.0],
+            np.zeros(24),
+        ],
+        ids=["nan", "inf", "negative", "all-zero"],
+    )
+    def test_rejects_malformed_profile_values(self, profile):
+        with pytest.raises(ValueError, match="hourly_profile"):
+            ThetaTraceConfig(hourly_profile=profile)
+
+
+class TestWeekendFactor:
+    @staticmethod
+    def _weekend_to_weekday_rate(factor: float) -> float:
+        """Arrivals per weekend hour over arrivals per weekday hour, on
+        a flat diurnal profile, counted over whole weeks only."""
+        cfg = ThetaTraceConfig(
+            n_jobs=20_000, hourly_profile=np.ones(24), weekend_factor=factor
+        )
+        t = np.array([job.submit_time for job in generate_theta_trace(cfg, seed=8)])
+        week = 7 * 86400.0
+        t = t[t < (t[-1] // week) * week]
+        weekend = (t // 86400) % 7 >= 5
+        return (weekend.sum() / 48) / ((~weekend).sum() / 120)
+
+    def test_factor_above_one_raises_the_weekend_rate(self):
+        """The thinning bound must cover the weekend intensity; bounded
+        by the weekday peak, a factor of 2 read as about 1."""
+        assert 1.8 <= self._weekend_to_weekday_rate(2.0) <= 2.2
+
+    def test_factor_below_one_lowers_it(self):
+        assert 0.5 <= self._weekend_to_weekday_rate(0.6) <= 0.7
+
 
 class TestGeneration:
     def test_deterministic_under_seed(self):

@@ -61,24 +61,6 @@ class TestSeriesRetrieval:
         rec = TimelineRecorder()
         times, values = rec.utilization_series
         assert times.shape == (0,) and values.shape == (0, 0)
-        times, values = rec.goal_series
-        assert times.shape == (0,) and values.shape == (0, 0)
-
-    def test_goal_window_on_empty_series(self):
-        rec = TimelineRecorder()
-        times, values = rec.goal_window(0.0, 100.0)
-        assert times.size == 0 and values.size == 0
-
-    def test_goal_window_single_sample_inclusive_bounds(self):
-        rec = TimelineRecorder()
-        rec.record_goal(5.0, np.array([0.6, 0.4]))
-        times, values = rec.goal_window(5.0, 5.0)
-        assert times.tolist() == [5.0]
-        np.testing.assert_allclose(values, [[0.6, 0.4]])
-
-    def test_goal_window_rejects_inverted_range(self):
-        with pytest.raises(ValueError, match="t_end"):
-            TimelineRecorder().goal_window(10.0, 0.0)
 
     def test_recorded_values_are_copied(self):
         rec = TimelineRecorder()
@@ -96,8 +78,6 @@ class TestCarriedResourceWidth:
         rec = TimelineRecorder(n_resources=3)
         times, values = rec.utilization_series
         assert times.shape == (0,) and values.shape == (0, 3)
-        times, values = rec.goal_series
-        assert times.shape == (0,) and values.shape == (0, 3)
 
     def test_empty_mean_utilization_keeps_declared_width(self):
         rec = TimelineRecorder(n_resources=2)
@@ -107,10 +87,9 @@ class TestCarriedResourceWidth:
     def test_width_inferred_from_first_sample(self):
         rec = TimelineRecorder()
         assert rec.n_resources is None
-        rec.record_goal(0.0, np.array([0.3, 0.7]))
+        rec.record_utilization(0.0, np.array([0.3, 0.7]))
         assert rec.n_resources == 2
-        # Still-empty sibling series now answers with the carried width.
-        assert rec.utilization_series[1].shape == (0, 2)
+        assert rec.utilization_series[1].shape == (1, 2)
 
     def test_unrecorded_simulation_recorder_keeps_width(self, tiny_system):
         """The plotting path off a ``record_timeline=False`` run: the
@@ -134,14 +113,12 @@ class TestSnapshotRestore:
     def test_round_trip_preserves_samples_and_width(self):
         rec = TimelineRecorder(n_resources=2)
         rec.record_utilization(0.0, np.array([0.1, 0.9]))
-        rec.record_goal(1.0, np.array([0.4, 0.6]))
         snap = rec.snapshot()
         rec.record_utilization(2.0, np.array([1.0, 1.0]))
         rec.restore(snap)
         times, values = rec.utilization_series
         assert times.tolist() == [0.0]
         np.testing.assert_array_equal(values, [[0.1, 0.9]])
-        np.testing.assert_array_equal(rec.goal_series[1], [[0.4, 0.6]])
         assert rec.n_resources == 2
 
     def test_snapshot_is_isolated_from_later_mutation(self):
