@@ -82,6 +82,19 @@ def _make_fcfs(system, window_size=10, seed=None, **kwargs):
     return FCFSScheduler(window_size=window_size, **kwargs)
 
 
+@register_scheduler(
+    "prior",
+    description="MRSch's feasibility/age prior alone, no network (guided MRSch's ranking)",
+    seeded=False,
+    goal_options={"dynamic": "dynamic_goal"},
+    allowed_kwargs=("backfill", "dynamic_goal"),
+)
+def _make_prior(system, window_size=10, seed=None, **kwargs):
+    from repro.core.prior import PriorScheduler
+
+    return PriorScheduler(system, window_size=window_size, **kwargs)
+
+
 # -- workloads (Table III and §V-E) ------------------------------------------
 
 

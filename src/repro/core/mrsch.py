@@ -1,9 +1,9 @@
-"""MRSchScheduler — the DFP agent wired into the scheduling machinery.
+"""MRSchScheduler — :class:`~repro.core.prior.PriorScheduler` plus the DFP agent.
 
 Each scheduling instance (§III):
 
 1. the **goal vector** is recomputed from the live contention via Eq. 1
-   (dynamic resource prioritizing) and logged for Figs 8–9;
+   (dynamic resource prioritizing, the base class) and logged for Figs 8–9;
 2. for every selection the scheduler first asks whether the network
    could change the pick (:meth:`MRSchScheduler._settle`): a window
    holding one job is forced, and under the guided policy a feasibility
@@ -38,17 +38,23 @@ from repro.cluster.resources import SystemConfig
 from repro.core.cnn_state import build_cnn_state_module
 from repro.core.dfp import DFPAgent, DFPConfig
 from repro.core.encoding import IncrementalStateEncoder, StateEncoder
-from repro.core.goal import goal_vector
 from repro.core.measurements import measurement_vector
+from repro.core.prior import DFP_TIEBREAK_SCALE, PriorScheduler, guided_scores
 from repro.nn.serialize import load_params, save_params
-from repro.sched.base import DecisionInputs, Scheduler, SchedulingContext
+from repro.sched.base import DecisionInputs, SchedulingContext
 from repro.workload.job import Job
 
 __all__ = ["MRSchScheduler"]
 
 
-class MRSchScheduler(Scheduler):
-    """Multi-resource DFP scheduling agent (the paper's contribution)."""
+class MRSchScheduler(PriorScheduler):
+    """Multi-resource DFP scheduling agent (the paper's contribution).
+
+    With ``prior_weight > 0`` (the default) it is the base class's prior
+    ranking, DFP scores a capped tie-break: zero scores reproduce the
+    ``prior`` method, and ``decisions_overruled`` counts scored decisions
+    moved off the prior's arg-max. ``prior_weight = 0`` is pure DFP.
+    """
 
     name = "mrsch"
 
@@ -65,8 +71,7 @@ class MRSchScheduler(Scheduler):
         prior_weight: float = 2.0,
         dynamic_goal: bool = True,
     ) -> None:
-        super().__init__(window_size=window_size, backfill=backfill)
-        self.system = system
+        super().__init__(system, window_size, backfill, dynamic_goal)
         self.encoder = StateEncoder(system, window_size=window_size, time_scale=time_scale)
         #: decision-state path: patch a persistent state buffer via pool
         #: dirty tracking instead of rebuilding ``state_dim`` zeros per
@@ -103,25 +108,12 @@ class MRSchScheduler(Scheduler):
         else:
             raise ValueError(f"unknown state_module {state_module!r}")
         self.state_module = state_module
-        #: weight of the inference-time feasibility prior. The prior
-        #: encodes the §III-C intent directly — prefer currently-fitting
-        #: jobs (cheapest goal-weighted demand first) and, when nothing
-        #: fits, the longest-waiting job — and the DFP predictions
-        #: reorder choices within those classes. This is the
-        #: heuristics+RL combination the paper cites from MARS; it makes
-        #: the agent robust at laptop-scale training budgets. Set to 0.0
-        #: for the pure-DFP policy of the original paper (appropriate
-        #: with paper-scale training: 40 job sets / 200k jobs).
+        #: weight of the feasibility prior — the heuristics+RL combination
+        #: the paper cites from MARS, robust at laptop-scale training
+        #: budgets. 0.0 is the original paper's pure DFP policy (for
+        #: paper-scale training: 40 job sets / 200k jobs).
         self.prior_weight = prior_weight
-        #: §III-B dynamic resource prioritizing. False freezes the goal
-        #: at uniform weights — the fixed-priority behaviour the paper's
-        #: Fig. 1 argues against; kept for the ablation benchmark.
-        self.dynamic_goal = dynamic_goal
         self.training = False
-        self._caps = system.capacities
-        #: (time, goal vector) samples of the current run — Figs 8–9
-        self.goal_log: list[tuple[float, np.ndarray]] = []
-        self._goal = np.full(system.n_resources, 1.0 / system.n_resources)
         self._steps: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
         self._measurements: list[np.ndarray] = []
         #: inputs/outputs of the last select(), for the trace recorder
@@ -133,51 +125,9 @@ class MRSchScheduler(Scheduler):
         #: settled, the three arrays unset when nothing will read them
         self._pending: tuple | None = None
 
-    # -- scheduler hooks ---------------------------------------------------
-
-    def reset(self) -> None:
-        super().reset()
-        self.goal_log = []
-        self._goal = np.full(self.system.n_resources, 1.0 / self.system.n_resources)
-
-    def begin_instance(self, ctx: SchedulingContext) -> None:
-        """Dynamic resource prioritizing (§III-B): refresh the goal."""
-        if self.dynamic_goal:
-            self._goal = goal_vector(ctx.queue, ctx.running, self.system, ctx.now)
-        self.goal_log.append((ctx.now, self._goal.copy()))
-
-    def _prior(self, window: list[Job], ctx: SchedulingContext) -> np.ndarray:
-        """Feasibility/age prior over window slots.
-
-        Fitting jobs score in [0.5, 1.5] (lower goal-weighted demand →
-        higher), non-fitting jobs in [-1.5, -1.0] (longer queued →
-        higher, so the reservation protects the oldest starving job).
-        The class gap is wide enough that DFP scores reorder within a
-        class but cannot promote a non-fitting grab over a fitting one.
-
-        Needs no state encode: the window's request rows are read off
-        the queue's columns and feasibility is one compare against the
-        pool's live free-count vector — the same booleans ``can_fit``
-        returns for validated jobs, which is what the per-job oracle in
-        ``tests/unit/_sched_reference.py`` asks job by job.
-        """
-        n = len(window)
-        reqs = ctx.queue.window_requests(window)
-        fits = (reqs <= ctx.pool.free_vector()).all(axis=1)
-        demand = (reqs / self._caps) @ self._goal
-        prior = np.zeros(self.window_size)
-        # Queue order = age order: the oldest non-fitting job outranks
-        # younger ones by a full tie-break margin, so the reservation
-        # always protects the longest waiter.
-        prior[:n] = np.where(fits, 1.5 - demand, -1.5 - 0.1 * np.arange(n))
-        return prior
-
-    #: cap on the normalised DFP contribution under the guided policy —
-    #: enough to reorder near-ties, never enough to cross prior ranks
-    _DFP_TIEBREAK_SCALE = 0.02
     #: the cap plus the stated slack of :meth:`_settle`: one part in 1e9,
     #: seven orders above the two roundings that produce a normalised score
-    _SETTLE_BOUND = _DFP_TIEBREAK_SCALE * (1.0 + 1e-9)
+    _SETTLE_BOUND = DFP_TIEBREAK_SCALE * (1.0 + 1e-9)
 
     def _settle(
         self, window: list[Job], ctx: SchedulingContext
@@ -195,7 +145,7 @@ class MRSchScheduler(Scheduler):
           settles on ``a`` iff ``x[a] - B > r + B`` *as computed*, with
           ``B = _SETTLE_BOUND``. Proof that the guided arg-max is then
           ``a``: a normalised score is ``s = fl(score * fl(T / peak))``
-          with ``|score| <= peak`` and ``T = _DFP_TIEBREAK_SCALE``, two
+          with ``|score| <= peak`` and ``T = DFP_TIEBREAK_SCALE``, two
           roundings, so ``|s| <= T(1+u)^2 < B`` (``u = 2^-53``); rounded
           addition is monotone in each operand, hence
           ``fl(x[a] + s[a]) >= fl(x[a] - B) > fl(r + B) >= fl(x[b] + B)
@@ -298,13 +248,11 @@ class MRSchScheduler(Scheduler):
                 # tie-break (normalised so they reorder near-ties but
                 # never cross prior ranks).
                 assert prior is not None
-                peak = float(np.abs(scores[mask]).max()) if mask.any() else 0.0
-                if peak > 0:
-                    scores = scores * (self._DFP_TIEBREAK_SCALE / peak)
-                combined = self.prior_weight * prior + scores
-                combined = np.where(mask, combined, -np.inf)
+                combined = guided_scores(self.prior_weight, prior, scores, mask)
                 action = int(np.argmax(combined))
                 self._last_scores = combined
+                if action != int(np.argmax(prior[: len(window)])):
+                    self.decisions_overruled += 1
             else:
                 action = int(np.argmax(np.where(mask, scores, -np.inf)))
         if self.training:
@@ -403,13 +351,3 @@ class MRSchScheduler(Scheduler):
     def load(self, path: str) -> None:
         """Restore a checkpoint written by :meth:`save`."""
         self.agent.load_state_dict(load_params(path))
-
-    # -- introspection ---------------------------------------------------------
-
-    def goal_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, goal vectors) logged during the last run."""
-        if not self.goal_log:
-            return np.zeros(0), np.zeros((0, self.system.n_resources))
-        times = np.array([t for t, _ in self.goal_log])
-        goals = np.vstack([g for _, g in self.goal_log])
-        return times, goals

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.prior import guided_scores, prior_scores
 from repro.eval.trace import DecisionTrace
 
 __all__ = [
@@ -160,12 +161,7 @@ def largest_demand_policy(trace: DecisionTrace) -> np.ndarray:
     "demand, else the longest waiter",
 )
 def prior_policy(trace: DecisionTrace) -> np.ndarray:
-    fits = trace.feature("fits") > 0.5
-    demand = _demand(trace)
-    age_rank = np.broadcast_to(
-        np.arange(trace.window_size, dtype=float), trace.masks.shape
-    )
-    return np.where(fits, 1.5 - demand, -1.5 - 0.1 * age_rank)
+    return prior_scores(trace.feature("fits") > 0.5, _demand(trace))
 
 
 @register_eval_policy(
@@ -194,23 +190,19 @@ class DFPReplayPolicy:
     (~1e-15 relative); exact score ties could in principle resolve
     differently, which is the documented fidelity tolerance.
 
-    ``prior_weight``/``tiebreak`` default to the values stored in each
-    trace's metadata, i.e. the recorded scheduler's own configuration.
+    ``prior_weight`` defaults to the value stored in each trace's
+    metadata, i.e. the recorded scheduler's own configuration; the
+    tie-break cap is always :data:`~repro.core.prior.DFP_TIEBREAK_SCALE`.
     """
 
-    def __init__(self, agent, prior_weight: float | None = None, tiebreak: float | None = None):
+    def __init__(self, agent, prior_weight: float | None = None):
         self.agent = agent
         self.prior_weight = prior_weight
-        self.tiebreak = tiebreak
 
     @classmethod
     def from_scheduler(cls, scheduler) -> "DFPReplayPolicy":
         """Wrap a live :class:`~repro.core.mrsch.MRSchScheduler`'s agent."""
-        return cls(
-            scheduler.agent,
-            prior_weight=float(scheduler.prior_weight),
-            tiebreak=float(scheduler._DFP_TIEBREAK_SCALE),
-        )
+        return cls(scheduler.agent, prior_weight=float(scheduler.prior_weight))
 
     @classmethod
     def from_checkpoint(
@@ -218,7 +210,6 @@ class DFPReplayPolicy:
         path: str,
         trace: DecisionTrace,
         prior_weight: float | None = None,
-        tiebreak: float | None = None,
         dfp_config=None,
     ) -> "DFPReplayPolicy":
         """Load an agent checkpoint sized from ``trace`` metadata."""
@@ -235,31 +226,16 @@ class DFPReplayPolicy:
             )
         agent = DFPAgent(dfp_config)
         agent.load_state_dict(load_params(path))
-        return cls(agent, prior_weight=prior_weight, tiebreak=tiebreak)
+        return cls(agent, prior_weight=prior_weight)
 
     def __call__(self, trace: DecisionTrace) -> np.ndarray:
         raw = self.agent.action_scores_batch(
             trace.states, trace.measurements, trace.goals
         )
-        pw = (
-            self.prior_weight
-            if self.prior_weight is not None
-            else float(trace.meta.get("prior_weight", 0.0))
-        )
+        pw = self.prior_weight
+        if pw is None:
+            pw = float(trace.meta.get("prior_weight", 0.0))
         if pw <= 0.0:
             return raw
-        tb = (
-            self.tiebreak
-            if self.tiebreak is not None
-            else float(trace.meta.get("dfp_tiebreak", 0.0))
-        )
-        # Mirror MRSchScheduler.apply_decision row by row: normalise the
-        # DFP contribution by the per-decision peak magnitude over valid
-        # slots (rows with a zero peak stay unscaled, as live), then add
-        # the weighted prior and mask invalid slots to -inf.
-        peak = np.where(trace.masks, np.abs(raw), 0.0).max(axis=1)
-        scale = np.divide(
-            tb, peak, out=np.ones_like(peak), where=peak > 0.0
-        )
-        combined = pw * trace.priors + raw * scale[:, None]
-        return np.where(trace.masks, combined, -np.inf)
+        # MRSchScheduler.apply_decision's rule, row by row
+        return guided_scores(pw, trace.priors, raw, trace.masks)

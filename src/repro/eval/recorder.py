@@ -103,9 +103,6 @@ class DecisionTraceRecorder:
             self._window_size = w
             self._policy_meta = {
                 "prior_weight": float(getattr(scheduler, "prior_weight", 0.0)),
-                "dfp_tiebreak": float(
-                    getattr(scheduler, "_DFP_TIEBREAK_SCALE", 0.0)
-                ),
                 "scheduler": getattr(scheduler, "name", type(scheduler).__name__),
             }
         elif w != self._window_size:

@@ -155,10 +155,11 @@ class Scheduler(ABC):
         #: ``(queue, reserved, now, shadow, free, spare, queue.appended)``
         #: — see :meth:`_easy_backfill`
         self._carried: tuple | None = None
-        #: selections made since :meth:`reset`, and how many of them ran
-        #: the policy's network (policies that have one count it)
+        #: selections made since :meth:`reset`, how many ran the policy's
+        #: network and how many of those the network moved off its prior
         self.decisions = 0
         self.decisions_scored = 0
+        self.decisions_overruled = 0
 
     # -- policy hooks -----------------------------------------------------
 
@@ -188,6 +189,7 @@ class Scheduler(ABC):
         self._carried = None
         self.decisions = 0
         self.decisions_scored = 0
+        self.decisions_overruled = 0
 
     # -- split decision protocol (batched lockstep scoring) ----------------
 

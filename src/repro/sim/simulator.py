@@ -92,10 +92,12 @@ class Simulator:
             attrs["instances"] = result.n_scheduling_instances
             attrs["decisions"] = self.scheduler.decisions
             attrs["decisions_scored"] = self.scheduler.decisions_scored
+            attrs["decisions_overruled"] = self.scheduler.decisions_overruled
         metrics = session.metrics
         metrics.counter("sim.episodes").inc()
         metrics.counter("sim.decisions").inc(self.scheduler.decisions)
         metrics.counter("sim.decisions_scored").inc(self.scheduler.decisions_scored)
+        metrics.counter("sim.decisions_overruled").inc(self.scheduler.decisions_overruled)
         return result
 
     def _episode(self, jobs: list[Job], drive) -> SimulationResult:

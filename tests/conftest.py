@@ -129,7 +129,6 @@ def make_decision_trace():
             "n_measurements": r,
             "slot_dim": r + 2,
             "prior_weight": 0.0,
-            "dfp_tiebreak": 0.0,
             **meta_overrides,
         }
         return DecisionTrace(

@@ -73,6 +73,20 @@ def test_listing_names_never_loads_the_network_stack():
     assert not {"repro.nn", "repro.core"} & loaded
 
 
+def test_prior_method_never_loads_the_network_stack():
+    """``prior`` is MRSch's base class: its run builds no agent, so the
+    network modules stay out of the process."""
+    loaded = loaded_after(
+        "from repro.api import run_single\n"
+        "from repro.experiments.harness import ExperimentConfig\n"
+        "config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=40)\n"
+        "result, sched = run_single('S1', 'prior', config)\n"
+        "assert sched.name == 'prior' and result.jobs\n"
+    )
+    assert "repro.core.prior" in loaded
+    assert not {"repro.nn", "repro.core.dfp", "repro.core.mrsch"} & loaded
+
+
 def test_cold_run_loads_only_what_its_cells_run(tmp_path):
     path = tmp_path / "cold.json"
     path.write_text(json.dumps(COLD_SCENARIO))

@@ -91,7 +91,7 @@ class TestBitIdentity:
         # A lightly loaded machine under the guided policy: one job per
         # window or a clear prior, the network is never asked.
         assert counters["sim.decisions"] == len(workloads) * grid_config.n_jobs
-        assert counters["sim.decisions_scored"] == 0
+        assert counters["sim.decisions_scored"] == counters["sim.decisions_overruled"] == 0
         assert "sim.batch_calls" not in counters
 
     def test_open_decisions_are_stacked_and_counted(self, grid_config, tmp_path):
@@ -114,11 +114,39 @@ class TestBitIdentity:
 
         assert counters["sim.batch_calls"] > 0
         assert 0 < counters["sim.decisions_scored"] < counters["sim.decisions"]
+        # pure DFP has no prior to overrule
+        assert counters["sim.decisions_overruled"] == 0
         episodes = [
             s for s in load_spans(tmp_path / "telemetry") if s["name"] == "episode"
         ]
-        for key in ("decisions", "decisions_scored"):
+        for key in ("decisions", "decisions_scored", "decisions_overruled"):
             assert sum(e["attrs"][key] for e in episodes) == counters[f"sim.{key}"]
+
+    def test_overruled_decisions_are_counted_without_changing_them(
+        self, grid_config, tmp_path
+    ):
+        """Guided MRSch on a loaded machine with full windows: the network
+        overrules the prior on some scored decisions, and counting them
+        changes no result."""
+        config = dataclasses.replace(
+            grid_config, n_jobs=100, window_size=10, mean_interarrival=60.0
+        )
+        tasks = grid_tasks(["mrsch"], ["S1", "S3", "S5"], config)
+        plain = ExperimentRunner(n_workers=1).run(tasks)
+        session = obs.enable(tmp_path / "telemetry")
+        try:
+            instrumented = ExperimentRunner(n_workers=1).run(tasks)
+            counters = session.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert _exact(instrumented) == _exact(plain)
+        assert 0 < counters["sim.decisions_overruled"] <= counters["sim.decisions_scored"]
+        episodes = [
+            s for s in load_spans(tmp_path / "telemetry") if s["name"] == "episode"
+        ]
+        assert sum(e["attrs"]["decisions_overruled"] for e in episodes) == (
+            counters["sim.decisions_overruled"]
+        )
 
     def test_episode_decision_stream_identical(self, mini_system, theta_trace):
         def starts():

@@ -17,7 +17,7 @@ decision for decision.
   mixing the two forms.
 * :func:`as_reference` — re-classes a scheduler onto the per-candidate
   EASY loop (one ``can_fit`` and one spare test per queued job) and, for
-  MRSch, onto the per-job prior (``job.request`` rows, ``can_fit``
+  the ``prior`` method and MRSch, onto the per-job prior (``job.request`` rows, ``can_fit``
   feasibility). Like ``_nn_reference.as_reference``, the twin shares the
   constructor (seeds, weights) with the scheduler under test and differs
   only in how it computes.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mrsch import MRSchScheduler
+from repro.core.prior import PriorScheduler
 from repro.sched.jobqueue import JobQueue
 
 __all__ = ["ListQueue", "as_reference"]
@@ -115,8 +115,8 @@ _REFERENCE: dict[type, type] = {}
 
 
 def as_reference(sched):
-    """Re-class ``sched`` onto the per-candidate EASY loop (and, for an
-    MRSch scheduler or subclass, the per-job prior); returns ``sched``.
+    """Re-class ``sched`` onto the per-candidate EASY loop (and, for a
+    ``PriorScheduler`` — MRSch included — the per-job prior); returns ``sched``.
 
     The reference class is a direct subclass of ``type(sched)`` carrying
     the two bodies above as methods — a single base, so the instance
@@ -126,7 +126,7 @@ def as_reference(sched):
     reference = _REFERENCE.get(cls)
     if reference is None:
         methods = {"_easy_backfill": _easy_backfill}
-        if issubclass(cls, MRSchScheduler):
+        if issubclass(cls, PriorScheduler):
             methods["_prior"] = _prior
         reference = _REFERENCE[cls] = type(f"Reference{cls.__name__}", (cls,), methods)
     sched.__class__ = reference

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core.prior import guided_scores
 from repro.eval.evaluator import policy_choices
 from repro.eval.policies import (
+    DFPReplayPolicy,
     build_policies,
     describe_eval_policies,
     get_eval_policy,
@@ -123,3 +127,25 @@ class TestBuiltinScorers:
         trace = make_decision_trace(n=5, window=4, actions=[0, 3, 1, 2, 0])
         choices = policy_choices(trace, get_eval_policy("logged").scorer(trace))
         np.testing.assert_array_equal(choices, trace.actions)
+
+
+class TestDFPReplayRule:
+    def test_rows_are_the_live_guided_rule_and_a_stale_tiebreak_key_is_ignored(
+        self, make_decision_trace
+    ):
+        """Replay applies ``guided_scores`` at the constant cap whether or
+        not the trace carries the ``dfp_tiebreak`` key older recorders wrote."""
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(6, 4))
+        agent = SimpleNamespace(action_scores_batch=lambda states, meas, goals: raw)
+        for stale in ({}, {"dfp_tiebreak": 0.0}):
+            trace = make_decision_trace(n=6, window=4, prior_weight=2.0, **stale)
+            trace.priors[:] = rng.uniform(-1.5, 1.5, size=trace.priors.shape)
+            trace.masks[2, 3:] = False
+            scores = DFPReplayPolicy(agent)(trace)
+            for i in range(trace.n_decisions):
+                live = guided_scores(2.0, trace.priors[i], raw[i], trace.masks[i])
+                assert scores[i].tobytes() == live.tobytes()
+            assert scores[2, 3] == -np.inf
+            # the DFP term is live (a zero cap would leave the weighted prior)
+            assert not np.array_equal(scores[0], 2.0 * trace.priors[0])

@@ -23,6 +23,7 @@ from repro.cluster.resources import (
     SystemConfig,
 )
 from repro.core.mrsch import MRSchScheduler
+from repro.core.prior import PriorScheduler
 from repro.sched import jobqueue as jobqueue_module
 from repro.sched.base import SchedulingContext
 from repro.sched.fcfs import FCFSScheduler
@@ -289,23 +290,27 @@ def test_jobqueue_path_identical_to_list_path_thorough(data):
         _check_paths_identical(data, 120, monkeypatch)
 
 
-@pytest.mark.parametrize("prior_weight", [2.0, 0.0], ids=["guided", "pure-dfp"])
-def test_mrsch_replay_identical_to_list_path(prior_weight):
-    """MRSch adds two columnar reads to what the FCFS property covers —
-    the prior's window rows and the Eq.-1 queue half. The list reference
-    (per-job prior, per-row contention terms) decides every instance the
-    same, on a trace whose bursts fill the window and force reservations."""
+@pytest.mark.parametrize("policy", ["guided", "pure-dfp", "prior"])
+def test_mrsch_replay_identical_to_list_path(policy):
+    """MRSch and the ``prior`` method add two columnar reads to what the
+    FCFS property covers — the prior's window rows and the Eq.-1 queue
+    half. The list reference (per-job prior, per-row contention terms)
+    decides every instance the same, on a trace whose bursts fill the
+    window and force reservations."""
     rng = np.random.default_rng(28)
     system = SYSTEMS[2]
     script = [(int(rng.choice([0, 0, 0, 600])), int(rng.integers(100, 1500)),
                int(rng.choice([0, 300])), int(rng.integers(0, 12)), int(rng.integers(0, 12)))
               for _ in range(60)]
     jobs = script_jobs(system, script)
-    logs = [
-        replay_log(system, jobs, as_list=as_list,
-                   sched=small_mrsch(system, prior_weight=prior_weight))
-        for as_list in (False, True)
-    ]
+
+    def build():
+        if policy == "prior":
+            return PriorScheduler(system, window_size=4)
+        return small_mrsch(system, prior_weight=2.0 if policy == "guided" else 0.0)
+
+    logs = [replay_log(system, jobs, as_list=as_list, sched=build())
+            for as_list in (False, True)]
     assert logs[0] == logs[1]
     assert any(reserved for _, _, reserved in logs[0])
 

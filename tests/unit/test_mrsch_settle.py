@@ -34,6 +34,7 @@ from repro.cluster.resources import (
 )
 from repro.core.encoding import IncrementalStateEncoder
 from repro.core.mrsch import MRSchScheduler
+from repro.core.prior import DFP_TIEBREAK_SCALE
 from repro.eval.recorder import DecisionTraceRecorder
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.jobqueue import JobQueue
@@ -197,7 +198,7 @@ def test_lead_just_inside_the_cap_is_open_just_outside_is_settled(tiny_system):
     pool = ResourcePool(tiny_system)
     window = [make_job(job_id=1, nodes=1), make_job(job_id=2, nodes=2)]
     ctx = make_ctx(tiny_system, pool, window)
-    cap = sched._DFP_TIEBREAK_SCALE
+    cap = DFP_TIEBREAK_SCALE
     for lead, settled in ((2 * cap, False), (2 * cap * (1 + 1e-6), True)):
         sched._prior = lambda window, ctx, lead=lead: np.array([1.0 + lead, 1.0, 0, 0])
         action, _ = sched._settle(window, ctx)
@@ -337,7 +338,39 @@ class TestDecisionCounts:
         sched = FCFSScheduler(window_size=W)
         Simulator(tiny_system, sched).run(tiny_trace)
         assert 0 < sched.decisions <= len(tiny_trace)
-        assert sched.decisions_scored == 0
+        assert sched.decisions_scored == sched.decisions_overruled == 0
+
+    def test_scores_that_flip_a_near_tie_are_one_overrule(self, tiny_system):
+        """A scored guided pick counts iff it leaves the prior's arg-max."""
+        pool = ResourcePool(tiny_system)
+        window = [make_job(job_id=1, nodes=1), make_job(job_id=2, nodes=2)]
+        sched = small_mrsch(tiny_system)
+        # the prior prefers the smaller job by 2 * 0.1 / 16, inside twice the cap
+        sched._goal = np.array([0.1, 0.9])
+        for favoured in (0, 1, 0):
+            scores = np.zeros(W)
+            scores[favoured] = 1.0
+            ctx = make_ctx(tiny_system, pool, window)
+            assert _decide(sched, window, ctx, scores) is window[favoured]
+        assert (sched.decisions_scored, sched.decisions_overruled) == (3, 1)
+
+    def test_settled_forced_explored_and_pure_dfp_picks_never_count(self, tiny_system):
+        pool = ResourcePool(tiny_system)
+        pool.allocate(make_job(job_id=99, nodes=12), now=0.0)
+        clear = [make_job(job_id=1, nodes=10), make_job(job_id=2, nodes=2)]  # prior: slot 1
+        alone = [make_job(job_id=3, nodes=10)]
+        against = np.array([1.0, 0.0, 0.0, 0.0])
+        pure, guided = small_mrsch(tiny_system, prior_weight=0.0), small_mrsch(tiny_system)
+        for sched in (pure, guided):
+            for window in (clear, alone):
+                _decide(sched, window, make_ctx(tiny_system, pool, window), against)
+        explorer = small_mrsch(tiny_system, seed=3)
+        explorer.training = True
+        explorer.agent.epsilon = 1.0
+        picks = [explorer.select(clear, make_ctx(tiny_system, pool, clear)) for _ in range(8)]
+        # teeth: pure DFP scored a pick off the prior, and exploration made one
+        assert pure.decisions_scored == 1 and any(p is clear[0] for p in picks)
+        assert [s.decisions_overruled for s in (pure, guided, explorer)] == [0, 0, 0]
 
 
 class TestScalarRLLoneCandidate:

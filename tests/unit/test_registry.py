@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import SCHEDULERS, list_schedulers
 from repro.core.mrsch import MRSchScheduler
+from repro.core.prior import PriorScheduler
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.ga import GAScheduler
 from repro.sched.scalar_rl import ScalarRLScheduler
@@ -15,6 +16,7 @@ def test_available_names():
         "optimization",
         "scalar_rl",
         "mrsch",
+        "prior",
     }
 
 
@@ -25,6 +27,7 @@ def test_available_names():
         ("optimization", GAScheduler),
         ("scalar_rl", ScalarRLScheduler),
         ("mrsch", MRSchScheduler),
+        ("prior", PriorScheduler),
     ],
 )
 def test_factory_types(name, cls, tiny_system):
