@@ -46,6 +46,7 @@ import os
 import socket
 import time
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -460,7 +461,16 @@ class WorkQueue:
         return self.failure_count(key)
 
     def failure_count(self, key: str) -> int:
-        return sum(1 for _ in self.failed_dir.glob(f"{key}-*.json"))
+        return len(self._failure_names(key))
+
+    def _failure_names(self, key: str) -> list[str]:
+        """``key``'s ``failed/<key>-*.json`` names, from one listing."""
+        prefix = f"{key}-"
+        try:
+            names = os.listdir(self.failed_dir)
+        except FileNotFoundError:
+            return []
+        return [n for n in names if n.startswith(prefix) and n.endswith(".json")]
 
     def failures(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -494,16 +504,14 @@ class WorkQueue:
         return Frontier(claimable, poisoned)
 
     def failure_errors(self, key: str) -> list[str]:
-        return [
-            doc.get("error", "?")
-            for doc in self._read_docs(self.failed_dir, f"{key}-*.json")
-        ]
+        paths = (self.failed_dir / name for name in self._failure_names(key))
+        return [doc.get("error", "?") for doc in self._read_docs(paths)]
 
-    def _read_docs(self, directory: Path, pattern: str = "*.json") -> list[dict]:
-        """Every readable JSON document matching ``pattern``, in name
-        order; a missing directory or an unreadable file is skipped."""
+    def _read_docs(self, paths: Iterable[Path]) -> list[dict]:
+        """Every readable JSON document of ``paths``, in name order; an
+        unreadable file is skipped."""
         out = []
-        for path in sorted(directory.glob(pattern)):
+        for path in sorted(paths):
             try:
                 out.append(self.store.read_json(path))
             except (json.JSONDecodeError, OSError):
@@ -552,7 +560,7 @@ class WorkQueue:
 
     def quarantined(self) -> list[dict]:
         """Every quarantine record (missing dir → [])."""
-        return self._read_docs(self.quarantine_dir)
+        return self._read_docs(self.quarantine_dir.glob("*.json"))
 
     def quarantine_count(self) -> int:
         return sum(1 for _ in self.quarantine_dir.glob("*.json"))
@@ -616,7 +624,7 @@ class WorkQueue:
         )
 
     def workers(self) -> list[dict]:
-        return self._read_docs(self.workers_dir)
+        return self._read_docs(self.workers_dir.glob("*.json"))
 
     # -- worker metrics snapshots ------------------------------------------
 
@@ -636,7 +644,7 @@ class WorkQueue:
 
     def worker_metrics(self) -> list[dict]:
         """Every worker's latest metrics snapshot (missing dir → [])."""
-        return self._read_docs(self.metrics_dir)
+        return self._read_docs(self.metrics_dir.glob("*.json"))
 
     def spool_backlog(self) -> int:
         """Results parked on worker-local disk awaiting store recovery,

@@ -158,6 +158,11 @@ class JobQueue:
         """
         return self._appended
 
+    @property
+    def span(self) -> int:
+        """Rows a full :meth:`candidate_arrays` view covers, tombstones too."""
+        return self._tail - self._head
+
     def candidate_arrays(
         self, since: int = 0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -1,14 +1,16 @@
 """Seed-7 ``result_digest``s equal ``benchmarks/e2e/reference/seed7.json``.
 
 The standing bit-identity contract of every performance PR, held here
-for the two replay workloads that exercise the scheduler's backfill
-path in both of its forms — ``replay_fcfs`` (``Scheduler.schedule`` on a
-saturated queue) and ``replay_theta`` (MRSch lanes in lockstep through
-``schedule_gen``) — and for ``cold_cli``'s scenario, run in-process (its
-two cells: FCFS and an untrained MRSch over two workloads). The two
-training workloads run under the ``slow`` marker: training is where the
-agent's ε-greedy draw stream and replay buffer are held to the
-reference. The benchmark's own files are *read*, never edited: the
+for all six workloads. Four run in tier-1: the two replay workloads
+that drive the scheduler's instance body in both of its forms —
+``replay_fcfs`` (``Scheduler.schedule`` on a saturated queue, whose
+EASY passes scan the columns) and ``replay_theta`` (MRSch lanes in
+lockstep through ``schedule_gen``) — and, run in-process, ``cold_cli``'s
+scenario (two cells: FCFS and an untrained MRSch over two workloads)
+and ``sweep_queue``'s grid of short FCFS cells, whose EASY passes walk
+their few queued jobs one by one. The two training workloads run under
+the ``slow`` marker: training is where the agent's ε-greedy draw stream
+and replay buffer are held to the reference. The benchmark's own files are *read*, never edited: the
 scenarios come from ``workloads.py``, the digest function from
 ``check.py``, the expected values from the committed reference run.
 
@@ -51,6 +53,7 @@ def _load(name: str):
         "replay_fcfs",
         "replay_theta",
         "cold_cli",
+        "sweep_queue",
         pytest.param("train_mini", marks=pytest.mark.slow),
         pytest.param("train_wide", marks=pytest.mark.slow),
     ],

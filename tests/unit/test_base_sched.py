@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.resources import NODE, ResourcePool, ResourceSpec, SystemConfig
-from repro.sched.base import Scheduler, SchedulingContext
+from repro.sched import base as base_module
+from repro.sched.base import SHORT_PASS_ROWS, Scheduler, SchedulingContext
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.jobqueue import JobQueue
 from repro.sim.simulator import Simulator
@@ -58,6 +59,19 @@ class TestWindow:
     def test_invalid_window_size(self):
         with pytest.raises(ValueError):
             FCFSScheduler(window_size=0)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", True, False, np.float64(2)])
+    def test_non_integer_window_size_rejected(self, size):
+        with pytest.raises(TypeError, match="window_size"):
+            FCFSScheduler(window_size=size)
+
+    def test_numpy_integer_window_size_accepted(self, node_only_system):
+        pool = ResourcePool(node_only_system)
+        queue = [njob(i, nodes=1) for i in range(1, 7)]
+        sched = RecordingFCFS(window_size=np.int64(2), backfill=False)
+        assert sched.window_size == 2 and type(sched.window_size) is int
+        sched.schedule(make_ctx(node_only_system, pool, queue))
+        assert sched.selections == list(range(1, 7))
 
     def test_selection_restricted_to_window(self, node_only_system):
         pool = ResourcePool(node_only_system)
@@ -139,7 +153,20 @@ class TestReservation:
         assert sched.reserved_job is None
 
 
+#: ``SHORT_PASS_ROWS`` as the module sets it (short queues walked, long
+#: ones scanned) and 0 (every pass scans the columns): the EASY cases
+#: and the oracle properties run under both
+PASS_SIZES = pytest.mark.parametrize(
+    "short_rows", [SHORT_PASS_ROWS, 0], ids=["default", "columnar"]
+)
+
+
+@PASS_SIZES
 class TestBackfill:
+    @pytest.fixture(autouse=True)
+    def _pass_size(self, short_rows, monkeypatch):
+        monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
+
     def test_short_job_backfills(self, node_only_system):
         pool = ResourcePool(node_only_system)
         running = njob(1, nodes=6, walltime=1000.0, runtime=1000.0)
@@ -280,6 +307,7 @@ class ShadowTrackingFCFS(FCFSScheduler):
         super()._easy_backfill(ctx)
 
 
+@PASS_SIZES
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -292,10 +320,16 @@ class ShadowTrackingFCFS(FCFSScheduler):
         max_size=25,
     )
 )
-def test_backfill_never_delays_reservation_property(jobs_data):
+def test_backfill_never_delays_reservation_property(short_rows, jobs_data):
     """The EASY guarantee (Mu'alem & Feitelson): with exact runtime
     estimates, a reserved job starts no later than the shadow time
     computed at reservation — backfilled jobs never push it back."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
+        _check_reservation_kept(jobs_data)
+
+
+def _check_reservation_kept(jobs_data):
     system = SystemConfig(resources=(ResourceSpec(NODE, 10),))
     t = 0.0
     jobs = []

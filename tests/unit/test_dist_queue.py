@@ -175,6 +175,21 @@ class TestWorkQueue:
         assert queue.failures() == {"k1": MAX_ATTEMPTS}
         assert "boom 0" in queue.failure_errors("k1")[0]
 
+    def test_failure_count_reads_only_the_keys_own_records(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        assert queue.failure_count("k1") == 0
+        for key, worker in [("k1", "w0"), ("k1", "w1"), ("k12", "w0"), ("k2", "w0")]:
+            queue.record_failure(key, worker, f"{key} failed on {worker}")
+        (queue.failed_dir / ".k1-3-w2.tmp").write_text("{")  # a write in flight
+        (queue.failed_dir / "k1-notes.txt").write_text("")
+        for key in ("k1", "k12", "k2", "k3"):
+            globbed = sum(1 for _ in queue.failed_dir.glob(f"{key}-*.json"))
+            assert queue.failure_count(key) == globbed
+        assert queue.failure_count("k1") == 2
+        assert queue.failure_errors("k1") == ["k1 failed on w0", "k1 failed on w1"]
+        queue.failed_dir.rename(tmp_path / "moved")
+        assert queue.failure_count("k1") == 0 and queue.failure_errors("k1") == []
+
     def test_meta_roundtrip(self, tmp_path):
         queue = WorkQueue(tmp_path)
         queue.write_meta(trace_dir="/tmp/t", batch_episodes=4)

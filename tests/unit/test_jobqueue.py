@@ -24,14 +24,16 @@ from repro.cluster.resources import (
 )
 from repro.core.mrsch import MRSchScheduler
 from repro.core.prior import PriorScheduler
+from repro.sched import base as base_module
 from repro.sched import jobqueue as jobqueue_module
-from repro.sched.base import SchedulingContext
+from repro.sched.base import SHORT_PASS_ROWS, SchedulingContext
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.jobqueue import JobQueue
 from repro.sim.episode import EpisodeState
 from repro.workload.job import Job
 from tests.conftest import make_job
 from tests.unit._sched_reference import ListQueue, as_reference
+from tests.unit.test_base_sched import PASS_SIZES
 from tests.unit.test_mrsch import small_mrsch
 
 
@@ -252,7 +254,8 @@ def _scripts(n_resources: int, max_jobs: int):
     return st.lists(row, min_size=3, max_size=max_jobs)
 
 
-def _check_paths_identical(data, max_jobs, monkeypatch):
+def _check_paths_identical(data, max_jobs, monkeypatch, short_rows):
+    monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
     n_resources = data.draw(st.sampled_from([1, 2, 3]))
     system = SYSTEMS[n_resources]
     jobs = script_jobs(system, data.draw(_scripts(n_resources, max_jobs)))
@@ -268,35 +271,39 @@ def _check_paths_identical(data, max_jobs, monkeypatch):
         assert replay_log(system, jobs, restore_at=restore_at) == reference
 
 
+@PASS_SIZES
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_jobqueue_path_identical_to_list_path(data):
+def test_jobqueue_path_identical_to_list_path(short_rows, data):
     """Window + selection + reservation + EASY decisions must match the
     plain-list reference exactly, instance by instance — on 1-, 2- and
     3-resource systems, with overestimated walltimes, bursts of arrivals
     with no release between them (the passes that carry rejections),
     slots renumbered mid-episode and a mid-episode snapshot/restore."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_paths_identical(data, 40, monkeypatch)
+        _check_paths_identical(data, 40, monkeypatch, short_rows)
 
 
 @pytest.mark.slow
+@PASS_SIZES
 @settings(max_examples=1000, deadline=None)
 @given(st.data())
-def test_jobqueue_path_identical_to_list_path_thorough(data):
+def test_jobqueue_path_identical_to_list_path_thorough(short_rows, data):
     """The same property at 1,000 examples and longer scripts (the
     ``slow`` tier, which CI runs on every push)."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_paths_identical(data, 120, monkeypatch)
+        _check_paths_identical(data, 120, monkeypatch, short_rows)
 
 
+@PASS_SIZES
 @pytest.mark.parametrize("policy", ["guided", "pure-dfp", "prior"])
-def test_mrsch_replay_identical_to_list_path(policy):
+def test_mrsch_replay_identical_to_list_path(policy, short_rows, monkeypatch):
     """MRSch and the ``prior`` method add two columnar reads to what the
     FCFS property covers — the prior's window rows and the Eq.-1 queue
     half. The list reference (per-job prior, per-row contention terms)
     decides every instance the same, on a trace whose bursts fill the
     window and force reservations."""
+    monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
     rng = np.random.default_rng(28)
     system = SYSTEMS[2]
     script = [(int(rng.choice([0, 0, 0, 600])), int(rng.integers(100, 1500)),
@@ -368,13 +375,94 @@ def test_deep_queue_compacts_between_carried_passes(monkeypatch):
     assert replay_log(system, jobs, restore_at=700) == reference
 
 
+# -- the short pass and the columnar pass ------------------------------------
+
+
+class _PassKinds:
+    """``[span, reserved id, short?]`` of every EASY pass, in order."""
+
+    def __init__(self, monkeypatch):
+        self.passes: list[list] = []
+        easy = base_module.Scheduler._easy_backfill
+        walk = base_module.Scheduler._short_backfill
+
+        def easy_spy(sched, ctx):
+            self.passes.append([ctx.queue.span, sched.reserved_job.job_id, False])
+            easy(sched, ctx)
+
+        def walk_spy(sched, ctx, reserved):
+            self.passes[-1][2] = True
+            walk(sched, ctx, reserved)
+
+        monkeypatch.setattr(base_module.Scheduler, "_easy_backfill", easy_spy)
+        monkeypatch.setattr(base_module.Scheduler, "_short_backfill", walk_spy)
+
+
+def test_queue_crossing_the_short_pass_size_under_one_reservation(monkeypatch):
+    """One reservation stands while three bursts push the queue past
+    ``SHORT_PASS_ROWS`` and backfill starts (tombstones compacted away at
+    the next arrival) bring it back under: the passes switch between
+    the walk and the carried column scan six times, and every start
+    matches the list oracle."""
+    system = SYSTEMS[2]
+    script = [(0, 200000, 0, 7, 0), (1, 1000, 0, 9, 0)]  # 8 of 10 nodes; all 10
+    for _ in range(3):
+        script += [(1, 600, 300 * (i % 3 == 0), i % 2, i % 4) for i in range(40)]
+        script += [(1200, 600, 0, 0, 1)] * 20
+    jobs = script_jobs(system, script)
+    monkeypatch.setattr(jobqueue_module, "_MIN_CAPACITY", 8)
+    reference = replay_log(system, jobs, as_list=True)
+
+    kinds = _PassKinds(monkeypatch)
+    assert replay_log(system, jobs) == reference
+    assert {reserved for _, reserved, _ in kinds.passes} == {2}
+    assert all(short == (span <= SHORT_PASS_ROWS) for span, _, short in kinds.passes)
+    short = [short for *_, short in kinds.passes]
+    switches = [(a, b) for a, b in zip(short, short[1:]) if a != b]
+    assert switches == [(True, False), (False, True)] * 3
+
+
+def test_short_pass_asks_for_no_shadow_when_nothing_fits(monkeypatch):
+    """A short queue none of whose rows fits the free units ends its
+    pass before the pool's order statistics are read; once a row fits,
+    the shadow is computed and the row backfills."""
+    system = node_system(10)
+    pool = ResourcePool(system)
+    pool.allocate(njob(90, nodes=8, runtime=1000.0), 0.0)
+    queue = JobQueue(system.names)
+    for i, nodes in enumerate([10, 3, 5, 4]):
+        queue.append(njob(i + 1, nodes=nodes, runtime=200.0))
+    asked = []
+    shadow = ResourcePool.earliest_fit_time
+    monkeypatch.setattr(
+        ResourcePool, "earliest_fit_time",
+        lambda pool, job, now: asked.append(job.job_id) or shadow(pool, job, now),
+    )
+    sched = FCFSScheduler(window_size=4, backfill=True)
+    kinds = _PassKinds(monkeypatch)
+
+    def schedule():
+        ctx = SchedulingContext(now=0.0, queue=queue, pool=pool, system=system,
+                                start=lambda job: pool.allocate(job, 0.0))
+        sched.schedule(ctx)
+        return [job.job_id for job in ctx.started]
+
+    assert schedule() == []
+    assert sched.reserved_job.job_id == 1
+    assert kinds.passes == [[4, 1, True]] and asked == []
+    queue.append(njob(5, nodes=2, runtime=200.0))  # ends before the shadow
+    assert schedule() == [5]
+    assert asked == [1]
+
+
 # -- carried rejections: the mechanism -----------------------------------------
 
 
 class TestCarriedRejections:
     """An arrival-only instance examines only the appended rows; anything
     that could loosen the state a row was rejected under forces the full
-    scan."""
+    scan. The queues here are a few rows long, so every pass is forced
+    onto the columns."""
 
     #: (nodes, runtime) of the queued rows: the head wants 8 — shadow
     #: 900, spare 0 — and nothing behind it fits the 2 free nodes
@@ -385,6 +473,7 @@ class TestCarriedRejections:
         return self.build(monkeypatch, self.ROWS)
 
     def build(self, monkeypatch, rows):
+        monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", 0)
         system = node_system(10)
         pool = ResourcePool(system)
         queue = JobQueue(system.names)
