@@ -519,6 +519,9 @@ def _cmd_work(args: argparse.Namespace) -> int:
         obs.enable(args.telemetry)
     if args.supervise is not None:
         return _run_supervised(args)
+    from repro.utils.blas import limit_blas_threads
+
+    limit_blas_threads()  # one of possibly many workers on this machine
     worker = QueueWorker(
         WorkQueue(args.queue, create=False),
         worker_id=args.worker_id,

@@ -81,14 +81,18 @@ def _worker_process_entry(
 ) -> None:
     """Subprocess target for a launched worker.
 
-    Mirrors the process-pool initializer contract: a ``spawn``-started
-    interpreter first restores the parent's ``sys.path`` and re-imports
-    the plugin registration modules so ``@register_*``'d components
-    resolve; under ``fork`` both steps are cached no-ops. ``options``
-    carries the remaining :class:`QueueWorker` keyword arguments.
+    Mirrors the process-pool initializer contract: the worker runs one
+    BLAS thread (:func:`~repro.utils.blas.limit_blas_threads`), and a
+    ``spawn``-started interpreter first restores the parent's
+    ``sys.path`` and re-imports the plugin registration modules so
+    ``@register_*``'d components resolve; under ``fork`` both steps are
+    cached no-ops. ``options`` carries the remaining
+    :class:`QueueWorker` keyword arguments.
     """
     from repro.api.registry import import_plugin_modules
+    from repro.utils.blas import limit_blas_threads
 
+    limit_blas_threads()
     for entry in parent_path:
         if entry not in sys.path:
             sys.path.append(entry)

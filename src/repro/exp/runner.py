@@ -121,6 +121,15 @@ def pivot_results(results) -> dict:
     return out
 
 
+def _pool_worker_init(modules: tuple[str, ...]) -> None:
+    """Pool initializer: one BLAS thread, then the plugin registrations."""
+    from repro.api.registry import import_plugin_modules
+    from repro.utils.blas import limit_blas_threads
+
+    limit_blas_threads()
+    import_plugin_modules(modules)
+
+
 class ExperimentRunner:
     """Serial/parallel executor for experiment grids.
 
@@ -400,22 +409,23 @@ class ExperimentRunner:
         resolved: dict[str, TaskResult],
         trace_dir: str | None = None,
     ) -> None:
-        # Ship the plugin registration modules through the pool
-        # initializer: fork workers inherit runtime registrations anyway
-        # (re-import is a cached no-op), spawn workers start from a fresh
-        # interpreter and would otherwise fail to resolve any
-        # @register_*'d component (the registry-module note).
+        # The pool initializer limits each worker to one BLAS thread and
+        # ships the plugin registration modules: fork workers inherit
+        # runtime registrations anyway (re-import is a cached no-op),
+        # spawn workers start from a fresh interpreter and would
+        # otherwise fail to resolve any @register_*'d component (the
+        # registry-module note).
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.api.registry import import_plugin_modules, registration_modules
+        from repro.api.registry import registration_modules
 
         context = worker_context(self.mp_start_method)
         workers = min(self.n_workers, len(pending))
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
-            initializer=import_plugin_modules,
+            initializer=_pool_worker_init,
             initargs=(registration_modules(),),
         ) as pool:
             futures = {

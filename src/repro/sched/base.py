@@ -25,26 +25,12 @@ rejects anything else): O(window) window extraction, O(1) dequeues and
 an EASY pass in two sizes. A queue whose storage span
 (:attr:`JobQueue.span`, tombstones included) is at most
 :data:`SHORT_PASS_ROWS` is walked job by job in Python; a longer one is
-scanned as NumPy columns. The straightforward forms these replaced — a
-plain-list queue, the per-candidate ``can_fit`` EASY loop — live on as
-test oracles in ``tests/unit/_sched_reference.py``, held to both passes
-decision for decision.
-
-The columnar pass also *carries its rejections* from one scheduling
-instance to the next: it ends by recording what every row still queued
-was rejected under, and the next columnar pass scans only the rows
-appended since iff (1) it sees the same queue object and the same
-reserved job, (2) ``now`` has not gone back, (3) the shadow time is
-``<=`` the recorded one, and (4) the free and the spare vectors are
-component-wise ``<=`` the recorded ones. Float addition is monotone, so
-under those four conditions ``now + walltime <= shadow``,
-``request <= free`` and ``request <= spare`` can only turn from true to
-false and every carried rejection is final. Anything else — a release,
-a new reservation, :meth:`Scheduler.reset`, an ``EpisodeState.restore``
-(a new queue object), a lockstep clone — takes the full scan. The short
-pass neither reads nor writes that record: the four conditions are
-checked against the live state whatever ran in between, and a short
-pass only starts jobs.
+scanned as NumPy columns. Both passes find the fitting jobs first and
+ask the pool for the shadow time and the spare units only when one
+does. The straightforward forms these replaced — a plain-list queue,
+the per-candidate ``can_fit`` EASY loop — live on as test oracles in
+``tests/unit/_sched_reference.py``, held to both passes decision for
+decision.
 
 Policies that maintain *incremental per-decision state* (MRSch's
 persistent state buffer, fed by pool dirty trackers) rely on one
@@ -81,10 +67,13 @@ __all__ = [
 
 #: Longest ``JobQueue.span`` whose EASY pass walks the jobs instead of
 #: scanning the columns. One pass at 8 / 16 / 32 / 64 rows, walk vs
-#: columnar full scan (best of 7, 2-resource pool, Xeon, Python 3.11,
-#: NumPy 2.4): no row fits free 2.6 / 4.1 / 6.7 / 12.3 vs 10.8 / 11.0 /
-#: 11.2 / 10.9 µs; three rows fit 13.9 / 15.0 / 17.8 / 22.2 vs 18.6 /
-#: 18.9 / 18.3 / 18.0 µs. The walk wins below about 40 rows.
+#: fits-first columnar pass (median of three best-of-1500, mini-Theta
+#: 128/64 pool, 2-vCPU Xeon, Python 3.11, NumPy 2.4): no row fits free
+#: 4.1 / 5.8 / 8.4 / 14.1 vs 6.0 / 6.0 / 6.1 / 6.6 µs; three rows fit and
+#: start 20.8 / 22.8 / 24.9 / 30.9 vs 47.7 / 52.6 / 50.8 / 46.8 µs. The
+#: columns now win no-fit passes from about 20 rows, the walk every pass
+#: that starts a job; about half of short queues' passes start none, so
+#: the walk still wins at 32.
 SHORT_PASS_ROWS = 32
 
 
@@ -167,10 +156,6 @@ class Scheduler(ABC):
         #: reservation pick alike) is reported for offline evaluation.
         #: Recording is passive — no RNG, no behaviour change.
         self.decision_recorder = None
-        #: what the last EASY pass left every queued row rejected under:
-        #: ``(queue, reserved, now, shadow, free, spare, queue.appended)``
-        #: — see :meth:`_easy_backfill`
-        self._carried: tuple | None = None
         #: selections made since :meth:`reset`, how many ran the policy's
         #: network and how many of those the network moved off its prior
         self.decisions = 0
@@ -202,7 +187,6 @@ class Scheduler(ABC):
     def reset(self) -> None:
         """Clear episode state; called by the simulator before a run."""
         self.reserved_job = None
-        self._carried = None
         self.decisions = 0
         self.decisions_scored = 0
         self.decisions_overruled = 0
@@ -366,7 +350,11 @@ class Scheduler(ABC):
         :attr:`JobQueue.span` is at most :data:`SHORT_PASS_ROWS` takes
         :meth:`_short_backfill`, a longer one ONE NumPy scan over the
         queue's columnar candidate arrays (below). Only the span picks
-        the pass; no option does.
+        the pass; no option does. Both passes find the fitting jobs
+        first: ``request <= free`` is tested one resource column at a
+        time over the whole view, and only when a row other than the
+        reservation passes are the shadow time and the spare units asked
+        for. In about half of a saturated queue's passes none does.
 
         Correctness: free and spare units only *shrink* during a pass
         (starts allocate, nothing releases), so a candidate inadmissible
@@ -375,13 +363,6 @@ class Scheduler(ABC):
         final, and only its survivors need an O(R) re-verification
         against the live counters as earlier survivors start and consume
         units.
-
-        The same argument carries rejections *across* columnar passes
-        (module docstring): when this pass's state is no looser than the
-        one the last columnar pass ended in, every row that pass left in
-        the queue is still inadmissible and only the rows appended since
-        are scanned. Short passes in between leave the record alone: they
-        only start jobs, and the conditions are checked on the live state.
         """
         reserved = self.reserved_job
         assert reserved is not None
@@ -391,49 +372,37 @@ class Scheduler(ABC):
             return
         pool = ctx.pool
         now = ctx.now
-        shadow = pool.earliest_fit_time(reserved, now)
         free = pool.free_vector()  # live view — allocate updates in place
-        spare = pool.free_vector_at(shadow, now)
-        spare -= queue.request_row(reserved)
-        since = self._carried_since(queue, reserved, now, shadow, free, spare)
-        reqs, wall, alive, base = queue.candidate_arrays(since)
-        if reqs.shape[0] == 0:
-            return  # nothing new; what was carried stays carried
-        # Few rows of a saturated queue fit the free units at all, so
-        # that test runs over the whole view and the shadow/spare rule
-        # only over the rows that pass it.
+        reqs, wall, alive, base = queue.candidate_arrays()
         fits = _rows_within(reqs, free)
         fits &= alive
-        rel = queue.slot_of(reserved) - base
-        if rel >= 0:
-            fits[rel] = False
+        fits[queue.slot_of(reserved) - base] = False
         cand = fits.nonzero()[0]  # queue order
-        if cand.size:
-            sub = reqs[cand]
-            ends_ok = now + wall[cand] <= shadow  # the clock is fixed mid-pass
+        if cand.size == 0:
+            return
+        shadow = pool.earliest_fit_time(reserved, now)
+        spare = pool.free_vector_at(shadow, now)
+        spare -= queue.request_row(reserved)
+        sub = reqs[cand]
+        ends_ok = now + wall[cand] <= shadow  # the clock is fixed mid-pass
+        keep = _rows_within(sub, spare)
+        keep |= ends_ok
+        while True:
+            cand, sub, ends_ok = cand[keep], sub[keep], ends_ok[keep]
+            if cand.size == 0:
+                return
+            # The head survivor is admissible under the *current*
+            # counters: the scan above vouched for the first one, the
+            # re-filter below for every later head.
+            self._start(queue.job_at_slot(base + int(cand[0])), ctx)
+            if not ends_ok[0]:
+                spare -= sub[0]
+            cand, sub, ends_ok = cand[1:], sub[1:], ends_ok[1:]
+            if cand.size == 0:
+                return
             keep = _rows_within(sub, spare)
             keep |= ends_ok
-            while True:
-                cand, sub, ends_ok = cand[keep], sub[keep], ends_ok[keep]
-                if cand.size == 0:
-                    break
-                # The head survivor is admissible under the *current*
-                # counters: the scan above vouched for the first one,
-                # the re-filter below for every later head.
-                self._start(queue.job_at_slot(base + int(cand[0])), ctx)
-                if not ends_ok[0]:
-                    spare -= sub[0]
-                cand, sub, ends_ok = cand[1:], sub[1:], ends_ok[1:]
-                if cand.size == 0:
-                    break
-                keep = _rows_within(sub, spare)
-                keep |= ends_ok
-                keep &= _rows_within(sub, free)
-        # Every row still queued is inadmissible under this end state:
-        # it is no looser than any state a row was rejected under above.
-        self._carried = (
-            queue, reserved, now, shadow, free.copy(), spare, queue.appended
-        )
+            keep &= _rows_within(sub, free)
 
     def _short_backfill(self, ctx: SchedulingContext, reserved: Job) -> None:
         """The EASY pass of a short queue: one walk, no NumPy row.
@@ -469,39 +438,6 @@ class Scheduler(ABC):
                 if not ends_ok:
                     spare = [s - r for s, r in zip(spare, req)]
 
-    def _carried_since(
-        self,
-        queue: JobQueue,
-        reserved: Job,
-        now: float,
-        shadow: float,
-        free: np.ndarray,
-        spare: np.ndarray,
-    ) -> int:
-        """The ``queue.appended`` reading whose rows need no second look.
-
-        Rows queued before it were all found inadmissible by the last
-        pass; that verdict stands iff it is the same queue and
-        reservation, the clock has not gone back, and shadow, free and
-        spare are each no larger than the pass recorded — every test a
-        candidate must pass is monotone in those. ``0`` scans everything.
-        """
-        if self._carried is None:
-            return 0
-        c_queue, c_reserved, c_now, c_shadow, c_free, c_spare, c_appended = (
-            self._carried
-        )
-        if (
-            c_queue is queue
-            and c_reserved is reserved
-            and c_now <= now
-            and shadow <= c_shadow
-            and (free <= c_free).all()
-            and (spare <= c_spare).all()
-        ):
-            return c_appended
-        return 0
-
 
 def _rows_within(reqs: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """``(reqs <= limit).all(axis=1)`` as one compare per resource column.
@@ -518,9 +454,9 @@ def _rows_within(reqs: np.ndarray, limit: np.ndarray) -> np.ndarray:
 class WindowPolicyScheduler(Scheduler):
     """Scheduler whose policy is a per-instance *ordering* of the window.
 
-    FCFS and the GA optimizer decide a full ordering once per instance;
-    this adapter caches the ordering and serves it one job at a time
-    through :meth:`select` (an index cursor — consumed entries are never
+    The GA optimizer decides a full ordering once per instance; this
+    adapter caches the ordering and serves it one job at a time through
+    :meth:`select` (an index cursor — consumed entries are never
     popped), re-validating against the live window.
     """
 

@@ -73,7 +73,6 @@ class JobQueue:
         self._head = 0  # first slot that may be alive
         self._tail = 0  # one past the last used slot
         self._n_dead = 0  # tombstones in [head, tail)
-        self._appended = 0  # jobs ever appended; never renumbered
 
     # -- list-compatible surface ------------------------------------------
 
@@ -109,7 +108,6 @@ class JobQueue:
         self._alive[slot] = True
         self._slot[job.job_id] = slot
         self._tail += 1
-        self._appended += 1
 
     def remove(self, job: Job) -> None:
         """Tombstone ``job`` in O(1); storage indices stay stable."""
@@ -149,23 +147,11 @@ class JobQueue:
         return out
 
     @property
-    def appended(self) -> int:
-        """Jobs ever appended — a clock for "which rows are new".
-
-        Unlike slot numbers, which :meth:`compact` reassigns, the count
-        only grows; hand an earlier reading to :meth:`candidate_arrays`
-        to get the rows appended since.
-        """
-        return self._appended
-
-    @property
     def span(self) -> int:
-        """Rows a full :meth:`candidate_arrays` view covers, tombstones too."""
+        """Rows a :meth:`candidate_arrays` view covers, tombstones too."""
         return self._tail - self._head
 
-    def candidate_arrays(
-        self, since: int = 0
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def candidate_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Columnar view for one vectorized pass over the queue.
 
         Returns ``(requests, walltimes, alive, first)`` where the arrays
@@ -174,20 +160,9 @@ class JobQueue:
         a :meth:`remove` during the pass flips ``alive`` in place (and
         nothing else moves), which is exactly the bookkeeping an EASY
         pass needs as it starts candidates mid-scan.
-
-        ``since`` is an earlier reading of :attr:`appended`: the view
-        then starts at the first row appended after that reading —
-        possibly earlier when appended rows have since been compacted
-        away, never later. The default covers every live slot.
         """
-        tail = self._tail
-        first = max(self._head, tail - (self._appended - since))
-        return (
-            self._req[first:tail],
-            self._wall[first:tail],
-            self._alive[first:tail],
-            first,
-        )
+        head, tail = self._head, self._tail
+        return self._req[head:tail], self._wall[head:tail], self._alive[head:tail], head
 
     def request_row(self, job: Job) -> np.ndarray:
         """The columnar request row of a queued job (read-only view)."""

@@ -15,6 +15,11 @@ decision for decision.
   check and keeps none of its columnar storage, so a run that reaches a
   columnar fast path on it fails with ``AttributeError`` instead of
   mixing the two forms.
+* :class:`RankedFCFS` — FCFS as the identity ranking of the window,
+  served one job at a time through the GA's
+  :class:`~repro.sched.base.WindowPolicyScheduler` adapter: the form
+  :class:`~repro.sched.fcfs.FCFSScheduler` had before it became "take
+  the window's head".
 * :func:`as_reference` — re-classes a scheduler onto the per-candidate
   EASY loop (one ``can_fit`` and one spare test per queued job) and, for
   the ``prior`` method and MRSch, onto the per-job prior (``job.request`` rows, ``can_fit``
@@ -28,9 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.prior import PriorScheduler
+from repro.sched.base import WindowPolicyScheduler
 from repro.sched.jobqueue import JobQueue
 
-__all__ = ["ListQueue", "as_reference"]
+__all__ = ["ListQueue", "RankedFCFS", "as_reference"]
 
 
 class ListQueue(JobQueue):
@@ -73,6 +79,13 @@ class ListQueue(JobQueue):
             dtype=float,
         )
         return (rows / caps).T @ np.asarray([job.walltime for job in self._items])
+
+
+class RankedFCFS(WindowPolicyScheduler):
+    name = "fcfs"
+
+    def rank(self, window, ctx) -> list:
+        return list(window)
 
 
 def _easy_backfill(self, ctx) -> None:

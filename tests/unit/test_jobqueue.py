@@ -3,11 +3,14 @@
 The crucial property: the scheduler machinery on a :class:`JobQueue`
 (the simulator's fast path) must make *identical decisions* to the
 plain-list reference in ``tests/unit/_sched_reference.py`` — a list
-queue under the per-candidate EASY loop — window contents, selection
+queue under the per-candidate EASY loop, with FCFS as the identity
+ranking — window contents, selection
 order, reservation choice and every backfill admission included.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from repro.cluster.resources import (
     ResourceSpec,
     SystemConfig,
 )
-from repro.core.mrsch import MRSchScheduler
 from repro.core.prior import PriorScheduler
 from repro.sched import base as base_module
 from repro.sched import jobqueue as jobqueue_module
@@ -32,7 +34,7 @@ from repro.sched.jobqueue import JobQueue
 from repro.sim.episode import EpisodeState
 from repro.workload.job import Job
 from tests.conftest import make_job
-from tests.unit._sched_reference import ListQueue, as_reference
+from tests.unit._sched_reference import ListQueue, RankedFCFS, as_reference
 from tests.unit.test_base_sched import PASS_SIZES
 from tests.unit.test_mrsch import small_mrsch
 
@@ -142,29 +144,6 @@ class TestJobQueueBasics:
             expected += (req / caps) * job.walltime
         np.testing.assert_allclose(q.contention_totals(caps), expected, rtol=1e-12)
 
-    def test_since_view_survives_compaction(self):
-        """``appended`` is a clock compaction does not renumber: the
-        rows appended after a reading are the view's tail whatever
-        happened to the slots before them."""
-        q = JobQueue([NODE])
-        jobs = [njob(i, nodes=1 + i % 3) for i in range(900)]
-        for job in jobs:
-            q.append(job)
-        mark = q.appended
-        assert mark == 900
-        assert q.candidate_arrays(mark)[0].shape[0] == 0
-        for job in jobs[:600]:
-            q.remove(job)
-        old_slot = q.slot_of(jobs[600])
-        late = [njob(10_000 + i, nodes=2 + i) for i in range(3)]
-        for job in late:
-            q.append(job)  # the first append compacts
-        assert q.slot_of(jobs[600]) != old_slot
-        reqs, wall, alive, first = q.candidate_arrays(mark)
-        assert [q.job_at_slot(first + i) for i in range(reqs.shape[0])] == late
-        np.testing.assert_array_equal(reqs[:, 0], [2, 3, 4])
-        assert q.candidate_arrays()[0].shape[0] == 303  # default: every live slot
-
     def test_growth_beyond_initial_capacity(self):
         q = JobQueue([NODE])
         jobs = [njob(i, nodes=1) for i in range(1000)]
@@ -217,13 +196,15 @@ def replay_log(system, jobs, *, as_list=False, restore_at=None, window_size=4,
     The *same* :class:`EpisodeState` event loop drives both forms:
     ``as_list`` swaps the loaded state's JobQueue for the reference
     :class:`ListQueue` and re-classes the scheduler onto the
-    per-candidate EASY loop (``_sched_reference.as_reference``).
+    per-candidate EASY loop (``_sched_reference.as_reference``); its
+    FCFS is the identity-ranked oracle ``RankedFCFS``.
     ``restore_at`` snapshots and immediately restores the episode before
     that instance — a new queue object under the same scheduler.
     """
     state = EpisodeState(system, record_timeline=False)
     if sched is None:
-        sched = FCFSScheduler(window_size=window_size, backfill=True)
+        fcfs = RankedFCFS if as_list else FCFSScheduler
+        sched = fcfs(window_size=window_size, backfill=True)
     state.load(jobs)
     sched.reset()
     if as_list:
@@ -276,7 +257,8 @@ def _check_paths_identical(data, max_jobs, monkeypatch, short_rows):
 @given(st.data())
 def test_jobqueue_path_identical_to_list_path(short_rows, data):
     """Window + selection + reservation + EASY decisions must match the
-    plain-list reference exactly, instance by instance — on 1-, 2- and
+    plain-list reference (identity-ranked FCFS, per-candidate EASY)
+    exactly, instance by instance — on 1-, 2- and
     3-resource systems, with overestimated walltimes, bursts of arrivals
     with no release between them (the passes that carry rejections),
     slots renumbered mid-episode and a mid-episode snapshot/restore."""
@@ -322,26 +304,29 @@ def test_mrsch_replay_identical_to_list_path(policy, short_rows, monkeypatch):
     assert any(reserved for _, _, reserved in logs[0])
 
 
-class _PassSpy:
-    """Rows each vectorized pass examined, read off ``candidate_arrays``."""
+@PASS_SIZES
+def test_fcfs_takes_the_head_the_ranked_oracle_serves(short_rows, monkeypatch):
+    """FCFS as ``window[0]`` starts and reserves exactly what the
+    identity ranking served through the window-policy adapter did, on
+    the same queue form, over bursty episodes full of reservations."""
+    monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
+    rng = np.random.default_rng(36)
+    for n_resources in (1, 2, 3):
+        system = SYSTEMS[n_resources]
+        script = [(int(rng.choice([0, 0, 0, 300, 900])), int(rng.integers(50, 2000)),
+                   int(rng.choice([0, 0, 300, 5000])), *rng.integers(0, 30, n_resources))
+                  for _ in range(120)]
+        jobs = script_jobs(system, script)
+        oracle = replay_log(system, jobs, sched=RankedFCFS(window_size=4))
+        assert replay_log(system, jobs) == oracle
+        assert sum(1 for _, _, reserved in oracle if reserved) > 20
 
-    def __init__(self, monkeypatch):
-        self.rows: list[int] = []
-        original = JobQueue.candidate_arrays
 
-        def spy(queue, since=0):
-            out = original(queue, since)
-            self.rows.append(out[0].shape[0])
-            return out
-
-        monkeypatch.setattr(JobQueue, "candidate_arrays", spy)
-
-
-def test_deep_queue_compacts_between_carried_passes(monkeypatch):
+def test_deep_queue_compacts_between_columnar_passes(monkeypatch):
     """> 600 queued jobs at the real storage step: ``compact()``
-    renumbers the slots and the very next pass still scans only the
-    rows appended since — and every start matches the list oracle while
-    the reservation changes hands and the episode is restored mid-run."""
+    renumbers the slots between passes, and every start matches the
+    list oracle while the reservation changes hands and the episode is
+    restored mid-run."""
     rng = np.random.default_rng(18)
     system = SYSTEMS[2]
     script = [(0, int(rng.integers(200, 1500)), int(rng.choice([0, 400])),
@@ -356,22 +341,18 @@ def test_deep_queue_compacts_between_carried_passes(monkeypatch):
     reference = replay_log(system, jobs, as_list=True)
     assert len({reserved for _, _, reserved in reference if reserved}) > 10
 
-    spy = _PassSpy(monkeypatch)
-    renumbered_at: list[int] = []  # passes seen when a compaction moved slots
+    renumbered: list[int] = []  # storage spans a compaction moved slots in
     original_compact = JobQueue.compact
 
     def compact(queue):
         tail = queue._tail
         original_compact(queue)
         if queue._tail != tail:
-            renumbered_at.append(len(spy.rows))
+            renumbered.append(tail)
 
     monkeypatch.setattr(JobQueue, "compact", compact)
     assert replay_log(system, jobs) == reference
-    assert max(spy.rows) > 600
-    # the pass right after a renumbering examined the burst that was
-    # appended, not the few hundred live rows
-    assert renumbered_at and all(spy.rows[n] <= 8 for n in renumbered_at)
+    assert renumbered and max(renumbered) > 600
     assert replay_log(system, jobs, restore_at=700) == reference
 
 
@@ -402,7 +383,7 @@ def test_queue_crossing_the_short_pass_size_under_one_reservation(monkeypatch):
     """One reservation stands while three bursts push the queue past
     ``SHORT_PASS_ROWS`` and backfill starts (tombstones compacted away at
     the next arrival) bring it back under: the passes switch between
-    the walk and the carried column scan six times, and every start
+    the walk and the column scan six times, and every start
     matches the list oracle."""
     system = SYSTEMS[2]
     script = [(0, 200000, 0, 7, 0), (1, 1000, 0, 9, 0)]  # 8 of 10 nodes; all 10
@@ -422,22 +403,36 @@ def test_queue_crossing_the_short_pass_size_under_one_reservation(monkeypatch):
     assert switches == [(True, False), (False, True)] * 3
 
 
-def test_short_pass_asks_for_no_shadow_when_nothing_fits(monkeypatch):
-    """A short queue none of whose rows fits the free units ends its
-    pass before the pool's order statistics are read; once a row fits,
-    the shadow is computed and the row backfills."""
+class _ShadowSpy:
+    """Every ``earliest_fit_time`` / ``free_vector_at`` the pool answers."""
+
+    def __init__(self, monkeypatch):
+        self.asked: list[str] = []
+        for name in ("earliest_fit_time", "free_vector_at"):
+            monkeypatch.setattr(ResourcePool, name, self._wrap(name))
+
+    def _wrap(self, name):
+        original = getattr(ResourcePool, name)
+
+        def spy(pool, *args):
+            self.asked.append(name)
+            return original(pool, *args)
+
+        return spy
+
+
+def _no_shadow_until_a_row_fits(monkeypatch, short_rows):
+    """A queue none of whose rows fits the free units ends its pass
+    before the pool's order statistics are read; once a row fits, the
+    shadow and the spare are computed and the row backfills."""
+    monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
     system = node_system(10)
     pool = ResourcePool(system)
     pool.allocate(njob(90, nodes=8, runtime=1000.0), 0.0)
     queue = JobQueue(system.names)
     for i, nodes in enumerate([10, 3, 5, 4]):
         queue.append(njob(i + 1, nodes=nodes, runtime=200.0))
-    asked = []
-    shadow = ResourcePool.earliest_fit_time
-    monkeypatch.setattr(
-        ResourcePool, "earliest_fit_time",
-        lambda pool, job, now: asked.append(job.job_id) or shadow(pool, job, now),
-    )
+    spy = _ShadowSpy(monkeypatch)
     sched = FCFSScheduler(window_size=4, backfill=True)
     kinds = _PassKinds(monkeypatch)
 
@@ -449,20 +444,29 @@ def test_short_pass_asks_for_no_shadow_when_nothing_fits(monkeypatch):
 
     assert schedule() == []
     assert sched.reserved_job.job_id == 1
-    assert kinds.passes == [[4, 1, True]] and asked == []
+    assert kinds.passes == [[4, 1, short_rows > 0]] and spy.asked == []
     queue.append(njob(5, nodes=2, runtime=200.0))  # ends before the shadow
     assert schedule() == [5]
-    assert asked == [1]
+    assert spy.asked == ["earliest_fit_time", "free_vector_at"]
 
 
-# -- carried rejections: the mechanism -----------------------------------------
+def test_short_pass_asks_for_no_shadow_when_nothing_fits(monkeypatch):
+    _no_shadow_until_a_row_fits(monkeypatch, SHORT_PASS_ROWS)
 
 
-class TestCarriedRejections:
-    """An arrival-only instance examines only the appended rows; anything
-    that could loosen the state a row was rejected under forces the full
-    scan. The queues here are a few rows long, so every pass is forced
-    onto the columns."""
+def test_columnar_pass_asks_for_no_shadow_when_nothing_fits(monkeypatch):
+    _no_shadow_until_a_row_fits(monkeypatch, 0)
+
+
+# -- the columnar pass around a standing reservation ---------------------------
+
+
+class TestColumnarPassUnderOneReservation:
+    """Arrivals, releases and the states around one standing
+    reservation: each pass starts what the per-candidate loop would and
+    asks for the shadow only when a row other than the reservation fits
+    the free units. The queues here are a few rows long, so every pass
+    is forced onto the columns."""
 
     #: (nodes, runtime) of the queued rows: the head wants 8 — shadow
     #: 900, spare 0 — and nothing behind it fits the 2 free nodes
@@ -474,11 +478,11 @@ class TestCarriedRejections:
 
     def build(self, monkeypatch, rows):
         monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", 0)
+        self.ids = itertools.count(100)  # of the arrivals
         system = node_system(10)
         pool = ResourcePool(system)
         queue = JobQueue(system.names)
         sched = FCFSScheduler(window_size=4, backfill=True)
-        spy = _PassSpy(monkeypatch)
         # 8 of 10 nodes busy: 3 until t=500, 3 until t=900, 2 until t=2000
         running = [
             njob(901, nodes=3, runtime=500.0),
@@ -489,6 +493,7 @@ class TestCarriedRejections:
             pool.allocate(job, 0.0)
         for i, (nodes, runtime) in enumerate(rows):
             queue.append(njob(i + 1, nodes=nodes, runtime=runtime))
+        spy = _ShadowSpy(monkeypatch)
 
         def schedule(now, q=queue):
             ctx = SchedulingContext(
@@ -500,23 +505,23 @@ class TestCarriedRejections:
 
         assert schedule(10.0) == []
         assert sched.reserved_job.job_id == 1
-        assert spy.rows == [len(rows)]  # the first pass scans everything
+        assert spy.asked == []
         return system, pool, queue, sched, spy, schedule, running
 
     def arrive(self, queue, *sizes, runtime=5000.0):
         for nodes in sizes:
-            queue.append(njob(100 + queue.appended, nodes=nodes, runtime=runtime))
+            queue.append(njob(next(self.ids), nodes=nodes, runtime=runtime))
 
-    def test_arrivals_only_examine_the_appended_rows(self, rig):
+    def test_arrivals_that_do_not_fit_ask_for_no_shadow(self, rig):
         *_, queue, sched, spy, schedule, _ = rig
         self.arrive(queue, 4, 9)
         assert schedule(20.0) == []
         self.arrive(queue, 3)
         assert schedule(20.0) == []
-        assert schedule(30.0) == []  # nothing new: nothing examined
-        assert spy.rows == [5, 2, 1, 0]
+        assert schedule(30.0) == []
+        assert spy.asked == []
 
-    def test_a_newcomer_that_backfills_is_found_and_the_carry_continues(self, rig):
+    def test_a_newcomer_that_backfills_is_found(self, rig):
         *_, queue, sched, spy, schedule, _ = rig
         self.arrive(queue, 4, 2, 3)
         # 2 nodes for 500 s end before the shadow (900)
@@ -525,9 +530,9 @@ class TestCarriedRejections:
         assert schedule(20.0) == [50]  # the 2-node job ahead of it ends too late
         self.arrive(queue, 1)
         assert schedule(25.0) == []
-        assert spy.rows == [5, 5, 1]
+        assert spy.asked == ["earliest_fit_time", "free_vector_at"]  # at t=20 only
 
-    def test_a_release_forces_the_full_scan(self, rig):
+    def test_a_release_lets_an_old_row_backfill(self, rig):
         _, pool, queue, sched, spy, schedule, running = rig
         self.arrive(queue, 4)
         assert schedule(20.0) == []
@@ -535,11 +540,10 @@ class TestCarriedRejections:
         self.arrive(queue, 8)
         assert schedule(30.0) == [4]  # an *old* row (3 nodes, 400 s) now backfills
         assert sched.reserved_job.job_id == 1
-        assert spy.rows == [5, 1, 7]
 
-    def test_more_free_units_alone_force_the_full_scan(self, monkeypatch):
+    def test_more_free_units_alone_let_an_old_row_backfill(self, monkeypatch):
         """A release that *tightens* shadow and spare still loosens
-        ``free`` — the one condition that sees it."""
+        ``free``."""
         rows = [(7, 5000.0), (5, 5000.0), (4, 400.0), (7, 5000.0)]
         _, pool, queue, sched, spy, schedule, running = self.build(monkeypatch, rows)
         # head wants 7: shadow 900, spare 1. Two more free nodes bring
@@ -547,18 +551,16 @@ class TestCarriedRejections:
         pool.release(running[2])
         self.arrive(queue, 9)
         assert schedule(30.0) == [3]  # 4 nodes, done by t=430
-        assert spy.rows == [4, 5]
 
-    def test_a_later_shadow_forces_the_full_scan(self, rig):
+    def test_a_later_shadow_starts_nothing(self, rig):
         _, pool, queue, sched, spy, schedule, running = rig
         # same free count, but the 3 nodes due at t=900 now run to t=1500
         pool.release(running[1])
         pool.allocate(njob(904, nodes=3, runtime=1500.0), 0.0)
         self.arrive(queue, 9)
         assert schedule(20.0) == []
-        assert spy.rows == [5, 6]
 
-    def test_larger_spare_forces_the_full_scan(self, rig):
+    def test_a_larger_spare_starts_nothing(self, rig):
         _, pool, queue, sched, spy, schedule, running = rig
         # same free count and shadow, but the 2 nodes held past the
         # shadow now come back before it: spare 0 -> 2
@@ -566,37 +568,22 @@ class TestCarriedRejections:
         pool.allocate(njob(905, nodes=2, runtime=800.0), 0.0)
         self.arrive(queue, 9)
         assert schedule(20.0) == []
-        assert spy.rows == [5, 6]
         self.arrive(queue, 9)
         assert schedule(21.0) == []
-        assert spy.rows == [5, 6, 1]  # ...and the new, looser state is carried
 
-    def test_clock_reservation_or_queue_change_forces_the_full_scan(self, rig):
+    def test_clock_reservation_or_queue_change_starts_nothing(self, rig):
         system, pool, queue, sched, spy, schedule, _ = rig
         assert schedule(5.0) == []  # the clock went back
-        assert spy.rows == [5, 5]
         sched.reserved_job = queue[1]  # the reservation changed hands
         assert schedule(20.0) == []
-        assert spy.rows == [5, 5, 5]
         twin = JobQueue(system.names)  # same jobs, another queue object
         for job in queue:
             twin.append(job)
         assert schedule(20.0, twin) == []
-        assert spy.rows == [5, 5, 5, 5]
 
-    def test_reset_starts_with_nothing_carried(self, rig):
+    def test_reset_then_the_same_reservation_starts_nothing(self, rig):
         *_, queue, sched, spy, schedule, _ = rig
-        assert sched._carried is not None
         reserved = sched.reserved_job
         sched.reset()
-        assert sched._carried is None
         sched.reserved_job = reserved
         assert schedule(20.0) == []
-        assert spy.rows == [5, 5]
-
-    def test_lockstep_clone_starts_with_nothing_carried(self, mini_system):
-        sched = MRSchScheduler(mini_system, window_size=5, seed=3)
-        sched._carried = ("anything",)
-        clone = sched.lockstep_clone()
-        assert clone._carried is None
-        assert FCFSScheduler().lockstep_clone() is None
