@@ -41,7 +41,7 @@ from repro.core.encoding import IncrementalStateEncoder, StateEncoder
 from repro.core.measurements import measurement_vector
 from repro.core.prior import DFP_TIEBREAK_SCALE, PriorScheduler, guided_scores
 from repro.nn.serialize import load_params, save_params
-from repro.sched.base import DecisionInputs, SchedulingContext
+from repro.sched.base import SchedulingContext
 from repro.workload.job import Job
 
 __all__ = ["MRSchScheduler"]
@@ -119,11 +119,6 @@ class MRSchScheduler(PriorScheduler):
         #: inputs/outputs of the last select(), for the trace recorder
         self._last_features: dict | None = None
         self._last_scores: np.ndarray | None = None
-        #: per-decision context staged by prepare_decision for
-        #: apply_decision: (state, measurement, mask, prior, action) —
-        #: ``action`` already set when the decision was explored or
-        #: settled, the three arrays unset when nothing will read them
-        self._pending: tuple | None = None
 
     #: the cap plus the stated slack of :meth:`_settle`: one part in 1e9,
     #: seven orders above the two roundings that produce a normalised score
@@ -136,11 +131,11 @@ class MRSchScheduler(PriorScheduler):
 
         ``action`` is ``None`` when the network has a say; ``prior`` is
         the guided policy's prior whenever this method had to compute it
-        (:meth:`apply_decision` reuses it rather than computing it twice).
+        (:meth:`_apply_decision` reuses it rather than computing it twice).
 
         * One candidate: every arg-max over a one-slot mask is slot 0.
         * ``prior_weight > 0``: write ``x = prior_weight * prior`` (the
-          very floats :meth:`apply_decision` adds the scores to), ``a``
+          very floats :meth:`_apply_decision` adds the scores to), ``a``
           for its arg-max and ``r`` for the runner-up value. The rule
           settles on ``a`` iff ``x[a] - B > r + B`` *as computed*, with
           ``B = _SETTLE_BOUND``. Proof that the guided arg-max is then
@@ -183,19 +178,28 @@ class MRSchScheduler(PriorScheduler):
             return top, prior
         return None, prior
 
-    # -- split decision protocol -------------------------------------------
+    # -- one decision ---------------------------------------------------------
     #
-    # select() = prepare_decision → score_decision → apply_decision. The
-    # split exists so the batched lockstep driver can stack many
-    # episodes' prepared inputs into ONE ``action_scores_batch`` call
-    # and feed each episode its score row; run sequentially, the three
-    # stages reproduce the monolithic select exactly — including the
-    # ε-greedy RNG stream (one ``random()`` draw per training decision,
-    # one ``choice`` draw on exploration, ε decay after the action).
+    # select() = _prepare_decision → _score_decision → _apply_decision,
+    # the staged tuple handed from the first to the last. The ε-greedy
+    # RNG stream is one ``random()`` draw per training decision, one
+    # ``choice`` draw on exploration, ε decay after the action.
 
-    def prepare_decision(
-        self, window: list[Job], ctx: SchedulingContext
-    ) -> DecisionInputs:
+    def select(self, window: list[Job], ctx: SchedulingContext) -> Job | None:
+        if not window:
+            return None
+        staged = self._prepare_decision(window, ctx)
+        state, measurement, _, _, action = staged
+        scores = None if action is not None else self._score_decision(state, measurement)
+        return self._apply_decision(window, ctx, staged, scores)
+
+    def _prepare_decision(self, window: list[Job], ctx: SchedulingContext) -> tuple:
+        """``(state, measurement, mask, prior, action)`` of one decision.
+
+        ``action`` is already set when the decision was explored or
+        settled (the network is then not asked); the three arrays are
+        unset when nothing will read them.
+        """
         self.encoder._check_pool(ctx.pool)
         self._last_scores = None
         action, prior = self._settle(window, ctx)
@@ -203,8 +207,7 @@ class MRSchScheduler(PriorScheduler):
             # Nothing downstream reads a state, a measurement or a mask:
             # the encoder's dirty tracker keeps accumulating until the
             # next decision that is scored.
-            self._pending = (None, None, None, prior, action)
-            return DecisionInputs(needs_scores=False)
+            return None, None, None, prior, action
         # Patch the persistent decision buffer (bit-identical to a fresh
         # encode). ``encode_decision``, not ``encode``: it is the boundary
         # outside tracers time the encode layer at.
@@ -220,26 +223,21 @@ class MRSchScheduler(PriorScheduler):
             # Drawn whether or not the window was settled, so the
             # ε-greedy stream stays where it always was.
             action = int(agent._sample_rng.choice(np.flatnonzero(mask)))
-        self._pending = (state, measurement, mask, prior, action)
         if action is None:
             self.decisions_scored += 1
-        return DecisionInputs(
-            state=state,
-            measurement=measurement,
-            goal=self._goal,
-            needs_scores=action is None,
-        )
+        return state, measurement, mask, prior, action
 
-    def score_decision(self, inputs: DecisionInputs) -> np.ndarray:
-        """Single-decision scoring (the B=1 path of the batch scorer)."""
-        return self.agent.action_scores(inputs.state, inputs.measurement, inputs.goal)
+    def _score_decision(self, state: np.ndarray, measurement: np.ndarray) -> np.ndarray:
+        return self.agent.action_scores(state, measurement, self._goal)
 
-    def apply_decision(
-        self, window: list[Job], ctx: SchedulingContext, scores: np.ndarray | None
-    ) -> Job | None:
-        assert self._pending is not None, "apply_decision without prepare_decision"
-        state, measurement, mask, prior, action = self._pending
-        self._pending = None
+    def _apply_decision(
+        self,
+        window: list[Job],
+        ctx: SchedulingContext,
+        staged: tuple,
+        scores: np.ndarray | None,
+    ) -> Job:
+        state, measurement, mask, prior, action = staged
         agent = self.agent
         if action is None:
             assert scores is not None
@@ -282,39 +280,6 @@ class MRSchScheduler(PriorScheduler):
             )
             self._measurements.append(measurement)
         return job
-
-    def select(self, window: list[Job], ctx: SchedulingContext) -> Job | None:
-        if not window:
-            return None
-        inputs = self.prepare_decision(window, ctx)
-        scores = self.score_decision(inputs) if inputs.needs_scores else None
-        return self.apply_decision(window, ctx, scores)
-
-    def batch_scorer(self):
-        """Stacked scoring via the shared agent's batched forward pass."""
-        return (self.agent, self.agent.action_scores_batch)
-
-    def lockstep_clone(self) -> "MRSchScheduler":
-        """A scheduler for one more lockstep episode, sharing the agent.
-
-        The clone owns its own encoder buffers, goal state and episode
-        bookkeeping but scores through the *same* agent (weights,
-        workspaces, ε state) — which is exactly what the batched driver
-        needs: per-episode mutable state apart, one network.
-        """
-        clone = MRSchScheduler(
-            self.system,
-            window_size=self.window_size,
-            backfill=self.backfill_enabled,
-            dfp_config=self.agent.config,
-            state_module=self.state_module,
-            agent=self.agent,
-            time_scale=self.encoder.time_scale,
-            prior_weight=self.prior_weight,
-            dynamic_goal=self.dynamic_goal,
-        )
-        clone.training = self.training
-        return clone
 
     def decision_features(self, window: list[Job], ctx: SchedulingContext) -> dict | None:
         """The exact inputs/outputs the last :meth:`select` decided on.

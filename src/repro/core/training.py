@@ -57,15 +57,12 @@ def _check_trainable(scheduler: Scheduler) -> None:
             )
 
 
-def _learn(
-    lane: Scheduler, scheduler: Scheduler, phase: str, result: TrainingResult
-) -> None:
-    """Learn from ``lane``'s finished episode and append it to ``result``.
+def _learn(scheduler: Scheduler, phase: str, result: TrainingResult) -> None:
+    """Learn from ``scheduler``'s finished episode and append it to ``result``.
 
     With a telemetry session on, also emits one ``train_episode`` event
     (phase, loss, ε, replay size, optimiser batches, learning wall);
-    with it off nothing is timed. ``scheduler`` owns the agent every
-    lane shares.
+    with it off nothing is timed.
     """
     session = _obs.session
     learner = getattr(scheduler, "agent", scheduler)
@@ -73,7 +70,7 @@ def _learn(
     if session is not None:
         start = perf_counter()
         steps_before = getattr(optimizer, "steps", 0)
-    loss = lane.finish_episode()  # type: ignore[attr-defined]
+    loss = scheduler.finish_episode()  # type: ignore[attr-defined]
     epsilon = float(getattr(learner, "epsilon", np.nan))
     result.losses.append(loss)
     result.phases.append(phase)
@@ -98,75 +95,21 @@ def train_episodes(
     system: SystemConfig,
     phase: str = "train",
     result: TrainingResult | None = None,
-    batch_episodes: int = 1,
 ) -> TrainingResult:
     """Run one training episode per job set and learn after each.
 
     The scheduler is left in inference mode (``training = False``) when
     done. Passing an existing ``result`` appends, so phases chain.
-
-    ``batch_episodes > 1`` collects that many episodes concurrently in
-    lockstep (one batched network call per macro-step via
-    :class:`~repro.sim.batched.BatchedSimulator`, each lane a
-    ``lockstep_clone`` sharing the agent), then learns from them in
-    jobset order. Collection within a group is *synchronous*: every
-    lane rolls out under the same pre-group weights, and replay updates
-    run after the whole group — the A2C-style batched-rollout regime,
-    not a bit-identical replay of the sequential schedule (the shared
-    ε-greedy stream interleaves across lanes). Loss/ε trajectories keep
-    one entry per jobset either way.
     """
     _check_trainable(scheduler)
     result = result or TrainingResult()
-    batch = max(1, int(batch_episodes))
-    if batch > 1:
-        return _train_episodes_lockstep(
-            scheduler, jobsets, system, phase, result, batch
-        )
     sim = Simulator(system, scheduler, record_timeline=False)
     try:
         scheduler.training = True  # type: ignore[attr-defined]
         for jobs in jobsets:
             scheduler.start_episode()  # type: ignore[attr-defined]
             sim.run(jobs)
-            _learn(scheduler, scheduler, phase, result)
-    finally:
-        scheduler.training = False  # type: ignore[attr-defined]
-    return result
-
-
-def _train_episodes_lockstep(
-    scheduler: Scheduler,
-    jobsets: list[list[Job]],
-    system: SystemConfig,
-    phase: str,
-    result: TrainingResult,
-    batch: int,
-) -> TrainingResult:
-    """Group jobsets into lockstep batches; learn after each group."""
-    from repro.sim.batched import BatchedSimulator, lockstep_lanes
-
-    try:
-        scheduler.training = True  # type: ignore[attr-defined]
-        lanes = lockstep_lanes(scheduler, min(batch, len(jobsets)))
-        if lanes is None:
-            raise ValueError(
-                f"{scheduler.name} does not support lockstep episode "
-                "collection (no lockstep_clone); use batch_episodes=1"
-            )
-        for clone in lanes[1:]:
-            _check_trainable(clone)
-        for i in range(0, len(jobsets), batch):
-            chunk = jobsets[i : i + batch]
-            group = lanes[: len(chunk)]
-            for lane in group:
-                lane.start_episode()  # type: ignore[attr-defined]
-            if len(chunk) == 1:
-                Simulator(system, group[0], record_timeline=False).run(chunk[0])
-            else:
-                BatchedSimulator(system, group, record_timeline=False).run(chunk)
-            for lane in group:
-                _learn(lane, scheduler, phase, result)
+            _learn(scheduler, phase, result)
     finally:
         scheduler.training = False  # type: ignore[attr-defined]
     return result

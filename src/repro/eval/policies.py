@@ -237,5 +237,5 @@ class DFPReplayPolicy:
             pw = float(trace.meta.get("prior_weight", 0.0))
         if pw <= 0.0:
             return raw
-        # MRSchScheduler.apply_decision's rule, row by row
+        # MRSchScheduler._apply_decision's rule, row by row
         return guided_scores(pw, trace.priors, raw, trace.masks)

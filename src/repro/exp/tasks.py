@@ -30,12 +30,6 @@ from repro.obs import runtime as _obs_runtime
 
 __all__ = ["execute_task", "worker_context"]
 
-#: Most replays of one cell scored together. At Theta geometry a
-#: stacked forward over the 23 MB first-layer matrix costs about the
-#: same from 5 to 8 rows (and ~2.5x a single row's), so wider groups
-#: only add resident episode state.
-LOCKSTEP_LANES = 8
-
 
 def worker_context(start_method: str | None = None):
     """The multiprocessing context cell-executing processes start under
@@ -65,20 +59,8 @@ def execute_task(
     :meth:`repro.eval.trace.DecisionTrace.save`); it affects storage
     fidelity only, never the simulated decisions.
 
-    How the replays run follows from the cell, never from the caller. A
-    cell with more than one workload, no trace capture, and a policy
-    that declares lockstep cloning safe
-    (:meth:`~repro.sched.base.Scheduler.lockstep_clone` — its
-    evaluation replays are RNG-free) replays its workloads as lanes of
-    one :class:`~repro.sim.batched.BatchedSimulator`, at most
-    :data:`LOCKSTEP_LANES` at a time: one stacked network call per
-    macro-step instead of one per decision, every decision and metric
-    value identical to the sequential path, so cache keys and
-    checkpoints do not know the difference. Everything else — one
-    workload, trace capture (the recorder is a per-scheduler
-    attachment), FCFS, the GA, scalar RL — is one
-    :meth:`Simulator.run <repro.sim.simulator.Simulator.run>` per
-    workload.
+    Each workload is one
+    :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`.
     """
     t0 = time.perf_counter()
     config = task.config
@@ -171,35 +153,11 @@ def _execute_task_body(
     trace_keys: list[str] = []
     metrics = {}
 
-    def build_jobs(workload):
+    for workload in task.workloads:
         if task.case_study:
             jobs, _ = build_case_study_workload(workload, base, system, seed=config.seed)
-            return jobs
-        return build_workload(workload, base, eval_system, seed=config.seed)
-
-    names = list(task.workloads)
-    lanes = None
-    if recorder is None and len(names) > 1:
-        from repro.sim.batched import BatchedSimulator, lockstep_lanes
-
-        lanes = lockstep_lanes(sched, min(LOCKSTEP_LANES, len(names)))
-    width = len(lanes) if lanes else 1
-    for i in range(0, len(names), width):
-        chunk = names[i : i + width]
-        if len(chunk) > 1:
-            sim = BatchedSimulator(eval_system, lanes[: len(chunk)])
-            jobsets = [build_jobs(workload) for workload in chunk]
-            with (
-                obs_session.span("lockstep", episodes=len(chunk))
-                if obs_session is not None
-                else contextlib.nullcontext()
-            ):
-                results = sim.run(jobsets)
-            for workload, result in zip(chunk, results):
-                metrics[workload] = result.metrics
-            continue
-        (workload,) = chunk
-        jobs = build_jobs(workload)
+        else:
+            jobs = build_workload(workload, base, eval_system, seed=config.seed)
         if recorder is not None:
             recorder.start(
                 method=task.method,

@@ -45,7 +45,7 @@ __all__ = [
 EVENT_SCHEMA_VERSION = 1
 
 #: stack of bound context dicts (a contextvar so the heartbeat thread
-#: and lockstep generators each see their own bindings)
+#: sees its own bindings)
 _CONTEXT: contextvars.ContextVar[tuple] = contextvars.ContextVar(
     "repro_obs_context", default=()
 )

@@ -15,9 +15,7 @@ MRSch — runs inside the same scheduling-instance machinery:
    not delay the reservation (Mu'alem & Feitelson).
 
 Policies implement :meth:`Scheduler.select`; everything else is shared.
-:meth:`Scheduler.schedule` and :meth:`Scheduler.schedule_gen` are two
-entry points into one instance body; only the second pauses at the
-policy's network calls.
+:meth:`Scheduler.schedule` runs one instance, one decision at a time.
 
 The queue is always the simulator's
 :class:`~repro.sched.jobqueue.JobQueue` (:class:`SchedulingContext`
@@ -60,7 +58,6 @@ from repro.workload.job import Job
 
 __all__ = [
     "SchedulingContext",
-    "DecisionInputs",
     "Scheduler",
     "WindowPolicyScheduler",
 ]
@@ -114,27 +111,6 @@ class SchedulingContext:
             raise TypeError(
                 f"running must be a RunningJobs, not {type(self.running).__name__}"
             )
-
-
-@dataclass
-class DecisionInputs:
-    """Network inputs of one staged window decision (split protocol).
-
-    :meth:`Scheduler.prepare_decision` fills these so a batch layer can
-    stack many episodes' rows into one network call and hand each
-    episode its score row back through
-    :meth:`Scheduler.apply_decision`. ``needs_scores`` is ``False``
-    when the policy already committed to an action without the network
-    (an exploration draw, or a window whose pick no score can change):
-    the decision still flows through the split protocol, but the batch
-    layer must not spend a scoring row on it — and the three arrays may
-    be left unset.
-    """
-
-    state: np.ndarray | None = None
-    measurement: np.ndarray | None = None
-    goal: np.ndarray | None = None
-    needs_scores: bool = True
 
 
 class Scheduler(ABC):
@@ -191,81 +167,14 @@ class Scheduler(ABC):
         self.decisions_scored = 0
         self.decisions_overruled = 0
 
-    # -- split decision protocol (batched lockstep scoring) ----------------
-
-    def prepare_decision(
-        self, window: list[Job], ctx: SchedulingContext
-    ) -> DecisionInputs | None:
-        """Stage one window decision for external scoring.
-
-        Policies whose :meth:`select` boils down to *encode inputs → run
-        the network → pick over scores* split it here: return the
-        network inputs (stashing whatever per-decision context
-        :meth:`apply_decision` will need), and a batch layer scores many
-        episodes' staged decisions in one call. The default ``None``
-        declares the policy unsplittable; the loop falls back to
-        :meth:`select`.
-        """
-        return None
-
-    def apply_decision(
-        self, window: list[Job], ctx: SchedulingContext, scores: np.ndarray | None
-    ) -> Job | None:
-        """Finish the decision staged by :meth:`prepare_decision`.
-
-        ``scores`` is the policy's own scoring output for the staged
-        inputs (``None`` when the staged decision said it needed no
-        scores). Must behave exactly like the tail of :meth:`select`.
-        """
-        raise NotImplementedError(f"{self.name} does not implement the split protocol")
-
-    def batch_scorer(self):
-        """``(key, fn)`` for stacked scoring, or ``None``.
-
-        ``fn(states, measurements, goals)`` must return per-row score
-        arrays for stacked :class:`DecisionInputs` rows; ``key`` is an
-        identity token (e.g. the shared agent) so a batch layer only
-        stacks decisions that the same scorer can serve in one call.
-        """
-        return None
-
-    def lockstep_clone(self) -> "Scheduler | None":
-        """An independent scheduler for one more lockstep episode.
-
-        Clones share read-only policy machinery (e.g. one DFP agent's
-        weights and workspaces) but nothing episode-mutable, so N clones
-        can run N episodes concurrently within one process. ``None``
-        declares the policy unsafe to batch (e.g. it consumes per-decision
-        RNG whose stream order the lockstep interleaving would change).
-        """
-        return None
-
     # -- the shared instance loop ------------------------------------------
 
     def schedule(self, ctx: SchedulingContext) -> None:
         """Run one scheduling instance (§III-C).
 
         Every decision goes through :meth:`select`, the call the
-        decision probe times; unsplit, the instance body never pauses,
-        so one ``next`` runs it whole.
+        decision probe times.
         """
-        next(self._instance(ctx, split=False), None)
-
-    def schedule_gen(self, ctx: SchedulingContext):
-        """:meth:`schedule` as a generator that pauses at network calls.
-
-        Yields a :class:`DecisionInputs` at every point where the policy
-        staged a decision via :meth:`prepare_decision`; the driver
-        resumes the generator with ``send(scores)`` (or ``send(None)``
-        when the staged decision needs no scores). Policies without the
-        split protocol never yield — the generator runs the whole
-        instance on first advance. Decision order, recorder hooks and
-        reservation handling are identical to :meth:`schedule`.
-        """
-        return self._instance(ctx, split=True)
-
-    def _instance(self, ctx: SchedulingContext, split: bool):
-        """The instance body behind :meth:`schedule` and :meth:`schedule_gen`."""
         self.begin_instance(ctx)
         self._clear_stale_reservation(ctx)
         # Telemetry-off runs pay one module-attribute read per instance
@@ -278,14 +187,7 @@ class Scheduler(ABC):
             window = ctx.queue.window(self.window_size)
             if not window:
                 break
-            inputs = self.prepare_decision(window, ctx) if split else None
-            if inputs is not None:
-                # Untimed: a split decision spans a yield, and timing it
-                # would charge the batch layer's cross-episode wait to
-                # this scheduler.
-                scores = (yield inputs) if inputs.needs_scores else None
-                job = self.apply_decision(window, ctx, scores)
-            elif probe is not None and probe.tick():
+            if probe is not None and probe.tick():
                 t0 = perf_counter()
                 job = self.select(window, ctx)
                 probe.observe(self.name, perf_counter() - t0)

@@ -14,9 +14,6 @@ re-implements those semantics:
 ``simulator``
     The engine: submit/end event processing, scheduler invocation,
     job start bookkeeping.
-``batched``
-    Lockstep multi-episode driver sharing one batched network call per
-    macro-step across all episodes awaiting a decision.
 ``metrics``
     Paper §IV-B metrics (node/BB utilization, average wait, average
     slowdown), power metrics for §V-E, and Kiviat normalization (Fig 7).
@@ -30,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.events": ["Event", "EventKind", "EventQueue"],
     "repro.sim.episode": ["EpisodeState"],
     "repro.sim.simulator": ["Simulator", "SimulationResult"],
-    "repro.sim.batched": ["BatchedSimulator"],
     "repro.sim.metrics": ["MetricReport", "compute_metrics", "kiviat_normalize"],
     "repro.sim.recorder": ["TimelineRecorder"],
 })

@@ -4,13 +4,9 @@ The event loop in :class:`~repro.sim.simulator.Simulator` owns five
 pieces of mutable state — pool arrays (plus their dirty trackers), the
 waiting :class:`~repro.sched.jobqueue.JobQueue`, the event heap, the
 timeline recorder and the :class:`~repro.sched.jobqueue.RunningJobs`
-table. :class:`EpisodeState` factors them behind one boundary so
-
-* :class:`~repro.sim.batched.BatchedSimulator` can advance N episodes in
-  lockstep, each owning its own state but sharing one network,
-* a whole episode can be checkpointed mid-run and restored bit-exactly
-  (``snapshot``/``restore``), which is what makes the batch layer — and
-  any future speculative or branching rollout — cheap to build on.
+table. :class:`EpisodeState` factors them behind one boundary, so a
+whole episode can be checkpointed mid-run and restored bit-exactly
+(``snapshot``/``restore``).
 
 The pool object survives :meth:`load` calls (it is reset, never
 rebound), so incremental state encoders that attach to it by identity
@@ -150,12 +146,8 @@ class EpisodeState:
         )
 
     def run_to_completion(self, scheduler: Scheduler) -> SimulationResult:
-        """Drive a loaded episode to its end under ``scheduler``.
-
-        The sequential inner loop, shared by :class:`Simulator` and the
-        batch layer's fallback path for schedulers that do not implement
-        the split decision protocol.
-        """
+        """Drive a loaded episode to its end under ``scheduler``: the
+        inner loop of :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`."""
         while self.advance():
             scheduler.schedule(self.context())
             self.end_instance()

@@ -9,8 +9,7 @@ information asymmetry a production scheduler faces.
 
 All mutable per-episode state lives in
 :class:`~repro.sim.episode.EpisodeState`; this class binds one episode
-to one scheduler and drives the loop. The lockstep multi-episode
-variant is :class:`~repro.sim.batched.BatchedSimulator`.
+to one scheduler and drives the loop.
 """
 
 from __future__ import annotations
@@ -70,25 +69,19 @@ class Simulator:
 
     # -- public API ------------------------------------------------------
 
-    def run(self, jobs: list[Job], *, drive=None) -> SimulationResult:
+    def run(self, jobs: list[Job]) -> SimulationResult:
         """Replay ``jobs`` to completion and return metrics.
 
         Jobs are copied; the caller's list is never mutated, so the same
         trace can be replayed under many schedulers.
-
-        ``drive`` is how :class:`~repro.sim.batched.BatchedSimulator`
-        runs a lane: called in place of this simulator's own instance
-        loop, it must leave the episode drained (it co-advances the
-        whole lane group). A lane is thereby loaded, reset, packaged and
-        reported by the same call as a solo replay.
         """
         session = _obs_runtime.session
         if session is None:
-            return self._episode(jobs, drive)
+            return self._episode(jobs)
         with session.span(
             "episode", scheduler=self.scheduler.name, jobs=len(jobs)
         ) as attrs:
-            result = self._episode(jobs, drive)
+            result = self._episode(jobs)
             attrs["instances"] = result.n_scheduling_instances
             attrs["decisions"] = self.scheduler.decisions
             attrs["decisions_scored"] = self.scheduler.decisions_scored
@@ -100,10 +93,7 @@ class Simulator:
         metrics.counter("sim.decisions_overruled").inc(self.scheduler.decisions_overruled)
         return result
 
-    def _episode(self, jobs: list[Job], drive) -> SimulationResult:
+    def _episode(self, jobs: list[Job]) -> SimulationResult:
         self._state.load(jobs)
         self.scheduler.reset()
-        if drive is None:
-            return self._state.run_to_completion(self.scheduler)
-        drive()
-        return self._state.finish()
+        return self._state.run_to_completion(self.scheduler)

@@ -1,14 +1,13 @@
 """Seed-7 ``result_digest``s equal ``benchmarks/e2e/reference/seed7.json``.
 
 The standing bit-identity contract of every performance PR, held here
-for all six workloads. Four run in tier-1: the two replay workloads
-that drive the scheduler's instance body in both of its forms —
+for all six workloads. Four run in tier-1: the two replay workloads —
 ``replay_fcfs`` (``Scheduler.schedule`` on a saturated queue, whose
-EASY passes scan the columns) and ``replay_theta`` (MRSch lanes in
-lockstep through ``schedule_gen``) — and, run in-process, ``cold_cli``'s
-scenario (two cells: FCFS and an untrained MRSch over two workloads)
-and ``sweep_queue``'s grid of short FCFS cells, whose EASY passes walk
-their few queued jobs one by one. The two training workloads run under
+EASY passes scan the columns) and ``replay_theta`` (an untrained MRSch
+at Theta geometry, one ``Simulator.run`` per workload) — and, run
+in-process, ``cold_cli``'s scenario (two cells: FCFS and an untrained
+MRSch over two workloads) and ``sweep_queue``'s grid of short FCFS
+cells, whose EASY passes walk their few queued jobs one by one. The two training workloads run under
 the ``slow`` marker: training is where the agent's ε-greedy draw stream
 and replay buffer are held to the reference. The benchmark's own files are *read*, never edited: the
 scenarios come from ``workloads.py``, the digest function from
@@ -65,8 +64,8 @@ def test_seed7_digest_equals_the_committed_reference(workload):
     assert _digest(workload, 7) == expected
 
 
-#: ``replay_theta`` at seed 15: four lockstep ``forward_infer`` calls of
-#: the untrained Theta-geometry network, digest as of weights drawn at
+#: ``replay_theta`` at seed 15: fourteen ``forward_scores`` calls of the
+#: untrained Theta-geometry network, digest as of weights drawn at
 #: construction.
 REPLAY_THETA_SEED15 = "c78b4b0aa0da1e0e04e83567dc8e8492a56e1d3ff505dc9d6097d7d82d2af7a5"
 
@@ -77,7 +76,7 @@ def test_replay_theta_seed15_digest_where_the_network_runs():
 
 #: sha256 over the ``(times, goals)`` arrays of every ``goal_series()``
 #: an untrained MRSch logs replaying seed-7 ``replay_theta``'s S1–S5 one
-#: workload after another (sequentially, not in lockstep), and how many
+#: workload after another, and how many
 #: goal vectors that is: the §III-B Eq. 1 series itself, which the
 #: metric digests above see only through the decisions it sways.
 REPLAY_THETA_SEED7_GOAL_SERIES = (

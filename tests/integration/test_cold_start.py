@@ -91,7 +91,7 @@ def test_cold_run_loads_only_what_its_cells_run(tmp_path):
     path = tmp_path / "cold.json"
     path.write_text(json.dumps(COLD_SCENARIO))
     loaded = cli_loads("run", str(path), "--json", "--no-progress")
-    assert {"repro.core.mrsch", "repro.sim.batched", "repro.sched.fcfs"} <= loaded
+    assert {"repro.core.mrsch", "repro.sched.fcfs"} <= loaded
     unwanted = {
         "numpy.ma", "repro.core.training", "repro.experiments.figures",
         "repro.obs.logbridge", "multiprocessing", "concurrent.futures",

@@ -57,11 +57,12 @@ class TestBitIdentity:
             obs.disable()
         assert _exact(instrumented) == _exact(plain)
 
-    def test_lockstep_cell_identical_and_one_episode_per_lane(
+    def test_mrsch_cell_identical_and_one_episode_per_workload(
         self, grid_config, tmp_path
     ):
-        """A multi-workload MRSch cell replays as lockstep lanes; each is
-        a ``Simulator.run`` and reports its own ``episode``."""
+        """A multi-workload MRSch cell replays each workload as one
+        ``Simulator.run``, which reports its own ``episode`` inside the
+        workload's span."""
         workloads = ["S1", "S3", "S5"]
         tasks = grid_tasks(["mrsch"], workloads, grid_config)
         plain = ExperimentRunner(n_workers=1).run(tasks)
@@ -75,28 +76,25 @@ class TestBitIdentity:
 
         assert counters["sim.episodes"] == len(workloads)
         spans = load_spans(tmp_path / "telemetry")
-        (lockstep,) = [s for s in spans if s["name"] == "lockstep"]
+        workload_spans = [s for s in spans if s["name"] == "workload"]
         episodes = [s for s in spans if s["name"] == "episode"]
+        assert [s["attrs"]["workload"] for s in workload_spans] == workloads
         assert len(episodes) == len(workloads)
-        # interleaved lanes: each lane's span opens inside the one before
-        parent = lockstep
-        for episode in episodes:
+        for parent, episode in zip(workload_spans, episodes):
             assert episode["parent_id"] == parent["span_id"]
             assert episode["attrs"]["scheduler"] == "mrsch"
             assert episode["attrs"]["jobs"] == grid_config.n_jobs
             assert episode["attrs"]["instances"] > 0
             assert episode["attrs"]["decisions"] == grid_config.n_jobs
             assert 0 < episode["dur_s"] <= parent["dur_s"]
-            parent = episode
         # A lightly loaded machine under the guided policy: one job per
         # window or a clear prior, the network is never asked.
         assert counters["sim.decisions"] == len(workloads) * grid_config.n_jobs
         assert counters["sim.decisions_scored"] == counters["sim.decisions_overruled"] == 0
-        assert "sim.batch_calls" not in counters
 
-    def test_open_decisions_are_stacked_and_counted(self, grid_config, tmp_path):
+    def test_open_decisions_are_counted(self, grid_config, tmp_path):
         """Pure DFP on a loaded machine: every window with more than one
-        job is scored, lanes pause together, and the counters say so."""
+        job is scored, and the counters say so."""
         config = dataclasses.replace(grid_config, n_jobs=40, mean_interarrival=150.0)
         workloads = ["S1", "S3", "S5"]
         tasks = [
@@ -112,7 +110,6 @@ class TestBitIdentity:
             obs.disable()
         assert _exact(instrumented) == _exact(plain)
 
-        assert counters["sim.batch_calls"] > 0
         assert 0 < counters["sim.decisions_scored"] < counters["sim.decisions"]
         # pure DFP has no prior to overrule
         assert counters["sim.decisions_overruled"] == 0
@@ -163,9 +160,7 @@ class TestBitIdentity:
         assert instrumented == plain
 
     def test_sequential_mrsch_decisions_are_timed(self, tiny_system, tiny_trace):
-        """``Scheduler.schedule`` runs the instance body unsplit, so every
-        MRSch decision of a sequential replay is a timed ``select``; a
-        split decision spans a yield and is never timed."""
+        """Every MRSch decision of a replay is a timed ``select``."""
         sched = small_mrsch(tiny_system)
         session = obs.enable(sample_decisions=True, decision_sample_every=1)
         try:
@@ -175,6 +170,22 @@ class TestBitIdentity:
             obs.disable()
         assert sched.decisions > 0
         assert histograms["sched.decision_us.mrsch"]["count"] == sched.decisions
+
+    def test_every_decision_of_a_multi_workload_mrsch_cell_is_timed(
+        self, grid_config
+    ):
+        """The decision probe sees a multi-workload MRSch cell too: one
+        timed ``select`` per decision the simulator counted."""
+        (task,) = grid_tasks(["mrsch"], ["S1", "S3"], grid_config)
+        session = obs.enable(sample_decisions=True, decision_sample_every=1)
+        try:
+            ExperimentRunner(n_workers=1).run([task])
+            snapshot = session.metrics.snapshot()
+        finally:
+            obs.disable()
+        decisions = snapshot["counters"]["sim.decisions"]
+        assert decisions == 2 * grid_config.n_jobs
+        assert snapshot["histograms"]["sched.decision_us.mrsch"]["count"] == decisions
 
     def test_training_identical_and_logged_per_episode(self, tmp_path):
         config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=25, window_size=5,

@@ -4,8 +4,7 @@ Guided MRSch ranks window slots by the feasibility/age prior and adds
 DFP scores capped at ``DFP_TIEBREAK_SCALE``. With every score zero the
 guided pick is the prior's arg-max, which is all ``PriorScheduler``
 computes — so the two must start every job at the same instant, on
-every workload, whether MRSch replays its episodes one at a time or as
-lockstep lanes of one ``BatchedSimulator``.
+every workload.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 from repro.core.mrsch import MRSchScheduler
 from repro.experiments.harness import ExperimentConfig, make_method, prepare_base_trace
-from repro.sim.batched import BatchedSimulator
 from repro.sim.simulator import Simulator
 from repro.workload.suites import build_workload
 
@@ -37,18 +35,12 @@ def _starts(result) -> list[tuple[int, float]]:
 
 @pytest.fixture
 def zero_scores(monkeypatch):
-    """Guided MRSch whose network answers zeros, on the B=1 and batched paths."""
+    """Guided MRSch whose network answers zeros."""
 
-    def zeros(self, inputs):
+    def zeros(self, state, measurement):
         return np.zeros(self.window_size)
 
-    def batch(self):
-        return self.agent, lambda states, meas, goals: np.zeros(
-            (states.shape[0], self.window_size)
-        )
-
-    monkeypatch.setattr(MRSchScheduler, "score_decision", zeros)
-    monkeypatch.setattr(MRSchScheduler, "batch_scorer", batch)
+    monkeypatch.setattr(MRSchScheduler, "_score_decision", zeros)
 
 
 @pytest.mark.parametrize("seed", [41, 7])
@@ -69,12 +61,6 @@ def test_prior_method_equals_zero_score_guided_mrsch(seed, zero_scores):
         sequential.append(_starts(Simulator(system, sched).run(jobs)))
         scored += sched.decisions_scored
         assert sched.decisions_overruled == 0
-    batched = BatchedSimulator.for_scheduler(
-        system, make_method("mrsch", system, config), len(jobsets)
-    )
-    lockstep = [_starts(r) for r in batched.run(jobsets)]
 
     assert sequential == prior
-    assert lockstep == prior
-    # teeth: the network was asked, and lanes were stacked
-    assert scored > 0 and batched.batch_calls > 0
+    assert scored > 0  # teeth: the network was asked

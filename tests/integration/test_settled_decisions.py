@@ -14,11 +14,10 @@ import pytest
 
 from repro.eval.recorder import DecisionTraceRecorder
 from repro.experiments.harness import make_method, prepare_base_trace, train_method
-from repro.sim.batched import BatchedSimulator
 from repro.sim.episode import EpisodeState
 from repro.sim.simulator import Simulator
 from repro.workload.suites import build_workload
-from tests.integration.test_lockstep_cells import MINI, S1_TO_S5, THETA
+from tests.integration._cells import MINI, S1_TO_S5, THETA
 from tests.unit.test_mrsch_settle import as_oracle
 
 
@@ -46,7 +45,7 @@ def replay(request):
 
 
 class TestRecorderOnEqualsRecorderOff:
-    def test_serial_and_lockstep_start_every_job_when_the_oracle_does(self, replay):
+    def test_replays_start_every_job_when_the_oracle_does(self, replay):
         system, sched, jobsets = replay
         sim = Simulator(system, sched)
 
@@ -73,11 +72,7 @@ class TestRecorderOnEqualsRecorderOff:
             rows = np.arange(trace.n_decisions)
             assert np.isfinite(trace.scores[rows, trace.actions]).all()
 
-        lanes = BatchedSimulator.for_scheduler(system, sched, len(jobsets))
-        lockstep = [_times(result) for result in lanes.run(jobsets)]
-
         assert plain == recorded
-        assert lockstep == recorded
 
 
 class TestTrainingKeepsItsStreams:

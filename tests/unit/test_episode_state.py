@@ -1,9 +1,9 @@
 """EpisodeState / ResourcePool snapshot-restore round trips.
 
-The batched lockstep substrate leans on one invariant: restoring a
-snapshot puts *everything* an episode's decisions depend on — pool
-arrays, dirty trackers, incremental encoder buffers, the waiting queue,
-the event heap, per-job mutable fields — back bit-exactly. These tests
+Forking an episode leans on one invariant: restoring a snapshot puts
+*everything* an episode's decisions depend on — pool arrays, dirty
+trackers, incremental encoder buffers, the waiting queue, the event
+heap, per-job mutable fields — back bit-exactly. These tests
 pin that invariant both property-style (random allocate/release/clock
 histories) and end-to-end (a forked mid-run episode replays to the same
 result twice).

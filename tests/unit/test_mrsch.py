@@ -96,34 +96,23 @@ class TestScheduling:
 
 
 class TestOneInstanceBody:
-    """``schedule`` and ``schedule_gen`` are one body: driven through the
-    split protocol with the policy's own B=1 scorer, the generator starts
-    and reserves exactly what the sequential ``select`` path does."""
+    """``Simulator.run`` is the instance loop and nothing more: an episode
+    stepped by hand — advance, ``schedule``, end the instance — starts
+    and reserves exactly what the simulator's replay does."""
 
     @staticmethod
-    def replay(system, trace, split):
+    def stepped(system, trace):
         sched = small_mrsch(system, prior_weight=0.0)  # every window open
         state = EpisodeState(system, record_timeline=False)
         state.load(trace)
         sched.reset()
-        pauses = 0
         while state.advance():
-            if not split:
-                sched.schedule(state.context())
-            else:
-                gen = sched.schedule_gen(state.context())
-                try:
-                    inputs = next(gen)
-                    while True:
-                        pauses += 1
-                        inputs = gen.send(sched.score_decision(inputs))
-                except StopIteration:
-                    pass
+            sched.schedule(state.context())
             state.end_instance()
         result = state.finish()
-        return [(j.job_id, j.start_time) for j in result.jobs], pauses
+        return [(j.job_id, j.start_time) for j in result.jobs], sched.decisions_scored
 
-    def test_mrsch_gen_and_sequential_start_the_same_jobs(self, tiny_system):
+    def test_stepped_episode_and_simulator_start_the_same_jobs(self, tiny_system):
         # three bursts of six onto 16 nodes / 8 burst-buffer units: full
         # windows, reservations and backfill at every burst
         trace = [
@@ -131,10 +120,11 @@ class TestOneInstanceBody:
                      walltime=900.0, nodes=3 + (i * 5) % 10, bb=(i * 3) % 6)
             for i in range(18)
         ]
-        sequential, _ = self.replay(tiny_system, trace, split=False)
-        split, pauses = self.replay(tiny_system, trace, split=True)
-        assert pauses > 0  # the generator really paused at the network
-        assert split == sequential
+        stepped, scored = self.stepped(tiny_system, trace)
+        assert scored > 0  # the network really decided
+        sim = Simulator(tiny_system, small_mrsch(tiny_system, prior_weight=0.0))
+        result = sim.run(trace)
+        assert [(j.job_id, j.start_time) for j in result.jobs] == stepped
 
 
 class TestEpisodes:

@@ -1,6 +1,6 @@
 """The network runs only when it can change the pick (``_settle``).
 
-``MRSchScheduler.prepare_decision`` settles a window before any encode
+``MRSchScheduler._prepare_decision`` settles a window before any encode
 or forward pass when no score vector could vote its pick out: one
 candidate, or — under the guided policy — a prior lead wider than twice
 the tie-break cap. The oracle throughout is a test-only subclass whose
@@ -71,25 +71,26 @@ def calls(monkeypatch):
     """How often the state was encoded and the network run."""
     seen = {"encode": 0, "forward": 0}
     encode = IncrementalStateEncoder.encode_decision
-    score = MRSchScheduler.score_decision
+    score = MRSchScheduler._score_decision
 
     def counted_encode(self, *args):
         seen["encode"] += 1
         return encode(self, *args)
 
-    def counted_score(self, inputs):
+    def counted_score(self, *args):
         seen["forward"] += 1
-        return score(self, inputs)
+        return score(self, *args)
 
     monkeypatch.setattr(IncrementalStateEncoder, "encode_decision", counted_encode)
-    monkeypatch.setattr(MRSchScheduler, "score_decision", counted_score)
+    monkeypatch.setattr(MRSchScheduler, "_score_decision", counted_score)
     return seen
 
 
 def _decide(sched, window, ctx, scores):
     """One decision with the network's answer dictated by the test."""
-    inputs = sched.prepare_decision(window, ctx)
-    return sched.apply_decision(window, ctx, scores if inputs.needs_scores else None)
+    staged = sched._prepare_decision(window, ctx)
+    settled = staged[-1] is not None  # explored or settled: no scores asked
+    return sched._apply_decision(window, ctx, staged, None if settled else scores)
 
 
 # -- the property -------------------------------------------------------------
