@@ -89,10 +89,11 @@ class SystemConfig:
 
     def validate_job(self, job: Job) -> None:
         """Reject jobs that request unknown resources or exceed capacity."""
+        names = self.names
         for name, amount in job.requests.items():
             if amount == 0:
                 continue
-            if name not in self.names:
+            if name not in names:
                 raise ValueError(f"job {job.job_id} requests unknown resource {name!r}")
             if amount > self.capacity(name):
                 raise ValueError(
@@ -359,10 +360,10 @@ class ResourcePool:
             # The lowest ``amount`` free units lie in the first
             # ``busy + amount`` slots: that prefix holds at most ``busy``
             # busy units. A copy: the slice alone would keep the whole
-            # flatnonzero result alive for as long as the grant (and any
+            # nonzero result alive for as long as the grant (and any
             # tracker chunk) is held.
             prefix = self._capacity[name] - self._free[name] + amount
-            free_idx = np.flatnonzero(~self._busy[name][:prefix])[:amount].copy()
+            free_idx = (~self._busy[name][:prefix]).nonzero()[0][:amount].copy()
             self._busy[name][free_idx] = True
             self._est_free[name][free_idx] = est
             self._free[name] -= amount

@@ -54,11 +54,11 @@ def contention_terms(
             "contention_terms reads a JobQueue and a RunningJobs, not "
             f"{type(queued).__name__} and {type(running).__name__}"
         )
-    names = tuple(system.names)
-    if queued.names != names or running.names != names:
+    # One compare per refresh: the tables must share their columns (the
+    # simulator builds both, and its pool, from the system's names).
+    if queued.names != running.names:
         raise ValueError(
-            f"table columns {queued.names} / {running.names} do not match "
-            f"the system's {names}"
+            f"table columns {queued.names} / {running.names} do not match"
         )
     caps = system.capacities
     return queued.contention_totals(caps) + running.contention_totals(caps, now)

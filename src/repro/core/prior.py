@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cluster.resources import SystemConfig
 from repro.core.goal import goal_vector
-from repro.sched.base import Scheduler, SchedulingContext
+from repro.sched.base import Scheduler, SchedulingContext, _rows_within
 from repro.workload.job import Job
 
 __all__ = ["DFP_TIEBREAK_SCALE", "PriorScheduler", "guided_scores", "prior_scores"]
@@ -81,8 +81,11 @@ class PriorScheduler(Scheduler):
     def begin_instance(self, ctx: SchedulingContext) -> None:
         """Dynamic resource prioritizing (§III-B): refresh the goal."""
         if self.dynamic_goal:
+            # A fresh array each refresh, never written in place: logged as is.
             self._goal = goal_vector(ctx.queue, ctx.running, self.system, ctx.now)
-        self.goal_log.append((ctx.now, self._goal.copy()))
+            self.goal_log.append((ctx.now, self._goal))
+        else:
+            self.goal_log.append((ctx.now, self._goal.copy()))
 
     def _prior(self, window: list[Job], ctx: SchedulingContext) -> np.ndarray:
         """:func:`prior_scores` over the window's slots (zero past its end).
@@ -93,7 +96,7 @@ class PriorScheduler(Scheduler):
         asks job by job.
         """
         reqs = ctx.queue.window_requests(window)
-        fits = (reqs <= ctx.pool.free_vector()).all(axis=1)
+        fits = _rows_within(reqs, ctx.pool.free_vector())
         prior = np.zeros(self.window_size)
         prior[: len(window)] = prior_scores(fits, (reqs / self._caps) @ self._goal)
         return prior

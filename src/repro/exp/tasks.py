@@ -60,7 +60,8 @@ def execute_task(
     fidelity only, never the simulated decisions.
 
     Each workload is one
-    :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`.
+    :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`, without
+    the utilization timeline: nothing in a cell reads it.
     """
     t0 = time.perf_counter()
     config = task.config
@@ -166,7 +167,9 @@ def _execute_task_body(
                 task_key=task_key,
             )
         with workload_span(workload):
-            metrics[workload] = Simulator(eval_system, sched).run(jobs).metrics
+            metrics[workload] = (
+                Simulator(eval_system, sched, record_timeline=False).run(jobs).metrics
+            )
         if recorder is not None and store is not None:
             trace_keys.append(store.put(recorder.finish()))
 

@@ -139,7 +139,7 @@ class EpisodeState:
         makespan = max((j.end_time or 0.0) for j in self.jobs) if self.jobs else 0.0
         return SimulationResult(
             jobs=self.jobs,
-            metrics=compute_metrics(self.jobs, self.system, recorder=self.recorder),
+            metrics=compute_metrics(self.jobs, self.system),
             recorder=self.recorder,
             makespan=makespan,
             n_scheduling_instances=self.n_instances,
@@ -147,9 +147,18 @@ class EpisodeState:
 
     def run_to_completion(self, scheduler: Scheduler) -> SimulationResult:
         """Drive a loaded episode to its end under ``scheduler``: the
-        inner loop of :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`."""
+        inner loop of :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`.
+
+        One context serves every instance of the replay; each instance
+        sets its clock and a fresh ``started`` list. It lives in this
+        frame only: stored on the episode, its ``start`` (this episode's
+        bound method) would make a reference cycle.
+        """
+        ctx = self.context()
         while self.advance():
-            scheduler.schedule(self.context())
+            ctx.now = self.now
+            ctx.started = []
+            scheduler.schedule(ctx)
             self.end_instance()
         return self.finish()
 

@@ -9,7 +9,6 @@ sequence breaks remaining ties deterministically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 from repro.workload.job import Job
@@ -24,15 +23,17 @@ class EventKind(IntEnum):
     SUBMIT = 1
 
 
-@dataclass(frozen=True)
 class Event:
-    time: float
-    kind: EventKind
-    job: Job = field(compare=False)
+    """One submit or end of ``job`` at ``time``; never changed once pushed."""
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
+    __slots__ = ("time", "kind", "job")
+
+    def __init__(self, time: float, kind: EventKind, job: Job) -> None:
+        if time < 0:
             raise ValueError("event time must be non-negative")
+        self.time = time
+        self.kind = kind
+        self.job = job
 
 
 class EventQueue:
@@ -76,10 +77,11 @@ class EventQueue:
     def snapshot(self) -> tuple[list[tuple[float, int, int, Event]], int]:
         """Copy of the heap and insertion counter.
 
-        Events are frozen dataclasses, so a shallow list copy preserves
-        exact ordering (including the insertion-sequence tie-break); the
-        jobs they reference are *not* copied — callers snapshotting a
-        simulation must capture mutable job state separately.
+        Nothing changes an event once pushed, so a shallow list copy
+        preserves exact ordering (including the insertion-sequence
+        tie-break); the jobs they reference are *not* copied — callers
+        snapshotting a simulation must capture mutable job state
+        separately.
         """
         return list(self._heap), self._seq
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.resources import BURST_BUFFER, NODE, POWER, SystemConfig
-from repro.sim.recorder import TimelineRecorder
 from repro.workload.job import Job
 
 __all__ = ["MetricReport", "compute_metrics", "kiviat_normalize"]
@@ -105,11 +104,7 @@ class MetricReport:
         return out
 
 
-def compute_metrics(
-    jobs: list[Job],
-    system: SystemConfig,
-    recorder: TimelineRecorder | None = None,
-) -> MetricReport:
+def compute_metrics(jobs: list[Job], system: SystemConfig) -> MetricReport:
     """Compute the §IV-B metrics over a finished job list."""
     finished = [j for j in jobs if j.finished]
     if not finished:

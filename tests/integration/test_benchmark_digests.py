@@ -17,7 +17,8 @@ Seed 7's ``replay_theta`` settles every decision before the network is
 asked, so its pin would pass with any weights; the seed-15 row, whose
 expected value lives here, runs the untrained network and holds the
 weights it draws. The seed-7 goal-series row holds every Eq. 1 goal
-vector of the same replay, bit for bit.
+vector of the same replay, bit for bit, and its three-resource twin
+those of the power-extended case-study replay S6.
 """
 
 from __future__ import annotations
@@ -86,26 +87,58 @@ REPLAY_THETA_SEED7_GOAL_SERIES = (
 
 
 def test_replay_theta_seed7_goal_series():
+    scenario = _load("workloads").WORKLOADS["replay_theta"].scenario_for(7)
+    assert _goal_series(scenario["workloads"]) == REPLAY_THETA_SEED7_GOAL_SERIES
+
+
+#: The same hash over the case-study replay S6 (S1 plus a per-job power
+#: request) on the power-extended Theta, at seed-7 ``replay_theta``'s
+#: config: three resources, so the Eq. 1 tail's adds (queued + running,
+#: then the sum over resources) have an order to keep.
+REPLAY_THETA_SEED7_S6_GOAL_SERIES = (
+    "507355dc1d05a4afd08ecef0ed8d40cac2e6721d36ffa2eb31238d815518c498",
+    450,
+)
+
+
+def test_replay_theta_seed7_three_resource_goal_series():
+    assert _goal_series(["S6"], case_study=True) == REPLAY_THETA_SEED7_S6_GOAL_SERIES
+
+
+def _goal_series(workloads, case_study: bool = False) -> tuple[str, int]:
+    """sha256 over every ``goal_series()`` an untrained MRSch logs
+    replaying ``workloads`` one after another at seed-7 ``replay_theta``'s
+    config, and how many goal vectors that is."""
     from repro.api.scenario import load_scenario
     from repro.experiments.harness import make_method, prepare_base_trace
     from repro.sim.simulator import Simulator
-    from repro.workload.suites import build_workload
+    from repro.workload.suites import (
+        build_case_study_workload,
+        build_workload,
+        powered_system,
+    )
 
     scenario = _load("workloads").WORKLOADS["replay_theta"].scenario_for(7)
     config = load_scenario(scenario).build_config()
-    system = config.system()
+    base_system = config.system()
+    system = powered_system(base_system) if case_study else base_system
     base = prepare_base_trace(config)
     sched = make_method("mrsch", system, config)
     digest = hashlib.sha256()
     count = 0
-    for workload in scenario["workloads"]:
-        jobs = build_workload(workload, base, system, seed=config.seed)
+    for workload in workloads:
+        if case_study:
+            jobs, _ = build_case_study_workload(
+                workload, base, base_system, seed=config.seed
+            )
+        else:
+            jobs = build_workload(workload, base, system, seed=config.seed)
         Simulator(system, sched).run(jobs)
         times, goals = sched.goal_series()
         digest.update(times.tobytes())
         digest.update(goals.tobytes())
         count += len(times)
-    assert (digest.hexdigest(), count) == REPLAY_THETA_SEED7_GOAL_SERIES
+    return digest.hexdigest(), count
 
 
 def _digest(workload: str, seed: int) -> str:

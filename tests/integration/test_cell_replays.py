@@ -20,6 +20,8 @@ from repro.dist import QueueWorker, WorkQueue, ensure_enqueued
 from repro.exp import ExperimentRunner
 from repro.exp.tasks import execute_task
 from repro.experiments.harness import make_method, prepare_base_trace, train_method
+from repro.sched.base import SchedulingContext
+from repro.sim.episode import EpisodeState
 from repro.sim.simulator import Simulator
 from repro.workload.suites import build_workload
 from tests.integration._cells import MINI, S1_TO_S5, THETA, cell
@@ -259,6 +261,55 @@ class TestOneReplayPerWorkload:
         assert _replayed(sim_calls) == ["mrsch"] * 4
         assert {w: m.full_dict() for w, m in result.metrics.items()} == {
             w: m.full_dict() for w, m in plain.metrics.items()
+        }
+
+
+class TestTheInstanceOverhead:
+    """A cell replays with one scheduling context per ``Simulator.run``
+    and without the utilization timeline, which nothing in it reads."""
+
+    @pytest.mark.parametrize("method", ["heuristic", "mrsch"])
+    def test_one_context_per_replay(self, method, sim_calls, monkeypatch):
+        built = []
+        post_init = SchedulingContext.__post_init__
+
+        def counted(self):
+            built.append(len(sim_calls))
+            post_init(self)
+
+        monkeypatch.setattr(SchedulingContext, "__post_init__", counted)
+        execute_task(cell(MINI, method=method, workloads=("S1", "S3", "S5")))
+        assert len(sim_calls) == 3
+        # exactly one context per replay, built while that replay runs
+        assert built == [0, 1, 2]
+        assert all(r.n_scheduling_instances > 1 for _, _, r in sim_calls)
+
+    def test_the_public_context_is_new_on_every_call(self, mini_system):
+        """Callers that drive the loop themselves read ``ctx.started``
+        per instance, so ``context()`` never hands out a used one."""
+        state = EpisodeState(mini_system)
+        state.load([])
+        first, second = state.context(), state.context()
+        assert first is not second
+        assert first.started is not second.started
+
+    @pytest.mark.parametrize("method", ["heuristic", "mrsch"])
+    def test_the_timeline_does_not_move_a_cell(self, method, sim_calls, monkeypatch):
+        task = cell(MINI, method=method, workloads=("S1", "S3"))
+        lean = execute_task(task)
+        assert all(
+            not r.recorder.utilization_series[0].size for _, _, r in sim_calls
+        )
+        build = Simulator.__init__
+
+        def recording(self, system, scheduler, record_timeline=False):
+            build(self, system, scheduler, record_timeline=True)
+
+        monkeypatch.setattr(Simulator, "__init__", recording)
+        full = execute_task(task)
+        assert all(r.recorder.utilization_series[0].size for _, _, r in sim_calls[2:])
+        assert {w: m.full_dict() for w, m in full.metrics.items()} == {
+            w: m.full_dict() for w, m in lean.metrics.items()
         }
 
 

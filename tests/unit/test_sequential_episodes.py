@@ -105,22 +105,44 @@ class TestSequentialDecisionIdentity:
     ):
         """The simulator holds the agent (23 MB of weights at Theta): a
         reference cycle left by ``run`` would keep every finished cell's
-        copy until a full collection — the peak RSS of back-to-back cells."""
-        sim = Simulator(mini_system, _mrsch(mini_system))
-        gc.collect()
-        gc.disable()
-        try:
-            sim.run(jobsets[0])
-            gone = weakref.ref(sim)
-            agent = weakref.ref(sim.scheduler.agent)
-            del sim
-            assert gone() is None
-            assert agent() is None
-        finally:
-            gc.enable()
+        copy until a full collection — the peak RSS of back-to-back cells.
+        A scheduling context kept on the episode is one such cycle: its
+        ``start`` is the episode's bound ``start_job``."""
+        freed = _freed_by_refcount(
+            Simulator(mini_system, _mrsch(mini_system)), jobsets[0]
+        )
+        assert freed
+
+
+def _freed_by_refcount(sim: Simulator, jobs) -> bool:
+    """Run ``sim`` once and report whether, once dropped, it, its episode
+    state, its pool, its scheduler and the scheduler's agent (if any)
+    die with the cycle collector off. The caller must keep no reference
+    of its own to any of them (nor pass ``sim`` inside an ``assert``:
+    pytest's rewrite keeps the argument)."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run(jobs)
+        parts = [sim, sim.state, sim.pool, sim.scheduler]
+        if hasattr(sim.scheduler, "agent"):
+            parts.append(sim.scheduler.agent)
+        refs = [weakref.ref(obj) for obj in parts]
+        del sim, parts
+        return [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 class TestHeuristicReplays:
+    def test_a_finished_fcfs_run_is_freed_without_the_cycle_collector(
+        self, mini_system, jobsets
+    ):
+        freed = _freed_by_refcount(
+            Simulator(mini_system, FCFSScheduler(window_size=5)), jobsets[0]
+        )
+        assert freed
+
     def test_fcfs_rerun_on_one_simulator_equals_fresh_simulators(
         self, mini_system, jobsets
     ):
