@@ -57,6 +57,7 @@ import json
 import sys
 from collections.abc import Sequence
 
+from repro.api.knobs import check_knobs, knob_keys
 from repro.api.registry import SCHEDULERS, SYSTEMS, WORKLOADS
 
 __all__ = ["main", "build_parser"]
@@ -484,34 +485,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_work_flags(args: argparse.Namespace) -> None:
-    """Reject a non-finite or out-of-range numeric ``repro work`` flag
-    before any worker starts, inline or supervised."""
-    import math
-
-    for flag, value, low, inclusive in (
-        ("--lease-ttl", args.lease_ttl, 0, False),
-        ("--poll", args.poll, 0, False),
-        ("--cell-timeout", args.cell_timeout, 0, True),  # 0: no watchdog
-        ("--max-cells", args.max_cells, 1, True),
-        ("--supervise", args.supervise, 1, True),
-        ("--max-crashes", args.max_crashes, 1, True),
-        ("--backoff", args.backoff, 0, False),
-    ):
-        if value is None:
-            continue
-        if not math.isfinite(value) or not (
-            value >= low if inclusive else value > low
-        ):
-            bound = f"at least {low}" if inclusive else f"above {low}"
-            raise ValueError(f"{flag} must be finite and {bound}, got {value}")
-
-
 def _cmd_work(args: argparse.Namespace) -> int:
     from repro.dist import QueueWorker, StoreUnavailable, WorkQueue
     from repro.obs.logbridge import configure_stderr_logging
 
-    _check_work_flags(args)
+    # Numeric flags are checked before any worker starts, inline or supervised.
+    check_knobs("work", {key: getattr(args, key) for key in knob_keys("work")})
     configure_stderr_logging(verbose=args.verbose, quiet=args.quiet)
     if args.telemetry is not None:
         import repro.obs as obs

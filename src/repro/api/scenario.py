@@ -28,7 +28,8 @@ PyYAML happens to be installed). Example::
     }
 
 Every validation failure raises :class:`ValueError` naming the offending
-field and the accepted alternatives.
+field and the accepted alternatives; each field's kind and range is a
+row of :data:`repro.api.knobs.KNOBS`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.api.knobs import check_knobs
 from repro.api.registry import SCHEDULERS, SYSTEMS, WORKLOADS
 from repro.exp.records import ExperimentTask, canonical_json
 
@@ -49,48 +51,6 @@ if TYPE_CHECKING:
     from repro.experiments.harness import ExperimentConfig
 
 __all__ = ["Scenario", "load_scenario"]
-
-#: top-level scenario keys (``schedulers`` is accepted as an alias for
-#: ``methods``)
-_ALLOWED_KEYS = frozenset(
-    {
-        "name",
-        "description",
-        "methods",
-        "schedulers",
-        "workloads",
-        "system",
-        "seed",
-        "seeds",
-        "replications",
-        "train",
-        "case_study",
-        "goal",
-        "options",
-        "config",
-        "evaluation",
-        "execution",
-    }
-)
-_SYSTEM_KEYS = frozenset({"name", "nodes", "bb_units"})
-_EVALUATION_KEYS = frozenset(
-    {"policies", "trace_dir", "bootstrap", "seed", "compact_traces"}
-)
-_EXECUTION_KEYS = frozenset(
-    {"dispatch", "queue_dir", "workers", "lease_ttl", "cell_timeout_s",
-     "supervise"}
-)
-_CONFIG_KEYS = frozenset(
-    {
-        "n_jobs",
-        "window_size",
-        "jobs_per_trainset",
-        "curriculum_sets",
-        "mean_interarrival",
-        "ga",
-    }
-)
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -174,14 +134,12 @@ class Scenario:
                 raise ValueError(
                     f"scenario.{field_name} must be a list, got {value!r}"
                 ) from None
-            if field_name == "seeds":
-                try:
-                    value = tuple(int(s) for s in value)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"scenario.seeds must be a list of ints, got {value!r}"
-                    ) from None
             object.__setattr__(self, field_name, value)
+        check_knobs(
+            "scenario", {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        )
+        for section in ("system", "config", "evaluation", "execution"):
+            check_knobs(section, getattr(self, section))
         _require(bool(self.methods), "scenario needs at least one method")
         _require(bool(self.workloads), "scenario needs at least one workload")
         # Canonicalise method spellings ("MRSch" → "mrsch") so task keys,
@@ -215,40 +173,15 @@ class Scenario:
             # metadata would crash deep inside a worker (jobs built for
             # the wrong system); reject it here with the remedy.
             _require(
-                bool(self.case_study) == flavour,
+                self.case_study == flavour,
                 f"case_study={self.case_study!r} contradicts the selected "
                 f"workloads ({[e.name for e in entries]} are "
                 f"{'case-study (power)' if flavour else 'plain'} workloads); "
                 "drop the case_study field to derive it automatically",
             )
 
-        _require(
-            isinstance(self.system, Mapping),
-            f"scenario.system must be a mapping, got {type(self.system).__name__}",
-        )
-        unknown = set(self.system) - _SYSTEM_KEYS
-        _require(
-            not unknown,
-            f"unknown system field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(_SYSTEM_KEYS)}",
-        )
-        for key in ("nodes", "bb_units"):
-            size = self.system.get(key)
-            _require(
-                size is None
-                or (isinstance(size, int) and not isinstance(size, bool) and size > 0),
-                f"system.{key} must be a positive int, got {size!r}",
-            )
         self._lookup(SYSTEMS, self.system.get("name", "mini_theta"))
 
-        _require(
-            isinstance(self.seed, int) and not isinstance(self.seed, bool),
-            f"scenario.seed must be an int, got {self.seed!r}",
-        )
-        _require(
-            isinstance(self.replications, int) and self.replications >= 1,
-            f"scenario.replications must be a positive int, got {self.replications!r}",
-        )
         _require(
             self.seeds is None or self.replications == 1,
             "give either explicit seeds or replications, not both",
@@ -263,10 +196,6 @@ class Scenario:
             "(identical cells would silently collapse to one report)",
         )
 
-        _require(
-            isinstance(self.goal, Mapping),
-            f"scenario.goal must be a mapping, got {type(self.goal).__name__}",
-        )
         if self.goal:
             # Valid goal keys come from the registry (plugins included),
             # not a hardcoded list: a key is usable when some registered
@@ -294,10 +223,6 @@ class Scenario:
                 f"{self._goal_consumers(dangling)}",
             )
 
-        _require(
-            isinstance(self.options, Mapping),
-            "scenario.options must map method name -> kwargs mapping",
-        )
         canonical_options: dict = {}
         for method, kwargs in self.options.items():
             # Accept the same alternate spellings `methods` accepts.
@@ -329,132 +254,31 @@ class Scenario:
                 f"{sorted(entry.allowed_kwargs or ())}",
             )
 
-        _require(
-            isinstance(self.evaluation, Mapping),
-            f"scenario.evaluation must be a mapping, got "
-            f"{type(self.evaluation).__name__}",
-        )
-        if self.evaluation:
-            unknown = set(self.evaluation) - _EVALUATION_KEYS
-            _require(
-                not unknown,
-                f"unknown evaluation field(s) {sorted(unknown)}; "
-                f"allowed: {sorted(_EVALUATION_KEYS)}",
-            )
-            policies = self.evaluation.get("policies")
-            if policies is not None:
-                _require(
-                    isinstance(policies, (list, tuple)) and len(policies) > 0
-                    and all(isinstance(p, str) for p in policies),
-                    f"evaluation.policies must be a non-empty list of names, "
-                    f"got {policies!r}",
-                )
-                # Resolved against the offline-policy registry so a typo
-                # fails at load time, not after the whole grid has run.
-                from repro.eval.policies import get_eval_policy
+        # Resolved against the offline-policy registry so a typo fails
+        # at load time, not after the whole grid has run.
+        if self.evaluation.get("policies") is not None:
+            from repro.eval.policies import get_eval_policy
 
-                for policy in policies:
-                    try:
-                        get_eval_policy(policy)
-                    except KeyError as exc:
-                        raise ValueError(exc.args[0]) from None
-            trace_dir = self.evaluation.get("trace_dir")
-            _require(
-                trace_dir is None or (isinstance(trace_dir, str) and trace_dir),
-                f"evaluation.trace_dir must be a non-empty string, got {trace_dir!r}",
-            )
-            bootstrap = self.evaluation.get("bootstrap")
-            _require(
-                bootstrap is None
-                or (isinstance(bootstrap, int) and not isinstance(bootstrap, bool)
-                    and bootstrap >= 1),
-                f"evaluation.bootstrap must be a positive int, got {bootstrap!r}",
-            )
-            eval_seed = self.evaluation.get("seed")
-            _require(
-                eval_seed is None
-                or (isinstance(eval_seed, int) and not isinstance(eval_seed, bool)),
-                f"evaluation.seed must be an int, got {eval_seed!r}",
-            )
-            compact = self.evaluation.get("compact_traces")
-            _require(
-                compact is None or isinstance(compact, bool),
-                f"evaluation.compact_traces must be a bool, got {compact!r}",
-            )
+            for policy in self.evaluation["policies"]:
+                try:
+                    get_eval_policy(policy)
+                except KeyError as exc:
+                    raise ValueError(exc.args[0]) from None
+        dispatch = self.execution.get("dispatch", "pool")
+        queue_dir = self.execution.get("queue_dir")
+        _require(
+            dispatch != "queue" or queue_dir is not None,
+            "execution.dispatch='queue' needs execution.queue_dir "
+            "(the shared work-queue directory)",
+        )
+        _require(
+            queue_dir is None or dispatch == "queue",
+            "execution.queue_dir given but execution.dispatch is "
+            "'pool'; set dispatch='queue' to use the work queue",
+        )
 
-        _require(
-            isinstance(self.execution, Mapping),
-            f"scenario.execution must be a mapping, got "
-            f"{type(self.execution).__name__}",
-        )
-        if self.execution:
-            unknown = set(self.execution) - _EXECUTION_KEYS
-            _require(
-                not unknown,
-                f"unknown execution field(s) {sorted(unknown)}; "
-                f"allowed: {sorted(_EXECUTION_KEYS)}",
-            )
-            dispatch = self.execution.get("dispatch", "pool")
-            _require(
-                dispatch in ("pool", "queue"),
-                f"execution.dispatch must be 'pool' or 'queue', got {dispatch!r}",
-            )
-            queue_dir = self.execution.get("queue_dir")
-            _require(
-                queue_dir is None or (isinstance(queue_dir, str) and queue_dir),
-                f"execution.queue_dir must be a non-empty string, got {queue_dir!r}",
-            )
-            _require(
-                dispatch != "queue" or queue_dir is not None,
-                "execution.dispatch='queue' needs execution.queue_dir "
-                "(the shared work-queue directory)",
-            )
-            _require(
-                queue_dir is None or dispatch == "queue",
-                "execution.queue_dir given but execution.dispatch is "
-                "'pool'; set dispatch='queue' to use the work queue",
-            )
-            workers = self.execution.get("workers")
-            _require(
-                workers is None
-                or (isinstance(workers, int) and not isinstance(workers, bool)
-                    and workers >= 1),
-                f"execution.workers must be a positive int, got {workers!r}",
-            )
-            lease_ttl = self.execution.get("lease_ttl")
-            _require(
-                lease_ttl is None
-                or (isinstance(lease_ttl, (int, float))
-                    and not isinstance(lease_ttl, bool) and lease_ttl > 0),
-                f"execution.lease_ttl must be a positive number, got {lease_ttl!r}",
-            )
-            cell_timeout = self.execution.get("cell_timeout_s")
-            _require(
-                cell_timeout is None
-                or (isinstance(cell_timeout, (int, float))
-                    and not isinstance(cell_timeout, bool) and cell_timeout > 0),
-                f"execution.cell_timeout_s must be a positive number, "
-                f"got {cell_timeout!r}",
-            )
-            supervise = self.execution.get("supervise", False)
-            _require(
-                isinstance(supervise, bool),
-                f"execution.supervise must be a bool, got {supervise!r}",
-            )
-
-        _require(
-            isinstance(self.config, Mapping),
-            f"scenario.config must be a mapping, got {type(self.config).__name__}",
-        )
-        unknown = set(self.config) - _CONFIG_KEYS
-        _require(
-            not unknown,
-            f"unknown config field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(_CONFIG_KEYS)}",
-        )
-        # Surface sizing errors (negative n_jobs, bad curriculum shape,
-        # system/sizing mismatches, missing workload resources, unhashable
-        # option values) now rather than deep inside a worker at run time.
+        # Surface system/sizing mismatches, missing workload resources and
+        # unhashable option values now rather than deep inside a worker.
         self.validate_system(self.build_config())
         try:
             canonical_json(
@@ -496,12 +320,7 @@ class Scenario:
             isinstance(data, Mapping),
             f"scenario must be a mapping, got {type(data).__name__}",
         )
-        unknown = set(data) - _ALLOWED_KEYS
-        _require(
-            not unknown,
-            f"unknown scenario field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(_ALLOWED_KEYS - {'schedulers'})}",
-        )
+        check_knobs("scenario", data)
         _require(
             not ("methods" in data and "schedulers" in data),
             "give either 'methods' or its alias 'schedulers', not both",
@@ -636,25 +455,10 @@ class Scenario:
             if key in self.config:
                 kwargs[key] = self.config[key]
         if "curriculum_sets" in self.config:
-            sets = self.config["curriculum_sets"]
-            _require(
-                isinstance(sets, (list, tuple)) and len(sets) == 3,
-                f"config.curriculum_sets must be a 3-item list, got {sets!r}",
-            )
-            try:
-                kwargs["curriculum_sets"] = tuple(int(s) for s in sets)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"config.curriculum_sets must hold ints, got {sets!r}"
-                ) from None
+            kwargs["curriculum_sets"] = tuple(self.config["curriculum_sets"])
         if "ga" in self.config:
-            ga = self.config["ga"]
-            _require(
-                isinstance(ga, Mapping),
-                f"config.ga must be a mapping of NSGA-II fields, got {ga!r}",
-            )
             try:
-                kwargs["ga_config"] = NSGA2Config(**ga)
+                kwargs["ga_config"] = NSGA2Config(**self.config["ga"])
             except TypeError as exc:
                 raise ValueError(f"config.ga: {exc}") from None
         return ExperimentConfig(**kwargs)

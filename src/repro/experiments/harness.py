@@ -15,9 +15,9 @@ explicit, so the same harness drives full-scale runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
 from typing import TYPE_CHECKING
 
+from repro.api.knobs import check_knobs
 from repro.api.registry import SCHEDULERS, paper_methods
 from repro.cluster.resources import SystemConfig
 from repro.sched.base import Scheduler
@@ -42,7 +42,8 @@ PAPER_METHODS = paper_methods()
 class ExperimentConfig:
     """Sizing and seeding of one experiment.
 
-    Fields are validated at construction — an impossible sizing fails
+    Fields are validated at construction against their
+    :data:`repro.api.knobs.KNOBS` rows — an impossible sizing fails
     immediately with a named-field :class:`ValueError` instead of a
     downstream crash deep inside trace generation or training.
     """
@@ -63,35 +64,7 @@ class ExperimentConfig:
     system_name: str = "mini_theta"
 
     def __post_init__(self) -> None:
-        for name in ("nodes", "bb_units", "n_jobs", "window_size", "jobs_per_trainset"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(
-                    f"ExperimentConfig.{name} must be a positive int, got {value!r}"
-                )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"ExperimentConfig.seed must be an int, got {self.seed!r}")
-        gap = self.mean_interarrival
-        if isinstance(gap, bool) or not isinstance(gap, (int, float)) or not 0 < gap < inf:
-            raise ValueError(
-                "ExperimentConfig.mean_interarrival must be positive (a finite "
-                f"number of seconds between submissions), got {gap!r}"
-            )
-        sets = self.curriculum_sets
-        if (
-            not isinstance(sets, (tuple, list))
-            or len(sets) != 3
-            or any(not isinstance(n, int) or n < 0 for n in sets)
-        ):
-            raise ValueError(
-                "ExperimentConfig.curriculum_sets must be three non-negative "
-                f"ints (sampled/real/synthetic jobset counts), got {sets!r}"
-            )
-        if not isinstance(self.system_name, str) or not self.system_name:
-            raise ValueError(
-                f"ExperimentConfig.system_name must be a registered system "
-                f"name, got {self.system_name!r}"
-            )
+        check_knobs("ExperimentConfig", vars(self))
 
     def system(self) -> SystemConfig:
         from repro.api.registry import SYSTEMS

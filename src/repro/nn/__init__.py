@@ -18,12 +18,12 @@ Layout
 ``optim``
     SGD, Momentum, RMSProp and Adam optimizers.
 ``init``
-    Weight initialisation schemes (He, Xavier/Glorot, uniform).
+    He-normal weight initialisation (every weighted layer's draw).
 ``serialize``
     ``.npz`` round-trip of network parameters.
 """
 
-from repro.nn.init import he_init, uniform_init, xavier_init
+from repro.nn.init import he_init
 from repro.nn.layers import (
     Conv1D,
     Dense,
@@ -64,8 +64,6 @@ __all__ = [
     "RMSProp",
     "Adam",
     "he_init",
-    "xavier_init",
-    "uniform_init",
     "save_params",
     "load_params",
 ]

@@ -1,6 +1,6 @@
-"""Weight initialisation schemes.
+"""Weight initialisation: every weighted layer draws He-normal weights.
 
-All initialisers take an explicit :class:`numpy.random.Generator` so that
+The initialiser takes an explicit :class:`numpy.random.Generator` so that
 network construction is fully deterministic under a fixed seed.
 """
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["he_init", "xavier_init", "uniform_init"]
+__all__ = ["he_init"]
 
 
 def he_init(shape: tuple[int, ...], rng: np.random.Generator | int | None = None) -> np.ndarray:
@@ -22,22 +22,3 @@ def he_init(shape: tuple[int, ...], rng: np.random.Generator | int | None = None
     rng = as_generator(rng)
     fan_in = int(np.prod(shape[:-1])) or 1
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def xavier_init(shape: tuple[int, ...], rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """Xavier/Glorot-uniform initialisation, suited to tanh/sigmoid."""
-    rng = as_generator(rng)
-    fan_in = int(np.prod(shape[:-1])) or 1
-    fan_out = int(shape[-1])
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def uniform_init(
-    shape: tuple[int, ...],
-    scale: float = 0.05,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Uniform initialisation in ``[-scale, scale]``."""
-    rng = as_generator(rng)
-    return rng.uniform(-scale, scale, size=shape)

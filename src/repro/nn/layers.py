@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.init import he_init, xavier_init
+from repro.nn.init import he_init
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -58,11 +58,11 @@ class Layer:
         self._grads: dict[str, np.ndarray] | None = None
         self._buffers: dict[str, np.ndarray] = {}
 
-    def _defer(self, initializer, shape: tuple[int, ...], rng) -> None:
-        """Hold ``W = initializer(shape, rng)`` and a zero bias of width
+    def _defer(self, shape: tuple[int, ...], rng) -> None:
+        """Hold ``W = he_init(shape, rng)`` and a zero bias of width
         ``shape[-1]`` until ``params`` is first read."""
         self._params = None
-        self._draw = (initializer, shape, as_generator(rng))
+        self._draw = (shape, as_generator(rng))
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -72,9 +72,9 @@ class Layer:
         A weighted layer draws them at the first read and drops its
         generator (see the module docstring)."""
         if self._params is None:
-            initializer, shape, rng = self._draw
+            shape, rng = self._draw
             self._draw = None
-            self._params = {"W": initializer(shape, rng), "b": np.zeros(shape[-1])}
+            self._params = {"W": he_init(shape, rng), "b": np.zeros(shape[-1])}
         return self._params
 
     @params.setter
@@ -140,17 +140,15 @@ class Dense(Layer):
         in_features: int,
         out_features: int,
         rng: np.random.Generator | int | None = None,
-        init: str = "he",
         input_grad: bool = True,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Dense dimensions must be positive")
-        initializer = he_init if init == "he" else xavier_init
         self.in_features = in_features
         self.out_features = out_features
         self.input_grad = input_grad
-        self._defer(initializer, (in_features, out_features), rng)
+        self._defer((in_features, out_features), rng)
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -263,7 +261,7 @@ class Conv1D(Layer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
-        self._defer(he_init, (kernel_size, in_channels, out_channels), rng)
+        self._defer((kernel_size, in_channels, out_channels), rng)
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 

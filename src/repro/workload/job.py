@@ -15,6 +15,7 @@ of them for their whole runtime. A job carries:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 __all__ = ["Job"]
 
@@ -51,14 +52,19 @@ class Job:
     end_time: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.runtime <= 0:
-            raise ValueError(f"job {self.job_id}: runtime must be positive")
+        # Chained compares also reject NaN: a NaN time would compare
+        # False everywhere downstream (an end event that never comes, a
+        # backfill shadow no job fits).
+        if not 0 < self.runtime < inf:
+            raise ValueError(f"job {self.job_id}: runtime must be positive and finite")
+        if not -inf < self.walltime < inf:
+            raise ValueError(f"job {self.job_id}: walltime must be finite")
         if self.walltime < self.runtime:
             # User estimates are upper bounds; clamp rather than reject so
             # noisy traces remain loadable.
             self.walltime = self.runtime
-        if self.submit_time < 0:
-            raise ValueError(f"job {self.job_id}: negative submit time")
+        if not 0 <= self.submit_time < inf:
+            raise ValueError(f"job {self.job_id}: negative or non-finite submit time")
         for name, amount in self.requests.items():
             if amount < 0:
                 raise ValueError(f"job {self.job_id}: negative request for {name}")

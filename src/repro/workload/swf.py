@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
+from math import inf
 
 from repro.workload.job import Job
 
@@ -51,10 +52,11 @@ def parse_swf(
     include_failed:
         SWF status 0 marks failed jobs; they are skipped by default.
     strict:
-        Malformed lines (fewer than 18 fields, or non-numeric values in
-        a consumed column) raise :class:`ValueError` by default; with
-        ``strict=False`` they are skipped — real archive traces
-        occasionally carry truncated trailing lines.
+        Malformed lines (fewer than 18 fields, or non-numeric or
+        non-finite values in a consumed column) raise
+        :class:`ValueError` by default; with ``strict=False`` they are
+        skipped — real archive traces occasionally carry truncated
+        trailing lines.
     """
     extra_resources: list[str] = []
     jobs: list[Job] = []
@@ -91,34 +93,41 @@ def parse_swf(
     return jobs
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not -inf < value < inf:
+        raise ValueError(f"non-finite SWF value {text!r}")
+    return value
+
+
 def _job_from_fields(
     fields: list[str],
     node_resource: str,
     extra_resources: list[str],
     include_failed: bool,
 ) -> Job | None:
-    status = int(float(fields[_STATUS]))
+    status = int(_finite(fields[_STATUS]))
     if status == 0 and not include_failed:
         return None
-    runtime = float(fields[_RUN])
+    runtime = _finite(fields[_RUN])
     if runtime <= 0:
         return None
-    procs = int(float(fields[_REQ_PROCS]))
+    procs = int(_finite(fields[_REQ_PROCS]))
     if procs <= 0:
-        procs = int(float(fields[_PROCS]))
+        procs = int(_finite(fields[_PROCS]))
     if procs <= 0:
         return None
-    req_time = float(fields[_REQ_TIME])
+    req_time = _finite(fields[_REQ_TIME])
     if req_time <= 0:
         req_time = runtime
     requests = {node_resource: procs}
     for offset, name in enumerate(extra_resources):
         column = _N_FIELDS + offset
         if column < len(fields):
-            requests[name] = max(0, int(float(fields[column])))
+            requests[name] = max(0, int(_finite(fields[column])))
     return Job(
-        job_id=int(float(fields[0])),
-        submit_time=max(0.0, float(fields[_SUBMIT])),
+        job_id=int(_finite(fields[0])),
+        submit_time=max(0.0, _finite(fields[_SUBMIT])),
         runtime=runtime,
         walltime=max(req_time, runtime),
         requests=requests,

@@ -19,6 +19,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative request"):
             make_job(nodes=-1)
 
+    @pytest.mark.parametrize("field", ["submit_time", "runtime", "walltime"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_times(self, field, value):
+        times = {"submit_time": 0.0, "runtime": 100.0, "walltime": 200.0, field: value}
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            Job(job_id=1, requests={"node": 1}, **times)
+
     def test_walltime_clamped_to_runtime(self):
         job = make_job(runtime=100.0, walltime=50.0)
         assert job.walltime == 100.0

@@ -89,6 +89,11 @@ class TestDense:
         b = Dense(6, 4, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(a.params["W"], b.params["W"])
 
+    def test_has_no_init_knob(self):
+        # He weights are the one draw every layer makes.
+        with pytest.raises(TypeError, match="init"):
+            Dense(6, 4, rng=np.random.default_rng(3), init="xavier")
+
 
 class TestWeightsAtFirstRead:
     """Weighted layers draw from the generator they own at the first read

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,17 @@ MALFORMED = [
     ("smoke", ("system", "name"), 7, "system names must be strings"),
     ("smoke", ("system", "bb_units"), 0, "system.bb_units must be a positive int"),
     ("smoke", ("system", "nodes"), True, "system.nodes must be a positive int"),
+    ("smoke", ("train",), "yes", "scenario.train must be a bool"),
+    ("smoke", ("replications",), True, "scenario.replications must be a positive int"),
+    ("smoke", ("name",), 5, "scenario.name must be a string"),
+    ("smoke", ("description",), ["x"], "scenario.description must be a string"),
+    ("smoke", ("seeds",), [1.5, 2], "scenario.seeds must be a list of ints"),
+    ("smoke", ("seeds",), ["3", 4], "scenario.seeds must be a list of ints"),
+    ("smoke", ("seeds",), [True, 5], "scenario.seeds must be a list of ints"),
+    ("bb_heavy_mix", ("config", "curriculum_sets"), [1.5, 1, 1],
+     "config.curriculum_sets must be 3 non-negative ints"),
+    ("bb_heavy_mix", ("config", "curriculum_sets"), [True, 1, 1],
+     "config.curriculum_sets must be 3 non-negative ints"),
 ]
 
 
@@ -322,18 +334,78 @@ class TestMalformedDocuments:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_mutations_load_or_raise_value_or_key_error(self, data):
-        doc = copy.deepcopy(EXAMPLES[data.draw(st.sampled_from(sorted(EXAMPLES)))])
-        for _ in range(data.draw(st.integers(1, 2))):
-            path = data.draw(st.sampled_from(list(value_paths(doc))))
-            parent = container(doc, path)
-            if isinstance(parent, dict) and data.draw(st.booleans()):
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = data.draw(json_values)
-        try:
-            Scenario.from_dict(doc)
-        except (ValueError, KeyError):
-            pass
+        load_mutation(data)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(data=st.data())
+    def test_mutations_load_or_raise_value_or_key_error_2000(self, data):
+        load_mutation(data)
+
+
+def load_mutation(data) -> None:
+    """Mutate an example once or twice; it must either raise a
+    ValueError/KeyError or load as a well-typed scenario."""
+    doc = copy.deepcopy(EXAMPLES[data.draw(st.sampled_from(sorted(EXAMPLES)))])
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(value_paths(doc))))
+        parent = container(doc, path)
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values)
+    try:
+        scenario = Scenario.from_dict(doc)
+    except (ValueError, KeyError):
+        return
+    assert_well_typed(scenario)
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+#: the kind every scalar of a loaded scenario has, stated here rather
+#: than read off the knob table the loader uses
+SCALAR_KINDS = {
+    "system": {"name": str, "nodes": is_int, "bb_units": is_int},
+    "config": {
+        "n_jobs": is_int, "window_size": is_int, "jobs_per_trainset": is_int,
+        "mean_interarrival": is_number, "ga": dict,
+        "curriculum_sets": lambda v: isinstance(v, list) and len(v) == 3
+        and all(is_int(n) and n >= 0 for n in v),
+    },
+    "evaluation": {
+        "policies": lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v),
+        "trace_dir": str, "bootstrap": is_int, "seed": is_int, "compact_traces": bool,
+    },
+    "execution": {
+        "dispatch": str, "queue_dir": str, "workers": is_int, "lease_ttl": is_number,
+        "cell_timeout_s": is_number, "supervise": bool,
+    },
+}
+
+
+def has_kind(value, kind) -> bool:
+    return isinstance(value, kind) if isinstance(kind, type) else kind(value)
+
+
+def assert_well_typed(scenario: Scenario) -> None:
+    assert isinstance(scenario.name, str) and isinstance(scenario.description, str)
+    assert is_int(scenario.seed) and is_int(scenario.replications)
+    assert isinstance(scenario.train, bool) and isinstance(scenario.case_study, bool)
+    assert scenario.seeds is None or all(map(is_int, scenario.seeds))
+    for section, kinds in SCALAR_KINDS.items():
+        for key, value in getattr(scenario, section).items():
+            # null reads as "not given" where the section allows it
+            assert (value is None and section in ("system", "evaluation", "execution")
+                    and key not in ("name", "dispatch", "supervise")
+                    ) or has_kind(value, kinds[key]), (section, key, value)
 
 
 class TestEvaluationBlock:

@@ -78,6 +78,28 @@ class TestParse:
         jobs = parse_swf(path, strict=False)
         assert [j.job_id for j in jobs] == [1, 2]
 
+    # Non-finite times must not become jobs: runtime inf gives an end
+    # event that never comes, submit nan reads as 0.0 through
+    # max(0.0, nan), and requested time nan a walltime no shadow fits.
+    NON_FINITE = [dict(run="inf"), dict(submit="nan"), dict(req_time="nan")]
+
+    @pytest.mark.parametrize("fields", NON_FINITE, ids=["run", "submit", "req_time"])
+    def test_non_finite_time_raises_naming_the_line(self, tmp_path, fields):
+        path = tmp_path / "t.swf"
+        bad = swf_line(job_id=7, **fields)
+        path.write_text(swf_line(job_id=1) + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match=f"malformed SWF line: {bad!r}"):
+            parse_swf(path)
+
+    @pytest.mark.parametrize("fields", NON_FINITE, ids=["run", "submit", "req_time"])
+    def test_lenient_mode_skips_non_finite_time(self, tmp_path, fields):
+        path = tmp_path / "t.swf"
+        path.write_text(
+            swf_line(job_id=1) + "\n" + swf_line(job_id=7, **fields) + "\n"
+            + swf_line(job_id=2) + "\n"
+        )
+        assert [j.job_id for j in parse_swf(path, strict=False)] == [1, 2]
+
     def test_extension_columns(self, tmp_path):
         path = tmp_path / "t.swf"
         path.write_text(
