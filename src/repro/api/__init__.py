@@ -22,7 +22,6 @@ from repro.api.facade import (
     ScenarioResult,
     compare,
     describe_components,
-    evaluate_traces,
     list_schedulers,
     list_systems,
     list_workloads,
@@ -51,7 +50,6 @@ __all__ = [
     "run_scenario",
     "compare",
     "run_single",
-    "evaluate_traces",
     "ScenarioResult",
     "list_schedulers",
     "list_workloads",

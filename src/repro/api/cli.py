@@ -1,6 +1,6 @@
 """``repro`` — the command-line front door to the scenario API.
 
-Eight subcommands, each a thin shell over :mod:`repro.api`:
+Seven subcommands, each a thin shell over :mod:`repro.api`:
 
 ``repro list``
     Show every registered scheduler, workload and system with its
@@ -10,10 +10,6 @@ Eight subcommands, each a thin shell over :mod:`repro.api`:
     engine; print per-workload metric tables (or ``--json``).
 ``repro compare --methods mrsch heuristic --workloads S1 S4``
     Run an inline comparison grid without writing a scenario file.
-``repro eval --trace-dir traces --policies fcfs shortest_job``
-    Replay recorded decision traces through offline policies and print
-    the agreement / rank-correlation / regret comparison (record traces
-    with ``repro run`` on a scenario that has an ``evaluation`` block).
 ``repro work --queue DIR``
     Join a shared-directory work queue as an elastic worker: claim
     lease-able grid cells, execute them, publish durably, repeat until
@@ -111,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable the on-disk result cache")
     p_run.add_argument("--checkpoint", default=None, metavar="FILE",
                        help="enable resumable JSONL checkpointing")
-    p_run.add_argument("--trace-dir", default=None, metavar="DIR",
-                       help="decision-trace store for scenarios with an "
-                            "'evaluation' block (overrides the scenario's "
-                            "evaluation.trace_dir)")
-    p_run.add_argument("--compact-traces", action="store_true",
-                       help="store recorded decision traces as float32 "
-                            "(~half the bytes; storage fidelity only — "
-                            "equivalent to evaluation.compact_traces)")
     p_run.add_argument("--telemetry", nargs="?", const="telemetry", default=None,
                        metavar="DIR",
                        help="record structured telemetry (events, spans, "
@@ -150,33 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="curriculum-train trainable methods (slower)")
     p_cmp.add_argument("--workers", type=int, default=1, metavar="N")
     p_cmp.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p_eval = sub.add_parser(
-        "eval",
-        help="compare offline policies on recorded decision traces",
-        description="Replay a store of recorded decision traces through two "
-                    "or more offline policies (no simulation) and print "
-                    "agreement, rank-correlation, counterfactual-regret and "
-                    "paired-bootstrap statistics. Traces are recorded by "
-                    "'repro run' when the scenario has an 'evaluation' block.",
-    )
-    p_eval.add_argument("--trace-dir", default=None, metavar="DIR",
-                        help="trace store written by a scenario run "
-                             "(required unless --list-policies)")
-    p_eval.add_argument("--policies", nargs="+", default=None, metavar="NAME",
-                        help="offline policies to compare (default: fcfs + "
-                             "shortest_job + prior; see --list-policies)")
-    p_eval.add_argument("--keys", nargs="+", default=None, metavar="KEY",
-                        help="restrict to specific trace store keys")
-    p_eval.add_argument("--dfp-checkpoint", default=None, metavar="FILE",
-                        help="also replay a saved DFP agent checkpoint "
-                             "(policy name 'dfp') via the batched scorer")
-    p_eval.add_argument("--bootstrap", type=int, default=1000, metavar="N",
-                        help="paired bootstrap resamples")
-    p_eval.add_argument("--bootstrap-seed", type=int, default=0, metavar="SEED")
-    p_eval.add_argument("--list-policies", action="store_true",
-                        help="list registered offline policies and exit")
-    p_eval.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_work = sub.add_parser(
         "work",
@@ -354,13 +315,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["seeds"] = None
     if args.train is not None:
         overrides["train"] = args.train
-    if args.compact_traces:
-        if not scenario.evaluation:
-            raise ValueError(
-                "--compact-traces requires a scenario with an 'evaluation' "
-                "block (nothing records traces otherwise)"
-            )
-        overrides["evaluation"] = {**scenario.evaluation, "compact_traces": True}
     if overrides:
         scenario = scenario.replace(**overrides)
 
@@ -382,7 +336,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n_workers=args.workers,
             cache_dir=args.cache_dir,
             checkpoint_path=args.checkpoint,
-            trace_dir=args.trace_dir,
             queue_dir=args.queue,
             # --json output must stay byte-clean even on a TTY.
             progress=False if (args.json or args.no_progress) else None,
@@ -439,49 +392,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ))
         return 0
     print(render_reports(reports, "compare"))
-    return 0
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    from repro.api.facade import evaluate_traces
-    from repro.eval.policies import build_policies, describe_eval_policies
-
-    if args.list_policies:
-        print("Offline policies:")
-        for name, description in describe_eval_policies().items():
-            print(f"  {name:<16} {description}")
-        return 0
-    if args.trace_dir is None:
-        raise ValueError(
-            "give the trace store via --trace-dir (written by 'repro run' on "
-            "a scenario with an 'evaluation' block)"
-        )
-
-    names = _split_names(args.policies) if args.policies else [
-        "fcfs", "shortest_job", "prior"
-    ]
-    policies = build_policies(names)
-    if len(policies) + (1 if args.dfp_checkpoint else 0) < 2:
-        raise ValueError(
-            f"repro eval compares policies — give at least two via "
-            f"--policies (got {list(policies)})"
-        )
-    report = evaluate_traces(
-        args.trace_dir,
-        policies,
-        keys=_split_names(args.keys) if args.keys else None,
-        dfp_checkpoint=args.dfp_checkpoint,
-        n_bootstrap=args.bootstrap,
-        bootstrap_seed=args.bootstrap_seed,
-    )
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"trace store {args.trace_dir}: {report.n_traces} trace(s), "
-            f"{report.n_decisions} decisions\n"
-        )
-        print(report.summary())
     return 0
 
 
@@ -693,7 +603,6 @@ _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "eval": _cmd_eval,
     "work": _cmd_work,
     "queue-status": _cmd_queue_status,
     "doctor": _cmd_doctor,

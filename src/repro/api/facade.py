@@ -34,7 +34,6 @@ from repro.exp.runner import ExperimentRunner, pivot_results
 
 if TYPE_CHECKING:
     from repro.cluster.resources import SystemConfig
-    from repro.eval.stats import ComparisonReport
     from repro.experiments.harness import ExperimentConfig
     from repro.sim.metrics import MetricReport
 
@@ -43,7 +42,6 @@ __all__ = [
     "run_scenario",
     "compare",
     "run_single",
-    "evaluate_traces",
     "list_schedulers",
     "list_workloads",
     "list_systems",
@@ -62,24 +60,16 @@ class ScenarioResult:
     results: list[TaskResult]
     #: ``{workload: {method label: MetricReport}}`` in scenario order
     reports: "dict[str, dict[str, MetricReport]]"
-    #: offline policy comparison, when the scenario's ``evaluation``
-    #: block names policies; None otherwise
-    evaluation: "ComparisonReport | None" = None
-    #: trace store location used by this run, when traces were captured
-    trace_dir: "str | None" = None
 
     def report(self, workload: str, method: str) -> "MetricReport":
         return self.reports[workload][method]
 
     def summary(self) -> str:
         """Aligned per-workload metric tables (the CLI's output)."""
-        text = render_reports(self.reports, self.scenario.name)
-        if self.evaluation is not None:
-            text += "\n\n" + self.evaluation.summary()
-        return text
+        return render_reports(self.reports, self.scenario.name)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "scenario": self.scenario.to_dict(),
             "scenario_hash": self.scenario.config_hash(),
             "reports": {
@@ -89,14 +79,6 @@ class ScenarioResult:
             "wall_times": {r.key: r.wall_time for r in self.results},
             "sources": {r.key: r.source for r in self.results},
         }
-        if self.trace_dir is not None:
-            out["trace_dir"] = self.trace_dir
-            out["trace_keys"] = sorted(
-                key for r in self.results for key in r.trace_keys
-            )
-        if self.evaluation is not None:
-            out["evaluation"] = self.evaluation.to_json_dict()
-        return out
 
 
 def render_reports(
@@ -141,7 +123,6 @@ def run_scenario(
     n_workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     checkpoint_path: str | os.PathLike | None = None,
-    trace_dir: str | os.PathLike | None = None,
     queue_dir: str | os.PathLike | None = None,
     progress: bool | None = None,
 ) -> ScenarioResult:
@@ -154,15 +135,6 @@ def run_scenario(
     otherwise one is built from ``n_workers``/``cache_dir``/
     ``checkpoint_path``. Results are bit-identical for any worker count.
 
-    A scenario with an ``evaluation`` block records decision traces and,
-    when the block names ``policies``, runs the offline comparison
-    afterwards — the report lands on :attr:`ScenarioResult.evaluation`.
-    The trace store comes from exactly one place: an explicit
-    ``runner`` supplies its own ``trace_dir`` (combining it with the
-    ``trace_dir`` argument is rejected, like ``cache_dir``); otherwise
-    the ``trace_dir`` argument is used, falling back to the block's
-    ``trace_dir`` field.
-
     A scenario with an ``execution`` block picks its dispatch mode:
     ``{"dispatch": "queue", "queue_dir": ..., "workers": N}`` runs the
     grid through the shared-directory work queue (:mod:`repro.dist`) —
@@ -171,41 +143,15 @@ def run_scenario(
     metrics are bit-identical in every mode.
     """
     scenario = load_scenario(source)
-    if trace_dir is not None and not scenario.evaluation:
-        raise ValueError(
-            f"trace_dir given but scenario {scenario.name!r} has no "
-            "'evaluation' block, so no cell would record decision traces; "
-            "add one (e.g. {\"evaluation\": {\"policies\": [\"fcfs\"]}}) "
-            "or drop trace_dir"
-        )
     if config is not None:
         # The scenario validated against its own system section; a
         # substituted config may name a different system entirely.
         scenario.validate_system(config)
-    if runner is not None and (
-        cache_dir is not None or checkpoint_path is not None or trace_dir is not None
-    ):
+    if runner is not None and (cache_dir is not None or checkpoint_path is not None):
         raise ValueError(
-            "pass cache_dir/checkpoint_path/trace_dir either to run_scenario "
+            "pass cache_dir/checkpoint_path either to run_scenario "
             "or to the ExperimentRunner, not both — the explicit runner "
             "would silently run without them"
-        )
-    if trace_dir is None and scenario.evaluation:
-        trace_dir = scenario.evaluation.get("trace_dir")
-        if trace_dir is None and runner is None:
-            raise ValueError(
-                "scenario enables offline evaluation; give the trace store "
-                "location via run_scenario(trace_dir=...) or the scenario's "
-                "evaluation.trace_dir field"
-            )
-    if runner is not None and scenario.evaluation and runner.trace_dir is None:
-        # Fail here with the remedy instead of the runner's generic
-        # "no trace_dir" error deep inside run().
-        suggested = scenario.evaluation.get("trace_dir")
-        raise ValueError(
-            "scenario enables offline evaluation but the explicit runner has "
-            "no trace store; construct it with ExperimentRunner(trace_dir=...)"
-            + (f" — the scenario suggests {suggested!r}" if suggested else "")
         )
     execution = scenario.execution or {}
     if queue_dir is not None and runner is not None:
@@ -219,12 +165,6 @@ def run_scenario(
         n_workers=n_workers,
         cache_dir=cache_dir,
         checkpoint_path=checkpoint_path,
-        trace_dir=trace_dir,
-        trace_compact=bool(
-            scenario.evaluation.get("compact_traces", False)
-            if scenario.evaluation
-            else False
-        ),
         # Scenario validation already ties execution.dispatch to
         # execution.queue_dir; the runner derives the path from this.
         queue_dir=(
@@ -241,31 +181,11 @@ def run_scenario(
     )
     tasks = scenario.compile(config=config)
     results = runner.run(tasks)
-
-    evaluation = None
-    effective_trace_dir = (
-        str(runner.trace_dir) if runner.trace_dir is not None else None
-    )
-    policies = scenario.evaluation.get("policies") if scenario.evaluation else None
-    if policies:
-        from repro.eval.evaluator import evaluate_traces as _evaluate
-        from repro.eval.trace import TraceStore
-
-        store = TraceStore(runner.trace_dir)
-        trace_keys = sorted({key for r in results for key in r.trace_keys})
-        evaluation = _evaluate(
-            store.load_all(trace_keys),
-            policies=list(policies),
-            n_bootstrap=int(scenario.evaluation.get("bootstrap", 1000)),
-            bootstrap_seed=int(scenario.evaluation.get("seed", 0)),
-        )
     return ScenarioResult(
         scenario=scenario,
         tasks=tasks,
         results=results,
         reports=_ordered_reports(scenario, results),
-        evaluation=evaluation,
-        trace_dir=effective_trace_dir if scenario.evaluation else None,
     )
 
 
@@ -350,66 +270,6 @@ def run_single(
     from repro.experiments.harness import run_single as _run_single
 
     return _run_single(workload, method, config=config, train=train, **kwargs)
-
-
-def evaluate_traces(
-    trace_dir: str | os.PathLike,
-    policies: Sequence[str] | Mapping,
-    *,
-    keys: Sequence[str] | None = None,
-    dfp_checkpoint: str | os.PathLike | None = None,
-    n_bootstrap: int = 1000,
-    bootstrap_seed: int = 0,
-) -> "ComparisonReport":
-    """Offline policy comparison over a store of recorded traces.
-
-    The programmatic equivalent of ``repro eval``: loads the decision
-    traces under ``trace_dir`` (all of them, or the given store
-    ``keys``) and replays every policy over the shared decision points.
-    ``policies`` is a list of registered offline policy names or a
-    mapping ``{label: scorer}``; ``dfp_checkpoint`` additionally replays
-    a saved DFP agent (sized from the traces) as policy ``"dfp"``.
-    """
-    from repro.eval.evaluator import evaluate_traces as _evaluate
-    from repro.eval.policies import DFPReplayPolicy, build_policies
-    from repro.eval.trace import TraceStore
-
-    store = TraceStore(trace_dir)
-    traces = store.load_all(tuple(keys) if keys is not None else None)
-    if not traces:
-        raise ValueError(
-            f"no decision traces found under {store.trace_dir}; record some "
-            "by running a scenario with an 'evaluation' block"
-        )
-    policies = build_policies(policies)
-    if dfp_checkpoint is not None:
-        # One agent is sized from the traces' dimensions, so the store
-        # must be homogeneous — fail with the mismatch, not a shape
-        # error from deep inside a matmul.
-        dims = {
-            (
-                int(t.meta.get("state_dim", t.states.shape[1])),
-                int(t.meta.get("n_measurements", t.measurements.shape[1])),
-                t.window_size,
-                int(t.meta.get("slot_dim", 0)),
-            )
-            for t in traces
-        }
-        if len(dims) > 1:
-            raise ValueError(
-                "dfp_checkpoint needs traces with one (state_dim, "
-                "n_measurements, window_size, slot_dim) signature, but the "
-                f"store mixes {sorted(dims)}; restrict with keys=..."
-            )
-        policies["dfp"] = DFPReplayPolicy.from_checkpoint(
-            str(dfp_checkpoint), traces[0]
-        )
-    return _evaluate(
-        traces,
-        policies=policies,
-        n_bootstrap=n_bootstrap,
-        bootstrap_seed=bootstrap_seed,
-    )
 
 
 # -- component listings -------------------------------------------------------

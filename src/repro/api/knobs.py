@@ -4,15 +4,15 @@ shapes a study, read by the scenario, ``ExperimentConfig`` and ``repro work``.
 A row of :data:`KNOBS` is ``(sections, key, kind, domain[, size])``:
 
 * ``sections`` — where the key is accepted: the scenario's top level
-  (``scenario``), its ``system`` / ``config`` / ``evaluation`` /
-  ``execution`` sections, the ``ExperimentConfig`` fields, or the
-  ``repro work`` flags (``work``, keyed by argparse dest). A trailing
-  ``?`` lets ``None`` stand for "not given" in that section.
+  (``scenario``), its ``system`` / ``config`` / ``execution`` sections,
+  the ``ExperimentConfig`` fields, or the ``repro work`` flags
+  (``work``, keyed by argparse dest). A trailing ``?`` lets ``None``
+  stand for "not given" in that section.
 * ``kind`` — ``int`` (an int, not a bool), ``num`` (a finite int or
-  float, not a bool), ``bool``, ``str``, ``map`` (a mapping), ``ints`` /
-  ``names`` (a list or tuple of such ints / of strings), or ``None`` for
-  a key whose value another check owns (a registry lookup, a nested
-  config that validates itself).
+  float, not a bool), ``bool``, ``str``, ``map`` (a mapping), ``ints``
+  (a list or tuple of such ints), or ``None`` for a key whose value
+  another check owns (a registry lookup, a nested config that validates
+  itself).
 * ``domain`` — ``positive``, ``non-negative`` (for ``ints``: of every
   item), ``non-empty``, or a tuple of the accepted values; ``size`` fixes
   a list's length.
@@ -31,7 +31,7 @@ KNOBS = (
     ("scenario", "methods", None, None),
     ("scenario", "schedulers", None, None),  # alias of methods
     ("scenario", "workloads", None, None),
-    ("scenario evaluation? ExperimentConfig", "seed", "int", None),
+    ("scenario ExperimentConfig", "seed", "int", None),
     ("scenario?", "seeds", "ints", None),
     ("scenario", "replications", "int", "positive"),
     ("scenario", "train", "bool", None),
@@ -40,7 +40,6 @@ KNOBS = (
     ("scenario", "goal", "map", None),
     ("scenario", "options", "map", None),
     ("scenario", "config", "map", None),
-    ("scenario", "evaluation", "map", None),
     ("scenario", "execution", "map", None),
     ("system", "name", None, None),
     ("system? ExperimentConfig", "nodes", "int", "positive"),
@@ -54,10 +53,6 @@ KNOBS = (
     ("config", "ga", "map", None),
     ("ExperimentConfig", "ga_config", None, None),
     ("ExperimentConfig", "system_name", "str", "non-empty"),
-    ("evaluation?", "policies", "names", "non-empty"),
-    ("evaluation?", "trace_dir", "str", "non-empty"),
-    ("evaluation?", "bootstrap", "int", "positive"),
-    ("evaluation?", "compact_traces", "bool", None),
     ("execution", "dispatch", "str", ("pool", "queue")),
     ("execution?", "queue_dir", "str", "non-empty"),
     ("execution?", "workers", "int", "positive"),
@@ -99,8 +94,6 @@ _KINDS = {
     "str": lambda v: isinstance(v, str),
     "map": lambda v: isinstance(v, Mapping),
     "ints": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-    "names": lambda v: isinstance(v, (list, tuple))
-    and all(isinstance(x, str) for x in v),
 }
 _DOMAINS = {
     None: lambda v: True,
@@ -108,8 +101,7 @@ _DOMAINS = {
     "non-negative": lambda v: v >= 0,
     "non-empty": lambda v: len(v) > 0,
 }
-_NOUNS = {"int": "int", "bool": "bool", "str": "string", "map": "mapping",
-          "names": "list of names"}
+_NOUNS = {"int": "int", "bool": "bool", "str": "string", "map": "mapping"}
 
 
 def _fits(kind: str, domain, size, value) -> bool:

@@ -98,13 +98,6 @@ class Scenario:
     options: Mapping = field(default_factory=dict)
     #: :class:`~repro.experiments.harness.ExperimentConfig` overrides
     config: Mapping = field(default_factory=dict)
-    #: offline-evaluation section: any non-empty mapping turns on
-    #: decision-trace capture for every compiled cell. Keys:
-    #: ``policies`` (registered offline policy names compared after the
-    #: run), ``trace_dir`` (trace store location, overridable by the
-    #: ``run_scenario`` argument), ``bootstrap`` (resample count) and
-    #: ``seed`` (bootstrap RNG seed).
-    evaluation: Mapping = field(default_factory=dict)
     #: execution section — *how* the grid runs, never *what* it
     #: computes (task keys and metrics are dispatch-invariant). Keys:
     #: ``dispatch`` ("pool" | "queue"), ``queue_dir`` (shared work-queue
@@ -138,7 +131,7 @@ class Scenario:
         check_knobs(
             "scenario", {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         )
-        for section in ("system", "config", "evaluation", "execution"):
+        for section in ("system", "config", "execution"):
             check_knobs(section, getattr(self, section))
         _require(bool(self.methods), "scenario needs at least one method")
         _require(bool(self.workloads), "scenario needs at least one workload")
@@ -254,16 +247,6 @@ class Scenario:
                 f"{sorted(entry.allowed_kwargs or ())}",
             )
 
-        # Resolved against the offline-policy registry so a typo fails
-        # at load time, not after the whole grid has run.
-        if self.evaluation.get("policies") is not None:
-            from repro.eval.policies import get_eval_policy
-
-            for policy in self.evaluation["policies"]:
-                try:
-                    get_eval_policy(policy)
-                except KeyError as exc:
-                    raise ValueError(exc.args[0]) from None
         dispatch = self.execution.get("dispatch", "pool")
         queue_dir = self.execution.get("queue_dir")
         _require(
@@ -381,8 +364,6 @@ class Scenario:
             out["options"] = {m: dict(kw) for m, kw in self.options.items()}
         if self.config:
             out["config"] = dict(self.config)
-        if self.evaluation:
-            out["evaluation"] = dict(self.evaluation)
         if self.execution:
             out["execution"] = dict(self.execution)
         return out
@@ -502,7 +483,6 @@ class Scenario:
                 train=self.train,
                 case_study=bool(self.case_study),
                 extra=self._method_extra(method),
-                capture_traces=bool(self.evaluation),
             )
             for seed in seeds
             for method in self.methods

@@ -470,9 +470,9 @@ class DFPNetwork:
     ) -> np.ndarray:
         """:meth:`forward` for inference: same predictions (bit-identical),
         no gradient caches, intermediates in the batched
-        workspace. Used by replay-time batch scoring, where rows carry
-        different goals and the weight folding of
-        :meth:`forward_scores` does not apply.
+        workspace. Rows may carry different goals, so the weight folding
+        of :meth:`forward_scores` does not apply. Only
+        :meth:`DFPAgent.action_scores_batch` calls it.
         """
         c = self.config
         ws = self._batch_ws
@@ -625,8 +625,8 @@ class DFPAgent:
         *different* goals, so the objective weights cannot be folded into
         the network; the full prediction tensor is contracted per row
         instead. One batched pass amortises the network's Python/NumPy
-        dispatch overhead over B decision points — the fast path for
-        offline policy evaluation and replay scoring.
+        dispatch overhead over B decision points. Nothing in the package
+        calls it; ``benchmarks/e2e/trace.py`` wraps it by name.
         """
         c = self.config
         preds = self.network.forward_infer(states, measurements, goals)  # (B, A, P)

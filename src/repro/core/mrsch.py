@@ -116,9 +116,6 @@ class MRSchScheduler(PriorScheduler):
         self.training = False
         self._steps: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
         self._measurements: list[np.ndarray] = []
-        #: inputs/outputs of the last select(), for the trace recorder
-        self._last_features: dict | None = None
-        self._last_scores: np.ndarray | None = None
 
     #: the cap plus the stated slack of :meth:`_settle`: one part in 1e9,
     #: seven orders above the two roundings that produce a normalised score
@@ -150,9 +147,6 @@ class MRSchScheduler(PriorScheduler):
           unscaled, all zero) is the case ``s = 0``.
         * Pure DFP (``prior_weight == 0``) settles on nothing else: the
           scores *are* the decision.
-        * A scheduler with a ``decision_recorder`` settles nothing — a
-          trace carries the scores of every decision, so the recorded
-          run is the always-score oracle the tests hold this rule to.
 
         The one caveat: the proof needs finite scores whose ``peak``
         does not overflow ``T / peak`` (a subnormal below ~1e-310). A
@@ -160,15 +154,12 @@ class MRSchScheduler(PriorScheduler):
         through ``argmax``'s NaN-first rule; on a settled window it no
         longer does — the prior's clear choice stands.
         """
-        recording = self.decision_recorder is not None
         n = len(window)
-        if n == 1 and not recording:
+        if n == 1:
             return 0, None
         if self.prior_weight <= 0.0:
             return None, None
         prior = self._prior(window, ctx)
-        if recording:
-            return None, prior
         weighted = self.prior_weight * prior[:n]
         top = int(np.argmax(weighted))
         lead = weighted[top]
@@ -201,7 +192,6 @@ class MRSchScheduler(PriorScheduler):
         unset when nothing will read them.
         """
         self.encoder._check_pool(ctx.pool)
-        self._last_scores = None
         action, prior = self._settle(window, ctx)
         if action is not None and not self.training:
             # Nothing downstream reads a state, a measurement or a mask:
@@ -212,9 +202,9 @@ class MRSchScheduler(PriorScheduler):
         # encode). ``encode_decision``, not ``encode``: it is the boundary
         # outside tracers time the encode layer at.
         state = self._inc_encoder.encode_decision(window, ctx.pool, ctx.now)
-        if self.training or self.decision_recorder is not None:
-            # Training steps and traces retain the state beyond this
-            # decision; the shared buffer must not leak.
+        if self.training:
+            # Training steps retain the state beyond this decision; the
+            # shared buffer must not leak.
             state = state.copy()
         measurement = measurement_vector(ctx.pool)
         mask = self.encoder.window_mask(window)
@@ -248,7 +238,6 @@ class MRSchScheduler(PriorScheduler):
                 assert prior is not None
                 combined = guided_scores(self.prior_weight, prior, scores, mask)
                 action = int(np.argmax(combined))
-                self._last_scores = combined
                 if action != int(np.argmax(prior[: len(window)])):
                     self.decisions_overruled += 1
             else:
@@ -258,20 +247,6 @@ class MRSchScheduler(PriorScheduler):
                 agent.config.epsilon_min,
                 agent.epsilon * agent.config.epsilon_decay,
             )
-        if self.decision_recorder is not None:
-            # Assembled only while tracing so the untraced hot path stays
-            # allocation-free. ``prior`` is set on exploration steps too:
-            # a trace must carry the prior that governs this policy's
-            # greedy rule — offline replay would otherwise score the
-            # decision with a zero prior.
-            self._last_features = {
-                "state": state,
-                "measurement": measurement,
-                "goal": self._goal.copy(),
-                "prior": prior,
-                "scores": self._last_scores,
-                "slot_dim": self.encoder.job_dim,
-            }
         job = window[action]
         if self.training:
             terminal = not ctx.pool.can_fit(job)  # this pick becomes a reservation
@@ -280,16 +255,6 @@ class MRSchScheduler(PriorScheduler):
             )
             self._measurements.append(measurement)
         return job
-
-    def decision_features(self, window: list[Job], ctx: SchedulingContext) -> dict | None:
-        """The exact inputs/outputs the last :meth:`select` decided on.
-
-        ``scores`` are the final combined decision scores (``None`` on
-        ε-greedy exploration steps or the pure-DFP path, where the agent
-        keeps them internal); ``prior`` is the raw feasibility/age prior
-        before weighting.
-        """
-        return self._last_features
 
     # -- episode lifecycle ------------------------------------------------
 

@@ -175,8 +175,6 @@ def dispatch_tasks(
     n_workers: int = 1,
     lease_ttl: float = 30.0,
     mp_start_method: str | None = None,
-    trace_dir: str | None = None,
-    trace_compact: bool = False,
     cell_timeout_s: float | None = None,
     supervise: bool = False,
 ) -> dict[str, TaskResult]:
@@ -219,8 +217,6 @@ def dispatch_tasks(
             else None
         )
         context_doc = dict(
-            trace_dir=trace_dir,
-            trace_compact=bool(trace_compact),
             # Late-joining `repro work` processes follow the
             # coordinator's telemetry directory without per-worker
             # flags; same for the per-cell execution deadline.

@@ -86,7 +86,7 @@ class RunManifest:
         The full grid expansion — every cell key this run has promised,
         across all generations.
     context:
-        Execution context snapshot (trace dir, timeouts, …)
+        Execution context snapshot (timeouts, telemetry dir, …)
         — the same document published to ``meta.json`` for workers.
     state:
         ``staged`` | ``sealed`` | ``complete`` (see module docstring).

@@ -4,7 +4,7 @@ Layout (everything under one ``queue_dir``, shareable over any common
 filesystem)::
 
     queue_dir/
-      meta.json                      # execution context (trace dir, …)
+      meta.json                      # execution context (timeouts, …)
       manifest.json                  # CRC-sealed run manifest (repro.dist.manifest)
       staging/batch-g<n>.jsonl       # batch specs awaiting manifest seal
       tasks/batch-g<n>.jsonl         # published batch specs (one line per cell)
@@ -266,12 +266,13 @@ class WorkQueue:
     # -- execution context ------------------------------------------------
 
     def write_meta(self, **meta) -> None:
-        """Publish shared execution context (trace dir, timeouts, …).
+        """Publish shared execution context (telemetry dir, timeouts, …).
 
         Written by whoever enqueues the grid so that late-joining
-        ``repro work`` processes agree on where trace artifacts go
-        without per-worker flags. Workers read the keys they know and
-        ignore the rest, so a document from an older writer still drains.
+        ``repro work`` processes follow its telemetry directory and cell
+        deadline without per-worker flags. Workers read the keys they
+        know and ignore the rest, so a document from an older writer
+        still drains.
         """
         self.store.atomic_write_json(self.root / "meta.json", meta)
 
@@ -423,11 +424,20 @@ class WorkQueue:
         Specs were checksum-verified when their batch file was parsed
         (a line failing its seal is quarantined and never becomes a
         key), so an unknown key — never enqueued, or its line was
-        quarantined — raises ``FileNotFoundError``.
+        quarantined — raises ``FileNotFoundError``. A spec that hashes
+        to another key raises ``ValueError``: run, it would be published
+        and marked done under that other key, leaving this cell
+        claimable forever; failing instead lets ``MAX_ATTEMPTS`` poison it.
         """
         for batch in self._batches():  # the earliest generation wins
             if key in batch:
-                return ExperimentTask.from_json_dict(batch[key])
+                task = ExperimentTask.from_json_dict(batch[key])
+                if task.key() != key:
+                    raise ValueError(
+                        f"task spec queued under {key} hashes to "
+                        f"{task.key()}; refusing to run it"
+                    )
+                return task
         raise FileNotFoundError(
             f"no task spec for {key} under {self.tasks_dir}"
         )

@@ -258,7 +258,7 @@ class QueueWorker:
         self.max_cells = max_cells
         self.wait_for_work = wait_for_work
         self.cell_timeout_s = cell_timeout_s
-        #: runs one cell: ``execute(task, trace_dir, trace_compact)``
+        #: runs one cell: ``execute(task)``
         self.execute = execute_task
         self.report = WorkerReport(worker_id=self.worker_id)
         #: always-on private registry, published to the queue's
@@ -307,12 +307,12 @@ class QueueWorker:
         self._heartbeat.start()
         try:
             with bind(worker_id=self.worker_id):
-                self._work(meta)
+                self._work()
         finally:
             self._heartbeat.stop()
         return self.report
 
-    def _work(self, meta: dict) -> None:
+    def _work(self) -> None:
         _log.info(
             "worker started",
             extra=kv(
@@ -326,7 +326,7 @@ class QueueWorker:
             try:
                 if self._spooled:
                     self._try_flush_spool()
-                progress = self._scan_once(meta)
+                progress = self._scan_once()
             except StoreUnavailable as exc:
                 self._store_strikes += 1
                 self.metrics.counter("store.scan_failures").inc()
@@ -461,7 +461,7 @@ class QueueWorker:
             return False
         return manifest is not None and manifest.complete
 
-    def _scan_once(self, meta: dict) -> bool:
+    def _scan_once(self) -> bool:
         """One pass over one frontier snapshot; True when a cell executed.
 
         The walk starts at a per-worker offset and wraps, so concurrent
@@ -486,7 +486,7 @@ class QueueWorker:
                     self._release(key)
                     continue
                 progress = True
-                self._execute_cell(key, meta, alone=strikes > 0)
+                self._execute_cell(key, alone=strikes > 0)
         finally:
             self._commit()
         return progress
@@ -535,7 +535,7 @@ class QueueWorker:
 
     # -- execution --------------------------------------------------------
 
-    def _execute_with_deadline(self, key: str, meta: dict):
+    def _execute_with_deadline(self, key: str):
         """Run the cell, bounded by the ``cell_timeout_s`` watchdog.
 
         Without a timeout the call runs inline (zero overhead). With
@@ -548,11 +548,7 @@ class QueueWorker:
         """
 
         def call():
-            return self.execute(
-                self.queue.load_task(key),
-                meta.get("trace_dir"),
-                bool(meta.get("trace_compact", False)),
-            )
+            return self.execute(self.queue.load_task(key))
 
         timeout = self.cell_timeout_s
         if not timeout:
@@ -579,7 +575,7 @@ class QueueWorker:
             raise box["error"]
         return box["result"]
 
-    def _execute_cell(self, key: str, meta: dict, alone: bool) -> None:
+    def _execute_cell(self, key: str, alone: bool) -> None:
         """Run one claimed cell and queue its result for the next commit.
 
         ``alone``: the cell has a failure on record. A supervised crash
@@ -595,7 +591,7 @@ class QueueWorker:
         if not self._pending:
             self._pending_since = t0
         try:
-            result = self._execute_with_deadline(key, meta)
+            result = self._execute_with_deadline(key)
         except StoreUnavailable:
             # The *store* failed (spec unreadable), not the cell: this
             # is a scan-level storage problem — release and let the

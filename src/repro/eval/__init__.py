@@ -1,52 +1,24 @@
-"""repro.eval — decision-trace capture and offline policy evaluation.
+"""repro.eval — paired statistics for comparing policies over seeds.
 
-Every simulation is also a dataset: the
-:class:`~repro.eval.recorder.DecisionTraceRecorder` captures each
-scheduling decision (encoded state, candidate job features, measurement
-and goal vectors, the chosen action) into a compact NPZ+JSONL
-:class:`~repro.eval.trace.DecisionTrace`. Recorded traces replay through
-any registered offline policy — including the batched DFP scoring path
-(:meth:`~repro.core.dfp.DFPAgent.action_scores_batch`) — without the
-event loop, so policies are compared on *identical* decision points
-orders of magnitude faster than re-simulation.
-
-Layers:
-
-* :mod:`repro.eval.trace` — the trace record, NPZ persistence and the
-  on-disk :class:`~repro.eval.trace.TraceStore` keyed by task hash;
-* :mod:`repro.eval.recorder` — the simulator-side capture hook;
-* :mod:`repro.eval.policies` — the offline policy registry
-  (feature-based heuristics plus :class:`DFPReplayPolicy`);
-* :mod:`repro.eval.evaluator` — batched replay producing agreement,
-  rank-correlation and counterfactual-regret metrics;
-* :mod:`repro.eval.stats` — paired bootstrap CIs and win/loss matrices
-  over seeds, rendered as a structured comparison report.
+:mod:`repro.eval.stats` holds NumPy-only rank correlation, paired
+bootstrap confidence intervals, win/loss matrices and the structured
+:class:`~repro.eval.stats.ComparisonReport` with text and JSON renderings.
 """
 
-from repro.eval.evaluator import evaluate_traces, policy_choices
-from repro.eval.policies import (
-    DFPReplayPolicy,
-    build_policies,
-    get_eval_policy,
-    list_eval_policies,
-    register_eval_policy,
+from repro.eval.stats import (
+    ComparisonReport,
+    paired_bootstrap,
+    rankdata,
+    spearman,
+    spearman_rows,
+    win_loss,
 )
-from repro.eval.recorder import DecisionTraceRecorder
-from repro.eval.stats import ComparisonReport, paired_bootstrap, spearman
-from repro.eval.trace import DecisionTrace, TraceStore
 
 __all__ = [
-    "DecisionTrace",
-    "TraceStore",
-    "DecisionTraceRecorder",
-    "DFPReplayPolicy",
-    "register_eval_policy",
-    "get_eval_policy",
-    "list_eval_policies",
-    "build_policies",
-    "evaluate_traces",
-    "policy_choices",
     "ComparisonReport",
     "paired_bootstrap",
+    "rankdata",
     "spearman",
+    "spearman_rows",
+    "win_loss",
 ]

@@ -1,8 +1,7 @@
-"""Statistical comparison of offline policies: bootstrap CIs, win/loss.
+"""Statistical comparison of policies: bootstrap CIs, win/loss.
 
-The evaluator produces per-unit (per seed group, falling back to per
-trace or per decision) agreement values for every policy; this module
-turns them into *paired* statistics — each bootstrap resample draws the
+Given per-unit values (one row per seed group, trace or decision) for
+every policy, this module turns them into *paired* statistics — each bootstrap resample draws the
 same units for both policies, so between-seed variance cancels exactly
 as in a paired test — plus a win/loss matrix and a structured
 :class:`ComparisonReport` with text and JSON renderings.

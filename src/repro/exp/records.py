@@ -16,6 +16,7 @@ lossless, which is what makes caching and resumable checkpointing safe.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -68,11 +69,6 @@ _SEMANTIC_FIELDS = ("method", "workloads", "seed", "config", "train", "case_stud
 def task_key(task: "ExperimentTask") -> str:
     """Stable hex digest identifying a task's semantic configuration."""
     fields = {f: getattr(task, f) for f in _SEMANTIC_FIELDS}
-    if task.capture_traces:
-        # Included only when set, so pre-existing keys (and cached
-        # results) of untraced tasks stay valid; a traced task is a
-        # distinct artifact — result *plus* decision traces.
-        fields["capture_traces"] = True
     payload = canonical_json({"schema": TASK_SCHEMA_VERSION, "task": fields})
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -117,17 +113,18 @@ class ExperimentTask:
     case_study: bool = False
     extra: tuple[tuple[str, object], ...] = ()
     label: str = ""
-    #: record every scheduling decision of the evaluation replays into
-    #: the runner's :class:`~repro.eval.trace.TraceStore` (offline
-    #: policy evaluation); part of the task key when set.
-    capture_traces: bool = False
 
     @property
     def display_name(self) -> str:
         return self.label or self.method
 
-    def key(self) -> str:
+    @functools.cached_property
+    def _key(self) -> str:
         return task_key(self)
+
+    def key(self) -> str:
+        """:func:`task_key` of this cell, hashed once per instance."""
+        return self._key
 
     def to_json_dict(self) -> dict:
         """Lossless JSON rendering (the distributed work queue's task spec).
@@ -148,7 +145,6 @@ class ExperimentTask:
             "case_study": self.case_study,
             "extra": [[name, value] for name, value in self.extra],
             "label": self.label,
-            "capture_traces": self.capture_traces,
         }
 
     @classmethod
@@ -168,7 +164,6 @@ class ExperimentTask:
             case_study=bool(data.get("case_study", False)),
             extra=tuple((name, value) for name, value in data.get("extra", ())),
             label=data.get("label", ""),
-            capture_traces=bool(data.get("capture_traces", False)),
         )
 
 
@@ -193,9 +188,6 @@ class TaskResult:
     #: "checkpoint" (restored while resuming an interrupted grid)
     source: str = "run"
     label: str = ""
-    #: store keys of the decision traces recorded alongside this result
-    #: (one per workload when the task captured traces)
-    trace_keys: tuple[str, ...] = ()
     #: queue-dispatch worker that executed the cell ("" outside queue
     #: mode — the process-pool path is identified by ``worker_pid``)
     worker_id: str = ""
@@ -221,7 +213,6 @@ class TaskResult:
             "worker_pid": self.worker_pid,
             "source": self.source,
             "label": self.label,
-            "trace_keys": list(self.trace_keys),
             "worker_id": self.worker_id,
             "hostname": self.hostname,
         }
@@ -240,7 +231,6 @@ class TaskResult:
             worker_pid=int(data.get("worker_pid", 0)),
             source=data.get("source", "run"),
             label=data.get("label", ""),
-            trace_keys=tuple(data.get("trace_keys", ())),
             worker_id=data.get("worker_id", ""),
             hostname=data.get("hostname", ""),
         )

@@ -63,7 +63,6 @@ def grid_tasks(
     n_seeds: int = 1,
     train: bool = False,
     case_study: bool = False,
-    capture_traces: bool = False,
 ) -> list[ExperimentTask]:
     """Build the (method × seed) cells of a grid, workloads rolled in.
 
@@ -90,7 +89,6 @@ def grid_tasks(
             config=config,
             train=train,
             case_study=case_study,
-            capture_traces=capture_traces,
         )
         for seed in seeds
         for method in methods
@@ -147,12 +145,6 @@ class ExperimentRunner:
     mp_start_method:
         Process start method; default "fork" where available (cheap,
         inherits the warm interpreter) and "spawn" elsewhere.
-    trace_dir:
-        Decision-trace store for tasks with ``capture_traces``. Traces
-        participate in both recall layers: a cached or checkpointed
-        result of a trace-capturing task is only honoured when every
-        trace it recorded still exists in this store — otherwise the
-        cell re-executes and re-records.
     queue_dir:
         Without it pending cells run inline or fan out over a local
         :class:`~concurrent.futures.ProcessPoolExecutor`; with it they
@@ -193,8 +185,6 @@ class ExperimentRunner:
         cache_dir: str | os.PathLike | None = None,
         checkpoint_path: str | os.PathLike | None = None,
         mp_start_method: str | None = None,
-        trace_dir: str | os.PathLike | None = None,
-        trace_compact: bool = False,
         queue_dir: str | os.PathLike | None = None,
         lease_ttl: float = 30.0,
         cell_timeout_s: float | None = None,
@@ -218,10 +208,6 @@ class ExperimentRunner:
         self.supervise = bool(supervise)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: store recorded decision traces as float32 (storage fidelity
-        #: only — simulated decisions and metrics are unaffected)
-        self.trace_compact = bool(trace_compact)
         self.mp_start_method = mp_start_method
         self.progress = progress
         #: keys already present in the journal during the current run()
@@ -269,19 +255,9 @@ class ExperimentRunner:
         """Execute ``tasks``; returns results aligned with input order."""
         keys = [task.key() for task in tasks]
         key_set = set(keys)
-        tasks_by_key = dict(zip(keys, tasks))
-        if self.trace_dir is None and any(t.capture_traces for t in tasks):
-            raise ValueError(
-                "grid contains trace-capturing tasks but the runner has no "
-                "trace_dir; pass ExperimentRunner(trace_dir=...)"
-            )
         journaled = self._load_checkpoint()
         self._journaled_keys = set(journaled)
-        resolved = {
-            k: v
-            for k, v in journaled.items()
-            if k in key_set and self._traces_ok(tasks_by_key[k], v)
-        }
+        resolved = {k: v for k, v in journaled.items() if k in key_set}
         session = _obs_runtime.session
         if session is not None:
             session.event(
@@ -301,7 +277,7 @@ class ExperimentRunner:
                 for key in keys:
                     if key not in resolved:
                         hit = self.cache.get(key)
-                        if hit is not None and self._traces_ok(tasks_by_key[key], hit):
+                        if hit is not None:
                             self._record(resolved, hit)
 
             pending: dict[str, ExperimentTask] = {}
@@ -310,22 +286,18 @@ class ExperimentRunner:
                     pending[key] = task
 
             if pending:
-                trace_dir = str(self.trace_dir) if self.trace_dir is not None else None
                 with (
                     session.span("run", cells=len(pending), dispatch=self.dispatch)
                     if session is not None
                     else contextlib.nullcontext()
                 ):
                     if self.dispatch == "queue":
-                        self._run_queue(pending, resolved, trace_dir)
+                        self._run_queue(pending, resolved)
                     elif self.n_workers == 1 or len(pending) == 1:
-                        for key, task in pending.items():
-                            self._record(
-                                resolved,
-                                execute_task(task, trace_dir, self.trace_compact),
-                            )
+                        for task in pending.values():
+                            self._record(resolved, execute_task(task))
                     else:
-                        self._run_pool(pending, resolved, trace_dir)
+                        self._run_pool(pending, resolved)
         finally:
             line, self._progress_line = self._progress_line, None
             line.close()
@@ -383,31 +355,10 @@ class ExperimentRunner:
                 wall_s=result.wall_time,
             )
 
-    def _traces_ok(self, task: ExperimentTask, result: TaskResult) -> bool:
-        """Whether a recalled result's trace artifacts are all usable.
-
-        Usable means present *and* stored at the fidelity this runner
-        was asked for — flipping ``trace_compact`` re-executes the cell
-        so the store actually changes width instead of silently keeping
-        the old files.
-        """
-        if not task.capture_traces:
-            return True
-        if self.trace_dir is None or len(result.trace_keys) < len(task.workloads):
-            return False
-        from repro.eval.trace import TraceStore
-
-        store = TraceStore(self.trace_dir)
-        return all(
-            store.stored_compact(key) == self.trace_compact
-            for key in result.trace_keys
-        )
-
     def _run_pool(
         self,
         pending: dict[str, ExperimentTask],
         resolved: dict[str, TaskResult],
-        trace_dir: str | None = None,
     ) -> None:
         # The pool initializer limits each worker to one BLAS thread and
         # ships the plugin registration modules: fork workers inherit
@@ -429,7 +380,7 @@ class ExperimentRunner:
             initargs=(registration_modules(),),
         ) as pool:
             futures = {
-                pool.submit(execute_task, task, trace_dir, self.trace_compact): key
+                pool.submit(execute_task, task): key
                 for key, task in pending.items()
             }
             # Drain as results land so the checkpoint journal always
@@ -461,7 +412,6 @@ class ExperimentRunner:
         self,
         pending: dict[str, ExperimentTask],
         resolved: dict[str, TaskResult],
-        trace_dir: str | None = None,
     ) -> None:
         """Dispatch pending cells through the shared-directory queue.
 
@@ -478,8 +428,6 @@ class ExperimentRunner:
             n_workers=self.n_workers,
             lease_ttl=self.lease_ttl,
             mp_start_method=self.mp_start_method,
-            trace_dir=trace_dir,
-            trace_compact=self.trace_compact,
             cell_timeout_s=self.cell_timeout_s,
             supervise=self.supervise,
         )
@@ -497,7 +445,6 @@ class ExperimentRunner:
         n_seeds: int = 1,
         train: bool = False,
         case_study: bool = False,
-        capture_traces: bool = False,
     ) -> list[TaskResult]:
         """Build and run a (method × workloads × seed) grid."""
         return self.run(
@@ -509,6 +456,5 @@ class ExperimentRunner:
                 n_seeds=n_seeds,
                 train=train,
                 case_study=case_study,
-                capture_traces=capture_traces,
             )
         )

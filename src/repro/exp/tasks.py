@@ -7,21 +7,12 @@ rather than by careful bookkeeping. It is a pure function of the task:
 every RNG stream inside derives from ``task.seed`` (via the library's
 ``SeedSequence``-based spawning), so re-running a task anywhere, in any
 order, on any worker reproduces bit-identical metric values.
-
-Tasks with ``capture_traces`` additionally record every scheduling
-decision of the evaluation replays into the
-:class:`~repro.eval.trace.TraceStore` at ``trace_dir`` (recording is
-passive — it consumes no RNG, so metrics stay bit-identical to an
-unrecorded run); the resulting store keys travel on the
-:class:`TaskResult` so the cache and checkpoint layers can verify the
-trace artifacts exist before recalling a result.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import sys
 import time
 
@@ -43,21 +34,13 @@ def worker_context(start_method: str | None = None):
     return multiprocessing.get_context(start_method)
 
 
-def execute_task(
-    task: ExperimentTask,
-    trace_dir: "str | os.PathLike | None" = None,
-    trace_compact: bool = False,
-) -> TaskResult:
+def execute_task(task: ExperimentTask) -> TaskResult:
     """Run one grid cell: build, (optionally) train, evaluate in order.
 
     Mirrors the serial harness flow exactly — one scheduler instance is
     created with the cell seed, trained once if requested, then replayed
     over ``task.workloads`` in order, so stateful policies (the GA's RNG
     stream, a trained agent) see the same history as a serial sweep.
-
-    ``trace_compact`` stores recorded decision traces as float32 (see
-    :meth:`repro.eval.trace.DecisionTrace.save`); it affects storage
-    fidelity only, never the simulated decisions.
 
     Each workload is one
     :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`, without
@@ -89,10 +72,7 @@ def execute_task(
             )
         )
     with _cell_obs:
-        result = _execute_task_body(
-            task, config, task_key, obs_session, t0,
-            trace_dir, trace_compact,
-        )
+        result = _execute_task_body(task, config, task_key, obs_session, t0)
     if obs_session is not None:
         obs_session.metrics.counter("cells.executed").inc()
         obs_session.metrics.histogram("cell.wall_s").observe(result.wall_time)
@@ -108,8 +88,6 @@ def _execute_task_body(
     task_key: str,
     obs_session,
     t0: float,
-    trace_dir: "str | os.PathLike | None",
-    trace_compact: bool,
 ) -> TaskResult:
     # Imported lazily: repro.experiments.harness imports the runner, and
     # worker processes should only pay for what the task touches.
@@ -136,45 +114,16 @@ def _execute_task_body(
         ):
             train_method(sched, eval_system, config)
 
-    recorder = store = None
-    if task.capture_traces:
-        if trace_dir is None:
-            raise ValueError(
-                f"task {task.key()} captures traces but no trace_dir was given"
-            )
-        from repro.eval.recorder import DecisionTraceRecorder
-        from repro.eval.trace import TraceStore
-
-        store = TraceStore(trace_dir, compact=trace_compact)
-        recorder = DecisionTraceRecorder()
-        # Attached after training so the curriculum episodes (ε-greedy,
-        # exploration-heavy) never pollute the evaluation traces.
-        sched.decision_recorder = recorder
-
-    trace_keys: list[str] = []
     metrics = {}
-
     for workload in task.workloads:
         if task.case_study:
             jobs, _ = build_case_study_workload(workload, base, system, seed=config.seed)
         else:
             jobs = build_workload(workload, base, eval_system, seed=config.seed)
-        if recorder is not None:
-            recorder.start(
-                method=task.method,
-                workload=workload,
-                seed=task.seed,
-                task_key=task_key,
-            )
         with workload_span(workload):
             metrics[workload] = (
                 Simulator(eval_system, sched, record_timeline=False).run(jobs).metrics
             )
-        if recorder is not None and store is not None:
-            trace_keys.append(store.put(recorder.finish()))
-
-    if recorder is not None:
-        sched.decision_recorder = None
 
     return TaskResult(
         key=task_key,
@@ -184,5 +133,4 @@ def _execute_task_body(
         metrics=metrics,
         wall_time=time.perf_counter() - t0,
         label=task.label,
-        trace_keys=tuple(trace_keys),
     )

@@ -127,11 +127,6 @@ class Scheduler(ABC):
         self.backfill_enabled = backfill
         #: job currently holding a reservation (head-of-queue protection)
         self.reserved_job: Job | None = None
-        #: optional :class:`repro.eval.recorder.DecisionTraceRecorder`;
-        #: when attached, every selection (fitting starts and the
-        #: reservation pick alike) is reported for offline evaluation.
-        #: Recording is passive — no RNG, no behaviour change.
-        self.decision_recorder = None
         #: selections made since :meth:`reset`, how many ran the policy's
         #: network and how many of those the network moved off its prior
         self.decisions = 0
@@ -149,16 +144,6 @@ class Scheduler(ABC):
 
     def end_instance(self, ctx: SchedulingContext) -> None:
         """Called once per scheduling instance after backfilling."""
-
-    def decision_features(self, window: list[Job], ctx: SchedulingContext) -> dict | None:
-        """Decision inputs of the *last* :meth:`select` call, if exposed.
-
-        Policies that already compute DFP-style inputs (state encoding,
-        measurement, goal, prior, scores) return them here so the trace
-        recorder stores the policy's own values bit-for-bit; the default
-        ``None`` lets the recorder derive canonical features itself.
-        """
-        return None
 
     def reset(self) -> None:
         """Clear episode state; called by the simulator before a run."""
@@ -200,10 +185,6 @@ class Scheduler(ABC):
                 raise RuntimeError(
                     f"{self.name}: selected job {job.job_id} outside the window"
                 )
-            if self.decision_recorder is not None:
-                # Before the start/reserve below, while the pool still
-                # reflects the state the policy decided on.
-                self.decision_recorder.on_decision(self, window, job, ctx)
             if ctx.pool.can_fit(job):
                 self._start(job, ctx)
             else:

@@ -1,7 +1,7 @@
 """Durable records: how bytes reach disk and how they are trusted on
 the way back — decided here, once, for every artifact the library
 persists (cache entries, checkpoint and shard journals, batch specs,
-manifests, leases, telemetry snapshots, trace archives).
+manifests, leases, telemetry snapshots).
 
 * :func:`atomic_write` replaces a file whole, so readers see the old
   file or the new one and a failed write leaves nothing behind.
@@ -12,8 +12,8 @@ manifests, leases, telemetry snapshots, trace archives).
 * :func:`scan_sealed_jsonl` is the one line reader: every line is
   :data:`OK`, a :data:`TORN` tail, or :data:`CORRUPT`.
 
-Standard library only, so ``repro.exp`` / ``repro.obs`` /
-``repro.eval`` use it without importing ``repro.dist``.
+Standard library only, so ``repro.exp`` and ``repro.obs`` use it
+without importing ``repro.dist``.
 """
 
 from __future__ import annotations

@@ -432,8 +432,8 @@ class FaultyWorker(QueueWorker):
         self.faults.on_claim(key)
         return True
 
-    def _execute_with_deadline(self, key: str, meta: dict):
-        result = super()._execute_with_deadline(key, meta)
+    def _execute_with_deadline(self, key: str):
+        result = super()._execute_with_deadline(key)
         self.faults.on_publish(key)  # the result joins _pending next
         return result
 

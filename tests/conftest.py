@@ -86,67 +86,3 @@ def tiny_trace(tiny_system) -> list[Job]:
 def theta_trace() -> list[Job]:
     cfg = ThetaTraceConfig(total_nodes=32, n_jobs=120, mean_interarrival=300.0)
     return generate_theta_trace(cfg, seed=7)
-
-
-@pytest.fixture
-def make_decision_trace():
-    """Factory for small synthetic :class:`repro.eval.trace.DecisionTrace`s.
-
-    Deterministic in ``seed``; every decision has all window slots valid
-    and the logged action set to the slot a plain FCFS policy would pick
-    (slot 0) unless ``actions`` is given.
-    """
-    from repro.eval.trace import EXTRA_FEATURES, DecisionTrace
-
-    def _make(
-        n: int = 6,
-        window: int = 4,
-        resources: tuple[str, ...] = ("node", "burst_buffer"),
-        seed: int = 0,
-        actions=None,
-        **meta_overrides,
-    ) -> "DecisionTrace":
-        rng = np.random.default_rng(seed)
-        r = len(resources)
-        state_dim = (r + 2) * window + 8
-        goals = rng.uniform(0.1, 1.0, size=(n, r))
-        goals /= goals.sum(axis=1, keepdims=True)
-        feats = np.zeros((n, window, r + len(EXTRA_FEATURES)))
-        feats[:, :, :r] = rng.uniform(0.05, 0.9, size=(n, window, r))
-        feats[:, :, r] = rng.uniform(100.0, 5000.0, size=(n, window))  # walltime
-        feats[:, :, r + 1] = rng.uniform(0.0, 900.0, size=(n, window))  # queued
-        feats[:, :, r + 2] = 1.0  # everything fits
-        meta = {
-            "task_key": "testtask",
-            "workload": "S1",
-            "method": "heuristic",
-            "seed": seed,
-            "resources": list(resources),
-            "capacities": [16.0] * r,
-            "feature_names": [*(f"req_frac:{x}" for x in resources), *EXTRA_FEATURES],
-            "window_size": window,
-            "state_dim": state_dim,
-            "n_measurements": r,
-            "slot_dim": r + 2,
-            "prior_weight": 0.0,
-            **meta_overrides,
-        }
-        return DecisionTrace(
-            states=rng.normal(size=(n, state_dim)),
-            measurements=rng.uniform(size=(n, r)),
-            goals=goals,
-            masks=np.ones((n, window), dtype=bool),
-            priors=np.zeros((n, window)),
-            scores=np.full((n, window), np.nan),
-            actions=(
-                np.zeros(n, dtype=np.int64)
-                if actions is None
-                else np.asarray(actions, dtype=np.int64)
-            ),
-            times=np.arange(n, dtype=float) * 60.0,
-            job_ids=np.arange(n * window, dtype=np.int64).reshape(n, window),
-            job_features=feats,
-            meta=meta,
-        )
-
-    return _make

@@ -11,7 +11,9 @@ pin with exact ``==`` float comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import signal
 import time
 
 import pytest
@@ -22,6 +24,7 @@ from repro.dist import (
     dispatch_tasks,
     ensure_enqueued,
 )
+from repro.dist.queue import MAX_ATTEMPTS
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
 from tests import _dist_faults
@@ -102,6 +105,57 @@ class TestQueueDispatchIdentity:
             tmp_path / "q", tasks, n_workers=1, lease_ttl=10.0
         )
         assert _exact([results[t.key()] for t in tasks]) == serial_exact
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` in the main thread after ``seconds``, for
+    loops that never return when the defect under test is present."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _foreign_spec_queue(grid_config, path):
+    """A queue whose one cell is queued under the key of ``queued`` with
+    the spec of ``spec``, another cell."""
+    queued, spec = _tasks(grid_config)[:2]
+    queue = WorkQueue(path, lease_ttl=10.0)
+    ensure_enqueued(queue, [spec], keys=[queued.key()])
+    return queue, queued, spec
+
+
+class TestSpecThatHashesToAnotherKey:
+    """Run, such a spec would be published and marked done under its
+    own key, leaving the queued cell claimable and its worker looping."""
+
+    def test_the_worker_poisons_the_cell_and_drains(self, grid_config, tmp_path):
+        queue, queued, spec = _foreign_spec_queue(grid_config, tmp_path / "q")
+        with deadline(30):
+            report = QueueWorker(queue, worker_id="strict").run()
+        assert report.exit_reason == "drained"
+        assert report.executed == []
+        assert report.failed == [queued.key()] * MAX_ATTEMPTS
+        assert queue.poisoned(queued.key())
+        assert not queue.is_done(queued.key()) and not queue.is_done(spec.key())
+        assert queue.merged_results() == {}
+        error = queue.failure_errors(queued.key())[0]
+        assert f"{queued.key()} hashes to {spec.key()}" in error
+
+    def test_dispatch_raises_naming_the_mismatch(self, grid_config, tmp_path):
+        queue, queued, spec = _foreign_spec_queue(grid_config, tmp_path / "q")
+        with deadline(30), pytest.raises(
+            RuntimeError, match=f"{queued.key()} hashes to {spec.key()}"
+        ):
+            dispatch_tasks(queue.root, [queued], n_workers=1, lease_ttl=10.0)
 
 
 class TestCrashRecovery:

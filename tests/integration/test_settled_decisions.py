@@ -1,10 +1,8 @@
 """Settling decisions before the network runs changes no schedule.
 
 End-to-end counterparts of ``tests/unit/test_mrsch_settle.py``. The
-oracle is the same scheduler with every decision scored — which is what
-attaching a ``decision_recorder`` gives (a trace carries every
-decision's scores), and what the test-only ``NeverSettles`` subclass
-gives where a recorder cannot go (training).
+oracle is the same scheduler with every decision scored: the test-only
+``NeverSettles`` subclass, whose ``_settle`` settles nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eval.recorder import DecisionTraceRecorder
+from repro.core.mrsch import MRSchScheduler
+from repro.core.prior import guided_scores
 from repro.experiments.harness import make_method, prepare_base_trace, train_method
 from repro.sim.episode import EpisodeState
 from repro.sim.simulator import Simulator
@@ -44,8 +43,8 @@ def replay(request):
     return system, sched, jobsets
 
 
-class TestRecorderOnEqualsRecorderOff:
-    def test_replays_start_every_job_when_the_oracle_does(self, replay):
+class TestSettledEqualsScoredAtEveryDecision:
+    def test_replays_start_every_job_when_the_oracle_does(self, replay, monkeypatch):
         system, sched, jobsets = replay
         sim = Simulator(system, sched)
 
@@ -56,23 +55,35 @@ class TestRecorderOnEqualsRecorderOff:
             scored += sched.decisions_scored
         assert scored < made / 4  # most decisions never reached the network
 
-        recorded, traces = [], []
-        recorder = DecisionTraceRecorder()
-        sched.decision_recorder = recorder
-        try:
-            for workload, jobs in zip(S1_TO_S5, jobsets):
-                recorder.start(method="mrsch", workload=workload, seed=41)
-                recorded.append(_times(sim.run(jobs)))
-                assert sched.decisions_scored == sched.decisions
-                traces.append(recorder.finish())
-        finally:
-            sched.decision_recorder = None
-        assert sum(trace.n_decisions for trace in traces) == made
-        for trace in traces:
-            rows = np.arange(trace.n_decisions)
-            assert np.isfinite(trace.scores[rows, trace.actions]).all()
+        picked = []  # the oracle's final score of each job it picked
+        apply = MRSchScheduler._apply_decision
 
-        assert plain == recorded
+        def spy(self, window, ctx, staged, scores):
+            job = apply(self, window, ctx, staged, scores)
+            _, _, mask, prior, _ = staged
+            final = (
+                guided_scores(self.prior_weight, prior, scores, mask)
+                if self.prior_weight > 0.0
+                else scores
+            )
+            picked.append(final[next(i for i, j in enumerate(window) if j is job)])
+            return job
+
+        monkeypatch.setattr(MRSchScheduler, "_apply_decision", spy)
+        scored_always, oracle_made = [], 0
+        rule = type(sched)
+        as_oracle(sched)
+        try:
+            for jobs in jobsets:
+                scored_always.append(_times(sim.run(jobs)))
+                assert sched.decisions_scored == sched.decisions
+                oracle_made += sched.decisions
+        finally:
+            sched.__class__ = rule
+        assert oracle_made == len(picked) == made
+        assert np.isfinite(picked).all()
+
+        assert plain == scored_always
 
 
 class TestTrainingKeepsItsStreams:

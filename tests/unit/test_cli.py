@@ -116,8 +116,8 @@ class TestCommands:
         )
         documented = re.findall(r"^``repro ([a-z-]+)", cli.__doc__, re.MULTILINE)
         assert sorted(set(documented)) == sorted(action.choices)
-        assert len(action.choices) == 8
-        assert "\nEight subcommands," in cli.__doc__
+        assert len(action.choices) == 7
+        assert "\nSeven subcommands," in cli.__doc__
 
     def test_bench_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -125,20 +125,32 @@ class TestCommands:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--trace-dir", "traces"], "invalid choice: 'eval'"),
+        (["run", "s.json", "--trace-dir", "traces"], "unrecognized arguments"),
+        (["run", "s.json", "--compact-traces"], "unrecognized arguments"),
+    ])
+    def test_offline_rescoring_surface_is_gone(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMalformedScenarioFile:
-    """The first five rows once escaped ``main`` as a traceback; the
-    last three loaded without complaint."""
+    """The first four rows once escaped ``main`` as a traceback; the
+    next three loaded without complaint; the last names a section that
+    no longer exists."""
 
     @pytest.mark.parametrize("example,mutate", [
         ("smoke", lambda d: d.update(methods=[["heuristic"]])),
         ("smoke", lambda d: d["system"].update(nodes={})),
         ("bb_heavy_mix", lambda d: d["config"].update(curriculum_sets=[1, 1e400, 1])),
         ("smoke", lambda d: d["config"].update(mean_interarrival="")),
-        ("offline_eval", lambda d: d["evaluation"].update(policies=[{}])),
         ("power_aware_goals", lambda d: d["goal"]["weights"].update(node=float("nan"))),
         ("bb_heavy_mix", lambda d: d["config"]["ga"].update(generations=float("inf"))),
         ("smoke", lambda d: d["config"].update(mean_interarrival=float("inf"))),
+        ("smoke", lambda d: d.update(evaluation={})),
     ])
     def test_one_line_and_exit_1(self, example, mutate, tmp_path, capsys):
         doc = json.loads(

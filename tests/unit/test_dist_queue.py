@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 
 import pytest
 
+import repro.exp.records as records
 from repro.dist.lease import LeaseBoard
 from repro.dist.manifest import ensure_enqueued
 from repro.dist.queue import MAX_ATTEMPTS, WorkQueue
@@ -295,7 +298,7 @@ class TestFrontier:
             or make_result(task.key(), "late"),
             worker_id="late",
         )
-        assert worker._scan_once({}) is True
+        assert worker._scan_once() is True
         assert sorted(executed) == sorted(set(keys) - {early, raced})
         assert queue.leases.leases() == []  # every claim released
         merged = queue.merged_results()
@@ -482,6 +485,103 @@ class TestQuarantine:
         merged = queue.merged_results()
         assert set(merged) == {"k1"}
         assert queue.quarantine_count() == 0
+
+
+def traced_key(task: ExperimentTask) -> str:
+    """The key a task once had with ``capture_traces`` set: the flag
+    was hashed into its semantic fields only when true."""
+    fields = {f: getattr(task, f) for f in records._SEMANTIC_FIELDS}
+    fields["capture_traces"] = True
+    payload = records.canonical_json(
+        {"schema": records.TASK_SCHEMA_VERSION, "task": fields}
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+
+
+class TestSpecKeyCheck:
+    """``load_task`` hands out only a spec that hashes to the key it was
+    claimed under; anything else would be published as another cell."""
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 4},
+        {"method": "fcfs"},
+        {"workloads": ("S2",)},
+        {"train": True},
+        {"case_study": True},
+        {"extra": (("backfill", False),)},
+        {"config": tiny_config(n_jobs=16)},
+    ], ids=lambda change: next(iter(change)))
+    def test_a_spec_under_another_cells_key_is_refused(self, tmp_path, change):
+        queued = tiny_tasks(n_seeds=1)[0]
+        spec = dataclasses.replace(queued, **change)
+        assert spec.key() != queued.key()
+        queue = WorkQueue(tmp_path)
+        ensure_enqueued(queue, [spec], keys=[queued.key()])
+        with pytest.raises(ValueError) as exc:
+            queue.load_task(queued.key())
+        assert f"{queued.key()} hashes to {spec.key()}" in str(exc.value)
+
+    def test_a_relabelled_spec_still_loads(self, tmp_path):
+        """``label`` is display provenance, outside the key."""
+        queued = tiny_tasks(n_seeds=1)[0]
+        spec = dataclasses.replace(queued, label="renamed")
+        queue = WorkQueue(tmp_path)
+        ensure_enqueued(queue, [spec], keys=[queued.key()])
+        assert queue.load_task(queued.key()) == spec
+
+    def test_a_spec_queued_with_capture_traces_is_refused(self, tmp_path, monkeypatch):
+        """An older enqueue wrote traced cells with the flag in the spec
+        and the flag in the key; the spec now loads as the plain cell,
+        whose key is another one."""
+        task = tiny_tasks(n_seeds=1)[0]
+        plain = ExperimentTask.to_json_dict
+        monkeypatch.setattr(
+            ExperimentTask, "to_json_dict",
+            lambda self: {**plain(self), "capture_traces": True},
+        )
+        queue = WorkQueue(tmp_path)
+        ensure_enqueued(queue, [task], keys=[traced_key(task)])
+        with pytest.raises(ValueError, match=f"hashes to {task.key()}"):
+            queue.load_task(traced_key(task))
+
+    def test_an_untraced_spec_of_an_older_enqueue_still_loads(self, tmp_path):
+        """Keys of untraced cells never hashed the flag, so they stand."""
+        task = tiny_tasks(n_seeds=1)[0]
+        queue = WorkQueue(tmp_path)
+        (key,) = enqueue(queue, [task])
+        (batch,) = queue.tasks_dir.glob("batch-*.jsonl")
+        assert '"capture_traces"' not in batch.read_text()
+        assert queue.load_task(key) == task
+
+    def test_an_unknown_key_is_not_found(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        enqueue(queue, tiny_tasks(n_seeds=1))
+        with pytest.raises(FileNotFoundError, match="no task spec"):
+            queue.load_task("0" * 24)
+
+
+class TestOlderExecutionContext:
+    """An older enqueue published ``trace_dir``, ``trace_compact`` and
+    ``batch_episodes`` in the queue's meta and the manifest context;
+    workers ignore them and drain."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("trace_dir", "traces"),
+        ("trace_compact", True),
+        ("batch_episodes", 4),
+    ])
+    def test_a_queue_carrying_it_drains(self, tmp_path, name, value):
+        queue = WorkQueue(tmp_path)
+        tasks = tiny_tasks()
+        queue.write_meta(**{name: value})
+        manifest = ensure_enqueued(queue, tasks, context={name: value})
+        assert manifest.context == {name: value}
+        report = make_worker(
+            queue, lambda task: make_result(task.key()), worker_id="w0"
+        ).run()
+        assert report.exit_reason == "drained"
+        assert sorted(report.executed) == sorted(t.key() for t in tasks)
+        assert set(queue.merged_results()) == {t.key() for t in tasks}
 
 
 class TestCellTimeout:
@@ -685,7 +785,7 @@ class TestOnePassDrain:
         queue.leases.try_claim(keys[0], "other")
         worker = make_worker(queue, served(), worker_id="me")
         ops = count_store_ops(worker)
-        assert worker._scan_once({}) is True
+        assert worker._scan_once() is True
         # keys[0]: refused create, then one read; keys[1]: create only.
         assert ops.count("create leases") == 2
         assert ops.count("read leases") == 1 + 1  # + the release's own read

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
+import repro.exp.records as records
 from repro.exp.cache import ResultCache
 from repro.exp.records import (
     ExperimentTask,
@@ -16,6 +18,7 @@ from repro.exp.records import (
 )
 from repro.experiments.harness import ExperimentConfig
 from repro.sim.metrics import MetricReport
+from repro.utils.durable import OK, scan_sealed_jsonl, seal_line
 
 
 def make_task(**overrides) -> ExperimentTask:
@@ -85,11 +88,48 @@ class TestTaskKey:
         assert make_task(label="MLP").key() == make_task().key()
         assert make_task(label="MLP").display_name == "MLP"
 
-    def test_capture_traces_changes_key_only_when_set(self):
-        """A traced cell is a distinct artifact (result + traces), but
-        the default leaves pre-existing untraced keys untouched."""
-        assert make_task(capture_traces=False).key() == make_task().key()
-        assert make_task(capture_traces=True).key() != make_task().key()
+    def test_key_is_pinned(self):
+        """Cached results and queued cells are found by this digest: a
+        change to the task schema that moves it orphans all of them."""
+        assert make_task().key() == "52fcd0aa3b54dcfa633f7ba0"
+
+    def test_a_spec_that_still_says_capture_traces_loads_as_the_plain_cell(self):
+        """A traced cell was keyed with its ``capture_traces`` flag; the
+        spec now loads as the untraced cell, whose key is not the one it
+        was queued under, so ``WorkQueue.load_task`` refuses it."""
+        spec = {**make_task().to_json_dict(), "capture_traces": True}
+        loaded = ExperimentTask.from_json_dict(spec)
+        assert loaded == make_task()
+        assert loaded.key() != "e8e4ad4ead5a1e7931548606"  # its traced key
+
+
+class TestKeyHashedOnce:
+    def test_task_key_runs_once_per_instance(self, monkeypatch):
+        hashed = []
+        real = records.task_key
+        monkeypatch.setattr(
+            records, "task_key", lambda task: hashed.append(task) or real(task)
+        )
+        task = make_task()
+        assert task.key() == task.key() == real(task)
+        assert len(hashed) == 1
+        make_task().key()
+        assert len(hashed) == 2
+
+    def test_copies_hash_to_the_same_key(self):
+        for hashed_first in (False, True):
+            task = make_task(extra=(("prior_weight", 0.5),))
+            if hashed_first:
+                task.key()
+            for copy in (dataclasses.replace(task), pickle.loads(pickle.dumps(task))):
+                assert copy == task
+                assert copy.key() == task_key(task)
+
+    def test_a_replaced_field_is_hashed_afresh(self):
+        task = make_task()
+        task.key()
+        moved = dataclasses.replace(task, seed=8)
+        assert moved.key() == make_task(seed=8).key() != task.key()
 
 
 class TestTaskResultJson:
@@ -112,7 +152,11 @@ class TestTaskResultJson:
         for w in result.workloads:
             assert back.metrics[w].full_dict() == result.metrics[w].full_dict()
 
-    def test_trace_keys_roundtrip_and_legacy_default(self):
+    def test_a_record_still_carrying_trace_keys_decodes_to_an_equal_result(
+        self, tmp_path
+    ):
+        """Cache entries and journal lines once carried ``trace_keys``;
+        they still load, as the result without them."""
         result = TaskResult(
             key="abc",
             method="mrsch",
@@ -120,14 +164,16 @@ class TestTaskResultJson:
             workloads=("S1",),
             metrics={"S1": make_report()},
             wall_time=0.5,
-            trace_keys=("abc_S1",),
         )
-        back = TaskResult.from_json_dict(result.to_json_dict())
-        assert back.trace_keys == ("abc_S1",)
-        # Journals written before trace capture existed still load.
-        legacy = result.to_json_dict()
-        legacy.pop("trace_keys")
-        assert TaskResult.from_json_dict(legacy).trace_keys == ()
+        doc = {**result.to_json_dict(), "trace_keys": ["abc_S1"]}
+        assert TaskResult.decode(json.loads(json.dumps(doc))) == result
+        (tmp_path / "abc.json").write_text(json.dumps(doc))
+        cached = ResultCache(tmp_path).get("abc")
+        assert dataclasses.replace(cached, source="run") == result
+        (line,) = scan_sealed_jsonl(
+            seal_line(json.dumps(doc, sort_keys=True)) + "\n", TaskResult.decode
+        )
+        assert line.verdict == OK and line.value == result
 
     def test_worker_provenance_roundtrips(self):
         result = TaskResult(
@@ -176,7 +222,6 @@ class TestTaskJson:
         task = make_task(
             extra=(("prior_weight", 0.5),),
             label="H",
-            capture_traces=True,
         )
         back = ExperimentTask.from_json_dict(
             json.loads(json.dumps(task.to_json_dict()))

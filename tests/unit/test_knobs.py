@@ -14,10 +14,9 @@ SCENARIO_KEYS = {
     "scenario": {
         "name", "description", "methods", "schedulers", "workloads", "system",
         "seed", "seeds", "replications", "train", "case_study", "goal",
-        "options", "config", "evaluation", "execution",
+        "options", "config", "execution",
     },
     "system": {"name", "nodes", "bb_units"},
-    "evaluation": {"policies", "trace_dir", "bootstrap", "seed", "compact_traces"},
     "execution": {
         "dispatch", "queue_dir", "workers", "lease_ttl", "cell_timeout_s", "supervise",
     },

@@ -13,9 +13,9 @@ condition is deleted: single-candidate
 (``test_one_candidate_is_forced_without_the_network``), margin
 (``test_near_tie_in_the_prior_is_left_to_the_network`` and the
 property), ``prior_weight > 0``
-(``test_pure_dfp_scores_every_multi_candidate_window``), recorder
-(``test_a_recorder_sees_the_scores_of_every_decision``), training
-(``test_training_skips_only_the_forward``).
+(``test_pure_dfp_scores_every_multi_candidate_window``), training
+(``test_training_skips_only_the_forward``). The oracle itself has one
+(``test_the_oracle_scores_every_decision``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.cluster.resources import (
 from repro.core.encoding import IncrementalStateEncoder
 from repro.core.mrsch import MRSchScheduler
 from repro.core.prior import DFP_TIEBREAK_SCALE
-from repro.eval.recorder import DecisionTraceRecorder
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.jobqueue import JobQueue
 from repro.sched.scalar_rl import ScalarRLScheduler
@@ -225,12 +224,19 @@ def test_pure_dfp_scores_every_multi_candidate_window(
     assert calls["encode"] == 1 and sched.decisions_scored == 1
 
 
-def test_a_recorder_sees_the_scores_of_every_decision(tiny_system, calls):
-    """Tracing turns the rule off: one-candidate and clear-lead windows
-    are encoded and scored, and the trace carries state, prior and
-    combined scores for each."""
-    sched = small_mrsch(tiny_system)
-    sched.decision_recorder = DecisionTraceRecorder()
+def test_the_oracle_scores_every_decision(tiny_system, calls):
+    """The oracle turns the rule off: one-candidate and clear-lead
+    windows are encoded and scored, each with its state, prior and
+    scores."""
+    sched = as_oracle(small_mrsch(tiny_system))
+    decided = []
+    apply = sched._apply_decision
+
+    def spy(window, ctx, staged, scores):
+        decided.append((staged, scores))
+        return apply(window, ctx, staged, scores)
+
+    sched._apply_decision = spy
     pool = ResourcePool(tiny_system)
     pool.allocate(make_job(job_id=99, nodes=12), now=0.0)
     for window in (
@@ -239,9 +245,9 @@ def test_a_recorder_sees_the_scores_of_every_decision(tiny_system, calls):
     ):
         ctx = make_ctx(tiny_system, pool, window)
         sched.select(window, ctx)
-        features = sched.decision_features(window, ctx)
-        assert features["state"].shape == (sched.encoder.state_dim,)
-        assert features["prior"] is not None and features["scores"] is not None
+        (state, _, _, prior, _), scores = decided[-1]
+        assert state.shape == (sched.encoder.state_dim,)
+        assert prior is not None and scores is not None
     assert calls == {"encode": 2, "forward": 2}
     assert sched.decisions_scored == 2
 

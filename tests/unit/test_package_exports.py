@@ -133,3 +133,90 @@ class TestVersion:
         assert "version" in config["project"]["dynamic"]
         dynamic = config["tool"]["setuptools"]["dynamic"]
         assert dynamic["version"] == {"attr": "repro.__version__"}
+
+
+def _refuses(call) -> None:
+    with pytest.raises(TypeError, match="unexpected keyword|positional argument"):
+        call()
+
+
+class TestOfflineRescoringIsGone:
+    """The trace recorder, store, offline policies and evaluator were
+    deleted whole; live replays count the decisions the network overrules
+    (``decisions_overruled``) instead. Nothing of their surface is left
+    for a caller to reach half of."""
+
+    @pytest.mark.parametrize("module", ["evaluator", "policies", "recorder", "trace"])
+    def test_its_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.eval.{module}")
+
+    def test_repro_eval_holds_only_the_statistics(self):
+        import repro.eval
+        import repro.eval.stats
+
+        package = Path(repro.eval.__file__).parent
+        assert sorted(p.name for p in package.glob("*.py")) == ["__init__.py", "stats.py"]
+        for name in repro.eval.__all__:
+            assert getattr(repro.eval, name) is getattr(repro.eval.stats, name)
+
+    @pytest.mark.parametrize("module,name", [
+        ("repro.api", "evaluate_traces"),
+        ("repro.api.facade", "evaluate_traces"),
+    ])
+    def test_its_functions_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("method", ["mrsch", "heuristic"])
+    def test_a_scheduler_carries_no_recorder(self, method):
+        from repro.experiments.harness import ExperimentConfig, make_method
+
+        config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=15, window_size=5)
+        sched = make_method(method, config.system(), config)
+        for name in ("decision_recorder", "decision_features", "_last_scores",
+                     "_last_features"):
+            assert not hasattr(sched, name), name
+
+    def test_a_scenario_result_has_no_evaluation(self):
+        import dataclasses
+
+        from repro.api import ScenarioResult
+
+        fields = {f.name for f in dataclasses.fields(ScenarioResult)}
+        assert fields == {"scenario", "tasks", "results", "reports"}
+
+    @pytest.mark.parametrize("keyword", [
+        "ExperimentTask.capture_traces",
+        "TaskResult.trace_keys",
+        "ExperimentRunner.trace_dir",
+        "ExperimentRunner.trace_compact",
+        "dispatch_tasks.trace_dir",
+        "run_scenario.trace_dir",
+    ])
+    def test_its_keywords_are_refused(self, keyword, tmp_path):
+        from repro.api import run_scenario
+        from repro.dist import dispatch_tasks
+        from repro.exp import ExperimentRunner
+        from repro.exp.records import ExperimentTask, TaskResult
+
+        owner, name = keyword.split(".")
+        calls = {
+            "ExperimentTask": lambda: ExperimentTask(
+                "fcfs", ("S1",), 0, None, **{name: True}
+            ),
+            "TaskResult": lambda: TaskResult(
+                "k", "fcfs", 0, ("S1",), {}, 0.0, **{name: ()}
+            ),
+            "ExperimentRunner": lambda: ExperimentRunner(**{name: tmp_path}),
+            "dispatch_tasks": lambda: dispatch_tasks(tmp_path, [], **{name: tmp_path}),
+            "run_scenario": lambda: run_scenario({}, **{name: tmp_path}),
+        }
+        _refuses(calls[owner])
+        assert not any(tmp_path.iterdir())
+
+    def test_execute_task_takes_the_task_alone(self):
+        import inspect
+
+        from repro.exp.tasks import execute_task
+
+        assert list(inspect.signature(execute_task).parameters) == ["task"]

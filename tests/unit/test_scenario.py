@@ -262,8 +262,6 @@ MALFORMED = [
     ("bb_heavy_mix", ("config", "curriculum_sets", 1), 1e400,
      r"curriculum_sets\[1\] must be finite"),
     ("smoke", ("config", "mean_interarrival"), "", "mean_interarrival must be"),
-    ("offline_eval", ("evaluation", "policies"), [{}],
-     "policies must be a non-empty list of names"),
     ("power_aware_goals", ("goal", "weights", "node"), float("nan"),
      "goal.weights.node must be finite"),
     ("bb_heavy_mix", ("config", "ga", "generations"), float("inf"),
@@ -285,6 +283,8 @@ MALFORMED = [
      "config.curriculum_sets must be 3 non-negative ints"),
     ("bb_heavy_mix", ("config", "curriculum_sets"), [True, 1, 1],
      "config.curriculum_sets must be 3 non-negative ints"),
+    # the offline re-scoring block is gone: an unknown field like any other
+    ("smoke", ("evaluation",), {}, r"unknown scenario field\(s\) \['evaluation'\]"),
 ]
 
 
@@ -322,7 +322,7 @@ json_values = st.recursive(
 
 class TestMalformedDocuments:
     def test_examples_load(self):
-        assert len(EXAMPLES) == 5
+        assert len(EXAMPLES) == 4
         for doc in EXAMPLES.values():
             Scenario.from_dict(doc)
 
@@ -380,10 +380,6 @@ SCALAR_KINDS = {
         "curriculum_sets": lambda v: isinstance(v, list) and len(v) == 3
         and all(is_int(n) and n >= 0 for n in v),
     },
-    "evaluation": {
-        "policies": lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v),
-        "trace_dir": str, "bootstrap": is_int, "seed": is_int, "compact_traces": bool,
-    },
     "execution": {
         "dispatch": str, "queue_dir": str, "workers": is_int, "lease_ttl": is_number,
         "cell_timeout_s": is_number, "supervise": bool,
@@ -403,58 +399,9 @@ def assert_well_typed(scenario: Scenario) -> None:
     for section, kinds in SCALAR_KINDS.items():
         for key, value in getattr(scenario, section).items():
             # null reads as "not given" where the section allows it
-            assert (value is None and section in ("system", "evaluation", "execution")
+            assert (value is None and section in ("system", "execution")
                     and key not in ("name", "dispatch", "supervise")
                     ) or has_kind(value, kinds[key]), (section, key, value)
-
-
-class TestEvaluationBlock:
-    def test_valid_block_accepted_and_enables_capture(self):
-        s = Scenario.from_dict(
-            tiny_dict(evaluation={"policies": ["fcfs", "shortest_job"],
-                                  "trace_dir": "traces", "bootstrap": 200,
-                                  "seed": 1})
-        )
-        tasks = s.compile()
-        assert all(t.capture_traces for t in tasks)
-
-    def test_absent_block_leaves_capture_off(self):
-        tasks = Scenario.from_dict(tiny_dict()).compile()
-        assert all(not t.capture_traces for t in tasks)
-
-    def test_unknown_evaluation_field(self):
-        with pytest.raises(ValueError, match="unknown evaluation field.*'polices'"):
-            Scenario.from_dict(tiny_dict(evaluation={"polices": ["fcfs"]}))
-
-    def test_unknown_policy_name(self):
-        with pytest.raises(ValueError, match="unknown eval policy 'slurm'"):
-            Scenario.from_dict(tiny_dict(evaluation={"policies": ["slurm"]}))
-
-    def test_empty_policies_rejected(self):
-        with pytest.raises(ValueError, match="non-empty list"):
-            Scenario.from_dict(tiny_dict(evaluation={"policies": []}))
-
-    def test_bad_bootstrap_rejected(self):
-        with pytest.raises(ValueError, match="bootstrap must be a positive int"):
-            Scenario.from_dict(
-                tiny_dict(evaluation={"policies": ["fcfs"], "bootstrap": 0})
-            )
-
-    def test_bad_trace_dir_rejected(self):
-        with pytest.raises(ValueError, match="trace_dir"):
-            Scenario.from_dict(
-                tiny_dict(evaluation={"policies": ["fcfs"], "trace_dir": ""})
-            )
-
-    def test_block_roundtrips_and_hashes(self):
-        data = tiny_dict(evaluation={"policies": ["fcfs", "prior"]})
-        s = Scenario.from_dict(data)
-        assert Scenario.from_dict(s.to_dict()) == s
-        assert s.config_hash() != Scenario.from_dict(tiny_dict()).config_hash()
-
-    def test_capture_only_block_without_policies(self):
-        s = Scenario.from_dict(tiny_dict(evaluation={"trace_dir": "traces"}))
-        assert all(t.capture_traces for t in s.compile())
 
 
 class TestSerialization:
