@@ -31,8 +31,9 @@ KNOBS = (
     ("scenario", "methods", None, None),
     ("scenario", "schedulers", None, None),  # alias of methods
     ("scenario", "workloads", None, None),
-    ("scenario ExperimentConfig", "seed", "int", None),
-    ("scenario?", "seeds", "ints", None),
+    # NumPy's generators take non-negative seeds only
+    ("scenario ExperimentConfig", "seed", "int", "non-negative"),
+    ("scenario?", "seeds", "ints", "non-negative"),
     ("scenario", "replications", "int", "positive"),
     ("scenario", "train", "bool", None),
     ("scenario?", "case_study", "bool", None),

@@ -26,6 +26,7 @@ experience-replay buffer, with an ε-greedy behaviour policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +102,8 @@ class DFPConfig:
             raise ValueError("epsilon_decay must be in (0, 1]")
         if self.batch_size < 1 or self.train_batches_per_episode < 0:
             raise ValueError("batch_size must be >= 1 and train_batches_per_episode >= 0")
-        if self.lr <= 0 or self.grad_clip <= 0:
-            raise ValueError("lr and grad_clip must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.grad_clip < math.inf):
+            raise ValueError("lr and grad_clip must be positive and finite")
         if self.action_stream not in ("shared", "dense"):
             raise ValueError("action_stream must be 'shared' or 'dense'")
         if self.action_stream == "shared":

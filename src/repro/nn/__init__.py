@@ -1,11 +1,12 @@
 """A small, self-contained NumPy neural-network library.
 
 This package replaces the TensorFlow dependency of the original MRSch
-implementation. It provides exactly the building blocks the paper needs —
-fully-connected and 1-D convolutional layers, leaky-rectifier activations,
-mean-squared-error training with Adam — implemented with explicit
-forward/backward passes and verified against finite differences in the
-test suite.
+implementation. It provides exactly the building blocks the paper's
+three networks train with — the §III-A DFP agent, its Fig. 3 CNN state
+module and the scalar-RL baseline: fully-connected and 1-D convolutional
+layers, the leaky rectifier, mean-squared error and Adam — implemented
+with explicit forward/backward passes and verified against finite
+differences in the test suite.
 
 Layout
 ------
@@ -14,9 +15,9 @@ Layout
 ``network``
     :class:`Sequential` container chaining layers.
 ``losses``
-    MSE / Huber / cross-entropy losses returning (value, gradient).
+    The MSE loss, returning (value, gradient).
 ``optim``
-    SGD, Momentum, RMSProp and Adam optimizers.
+    Adam, on the block-sweep :class:`Optimizer` base.
 ``init``
     He-normal weight initialisation (every weighted layer's draw).
 ``serialize``
@@ -24,44 +25,21 @@ Layout
 """
 
 from repro.nn.init import he_init
-from repro.nn.layers import (
-    Conv1D,
-    Dense,
-    Dropout,
-    Flatten,
-    Layer,
-    LeakyReLU,
-    MaxPool1D,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
-from repro.nn.losses import cross_entropy_loss, huber_loss, mse_loss
+from repro.nn.layers import Conv1D, Dense, Flatten, Layer, LeakyReLU
+from repro.nn.losses import mse_loss
 from repro.nn.network import Sequential
-from repro.nn.optim import SGD, Adam, Momentum, Optimizer, RMSProp
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.serialize import load_params, save_params
 
 __all__ = [
     "Layer",
     "Dense",
     "Conv1D",
-    "MaxPool1D",
     "Flatten",
-    "Dropout",
-    "ReLU",
     "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
     "Sequential",
     "mse_loss",
-    "huber_loss",
-    "cross_entropy_loss",
     "Optimizer",
-    "SGD",
-    "Momentum",
-    "RMSProp",
     "Adam",
     "he_init",
     "save_params",

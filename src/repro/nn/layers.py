@@ -38,14 +38,8 @@ __all__ = [
     "Dense",
     "SlotDense",
     "Conv1D",
-    "MaxPool1D",
     "Flatten",
-    "Dropout",
-    "ReLU",
     "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softmax",
 ]
 
 
@@ -313,42 +307,6 @@ class Conv1D(Layer):
         return grad_x
 
 
-class MaxPool1D(Layer):
-    """Non-overlapping max pooling over ``(B, L, C)``.
-
-    Sequence length must be divisible by ``pool_size``; callers pad or
-    size their feature maps accordingly.
-    """
-
-    def __init__(self, pool_size: int = 2) -> None:
-        super().__init__()
-        if pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-        self.pool_size = pool_size
-        self._mask: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        batch, length, channels = x.shape
-        if length % self.pool_size != 0:
-            raise ValueError(
-                f"length {length} not divisible by pool_size {self.pool_size}"
-            )
-        self._x_shape = x.shape
-        windows = x.reshape(batch, length // self.pool_size, self.pool_size, channels)
-        out = windows.max(axis=2)
-        self._mask = windows == out[:, :, None, :]
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        # Distribute gradient to every argmax position (ties share).
-        counts = self._mask.sum(axis=2, keepdims=True)
-        grad = self._mask * (grad_out[:, :, None, :] / counts)
-        return grad.reshape(self._x_shape)
-
-
 class Flatten(Layer):
     """Collapse all trailing dimensions into one feature axis."""
 
@@ -366,62 +324,26 @@ class Flatten(Layer):
         return grad_out.reshape(self._x_shape)
 
 
-class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, rate: float = 0.5, rng: np.random.Generator | int | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = as_generator(rng)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
-class ReLU(Layer):
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
-
-
 class LeakyReLU(Layer):
-    """Leaky rectifier used by the MRSch state module (paper §III-A)."""
+    """Leaky rectifier used by the MRSch state module (paper §III-A).
+
+    ``alpha`` must be in [0, 1]: there the rectifier is ``max(x, αx)``
+    and its slope ``max(x > 0, α)``, the forms the training and
+    workspace passes compute.
+    """
 
     def __init__(self, alpha: float = 0.01) -> None:
         super().__init__()
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.alpha > 1.0:
+        if not training:
             self._mask = x > 0
             return np.where(self._mask, x, self.alpha * x)
         self._mask = np.greater(x, 0, out=self._buffer("mask", x.shape, bool))
-        # max(x, αx) is the leaky rectifier for α ≤ 1 (see ``infer``).
         out = self._buffer("out", x.shape)
         np.multiply(x, self.alpha, out=out)
         return np.maximum(x, out, out=out)
@@ -429,69 +351,16 @@ class LeakyReLU(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        if self.alpha > 1.0:
-            return grad_out * np.where(self._mask, 1.0, self.alpha)
         # The slope, branch-free: max(mask, α) is 1 where x > 0 and α
-        # elsewhere, exactly, for α ≤ 1.
+        # elsewhere.
         grad_in = self._buffer("grad_in", grad_out.shape)
         np.maximum(self._mask, self.alpha, out=grad_in)
         return np.multiply(grad_out, grad_in, out=grad_in)
 
     def infer(self, x: np.ndarray, workspace=None, key=None) -> np.ndarray:
-        if workspace is None or self.alpha > 1.0:
-            # max(x, αx) only equals the leaky rectifier for α ≤ 1.
+        if workspace is None:
             return np.where(x > 0, x, self.alpha * x)
         out = workspace.buffer(key, x.shape)
         np.multiply(x, self.alpha, out=out)
         np.maximum(x, out, out=out)
         return out
-
-
-class Tanh(Layer):
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._y**2)
-
-
-class Sigmoid(Layer):
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._y * (1.0 - self._y)
-
-
-class Softmax(Layer):
-    """Row-wise softmax; backward applies the full Jacobian product."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        self._y = exp / exp.sum(axis=-1, keepdims=True)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        dot = (grad_out * self._y).sum(axis=-1, keepdims=True)
-        return self._y * (grad_out - dot)

@@ -1,16 +1,15 @@
-"""Loss functions returning ``(value, gradient_wrt_prediction)``.
+"""The training loss, returning ``(value, gradient_wrt_prediction)``.
 
 MRSch trains the DFP network with mean-squared error between predicted
 and realised future-measurement changes (paper Fig. 4 reports the MSE
-loss). Huber and cross-entropy are provided for the baselines and for
-robustness experiments.
+loss).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse_loss", "huber_loss", "cross_entropy_loss"]
+__all__ = ["mse_loss"]
 
 
 def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
@@ -31,32 +30,4 @@ def mse_loss(
         denom = float(diff.size) or 1.0
     value = float((diff**2).sum() / denom)
     grad = 2.0 * diff / denom
-    return value, grad
-
-
-def huber_loss(
-    pred: np.ndarray, target: np.ndarray, delta: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Huber loss — quadratic near zero, linear in the tails."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    _check_shapes(pred, target)
-    diff = pred - target
-    abs_diff = np.abs(diff)
-    quad = abs_diff <= delta
-    value = float(
-        np.mean(np.where(quad, 0.5 * diff**2, delta * (abs_diff - 0.5 * delta)))
-    )
-    grad = np.where(quad, diff, delta * np.sign(diff)) / diff.size
-    return value, grad
-
-
-def cross_entropy_loss(
-    probs: np.ndarray, targets: np.ndarray, eps: float = 1e-12
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy against one-hot (or soft) targets on probability rows."""
-    _check_shapes(probs, targets)
-    clipped = np.clip(probs, eps, 1.0)
-    value = float(-(targets * np.log(clipped)).sum() / probs.shape[0])
-    grad = -(targets / clipped) / probs.shape[0]
     return value, grad

@@ -1,4 +1,5 @@
-"""First-order optimizers operating on layer parameter dicts.
+"""Adam, the one optimizer the paper's networks train with, on the
+block-sweep base :class:`Optimizer`.
 
 An optimizer is bound to a list of layers; ``step()`` reads the
 gradients the last backward pass wrote into each layer's ``grads`` and
@@ -22,9 +23,9 @@ import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["Optimizer", "SGD", "Momentum", "RMSProp", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
-#: Elements per block of the update sweep. An update makes up to 14
+#: Elements per block of the update sweep. Adam's update makes 14
 #: elementwise passes over parameter, gradient, moments and scratch; at
 #: 128 KiB an array the six of them stay in L2 from the first pass to
 #: the last instead of streaming a multi-megabyte tensor through memory
@@ -45,14 +46,14 @@ class Optimizer:
     per-parameter state it keeps in ``_state``."""
 
     def __init__(self, layers: list[Layer], lr: float = 1e-3) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.layers = list(layers)
         self.lr = lr
         #: ``step()`` calls so far
         self.steps = 0
-        #: one ``{parameter key: array}`` dict per kind of state (moments,
-        #: velocity); entries appear, as zeros, at the first step or clip
+        #: one ``{parameter key: array}`` dict per kind of state (Adam's
+        #: two moments); entries appear, as zeros, at the first step or clip
         self._state: tuple[dict[str, np.ndarray], ...] = ()
         self._built: tuple[list, list] | None = None
 
@@ -99,8 +100,8 @@ class Optimizer:
     def clip_gradients(self, max_norm: float) -> float:
         """Global-norm gradient clipping; returns the pre-clip norm. A
         non-finite norm raises: a step would write NaN into every weight."""
-        if max_norm <= 0:
-            raise ValueError("max_norm must be positive")
+        if not 0 < max_norm < math.inf:
+            raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
         tensors = self._views()[0]
         total = 0.0
         for *_, grad, squares in tensors:
@@ -113,62 +114,6 @@ class Optimizer:
             for *_, grad, squares in tensors:
                 grad *= scale
         return norm
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def _update(self, param, grad, a, b) -> None:
-        np.multiply(grad, self.lr, out=a)
-        param -= a
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, layers: list[Layer], lr: float = 1e-3, momentum: float = 0.9) -> None:
-        super().__init__(layers, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity: dict[str, np.ndarray] = {}
-        self._state = (self._velocity,)
-
-    def _update(self, param, grad, vel, a, b) -> None:
-        vel *= self.momentum
-        np.multiply(grad, self.lr, out=a)
-        vel -= a
-        param += vel
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponentially-decayed squared-gradient scaling."""
-
-    def __init__(
-        self,
-        layers: list[Layer],
-        lr: float = 1e-3,
-        decay: float = 0.99,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(layers, lr)
-        if not 0.0 < decay < 1.0:
-            raise ValueError("decay must be in (0, 1)")
-        self.decay = decay
-        self.eps = eps
-        self._cache: dict[str, np.ndarray] = {}
-        self._state = (self._cache,)
-
-    def _update(self, param, grad, cache, a, b) -> None:
-        cache *= self.decay
-        np.square(grad, out=a)
-        a *= 1.0 - self.decay
-        cache += a
-        np.multiply(grad, self.lr, out=a)
-        np.sqrt(cache, out=b)
-        b += self.eps
-        a /= b
-        param -= a
 
 
 class Adam(Optimizer):
@@ -185,6 +130,8 @@ class Adam(Optimizer):
         super().__init__(layers, lr)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps

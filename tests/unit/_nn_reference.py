@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.dfp import DFPAgent, DFPNetwork
 from repro.nn.layers import Dense, LeakyReLU, SlotDense
 from repro.nn.losses import mse_loss
-from repro.nn.optim import SGD, Adam, Momentum, RMSProp
+from repro.nn.optim import Adam
 
 __all__ = [
     "ReferenceDense",
@@ -49,7 +49,6 @@ __all__ = [
     "concatenated_rows",
     "as_reference",
     "as_concatenating",
-    "whole_tensor_update",
     "zero_grads",
 ]
 
@@ -175,25 +174,6 @@ def zero_grads(layers) -> None:
     for layer in layers:
         for grad in layer.grads.values():
             grad[...] = 0.0
-
-
-def whole_tensor_update(optimizer, state: dict, param: np.ndarray, grad: np.ndarray) -> None:
-    """One SGD / Momentum / RMSProp update of ``param`` as the textbook
-    whole-tensor expression; ``state`` holds the velocity or cache."""
-    if isinstance(optimizer, SGD):
-        param -= optimizer.lr * grad
-    elif isinstance(optimizer, Momentum):
-        vel = state.setdefault("velocity", np.zeros_like(param))
-        vel *= optimizer.momentum
-        vel -= optimizer.lr * grad
-        param += vel
-    elif isinstance(optimizer, RMSProp):
-        cache = state.setdefault("cache", np.zeros_like(param))
-        cache *= optimizer.decay
-        cache += (1.0 - optimizer.decay) * grad**2
-        param -= optimizer.lr * grad / (np.sqrt(cache) + optimizer.eps)
-    else:
-        raise TypeError(f"no whole-tensor reference for {type(optimizer).__name__}")
 
 
 class ReferenceDFPNetwork(DFPNetwork):

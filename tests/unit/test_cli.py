@@ -165,6 +165,31 @@ class TestMalformedScenarioFile:
         assert err.startswith("repro run: error: ") and err.count("\n") == 1
 
 
+class TestNegativeSeed:
+    """NumPy's generators take non-negative seeds only; a negative one
+    once passed validation and then failed inside every cell."""
+
+    SMOKE = str(Path(__file__).resolve().parents[2] / "examples" / "scenarios" / "smoke.json")
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["inline", "queue"])
+    def test_run_seed_is_one_error_line_naming_seed(self, queued, tmp_path, capsys):
+        queue = tmp_path / "q"
+        flags = ["--queue", str(queue), "--workers", "2"] if queued else []
+        assert main(["run", self.SMOKE, "--seed", "-5", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == "repro run: error: scenario.seed must be a non-negative int, got -5\n"
+        assert not any(queue.glob("failed/*"))
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--seed", "-2"], "ExperimentConfig.seed"),
+        (["--seeds", "-1", "3"], "scenario.seeds"),
+    ])
+    def test_compare_seed_is_one_error_line_naming_seed(self, argv, field, capsys):
+        assert main(["compare", "--methods", "heuristic", "--workloads", "S1", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro compare: error: {field} must be") and err.count("\n") == 1
+
+
 class TestCompare:
     def test_inline_grid(self, capsys):
         code = main(

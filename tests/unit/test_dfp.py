@@ -100,7 +100,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("batch_size", 0), ("batch_size", -3), ("train_batches_per_episode", -1),
-         ("lr", 0.0), ("lr", -1e-3), ("grad_clip", 0.0), ("grad_clip", -1.0)],
+         ("lr", 0.0), ("lr", -1e-3), ("grad_clip", 0.0), ("grad_clip", -1.0),
+         # a NaN grad_clip once switched clipping off: norm > nan is false
+         ("lr", float("nan")), ("lr", float("inf")),
+         ("grad_clip", float("nan")), ("grad_clip", float("inf"))],
     )
     def test_training_sizes_validated(self, field, value):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ class TestExperimentConfigValidation:
             ExperimentConfig(**{field: value})
 
     def test_seed_must_be_int(self):
-        with pytest.raises(ValueError, match="seed must be an int"):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
             ExperimentConfig(seed="2022")
 
     def test_mean_interarrival_positive(self):

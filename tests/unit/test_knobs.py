@@ -67,6 +67,7 @@ class TestKindRule:
         ("scenario", "seeds", [1, False]),
         ("config", "curriculum_sets", (1, 1, 1, 1)),
         ("work", "poll", float("inf")),
+        ("ExperimentConfig", "seed", -3),  # NumPy's generators refuse it
     ])
     def test_rejects(self, section, key, value):
         with pytest.raises(ValueError, match=f"{key} must be"):

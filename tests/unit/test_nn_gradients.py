@@ -20,18 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import (
-    Conv1D,
-    Dense,
-    Flatten,
-    LeakyReLU,
-    MaxPool1D,
-    ReLU,
-    Sigmoid,
-    SlotDense,
-    Softmax,
-    Tanh,
-)
+from repro.nn.layers import Conv1D, Dense, Flatten, LeakyReLU, SlotDense
 from repro.core.dfp import DFPAgent, DFPConfig, DFPNetwork, Experience
 from repro.nn.network import InferenceWorkspace, Sequential
 from repro.sched.scalar_rl import ScalarRLScheduler
@@ -113,22 +102,12 @@ class TestLayerGradients:
         check_input_grad(layer, x)
         check_param_grads(layer, x)
 
-    @pytest.mark.parametrize(
-        "layer_factory",
-        [ReLU, lambda: LeakyReLU(0.07), Tanh, Sigmoid, Softmax],
-        ids=["relu", "leaky", "tanh", "sigmoid", "softmax"],
-    )
-    def test_activation_gradients(self, layer_factory, rng):
-        layer = layer_factory()
-        # Offset from 0 to dodge the ReLU kink where FD is ill-defined.
+    @pytest.mark.parametrize("alpha", [0.0, 0.07, 1.0], ids=["flat", "leaky", "identity"])
+    def test_activation_gradients(self, alpha, rng):
+        layer = LeakyReLU(alpha)
+        # Offset from 0 to dodge the kink where FD is ill-defined.
         x = rng.normal(size=(4, 6)) + 0.3 * np.sign(rng.normal(size=(4, 6)))
         x[np.abs(x) < 0.05] = 0.1
-        check_input_grad(layer, x)
-
-    def test_maxpool_gradient(self, rng):
-        layer = MaxPool1D(2)
-        # Distinct values avoid argmax ties, which break FD.
-        x = rng.permutation(24).reshape(2, 6, 2).astype(float)
         check_input_grad(layer, x)
 
     def test_flatten_gradient(self, rng):
@@ -140,7 +119,7 @@ class TestLayerGradients:
 class TestNetworkGradients:
     def test_mlp_end_to_end(self, rng):
         net = Sequential(
-            [Dense(5, 8, rng=rng), LeakyReLU(0.1), Dense(8, 3, rng=rng), Tanh()]
+            [Dense(5, 8, rng=rng), LeakyReLU(0.1), Dense(8, 3, rng=rng), LeakyReLU(0.3)]
         )
         x = rng.normal(size=(4, 5))
         w = rng.normal(size=(4, 3))

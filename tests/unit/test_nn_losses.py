@@ -1,9 +1,9 @@
-"""Tests for loss functions: values, gradients, masking."""
+"""Tests for the MSE loss: values, gradients, masking."""
 
 import numpy as np
 import pytest
 
-from repro.nn.losses import cross_entropy_loss, huber_loss, mse_loss
+from repro.nn.losses import mse_loss
 
 
 class TestMSE:
@@ -45,43 +45,3 @@ class TestMSE:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse_loss(np.zeros((1, 2)), np.zeros((2, 1)))
-
-
-class TestHuber:
-    def test_quadratic_region_equals_half_mse(self):
-        pred = np.array([[0.5]])
-        target = np.array([[0.0]])
-        loss, grad = huber_loss(pred, target, delta=1.0)
-        assert loss == pytest.approx(0.125)
-        assert grad[0, 0] == pytest.approx(0.5)
-
-    def test_linear_region_bounded_gradient(self):
-        pred = np.array([[10.0]])
-        target = np.array([[0.0]])
-        _, grad = huber_loss(pred, target, delta=1.0)
-        assert abs(grad[0, 0]) == pytest.approx(1.0)
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            huber_loss(np.zeros((1, 1)), np.zeros((1, 1)), delta=0.0)
-
-
-class TestCrossEntropy:
-    def test_perfect_prediction_near_zero(self):
-        probs = np.array([[1.0, 0.0]])
-        targets = np.array([[1.0, 0.0]])
-        loss, _ = cross_entropy_loss(probs, targets)
-        assert loss == pytest.approx(0.0, abs=1e-9)
-
-    def test_known_value(self):
-        probs = np.array([[0.5, 0.5]])
-        targets = np.array([[1.0, 0.0]])
-        loss, _ = cross_entropy_loss(probs, targets)
-        assert loss == pytest.approx(np.log(2))
-
-    def test_gradient_direction(self):
-        probs = np.array([[0.3, 0.7]])
-        targets = np.array([[1.0, 0.0]])
-        _, grad = cross_entropy_loss(probs, targets)
-        assert grad[0, 0] < 0  # increase prob of true class to lower loss
-        assert grad[0, 1] == 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, LeakyReLU, Tanh
+from repro.nn.layers import Dense, LeakyReLU
 from repro.nn.network import Sequential
 from repro.nn.serialize import load_params, save_params
 
@@ -11,7 +11,7 @@ from repro.nn.serialize import load_params, save_params
 def build_net(seed: int = 0) -> Sequential:
     rng = np.random.default_rng(seed)
     return Sequential(
-        [Dense(4, 8, rng=rng), LeakyReLU(0.1), Dense(8, 2, rng=rng), Tanh()]
+        [Dense(4, 8, rng=rng), LeakyReLU(0.1), Dense(8, 2, rng=rng), LeakyReLU(0.3)]
     )
 
 

@@ -220,3 +220,25 @@ class TestOfflineRescoringIsGone:
         from repro.exp.tasks import execute_task
 
         assert list(inspect.signature(execute_task).parameters) == ["task"]
+
+
+class TestNnKeepsWhatThePaperTrains:
+    """``repro.nn`` holds the layers, loss and optimizer the paper's three
+    networks train with — the DFP agent, its CNN state module and the
+    scalar-RL baseline — and nothing else."""
+
+    def test_nn_exports_exactly_these_names(self):
+        import repro.nn
+
+        assert sorted(repro.nn.__all__) == sorted([
+            "Layer", "Dense", "Conv1D", "Flatten", "LeakyReLU", "Sequential",
+            "mse_loss", "Optimizer", "Adam", "he_init", "save_params", "load_params",
+        ])
+
+    @pytest.mark.parametrize("name", [
+        "SGD", "Momentum", "RMSProp", "MaxPool1D", "Dropout", "ReLU", "Tanh",
+        "Sigmoid", "Softmax", "huber_loss", "cross_entropy_loss",
+    ])
+    def test_removed_component_is_gone(self, name):
+        for module in ("repro.nn", "repro.nn.layers", "repro.nn.optim", "repro.nn.losses"):
+            assert not hasattr(importlib.import_module(module), name), module

@@ -276,9 +276,12 @@ MALFORMED = [
     ("smoke", ("replications",), True, "scenario.replications must be a positive int"),
     ("smoke", ("name",), 5, "scenario.name must be a string"),
     ("smoke", ("description",), ["x"], "scenario.description must be a string"),
-    ("smoke", ("seeds",), [1.5, 2], "scenario.seeds must be a list of ints"),
-    ("smoke", ("seeds",), ["3", 4], "scenario.seeds must be a list of ints"),
-    ("smoke", ("seeds",), [True, 5], "scenario.seeds must be a list of ints"),
+    ("smoke", ("seeds",), [1.5, 2], "scenario.seeds must be a list of non-negative ints"),
+    ("smoke", ("seeds",), ["3", 4], "scenario.seeds must be a list of non-negative ints"),
+    ("smoke", ("seeds",), [True, 5], "scenario.seeds must be a list of non-negative ints"),
+    # NumPy's generators refuse these in every cell
+    ("smoke", ("seed",), -1, "scenario.seed must be a non-negative int"),
+    ("smoke", ("seeds",), [-1, 3], "scenario.seeds must be a list of non-negative ints"),
     ("bb_heavy_mix", ("config", "curriculum_sets"), [1.5, 1, 1],
      "config.curriculum_sets must be 3 non-negative ints"),
     ("bb_heavy_mix", ("config", "curriculum_sets"), [True, 1, 1],
