@@ -53,7 +53,7 @@ import json
 import sys
 from collections.abc import Sequence
 
-from repro.api.knobs import check_knobs, knob_keys
+from repro.api.knobs import FLAG_SECTIONS, check_knobs, knob_keys
 from repro.api.registry import SCHEDULERS, SYSTEMS, WORKLOADS
 
 __all__ = ["main", "build_parser"]
@@ -399,8 +399,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
     from repro.dist import QueueWorker, StoreUnavailable, WorkQueue
     from repro.obs.logbridge import configure_stderr_logging
 
-    # Numeric flags are checked before any worker starts, inline or supervised.
-    check_knobs("work", {key: getattr(args, key) for key in knob_keys("work")})
     configure_stderr_logging(verbose=args.verbose, quiet=args.quiet)
     if args.telemetry is not None:
         import repro.obs as obs
@@ -530,8 +528,6 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
     if args.watch is None:
         show(queue.status())
         return 0
-    if args.watch <= 0:
-        raise ValueError("--watch interval must be positive seconds")
     clear = sys.stdout.isatty() and not args.json
     while True:
         status = queue.status()
@@ -613,6 +609,10 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in FLAG_SECTIONS:
+            # Numeric flags are checked before any queue opens or worker starts.
+            section = args.command
+            check_knobs(section, {key: getattr(args, key) for key in knob_keys(section)})
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         message = exc.args[0] if exc.args else str(exc)

@@ -1,13 +1,14 @@
 """One declaration per knob: the kind and range of every scalar that
-shapes a study, read by the scenario, ``ExperimentConfig`` and ``repro work``.
+shapes a study, read by the scenario, ``ExperimentConfig`` and the queue
+commands' flags.
 
 A row of :data:`KNOBS` is ``(sections, key, kind, domain[, size])``:
 
 * ``sections`` — where the key is accepted: the scenario's top level
   (``scenario``), its ``system`` / ``config`` / ``execution`` sections,
-  the ``ExperimentConfig`` fields, or the ``repro work`` flags
-  (``work``, keyed by argparse dest). A trailing ``?`` lets ``None``
-  stand for "not given" in that section.
+  the ``ExperimentConfig`` fields, or the numeric flags of a CLI command
+  in :data:`FLAG_SECTIONS` (keyed by argparse dest). A trailing ``?``
+  lets ``None`` stand for "not given" in that section.
 * ``kind`` — ``int`` (an int, not a bool), ``num`` (a finite int or
   float, not a bool), ``bool``, ``str``, ``map`` (a mapping), ``ints``
   (a list or tuple of such ints), or ``None`` for a key whose value
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from math import inf
 
-__all__ = ["KNOBS", "check_knobs", "knob_keys"]
+__all__ = ["FLAG_SECTIONS", "KNOBS", "check_knobs", "knob_keys"]
 
 KNOBS = (
     ("scenario", "name", "str", None),
@@ -66,7 +67,13 @@ KNOBS = (
     ("work?", "supervise", "int", "positive"),
     ("work?", "max_crashes", "int", "positive"),
     ("work?", "backoff", "num", "positive"),
+    ("doctor", "stale_after", "num", "non-negative"),
+    ("queue-status?", "watch", "num", "positive"),
 )
+
+#: the sections that are CLI commands: their rows are argparse dests,
+#: checked before the command opens a queue, and named in errors as flags
+FLAG_SECTIONS = ("work", "doctor", "queue-status")
 
 
 def _by_section() -> dict[str, dict[str, tuple]]:
@@ -143,5 +150,5 @@ def check_knobs(section: str, values: Mapping) -> None:
         nullable, kind, domain, size = rules[key]
         if kind is None or (value is None and nullable) or _fits(kind, domain, size, value):
             continue
-        where = f"--{key.replace('_', '-')}" if section == "work" else f"{section}.{key}"
+        where = f"--{key.replace('_', '-')}" if section in FLAG_SECTIONS else f"{section}.{key}"
         raise ValueError(f"{where} must be {_phrase(kind, domain, size)}, got {value!r}")

@@ -34,6 +34,7 @@ rehearsal asserts after a crash-and-resume cycle.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -368,8 +369,14 @@ def audit_queue(
     """Audit one queue directory; see the module docstring for checks.
 
     Dry-run unless ``repair``; raises ``FileNotFoundError`` when
-    ``queue_dir`` is not a queue directory.
+    ``queue_dir`` is not a queue directory, and ``ValueError`` when
+    ``stale_worker_s`` is not a finite number >= 0 (no age compares
+    true against NaN, so every live worker would read as stale).
     """
+    if not 0 <= stale_worker_s < math.inf:
+        raise ValueError(
+            f"stale_worker_s must be a finite number >= 0, got {stale_worker_s!r}"
+        )
     queue = WorkQueue(queue_dir, create=False)
     audit = _Audit(queue, repair=repair, stale_worker_s=stale_worker_s)
     manifest = audit.manifest()

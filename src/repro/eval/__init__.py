@@ -1,24 +1,9 @@
 """repro.eval — paired statistics for comparing policies over seeds.
 
-:mod:`repro.eval.stats` holds NumPy-only rank correlation, paired
-bootstrap confidence intervals, win/loss matrices and the structured
-:class:`~repro.eval.stats.ComparisonReport` with text and JSON renderings.
+:mod:`repro.eval.stats` holds NumPy-only paired bootstrap confidence
+intervals and win/loss matrices.
 """
 
-from repro.eval.stats import (
-    ComparisonReport,
-    paired_bootstrap,
-    rankdata,
-    spearman,
-    spearman_rows,
-    win_loss,
-)
+from repro.eval.stats import paired_bootstrap, win_loss
 
-__all__ = [
-    "ComparisonReport",
-    "paired_bootstrap",
-    "rankdata",
-    "spearman",
-    "spearman_rows",
-    "win_loss",
-]
+__all__ = ["paired_bootstrap", "win_loss"]

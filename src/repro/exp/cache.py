@@ -58,10 +58,3 @@ class ResultCache:
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.cache_dir.glob("*.json"))
-
-    def clear(self) -> None:
-        for path in self.cache_dir.glob("*.json"):
-            path.unlink()

@@ -433,28 +433,3 @@ class ExperimentRunner:
         )
         for key in pending:
             self._record(resolved, results[key])
-
-    # -- grid convenience --------------------------------------------------
-
-    def run_grid(
-        self,
-        methods: Sequence[str],
-        workloads: Sequence[str],
-        config: "ExperimentConfig",
-        seeds: Sequence[int] | None = None,
-        n_seeds: int = 1,
-        train: bool = False,
-        case_study: bool = False,
-    ) -> list[TaskResult]:
-        """Build and run a (method × workloads × seed) grid."""
-        return self.run(
-            grid_tasks(
-                methods,
-                workloads,
-                config,
-                seeds=seeds,
-                n_seeds=n_seeds,
-                train=train,
-                case_study=case_study,
-            )
-        )

@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import run_scenario
 from repro.experiments.figures import (
+    fig5_fig6_comparison,
     fig7_kiviat,
     fig8_rbb_timeline,
     fig9_rbb_distribution,
@@ -112,6 +113,24 @@ class TestFigures:
         assert set(out["data"]) == {"S1", "S5"}
         for stats in out["data"].values():
             assert stats["min"] <= stats["median"] <= stats["max"]
+
+    def test_fig5_fig6_tables_render_the_compared_reports(self, tiny_config):
+        methods, workloads = ("heuristic", "prior"), ("S1", "S2")
+        out = fig5_fig6_comparison(tiny_config, workloads=workloads, methods=methods)
+        reports = compare(list(workloads), list(methods), tiny_config)
+        assert out["data"] == reports
+        blocks = []
+        for fig, metrics in (("5", ("node_util", "bb_util")),
+                             ("6", ("avg_wait_h", "avg_slowdown"))):
+            for metric in metrics:
+                rows = {
+                    m: [reports[w][m].as_dict()[metric] for w in workloads]
+                    for m in methods
+                }
+                blocks.append(format_table(
+                    f"Fig {fig} — {metric} (columns: S1, S2)", list(workloads), rows
+                ))
+        assert out["text"] == "\n\n".join(blocks)
 
     def test_fig7_from_precomputed_reports(self, tiny_config):
         reports = compare(["S1"], ["heuristic", "scalar_rl"], tiny_config,

@@ -298,3 +298,45 @@ class TestWorkQueueCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"repro work: error: {flag} ") and err.count("\n") == 1
         assert queue.status().done == 0  # no worker started
+
+    @pytest.mark.parametrize("value,shown", [
+        ("nan", "nan"),  # `age <= nan` is never true: every live worker read as dead
+        ("-1", "-1.0"),
+        ("inf", "inf"),
+    ])
+    def test_malformed_stale_after_leaves_workers_alone(
+        self, value, shown, tmp_path, capsys
+    ):
+        queue = self._enqueue(tmp_path)
+        queue.register_worker("w-live")
+        record = queue.workers_dir / "w-live.json"
+        before = record.read_bytes()
+        argv = ["doctor", str(queue.root), "--stale-after", value, "--repair"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "repro doctor: error: --stale-after must be non-negative "
+            f"(a finite number), got {shown}\n"
+        )
+        assert record.read_bytes() == before
+
+    @pytest.mark.parametrize("value,shown", [
+        ("0", "0.0"), ("nan", "nan"), ("inf", "inf"),
+    ])
+    def test_malformed_watch_is_one_line_and_exit_1(
+        self, value, shown, tmp_path, capsys
+    ):
+        queue = self._enqueue(tmp_path)  # cells pending: a watch would sleep
+        assert main(["queue-status", "--queue", str(queue.root), "--watch", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # checked before the first snapshot
+        assert captured.err == (
+            "repro queue-status: error: --watch must be positive "
+            f"(a finite number), got {shown}\n"
+        )
+
+    def test_flags_are_checked_before_the_queue_opens(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-queue")
+        assert main(["doctor", missing, "--stale-after", "nan"]) == 1
+        assert "--stale-after" in capsys.readouterr().err
+        assert main(["queue-status", "--queue", missing, "--watch", "0"]) == 1
+        assert "--watch" in capsys.readouterr().err

@@ -242,6 +242,16 @@ def test_stale_worker_registration(tmp_path):
     )
 
 
+@pytest.mark.parametrize("stale_worker_s", [float("nan"), -1.0, float("inf")])
+def test_stale_threshold_must_be_finite_and_non_negative(tmp_path, stale_worker_s):
+    queue = WorkQueue(tmp_path / "q")
+    queue.register_worker("w-live")
+    before = (queue.workers_dir / "w-live.json").read_bytes()
+    with pytest.raises(ValueError, match="stale_worker_s must be"):
+        audit_queue(tmp_path / "q", repair=True, stale_worker_s=stale_worker_s)
+    assert (queue.workers_dir / "w-live.json").read_bytes() == before
+
+
 def test_spool_backlog_is_reported(tmp_path):
     queue = WorkQueue(tmp_path / "q")
     queue.write_worker_metrics("w0", {

@@ -1,73 +1,11 @@
-"""Rank statistics, paired bootstrap and the comparison report."""
+"""Paired bootstrap and win/loss counts."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.eval.stats import (
-    ComparisonReport,
-    paired_bootstrap,
-    rankdata,
-    spearman,
-    spearman_rows,
-    win_loss,
-)
-
-
-class TestRankdata:
-    def test_simple_ranks(self):
-        np.testing.assert_allclose(rankdata([10.0, 30.0, 20.0]), [1, 3, 2])
-
-    def test_ties_share_average_rank(self):
-        np.testing.assert_allclose(rankdata([1.0, 2.0, 2.0, 3.0]), [1, 2.5, 2.5, 4])
-
-    def test_all_equal(self):
-        np.testing.assert_allclose(rankdata([5.0, 5.0, 5.0]), [2, 2, 2])
-
-
-class TestSpearman:
-    def test_perfect_monotone(self):
-        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
-        assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_nonlinear_monotone_still_perfect(self):
-        assert spearman([1, 2, 3, 4], [1, 8, 27, 64]) == pytest.approx(1.0)
-
-    def test_constant_input_is_nan(self):
-        assert np.isnan(spearman([1, 1, 1], [1, 2, 3]))
-
-    def test_too_short_is_nan(self):
-        assert np.isnan(spearman([1.0], [2.0]))
-
-
-class TestSpearmanRows:
-    def test_matches_scalar_spearman_row_by_row(self):
-        """The vectorised path must agree with the reference scalar
-        implementation on random scores, ties and partial masks alike."""
-        rng = np.random.default_rng(12)
-        n, w = 40, 6
-        a = np.round(rng.normal(size=(n, w)), 1)  # rounding forces ties
-        b = np.round(rng.normal(size=(n, w)), 1)
-        masks = rng.uniform(size=(n, w)) < 0.8
-        masks[:, 0] = True  # at least one valid slot everywhere
-        vec = spearman_rows(a, b, masks)
-        for i in range(n):
-            valid = masks[i]
-            expected = spearman(a[i, valid], b[i, valid])
-            if np.isnan(expected):
-                assert np.isnan(vec[i])
-            else:
-                assert vec[i] == pytest.approx(expected, abs=1e-12)
-
-    def test_short_and_constant_rows_are_nan(self):
-        a = np.array([[1.0, 2.0], [3.0, 3.0]])
-        b = np.array([[1.0, 2.0], [1.0, 2.0]])
-        masks = np.array([[True, False], [True, True]])
-        out = spearman_rows(a, b, masks)
-        assert np.isnan(out).all()  # 1 valid slot; constant left side
+from repro.eval.stats import paired_bootstrap, win_loss
 
 
 class TestPairedBootstrap:
@@ -107,44 +45,3 @@ class TestWinLoss:
         assert wins[0, 1] == 2  # ties count for neither side
         assert wins[1, 0] == 0
         assert (np.diag(wins) == 0).all()
-
-
-class TestComparisonReport:
-    def _report(self) -> ComparisonReport:
-        two = np.zeros((2, 2))
-        return ComparisonReport(
-            policies=("a", "b"),
-            n_traces=1,
-            n_decisions=10,
-            agreement={"a": 1.0, "b": 0.5},
-            pairwise_agreement=np.eye(2),
-            rank_correlation=np.array([[1.0, np.nan], [np.nan, 1.0]]),
-            regret=two,
-            mean_diff=two,
-            ci_lo=two,
-            ci_hi=two,
-            wins=np.zeros((2, 2), dtype=int),
-            unit="decision",
-            n_units=10,
-            n_bootstrap=100,
-        )
-
-    def test_json_is_strict(self):
-        payload = self._report().to_json_dict()
-        text = json.dumps(payload, allow_nan=False)  # raises if any NaN leaks
-        parsed = json.loads(text)
-        assert parsed["rank_correlation"]["a"]["b"] is None  # NaN → null
-        assert parsed["agreement"]["a"] == 1.0
-        assert parsed["bootstrap"]["unit"] == "decision"
-
-    def test_summary_renders_all_sections(self):
-        text = self._report().summary()
-        for heading in (
-            "Agreement with logged actions",
-            "Pairwise choice agreement",
-            "Spearman rank correlation",
-            "Counterfactual score regret",
-            "Paired bootstrap",
-            "Wins",
-        ):
-            assert heading in text

@@ -1,13 +1,13 @@
 """The option surface: every key a scenario section accepts and every
-numeric ``repro work`` flag, listed here so that adding or removing a
-knob fails loudly."""
+numeric flag of ``repro work`` / ``doctor`` / ``queue-status``, listed
+here so that adding or removing a knob fails loudly."""
 
 import dataclasses
 
 import pytest
 
 from repro.api.cli import build_parser
-from repro.api.knobs import check_knobs, knob_keys
+from repro.api.knobs import FLAG_SECTIONS, check_knobs, knob_keys
 from repro.experiments.harness import ExperimentConfig
 
 SCENARIO_KEYS = {
@@ -26,9 +26,13 @@ SCENARIO_KEYS = {
     },
 }
 
-WORK_FLAGS = {
-    "--lease-ttl", "--poll", "--cell-timeout", "--max-cells", "--supervise",
-    "--max-crashes", "--backoff",
+FLAGS = {
+    "work": {
+        "--lease-ttl", "--poll", "--cell-timeout", "--max-cells", "--supervise",
+        "--max-crashes", "--backoff",
+    },
+    "doctor": {"--stale-after"},
+    "queue-status": {"--watch"},
 }
 
 
@@ -43,17 +47,21 @@ class TestOptionSurface:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(knob_keys("ExperimentConfig")) == fields
 
-    def test_work_numeric_flags(self):
-        work = next(
-            action.choices["work"] for action in build_parser()._actions
-            if isinstance(action.choices, dict) and "work" in action.choices
+    def test_flag_sections_are_the_commands_listed(self):
+        assert set(FLAG_SECTIONS) == set(FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_numeric_flags(self, command):
+        parser = next(
+            action.choices[command] for action in build_parser()._actions
+            if isinstance(action.choices, dict) and command in action.choices
         )
         numeric = {
-            action.option_strings[0] for action in work._actions
+            action.option_strings[0] for action in parser._actions
             if action.type in (int, float)
         }
-        assert numeric == WORK_FLAGS
-        assert {f"--{key.replace('_', '-')}" for key in knob_keys("work")} == WORK_FLAGS
+        assert numeric == FLAGS[command]
+        assert {f"--{key.replace('_', '-')}" for key in knob_keys(command)} == FLAGS[command]
 
 
 class TestKindRule:
@@ -67,10 +75,14 @@ class TestKindRule:
         ("scenario", "seeds", [1, False]),
         ("config", "curriculum_sets", (1, 1, 1, 1)),
         ("work", "poll", float("inf")),
+        ("doctor", "stale_after", float("nan")),
+        ("doctor", "stale_after", -1.0),
+        ("queue-status", "watch", 0.0),
         ("ExperimentConfig", "seed", -3),  # NumPy's generators refuse it
     ])
     def test_rejects(self, section, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be"):
+        name = f"--{key.replace('_', '-')}" if section in FLAG_SECTIONS else key
+        with pytest.raises(ValueError, match=f"{name} must be"):
             check_knobs(section, {key: value})
 
     @pytest.mark.parametrize("section,key,value", [
@@ -79,6 +91,8 @@ class TestKindRule:
         ("config", "curriculum_sets", (0, 2, 1)),
         ("scenario", "seeds", ()),  # emptiness is the scenario's own check
         ("work", "cell_timeout", 0.0),  # 0: no watchdog
+        ("doctor", "stale_after", 0.0),  # 0: every unexited worker is stale
+        ("queue-status", "watch", None),  # no --watch: one snapshot
         ("execution", "dispatch", "queue"),
     ])
     def test_accepts(self, section, key, value):

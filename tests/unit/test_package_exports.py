@@ -242,3 +242,29 @@ class TestNnKeepsWhatThePaperTrains:
     def test_removed_component_is_gone(self, name):
         for module in ("repro.nn", "repro.nn.layers", "repro.nn.optim", "repro.nn.losses"):
             assert not hasattr(importlib.import_module(module), name), module
+
+
+class TestSurfaceWithoutCallersIsGone:
+    """``repro.eval`` keeps the two paired statistics a fidelity gate
+    reads; the grid pass-through and the cache's size/clear helpers had
+    no caller and went with the evaluator they served."""
+
+    def test_eval_exports_exactly_the_paired_statistics(self):
+        import repro.eval
+
+        assert repro.eval.__all__ == ["paired_bootstrap", "win_loss"]
+
+    @pytest.mark.parametrize("name", [
+        "rankdata", "spearman", "spearman_rows", "ComparisonReport",
+    ])
+    def test_removed_statistic_is_gone(self, name):
+        for module in ("repro.eval", "repro.eval.stats"):
+            assert not hasattr(importlib.import_module(module), name), module
+
+    @pytest.mark.parametrize("owner,name", [
+        ("ExperimentRunner", "run_grid"),
+        ("ResultCache", "clear"),
+        ("ResultCache", "__len__"),
+    ])
+    def test_removed_method_is_gone(self, owner, name):
+        assert not hasattr(getattr(importlib.import_module("repro.exp"), owner), name)
