@@ -406,9 +406,9 @@ def _cmd_work(args: argparse.Namespace) -> int:
         obs.enable(args.telemetry)
     if args.supervise is not None:
         return _run_supervised(args)
-    from repro.utils.blas import limit_blas_threads
+    from repro.exp.tasks import init_worker
 
-    limit_blas_threads()  # one of possibly many workers on this machine
+    init_worker()  # one of possibly many workers on this machine
     worker = QueueWorker(
         WorkQueue(args.queue, create=False),
         worker_id=args.worker_id,
@@ -473,9 +473,8 @@ def _run_supervised(args: argparse.Namespace) -> int:
     try:
         report = supervisor.run()
     except KeyboardInterrupt:
-        supervisor.stop()
+        supervisor.stop()  # exit reason "stopped"
         report = supervisor.report
-        report.exit_reason = report.exit_reason or "stopped"
     if args.json:
         print(json.dumps({
             "slots": report.slots,

@@ -458,34 +458,27 @@ class Scenario:
     def compile(self, config: "ExperimentConfig | None" = None) -> list[ExperimentTask]:
         """Compile to the (method × seed) grid cells the engine executes.
 
-        Mirrors :func:`repro.exp.runner.grid_tasks` exactly — same seed
-        spawning, same cell ordering — so a scenario equivalent to a
-        harness comparison produces bit-identical tasks (and therefore
-        bit-identical metrics and cache keys). ``config`` overrides the
-        scenario-built :class:`ExperimentConfig`; scenario seeds still
-        apply.
+        The cells are :func:`repro.exp.runner.grid_tasks`' (same seed
+        spawning, same cell ordering), each given its method's
+        constructor kwargs, so a scenario equivalent to a harness
+        comparison produces bit-identical tasks, metrics and cache keys.
+        ``config`` overrides the scenario-built :class:`ExperimentConfig`;
+        scenario seeds still apply.
         """
-        from repro.exp.runner import spawn_grid_seeds
+        from repro.exp.runner import grid_tasks
 
-        config = config if config is not None else self.build_config()
-        if self.seeds is not None:
-            seeds = list(self.seeds)
-        elif self.replications == 1:
-            seeds = [config.seed]
-        else:
-            seeds = spawn_grid_seeds(config.seed, self.replications)
+        tasks = grid_tasks(
+            self.methods,
+            self.workloads,
+            config if config is not None else self.build_config(),
+            seeds=self.seeds,
+            n_seeds=self.replications,
+            train=self.train,
+            case_study=bool(self.case_study),
+        )
         return [
-            ExperimentTask(
-                method=method,
-                workloads=self.workloads,
-                seed=int(seed),
-                config=config,
-                train=self.train,
-                case_study=bool(self.case_study),
-                extra=self._method_extra(method),
-            )
-            for seed in seeds
-            for method in self.methods
+            dataclasses.replace(task, extra=self._method_extra(task.method))
+            for task in tasks
         ]
 
     def replace(self, **changes) -> "Scenario":

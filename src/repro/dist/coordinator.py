@@ -1,4 +1,4 @@
-"""Queue-mode grid dispatch: enqueue, launch workers, reap, collect.
+"""Queue-mode grid dispatch: enqueue, launch workers, collect.
 
 :func:`dispatch_tasks` is what :class:`~repro.exp.runner.ExperimentRunner`
 delegates to when it was given a ``queue_dir``. It plays the
@@ -7,9 +7,11 @@ because the protocol is serverless: the coordinator seals the run
 manifest (the deterministic grid expansion, published by an atomic
 batch enqueue — see :mod:`repro.dist.manifest`), hands N local worker
 slots to a :class:`~repro.dist.supervise.WorkerSupervisor` (the one
-launcher of worker processes), and then watches the queue — woken by a
-worker's exit, or every ``POLL_INTERVAL_S`` — while reaping expired
-leases until every cell is done. External workers (``repro work
+launcher of worker processes), and then runs the one dispatch loop:
+each pass steps the launcher (worker exits, strikes, respawns) and
+reads the queue, then sleeps until a local worker exits, at most
+``POLL_INTERVAL_S``, until every cell is done. Expired leases are
+reaped by the workers, on claim. External workers (``repro work
 --queue DIR`` on any host sharing the directory) can join or leave at
 any point; the coordinator neither knows nor cares who executes a cell,
 because completion is defined by the queue state, not by its children.
@@ -46,12 +48,17 @@ bit-identical results.
 from __future__ import annotations
 
 import os
-import socket
 import time
 
-from repro.dist.manifest import COORDINATOR_KEY, RunManifest, ensure_enqueued
+from repro.dist.manifest import (
+    COORDINATOR_KEY,
+    RunManifest,
+    coordinator_owner,
+    ensure_enqueued,
+    leader_dead,
+)
 from repro.dist.queue import WorkQueue
-from repro.dist.supervise import DEFAULT_MAX_CRASHES, WorkerSupervisor
+from repro.dist.supervise import DEFAULT_MAX_CRASHES, POLL_INTERVAL_S, WorkerSupervisor
 from repro.dist.worker import Heartbeat, QueueWorker
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs import runtime as _obs_runtime
@@ -61,43 +68,6 @@ from repro.obs.metrics import merge_snapshots
 __all__ = ["dispatch_tasks"]
 
 _log = get_logger("repro.dist.coordinator")
-
-#: longest gap between coordinator passes over the queue state (a local
-#: worker's exit starts one at once)
-POLL_INTERVAL_S = 0.2
-
-
-def _coordinator_owner() -> str:
-    """Leader-lease owner id: host-qualified so a reader can tell a
-    dead *local* coordinator from one on another host."""
-    return f"coord-{socket.gethostname().split('.')[0]}-{os.getpid()}"
-
-
-def _local_owner_dead(owner: str) -> bool:
-    """Whether ``owner`` names a coordinator on *this* host whose pid is
-    gone — the fast path that skips the lease-ttl wait on takeover.
-
-    Conservative: any doubt (foreign host, unparseable id, pid alive or
-    unprobeable) answers False and the caller falls back to waiting for
-    lease expiry.
-    """
-    if not owner.startswith("coord-"):
-        return False
-    body = owner[len("coord-"):]
-    host, sep, pid_text = body.rpartition("-")
-    if not sep or host != socket.gethostname().split(".")[0]:
-        return False
-    try:
-        pid = int(pid_text)
-    except ValueError:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except OSError:
-        return False  # alive (EPERM) or unprobeable: assume alive
-    return False
 
 
 def _acquire_leadership(
@@ -132,7 +102,7 @@ def _acquire_leadership(
             queue.leases.reap(COORDINATOR_KEY, now)
             attached = True
             continue
-        if _local_owner_dead(lease.owner):
+        if leader_dead(lease, now):
             # Same host, pid gone: no need to wait out the ttl.
             queue.leases.force_release(COORDINATOR_KEY)
             attached = True
@@ -185,16 +155,15 @@ def dispatch_tasks(
     the same directory resumes it), launches ``n_workers`` local worker
     processes (respawned with backoff after a crash when ``supervise``,
     never otherwise), and coordinates until every cell has a published
-    result: reaping expired leases so crashed/straggling workers' cells
-    re-issue, and draining inline if all workers are lost with no
-    elastic replacement in sight.
+    result, draining inline if all workers are lost with no elastic
+    replacement in sight.
     """
     queue = WorkQueue(queue_dir, lease_ttl=lease_ttl)
     session = _obs_runtime.session
     keys = [task.key() for task in tasks]
     key_set = set(keys)
 
-    owner = _coordinator_owner()
+    owner = coordinator_owner()
     attached = _acquire_leadership(queue, owner, keys)
     if attached is not None:
         return attached
@@ -250,23 +219,17 @@ def dispatch_tasks(
                 cell_timeout_s=cell_timeout_s,
                 mp_start_method=mp_start_method,
             )
-            supervisor.start()
 
         fallback_deadline: float | None = None
         while True:
+            # One pass: step the launcher first, so a crashed worker's
+            # strikes are on record before the queue is read.
+            supervised = supervisor is not None and not supervisor.step()
             pending, poisoned = outstanding()
             if not pending:
                 break
             if session is not None:
                 session.metrics.gauge("dist.pending").set(len(pending))
-            now = time.time()
-            for lease in queue.leases.leases():
-                if lease.key in key_set and lease.expired(now):
-                    if queue.leases.reap(lease.key, now):
-                        _log.warning(
-                            "coordinator reaped expired lease",
-                            extra=kv(key=lease.key, owner=lease.owner),
-                        )
             if poisoned:
                 errors = queue.failure_errors(poisoned[0])
                 _log.error(
@@ -278,11 +241,12 @@ def dispatch_tasks(
                     f"{queue.failure_count(poisoned[0])} attempt(s) and were "
                     f"withdrawn; first error:\n{errors[-1] if errors else '?'}"
                 )
-            if supervisor is None or supervisor.done:
+            if not supervised:
                 # No local worker is running or will be respawned (or
                 # none was asked for) with cells still pending. Give an
                 # elastic external worker one lease ttl to pick the grid
                 # up, then drain inline so the dispatch always terminates.
+                now = time.time()
                 if fallback_deadline is None:
                     fallback_deadline = now + lease_ttl
                     _log.warning(
@@ -297,12 +261,12 @@ def dispatch_tasks(
                     )
                     QueueWorker(queue, worker_id=f"coord-{os.getpid()}").run()
                     break
-                time.sleep(POLL_INTERVAL_S)
+            # Wake the moment a local worker exits — the grid's end, or
+            # a crash whose cells want striking — not a poll later.
+            if supervisor is not None:
+                supervisor.sleep()
             else:
-                fallback_deadline = None
-                # Wake the moment a local worker exits — the grid's end,
-                # or a crash whose cells want reaping — not a poll later.
-                supervisor.wait(POLL_INTERVAL_S)
+                time.sleep(POLL_INTERVAL_S)
     finally:
         if supervisor is not None:
             supervisor.stop()

@@ -39,7 +39,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.dist.manifest import ManifestCorrupt
+from repro.dist.manifest import ManifestCorrupt, leader_dead
 from repro.dist.queue import MAX_ATTEMPTS, WorkQueue
 from repro.obs.logbridge import get_logger, kv
 
@@ -219,14 +219,12 @@ class _Audit:
                 )
 
     def leases(self, done: set):
-        from repro.dist.coordinator import _local_owner_dead
-
         queue = self.queue
         now = time.time()
         for lease in queue.leases.leases():
             path = queue.leases._path(lease.key)
             if lease.key.startswith("__"):
-                if lease.expired(now) or _local_owner_dead(lease.owner):
+                if leader_dead(lease, now):
                     self.add(
                         "coordinator-dead", "warn", path,
                         f"leader lease held by {lease.owner} "

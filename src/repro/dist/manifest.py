@@ -36,6 +36,8 @@ without ever re-writing published specs.
 
 from __future__ import annotations
 
+import os
+import socket
 import time
 import uuid
 from dataclasses import dataclass, replace
@@ -48,6 +50,8 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_STATES",
     "COORDINATOR_KEY",
+    "coordinator_owner",
+    "leader_dead",
 ]
 
 #: the manifest document, directly under the queue root
@@ -58,6 +62,41 @@ MANIFEST_STATES = ("staged", "sealed", "complete")
 #: reserved lease key for the coordinator leader-lease — task keys are
 #: config-hash hex digests, so the dunder name can never collide
 COORDINATOR_KEY = "__coordinator__"
+
+
+def _host() -> str:
+    return socket.gethostname().split(".")[0]
+
+
+def coordinator_owner() -> str:
+    """Leader-lease owner id: host-qualified so a reader can tell a
+    dead *local* coordinator from one on another host."""
+    return f"coord-{_host()}-{os.getpid()}"
+
+
+def leader_dead(lease, now: float | None = None) -> bool:
+    """Whether the leader ``lease`` no longer stands for a running
+    coordinator: it expired, or its owner is on *this* host and its pid
+    is gone — the one liveness rule of ``queue-status``, ``doctor`` and
+    takeover.
+
+    Conservative past expiry: a foreign host, an unparseable owner id,
+    or a pid alive or unprobeable all read as alive until the lease
+    ttl runs out.
+    """
+    if lease.expired(now):
+        return True
+    prefix, _, body = lease.owner.partition("-")
+    host, sep, pid_text = body.rpartition("-")
+    if prefix != "coord" or not sep or host != _host():
+        return False
+    try:
+        os.kill(int(pid_text), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):
+        return False  # alive (EPERM), unprobeable or not a pid
+    return False
 
 
 class ManifestCorrupt(ValueError):

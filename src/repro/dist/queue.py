@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from repro.dist.lease import LeaseBoard
-from repro.dist.manifest import MANIFEST_NAME, ManifestCorrupt, RunManifest
+from repro.dist.manifest import MANIFEST_NAME, ManifestCorrupt, RunManifest, leader_dead
 from repro.dist.store import Store
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs.logbridge import get_logger, kv
@@ -708,7 +708,7 @@ class WorkQueue:
                 # lease — are reported separately, never as cell claims.
                 coordinator = {
                     "owner": lease.owner,
-                    "live": not lease.expired(now),
+                    "live": not leader_dead(lease, now),
                     "expires_at": lease.expires_at,
                     "renewals": lease.renewals,
                 }

@@ -29,10 +29,13 @@ Stopping is graceful: :meth:`WorkerSupervisor.stop` lets every live
 worker finish (its exit registration and final metrics snapshot
 included) for up to ``STOP_GRACE_S`` before terminating what is left.
 
-Drive it from the CLI as ``repro work --queue DIR --supervise N``; the
-coordinator (:func:`~repro.dist.coordinator.dispatch_tasks`) always
-launches its local workers through one, respawning
-(``supervise=True``, scenario ``execution.supervise``) or not.
+Supervision runs on the caller's thread, one :meth:`~WorkerSupervisor.step`
+(handle exits, respawn what is due) between :meth:`~WorkerSupervisor.sleep`
+calls, which wake the moment a worker exits. :meth:`~WorkerSupervisor.run`
+is that loop on its own — ``repro work --queue DIR --supervise N``; the
+coordinator (:func:`~repro.dist.coordinator.dispatch_tasks`) steps it
+inside its own loop instead, respawning (``supervise=True``, scenario
+``execution.supervise``) or not.
 """
 
 from __future__ import annotations
@@ -41,15 +44,13 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import socket
-import sys
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 
 from repro.dist.queue import WorkQueue
 from repro.dist.worker import QueueWorker
-from repro.exp.tasks import worker_context
+from repro.exp.tasks import init_worker, worker_context
 from repro.obs import runtime as _obs_runtime
 from repro.obs.logbridge import get_logger, kv
 
@@ -60,8 +61,8 @@ _log = get_logger("repro.dist.supervise")
 #: consecutive crashes that open a slot's breaker unless the caller
 #: says otherwise (``repro work --max-crashes``; 1 = never respawn)
 DEFAULT_MAX_CRASHES = 5
-#: longest gap between supervision passes over the slots (a worker's
-#: exit starts one at once)
+#: longest gap between supervision passes — and between the
+#: coordinator's passes over the queue (a worker's exit starts one at once)
 POLL_INTERVAL_S = 0.2
 #: an incarnation surviving this long resets its slot's consecutive-
 #: crash counter (the crash streak was broken)
@@ -76,27 +77,12 @@ def _worker_process_entry(
     worker_id: str,
     lease_ttl: float,
     modules: tuple[str, ...],
-    parent_path: list[str],
     options: dict,
 ) -> None:
-    """Subprocess target for a launched worker.
-
-    Mirrors the process-pool initializer contract: the worker runs one
-    BLAS thread (:func:`~repro.utils.blas.limit_blas_threads`), and a
-    ``spawn``-started interpreter first restores the parent's
-    ``sys.path`` and re-imports the plugin registration modules so
-    ``@register_*``'d components resolve; under ``fork`` both steps are
-    cached no-ops. ``options`` carries the remaining
-    :class:`QueueWorker` keyword arguments.
-    """
-    from repro.api.registry import import_plugin_modules
-    from repro.utils.blas import limit_blas_threads
-
-    limit_blas_threads()
-    for entry in parent_path:
-        if entry not in sys.path:
-            sys.path.append(entry)
-    import_plugin_modules(modules)
+    """Subprocess target for a launched worker: the shared worker
+    start-up (:func:`~repro.exp.tasks.init_worker`), then one
+    :class:`QueueWorker` with the remaining keyword ``options``."""
+    init_worker(modules)
     QueueWorker(
         queue_dir, worker_id=worker_id, lease_ttl=lease_ttl, **options
     ).run()
@@ -182,36 +168,59 @@ class WorkerSupervisor:
         self.worker_poll_interval = worker_poll_interval
         self._context = worker_context(mp_start_method)
         self._slots = [_Slot(i) for i in range(n_workers)]
-        self._halt = threading.Event()
-        #: set whenever a pass saw a worker exit, and when the loop ends
-        self._exit_seen = threading.Event()
-        self._thread: threading.Thread | None = None
         self.report = SupervisorReport(slots=n_workers)
-        #: True once the supervision loop has ended (all slots retired,
-        #: every breaker open, or stop()); the coordinator's inline
-        #: fallback keys off this.
-        self.done = False
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- the loop ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Run supervision on a background thread (coordinator mode)."""
-        self._thread = threading.Thread(
-            target=self.run, name="worker-supervisor", daemon=True
-        )
-        self._thread.start()
+    def run(self) -> SupervisorReport:
+        """Supervise until the queue drains or every breaker opens."""
+        while not self.step():
+            self.sleep()
+        return self.report
+
+    def step(self) -> bool:
+        """One pass over the slots: handle every worker exit (striking
+        the leases a crashed one held) and respawn what is due. True
+        once supervision is over: every breaker open, or nothing
+        running and nothing left to respawn for."""
+        if self.report.exit_reason:
+            return True
+        now = time.time()
+        for slot in self._slots:
+            self._tick_slot(slot, now)
+        if all(s.open for s in self._slots):
+            self._finish("circuit_open")
+        elif not any(s.proc is not None for s in self._slots) and (
+            all(s.open or s.retired for s in self._slots)
+            or self._no_work_left()
+        ):
+            self._finish("drained")  # some slot retired, or no work left
+        return bool(self.report.exit_reason)
+
+    def sleep(self) -> None:
+        """Until a running worker exits, at most ``POLL_INTERVAL_S``.
+
+        Every process still on a slot was running at the last pass, so
+        its sentinel turning ready *is* the next thing to handle.
+        """
+        sentinels = [
+            slot.proc.sentinel for slot in self._slots if slot.proc is not None
+        ]
+        if sentinels:
+            multiprocessing.connection.wait(sentinels, POLL_INTERVAL_S)
+        else:
+            time.sleep(POLL_INTERVAL_S)
 
     def stop(self) -> None:
-        """Halt supervision, let live workers finish, terminate the rest.
+        """End supervision, let live workers finish, terminate the rest.
 
         A worker that sees the queue drained is at this moment writing
         its exit registration and final metrics snapshot; it gets until
         ``STOP_GRACE_S`` (shared across slots) to finish on its own, so
         a clean run never leaves a ``worker-stale`` record behind.
         """
-        self._halt.set()
-        if self._thread is not None:
-            self._thread.join(timeout=STOP_GRACE_S)
+        if not self.report.exit_reason:
+            self._finish("stopped")
         deadline = time.monotonic() + STOP_GRACE_S
         for slot in self._slots:
             proc = slot.proc
@@ -222,75 +231,19 @@ class WorkerSupervisor:
                 proc.terminate()
                 proc.join(timeout=5.0)
 
-    # -- the loop ----------------------------------------------------------
-
-    def run(self) -> SupervisorReport:
-        """Supervise until the queue drains or every breaker opens."""
-        try:
-            while not self._halt.is_set():
-                now = time.time()
-                for slot in self._slots:
-                    self._tick_slot(slot, now)
-                live = [
-                    s for s in self._slots
-                    if s.proc is not None and s.proc.exitcode is None
-                ]
-                if all(s.open for s in self._slots):
-                    self.report.exit_reason = "circuit_open"
-                    break
-                if not live and (
-                    all(s.open or s.retired for s in self._slots)
-                    or self._no_work_left()
-                ):
-                    # Nothing running and nothing to respawn for.
-                    self.report.exit_reason = (
-                        "drained"
-                        if any(s.retired for s in self._slots)
-                        or self._no_work_left()
-                        else "circuit_open"
-                    )
-                    break
-                self._sleep()
-            else:
-                self.report.exit_reason = "stopped"
-        finally:
-            self.done = True
-            self._exit_seen.set()
-            self.report.circuit_open = [
-                s.index for s in self._slots if s.open
-            ]
-            _log.info(
-                "supervisor exiting",
-                extra=kv(
-                    spawned=self.report.spawned,
-                    crashes=self.report.crashes,
-                    strikes=self.report.strikes,
-                    circuit_open=self.report.circuit_open,
-                    exit_reason=self.report.exit_reason,
-                ),
-            )
-        return self.report
-
-    def _sleep(self) -> None:
-        """Until a running worker exits, at most ``POLL_INTERVAL_S``.
-
-        Every process still on a slot was running at the last pass, so
-        its sentinel turning ready *is* the next thing to handle; with
-        none running (backing off before a respawn) only a halt is.
-        """
-        sentinels = [
-            slot.proc.sentinel for slot in self._slots if slot.proc is not None
-        ]
-        if sentinels:
-            multiprocessing.connection.wait(sentinels, POLL_INTERVAL_S)
-        else:
-            self._halt.wait(POLL_INTERVAL_S)
-
-    def wait(self, timeout: float) -> None:
-        """Block the caller until the supervision loop has seen a worker
-        exit since the last call (or has ended), at most ``timeout`` s."""
-        if self._exit_seen.wait(timeout):
-            self._exit_seen.clear()
+    def _finish(self, exit_reason: str) -> None:
+        self.report.exit_reason = exit_reason
+        self.report.circuit_open = [s.index for s in self._slots if s.open]
+        _log.info(
+            "supervisor exiting",
+            extra=kv(
+                spawned=self.report.spawned,
+                crashes=self.report.crashes,
+                strikes=self.report.strikes,
+                circuit_open=self.report.circuit_open,
+                exit_reason=exit_reason,
+            ),
+        )
 
     def _tick_slot(self, slot: _Slot, now: float) -> None:
         if slot.open or slot.retired:
@@ -300,7 +253,6 @@ class WorkerSupervisor:
             if proc.exitcode is None:
                 return  # running fine
             self._on_exit(slot, proc.exitcode, now)
-            self._exit_seen.set()  # after the strikes: waiters see them
             if slot.open or slot.retired:
                 return
         if now < slot.next_spawn_at:
@@ -411,7 +363,6 @@ class WorkerSupervisor:
                 worker_id,
                 self.queue.leases.ttl,
                 registration_modules(),
-                list(sys.path),
                 options,
             ),
             daemon=False,

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.exp.cache import ResultCache
 from repro.exp.records import ExperimentTask, TaskResult
-from repro.exp.tasks import execute_task, worker_context
+from repro.exp.tasks import execute_task, init_worker, worker_context
 from repro.obs import runtime as _obs_runtime
 from repro.obs.progress import ProgressLine
 from repro.utils.durable import OK, append_line, scan_sealed_jsonl
@@ -117,15 +117,6 @@ def pivot_results(results) -> dict:
                 )
             out.setdefault(workload, {})[label] = report
     return out
-
-
-def _pool_worker_init(modules: tuple[str, ...]) -> None:
-    """Pool initializer: one BLAS thread, then the plugin registrations."""
-    from repro.api.registry import import_plugin_modules
-    from repro.utils.blas import limit_blas_threads
-
-    limit_blas_threads()
-    import_plugin_modules(modules)
 
 
 class ExperimentRunner:
@@ -360,12 +351,8 @@ class ExperimentRunner:
         pending: dict[str, ExperimentTask],
         resolved: dict[str, TaskResult],
     ) -> None:
-        # The pool initializer limits each worker to one BLAS thread and
-        # ships the plugin registration modules: fork workers inherit
-        # runtime registrations anyway (re-import is a cached no-op),
-        # spawn workers start from a fresh interpreter and would
-        # otherwise fail to resolve any @register_*'d component (the
-        # registry-module note).
+        # Each worker starts through init_worker, given the plugin
+        # modules a spawn child would otherwise lack.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
@@ -376,7 +363,7 @@ class ExperimentRunner:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
-            initializer=_pool_worker_init,
+            initializer=init_worker,
             initargs=(registration_modules(),),
         ) as pool:
             futures = {

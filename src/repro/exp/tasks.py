@@ -19,7 +19,7 @@ import time
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs import runtime as _obs_runtime
 
-__all__ = ["execute_task", "worker_context"]
+__all__ = ["execute_task", "init_worker", "worker_context"]
 
 
 def worker_context(start_method: str | None = None):
@@ -32,6 +32,19 @@ def worker_context(start_method: str | None = None):
     if start_method is None:
         start_method = "fork" if sys.platform.startswith("linux") else "spawn"
     return multiprocessing.get_context(start_method)
+
+
+def init_worker(modules: tuple[str, ...] = ()) -> None:
+    """The start-up of every worker process (pool, supervised and
+    ``repro work``): one BLAS thread
+    (:func:`~repro.utils.blas.limit_blas_threads`), then the plugin
+    registration ``modules`` re-imported, so a ``spawn`` child resolves
+    ``@register_*``'d components (cached no-ops under ``fork``)."""
+    from repro.api.registry import import_plugin_modules
+    from repro.utils.blas import limit_blas_threads
+
+    limit_blas_threads()
+    import_plugin_modules(modules)
 
 
 def execute_task(task: ExperimentTask) -> TaskResult:

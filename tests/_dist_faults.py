@@ -86,6 +86,7 @@ from pathlib import Path
 import repro.dist
 import repro.dist.coordinator as coordinator
 import repro.dist.supervise as supervise
+from repro.dist.manifest import coordinator_owner
 from repro.dist.queue import WorkQueue
 from repro.dist.store import RetryPolicy, Store
 from repro.dist.worker import Heartbeat, QueueWorker
@@ -444,7 +445,7 @@ class FaultyQueue(WorkQueue):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.faults = FaultInjector(plan_for(coordinator._coordinator_owner()))
+        self.faults = FaultInjector(plan_for(coordinator_owner()))
 
     def write_manifest(self, manifest) -> None:
         super().write_manifest(manifest)

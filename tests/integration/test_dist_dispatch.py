@@ -24,6 +24,7 @@ from repro.dist import (
     dispatch_tasks,
     ensure_enqueued,
 )
+from repro.dist.lease import LeaseBoard
 from repro.dist.queue import MAX_ATTEMPTS
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig
@@ -179,6 +180,28 @@ class TestCrashRecovery:
         # survivor (or coordinator) did.
         queue = WorkQueue(tmp_path / "q", create=False)
         assert len(queue.merged_results()) == len(tasks)
+
+    def test_a_strangers_expired_lease_is_reaped_by_a_worker(
+        self, grid_config, serial_exact, tmp_path
+    ):
+        """A lease left by an owner no local process knows expires and a
+        worker reaps it on claim: only workers reap task leases."""
+        tasks = _tasks(grid_config)
+        key = tasks[0].key()
+        assert LeaseBoard(tmp_path / "q" / "leases", ttl=0.5).try_claim(
+            key, "ghost"
+        )
+        results = dispatch_tasks(
+            tmp_path / "q", tasks, n_workers=2, lease_ttl=10.0
+        )
+        assert _exact([results[t.key()] for t in tasks]) == serial_exact
+        queue = WorkQueue(tmp_path / "q", create=False)
+        assert queue.leases.read(key) is None
+        reaps = sum(
+            snap["counters"].get("lease.reaps", 0)
+            for snap in queue.worker_metrics()
+        )
+        assert reaps >= 1
 
     def test_all_workers_dead_coordinator_drains_inline(
         self, grid_config, serial_exact, tmp_path, monkeypatch

@@ -306,9 +306,9 @@ class TestCoordinatorWakesOnExit:
         still returns promptly: the wait is on worker exits."""
         import time
 
-        import repro.dist.coordinator as coordinator
+        import repro.dist.supervise as supervise
 
-        monkeypatch.setattr(coordinator, "POLL_INTERVAL_S", 5.0)
+        monkeypatch.setattr(supervise, "POLL_INTERVAL_S", 5.0)
         tasks = _heuristic_tasks(grid_config, 16)
         t0 = time.perf_counter()
         results = dispatch_tasks(

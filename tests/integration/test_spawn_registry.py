@@ -5,8 +5,9 @@ inherits them for free — but a ``spawn`` worker starts a fresh
 interpreter that has never imported the plugin module, and a grid task
 naming a plugin method would die with an unknown-scheduler error. The
 runner therefore ships :func:`repro.api.registry.registration_modules`
-through the pool initializer. These tests register a plugin from a
-temp-dir module and run a smoke grid under both start methods.
+through the one worker start-up, which pool and queue workers share.
+These tests register a plugin from a temp-dir module and run a smoke
+grid under both start methods, through the pool and through the queue.
 """
 
 from __future__ import annotations
@@ -75,16 +76,23 @@ class TestRegistrationShipping:
 
 
 class TestSpawnGridSmoke:
-    @pytest.mark.parametrize("start_method", ["spawn", "fork"])
+    @pytest.mark.parametrize(
+        ("start_method", "queue"),
+        [("spawn", False), ("fork", False), ("spawn", True), ("fork", True)],
+        ids=["spawn", "fork", "spawn-queue", "fork-queue"],
+    )
     def test_plugin_grid_runs_under_pool(
-        self, plugin, smoke_config, start_method
+        self, plugin, smoke_config, start_method, queue, tmp_path
     ):
         """The regression: a spawn worker resolving a plugin-registered
-        method. Metrics must equal the serial run bit-for-bit."""
+        method, in a process pool or as a queue worker (which finds the
+        plugin on the parent's ``sys.path``, a prepended temp dir).
+        Metrics must equal the serial run bit-for-bit."""
         tasks = grid_tasks([plugin], ["S1"], smoke_config, n_seeds=2)
         serial = ExperimentRunner(n_workers=1).run(tasks)
         pooled = ExperimentRunner(
-            n_workers=2, mp_start_method=start_method
+            n_workers=2, mp_start_method=start_method,
+            queue_dir=tmp_path / "q" if queue else None,
         ).run(tasks)
         assert [
             (r.key, {w: m.full_dict() for w, m in r.metrics.items()})

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.dist.queue import WorkQueue
 from repro.exp.records import ExperimentTask
 from repro.exp.runner import grid_tasks
 from repro.experiments.harness import ExperimentConfig
+from tests.unit.test_dist_doctor import dead_pid
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -262,6 +264,14 @@ class TestStatusSurface:
         assert doc["enqueue"] == "sealed"
         assert doc["spool_backlog"] == 0
         assert doc["manifest"]["state"] == "sealed"
+
+    def test_status_calls_a_dead_local_leader_dead(self, tmp_path):
+        """queue-status, doctor and takeover share one liveness rule: a
+        same-host leader whose pid is gone is dead before its ttl ends."""
+        queue = WorkQueue(tmp_path / "q")
+        host = socket.gethostname().split(".")[0]
+        queue.leases.try_claim(COORDINATOR_KEY, f"coord-{host}-{dead_pid()}")
+        assert queue.status().coordinator["live"] is False
 
     def test_status_flags_corrupt_manifest(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
