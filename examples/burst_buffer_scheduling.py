@@ -3,8 +3,8 @@
 contention (the paper's core two-resource experiment, Figs 5–6).
 
 The comparison grid is one facade call: every method is instantiated by
-registry name, curriculum-trained if its registry entry says it is
-trainable, and evaluated — frozen — on the S4 workload (heavy
+registry name, curriculum-trained if it learns (has
+``finish_episode``), and evaluated — frozen — on the S4 workload (heavy
 burst-buffer contention). A second, single run exposes the MRSch
 goal-vector log showing the §V-D dynamic prioritizing at work.
 
@@ -35,7 +35,8 @@ def main() -> None:
     reports = compare([WORKLOAD], methods, config, train=True)
     for method in methods:
         m = reports[WORKLOAD][method]
-        trained = "(curriculum-trained)" if SCHEDULERS.get(method).trainable else "(no training)"
+        learns = hasattr(SCHEDULERS.get(method).build(system), "finish_episode")
+        trained = "(curriculum-trained)" if learns else "(no training)"
         print(
             f"{method:>12} {trained:>20}:  node {m.node_util:5.1%}  "
             f"bb {m.bb_util:5.1%}  wait {m.avg_wait_hours:5.2f} h  "

@@ -15,7 +15,19 @@ Three layers, each importable from here:
 
 This module is the compatibility contract: symbols exported here keep
 their signatures across releases, while the implementation modules
-behind them may move.
+behind them may move. Removed from it so far:
+
+* ``run_scenario``'s ``config=`` and ``runner=``, and
+  ``Scenario.compile``'s ``config=`` — size a study in the scenario's
+  sections (``Scenario.sections_for(config)``) and run a grid on your
+  own engine with ``runner.run(scenario.compile())``;
+* ``compare``'s ``runner=`` — it takes ``n_workers``;
+* ``Scenario.validate_system`` — validation runs it on the scenario's
+  own system;
+* ``register_scheduler``'s ``multi_resource=``, with
+  ``SchedulerEntry.multi_resource`` and the ``multi_resource`` key of
+  ``capabilities()`` and ``describe_components()`` (``repro list
+  --json``) — every policy handles any number of resources.
 """
 
 from repro.api.facade import (

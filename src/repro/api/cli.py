@@ -49,6 +49,7 @@ single-line message on stderr), 2 on bad command-line usage (argparse).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections.abc import Sequence
@@ -283,7 +284,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
             for flag, on in (
                 ("trainable", entry.trainable),
                 ("seeded", entry.seeded),
-                ("multi-resource", entry.multi_resource),
                 ("paper", entry.paper),
             )
             if on
@@ -396,16 +396,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.dist import QueueWorker, StoreUnavailable, WorkQueue
+    import repro.obs as obs
     from repro.obs.logbridge import configure_stderr_logging
 
     configure_stderr_logging(verbose=args.verbose, quiet=args.quiet)
     if args.telemetry is not None:
-        import repro.obs as obs
-
         obs.enable(args.telemetry)
-    if args.supervise is not None:
-        return _run_supervised(args)
+    try:
+        if args.supervise is not None:
+            return _run_supervised(args)
+        return _run_worker(args)
+    finally:
+        # A worker may also have enabled telemetry from the queue's
+        # meta.json; either way, flush and close on every exit.
+        if obs.enabled():
+            obs.disable()
+
+
+def _run_worker(args: argparse.Namespace) -> int:
+    """The plain ``repro work`` branch: one inline claim/execute loop."""
+    from repro.dist import QueueWorker, StoreUnavailable, WorkQueue
     from repro.exp.tasks import init_worker
 
     init_worker()  # one of possibly many workers on this machine
@@ -426,23 +436,8 @@ def _cmd_work(args: argparse.Namespace) -> int:
         # message says where — surface it without a traceback wall.
         print(f"repro work: error: {exc}", file=sys.stderr)
         return 2
-    # The worker may also have enabled telemetry from the queue's
-    # meta.json; either way, flush and close before reporting.
-    import repro.obs as obs
-
-    if obs.enabled():
-        obs.disable()
     if args.json:
-        print(json.dumps({
-            "worker_id": report.worker_id,
-            "executed": report.executed,
-            "reaped": report.reaped,
-            "straggled": report.straggled,
-            "failed": report.failed,
-            "timed_out": report.timed_out,
-            "spooled": report.spooled,
-            "exit_reason": report.exit_reason,
-        }, indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     else:
         print(
             f"worker {report.worker_id}: {report.cells_done} cell(s) "
@@ -476,14 +471,7 @@ def _run_supervised(args: argparse.Namespace) -> int:
         supervisor.stop()  # exit reason "stopped"
         report = supervisor.report
     if args.json:
-        print(json.dumps({
-            "slots": report.slots,
-            "spawned": report.spawned,
-            "crashes": report.crashes,
-            "strikes": report.strikes,
-            "circuit_open": report.circuit_open,
-            "exit_reason": report.exit_reason,
-        }, indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     else:
         print(
             f"supervisor: {report.slots} slot(s), {report.spawned} "

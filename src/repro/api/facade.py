@@ -118,8 +118,6 @@ def _ordered_reports(
 def run_scenario(
     source: "Scenario | Mapping | str | Path",
     *,
-    config: "ExperimentConfig | None" = None,
-    runner: ExperimentRunner | None = None,
     n_workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     checkpoint_path: str | os.PathLike | None = None,
@@ -129,11 +127,10 @@ def run_scenario(
     """Load, compile and execute a scenario on the experiment engine.
 
     ``source`` may be a :class:`Scenario`, a plain mapping, or a path to
-    a scenario file. ``config`` substitutes a pre-built
-    :class:`ExperimentConfig` for the scenario-derived one (the harness
-    shims use this); ``runner`` supplies a fully configured engine,
-    otherwise one is built from ``n_workers``/``cache_dir``/
-    ``checkpoint_path``. Results are bit-identical for any worker count.
+    a scenario file; the scenario alone says what the study computes.
+    The keywords say only how it runs: the worker count, the result
+    cache, the checkpoint journal, the work queue and the progress bar.
+    Results are bit-identical for any worker count.
 
     A scenario with an ``execution`` block picks its dispatch mode:
     ``{"dispatch": "queue", "queue_dir": ..., "workers": N}`` runs the
@@ -143,25 +140,10 @@ def run_scenario(
     metrics are bit-identical in every mode.
     """
     scenario = load_scenario(source)
-    if config is not None:
-        # The scenario validated against its own system section; a
-        # substituted config may name a different system entirely.
-        scenario.validate_system(config)
-    if runner is not None and (cache_dir is not None or checkpoint_path is not None):
-        raise ValueError(
-            "pass cache_dir/checkpoint_path either to run_scenario "
-            "or to the ExperimentRunner, not both — the explicit runner "
-            "would silently run without them"
-        )
     execution = scenario.execution or {}
-    if queue_dir is not None and runner is not None:
-        raise ValueError(
-            "pass queue_dir either to run_scenario or to the "
-            "ExperimentRunner, not both"
-        )
     if n_workers is None:
         n_workers = int(execution.get("workers", 1))
-    runner = runner or ExperimentRunner(
+    runner = ExperimentRunner(
         n_workers=n_workers,
         cache_dir=cache_dir,
         checkpoint_path=checkpoint_path,
@@ -179,7 +161,7 @@ def run_scenario(
         supervise=bool(execution.get("supervise", False)),
         progress=progress,
     )
-    tasks = scenario.compile(config=config)
+    tasks = scenario.compile()
     results = runner.run(tasks)
     return ScenarioResult(
         scenario=scenario,
@@ -200,7 +182,6 @@ def compare(
     case_study: bool | None = None,
     goal: Mapping | None = None,
     options: Mapping | None = None,
-    runner: ExperimentRunner | None = None,
     n_workers: int = 1,
 ) -> "dict[str, dict[str, MetricReport]]":
     """Run a (method × workload × seed) comparison grid.
@@ -209,39 +190,31 @@ def compare(
     :class:`Scenario` and returns ``{workload: {method: MetricReport}}``
     in the caller's ordering. ``methods`` defaults to the paper's four
     §IV-D methods; ``config`` carries the sizing (its seed is the grid's
-    root seed).
+    root seed), written into the scenario's ``system``, ``seed`` and
+    ``config`` sections, and the grid runs on ``n_workers`` workers.
     """
+    from repro.experiments.harness import ExperimentConfig
+
     requested = tuple(methods or paper_methods())
     scenario = Scenario(
         name="compare",
         methods=requested,
         workloads=tuple(workloads),
-        # Mirror the caller's config so validation (workload resource
-        # requirements in particular) runs against the system that will
-        # actually execute, not the default mini_theta.
-        system=(
-            {"name": config.system_name, "nodes": config.nodes,
-             "bb_units": config.bb_units}
-            if config is not None
-            else {"name": "mini_theta"}
-        ),
-        seed=config.seed if config is not None else 2022,
         seeds=tuple(seeds) if seeds is not None else None,
         replications=replications,
         train=train,
         case_study=case_study,
         goal=dict(goal or {}),
         options=dict(options or {}),
+        **Scenario.sections_for(config or ExperimentConfig()),
     )
-    result = run_scenario(
-        scenario, config=config, runner=runner, n_workers=n_workers
-    )
+    reports = run_scenario(scenario, n_workers=n_workers).reports
     # Scenario canonicalises spellings ("Heuristic" → "heuristic"); hand
     # the caller back their own names, as the legacy harness did. Multi-
     # seed labels carry an "@seed" suffix after the method name.
     rename = {c: r for c, r in zip(scenario.methods, requested) if c != r}
     if not rename:
-        return result.reports
+        return reports
 
     def restore(label: str) -> str:
         name, sep, seed = label.partition("@")
@@ -249,7 +222,7 @@ def compare(
 
     return {
         w: {restore(label): rep for label, rep in per.items()}
-        for w, per in result.reports.items()
+        for w, per in reports.items()
     }
 
 
@@ -262,14 +235,24 @@ def run_single(
 ):
     """Run one (method, workload) pair; returns ``(result, scheduler)``.
 
-    The scheduler instance is returned so callers can inspect agent
-    internals (e.g. the MRSch goal-vector log behind Figs 8–9). Extra
-    ``kwargs`` reach the scheduler constructor — pass a scenario's
-    per-method options to inspect the identically-configured agent.
+    The cell a grid runs (:func:`repro.exp.tasks.replay_cell`), keeping
+    the scheduler — for agent internals such as the MRSch goal log
+    behind Figs 8–9 — and the utilization timeline. Extra ``kwargs``
+    reach the scheduler constructor (a scenario's per-method options).
     """
-    from repro.experiments.harness import run_single as _run_single
+    from repro.exp.tasks import replay_cell
+    from repro.experiments.harness import ExperimentConfig
 
-    return _run_single(workload, method, config=config, train=train, **kwargs)
+    sched, replays = replay_cell(
+        method,
+        (workload,),
+        config or ExperimentConfig(),
+        train=train,
+        case_study=WORKLOADS.get(workload).case_study,
+        extra=kwargs,
+        record_timeline=True,
+    )
+    return dict(replays)[workload], sched
 
 
 # -- component listings -------------------------------------------------------

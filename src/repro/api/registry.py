@@ -4,9 +4,11 @@ Every name-based lookup in the library resolves through one of three
 process-global registries:
 
 * :data:`SCHEDULERS` — policies implementing the
-  :class:`~repro.sched.base.Scheduler` interface, with capability
-  metadata (trainable, seeded, multi-resource) the scenario compiler
-  and CLI read;
+  :class:`~repro.sched.base.Scheduler` interface. ``trainable`` and
+  ``seeded`` only describe a policy to ``repro list`` (training follows
+  ``finish_episode``, not the flag); ``paper`` picks the default
+  comparison methods, and the scenario compiler reads ``goal_options``
+  and ``allowed_kwargs``;
 * :data:`WORKLOADS` — workload builders that transform a base trace
   into the job mix a scenario evaluates (the paper's S1–S10 plus any
   site-specific mixes);
@@ -91,12 +93,12 @@ class SchedulerEntry:
     name: str
     factory: Callable
     description: str = ""
-    #: implements ``finish_episode`` and is curriculum-trained by default
+    #: implements ``finish_episode`` and is curriculum-trained by default.
+    #: Declared, not derived: a builtin's factory imports its class only
+    #: when called, so ``repro list`` never loads the network stack.
     trainable: bool = False
     #: consumes a ``seed`` (stochastic policy or stochastic initialisation)
     seeded: bool = True
-    #: handles systems with more than two resources
-    multi_resource: bool = True
     #: one of the paper's §IV-D comparison methods
     paper: bool = False
     #: scenario ``goal`` keys this policy consumes, mapped to the
@@ -126,7 +128,6 @@ class SchedulerEntry:
         return {
             "trainable": self.trainable,
             "seeded": self.seeded,
-            "multi_resource": self.multi_resource,
             "paper": self.paper,
             "goal_options": [k for k, _ in self.goal_options],
         }
@@ -347,7 +348,6 @@ def register_scheduler(
     description: str = "",
     trainable: bool = False,
     seeded: bool = True,
-    multi_resource: bool = True,
     paper: bool = False,
     goal_options: Mapping[str, str] | tuple[tuple[str, str], ...] = (),
     config_options: Mapping[str, str] | tuple[tuple[str, str], ...] = (),
@@ -375,7 +375,6 @@ def register_scheduler(
                 description=description or inspect.getdoc(obj) or "",
                 trainable=trainable,
                 seeded=seeded,
-                multi_resource=multi_resource,
                 paper=paper,
                 goal_options=tuple(goal_options),
                 config_options=tuple(config_options),

@@ -52,6 +52,10 @@ if TYPE_CHECKING:
 
 __all__ = ["Scenario", "load_scenario"]
 
+#: ``config`` keys that copy straight onto :class:`ExperimentConfig` fields
+_CONFIG_KEYS = ("n_jobs", "window_size", "jobs_per_trainset", "mean_interarrival")
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
@@ -262,7 +266,7 @@ class Scenario:
 
         # Surface system/sizing mismatches, missing workload resources and
         # unhashable option values now rather than deep inside a worker.
-        self.validate_system(self.build_config())
+        self._validate_system(self.build_config())
         try:
             canonical_json(
                 [dict(self.goal), *(dict(kw) for kw in self.options.values())]
@@ -384,14 +388,9 @@ class Scenario:
 
     # -- compilation ------------------------------------------------------
 
-    def validate_system(self, config: "ExperimentConfig") -> None:
-        """Check the workloads' resource requirements against ``config``.
-
-        Runs automatically for the scenario's own config; callers that
-        substitute a pre-built :class:`ExperimentConfig` (``compare``,
-        ``run_scenario(config=...)``) get the same up-front guarantee
-        instead of a ``KeyError`` deep inside a worker.
-        """
+    def _validate_system(self, config: "ExperimentConfig") -> None:
+        """Check the workloads' resource requirements against ``config``,
+        up front instead of as a ``KeyError`` deep inside a worker."""
         system = config.system()
         for workload in self.workloads:
             entry = WORKLOADS.get(workload)
@@ -402,6 +401,18 @@ class Scenario:
                 f"that system {config.system_name!r} "
                 f"(resources: {system.names}) does not provide",
             )
+
+    @staticmethod
+    def sections_for(config: "ExperimentConfig") -> dict:
+        """The ``system``, ``seed`` and ``config`` sections that size a
+        study as ``config`` does; :meth:`build_config` returns ``config``
+        exactly from them."""
+        sizing = {key: getattr(config, key) for key in _CONFIG_KEYS}
+        sizing["curriculum_sets"] = list(config.curriculum_sets)
+        sizing["ga"] = dataclasses.asdict(config.ga_config)
+        system = {"name": config.system_name, "nodes": config.nodes,
+                  "bb_units": config.bb_units}
+        return {"system": system, "seed": config.seed, "config": sizing}
 
     def build_config(self) -> "ExperimentConfig":
         """Materialise the :class:`ExperimentConfig` this scenario sizes.
@@ -432,7 +443,7 @@ class Scenario:
                 kwargs[key] = actual
             elif requested is not None:
                 kwargs[key] = requested
-        for key in ("n_jobs", "window_size", "jobs_per_trainset", "mean_interarrival"):
+        for key in _CONFIG_KEYS:
             if key in self.config:
                 kwargs[key] = self.config[key]
         if "curriculum_sets" in self.config:
@@ -455,22 +466,21 @@ class Scenario:
         merged.update(self.options.get(method, {}))
         return tuple(sorted(merged.items()))
 
-    def compile(self, config: "ExperimentConfig | None" = None) -> list[ExperimentTask]:
+    def compile(self) -> list[ExperimentTask]:
         """Compile to the (method × seed) grid cells the engine executes.
 
-        The cells are :func:`repro.exp.runner.grid_tasks`' (same seed
-        spawning, same cell ordering), each given its method's
-        constructor kwargs, so a scenario equivalent to a harness
-        comparison produces bit-identical tasks, metrics and cache keys.
-        ``config`` overrides the scenario-built :class:`ExperimentConfig`;
-        scenario seeds still apply.
+        The cells are :func:`repro.exp.runner.grid_tasks`' on
+        :meth:`build_config` (same seed spawning, same cell ordering),
+        each given its method's constructor kwargs, so a scenario
+        equivalent to a harness comparison produces bit-identical
+        tasks, metrics and cache keys.
         """
         from repro.exp.runner import grid_tasks
 
         tasks = grid_tasks(
             self.methods,
             self.workloads,
-            config if config is not None else self.build_config(),
+            self.build_config(),
             seeds=self.seeds,
             n_seeds=self.replications,
             train=self.train,

@@ -6,7 +6,9 @@ pool both call it, so "parallel equals serial" holds by construction
 rather than by careful bookkeeping. It is a pure function of the task:
 every RNG stream inside derives from ``task.seed`` (via the library's
 ``SeedSequence``-based spawning), so re-running a task anywhere, in any
-order, on any worker reproduces bit-identical metric values.
+order, on any worker reproduces bit-identical metric values. Its body,
+:func:`replay_cell`, is also what :func:`repro.api.run_single` replays,
+so a single inspected run is the same cell a grid runs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,18 @@ import contextlib
 import dataclasses
 import sys
 import time
+from collections.abc import Iterator, Mapping
+from typing import TYPE_CHECKING
 
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs import runtime as _obs_runtime
 
-__all__ = ["execute_task", "init_worker", "worker_context"]
+if TYPE_CHECKING:
+    from repro.experiments.harness import ExperimentConfig
+    from repro.sched.base import Scheduler
+    from repro.sim.simulator import SimulationResult
+
+__all__ = ["execute_task", "init_worker", "replay_cell", "worker_context"]
 
 
 def worker_context(start_method: str | None = None):
@@ -48,16 +57,10 @@ def init_worker(modules: tuple[str, ...] = ()) -> None:
 
 
 def execute_task(task: ExperimentTask) -> TaskResult:
-    """Run one grid cell: build, (optionally) train, evaluate in order.
+    """Run one grid cell (:func:`replay_cell`) and keep its metrics.
 
-    Mirrors the serial harness flow exactly — one scheduler instance is
-    created with the cell seed, trained once if requested, then replayed
-    over ``task.workloads`` in order, so stateful policies (the GA's RNG
-    stream, a trained agent) see the same history as a serial sweep.
-
-    Each workload is one
-    :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`, without
-    the utilization timeline: nothing in a cell reads it.
+    Each workload replays without the utilization timeline: nothing in
+    a cell reads it.
     """
     t0 = time.perf_counter()
     config = task.config
@@ -85,7 +88,24 @@ def execute_task(task: ExperimentTask) -> TaskResult:
             )
         )
     with _cell_obs:
-        result = _execute_task_body(task, config, task_key, obs_session, t0)
+        _, replays = replay_cell(
+            task.method,
+            task.workloads,
+            config,
+            train=task.train,
+            case_study=task.case_study,
+            extra=dict(task.extra),
+        )
+        metrics = {workload: replay.metrics for workload, replay in replays}
+    result = TaskResult(
+        key=task_key,
+        method=task.method,
+        seed=task.seed,
+        workloads=task.workloads,
+        metrics=metrics,
+        wall_time=time.perf_counter() - t0,
+        label=task.label,
+    )
     if obs_session is not None:
         obs_session.metrics.counter("cells.executed").inc()
         obs_session.metrics.histogram("cell.wall_s").observe(result.wall_time)
@@ -95,55 +115,62 @@ def execute_task(task: ExperimentTask) -> TaskResult:
     return result
 
 
-def _execute_task_body(
-    task: ExperimentTask,
-    config,
-    task_key: str,
-    obs_session,
-    t0: float,
-) -> TaskResult:
-    # Imported lazily: repro.experiments.harness imports the runner, and
-    # worker processes should only pay for what the task touches.
+def replay_cell(
+    method: str,
+    workloads: tuple[str, ...],
+    config: ExperimentConfig,
+    *,
+    train: bool,
+    case_study: bool,
+    extra: Mapping,
+    record_timeline: bool = False,
+) -> tuple[Scheduler, Iterator[tuple[str, SimulationResult]]]:
+    """The one cell pipeline: build, (optionally) train, replay in order.
+
+    Builds the base trace and the system (power-extended for a case
+    study, §V-E), then one scheduler with the config seed and ``extra``
+    constructor kwargs, curriculum-trained once if ``train`` — so
+    stateful policies (the GA's RNG stream, a trained agent) see the
+    same history as a serial sweep. Returns the scheduler and a lazy
+    iterator of ``(workload, SimulationResult)``: each workload is one
+    :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`, made when
+    the iterator reaches it, so a caller that keeps only the metrics
+    holds one replay at a time.
+    """
+    # Imported at call time: repro.experiments.harness imports the
+    # runner, worker processes should only pay for what the cell
+    # touches, and the end-to-end tracer wraps these module attributes.
     from repro.experiments.harness import make_method, prepare_base_trace, train_method
     from repro.sim.simulator import Simulator
     from repro.workload.suites import build_case_study_workload, build_workload, powered_system
 
-    def workload_span(name: str):
+    obs_session = _obs_runtime.session
+
+    def span(name: str, **attrs):
         if obs_session is None:
             return contextlib.nullcontext()
-        return obs_session.span("workload", workload=name)
+        return obs_session.span(name, **attrs)
 
     base = prepare_base_trace(config)
     system = config.system()
     # Every case-study workload extends the system identically (§V-E).
-    eval_system = powered_system(system) if task.case_study else system
+    eval_system = powered_system(system) if case_study else system
 
-    sched = make_method(task.method, eval_system, config, **dict(task.extra))
-    if task.train:
-        with (
-            obs_session.span("train", method=task.method)
-            if obs_session is not None
-            else contextlib.nullcontext()
-        ):
+    sched = make_method(method, eval_system, config, **extra)
+    if train:
+        with span("train", method=method):
             train_method(sched, eval_system, config)
 
-    metrics = {}
-    for workload in task.workloads:
-        if task.case_study:
-            jobs, _ = build_case_study_workload(workload, base, system, seed=config.seed)
-        else:
-            jobs = build_workload(workload, base, eval_system, seed=config.seed)
-        with workload_span(workload):
-            metrics[workload] = (
-                Simulator(eval_system, sched, record_timeline=False).run(jobs).metrics
-            )
+    def replays() -> Iterator[tuple[str, SimulationResult]]:
+        for workload in workloads:
+            if case_study:
+                jobs, _ = build_case_study_workload(workload, base, system, seed=config.seed)
+            else:
+                jobs = build_workload(workload, base, eval_system, seed=config.seed)
+            with span("workload", workload=workload):
+                result = Simulator(
+                    eval_system, sched, record_timeline=record_timeline
+                ).run(jobs)
+            yield workload, result
 
-    return TaskResult(
-        key=task_key,
-        method=task.method,
-        seed=task.seed,
-        workloads=task.workloads,
-        metrics=metrics,
-        wall_time=time.perf_counter() - t0,
-        label=task.label,
-    )
+    return sched, replays()

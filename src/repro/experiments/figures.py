@@ -20,13 +20,12 @@ import numpy as np
 
 from repro.api.registry import paper_workloads
 from repro.core.mrsch import MRSchScheduler
-from repro.api.facade import compare
+from repro.api.facade import compare, run_single
 from repro.experiments.harness import (
     PAPER_METHODS,
     ExperimentConfig,
     make_method,
     prepare_base_trace,
-    run_single,
     train_method,
 )
 from repro.experiments.report import format_boxstats, format_series, format_table
@@ -70,7 +69,6 @@ def _metric_rows(
 def fig3_mlp_vs_cnn(
     config: ExperimentConfig | None = None,
     workloads: tuple[str, ...] = S_WORKLOADS,
-    runner: ExperimentRunner | None = None,
     n_workers: int = 1,
 ) -> dict:
     """State-module ablation (§V-A): identical agents except the state net.
@@ -81,7 +79,7 @@ def fig3_mlp_vs_cnn(
     grid cells, so they parallelise across workers.
     """
     config = config or ExperimentConfig()
-    runner = runner or ExperimentRunner(n_workers=n_workers)
+    runner = ExperimentRunner(n_workers=n_workers)
     tasks = [
         ExperimentTask(
             method="mrsch",
@@ -141,12 +139,11 @@ def fig5_fig6_comparison(
     config: ExperimentConfig | None = None,
     workloads: tuple[str, ...] = S_WORKLOADS,
     methods: tuple[str, ...] = PAPER_METHODS,
-    runner: ExperimentRunner | None = None,
     n_workers: int = 1,
 ) -> dict:
     """System-level (Fig 5) and user-level (Fig 6) comparison grids."""
     reports = compare(
-        list(workloads), list(methods), config, runner=runner, n_workers=n_workers
+        list(workloads), list(methods), config, n_workers=n_workers
     )
     tables = _metric_rows(reports, list(methods))
     fig5 = "\n\n".join(
@@ -169,13 +166,12 @@ def fig7_kiviat(
     reports: dict[str, dict[str, MetricReport]] | None = None,
     config: ExperimentConfig | None = None,
     workloads: tuple[str, ...] = S_WORKLOADS,
-    runner: ExperimentRunner | None = None,
     n_workers: int = 1,
 ) -> dict:
     """Normalized radar axes per workload; reuses Fig 5/6 runs if given."""
     if reports is None:
         reports = compare(
-            list(workloads), config=config, runner=runner, n_workers=n_workers
+            list(workloads), config=config, n_workers=n_workers
         )
     charts = {w: kiviat_normalize(rs) for w, rs in reports.items()}
     areas = {
@@ -274,7 +270,6 @@ def fig10_three_resources(
     config: ExperimentConfig | None = None,
     workloads: tuple[str, ...] = CASE_WORKLOADS,
     methods: tuple[str, ...] = PAPER_METHODS,
-    runner: ExperimentRunner | None = None,
     n_workers: int = 1,
 ) -> dict:
     """§V-E: CPU + burst buffer + power, workloads S6–S10."""
@@ -283,7 +278,6 @@ def fig10_three_resources(
         list(methods),
         config,
         case_study=True,
-        runner=runner,
         n_workers=n_workers,
     )
     charts = {w: kiviat_normalize(rs, include_power=True) for w, rs in reports.items()}

@@ -2,9 +2,10 @@
 
 One :class:`ExperimentConfig` fixes the system scale, trace size,
 training budget and RNG seed of an experiment; the harness then builds
-the base trace, instantiates any method by paper name, trains the
-trainable ones on the §III-D curriculum, and replays the evaluation
-workloads.
+the base trace, instantiates any method by paper name and trains the
+trainable ones on the §III-D curriculum;
+:func:`repro.exp.tasks.replay_cell` puts these steps together and
+replays the evaluation workloads.
 
 Scale note: defaults target the miniature Theta (DESIGN.md §5) so that a
 full (4 methods × 5 workloads) grid runs in minutes on a laptop. All the
@@ -22,7 +23,6 @@ from repro.api.registry import SCHEDULERS, paper_methods
 from repro.cluster.resources import SystemConfig
 from repro.sched.base import Scheduler
 from repro.sched.ga import NSGA2Config
-from repro.sim.simulator import SimulationResult, Simulator
 from repro.utils.rng import as_generator, spawn_generators
 from repro.workload.job import Job
 from repro.workload.sampling import build_curriculum
@@ -180,33 +180,3 @@ def _without_power(system: SystemConfig) -> SystemConfig:
 
     return SystemConfig(tuple(r for r in system.resources if r.name != POWER))
 
-
-def run_single(
-    workload: str,
-    method: str,
-    config: ExperimentConfig | None = None,
-    train: bool = True,
-    **kwargs,
-) -> tuple[SimulationResult, Scheduler]:
-    """Run one (method, workload) pair; returns (result, scheduler).
-
-    The scheduler is returned so callers can read agent internals — the
-    goal-vector log behind Figs 8–9 in particular. Case-study workloads
-    (power-profiled, per their registry metadata) are evaluated on the
-    matching power-extended system automatically. Extra ``kwargs``
-    reach the scheduler constructor (scenario-style method options).
-    """
-    from repro.api.registry import WORKLOADS
-
-    config = config or ExperimentConfig()
-    system = config.system()
-    base = prepare_base_trace(config)
-    if isinstance(workload, str) and WORKLOADS.get(workload).case_study:
-        jobs, system = build_case_study_workload(workload, base, system, seed=config.seed)
-    else:
-        jobs = build_workload(workload, base, system, seed=config.seed)
-    sched = make_method(method, system, config, **kwargs)
-    if train:
-        train_method(sched, system, config)
-    result = Simulator(system, sched).run(jobs)
-    return result, sched

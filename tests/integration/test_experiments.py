@@ -18,12 +18,11 @@ from repro.experiments.figures import (
     fig9_rbb_distribution,
     overhead_study,
 )
-from repro.api import compare
+from repro.api import compare, run_single
 from repro.experiments.harness import (
     ExperimentConfig,
     make_method,
     prepare_base_trace,
-    run_single,
     train_method,
 )
 from repro.experiments.report import format_boxstats, format_series, format_table
@@ -98,6 +97,27 @@ class TestHarness:
         result, sched = run_single("S2", "heuristic", tiny_config, train=False)
         assert result.metrics.n_jobs == tiny_config.n_jobs
         assert sched.name == "fcfs"
+
+    @pytest.mark.parametrize("method,workload,train,case_study", [
+        ("mrsch", "S3", True, False),
+        ("prior", "S7", False, True),
+    ])
+    def test_run_single_replays_the_cell_execute_task_replays(
+        self, tiny_config, method, workload, train, case_study
+    ):
+        """One cell body: ``run_single`` keeps the scheduler and the
+        timeline, ``execute_task`` the metrics — of the same replay."""
+        from repro.exp import ExperimentTask
+        from repro.exp.tasks import execute_task
+
+        result, _ = run_single(workload, method, tiny_config, train=train)
+        task = ExperimentTask(
+            method, (workload,), tiny_config.seed, tiny_config,
+            train=train, case_study=case_study,
+        )
+        cell = execute_task(task).metrics[workload]
+        assert result.metrics.full_dict() == cell.full_dict()
+        assert len(result.recorder.utilization_series[0]) > 0
 
 
 class TestFigures:

@@ -186,9 +186,10 @@ class TestScenarioCompilation:
         )
         engine_reports = pivot_results(engine_results)
         scenario = Scenario(
-            methods=tuple(METHODS), workloads=("S1", "S3"), train=False
+            methods=tuple(METHODS), workloads=("S1", "S3"), train=False,
+            **Scenario.sections_for(grid_config),
         )
-        result = run_scenario(scenario, config=grid_config, n_workers=2)
+        result = run_scenario(scenario, n_workers=2)
         assert {
             w: {m: r.full_dict() for m, r in per.items()}
             for w, per in result.reports.items()
@@ -234,7 +235,7 @@ class TestScenarioCompilation:
     def test_plugin_scheduler_runs_through_run_scenario(self, grid_config):
         """Registering a toy scheduler via decorator requires zero edits
         to core modules: it is immediately addressable from a scenario."""
-        from repro.api import SCHEDULERS, register_scheduler, run_scenario
+        from repro.api import SCHEDULERS, Scenario, register_scheduler, run_scenario
         from repro.sched.base import WindowPolicyScheduler
 
         instantiated = []
@@ -253,8 +254,7 @@ class TestScenarioCompilation:
         try:
             result = run_scenario(
                 {"methods": ["toy_lifo", "heuristic"], "workloads": ["S1"],
-                 "train": False},
-                config=grid_config,
+                 "train": False, **Scenario.sections_for(grid_config)},
             )
             assert len(instantiated) == 1  # the toy policy really executed
             toy = result.reports["S1"]["toy_lifo"].full_dict()

@@ -34,6 +34,13 @@ class TestBuiltins:
         assert SCHEDULERS.get("scalar_rl").capabilities()["goal_options"] == ["weights"]
         assert WORKLOADS.get("S6").case_study and not WORKLOADS.get("S1").case_study
 
+    def test_no_multi_resource_flag(self):
+        """Every policy handles any resource count; nothing read the flag."""
+        assert "multi_resource" not in SCHEDULERS.get("mrsch").capabilities()
+        with pytest.raises(TypeError):
+            register_scheduler("toy_flagged", multi_resource=False)
+        assert "toy_flagged" not in SCHEDULERS
+
     def test_case_insensitive_scheduler_lookup(self):
         assert SCHEDULERS.get("MRSch").name == "mrsch"
 

@@ -254,6 +254,34 @@ class TestWorkQueueCommands:
         assert len(report["executed"]) == 1
         assert report["failed"] == []
 
+    @pytest.mark.parametrize("supervise", [[], ["--supervise", "1"]])
+    def test_work_closes_its_telemetry_session(self, supervise, tmp_path, capsys):
+        """Both branches flush a final metrics snapshot marked closed."""
+        import os
+
+        from repro.dist import WorkQueue
+
+        queue = WorkQueue(tmp_path / "q")  # empty: every worker drains at once
+        telemetry = tmp_path / "telemetry"
+        argv = ["work", "--queue", str(queue.root), "--telemetry", str(telemetry)]
+        assert main([*argv, *supervise]) == 0
+        snapshot = json.loads((telemetry / f"metrics-{os.getpid()}.json").read_text())
+        assert snapshot["closed"] is True
+
+    @pytest.mark.parametrize("supervise", [[], ["--supervise", "1"]])
+    def test_work_json_is_the_report_dataclass(self, supervise, tmp_path, capsys):
+        import dataclasses
+
+        from repro.dist import WorkerReport
+        from repro.dist.supervise import SupervisorReport
+
+        queue = self._enqueue(tmp_path)
+        argv = ["work", "--queue", str(queue.root), "--json", *supervise]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        fields = dataclasses.fields(SupervisorReport if supervise else WorkerReport)
+        assert set(report) == {f.name for f in fields}
+
     def test_work_missing_queue_is_an_error(self, tmp_path, capsys):
         assert main(["work", "--queue", str(tmp_path / "nope")]) == 1
         assert "work queue not found" in capsys.readouterr().err

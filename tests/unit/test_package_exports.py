@@ -222,6 +222,49 @@ class TestOfflineRescoringIsGone:
         assert list(inspect.signature(execute_task).parameters) == ["task"]
 
 
+class TestOneWayIntoAStudy:
+    """The scenario alone sizes a study, ``run_scenario``'s keywords say
+    only how it runs, and one cell body serves grids and ``run_single``."""
+
+    @pytest.mark.parametrize("keyword", ["config", "runner"])
+    def test_run_scenario_refuses_sizing_and_engine(self, keyword, tmp_path):
+        from repro.api import run_scenario
+
+        _refuses(lambda: run_scenario({}, **{keyword: tmp_path}))
+
+    def test_scenario_compile_takes_no_config(self):
+        import inspect
+
+        from repro.api import Scenario
+
+        assert list(inspect.signature(Scenario.compile).parameters) == ["self"]
+        assert not hasattr(Scenario, "validate_system")
+
+    def test_run_single_lives_in_the_api_alone(self):
+        import repro.experiments.harness as harness
+
+        assert not hasattr(harness, "run_single")
+
+    @pytest.mark.parametrize("entry", [
+        "compare", "fig3_mlp_vs_cnn", "fig5_fig6_comparison", "fig7_kiviat",
+        "fig10_three_resources",
+    ])
+    def test_a_grid_entry_takes_a_worker_count_not_a_runner(self, entry):
+        """A caller with its own engine runs ``runner.run(scenario.compile())``;
+        the figure-level entries build theirs from ``n_workers``."""
+        import inspect
+
+        import repro.api as api
+        import repro.experiments.figures as figures
+        from repro.exp import ExperimentRunner
+
+        call = api.compare if entry == "compare" else getattr(figures, entry)
+        params = inspect.signature(call).parameters
+        assert "runner" not in params and params["n_workers"].default == 1
+        args = (["S1"],) if entry == "compare" else ()
+        _refuses(lambda: call(*args, runner=ExperimentRunner(n_workers=1), n_workers=2))
+
+
 class TestNnKeepsWhatThePaperTrains:
     """``repro.nn`` holds the layers, loss and optimizer the paper's three
     networks train with — the DFP agent, its CNN state module and the

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.api.scenario import Scenario, load_scenario
 from repro.exp.runner import grid_tasks
 from repro.experiments.harness import ExperimentConfig
+from repro.sched.ga import NSGA2Config
 
 
 def tiny_dict(**overrides) -> dict:
@@ -146,7 +147,7 @@ class TestValidation:
             tiny_dict(options={"heuristic": {"window_size": 3}})
         )
         config = s.build_config()
-        task = s.compile(config=config)[0]
+        task = s.compile()[0]
         sched = make_method(task.method, config.system(), config, **dict(task.extra))
         assert sched.window_size == 3  # option beat the config-wide 5
         result = run_scenario(s)  # and the scenario runs end to end
@@ -463,19 +464,58 @@ class TestHashStability:
         assert keys_a == keys_b
 
 
+#: the default sizing, full Theta, and one that sets every field off
+#: its default
+SIZINGS = {
+    "default": ExperimentConfig(),
+    "theta": ExperimentConfig(system_name="theta", nodes=4392, bb_units=1290),
+    "custom": ExperimentConfig(
+        nodes=32, bb_units=16, n_jobs=40, window_size=5, seed=7,
+        curriculum_sets=(1, 0, 2), jobs_per_trainset=30,
+        ga_config=NSGA2Config(population=4, generations=2, p_crossover=0.5),
+        mean_interarrival=123.5,
+    ),
+}
+
+
+class TestCompareSizesThroughTheScenario:
+    """``compare()`` writes its config into the scenario's sections; the
+    scenario then builds exactly that config and the same cells."""
+
+    @pytest.mark.parametrize("sizing", list(SIZINGS))
+    def test_round_trip(self, sizing, monkeypatch):
+        import repro.api.facade as facade
+
+        config = SIZINGS[sizing]
+        seen = []
+
+        def capture(scenario, **kwargs):
+            seen.append(scenario)
+            return facade.ScenarioResult(scenario, [], [], {})
+
+        monkeypatch.setattr(facade, "run_scenario", capture)
+        methods, workloads = ["mrsch", "heuristic"], ["S1", "S4"]
+        facade.compare(workloads, methods, config)
+        (scenario,) = seen
+        assert scenario.build_config() == config
+        assert [t.key() for t in scenario.compile()] == [
+            t.key() for t in grid_tasks(methods, workloads, config, train=True)
+        ]
+
+
 class TestCompilation:
     def test_matches_grid_tasks_exactly(self):
         """Scenario compilation is bit-identical to the harness grid."""
         s = Scenario.from_dict(tiny_dict(methods=["heuristic", "optimization"]))
         config = s.build_config()
         expected = grid_tasks(["heuristic", "optimization"], ["S1"], config)
-        assert s.compile(config=config) == expected
+        assert s.compile() == expected
 
     def test_replications_spawn_grid_seeds(self):
         s = Scenario.from_dict(tiny_dict(replications=3))
         config = s.build_config()
         expected = grid_tasks(["heuristic"], ["S1"], config, n_seeds=3)
-        assert s.compile(config=config) == expected
+        assert s.compile() == expected
 
     def test_explicit_seeds(self):
         tasks = Scenario.from_dict(tiny_dict(seeds=[5, 6])).compile()
