@@ -52,7 +52,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.workload.sampling": ["split_trace", "build_curriculum"],
     "repro.workload.swf": ["parse_swf", "write_swf"],
     "repro.sim.simulator": ["Simulator", "SimulationResult"],
-    "repro.sim.metrics": ["MetricReport", "compute_metrics", "kiviat_normalize"],
+    "repro.sim.metrics": ["MetricReport", "compute_metrics"],
     "repro.sched.base": ["Scheduler", "SchedulingContext"],
     "repro.sched.fcfs": ["FCFSScheduler"],
     "repro.sched.ga": ["GAScheduler"],

@@ -81,12 +81,29 @@ class ScenarioResult:
         }
 
 
+def format_table(
+    title: str,
+    columns: Sequence[str],
+    rows: Mapping[str, Sequence[float]],
+    precision: int = 3,
+) -> str:
+    """Render ``{row label: values}`` as an aligned table."""
+    header = ["", *columns]
+    body = [
+        [label, *(f"{v:.{precision}f}" if isinstance(v, float) else str(v) for v in values)]
+        for label, values in rows.items()
+    ]
+    widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
+    lines = [title, "-" * len(title)]
+    for row in [header, *body]:
+        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
 def render_reports(
     reports: "dict[str, dict[str, MetricReport]]", title: str
 ) -> str:
     """Render ``{workload: {method: report}}`` as aligned text tables."""
-    from repro.experiments.report import format_table
-
     blocks = []
     for workload, per_method in reports.items():
         columns = list(next(iter(per_method.values())).as_dict())
@@ -110,8 +127,8 @@ def _ordered_reports(
         if multi_seed:
             out[workload] = dict(per)  # labels carry "@seed" suffixes
         else:
-            # Single-seed labels are exactly the canonical method names.
-            out[workload] = {m: per[m] for m in scenario.methods}
+            # Single-seed labels are exactly the entries' labels.
+            out[workload] = {label: per[label] for label in scenario.labels}
     return out
 
 
@@ -212,7 +229,7 @@ def compare(
     # Scenario canonicalises spellings ("Heuristic" → "heuristic"); hand
     # the caller back their own names, as the legacy harness did. Multi-
     # seed labels carry an "@seed" suffix after the method name.
-    rename = {c: r for c, r in zip(scenario.methods, requested) if c != r}
+    rename = {c: r for c, r in zip(scenario.labels, requested) if c != r}
     if not rename:
         return reports
 

@@ -27,6 +27,13 @@ PyYAML happens to be installed). Example::
       "config": {"n_jobs": 150, "window_size": 10}
     }
 
+A ``methods`` entry is a registered name or an **arm**, a mapping
+``{"label": ..., "method": ..., "options": {...}}``: the method run
+under its own label with its own constructor options, so one study can
+hold two variants of one method (pure DFP beside guided MRSch is
+``{"label": "dfp", "method": "mrsch", "options": {"prior_weight": 0}}``).
+Reports are keyed by label; a plain name is its own label.
+
 Every validation failure raises :class:`ValueError` naming the offending
 field and the accepted alternatives; each field's kind and range is a
 row of :data:`repro.api.knobs.KNOBS`.
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from collections.abc import Mapping
@@ -54,6 +62,8 @@ __all__ = ["Scenario", "load_scenario"]
 
 #: ``config`` keys that copy straight onto :class:`ExperimentConfig` fields
 _CONFIG_KEYS = ("n_jobs", "window_size", "jobs_per_trainset", "mean_interarrival")
+#: the keys of an arm entry of ``methods``
+_ARM_KEYS = ("label", "method", "options")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -82,7 +92,8 @@ class Scenario:
     resolved against the component registries at construction time.
     """
 
-    methods: tuple[str, ...]
+    #: registered names and/or arms ``{"label", "method", "options"}``
+    methods: tuple[str | Mapping, ...]
     workloads: tuple[str, ...]
     name: str = "scenario"
     description: str = ""
@@ -121,9 +132,9 @@ class Scenario:
             if value is None and field_name == "seeds":
                 continue
             _require(
-                not isinstance(value, str),
-                f"scenario.{field_name} must be a list of names, not the "
-                f"string {value!r}",
+                not isinstance(value, (str, Mapping)),
+                f"scenario.{field_name} must be a list of names, not "
+                f"{value!r}",
             )
             try:
                 value = tuple(value)
@@ -144,12 +155,20 @@ class Scenario:
         object.__setattr__(
             self,
             "methods",
-            tuple(self._lookup(SCHEDULERS, m).name for m in self.methods),
+            tuple(self._entry(i, m) for i, m in enumerate(self.methods)),
         )
+        labels = self.labels
         _require(
-            len(set(self.methods)) == len(self.methods),
-            f"scenario.methods contains duplicates: {list(self.methods)}",
+            len(set(labels)) == len(labels),
+            f"scenario.methods contains duplicates: {list(labels)}",
         )
+        for i, (label, method, _) in enumerate(self.arms):
+            others = {m for j, (_, m, _) in enumerate(self.arms) if j != i}
+            _require(
+                label == method or label not in others,
+                f"scenario.methods[{i}].label {label!r} is another entry's "
+                "method name; pick a label no other entry runs",
+            )
         entries = [self._lookup(WORKLOADS, w) for w in self.workloads]
         _require(
             len({e.name for e in entries}) == len(entries),
@@ -209,14 +228,14 @@ class Scenario:
             )
             consumed = {
                 key
-                for m in self.methods
+                for m in self.method_names
                 for key, _ in SCHEDULERS.get(m).goal_options
             }
             dangling = set(self.goal) - consumed
             _require(
                 not dangling,
                 f"goal option(s) {sorted(dangling)} are consumed by none of "
-                f"{list(self.methods)}; schedulers accepting them: "
+                f"{list(self.method_names)}; schedulers accepting them: "
                 f"{self._goal_consumers(dangling)}",
             )
 
@@ -225,9 +244,9 @@ class Scenario:
             # Accept the same alternate spellings `methods` accepts.
             canonical = self._lookup(SCHEDULERS, method).name
             _require(
-                canonical in self.methods,
+                canonical in self.method_names,
                 f"options given for {method!r}, which is not in "
-                f"scenario.methods {list(self.methods)}",
+                f"scenario.methods {list(self.method_names)}",
             )
             _require(
                 canonical not in canonical_options,
@@ -241,12 +260,12 @@ class Scenario:
         object.__setattr__(self, "options", canonical_options)
         # Reject typo'd option keys for factories whose constructor
         # kwargs are declared/derivable, instead of a worker TypeError.
-        for method in self.methods:
+        for label, method, options in self.arms:
             entry = SCHEDULERS.get(method)
-            unknown_kwargs = entry.unknown_kwargs(dict(self._method_extra(method)))
+            unknown_kwargs = entry.unknown_kwargs(dict(self._method_extra(method, options)))
             _require(
                 not unknown_kwargs,
-                f"options for {method!r} include kwargs its constructor "
+                f"options for {label!r} include kwargs its constructor "
                 f"does not accept: {list(unknown_kwargs)}; accepted: "
                 f"{sorted(entry.allowed_kwargs or ())}",
             )
@@ -268,13 +287,73 @@ class Scenario:
         # unhashable option values now rather than deep inside a worker.
         self._validate_system(self.build_config())
         try:
-            canonical_json(
-                [dict(self.goal), *(dict(kw) for kw in self.options.values())]
-            )
+            canonical_json([
+                dict(self.goal),
+                *(dict(kw) for kw in self.options.values()),
+                *(dict(options) for _, _, options in self.arms),
+            ])
         except TypeError as exc:
             raise ValueError(
                 f"scenario.goal/options values must be JSON-serialisable: {exc}"
             ) from None
+        # Two entries with one task key would run one cell twice and
+        # report it under two labels.
+        cells: dict = {}
+        for label, method, options in self.arms:
+            extra = self._method_extra(method, options)
+            twin = cells.setdefault((method, canonical_json(extra)), label)
+            _require(
+                twin == label,
+                f"scenario.methods entries {twin!r} and {label!r} run the same "
+                f"cell ({method!r} with options {dict(extra)}); drop one or "
+                "give it different options",
+            )
+
+    def _entry(self, i: int, entry):
+        """A ``methods`` entry with its method name made canonical."""
+        if not isinstance(entry, Mapping):
+            return self._lookup(SCHEDULERS, entry).name
+        where = f"scenario.methods[{i}]"
+        unknown = set(entry) - set(_ARM_KEYS)
+        _require(
+            not unknown,
+            f"unknown {where} field(s) {sorted(unknown)}; allowed: {list(_ARM_KEYS)}",
+        )
+        label = entry.get("label")
+        _require(
+            isinstance(label, str) and label != "" and "@" not in label,
+            f"{where}.label must be a non-empty string without '@', got {label!r}",
+        )
+        _require("method" in entry, f"{where} is missing required field 'method'")
+        options = entry.get("options", {})
+        _require(
+            isinstance(options, Mapping),
+            f"{where}.options must be a mapping of constructor kwargs",
+        )
+        return {
+            "label": label,
+            "method": self._lookup(SCHEDULERS, entry["method"]).name,
+            "options": dict(options),
+        }
+
+    @property
+    def arms(self) -> tuple[tuple[str, str, Mapping], ...]:
+        """``(label, method, options)`` per ``methods`` entry; a plain
+        name is its own label with no options of its own."""
+        return tuple(
+            (m, m, {}) if isinstance(m, str) else (m["label"], m["method"], m["options"])
+            for m in self.methods
+        )
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The report key of each ``methods`` entry, in order."""
+        return tuple(label for label, _, _ in self.arms)
+
+    @property
+    def method_names(self) -> tuple[str, ...]:
+        """The distinct registered methods the entries run, in order."""
+        return tuple(dict.fromkeys(method for _, method, _ in self.arms))
 
     @staticmethod
     def _lookup(registry, name: str):
@@ -350,7 +429,10 @@ class Scenario:
         """Plain-dict rendering; ``from_dict`` round-trips it exactly."""
         out: dict = {
             "name": self.name,
-            "methods": list(self.methods),
+            "methods": [
+                m if isinstance(m, str) else {**m, "options": dict(m["options"])}
+                for m in self.methods
+            ],
             "workloads": list(self.workloads),
             "system": dict(self.system),
             "seed": self.seed,
@@ -455,8 +537,11 @@ class Scenario:
                 raise ValueError(f"config.ga: {exc}") from None
         return ExperimentConfig(**kwargs)
 
-    def _method_extra(self, method: str) -> tuple[tuple[str, object], ...]:
-        """Merged per-method constructor kwargs: goal translation + options."""
+    def _method_extra(
+        self, method: str, arm_options: Mapping
+    ) -> tuple[tuple[str, object], ...]:
+        """Merged constructor kwargs of one entry: goal translation, then
+        the method's ``options``, then the arm's own options."""
         entry = SCHEDULERS.get(method)
         merged: dict = {}
         translations = dict(entry.goal_options)
@@ -464,6 +549,7 @@ class Scenario:
             if key in translations:
                 merged[translations[key]] = value
         merged.update(self.options.get(method, {}))
+        merged.update(arm_options)
         return tuple(sorted(merged.items()))
 
     def compile(self) -> list[ExperimentTask]:
@@ -471,14 +557,15 @@ class Scenario:
 
         The cells are :func:`repro.exp.runner.grid_tasks`' on
         :meth:`build_config` (same seed spawning, same cell ordering),
-        each given its method's constructor kwargs, so a scenario
+        each given its entry's constructor kwargs and, for an arm whose
+        label is not its method's name, that label; so a scenario
         equivalent to a harness comparison produces bit-identical
         tasks, metrics and cache keys.
         """
         from repro.exp.runner import grid_tasks
 
         tasks = grid_tasks(
-            self.methods,
+            [method for _, method, _ in self.arms],
             self.workloads,
             self.build_config(),
             seeds=self.seeds,
@@ -486,9 +573,14 @@ class Scenario:
             train=self.train,
             case_study=bool(self.case_study),
         )
+        # grid_tasks orders cells seed-major, then by entry.
         return [
-            dataclasses.replace(task, extra=self._method_extra(task.method))
-            for task in tasks
+            dataclasses.replace(
+                task,
+                extra=self._method_extra(method, options),
+                label="" if label == method else label,
+            )
+            for task, (label, method, options) in zip(tasks, itertools.cycle(self.arms))
         ]
 
     def replace(self, **changes) -> "Scenario":

@@ -31,9 +31,10 @@ def paired_bootstrap(
     ``n_bootstrap`` resamples of the *units* — the same resample indexes
     both policies, making the comparison paired.
     """
-    unit_values = np.asarray(unit_values, dtype=float)
-    if unit_values.ndim != 2:
-        raise ValueError("unit_values must be (units, policies)")
+    unit_values = _checked_units(unit_values)
+    is_int = isinstance(n_bootstrap, (int, np.integer)) and not isinstance(n_bootstrap, bool)
+    if not is_int or n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be a positive int, got {n_bootstrap!r}")
     n_units, n_policies = unit_values.shape
     if n_units == 0:
         raise ValueError("paired_bootstrap needs at least one unit")
@@ -59,5 +60,16 @@ def paired_bootstrap(
 
 def win_loss(unit_values: np.ndarray) -> np.ndarray:
     """(P, P) counts of units where the row policy strictly beats the column."""
-    unit_values = np.asarray(unit_values, dtype=float)
+    unit_values = _checked_units(unit_values)
     return (unit_values[:, :, None] > unit_values[:, None, :]).sum(axis=0)
+
+
+def _checked_units(unit_values) -> np.ndarray:
+    """``unit_values`` as a finite (units, policies) float array: a NaN
+    would turn every interval into NaN and never win a comparison."""
+    unit_values = np.asarray(unit_values, dtype=float)
+    if unit_values.ndim != 2:
+        raise ValueError("unit_values must be (units, policies)")
+    if not np.isfinite(unit_values).all():
+        raise ValueError("unit_values must be finite (no NaN or inf)")
+    return unit_values

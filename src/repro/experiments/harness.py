@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.api.knobs import check_knobs
-from repro.api.registry import SCHEDULERS, paper_methods
+from repro.api.registry import SCHEDULERS
 from repro.cluster.resources import SystemConfig
 from repro.sched.base import Scheduler
 from repro.sched.ga import NSGA2Config
@@ -33,9 +33,6 @@ if TYPE_CHECKING:
     from repro.core.training import TrainingResult
 
 __all__ = ["ExperimentConfig", "prepare_base_trace", "train_method"]
-
-#: the §IV-D comparison methods, sourced from the scheduler registry
-PAPER_METHODS = paper_methods()
 
 
 @dataclass
@@ -90,7 +87,7 @@ class ExperimentConfig:
     def trace_config(self, n_jobs: int | None = None) -> ThetaTraceConfig:
         return ThetaTraceConfig(
             total_nodes=self.nodes,
-            n_jobs=n_jobs or self.n_jobs,
+            n_jobs=self.n_jobs if n_jobs is None else n_jobs,
             mean_interarrival=self.mean_interarrival,
         )
 

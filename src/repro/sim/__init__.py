@@ -16,7 +16,7 @@ re-implements those semantics:
     job start bookkeeping.
 ``metrics``
     Paper §IV-B metrics (node/BB utilization, average wait, average
-    slowdown), power metrics for §V-E, and Kiviat normalization (Fig 7).
+    slowdown) and power metrics for §V-E.
 ``recorder``
     Timeline recording of measurements and goal vectors (Figs 8–9).
 """
@@ -27,6 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.events": ["Event", "EventKind", "EventQueue"],
     "repro.sim.episode": ["EpisodeState"],
     "repro.sim.simulator": ["Simulator", "SimulationResult"],
-    "repro.sim.metrics": ["MetricReport", "compute_metrics", "kiviat_normalize"],
+    "repro.sim.metrics": ["MetricReport", "compute_metrics"],
     "repro.sim.recorder": ["TimelineRecorder"],
 })

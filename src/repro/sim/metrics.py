@@ -1,4 +1,4 @@
-"""Scheduling-quality metrics (paper §IV-B) and Kiviat normalization.
+"""Scheduling-quality metrics (paper §IV-B).
 
 System-level metrics:
 
@@ -14,9 +14,7 @@ User-level metrics:
    runtime.
 
 The §V-E case study adds **average system power** (mean power draw of
-running jobs). :func:`kiviat_normalize` maps a set of methods onto the
-[0, 1] radar axes of Figs 7/10 (1 = best method on that axis; wait and
-slowdown enter as reciprocals so larger is always better).
+running jobs).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 from repro.cluster.resources import BURST_BUFFER, NODE, POWER, SystemConfig
 from repro.workload.job import Job
 
-__all__ = ["MetricReport", "compute_metrics", "kiviat_normalize"]
+__all__ = ["MetricReport", "compute_metrics"]
 
 
 @dataclass
@@ -162,44 +160,3 @@ def _p95(x: np.ndarray) -> float:
     a, b, t = part[lo], part[hi], index - lo
     diff = b - a
     return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-
-
-def kiviat_normalize(
-    reports: dict[str, MetricReport],
-    include_power: bool = False,
-) -> dict[str, dict[str, float]]:
-    """Normalize methods onto [0, 1] radar axes (Figs 7/10).
-
-    Axes: node utilization, BB utilization, 1/avg wait, 1/avg slowdown,
-    and (optionally) average system power. Each axis is divided by the
-    best method's value so the best method scores 1.0.
-    """
-    if not reports:
-        return {}
-
-    def axes(r: MetricReport) -> dict[str, float]:
-        out = {
-            "node_util": r.node_util,
-            "bb_util": r.bb_util,
-            "inv_avg_wait": 1.0 / r.avg_wait if r.avg_wait > 0 else np.inf,
-            "inv_avg_slowdown": 1.0 / r.avg_slowdown if r.avg_slowdown > 0 else np.inf,
-        }
-        if include_power:
-            out["avg_sys_power"] = r.avg_power_units
-        return out
-
-    raw = {method: axes(r) for method, r in reports.items()}
-    axis_names = next(iter(raw.values())).keys()
-    normalized: dict[str, dict[str, float]] = {m: {} for m in raw}
-    for axis in axis_names:
-        values = {m: v[axis] for m, v in raw.items()}
-        finite = [v for v in values.values() if np.isfinite(v)]
-        best = max(finite) if finite else 1.0
-        for method, value in values.items():
-            if not np.isfinite(value):
-                normalized[method][axis] = 1.0
-            elif best <= 0:
-                normalized[method][axis] = 0.0
-            else:
-                normalized[method][axis] = float(value / best)
-    return normalized

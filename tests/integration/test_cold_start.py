@@ -60,7 +60,7 @@ def test_import_api_loads_no_execution_machinery():
     loaded = loaded_after("import repro.api")
     unwanted = {
         "repro.nn", "repro.core", "repro.core.training", "repro.sched.ga",
-        "repro.sched.scalar_rl", "repro.experiments.figures", "repro.obs.logbridge",
+        "repro.sched.scalar_rl", "repro.obs.logbridge",
         "logging", "multiprocessing", "concurrent.futures", "repro.dist", "repro.eval",
     }
     assert not unwanted & loaded, sorted(unwanted & loaded)
@@ -93,7 +93,7 @@ def test_cold_run_loads_only_what_its_cells_run(tmp_path):
     loaded = cli_loads("run", str(path), "--json", "--no-progress")
     assert {"repro.core.mrsch", "repro.sched.fcfs"} <= loaded
     unwanted = {
-        "numpy.ma", "repro.core.training", "repro.experiments.figures",
+        "numpy.ma", "repro.core.training", "repro.eval",
         "repro.obs.logbridge", "multiprocessing", "concurrent.futures",
     }
     assert not unwanted & loaded, sorted(unwanted & loaded)

@@ -1,31 +1,22 @@
-"""Structure tests for the experiment harness and figure entry points.
+"""Structure tests for the experiment harness and the comparison entry points.
 
 Uses deliberately tiny configurations — these verify wiring, result
-structure and invariants, not scheduling quality (the benchmarks do
-that at realistic scale).
+structure and invariants, not scheduling quality (the fidelity gate,
+``tests/integration/test_fidelity.py``, does that at the census scale).
 """
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.api import run_scenario
-from repro.experiments.figures import (
-    fig5_fig6_comparison,
-    fig7_kiviat,
-    fig8_rbb_timeline,
-    fig9_rbb_distribution,
-    overhead_study,
-)
-from repro.api import compare, run_single
+from repro.api import compare, run_scenario, run_single
+from repro.api.facade import format_table
 from repro.experiments.harness import (
     ExperimentConfig,
     make_method,
     prepare_base_trace,
     train_method,
 )
-from repro.experiments.report import format_boxstats, format_series, format_table
 from repro.sched.ga import NSGA2Config
 
 
@@ -120,53 +111,6 @@ class TestHarness:
         assert len(result.recorder.utilization_series[0]) > 0
 
 
-class TestFigures:
-    def test_fig8_structure(self, tiny_config):
-        out = fig8_rbb_timeline(tiny_config, train=False)
-        assert "rBB" in out["data"]
-        assert len(out["data"]["rBB"]) > 0
-        assert 0.0 <= out["stats"]["mean"] <= 1.0
-        assert "Fig 8" in out["text"]
-
-    def test_fig9_structure(self, tiny_config):
-        out = fig9_rbb_distribution(tiny_config, workloads=("S1", "S5"), train=False)
-        assert set(out["data"]) == {"S1", "S5"}
-        for stats in out["data"].values():
-            assert stats["min"] <= stats["median"] <= stats["max"]
-
-    def test_fig5_fig6_tables_render_the_compared_reports(self, tiny_config):
-        methods, workloads = ("heuristic", "prior"), ("S1", "S2")
-        out = fig5_fig6_comparison(tiny_config, workloads=workloads, methods=methods)
-        reports = compare(list(workloads), list(methods), tiny_config)
-        assert out["data"] == reports
-        blocks = []
-        for fig, metrics in (("5", ("node_util", "bb_util")),
-                             ("6", ("avg_wait_h", "avg_slowdown"))):
-            for metric in metrics:
-                rows = {
-                    m: [reports[w][m].as_dict()[metric] for w in workloads]
-                    for m in methods
-                }
-                blocks.append(format_table(
-                    f"Fig {fig} — {metric} (columns: S1, S2)", list(workloads), rows
-                ))
-        assert out["text"] == "\n\n".join(blocks)
-
-    def test_fig7_from_precomputed_reports(self, tiny_config):
-        reports = compare(["S1"], ["heuristic", "scalar_rl"], tiny_config,
-                                 train=False)
-        out = fig7_kiviat(reports=reports)
-        chart = out["data"]["S1"]
-        for axes in chart.values():
-            assert all(0.0 <= v <= 1.0 + 1e-9 for v in axes.values())
-        assert out["areas"]["S1"].keys() == chart.keys()
-
-    def test_overhead_structure(self, tiny_config):
-        out = overhead_study(tiny_config, n_decisions=5)
-        assert set(out["data"]) == {"2 resources", "3 resources"}
-        assert all(v > 0 for v in out["data"].values())
-
-
 class TestReport:
     def test_format_table_alignment(self):
         text = format_table("T", ["a", "b"], {"row": [1.0, 2.5]})
@@ -174,11 +118,51 @@ class TestReport:
         assert lines[0] == "T"
         assert "1.000" in text and "2.500" in text
 
-    def test_format_series_subsamples(self):
-        text = format_series("S", {"x": list(range(100))}, max_points=5)
-        assert "… 100 points" in text
 
-    def test_format_boxstats(self):
-        stats = {"S1": {"min": 0.0, "q1": 0.2, "median": 0.5, "q3": 0.7, "max": 1.0}}
-        text = format_boxstats("B", stats)
-        assert "median" in text and "S1" in text
+class TestArms:
+    """A ``methods`` entry may be an arm: one method under its own label
+    with its own options, so two variants of a method share a grid."""
+
+    def arms_doc(self, config, **overrides) -> dict:
+        from repro.api import Scenario
+
+        return {
+            "methods": [
+                "heuristic",
+                {"label": "no-easy", "method": "heuristic", "options": {"backfill": False}},
+            ],
+            "workloads": ["S1", "S4"],
+            "train": False,
+            **Scenario.sections_for(config),
+            **overrides,
+        }
+
+    def test_reports_are_keyed_by_label(self, tiny_config):
+        result = run_scenario(self.arms_doc(tiny_config))
+        for per in result.reports.values():
+            assert list(per) == ["heuristic", "no-easy"]
+        assert [r.display_name for r in result.results] == ["heuristic", "no-easy"]
+
+    def test_an_arm_runs_the_cell_its_method_and_options_name(self, tiny_config):
+        arms = run_scenario(self.arms_doc(tiny_config))
+        plain = run_scenario(self.arms_doc(
+            tiny_config, methods=["heuristic"], options={"heuristic": {"backfill": False}}
+        ))
+        assert arms.tasks[1].key() == plain.tasks[0].key()
+        assert (arms.report("S4", "no-easy").full_dict()
+                == plain.report("S4", "heuristic").full_dict())
+
+    def test_json_output_and_multi_seed_pivots_use_the_label(
+        self, tiny_config, tmp_path, capsys
+    ):
+        import json
+
+        from repro.api.cli import main
+
+        path = tmp_path / "arms.json"
+        path.write_text(json.dumps(self.arms_doc(tiny_config, seeds=[3, 4])))
+        assert main(["run", str(path), "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert sorted(reports["S1"]) == [
+            "heuristic@3", "heuristic@4", "no-easy@3", "no-easy@4",
+        ]

@@ -37,6 +37,21 @@ class TestPairedBootstrap:
         with pytest.raises(ValueError, match="at least one unit"):
             paired_bootstrap(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("n_bootstrap", [0, -3, 2.5, True])
+    def test_rejects_a_bootstrap_count_below_one(self, n_bootstrap):
+        """0 used to raise IndexError from np.percentile, and a negative
+        count NumPy's "negative dimensions" error."""
+        with pytest.raises(ValueError, match="n_bootstrap"):
+            paired_bootstrap(np.ones((4, 2)), n_bootstrap=n_bootstrap)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_unit(self, bad):
+        """A NaN unit used to turn every interval into NaN."""
+        units = np.ones((4, 2))
+        units[2, 1] = bad
+        with pytest.raises(ValueError, match="unit_values"):
+            paired_bootstrap(units, n_bootstrap=10)
+
 
 class TestWinLoss:
     def test_counts_strict_wins(self):
@@ -45,3 +60,10 @@ class TestWinLoss:
         assert wins[0, 1] == 2  # ties count for neither side
         assert wins[1, 0] == 0
         assert (np.diag(wins) == 0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_unit(self, bad):
+        """A NaN unit used to count silently as never winning."""
+        units = np.array([[0.9, 0.1], [bad, 0.2]])
+        with pytest.raises(ValueError, match="unit_values"):
+            win_loss(units)

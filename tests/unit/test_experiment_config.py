@@ -53,6 +53,18 @@ class TestExperimentConfigValidation:
         assert system.capacity("node") == 4392
 
 
+class TestTraceSize:
+    def test_an_explicit_zero_job_trace_is_empty(self):
+        """``n_jobs=0`` is a size, not "unset": the base trace agrees with
+        the generator it wraps (it used to fall back to 150 jobs)."""
+        from repro.experiments.harness import prepare_base_trace
+        from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
+
+        assert generate_theta_trace(ThetaTraceConfig(n_jobs=0)) == []
+        assert prepare_base_trace(ExperimentConfig(), n_jobs=0) == []
+        assert ExperimentConfig().trace_config(0).n_jobs == 0
+
+
 class TestSystemConfigValidation:
     def test_negative_units_rejected(self):
         with pytest.raises(ValueError, match="positive units"):

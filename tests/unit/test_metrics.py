@@ -1,4 +1,4 @@
-"""Tests for metrics (§IV-B) and Kiviat normalization (Fig 7)."""
+"""Tests for the scheduling-quality metrics (§IV-B)."""
 
 import math
 import operator
@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.resources import BURST_BUFFER, NODE, POWER, ResourceSpec, SystemConfig
-from repro.sim.metrics import MetricReport, _p95, compute_metrics, kiviat_normalize
+from repro.cluster.resources import NODE, POWER, ResourceSpec, SystemConfig
+from repro.sim.metrics import _p95, compute_metrics
 from repro.sim.recorder import TimelineRecorder
 from tests.conftest import make_job
 
@@ -110,56 +110,6 @@ class TestP95:
         x = np.array([3.0, 1.0, 2.0])
         _p95(x)
         assert x.tolist() == [3.0, 1.0, 2.0]
-
-
-def report_with(node_util, bb_util, wait, slowdown) -> MetricReport:
-    return MetricReport(
-        utilization={NODE: node_util, BURST_BUFFER: bb_util},
-        avg_wait=wait,
-        avg_slowdown=slowdown,
-        max_wait=wait,
-        p95_slowdown=slowdown,
-        makespan=1000.0,
-        n_jobs=10,
-    )
-
-
-class TestKiviat:
-    def test_best_method_scores_one(self):
-        reports = {
-            "A": report_with(0.8, 0.6, 100.0, 2.0),
-            "B": report_with(0.4, 0.3, 200.0, 4.0),
-        }
-        chart = kiviat_normalize(reports)
-        assert all(v == pytest.approx(1.0) for v in chart["A"].values())
-        assert chart["B"]["node_util"] == pytest.approx(0.5)
-        assert chart["B"]["inv_avg_wait"] == pytest.approx(0.5)
-        assert chart["B"]["inv_avg_slowdown"] == pytest.approx(0.5)
-
-    def test_values_in_unit_interval(self):
-        reports = {
-            "A": report_with(0.9, 0.1, 50.0, 1.5),
-            "B": report_with(0.2, 0.8, 500.0, 9.0),
-            "C": report_with(0.5, 0.5, 100.0, 3.0),
-        }
-        chart = kiviat_normalize(reports)
-        for axes in chart.values():
-            for value in axes.values():
-                assert 0.0 <= value <= 1.0
-
-    def test_zero_wait_handled(self):
-        reports = {"A": report_with(0.5, 0.5, 0.0, 1.0)}
-        chart = kiviat_normalize(reports)
-        assert chart["A"]["inv_avg_wait"] == 1.0
-
-    def test_power_axis_optional(self):
-        r = report_with(0.5, 0.5, 10.0, 2.0)
-        r.avg_power_units = 40.0
-        chart = kiviat_normalize({"A": r}, include_power=True)
-        assert "avg_sys_power" in chart["A"]
-
-    def test_empty(self):
-        assert kiviat_normalize({}) == {}
 
 
 class TestRecorder:

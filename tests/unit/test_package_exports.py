@@ -156,7 +156,9 @@ class TestOfflineRescoringIsGone:
         import repro.eval.stats
 
         package = Path(repro.eval.__file__).parent
-        assert sorted(p.name for p in package.glob("*.py")) == ["__init__.py", "stats.py"]
+        assert sorted(p.name for p in package.glob("*.py")) == [
+            "__init__.py", "fidelity.py", "stats.py",
+        ]
         for name in repro.eval.__all__:
             assert getattr(repro.eval, name) is getattr(repro.eval.stats, name)
 
@@ -245,24 +247,52 @@ class TestOneWayIntoAStudy:
 
         assert not hasattr(harness, "run_single")
 
-    @pytest.mark.parametrize("entry", [
-        "compare", "fig3_mlp_vs_cnn", "fig5_fig6_comparison", "fig7_kiviat",
-        "fig10_three_resources",
-    ])
+    @pytest.mark.parametrize("entry", ["compare"])
     def test_a_grid_entry_takes_a_worker_count_not_a_runner(self, entry):
         """A caller with its own engine runs ``runner.run(scenario.compile())``;
-        the figure-level entries build theirs from ``n_workers``."""
+        ``compare`` builds its own from ``n_workers``."""
         import inspect
 
         import repro.api as api
-        import repro.experiments.figures as figures
         from repro.exp import ExperimentRunner
 
-        call = api.compare if entry == "compare" else getattr(figures, entry)
+        call = getattr(api, entry)
         params = inspect.signature(call).parameters
         assert "runner" not in params and params["n_workers"].default == 1
-        args = (["S1"],) if entry == "compare" else ()
-        _refuses(lambda: call(*args, runner=ExperimentRunner(n_workers=1), n_workers=2))
+        _refuses(lambda: call(["S1"], runner=ExperimentRunner(n_workers=1), n_workers=2))
+
+
+class TestEveryFigureIsAScenario:
+    """The figure runners, their text renderers and the Kiviat
+    normalisation went: a figure's variants are arms of a scenario under
+    ``examples/scenarios/``, and ``FIDELITY.json`` records its claims."""
+
+    @pytest.mark.parametrize("name", [
+        "fig3_mlp_vs_cnn", "fig4_training_order", "fig5_fig6_comparison", "fig7_kiviat",
+        "fig8_rbb_timeline", "fig9_rbb_distribution", "fig10_three_resources",
+        "overhead_study", "format_table", "format_series", "format_boxstats",
+    ])
+    def test_removed_figure_name_is_gone(self, name):
+        import repro.experiments
+
+        assert name not in repro.experiments.__all__
+        assert not hasattr(repro.experiments, name)
+
+    @pytest.mark.parametrize("module", ["repro.experiments.figures", "repro.experiments.report"])
+    def test_removed_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("module", ["repro", "repro.sim", "repro.sim.metrics"])
+    def test_kiviat_normalize_is_gone(self, module):
+        owner = importlib.import_module(module)
+        assert "kiviat_normalize" not in getattr(owner, "__all__", ())
+        assert not hasattr(owner, "kiviat_normalize")
+
+    def test_format_table_lives_beside_its_one_caller(self):
+        from repro.api import facade
+
+        assert callable(facade.format_table)
 
 
 class TestNnKeepsWhatThePaperTrains:

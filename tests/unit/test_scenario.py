@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -326,7 +327,7 @@ json_values = st.recursive(
 
 class TestMalformedDocuments:
     def test_examples_load(self):
-        assert len(EXAMPLES) == 4
+        assert len(EXAMPLES) == 7
         for doc in EXAMPLES.values():
             Scenario.from_dict(doc)
 
@@ -406,6 +407,114 @@ def assert_well_typed(scenario: Scenario) -> None:
             assert (value is None and section in ("system", "execution")
                     and key not in ("name", "dispatch", "supervise")
                     ) or has_kind(value, kinds[key]), (section, key, value)
+
+
+def keys_digest(scenario: Scenario) -> str:
+    keys = ",".join(t.key() for t in scenario.compile())
+    return hashlib.sha256(keys.encode()).hexdigest()[:16]
+
+
+class TestArms:
+    """A ``methods`` entry ``{"label", "method", "options"}`` is one method
+    under its own label with its own constructor options."""
+
+    DFP = {"label": "dfp", "method": "mrsch", "options": {"prior_weight": 0}}
+
+    def test_an_arm_compiles_to_a_labelled_cell_with_its_options(self):
+        s = Scenario.from_dict(tiny_dict(methods=["mrsch", self.DFP], goal={"dynamic": False}))
+        plain, arm = s.compile()
+        assert (plain.label, arm.label) == ("", "dfp")
+        assert arm.method == "mrsch"
+        assert dict(arm.extra) == {"dynamic_goal": False, "prior_weight": 0}
+        assert s.labels == ("mrsch", "dfp")
+
+    def test_arm_options_override_the_method_options(self):
+        s = Scenario.from_dict(tiny_dict(
+            methods=["mrsch", self.DFP],
+            options={"mrsch": {"prior_weight": 2.0, "time_scale": 10.0}},
+        ))
+        plain, arm = s.compile()
+        assert dict(plain.extra) == {"prior_weight": 2.0, "time_scale": 10.0}
+        assert dict(arm.extra) == {"prior_weight": 0, "time_scale": 10.0}
+
+    def test_an_arm_method_is_spelled_canonically(self):
+        s = Scenario.from_dict(tiny_dict(methods=[{**self.DFP, "method": "MRSch"}]))
+        assert s.methods[0]["method"] == "mrsch"
+
+    @pytest.mark.parametrize("methods,message", [
+        (["heuristic", {"label": "heuristic", "method": "prior"}],
+         r"scenario.methods contains duplicates"),
+        ([{"label": "a", "method": "mrsch"}, {"label": "a", "method": "prior"}],
+         r"scenario.methods contains duplicates"),
+        (["prior", {"label": "mrsch", "method": "heuristic"}, "mrsch"],
+         r"scenario.methods contains duplicates"),
+        ([{"label": "prior", "method": "mrsch"}, {"label": "p", "method": "prior"}],
+         r"scenario.methods\[0\].label 'prior' is another entry's method"),
+        (["mrsch", {"label": "guided", "method": "mrsch", "options": {}}],
+         r"scenario.methods entries 'mrsch' and 'guided' run the same cell"),
+        ([{"label": "a", "method": "mrsch", "options": {"prior_weight": 0}},
+          {"label": "b", "method": "mrsch", "options": {"prior_weight": 0}}],
+         r"scenario.methods entries 'a' and 'b' run the same cell"),
+        ([{"label": "dfp", "method": "mrsch", "options": {"prior_wieght": 0}}],
+         r"options for 'dfp' include kwargs its constructor does not accept: "
+         r"\['prior_wieght'\]"),
+        ([{"label": "dfp", "method": "mrsch", "opts": {}}],
+         r"unknown scenario.methods\[0\] field\(s\) \['opts'\]"),
+        ([{"method": "mrsch"}], r"scenario.methods\[0\].label must be a non-empty string"),
+        ([{"label": "", "method": "mrsch"}], r"scenario.methods\[0\].label must be"),
+        ([{"label": "a@1", "method": "mrsch"}], r"without '@'"),
+        ([{"label": 3, "method": "mrsch"}], r"scenario.methods\[0\].label must be"),
+        ([{"label": "a"}], r"scenario.methods\[0\] is missing required field 'method'"),
+        ([{"label": "a", "method": "nope"}], r"unknown scheduler 'nope'"),
+        ([{"label": "a", "method": "mrsch", "options": [1]}],
+         r"scenario.methods\[0\].options must be a mapping"),
+        ({"label": "a", "method": "mrsch"}, r"scenario.methods must be a list"),
+    ])
+    def test_refused_with_a_named_field(self, methods, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict(tiny_dict(methods=methods))
+
+    def test_top_level_options_may_name_a_method_only_an_arm_runs(self):
+        s = Scenario.from_dict(tiny_dict(
+            methods=[self.DFP], options={"mrsch": {"time_scale": 10.0}}
+        ))
+        assert dict(s.compile()[0].extra) == {"prior_weight": 0, "time_scale": 10.0}
+
+    def test_round_trips_through_to_dict(self):
+        s = Scenario.from_dict(tiny_dict(methods=["heuristic", self.DFP], seeds=[1, 2]))
+        again = Scenario.from_dict(json.loads(json.dumps(s.to_dict())))
+        assert again == s
+        assert again.config_hash() == s.config_hash()
+        assert again.compile() == s.compile()
+
+    #: compiled at the commit before arms existed: a scenario without
+    #: arms keeps its config hash and its task keys
+    PINNED = {
+        "bb_heavy_mix": ("127c54a5c4f644bc", "18cdb7e1589b2a6b"),
+        "large_system_sweep": ("9d4b38daa019def9", "682be24826545c5d"),
+        "power_aware_goals": ("a4ab71e902e2b058", "5d8dba98b5b7c45f"),
+        "smoke": ("c2949b6b39f61894", "34d90b8ba1808b4c"),
+    }
+
+    @pytest.mark.parametrize("example", sorted(PINNED))
+    def test_a_scenario_without_arms_keeps_its_hash_and_keys(self, example):
+        s = Scenario.from_dict(EXAMPLES[example])
+        assert (s.config_hash(), keys_digest(s)) == self.PINNED[example]
+
+    @pytest.mark.parametrize("doc,pinned", [
+        (tiny_dict(methods=["heuristic", "optimization"]),
+         ("874189130584bc35", "c8b19979177c26fa")),
+        (tiny_dict(replications=3), ("0b1ef8df093b4eb7", "4429d5a7ca3ee85c")),
+        (tiny_dict(seeds=[5, 6]), ("d037ed9a9b80a883", "864c799418e4067d")),
+        (tiny_dict(
+            methods=["mrsch", "scalar_rl", "heuristic"],
+            goal={"dynamic": False, "weights": {"node": 0.5, "burst_buffer": 0.5}},
+            options={"mrsch": {"prior_weight": 0.0}},
+        ), ("54c4d57a4e4fd9ca", "ad9f613263db13b5")),
+    ], ids=["two-methods", "replications", "seeds", "goal"])
+    def test_the_compilation_scenarios_keep_their_hash_and_keys(self, doc, pinned):
+        s = Scenario.from_dict(doc)
+        assert (s.config_hash(), keys_digest(s)) == pinned
 
 
 class TestSerialization:

@@ -29,6 +29,20 @@ def system():
     return SystemConfig.mini_theta(nodes=128, bb_units=64)
 
 
+def demand_ratios(base_trace, system, seed) -> dict[str, float]:
+    """Per S-workload, BB demand over node demand (runtime-weighted)."""
+    ratios = {}
+    for name in WORKLOAD_SPECS:
+        jobs = build_workload(name, base_trace, system, seed=seed)
+        rt = np.array([j.runtime for j in jobs])
+        bb = np.array([j.request(BURST_BUFFER) for j in jobs])
+        nodes = np.array([j.request(NODE) for j in jobs])
+        bb_demand = (bb * rt).sum() / system.capacity(BURST_BUFFER)
+        node_demand = (nodes * rt).sum() / system.capacity(NODE)
+        ratios[name] = bb_demand / node_demand
+    return ratios
+
+
 class TestSpecs:
     def test_table3_rows_present(self):
         assert set(WORKLOAD_SPECS) == {"S1", "S2", "S3", "S4", "S5"}
@@ -101,17 +115,20 @@ class TestBuildWorkload:
     def test_contention_ladder_monotone(self, base_trace, system):
         """BB-vs-node demand ratio increases from S1 to S5 (Table III's
         light→heavy contention design)."""
-        ratios = {}
-        for name in WORKLOAD_SPECS:
-            jobs = build_workload(name, base_trace, system, seed=5)
-            rt = np.array([j.runtime for j in jobs])
-            bb = np.array([j.request(BURST_BUFFER) for j in jobs])
-            nodes = np.array([j.request(NODE) for j in jobs])
-            bb_demand = (bb * rt).sum() / system.capacity(BURST_BUFFER)
-            node_demand = (nodes * rt).sum() / system.capacity(NODE)
-            ratios[name] = bb_demand / node_demand
+        ratios = demand_ratios(base_trace, system, seed=5)
         assert ratios["S1"] < ratios["S2"]
         assert ratios["S1"] < ratios["S3"]
+        assert ratios["S3"] < ratios["S4"] < ratios["S5"]
+
+    def test_contention_ladder_at_the_census_sizing(self, system):
+        """The same ladder on a 500-job trace of the default
+        ExperimentConfig, the workloads the fidelity census replays."""
+        from repro.experiments.harness import ExperimentConfig
+
+        config = ExperimentConfig()
+        base = generate_theta_trace(config.trace_config(500), seed=config.seed)
+        ratios = demand_ratios(base, system, seed=config.seed)
+        assert ratios["S1"] < ratios["S2"]
         assert ratios["S3"] < ratios["S4"] < ratios["S5"]
 
     def test_base_trace_not_mutated(self, base_trace, system):
