@@ -506,7 +506,7 @@ class Scenario:
         """
         from repro.cluster.resources import BURST_BUFFER, NODE
         from repro.experiments.harness import ExperimentConfig
-        from repro.sched.ga import NSGA2Config
+        from repro.sched.ga_config import NSGA2Config
 
         system_name = self.system.get("name", "mini_theta")
         kwargs: dict = {"seed": self.seed, "system_name": system_name}

@@ -3,7 +3,9 @@
 Each scheduling instance (§III):
 
 1. the **goal vector** is recomputed from the live contention via Eq. 1
-   (dynamic resource prioritizing, the base class) and logged for Figs 8–9;
+   (dynamic resource prioritizing, the base class) wherever a decision
+   of the instance can read it — a training decision always does — and
+   at every instance of a recorded replay, which logs it for Figs 8–9;
 2. for every selection the scheduler first asks whether the network
    could change the pick (:meth:`MRSchScheduler._settle`): a window
    holding one job is forced, and under the guided policy a feasibility
@@ -18,9 +20,7 @@ Each scheduling instance (§III):
    whole window in one batched pass and picks a slot — ε-greedily
    during training (which always encodes: the state is the experience;
    a settled step skips only the forward pass), greedily by
-   goal-weighted predicted outcome at test time. With a decision
-   recorder attached nothing is settled: a trace carries every
-   decision's scores;
+   goal-weighted predicted outcome at test time;
 3. the shared base-class machinery starts fitting selections, reserves
    the first non-fitting one, and EASY-backfills (§III-C).
 
@@ -168,6 +168,13 @@ class MRSchScheduler(PriorScheduler):
         if lead - bound > weighted.max() + bound:
             return top, prior
         return None, prior
+
+    def _reads_goal(self, ctx: SchedulingContext) -> bool:
+        """A training decision stores the goal with its experience, a
+        one-job window's too; evaluation reads it as the base class says."""
+        if self.training:
+            return len(ctx.queue) >= 1
+        return super()._reads_goal(ctx)
 
     # -- one decision ---------------------------------------------------------
     #

@@ -51,9 +51,10 @@ def guided_scores(
 class PriorScheduler(Scheduler):
     """The feasibility/age prior alone: MRSch's guided ranking, no network.
 
-    Each instance refreshes the Eq. 1 goal (§III-B) and logs it for Figs
-    8–9; each selection is the arg-max of :meth:`_prior` — what guided
-    MRSch picks when every DFP score is zero.
+    An instance refreshes the Eq. 1 goal (§III-B) where a decision can
+    read it, and at every instance of a replay that records its timeline,
+    which also logs it for Figs 8–9; each selection is the arg-max of
+    :meth:`_prior` — what guided MRSch picks when every DFP score is zero.
     """
 
     name = "prior"
@@ -79,13 +80,44 @@ class PriorScheduler(Scheduler):
         self._goal = np.full(self.system.n_resources, 1.0 / self.system.n_resources)
 
     def begin_instance(self, ctx: SchedulingContext) -> None:
-        """Dynamic resource prioritizing (§III-B): refresh the goal."""
-        if self.dynamic_goal:
+        """Dynamic resource prioritizing (§III-B): refresh the goal.
+
+        A recorded replay (``ctx.record_timeline``) refreshes and logs it
+        at every instance; an unrecorded one refreshes it only where
+        :meth:`_reads_goal` says a decision can read it, and logs nothing.
+        A frozen goal is never refreshed.
+        """
+        record = ctx.record_timeline
+        if self.dynamic_goal and (record or self._reads_goal(ctx)):
             # A fresh array each refresh, never written in place: logged as is.
             self._goal = goal_vector(ctx.queue, ctx.running, self.system, ctx.now)
-            self.goal_log.append((ctx.now, self._goal))
-        else:
+            self.goal_refreshes += 1
+            if record:
+                self.goal_log.append((ctx.now, self._goal))
+        elif record:  # the frozen goal
             self.goal_log.append((ctx.now, self._goal.copy()))
+
+    def _reads_goal(self, ctx: SchedulingContext) -> bool:
+        """Whether a decision of this instance can read the goal.
+
+        Only a window of two or more jobs is ranked by the goal-weighted
+        prior: a one-job window is decided without it (:meth:`select`,
+        and MRSch's ``_settle``). The rule reads the queue at the start
+        of the instance and is exact:
+
+        * the refresh, when made, is the same ``goal_vector`` call on the
+          same state as a refresh at every instance, because this hook
+          still runs before the stale reservation is cleared;
+        * submissions never arrive mid-instance, so an instance that
+          starts with at most one queued job makes at most one selection,
+          from a one-job window; with ``window_size`` 1 every window
+          holds one job.
+
+        So every decision reads the floats it would read were the goal
+        refreshed at every instance, and a recorded replay logs that very
+        series.
+        """
+        return min(len(ctx.queue), self.window_size) >= 2
 
     def _prior(self, window: list[Job], ctx: SchedulingContext) -> np.ndarray:
         """:func:`prior_scores` over the window's slots (zero past its end).
@@ -104,10 +136,17 @@ class PriorScheduler(Scheduler):
     def select(self, window: list[Job], ctx: SchedulingContext) -> Job | None:
         if not window:
             return None
+        if len(window) == 1:  # the arg-max over one slot, as MRSch settles it
+            return window[0]
         return window[int(np.argmax(self._prior(window, ctx)[: len(window)]))]
 
     def goal_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, goal vectors) logged during the last run."""
+        """(times, goal vectors) logged during the last run.
+
+        Empty after a replay that recorded no timeline
+        (``Simulator(record_timeline=False)``, every grid cell): only a
+        recorded replay logs the goal.
+        """
         if not self.goal_log:
             return np.zeros(0), np.zeros((0, self.system.n_resources))
         times, goals = zip(*self.goal_log)

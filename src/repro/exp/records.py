@@ -150,7 +150,7 @@ class ExperimentTask:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentTask":
         from repro.experiments.harness import ExperimentConfig
-        from repro.sched.ga import NSGA2Config
+        from repro.sched.ga_config import NSGA2Config
 
         config = dict(data["config"])
         config["curriculum_sets"] = tuple(config["curriculum_sets"])

@@ -22,7 +22,7 @@ from repro.api.knobs import check_knobs
 from repro.api.registry import SCHEDULERS
 from repro.cluster.resources import SystemConfig
 from repro.sched.base import Scheduler
-from repro.sched.ga import NSGA2Config
+from repro.sched.ga_config import NSGA2Config
 from repro.utils.rng import as_generator, spawn_generators
 from repro.workload.job import Job
 from repro.workload.sampling import build_curriculum

@@ -19,6 +19,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sched.base": ["SchedulingContext", "Scheduler", "WindowPolicyScheduler"],
     "repro.sched.fcfs": ["FCFSScheduler"],
-    "repro.sched.ga": ["GAScheduler", "NSGA2Config"],
+    "repro.sched.ga": ["GAScheduler"],
+    "repro.sched.ga_config": ["NSGA2Config"],
     "repro.sched.scalar_rl": ["ScalarRLScheduler"],
 })

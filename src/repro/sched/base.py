@@ -96,6 +96,10 @@ class SchedulingContext:
     running: RunningJobs | None = None
     #: jobs started during this instance (filled by the scheduler loop)
     started: list[Job] = field(default_factory=list)
+    #: the replay records its timeline (the simulator's own flag): a
+    #: policy then logs what it would otherwise skip, such as the Eq. 1
+    #: goal at every instance. A hand-built context records.
+    record_timeline: bool = True
 
     def __post_init__(self) -> None:
         queue = self.queue
@@ -128,10 +132,12 @@ class Scheduler(ABC):
         #: job currently holding a reservation (head-of-queue protection)
         self.reserved_job: Job | None = None
         #: selections made since :meth:`reset`, how many ran the policy's
-        #: network and how many of those the network moved off its prior
+        #: network and how many of those the network moved off its prior;
+        #: how many instances recomputed the Eq. 1 goal
         self.decisions = 0
         self.decisions_scored = 0
         self.decisions_overruled = 0
+        self.goal_refreshes = 0
 
     # -- policy hooks -----------------------------------------------------
 
@@ -151,6 +157,7 @@ class Scheduler(ABC):
         self.decisions = 0
         self.decisions_scored = 0
         self.decisions_overruled = 0
+        self.goal_refreshes = 0
 
     # -- the shared instance loop ------------------------------------------
 

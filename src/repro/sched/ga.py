@@ -19,32 +19,15 @@ decision single-valued as the scheduler interface requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.cluster.resources import ResourcePool
 from repro.sched.base import SchedulingContext, WindowPolicyScheduler
+from repro.sched.ga_config import NSGA2Config
 from repro.utils.rng import as_generator
 from repro.workload.job import Job
 
 __all__ = ["NSGA2Config", "GAScheduler"]
-
-
-@dataclass(frozen=True)
-class NSGA2Config:
-    """GA hyper-parameters; defaults sized for windows of ~10 jobs."""
-
-    population: int = 24
-    generations: int = 15
-    p_crossover: float = 0.9
-    p_mutation: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.population < 2 or self.generations < 1:
-            raise ValueError("population >= 2 and generations >= 1 required")
-        if not (0 <= self.p_crossover <= 1 and 0 <= self.p_mutation <= 1):
-            raise ValueError("probabilities must be in [0, 1]")
 
 
 class GAScheduler(WindowPolicyScheduler):

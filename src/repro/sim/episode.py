@@ -47,7 +47,11 @@ class EpisodeState:
     system:
         Resource configuration.
     record_timeline:
-        Record a utilization sample at every scheduling instance.
+        Record a utilization sample at every scheduling instance; the
+        contexts this episode builds carry the flag, so a policy that
+        keeps the Eq. 1 goal log (MRSch, ``prior``) logs the goal at
+        every instance too. Off, it refreshes the goal only where a
+        decision reads it and logs nothing.
     """
 
     def __init__(self, system: SystemConfig, record_timeline: bool = True) -> None:
@@ -123,6 +127,7 @@ class EpisodeState:
             system=self.system,
             start=self.start_job,
             running=self.running,
+            record_timeline=self.record_timeline,
         )
 
     def end_instance(self) -> None:

@@ -34,8 +34,10 @@ class Simulator:
     scheduler:
         Policy under test (reset at the start of every :meth:`run`).
     record_timeline:
-        Record utilization samples at every event (needed for Figs 8–9
-        and the power metrics; small overhead otherwise).
+        Record utilization samples at every event, and the Eq. 1 goal
+        log of a policy that keeps one (``goal_series()``, Figs 8–9).
+        Off, such a policy refreshes the goal only where a decision
+        reads it and logs nothing.
     """
 
     def __init__(
@@ -86,11 +88,13 @@ class Simulator:
             attrs["decisions"] = self.scheduler.decisions
             attrs["decisions_scored"] = self.scheduler.decisions_scored
             attrs["decisions_overruled"] = self.scheduler.decisions_overruled
+            attrs["goal_refreshes"] = self.scheduler.goal_refreshes
         metrics = session.metrics
         metrics.counter("sim.episodes").inc()
         metrics.counter("sim.decisions").inc(self.scheduler.decisions)
         metrics.counter("sim.decisions_scored").inc(self.scheduler.decisions_scored)
         metrics.counter("sim.decisions_overruled").inc(self.scheduler.decisions_overruled)
+        metrics.counter("sim.goal_refreshes").inc(self.scheduler.goal_refreshes)
         return result
 
     def _episode(self, jobs: list[Job]) -> SimulationResult:

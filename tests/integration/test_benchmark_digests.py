@@ -105,6 +105,27 @@ def test_replay_theta_seed7_three_resource_goal_series():
     assert _goal_series(["S6"], case_study=True) == REPLAY_THETA_SEED7_S6_GOAL_SERIES
 
 
+#: Eq. 1 refreshes of the seed-7 ``replay_theta`` cell, which records
+#: no timeline: one per instance whose queue holds two or more jobs, the
+#: only instances where a decision reads the goal (2,250 when every
+#: instance refreshed it).
+REPLAY_THETA_SEED7_GOAL_REFRESHES = 172
+
+
+def test_replay_theta_seed7_refreshes_the_goal_only_where_it_is_read():
+    from repro.api.scenario import load_scenario
+    from repro.exp.tasks import replay_cell
+
+    scenario = _load("workloads").WORKLOADS["replay_theta"].scenario_for(7)
+    (task,) = load_scenario(scenario).compile()
+    assert task.seed == task.config.seed == 7
+    sched, replays = replay_cell(
+        task.method, task.workloads, task.config,
+        train=task.train, case_study=task.case_study, extra=dict(task.extra),
+    )
+    assert sum(sched.goal_refreshes for _ in replays) == REPLAY_THETA_SEED7_GOAL_REFRESHES
+
+
 def _goal_series(workloads, case_study: bool = False) -> tuple[str, int]:
     """sha256 over every ``goal_series()`` an untrained MRSch logs
     replaying ``workloads`` one after another at seed-7 ``replay_theta``'s

@@ -93,7 +93,7 @@ def test_cold_run_loads_only_what_its_cells_run(tmp_path):
     loaded = cli_loads("run", str(path), "--json", "--no-progress")
     assert {"repro.core.mrsch", "repro.sched.fcfs"} <= loaded
     unwanted = {
-        "numpy.ma", "repro.core.training", "repro.eval",
+        "numpy.ma", "repro.core.training", "repro.eval", "repro.sched.ga",
         "repro.obs.logbridge", "multiprocessing", "concurrent.futures",
     }
     assert not unwanted & loaded, sorted(unwanted & loaded)

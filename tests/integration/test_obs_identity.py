@@ -17,6 +17,7 @@ import json
 import pytest
 
 import repro.obs as obs
+from repro.api import run_scenario
 from repro.exp import ExperimentRunner, grid_tasks
 from repro.experiments.harness import ExperimentConfig, make_method, train_method
 from repro.obs.events import read_events
@@ -50,12 +51,15 @@ class TestBitIdentity:
     def test_grid_identical_with_telemetry_enabled(self, grid_config, tmp_path):
         tasks = grid_tasks(METHODS, ["S1", "S3"], grid_config, n_seeds=2)
         plain = ExperimentRunner(n_workers=1).run(tasks)
-        obs.enable(tmp_path / "telemetry", sample_decisions=True)
+        session = obs.enable(tmp_path / "telemetry", sample_decisions=True)
         try:
             instrumented = ExperimentRunner(n_workers=1).run(tasks)
+            counters = session.metrics.snapshot()["counters"]
         finally:
             obs.disable()
         assert _exact(instrumented) == _exact(plain)
+        # none of the three policies reads Eq. 1
+        assert counters["sim.goal_refreshes"] == 0
 
     def test_mrsch_cell_identical_and_one_episode_per_workload(
         self, grid_config, tmp_path
@@ -143,6 +147,33 @@ class TestBitIdentity:
         ]
         assert sum(e["attrs"]["decisions_overruled"] for e in episodes) == (
             counters["sim.decisions_overruled"]
+        )
+
+    def test_goal_refreshes_counted_without_changing_a_result(self, tmp_path):
+        """The seed-7 ``replay_theta`` cell refreshes Eq. 1 only where a
+        decision reads it; the counter says how often, per episode and in
+        total, and counting changes no result."""
+        from tests.integration.test_benchmark_digests import (
+            REPLAY_THETA_SEED7_GOAL_REFRESHES,
+            _load,
+        )
+
+        scenario = _load("workloads").WORKLOADS["replay_theta"].scenario_for(7)
+        plain = run_scenario(scenario, progress=False).results
+        session = obs.enable(tmp_path / "telemetry")
+        try:
+            instrumented = run_scenario(scenario, progress=False).results
+            counters = session.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert _exact(instrumented) == _exact(plain)
+        assert counters["sim.goal_refreshes"] == REPLAY_THETA_SEED7_GOAL_REFRESHES
+        episodes = [
+            s for s in load_spans(tmp_path / "telemetry") if s["name"] == "episode"
+        ]
+        assert len(episodes) == len(scenario["workloads"])
+        assert sum(e["attrs"]["goal_refreshes"] for e in episodes) == (
+            REPLAY_THETA_SEED7_GOAL_REFRESHES
         )
 
     def test_episode_decision_stream_identical(self, mini_system, theta_trace):
