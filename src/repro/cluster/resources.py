@@ -1,13 +1,16 @@
 """Schedulable resources: specs, system configurations, allocation pool.
 
-The pool tracks, per resource, which units are busy and each busy unit's
-*estimated* available time (start + user walltime, §III-A). Estimates —
-never actual runtimes — feed the state encoding and the reservation /
-backfill machinery, exactly as a production scheduler would operate.
+The pool tracks, per resource, how many units are free and when the
+busy ones are *estimated* to free (start + user walltime, §III-A); the
+per-unit layout the state encoding reads is built from its grants when
+first read. Estimates — never actual runtimes — feed the state encoding
+and the reservation / backfill machinery, exactly as a production
+scheduler would operate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -147,8 +150,10 @@ class PoolDirtyTracker:
     per-unit availability/estimated-free blocks; rebuilding them from
     the pool every decision is O(ΣN) at full machine scale (Theta:
     5,682 units). A tracker registered on the pool turns that into a
-    patch: ``allocate``/``release`` append the exact unit-index arrays
-    they touched, ``reset`` (or overflow) degrades to a full-rebuild
+    patch: it is fed where the pool applies a mutation to its per-unit
+    arrays — at once for every ``allocate``/``release`` while a tracker
+    is registered — with the exact unit-index arrays it touched;
+    ``reset``, ``restore`` (or overflow) degrade it to a full-rebuild
     flag, and the consumer drains the accumulated regions on its next
     encode.
 
@@ -216,29 +221,73 @@ class PoolDirtyTracker:
         return out
 
 
+def _add_units(times: list[float], units: list[int], est: float, amount: int) -> None:
+    """Count ``amount`` more busy units freeing at ``est`` (times ascending)."""
+    i = bisect_left(times, est)
+    if i < len(times) and times[i] == est:
+        units[i] += amount
+    else:
+        times.insert(i, est)
+        units.insert(i, amount)
+
+
+def _drop_units(times: list[float], units: list[int], est: float, amount: int) -> None:
+    """Undo :func:`_add_units` for a released grant."""
+    i = bisect_left(times, est)
+    left = units[i] - amount
+    if left:
+        units[i] = left
+    else:
+        del times[i]
+        del units[i]
+
+
+def _kth_time(times: list[float], units: list[int], k: int) -> float:
+    """The ``k``-th smallest (1-based) estimated free time of the busy units."""
+    for est, count in zip(times, units):
+        k -= count
+        if k <= 0:
+            return est
+    raise IndexError(k)
+
+
 class ResourcePool:
     """Allocation state for every resource of a system.
 
-    Per resource ``r`` the pool keeps two parallel arrays of length
-    ``capacity(r)``:
+    What the pool keeps is what a decision without the network reads:
 
-    * ``busy``    — boolean, unit currently allocated,
-    * ``est_free``— estimated time the unit frees (start + walltime);
-      meaningful only where ``busy`` is set.
+    * per resource, free-unit counters (``can_fit``, ``free_vector``);
+    * per running job, its grant — the amount per resource and ``est``,
+      the estimated time its units free (start + user walltime, §III-A);
+    * per resource, the running grants' ``est`` values in ascending
+      order beside their unit counts, two lists kept sorted with
+      :mod:`bisect`. Every busy unit frees at its job's ``est``, so the
+      k-th smallest estimated free time behind the EASY shadow queries
+      (``earliest_fit_time``, ``free_units_at``, ``free_vector_at``) is
+      a walk over cumulative counts.
 
-    Units are interchangeable; allocation picks the lowest-index free
-    units so behaviour is deterministic.
+    The per-unit layout — a ``busy`` bit and an ``est_free`` time per
+    unit, and the unit indices each job holds — is the §III-A state the
+    DFP network encodes, and only a decision that consults the network
+    reads it. The pool keeps it as a cache. With no dirty tracker
+    registered, ``allocate`` and ``release`` append to an ordered
+    mutation log; every per-unit reader (:meth:`unit_arrays`,
+    :meth:`unit_state`, :meth:`fill_unit_state`, :meth:`snapshot`,
+    :meth:`register_tracker`) first applies the log, granting the
+    lowest-index free units mutation by mutation, so the layout is the
+    one an eagerly updated pool would hold. With a tracker registered,
+    each mutation applies at once and trackers see its chunks in
+    mutation order. Units are interchangeable; lowest-index grants keep
+    the layout deterministic.
     """
+
+    #: Logged mutations after which the log is applied unread, bounding
+    #: the memory of a long replay no reader looks at.
+    _LOG_LIMIT = 1 << 14
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self._names: tuple[str, ...] = tuple(config.names)
-        self._busy: dict[str, np.ndarray] = {
-            spec.name: np.zeros(spec.units, dtype=bool) for spec in config.resources
-        }
-        self._est_free: dict[str, np.ndarray] = {
-            spec.name: np.zeros(spec.units) for spec in config.resources
-        }
         # Incremental accounting: free-unit counters maintained by
         # allocate/release so the hot-path queries (can_fit, free_units,
         # utilization — called for every window job at every scheduling
@@ -254,17 +303,27 @@ class ResourcePool:
         self._name_pos: dict[str, int] = {
             spec.name: i for i, spec in enumerate(config.resources)
         }
-        # Lazily-maintained sorted estimated-free-time arrays of the
-        # *busy* units of each resource. earliest_fit_time/free_units_at
-        # are order-statistic queries; sorting once per pool mutation and
-        # answering each query with a searchsorted amortizes an EASY
-        # pass (shadow time + per-resource spare units) to O(log units)
-        # per query instead of a fresh O(units) partition each.
-        self._sorted_busy: dict[str, np.ndarray | None] = {
-            spec.name: None for spec in config.resources
+        #: job_id -> (est, [(resource, amount), ...]), requests order;
+        #: never mutated once made
+        self._grants: dict[int, tuple[float, list[tuple[str, int]]]] = {}
+        #: per resource: distinct running ``est`` values ascending, and
+        #: how many busy units free at each
+        self._est_times: dict[str, list[float]] = {n: [] for n in self._names}
+        self._est_units: dict[str, list[int]] = {n: [] for n in self._names}
+
+        # -- the per-unit cache and its mutation log --
+        self._busy: dict[str, np.ndarray] = {
+            spec.name: np.zeros(spec.units, dtype=bool) for spec in config.resources
         }
-        #: job_id -> {resource: unit index array}
+        self._est_free: dict[str, np.ndarray] = {
+            spec.name: np.zeros(spec.units) for spec in config.resources
+        }
+        #: busy units per resource in the arrays (lags ``_free`` by the log)
+        self._applied_busy: dict[str, int] = dict.fromkeys(self._names, 0)
+        #: job_id -> {resource: unit index array}, as applied
         self._allocations: dict[int, dict[str, np.ndarray]] = {}
+        #: (job_id, grant) per allocate, (job_id, None) per release
+        self._log: list[tuple[int, tuple | None]] = []
         #: dirty-region consumers (incremental state encoders); kept in
         #: a plain list so the no-tracker hot path costs one truth test
         #: per mutation.
@@ -296,11 +355,10 @@ class ResourcePool:
     def can_fit(self, job: Job) -> bool:
         """True when every requested resource has enough free units."""
         free = self._free
-        return all(
-            free[name] >= amount
-            for name, amount in job.requests.items()
-            if amount > 0
-        )
+        for name, amount in job.requests.items():
+            if amount > 0 and free[name] < amount:
+                return False
+        return True
 
     def free_vector(self) -> np.ndarray:
         """Free-unit counts in config order.
@@ -315,19 +373,29 @@ class ResourcePool:
         """The live ``(busy, est_free)`` unit arrays of ``name``.
 
         Internal state exposed for the incremental encoder's patching
-        path — callers must treat both arrays as read-only; mutations
-        belong to :meth:`allocate`/:meth:`release`/:meth:`reset` so
-        registered dirty trackers stay truthful.
+        path — callers must treat both arrays as read-only, and read
+        them again after a mutation: only a reader call applies logged
+        mutations. Mutations belong to :meth:`allocate` /
+        :meth:`release` / :meth:`reset` so registered dirty trackers
+        stay truthful.
         """
+        if self._log:
+            self._apply_log()
         return self._busy[name], self._est_free[name]
 
     def running_jobs(self) -> list[int]:
-        return list(self._allocations)
+        return list(self._grants)
 
     # -- dirty-region tracking ---------------------------------------------
 
     def register_tracker(self) -> PoolDirtyTracker:
-        """Attach a new dirty tracker fed by every future mutation."""
+        """Attach a new dirty tracker fed by every future mutation.
+
+        The log is applied first: from here on mutations apply at once,
+        so the tracker's chunks arrive in mutation order.
+        """
+        if self._log:
+            self._apply_log()
         tracker = PoolDirtyTracker(self.config)
         self._trackers.append(tracker)
         return tracker
@@ -347,57 +415,87 @@ class ResourcePool:
         Estimated free time is ``now + walltime`` — the scheduler-visible
         estimate, not the hidden actual runtime.
         """
-        if job.job_id in self._allocations:
-            raise RuntimeError(f"job {job.job_id} is already allocated")
-        if not self.can_fit(job):
-            raise RuntimeError(f"job {job.job_id} does not fit")
-        grant: dict[str, np.ndarray] = {}
-        est = now + job.walltime
-        trackers = self._trackers
-        for name, amount in job.requests.items():
-            if amount <= 0:
-                continue
-            # The lowest ``amount`` free units lie in the first
-            # ``busy + amount`` slots: that prefix holds at most ``busy``
-            # busy units. A copy: the slice alone would keep the whole
-            # nonzero result alive for as long as the grant (and any
-            # tracker chunk) is held.
-            prefix = self._capacity[name] - self._free[name] + amount
-            free_idx = (~self._busy[name][:prefix]).nonzero()[0][:amount].copy()
-            self._busy[name][free_idx] = True
-            self._est_free[name][free_idx] = est
-            self._free[name] -= amount
-            self._free_arr[self._name_pos[name]] -= amount
-            self._sorted_busy[name] = None
-            grant[name] = free_idx
-            if trackers:
-                for tracker in trackers:
-                    tracker.mark(name, free_idx, True, est)
-        self._allocations[job.job_id] = grant
+        job_id = job.job_id
+        if job_id in self._grants:
+            raise RuntimeError(f"job {job_id} is already allocated")
+        amounts = [(name, amount) for name, amount in job.requests.items() if amount > 0]
+        free, free_arr, pos = self._free, self._free_arr, self._name_pos
+        for name, amount in amounts:  # can_fit, on the list in hand
+            if free[name] < amount:
+                raise RuntimeError(f"job {job_id} does not fit")
+        est = float(now + job.walltime)
+        for name, amount in amounts:
+            # One store of the exact count: cheaper than ``-=`` on a NumPy item.
+            free_arr[pos[name]] = free[name] = free[name] - amount
+            _add_units(self._est_times[name], self._est_units[name], est, amount)
+        grant = (est, amounts)
+        self._grants[job_id] = grant
+        log = self._log
+        log.append((job_id, grant))
+        if self._trackers or len(log) >= self._LOG_LIMIT:
+            self._apply_log()
 
     def release(self, job: Job) -> None:
         """Free every unit held by ``job``."""
-        grant = self._allocations.pop(job.job_id, None)
+        grant = self._grants.pop(job.job_id, None)
         if grant is None:
             raise RuntimeError(f"job {job.job_id} holds no allocation")
+        est, amounts = grant
+        free, free_arr, pos = self._free, self._free_arr, self._name_pos
+        for name, amount in amounts:
+            free_arr[pos[name]] = free[name] = free[name] + amount
+            _drop_units(self._est_times[name], self._est_units[name], est, amount)
+        log = self._log
+        log.append((job.job_id, None))
+        if self._trackers or len(log) >= self._LOG_LIMIT:
+            self._apply_log()
+
+    def _apply_log(self) -> None:
+        """Replay the logged mutations onto the per-unit arrays, in order.
+
+        An allocation takes the lowest free units of each resource: they
+        lie in the first ``busy + amount`` slots, a prefix that holds at
+        most ``busy`` busy units. The grant is a copy — the slice alone
+        would keep the whole nonzero result alive for as long as the
+        grant (and any tracker chunk) is held.
+        """
+        log, self._log = self._log, []
         trackers = self._trackers
-        for name, idx in grant.items():
-            self._busy[name][idx] = False
-            self._est_free[name][idx] = 0.0
-            self._free[name] += idx.size
-            self._free_arr[self._name_pos[name]] += idx.size
-            self._sorted_busy[name] = None
-            if trackers:
+        applied = self._applied_busy
+        for job_id, grant in log:
+            if grant is None:
+                for name, idx in self._allocations.pop(job_id).items():
+                    self._busy[name][idx] = False
+                    self._est_free[name][idx] = 0.0
+                    applied[name] -= idx.size
+                    for tracker in trackers:
+                        tracker.mark(name, idx, False, 0.0)
+                continue
+            est, amounts = grant
+            units: dict[str, np.ndarray] = {}
+            for name, amount in amounts:
+                busy = self._busy[name]
+                prefix = applied[name] + amount
+                idx = (~busy[:prefix]).nonzero()[0][:amount].copy()
+                busy[idx] = True
+                self._est_free[name][idx] = est
+                applied[name] = prefix
+                units[name] = idx
                 for tracker in trackers:
-                    tracker.mark(name, idx, False, 0.0)
+                    tracker.mark(name, idx, True, est)
+            self._allocations[job_id] = units
 
     def reset(self) -> None:
-        for name in self.config.names:
+        self._log = []
+        for name in self._names:
             self._busy[name][...] = False
             self._est_free[name][...] = 0.0
+            self._applied_busy[name] = 0
             self._free[name] = self._capacity[name]
             self._free_arr[self._name_pos[name]] = self._capacity[name]
-            self._sorted_busy[name] = None
+            self._est_times[name].clear()
+            self._est_units[name].clear()
+        self._grants.clear()
         self._allocations.clear()
         for tracker in self._trackers:
             tracker.mark_all()
@@ -407,12 +505,15 @@ class ResourcePool:
     def snapshot(self) -> dict:
         """A self-contained copy of the pool's allocation state.
 
-        Captures the per-unit arrays, free counters and the allocation
-        map; the pool object itself (and its registered trackers /
-        encoder attachments, which bind by identity) is not part of the
+        Captures the per-unit arrays (the log applied first), free
+        counters, the unit-index allocation map and the grants; the pool
+        object itself (and its registered trackers / encoder
+        attachments, which bind by identity) is not part of the
         snapshot, so :meth:`restore` can bring *this* pool back without
         disturbing those bindings.
         """
+        if self._log:
+            self._apply_log()
         return {
             "busy": {n: self._busy[n].copy() for n in self._names},
             "est_free": {n: self._est_free[n].copy() for n in self._names},
@@ -422,6 +523,7 @@ class ResourcePool:
                 jid: {n: idx.copy() for n, idx in grant.items()}
                 for jid, grant in self._allocations.items()
             },
+            "grants": dict(self._grants),  # records are never mutated
         }
 
     def restore(self, snap: dict) -> None:
@@ -429,20 +531,29 @@ class ResourcePool:
 
         The live unit arrays are overwritten rather than rebound so
         consumers holding views (the incremental encoder attaches to
-        this pool by identity) stay valid; every registered tracker is
-        degraded to a full rebuild because the patch history no longer
-        describes the restored arrays.
+        this pool by identity) stay valid; the log is dropped, and every
+        registered tracker is degraded to a full rebuild because the
+        patch history no longer describes the restored arrays.
         """
+        self._log = []
         for name in self._names:
             self._busy[name][...] = snap["busy"][name]
             self._est_free[name][...] = snap["est_free"][name]
-            self._sorted_busy[name] = None
+            self._est_times[name].clear()
+            self._est_units[name].clear()
         self._free = dict(snap["free"])
         self._free_arr[...] = snap["free_arr"]
+        self._applied_busy = {
+            n: self._capacity[n] - self._free[n] for n in self._names
+        }
         self._allocations = {
             jid: {n: idx.copy() for n, idx in grant.items()}
             for jid, grant in snap["allocations"].items()
         }
+        self._grants = dict(snap["grants"])
+        for est, amounts in self._grants.values():
+            for name, amount in amounts:
+                _add_units(self._est_times[name], self._est_units[name], est, amount)
         for tracker in self._trackers:
             tracker.mark_all()
 
@@ -454,9 +565,9 @@ class ResourcePool:
         Availability is 1 for free units; time-to-free is
         ``max(0, est_free - now)`` for busy units and 0 for free ones.
         """
-        busy = self._busy[name]
+        busy, est_free = self.unit_arrays(name)
         avail = (~busy).astype(float)
-        ttf = np.where(busy, np.maximum(self._est_free[name] - now, 0.0), 0.0)
+        ttf = np.where(busy, np.maximum(est_free - now, 0.0), 0.0)
         return avail, ttf
 
     def fill_unit_state(
@@ -470,24 +581,10 @@ class ResourcePool:
         ``est_free == 0`` and the clock is non-negative, so the clamped
         subtraction reproduces the reference values exactly.
         """
-        np.subtract(1.0, self._busy[name], out=avail_out)
-        np.subtract(self._est_free[name], now, out=ttf_out)
+        busy, est_free = self.unit_arrays(name)
+        np.subtract(1.0, busy, out=avail_out)
+        np.subtract(est_free, now, out=ttf_out)
         np.maximum(ttf_out, 0.0, out=ttf_out)
-
-    def _sorted_busy_times(self, name: str) -> np.ndarray:
-        """Ascending estimated free times of the busy units of ``name``.
-
-        Cached and invalidated lazily: allocate/release/reset drop the
-        cache, the first order-statistic query after a mutation rebuilds
-        it, and every further query in the same pool state (the rest of
-        an EASY pass, repeated shadow computations for the same
-        reservation across instances) is a binary search.
-        """
-        cached = self._sorted_busy[name]
-        if cached is None:
-            cached = np.sort(self._est_free[name][self._busy[name]])
-            self._sorted_busy[name] = cached
-        return cached
 
     def earliest_fit_time(self, job: Job, now: float) -> float:
         """Estimated earliest time ``job``'s full request can be satisfied.
@@ -498,11 +595,12 @@ class ResourcePool:
         times in EASY backfilling.
 
         The k-th smallest of {busy est-free times} ∪ {now × free units}
-        is read off the cached sorted busy array: with ``c`` busy times
-        strictly below ``now`` and ``F`` free units, the statistic is a
-        busy time when ``k ≤ c``, ``now`` while the free block covers
-        ``k``, and the ``(k−F)``-th busy time beyond it otherwise —
-        value-identical to partitioning the merged array.
+        is read off the sorted grant times: with ``c`` busy units
+        estimated to free strictly before ``now`` and ``F`` free units,
+        the statistic is a busy time when ``k ≤ c``, ``now`` while the
+        free block covers ``k``, and the ``(k−F)``-th busy time beyond
+        it otherwise — value-identical to partitioning the per-unit
+        times.
         """
         t = now
         for name, amount in job.requests.items():
@@ -512,24 +610,21 @@ class ResourcePool:
                 raise ValueError(
                     f"job {job.job_id} requests more {name} than system capacity"
                 )
-            times = self._sorted_busy_times(name)
+            times, units = self._est_times[name], self._est_units[name]
             n_free = self._free[name]
-            below = int(times.searchsorted(now, side="left"))
-            at_or_below = int(times.searchsorted(now, side="right"))
-            if amount <= below:
-                kth = float(times[amount - 1])
-            elif amount <= at_or_below + n_free:
+            if amount <= sum(units[: bisect_left(times, now)]):
+                kth = _kth_time(times, units, amount)
+            elif amount <= sum(units[: bisect_right(times, now)]) + n_free:
                 kth = now
             else:
-                kth = float(times[amount - n_free - 1])
+                kth = _kth_time(times, units, amount - n_free)
             t = max(t, kth)
         return t
 
     def free_units_at(self, name: str, when: float, now: float) -> int:
         """Estimated number of free units of ``name`` at time ``when``."""
-        busy_by_then = int(
-            self._sorted_busy_times(name).searchsorted(when, side="right")
-        )
+        times = self._est_times[name]
+        busy_by_then = sum(self._est_units[name][: bisect_right(times, when)])
         free_now = self._free[name] if now <= when else 0
         return free_now + busy_by_then
 
@@ -542,5 +637,6 @@ class ResourcePool:
         """
         out = self._free_arr.copy() if now <= when else np.zeros(len(self._names))
         for i, name in enumerate(self._names):
-            out[i] += self._sorted_busy_times(name).searchsorted(when, side="right")
+            times = self._est_times[name]
+            out[i] += sum(self._est_units[name][: bisect_right(times, when)])
         return out

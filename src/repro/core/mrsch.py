@@ -171,9 +171,11 @@ class MRSchScheduler(PriorScheduler):
 
     def _reads_goal(self, ctx: SchedulingContext) -> bool:
         """A training decision stores the goal with its experience, a
-        one-job window's too; evaluation reads it as the base class says."""
+        one-job window's too, unless a standing reservation blocks every
+        decision of the instance; evaluation reads it as the base class
+        says."""
         if self.training:
-            return len(ctx.queue) >= 1
+            return len(ctx.queue) >= 1 and not self._reservation_blocks(ctx)
         return super()._reads_goal(ctx)
 
     # -- one decision ---------------------------------------------------------

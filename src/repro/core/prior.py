@@ -115,9 +115,21 @@ class PriorScheduler(Scheduler):
 
         So every decision reads the floats it would read were the goal
         refreshed at every instance, and a recorded replay logs that very
-        series.
+        series. An instance whose standing reservation still cannot start
+        (:meth:`_reservation_blocks`) makes no selection at all.
         """
-        return min(len(ctx.queue), self.window_size) >= 2
+        return min(len(ctx.queue), self.window_size) >= 2 and not self._reservation_blocks(ctx)
+
+    def _reservation_blocks(self, ctx: SchedulingContext) -> bool:
+        """Whether the previous instance's reservation blocks every selection.
+
+        Read-only, and asked before ``_clear_stale_reservation``: a
+        reserved job still queued that does not fit the free units stays
+        reserved through this instance, whose selection loop then never
+        runs — only EASY backfilling, which reads no goal, may start jobs.
+        """
+        job = self.reserved_job
+        return job is not None and job in ctx.queue and not ctx.pool.can_fit(job)
 
     def _prior(self, window: list[Job], ctx: SchedulingContext) -> np.ndarray:
         """:func:`prior_scores` over the window's slots (zero past its end).

@@ -75,6 +75,49 @@ def test_replay_theta_seed15_digest_where_the_network_runs():
     assert _digest("replay_theta", 15) == REPLAY_THETA_SEED15
 
 
+def _spy_on_unit_layout(monkeypatch) -> list[int]:
+    """How many logged mutations each call of the pool's log-apply step
+    writes into the per-unit arrays, in call order."""
+    from repro.cluster.resources import ResourcePool
+
+    applied: list[int] = []
+    apply_log = ResourcePool._apply_log
+
+    def spy(pool):
+        applied.append(len(pool._log))
+        apply_log(pool)
+
+    monkeypatch.setattr(ResourcePool, "_apply_log", spy)
+    return applied
+
+
+def test_replay_theta_builds_the_unit_layout_only_where_the_network_reads_it(
+    monkeypatch,
+):
+    """Seed 7 settles every decision before the network is asked, so none
+    of its five replays writes a unit into the per-unit arrays; seed 15
+    scores decisions with the network, whose encoder reads the layout,
+    and still reproduces its pinned digest."""
+    from repro.api.scenario import load_scenario
+    from repro.exp.tasks import replay_cell
+
+    applied = _spy_on_unit_layout(monkeypatch)
+    scenario = _load("workloads").WORKLOADS["replay_theta"].scenario_for(7)
+    (task,) = load_scenario(scenario).compile()
+    _, replays = replay_cell(
+        task.method, task.workloads, task.config,
+        train=task.train, case_study=task.case_study, extra=dict(task.extra),
+    )
+    per_replay = []
+    for _ in replays:
+        per_replay.append(sum(applied))
+        applied.clear()
+    assert per_replay == [0] * len(task.workloads) == [0] * 5
+
+    assert _digest("replay_theta", 15) == REPLAY_THETA_SEED15
+    assert sum(applied) > 0
+
+
 #: sha256 over the ``(times, goals)`` arrays of every ``goal_series()``
 #: an untrained MRSch logs replaying seed-7 ``replay_theta``'s S1–S5 one
 #: workload after another, and how many
@@ -106,10 +149,11 @@ def test_replay_theta_seed7_three_resource_goal_series():
 
 
 #: Eq. 1 refreshes of the seed-7 ``replay_theta`` cell, which records
-#: no timeline: one per instance whose queue holds two or more jobs, the
+#: no timeline: one per instance whose queue holds two or more jobs and
+#: is not held by a standing reservation that still cannot start, the
 #: only instances where a decision reads the goal (2,250 when every
-#: instance refreshed it).
-REPLAY_THETA_SEED7_GOAL_REFRESHES = 172
+#: instance refreshed it; 172 before blocked instances skipped it).
+REPLAY_THETA_SEED7_GOAL_REFRESHES = 4
 
 
 def test_replay_theta_seed7_refreshes_the_goal_only_where_it_is_read():

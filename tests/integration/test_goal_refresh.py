@@ -3,11 +3,12 @@
 A replay that records no timeline refreshes the §III-B goal only at
 instances where a decision can read it: a window of two or more jobs
 (evaluation), or any queued job (MRSch training, which stores the goal
-with every experience). The oracle is a twin refreshed at every
-instance — the rule the simulator followed before — and each replay
-below must start every job at the same time and count the same
-decisions as that twin. A recorded replay still logs the goal at every
-instance.
+with every experience), and in either case no standing reservation
+that still cannot start (such an instance makes no selection). The
+oracle is a twin refreshed at every instance — the rule the simulator
+followed before — and each replay below must start every job at the
+same time and count the same decisions as that twin. A recorded
+replay still logs the goal at every instance.
 """
 
 from __future__ import annotations
@@ -51,8 +52,14 @@ def always_refreshes(sched):
 
 BASE = ExperimentConfig(nodes=32, bb_units=16, n_jobs=60, seed=11)
 
-#: a light trace (few instances hold two queued jobs) and a loaded one
-TRACES = {"light": 3000.0, "loaded": BASE.mean_interarrival}
+#: a light trace (few instances hold two queued jobs), a loaded one, and
+#: a saturated one where most instances open under a standing
+#: reservation that still cannot start (no selection, so no refresh)
+TRACES = {
+    "light": 3000.0,
+    "loaded": BASE.mean_interarrival,
+    "standing": BASE.mean_interarrival / 4,
+}
 
 ARMS = {
     "prior": ("prior", {}),
@@ -104,6 +111,24 @@ def test_the_loaded_trace_scores_decisions_off_refreshed_goals():
     )
     assert 0 < scored < decisions
     assert refreshes > 0
+
+
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_a_standing_reservation_skips_the_refresh(arm, monkeypatch):
+    """The comparison above has teeth on the saturated trace: most
+    instances that hold two queued jobs open under a reservation that
+    still cannot start, and skip the refresh a twin without that gate
+    makes — deciding exactly as the twin does."""
+    config = dataclasses.replace(
+        BASE, window_size=10, mean_interarrival=TRACES["standing"]
+    )
+    method, options = ARMS[arm]
+    starts, counts, refreshes, _ = _replay(config, method, options, False)
+    monkeypatch.setattr(PriorScheduler, "_reservation_blocks", lambda self, ctx: False)
+    want_starts, want_counts, ungated, _ = _replay(config, method, options, False)
+    assert starts == want_starts
+    assert counts == want_counts
+    assert 0 < refreshes < ungated / 4
 
 
 def test_training_learns_the_same_weights_and_losses():

@@ -1,12 +1,13 @@
 """Property test pinning the optimized ResourcePool to a naive reference.
 
-The pool's incremental accounting (free counters, the lazily-invalidated
-sorted estimated-free-time arrays behind ``earliest_fit_time`` /
-``free_units_at``) must be *bit-identical* to the straightforward
-implementation that recomputes everything from the raw per-unit arrays.
-The reference below is exactly that seed-era implementation, retained
-here as executable documentation of the contract; hypothesis drives both
-through randomized allocate/release/query sequences.
+The pool's incremental accounting (free counters, the sorted grant
+times behind ``earliest_fit_time`` / ``free_units_at``) must be
+*bit-identical* to the straightforward implementation that recomputes
+everything from the raw per-unit arrays, read through ``unit_arrays()``
+(which builds them from the pool's mutation log). The reference below
+is exactly that seed-era implementation, retained here as executable
+documentation of the contract; hypothesis drives both through
+randomized allocate/release/query sequences.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class NaiveReferencePool:
 
     def can_fit(self, job) -> bool:
         return all(
-            (~self.pool._busy[name]).sum() >= amount
+            (~self.pool.unit_arrays(name)[0]).sum() >= amount
             for name, amount in job.requests.items()
             if amount > 0
         )
@@ -43,7 +44,8 @@ class NaiveReferencePool:
             dtype=float,
         )
         busy = np.array(
-            [self.pool._busy[n].sum() for n in self.pool.config.names], dtype=float
+            [self.pool.unit_arrays(n)[0].sum() for n in self.pool.config.names],
+            dtype=float,
         )
         return busy / caps
 
@@ -52,15 +54,15 @@ class NaiveReferencePool:
         for name, amount in job.requests.items():
             if amount <= 0:
                 continue
-            busy = self.pool._busy[name]
-            free_times = np.where(busy, self.pool._est_free[name], now)
+            busy, est_free = self.pool.unit_arrays(name)
+            free_times = np.where(busy, est_free, now)
             kth = np.partition(free_times, amount - 1)[amount - 1]
             t = max(t, float(kth))
         return t
 
     def free_units_at(self, name: str, when: float, now: float) -> int:
-        busy = self.pool._busy[name]
-        free_times = np.where(busy, self.pool._est_free[name], now)
+        busy, est_free = self.pool.unit_arrays(name)
+        free_times = np.where(busy, est_free, now)
         return int((free_times <= when).sum())
 
 
@@ -102,8 +104,8 @@ def test_optimized_pool_bit_identical_to_naive_reference(op_list):
                 active.append(job)
         elif kind == "release" and active:
             pool.release(active.pop(nodes % len(active)))
-        # Query cross-check after every operation — the sorted cache is
-        # exercised in every dirty/clean state the sequence can reach.
+        # Query cross-check after every operation — the sorted grant
+        # times are exercised in every state the sequence can reach.
         probe = make_job(job_id=99_999, nodes=nodes, bb=bb, runtime=1.0)
         assert pool.can_fit(probe) == ref.can_fit(probe)
         got = pool.earliest_fit_time(probe, now)
@@ -128,8 +130,9 @@ def test_optimized_pool_bit_identical_to_naive_reference(op_list):
 @settings(max_examples=30, deadline=None)
 @given(ops)
 def test_repeated_queries_hit_the_sorted_cache_consistently(op_list):
-    """Back-to-back identical queries (cache rebuild, then cache hit)
-    must agree with each other and with the naive answer."""
+    """Back-to-back identical queries (the second after nothing changed
+    the sorted grant times) must agree with each other and with the
+    naive answer."""
     system = SystemConfig(resources=(ResourceSpec(NODE, 8),))
     pool = ResourcePool(system)
     ref = NaiveReferencePool(pool)
@@ -143,5 +146,5 @@ def test_repeated_queries_hit_the_sorted_cache_consistently(op_list):
         probe = make_job(job_id=10_000 + i, nodes=nodes, bb=0, runtime=1.0)
         probe.requests.pop(BURST_BUFFER, None)
         first = pool.earliest_fit_time(probe, now)
-        second = pool.earliest_fit_time(probe, now)  # cached path
+        second = pool.earliest_fit_time(probe, now)
         assert first == second == ref.earliest_fit_time(probe, now)
