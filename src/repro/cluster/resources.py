@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -279,6 +280,11 @@ class ResourcePool:
     each mutation applies at once and trackers see its chunks in
     mutation order. Units are interchangeable; lowest-index grants keep
     the layout deterministic.
+
+    :attr:`mutations` counts the calls that change the allocation —
+    ``allocate``, ``release``, ``reset``, ``restore`` — so a reader can
+    tell in one integer compare that nothing changed since it last
+    looked (the EASY pass carries its verdicts by it).
     """
 
     #: Logged mutations after which the log is applied unread, bounding
@@ -328,6 +334,8 @@ class ResourcePool:
         #: a plain list so the no-tracker hot path costs one truth test
         #: per mutation.
         self._trackers: list[PoolDirtyTracker] = []
+        #: allocation-changing calls so far (read-only to callers)
+        self.mutations = 0
 
     # -- queries ---------------------------------------------------------
 
@@ -386,6 +394,15 @@ class ResourcePool:
     def running_jobs(self) -> list[int]:
         return list(self._grants)
 
+    def earliest_est(self) -> float:
+        """The earliest estimated free time of any busy unit, ``inf``
+        when every unit is free: one read per resource."""
+        first = inf
+        for times in self._est_times.values():
+            if times and times[0] < first:
+                first = times[0]
+        return first
+
     # -- dirty-region tracking ---------------------------------------------
 
     def register_tracker(self) -> PoolDirtyTracker:
@@ -430,6 +447,7 @@ class ResourcePool:
             _add_units(self._est_times[name], self._est_units[name], est, amount)
         grant = (est, amounts)
         self._grants[job_id] = grant
+        self.mutations += 1
         log = self._log
         log.append((job_id, grant))
         if self._trackers or len(log) >= self._LOG_LIMIT:
@@ -445,6 +463,7 @@ class ResourcePool:
         for name, amount in amounts:
             free_arr[pos[name]] = free[name] = free[name] + amount
             _drop_units(self._est_times[name], self._est_units[name], est, amount)
+        self.mutations += 1
         log = self._log
         log.append((job.job_id, None))
         if self._trackers or len(log) >= self._LOG_LIMIT:
@@ -486,6 +505,7 @@ class ResourcePool:
             self._allocations[job_id] = units
 
     def reset(self) -> None:
+        self.mutations += 1
         self._log = []
         for name in self._names:
             self._busy[name][...] = False
@@ -535,6 +555,7 @@ class ResourcePool:
         registered tracker is degraded to a full rebuild because the
         patch history no longer describes the restored arrays.
         """
+        self.mutations += 1
         self._log = []
         for name in self._names:
             self._busy[name][...] = snap["busy"][name]

@@ -27,8 +27,29 @@ scanned as NumPy columns. Both passes find the fitting jobs first and
 ask the pool for the shadow time and the spare units only when one
 does. The straightforward forms these replaced — a plain-list queue,
 the per-candidate ``can_fit`` EASY loop — live on as test oracles in
-``tests/unit/_sched_reference.py``, held to both passes decision for
+``tests/unit/_sched_reference.py``, held to every pass decision for
 decision.
+
+A reservation often stands across many instances while only arrivals
+happen: nothing starts or ends, the reserved job still cannot start,
+and each new job triggers a pass. Every pass therefore ends by noting
+the queue, the pool, the reserved job, the pool's mutation count
+(:attr:`ResourcePool.mutations`), the queue's append count
+(:attr:`JobQueue.appends`) and the clock. The next pass tests only the
+jobs appended since — walking them as a short pass walks its queue —
+when the queue, the pool and the reserved job are the same objects,
+the pool has not mutated, the clock has not gone back and no busy unit
+is estimated to free at or before it. That carry is exact:
+
+* with no mutation the free counts are unchanged;
+* every busy unit frees after the clock, so the shadow time and the
+  spare units — which the last pass's starts already accounted for —
+  are unchanged too;
+* ``now + walltime <= shadow`` can only turn false as the clock
+  advances, so every job the last pass left queued is still
+  inadmissible;
+* nothing was removed by a start in between (a start is a mutation),
+  so the appended jobs are the newest rows, in queue order.
 
 Policies that maintain *incremental per-decision state* (MRSch's
 persistent state buffer, fed by pool dirty trackers) rely on one
@@ -43,9 +64,10 @@ selection/backfill machinery touches pool unit state directly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from operator import le
+from itertools import repeat
+from operator import is_, le
 from time import perf_counter
 
 import numpy as np
@@ -138,6 +160,14 @@ class Scheduler(ABC):
         self.decisions_scored = 0
         self.decisions_overruled = 0
         self.goal_refreshes = 0
+        #: EASY passes run since :meth:`reset`, and the queue rows they
+        #: tested (a full pass counts its span, a carried pass the rows
+        #: appended since the last one)
+        self.backfill_passes = 0
+        self.backfill_rows = 0
+        #: what the last EASY pass saw: ``(queue, pool, reserved job,
+        #: pool mutations, queue appends, now)``
+        self._carry: tuple | None = None
 
     # -- policy hooks -----------------------------------------------------
 
@@ -158,6 +188,9 @@ class Scheduler(ABC):
         self.decisions_scored = 0
         self.decisions_overruled = 0
         self.goal_refreshes = 0
+        self.backfill_passes = 0
+        self.backfill_rows = 0
+        self._carry = None
 
     # -- the shared instance loop ------------------------------------------
 
@@ -188,7 +221,8 @@ class Scheduler(ABC):
             if job is None:
                 break
             self.decisions += 1
-            if job not in window:
+            # By identity: ``in`` would pass an equal copy of a window job.
+            if window[0] is not job and not any(map(is_, window, repeat(job))):
                 raise RuntimeError(
                     f"{self.name}: selected job {job.job_id} outside the window"
                 )
@@ -234,34 +268,75 @@ class Scheduler(ABC):
         its walltime ends before the shadow time, or (b) it consumes only
         spare units.
 
-        Two passes, both decision-identical to the per-candidate
+        Three passes, all decision-identical to the per-candidate
         ``can_fit`` loop kept as the oracle in
-        ``tests/unit/_sched_reference.py``: a queue whose
-        :attr:`JobQueue.span` is at most :data:`SHORT_PASS_ROWS` takes
-        :meth:`_short_backfill`, a longer one ONE NumPy scan over the
-        queue's columnar candidate arrays (below). Only the span picks
-        the pass; no option does. Both passes find the fitting jobs
-        first: ``request <= free`` is tested one resource column at a
-        time over the whole view, and only when a row other than the
-        reservation passes are the shadow time and the spare units asked
-        for. In about half of a saturated queue's passes none does.
+        ``tests/unit/_sched_reference.py``:
 
-        Correctness: free and spare units only *shrink* during a pass
-        (starts allocate, nothing releases), so a candidate inadmissible
-        under the pass's *initial* state can never become admissible
-        later in the same pass — the initial scan's rejections are
-        final, and only its survivors need an O(R) re-verification
-        against the live counters as earlier survivors start and consume
-        units.
+        * the *carried* pass, when the last pass stood under the same
+          reservation and nothing it read has changed since: it walks
+          only the jobs appended after it (:meth:`_walk_backfill`). The
+          guard — same queue, pool and reserved job, no pool mutation,
+          a clock that has not gone back, every busy unit estimated to
+          free after the clock — is two integer compares, three
+          identity tests, a clock compare and one ``est`` read per
+          resource. Under it the free units, the shadow time and the
+          spare units are the ones the last pass ended with, and the
+          clock only tightens ``now + walltime <= shadow``, so every job
+          the last pass left queued is still inadmissible; appended
+          jobs, with no start in between to tombstone a row, are the
+          queue's newest rows, in order;
+        * otherwise a queue whose :attr:`JobQueue.span` is at most
+          :data:`SHORT_PASS_ROWS` is walked whole;
+        * and a longer one is scanned as NumPy columns
+          (:meth:`_column_backfill`).
+
+        Only that state picks the pass; no option does. Every pass finds
+        the fitting jobs first, and only when a row other than the
+        reservation fits are the shadow time and the spare units asked
+        for. Each pass ends by recording what it saw for the next.
         """
         reserved = self.reserved_job
         assert reserved is not None
-        queue = ctx.queue
-        if queue.span <= SHORT_PASS_ROWS:
-            self._short_backfill(ctx, reserved)
-            return
-        pool = ctx.pool
-        now = ctx.now
+        queue, pool, now = ctx.queue, ctx.pool, ctx.now
+        self.backfill_passes += 1
+        carry = self._carry
+        if (
+            carry is not None
+            and carry[3] == pool.mutations
+            and carry[0] is queue
+            and carry[1] is pool
+            and carry[2] is reserved
+            and carry[5] <= now < pool.earliest_est()
+        ):
+            rows = queue.appends - carry[4]
+            self.backfill_rows += rows
+            if rows:
+                self._walk_backfill(ctx, reserved, queue.newest(rows))
+        else:
+            self.backfill_rows += queue.span
+            if queue.span <= SHORT_PASS_ROWS:
+                self._walk_backfill(ctx, reserved, queue)
+            else:
+                self._column_backfill(ctx, reserved)
+        self._carry = (queue, pool, reserved, pool.mutations, queue.appends, now)
+
+    def _column_backfill(self, ctx: SchedulingContext, reserved: Job) -> None:
+        """The EASY pass of a long queue: one NumPy scan over the
+        queue's columnar candidate arrays.
+
+        ``request <= free`` is tested one resource column at a time over
+        the whole view; only the rows that pass are held to the shadow
+        rule, and those that pass it too are *kept*. Free and spare units
+        only *shrink* during a pass (starts allocate, nothing releases),
+        so a row inadmissible under the pass's initial state never
+        becomes admissible later in it: a rejection is final, and the
+        first kept row is always admissible. After each start the rows
+        behind it stay kept only if they still fit the free units left —
+        and, when the start consumed spare units, still end before the
+        shadow or fit the spare. The pass stops as soon as nothing left
+        can fit, in most passes right after their first start.
+        """
+        queue, pool, now = ctx.queue, ctx.pool, ctx.now
         free = pool.free_vector()  # live view — allocate updates in place
         reqs, wall, alive, base = queue.candidate_arrays()
         fits = _rows_within(reqs, free)
@@ -273,29 +348,29 @@ class Scheduler(ABC):
         shadow = pool.earliest_fit_time(reserved, now)
         spare = pool.free_vector_at(shadow, now)
         spare -= queue.request_row(reserved)
-        sub = reqs[cand]
-        ends_ok = now + wall[cand] <= shadow  # the clock is fixed mid-pass
+        # take: the rows fancy indexing would give, at a fraction of its
+        # cost on arrays this small
+        sub = reqs.take(cand, axis=0)
+        ends_ok = now + wall.take(cand) <= shadow  # the clock is fixed mid-pass
         keep = _rows_within(sub, spare)
         keep |= ends_ok
-        while True:
-            cand, sub, ends_ok = cand[keep], sub[keep], ends_ok[keep]
-            if cand.size == 0:
-                return
-            # The head survivor is admissible under the *current*
-            # counters: the scan above vouched for the first one, the
-            # re-filter below for every later head.
-            self._start(queue.job_at_slot(base + int(cand[0])), ctx)
-            if not ends_ok[0]:
-                spare -= sub[0]
-            cand, sub, ends_ok = cand[1:], sub[1:], ends_ok[1:]
-            if cand.size == 0:
-                return
-            keep = _rows_within(sub, spare)
-            keep |= ends_ok
+        while keep.any():
+            i = int(keep.argmax())
+            self._start(queue.job_at_slot(base + int(cand[i])), ctx)
+            spent = not ends_ok[i]
+            if spent:
+                spare -= sub[i]
+            i += 1
+            cand, sub, ends_ok, keep = cand[i:], sub[i:], ends_ok[i:], keep[i:]
             keep &= _rows_within(sub, free)
+            if spent:
+                keep &= ends_ok | _rows_within(sub, spare)
 
-    def _short_backfill(self, ctx: SchedulingContext, reserved: Job) -> None:
-        """The EASY pass of a short queue: one walk, no NumPy row.
+    def _walk_backfill(
+        self, ctx: SchedulingContext, reserved: Job, jobs: Iterable[Job]
+    ) -> None:
+        """The EASY pass over ``jobs`` — the whole short queue, or the
+        jobs a carried pass tests — in one walk, no NumPy row.
 
         Keeps the jobs that fit the free units, in queue order; only if
         one does are the shadow time and the spare units asked for. The
@@ -307,7 +382,7 @@ class Scheduler(ABC):
         free = pool.free_vector().tolist()
         limits = list(zip(names, free))
         kept = []
-        for job in queue:
+        for job in jobs:
             get = job.requests.get
             for name, limit in limits:
                 if get(name, 0) > limit:
@@ -369,7 +444,7 @@ class WindowPolicyScheduler(Scheduler):
         while self._cursor < len(ordering):
             job = ordering[self._cursor]
             self._cursor += 1
-            if job in window:
+            if any(map(is_, window, repeat(job))):  # identity, as schedule checks
                 return job
         # Ordering exhausted: fall back to queue order for jobs that
         # rotated into the window after earlier starts.

@@ -73,6 +73,9 @@ class JobQueue:
         self._head = 0  # first slot that may be alive
         self._tail = 0  # one past the last used slot
         self._n_dead = 0  # tombstones in [head, tail)
+        #: jobs appended so far (read-only to callers); the appended jobs
+        #: are the newest, so they sit in the last slots
+        self.appends = 0
 
     # -- list-compatible surface ------------------------------------------
 
@@ -108,6 +111,7 @@ class JobQueue:
         self._alive[slot] = True
         self._slot[job.job_id] = slot
         self._tail += 1
+        self.appends += 1
 
     def remove(self, job: Job) -> None:
         """Tombstone ``job`` in O(1); storage indices stay stable."""
@@ -163,6 +167,15 @@ class JobQueue:
         """
         head, tail = self._head, self._tail
         return self._req[head:tail], self._wall[head:tail], self._alive[head:tail], head
+
+    def newest(self, k: int) -> list[Job]:
+        """The live jobs among the last ``k`` storage slots, in queue order.
+
+        Compaction keeps the order, so the last ``k`` jobs appended are
+        there unless one has been removed since.
+        """
+        jobs = self._jobs[max(self._head, self._tail - k) : self._tail]
+        return [job for job in jobs if job is not None]
 
     def request_row(self, job: Job) -> np.ndarray:
         """The columnar request row of a queued job (read-only view)."""

@@ -89,12 +89,16 @@ class Simulator:
             attrs["decisions_scored"] = self.scheduler.decisions_scored
             attrs["decisions_overruled"] = self.scheduler.decisions_overruled
             attrs["goal_refreshes"] = self.scheduler.goal_refreshes
+            attrs["backfill_passes"] = self.scheduler.backfill_passes
+            attrs["backfill_rows"] = self.scheduler.backfill_rows
         metrics = session.metrics
         metrics.counter("sim.episodes").inc()
         metrics.counter("sim.decisions").inc(self.scheduler.decisions)
         metrics.counter("sim.decisions_scored").inc(self.scheduler.decisions_scored)
         metrics.counter("sim.decisions_overruled").inc(self.scheduler.decisions_overruled)
         metrics.counter("sim.goal_refreshes").inc(self.scheduler.goal_refreshes)
+        metrics.counter("sim.backfill_passes").inc(self.scheduler.backfill_passes)
+        metrics.counter("sim.backfill_rows").inc(self.scheduler.backfill_rows)
         return result
 
     def _episode(self, jobs: list[Job]) -> SimulationResult:

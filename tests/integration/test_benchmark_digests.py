@@ -170,6 +170,42 @@ def test_replay_theta_seed7_refreshes_the_goal_only_where_it_is_read():
     assert sum(sched.goal_refreshes for _ in replays) == REPLAY_THETA_SEED7_GOAL_REFRESHES
 
 
+#: EASY passes of the seed-7 ``replay_fcfs`` cell and the queue rows
+#: they tested. 1,192 of the passes are carried: arrivals under a
+#: standing reservation with nothing started or ended since the last
+#: pass, each testing its one new row instead of a span of about 1,000.
+REPLAY_FCFS_SEED7_BACKFILL = (2390, 1_227_004)
+
+
+def test_replay_fcfs_seed7_backfill_census():
+    from repro.api.scenario import load_scenario
+    from repro.exp.tasks import replay_cell
+
+    scenario = _load("workloads").WORKLOADS["replay_fcfs"].scenario_for(7)
+    (task,) = load_scenario(scenario).compile()
+    sched, replays = replay_cell(
+        task.method, task.workloads, task.config,
+        train=task.train, case_study=task.case_study, extra=dict(task.extra),
+    )
+    assert len(list(replays)) == 1  # one workload: the counters are its replay's
+    assert (sched.backfill_passes, sched.backfill_rows) == REPLAY_FCFS_SEED7_BACKFILL
+
+
+#: ``replay_fcfs`` at seed 7 with ``n_jobs`` raised from 1,200 to 8,000:
+#: thousands of jobs wait at once, deeper than any other pin reaches,
+#: and the carried pass and the columnar pass's early stop each fire
+#: thousands of times. Computed before either existed.
+REPLAY_FCFS_SEED7_DEEP = "3f0713b23b5b2a1119c32f08182f0710303aa421b8a9b1574b90ad167b8f126c"
+
+
+@pytest.mark.slow
+def test_replay_fcfs_seed7_deep_queue_digest():
+    scenario = _load("workloads").WORKLOADS["replay_fcfs"].scenario_for(7)
+    scenario = {**scenario, "config": {**scenario["config"], "n_jobs": 8000}}
+    results = run_scenario(scenario, progress=False).results
+    assert _load("check").result_digest(results) == REPLAY_FCFS_SEED7_DEEP
+
+
 def _goal_series(workloads, case_study: bool = False) -> tuple[str, int]:
     """sha256 over every ``goal_series()`` an untrained MRSch logs
     replaying ``workloads`` one after another at seed-7 ``replay_theta``'s

@@ -176,6 +176,35 @@ class TestBitIdentity:
             REPLAY_THETA_SEED7_GOAL_REFRESHES
         )
 
+    def test_backfill_passes_counted_without_changing_a_result(self, tmp_path):
+        """The seed-7 ``replay_fcfs`` cell's EASY passes and the rows
+        they tested, per episode and in total; counting changes no
+        result."""
+        from tests.integration.test_benchmark_digests import (
+            REPLAY_FCFS_SEED7_BACKFILL,
+            _load,
+        )
+
+        scenario = _load("workloads").WORKLOADS["replay_fcfs"].scenario_for(7)
+        plain = run_scenario(scenario, progress=False).results
+        session = obs.enable(tmp_path / "telemetry")
+        try:
+            instrumented = run_scenario(scenario, progress=False).results
+            counters = session.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert _exact(instrumented) == _exact(plain)
+        passes, rows = REPLAY_FCFS_SEED7_BACKFILL
+        assert (counters["sim.backfill_passes"], counters["sim.backfill_rows"]) == (
+            passes, rows
+        )
+        (episode,) = [
+            s for s in load_spans(tmp_path / "telemetry") if s["name"] == "episode"
+        ]
+        assert (episode["attrs"]["backfill_passes"], episode["attrs"]["backfill_rows"]) == (
+            passes, rows
+        )
+
     def test_episode_decision_stream_identical(self, mini_system, theta_trace):
         def starts():
             sim = Simulator(mini_system, FCFSScheduler(), record_timeline=False)

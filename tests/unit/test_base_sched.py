@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from repro.cluster.resources import NODE, ResourcePool, ResourceSpec, SystemConfig
 from repro.sched import base as base_module
-from repro.sched.base import SHORT_PASS_ROWS, Scheduler, SchedulingContext
+from repro.sched.base import (
+    SHORT_PASS_ROWS,
+    Scheduler,
+    SchedulingContext,
+    WindowPolicyScheduler,
+)
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.jobqueue import JobQueue
 from repro.sim.simulator import Simulator
@@ -93,6 +98,44 @@ class TestWindow:
         sched = Rogue(window_size=2, backfill=False)
         with pytest.raises(RuntimeError, match="outside the window"):
             sched.schedule(make_ctx(node_only_system, pool, queue))
+
+    def test_an_equal_copy_of_a_window_job_rejected(self, node_only_system):
+        """``Job`` is a dataclass, so a copy of the head compares equal
+        to it. The window check is by identity: the copy is refused at
+        the first selection instead of being started while the queued
+        original waits forever."""
+
+        class Copier(Scheduler):
+            name = "copier"
+
+            def select(self, window, ctx):
+                return window[0].copy()
+
+        pool = ResourcePool(SystemConfig(resources=(ResourceSpec(NODE, 8),)))
+        queue = [njob(i, nodes=1) for i in range(1, 6)]
+        assert queue[0].copy() == queue[0]
+        sched = Copier(window_size=2, backfill=False)
+        with pytest.raises(RuntimeError, match="selected job 1 outside the window"):
+            sched.schedule(make_ctx(pool.config, pool, queue))
+        assert sched.decisions == 1 and pool.mutations == 0
+
+    def test_a_ranking_of_copies_falls_back_to_the_window(self, node_only_system):
+        """The window-policy adapter serves a ranked job only if it is
+        the window's own object; a ranking of equal copies is skipped
+        and the queued originals start in queue order."""
+
+        class CopyRanker(WindowPolicyScheduler):
+            name = "copy-ranker"
+
+            def rank(self, window, ctx):
+                return [job.copy() for job in reversed(window)]
+
+        pool = ResourcePool(node_only_system)
+        queue = [njob(i, nodes=1) for i in range(1, 6)]
+        ctx = make_ctx(node_only_system, pool, queue)
+        CopyRanker(window_size=3, backfill=False).schedule(ctx)
+        assert [job.job_id for job in ctx.started] == [1, 2, 3, 4, 5]
+        assert all(a is b for a, b in zip(ctx.started, queue))
 
 
 class TestContext:

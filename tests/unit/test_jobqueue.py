@@ -360,30 +360,40 @@ def test_deep_queue_compacts_between_columnar_passes(monkeypatch):
 
 
 class _PassKinds:
-    """``[span, reserved id, short?]`` of every EASY pass, in order."""
+    """``[span, reserved id, kind]`` of every EASY pass, in order: kind
+    is ``"walk"`` (the whole short queue), ``"columns"`` or
+    ``"carried"`` (only the rows appended since the last pass)."""
 
     def __init__(self, monkeypatch):
         self.passes: list[list] = []
         easy = base_module.Scheduler._easy_backfill
-        walk = base_module.Scheduler._short_backfill
+        walk = base_module.Scheduler._walk_backfill
+        columns = base_module.Scheduler._column_backfill
 
         def easy_spy(sched, ctx):
-            self.passes.append([ctx.queue.span, sched.reserved_job.job_id, False])
+            self.passes.append([ctx.queue.span, sched.reserved_job.job_id, "carried"])
             easy(sched, ctx)
 
-        def walk_spy(sched, ctx, reserved):
-            self.passes[-1][2] = True
-            walk(sched, ctx, reserved)
+        def walk_spy(sched, ctx, reserved, jobs):
+            if jobs is ctx.queue:
+                self.passes[-1][2] = "walk"
+            walk(sched, ctx, reserved, jobs)
+
+        def columns_spy(sched, ctx, reserved):
+            self.passes[-1][2] = "columns"
+            columns(sched, ctx, reserved)
 
         monkeypatch.setattr(base_module.Scheduler, "_easy_backfill", easy_spy)
-        monkeypatch.setattr(base_module.Scheduler, "_short_backfill", walk_spy)
+        monkeypatch.setattr(base_module.Scheduler, "_walk_backfill", walk_spy)
+        monkeypatch.setattr(base_module.Scheduler, "_column_backfill", columns_spy)
 
 
 def test_queue_crossing_the_short_pass_size_under_one_reservation(monkeypatch):
     """One reservation stands while three bursts push the queue past
     ``SHORT_PASS_ROWS`` and backfill starts (tombstones compacted away at
-    the next arrival) bring it back under: the passes switch between
-    the walk and the column scan six times, and every start
+    the next arrival) bring it back under: the full passes switch between
+    the walk and the column scan six times, arrivals with nothing
+    started or ended in between take the carried walk, and every start
     matches the list oracle."""
     system = SYSTEMS[2]
     script = [(0, 200000, 0, 7, 0), (1, 1000, 0, 9, 0)]  # 8 of 10 nodes; all 10
@@ -397,10 +407,12 @@ def test_queue_crossing_the_short_pass_size_under_one_reservation(monkeypatch):
     kinds = _PassKinds(monkeypatch)
     assert replay_log(system, jobs) == reference
     assert {reserved for _, reserved, _ in kinds.passes} == {2}
-    assert all(short == (span <= SHORT_PASS_ROWS) for span, _, short in kinds.passes)
-    short = [short for *_, short in kinds.passes]
-    switches = [(a, b) for a, b in zip(short, short[1:]) if a != b]
+    full = [(span, kind) for span, _, kind in kinds.passes if kind != "carried"]
+    assert all((kind == "walk") == (span <= SHORT_PASS_ROWS) for span, kind in full)
+    walks = [kind == "walk" for _, kind in full]
+    switches = [(a, b) for a, b in zip(walks, walks[1:]) if a != b]
     assert switches == [(True, False), (False, True)] * 3
+    assert len(full) < len(kinds.passes)
 
 
 class _ShadowSpy:
@@ -444,10 +456,13 @@ def _no_shadow_until_a_row_fits(monkeypatch, short_rows):
 
     assert schedule() == []
     assert sched.reserved_job.job_id == 1
-    assert kinds.passes == [[4, 1, short_rows > 0]] and spy.asked == []
+    kind = "walk" if short_rows > 0 else "columns"
+    assert kinds.passes == [[4, 1, kind]] and spy.asked == []
     queue.append(njob(5, nodes=2, runtime=200.0))  # ends before the shadow
     assert schedule() == [5]
     assert spy.asked == ["earliest_fit_time", "free_vector_at"]
+    # nothing started or ended and the clock stood: only job 5 was tested
+    assert kinds.passes == [[4, 1, kind], [5, 1, "carried"]]
 
 
 def test_short_pass_asks_for_no_shadow_when_nothing_fits(monkeypatch):
@@ -465,8 +480,9 @@ class TestColumnarPassUnderOneReservation:
     """Arrivals, releases and the states around one standing
     reservation: each pass starts what the per-candidate loop would and
     asks for the shadow only when a row other than the reservation fits
-    the free units. The queues here are a few rows long, so every pass
-    is forced onto the columns."""
+    the free units. The queues here are a few rows long, so every full
+    pass is forced onto the columns; an arrival with nothing started or
+    ended since the last pass takes the carried walk."""
 
     #: (nodes, runtime) of the queued rows: the head wants 8 — shadow
     #: 900, spare 0 — and nothing behind it fits the 2 free nodes
@@ -587,3 +603,290 @@ class TestColumnarPassUnderOneReservation:
         sched.reset()
         sched.reserved_job = reserved
         assert schedule(20.0) == []
+
+
+# -- the carried pass: what its guard must catch -------------------------------
+
+
+class _Twin:
+    """One hand-built queue and pool driven twice, instance by instance:
+    by FCFS on a :class:`JobQueue` (the carried pass included) and by
+    the list oracle (per-candidate EASY on a :class:`ListQueue`). Both
+    hold the same job objects; a start allocates in its own pool and
+    stamps nothing on the job. :meth:`schedule` asserts the two agree."""
+
+    def __init__(self, system, running=(), window_size=4):
+        self.system = system
+        self.pools = [ResourcePool(system), ResourcePool(system)]
+        self.scheds = [
+            FCFSScheduler(window_size=window_size),
+            as_reference(FCFSScheduler(window_size=window_size)),
+        ]
+        self.new_queues()
+        self.jobs: dict[int, Job] = {}
+        #: jobs holding units, in allocation order
+        self.running: list[Job] = []
+        for job in running:
+            self.allocate(job, 0.0)
+
+    @property
+    def sched(self):
+        return self.scheds[0]
+
+    def new_queues(self):
+        self.queues = [JobQueue(self.system.names), ListQueue(self.system.names)]
+
+    def arrive(self, *jobs):
+        for job in jobs:
+            self.jobs[job.job_id] = job
+            for queue in self.queues:
+                queue.append(job)
+
+    def withdraw(self, job):
+        for queue in self.queues:
+            queue.remove(job)
+
+    def allocate(self, job, now):
+        self.jobs[job.job_id] = job
+        for pool in self.pools:
+            pool.allocate(job, now)
+        self.running.append(job)
+
+    def release(self, job):
+        for pool in self.pools:
+            pool.release(job)
+        self.running.remove(job)
+
+    def reset(self):
+        """Reset both schedulers, keeping their reservations."""
+        for sched in self.scheds:
+            reserved = sched.reserved_job
+            sched.reset()
+            sched.reserved_job = reserved
+
+    def schedule(self, now) -> list[int]:
+        """One instance at ``now`` on both twins: the ids started."""
+        logs = []
+        for pool, queue, sched in zip(self.pools, self.queues, self.scheds):
+            ctx = SchedulingContext(
+                now=now, queue=queue, pool=pool, system=self.system,
+                start=lambda job, pool=pool: pool.allocate(job, now),
+            )
+            sched.schedule(ctx)
+            reserved = sched.reserved_job
+            logs.append(([job.job_id for job in ctx.started], reserved and reserved.job_id))
+        assert logs[0] == logs[1]
+        started = logs[0][0]
+        self.running += [self.jobs[i] for i in started]
+        return started
+
+
+class TestCarriedPassGuard:
+    """The carried pass under one standing reservation, every instance
+    held to the list oracle. The first test is the carry itself; each
+    later one makes a change between two passes that the carry must
+    notice. Except for ``reset``, which only forgets, the change flips
+    the verdict of an old queued row, which a carried walk — testing
+    only the newest arrival, which never fits — would miss."""
+
+    @pytest.fixture(autouse=True)
+    def _pass_kinds(self, monkeypatch):
+        self.kinds = _PassKinds(monkeypatch)
+
+    def kinds_since(self, n):
+        return [kind for *_, kind in self.kinds.passes[n:]]
+
+    def test_arrivals_alone_take_the_carried_walk(self):
+        twin = _Twin(node_system(10), [njob(90, nodes=8, runtime=900.0)])
+        twin.arrive(njob(1, nodes=10), njob(2, nodes=2, runtime=5000.0))
+        assert twin.schedule(20.0) == []
+        for t, job_id in enumerate(range(3, 7)):
+            twin.arrive(njob(job_id, nodes=3))
+            assert twin.schedule(30.0 + t) == []
+        twin.arrive(njob(7, nodes=1, runtime=800.0))  # ends before the shadow
+        assert twin.schedule(40.0) == [7]
+        assert self.kinds_since(0) == ["walk"] + ["carried"] * 5
+        assert twin.sched.backfill_passes == 6
+        assert twin.sched.backfill_rows == 2 + 5  # the first span, then one row each
+
+    def test_the_clock_going_back(self):
+        # shadow 900, spare 0: job 2 (2 nodes, 890 s) ends at 910 from t=20
+        twin = _Twin(node_system(10), [njob(90, nodes=8, runtime=900.0)])
+        twin.arrive(njob(1, nodes=10), njob(2, nodes=2, runtime=890.0))
+        assert twin.schedule(20.0) == []
+        twin.arrive(njob(3, nodes=9))
+        n = len(self.kinds.passes)
+        assert twin.schedule(5.0) == [2]  # 5 + 890 <= 900
+        assert self.kinds_since(n) == ["walk"]
+
+    def test_an_overdue_grant(self):
+        """Units whose estimate has passed while they are still held (a
+        hand-built context: the simulator releases a job at its END,
+        never later than its walltime) count as free by then, so the
+        shadow falls to the clock and the spare grows."""
+        twin = _Twin(node_system(10), [njob(90, nodes=4, runtime=100.0),
+                                       njob(91, nodes=4, runtime=1000.0)])
+        # job 1 wants 6: shadow 100, spare 2 + 4 - 6 = 0; job 2 runs past it
+        twin.arrive(njob(1, nodes=6), njob(2, nodes=2, runtime=5000.0))
+        assert twin.schedule(0.0) == []
+        twin.arrive(njob(3, nodes=3))
+        n = len(self.kinds.passes)
+        # neither grant released: shadow 1500, spare 2 + 8 - 6 = 4
+        assert twin.schedule(1500.0) == [2]
+        assert self.kinds_since(n) == ["walk"]
+
+    def test_a_release_that_leaves_the_reservation_waiting(self):
+        twin = _Twin(node_system(10), [njob(90, nodes=6, runtime=900.0),
+                                       njob(91, nodes=2, runtime=2000.0)])
+        twin.arrive(njob(1, nodes=10), njob(2, nodes=3, runtime=100.0))
+        assert twin.schedule(20.0) == []
+        twin.release(twin.running[1])  # 4 free: job 2 fits and ends first
+        twin.arrive(njob(3, nodes=9))
+        n = len(self.kinds.passes)
+        assert twin.schedule(30.0) == [2]
+        assert self.kinds_since(n) == ["walk"]
+
+    def test_an_allocation_between_passes(self):
+        """An allocation shrinks the free units, and can still let an old
+        row in: one more node busy until t=2000 moves the shadow there."""
+        twin = _Twin(node_system(10), [njob(90, nodes=8, runtime=900.0)])
+        twin.arrive(njob(1, nodes=10), njob(2, nodes=1, runtime=1500.0))
+        assert twin.schedule(20.0) == []  # 1520 > 900, spare 0
+        twin.allocate(njob(92, nodes=1, runtime=2000.0), 0.0)
+        twin.arrive(njob(3, nodes=9))
+        n = len(self.kinds.passes)
+        assert twin.schedule(20.0) == [2]  # 1520 <= 2000
+        assert self.kinds_since(n) == ["walk"]
+
+    def test_the_reservation_changing_hands(self):
+        """The reserved job leaves the queue without starting; the next
+        head, which does not fit either, holds a reservation with a
+        larger spare."""
+        twin = _Twin(node_system(10), [njob(90, nodes=8, runtime=900.0)])
+        reserved = njob(1, nodes=10)
+        # under job 1: shadow 900, spare 0; under job 2: shadow 900, spare 7
+        twin.arrive(reserved, njob(2, nodes=3), njob(3, nodes=2, runtime=5000.0))
+        assert twin.schedule(20.0) == []
+        twin.withdraw(reserved)
+        twin.arrive(njob(4, nodes=9))
+        n = len(self.kinds.passes)
+        assert twin.schedule(30.0) == [3]
+        assert twin.sched.reserved_job.job_id == 2
+        assert self.kinds_since(n) == ["walk"]
+
+    def test_reset_forgets_the_last_pass(self):
+        twin = _Twin(node_system(10), [njob(90, nodes=8, runtime=900.0)])
+        twin.arrive(njob(1, nodes=10), njob(2, nodes=9))
+        assert twin.schedule(20.0) == []
+        twin.reset()
+        assert twin.sched.backfill_passes == twin.sched.backfill_rows == 0
+        twin.arrive(njob(3, nodes=9))
+        n = len(self.kinds.passes)
+        assert twin.schedule(20.0) == []
+        assert self.kinds_since(n) == ["walk"]
+        assert twin.sched.backfill_rows == 3
+
+    def test_a_second_queue_object(self):
+        """As many appends as the last queue, the same reservation: only
+        the queue's identity tells them apart."""
+        twin = _Twin(node_system(10), [njob(90, nodes=8, runtime=900.0)])
+        reserved = njob(1, nodes=10)
+        twin.arrive(reserved, njob(2, nodes=9))
+        assert twin.schedule(20.0) == []
+        twin.new_queues()
+        twin.arrive(reserved, njob(3, nodes=2, runtime=100.0))
+        n = len(self.kinds.passes)
+        assert twin.schedule(20.0) == [3]
+        assert self.kinds_since(n) == ["walk"]
+
+    def test_a_second_pool_object(self):
+        """Same queue, reservation and mutation count, another pool."""
+        system = node_system(10)
+        twin = _Twin(system, [njob(90, nodes=8, runtime=900.0)])
+        twin.arrive(njob(1, nodes=10), njob(2, nodes=2, runtime=5000.0))
+        assert twin.schedule(20.0) == []
+        twin.pools = [ResourcePool(system), ResourcePool(system)]
+        for pool in twin.pools:
+            pool.allocate(njob(93, nodes=8, runtime=9000.0), 0.0)
+        twin.arrive(njob(3, nodes=9))
+        assert twin.pools[0].mutations == twin.sched._carry[3] == 1
+        n = len(self.kinds.passes)
+        assert twin.schedule(30.0) == [2]  # shadow 9000 now: 30 + 5000 fits
+        assert self.kinds_since(n) == ["walk"]
+
+
+def test_restore_under_a_standing_reservation_rescans(monkeypatch):
+    """``EpisodeState.restore`` rebuilds the queue and restores the pool
+    while a reservation stands across a run of arrivals: the instance
+    after it takes a full pass instead of the carried walk, and every
+    start matches the list oracle."""
+    system = SYSTEMS[2]
+    script = [(0, 200000, 0, 7, 0), (1, 1000, 0, 9, 0)]  # 8 of 10 nodes; all 10
+    script += [(1, 600, 300 * (i % 3 == 0), i % 2, i % 4) for i in range(30)]
+    jobs = script_jobs(system, script)
+    reference = replay_log(system, jobs, as_list=True)
+    # arrivals at t = 5..31 start nothing under job 2's reservation
+    assert all(log[1:] == ([], 2) for log in reference[5:32])
+
+    kinds = _PassKinds(monkeypatch)
+    assert replay_log(system, jobs) == reference
+    plain = [kind for *_, kind in kinds.passes]
+    kinds.passes.clear()
+    assert replay_log(system, jobs, restore_at=20) == reference
+    restored = [kind for *_, kind in kinds.passes]
+    assert plain.count("carried") == restored.count("carried") + 1 > 10
+
+
+def _check_carry_against_oracle(data, n_steps):
+    """Arrival-only instances (the clock standing or moving on, never
+    back) interleaved with releases by hand, on 1–3 resources, some
+    units busy from the start; clocks that pass a grant's estimate
+    leave it overdue until released. Every instance matches the oracle."""
+    n_resources = data.draw(st.sampled_from([1, 2, 3]))
+    system = SYSTEMS[n_resources]
+    caps = [spec.units for spec in system.resources]
+    ids = itertools.count(1)
+
+    def job(walltime):
+        wants = data.draw(st.tuples(*[st.integers(0, 30)] * n_resources))
+        requests = {
+            name: 1 + want % cap if j == 0 else want % (cap + 1)
+            for j, (name, want, cap) in enumerate(zip(system.names, wants, caps))
+        }
+        return Job(next(ids), 0.0, walltime, walltime, requests)
+
+    twin = _Twin(system)
+    for _ in range(data.draw(st.integers(0, 3))):
+        running = job(float(data.draw(st.integers(50, 2000))))
+        if twin.pools[0].can_fit(running):
+            twin.allocate(running, 0.0)
+    now = 0.0
+    walltimes = st.integers(50, 2000)
+    for _ in range(n_steps):
+        if twin.running and data.draw(st.integers(0, 3)) == 0:
+            twin.release(twin.running[data.draw(st.integers(0, len(twin.running) - 1))])
+        else:
+            twin.arrive(*[job(float(data.draw(walltimes)))
+                          for _ in range(data.draw(st.integers(1, 2)))])
+        now += data.draw(st.sampled_from([0, 0, 0, 10, 60, 400]))
+        twin.schedule(now)
+
+
+@PASS_SIZES
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_carried_pass_identical_to_list_path(short_rows, data):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
+        _check_carry_against_oracle(data, 30)
+
+
+@pytest.mark.slow
+@PASS_SIZES
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_carried_pass_identical_to_list_path_thorough(short_rows, data):
+    """The same property at 1,000 examples and longer runs."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(base_module, "SHORT_PASS_ROWS", short_rows)
+        _check_carry_against_oracle(data, 80)
