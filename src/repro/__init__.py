@@ -41,9 +41,10 @@ from repro._lazy import lazy_exports
 __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.cluster.resources": [
-        "ResourceSpec", "SystemConfig", "ResourcePool", "NODE", "BURST_BUFFER", "POWER",
+    "repro.cluster.system": [
+        "ResourceSpec", "SystemConfig", "NODE", "BURST_BUFFER", "POWER",
     ],
+    "repro.cluster.resources": ["ResourcePool"],
     "repro.workload.job": ["Job"],
     "repro.workload.theta": ["ThetaTraceConfig", "generate_theta_trace"],
     "repro.workload.suites": [

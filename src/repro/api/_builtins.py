@@ -133,7 +133,7 @@ _register_spec_workloads()
     description="Proportional miniature of Theta (contention ratios preserved)",
 )
 def _make_mini_theta(nodes=128, bb_units=64):
-    from repro.cluster.resources import SystemConfig
+    from repro.cluster.system import SystemConfig
 
     return SystemConfig.mini_theta(nodes=nodes, bb_units=bb_units)
 
@@ -143,6 +143,6 @@ def _make_mini_theta(nodes=128, bb_units=64):
     description="Full-scale Theta: 4,392 KNL nodes + 1.26 PB burst buffer",
 )
 def _make_theta():
-    from repro.cluster.resources import SystemConfig
+    from repro.cluster.system import SystemConfig
 
     return SystemConfig.theta()

@@ -366,7 +366,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.api.facade import compare, render_reports
-    from repro.experiments.harness import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
 
     config = ExperimentConfig(
         nodes=args.nodes,

@@ -33,8 +33,8 @@ from repro.exp.records import ExperimentTask, TaskResult
 from repro.exp.runner import ExperimentRunner, pivot_results
 
 if TYPE_CHECKING:
-    from repro.cluster.resources import SystemConfig
-    from repro.experiments.harness import ExperimentConfig
+    from repro.cluster.system import SystemConfig
+    from repro.experiments.config import ExperimentConfig
     from repro.sim.metrics import MetricReport
 
 __all__ = [
@@ -210,7 +210,7 @@ def compare(
     root seed), written into the scenario's ``system``, ``seed`` and
     ``config`` sections, and the grid runs on ``n_workers`` workers.
     """
-    from repro.experiments.harness import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
 
     requested = tuple(methods or paper_methods())
     scenario = Scenario(
@@ -261,7 +261,7 @@ def run_single(
     (a scenario's per-method options).
     """
     from repro.exp.tasks import replay_cell
-    from repro.experiments.harness import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
 
     sched, replays = replay_cell(
         method,

@@ -13,7 +13,7 @@ process-global registries:
   into the job mix a scenario evaluates (the paper's S1–S10 plus any
   site-specific mixes);
 * :data:`SYSTEMS` — factories producing a
-  :class:`~repro.cluster.resources.SystemConfig`.
+  :class:`~repro.cluster.system.SystemConfig`.
 
 Extending the library is a registration, not a core-code edit::
 
@@ -172,7 +172,7 @@ class SystemEntry:
 
     ``factory`` receives the scenario's ``nodes``/``bb_units`` sizing
     (when it accepts them) and returns a
-    :class:`~repro.cluster.resources.SystemConfig`.
+    :class:`~repro.cluster.system.SystemConfig`.
     """
 
     name: str

@@ -56,7 +56,7 @@ from repro.api.registry import SCHEDULERS, SYSTEMS, WORKLOADS
 from repro.exp.records import ExperimentTask, canonical_json
 
 if TYPE_CHECKING:
-    from repro.experiments.harness import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
 
 __all__ = ["Scenario", "load_scenario"]
 
@@ -111,7 +111,7 @@ class Scenario:
     goal: Mapping = field(default_factory=dict)
     #: per-method constructor overrides: ``{"mrsch": {"prior_weight": 0}}``
     options: Mapping = field(default_factory=dict)
-    #: :class:`~repro.experiments.harness.ExperimentConfig` overrides
+    #: :class:`~repro.experiments.config.ExperimentConfig` overrides
     config: Mapping = field(default_factory=dict)
     #: execution section — *how* the grid runs, never *what* it
     #: computes (task keys and metrics are dispatch-invariant). Keys:
@@ -504,8 +504,8 @@ class Scenario:
         itself — the trace is sized from the built system's capacities,
         and explicitly requesting a different size is an error.
         """
-        from repro.cluster.resources import BURST_BUFFER, NODE
-        from repro.experiments.harness import ExperimentConfig
+        from repro.cluster.system import BURST_BUFFER, NODE
+        from repro.experiments.config import ExperimentConfig
         from repro.sched.ga_config import NSGA2Config
 
         system_name = self.system.get("name", "mini_theta")

@@ -194,6 +194,18 @@ class QueueStatus:
         return "\n".join(lines)
 
 
+def _listed(directory: Path, suffix: str, prefix: str = "") -> list[str]:
+    """The entry names of ``directory`` that ``Path.glob(prefix + "*" +
+    suffix)`` yields (dot-names included, so a ``.<random>.tmp`` file is
+    left out by its suffix alone), from one ``os.listdir``; none for a
+    missing directory."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    return [n for n in names if n.startswith(prefix) and n.endswith(suffix)]
+
+
 def _decode_batch_line(record: object) -> tuple[str, dict] | None:
     """``(key, spec)`` of one batch line, or None for a malformed one."""
     try:
@@ -408,8 +420,8 @@ class WorkQueue:
     def _batches(self) -> list[dict[str, dict]]:
         """Every published batch's specs, in generation order."""
         return [
-            self._load_batch(path)
-            for path in sorted(self.tasks_dir.glob("batch-*.jsonl"))
+            self._load_batch(self.tasks_dir / name)
+            for name in sorted(_listed(self.tasks_dir, ".jsonl", "batch-"))
         ]
 
     # -- task records -----------------------------------------------------
@@ -448,7 +460,7 @@ class WorkQueue:
         return (self.done_dir / f"{key}.json").exists()
 
     def done_keys(self) -> set[str]:
-        return {path.stem for path in self.done_dir.glob("*.json")}
+        return {name[: -len(".json")] for name in _listed(self.done_dir, ".json")}
 
     def mark_done(self, key: str, worker_id: str) -> None:
         """Write the O(1) completion marker (idempotent last-wins)."""
@@ -475,17 +487,12 @@ class WorkQueue:
 
     def _failure_names(self, key: str) -> list[str]:
         """``key``'s ``failed/<key>-*.json`` names, from one listing."""
-        prefix = f"{key}-"
-        try:
-            names = os.listdir(self.failed_dir)
-        except FileNotFoundError:
-            return []
-        return [n for n in names if n.startswith(prefix) and n.endswith(".json")]
+        return _listed(self.failed_dir, ".json", f"{key}-")
 
     def failures(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for path in self.failed_dir.glob("*.json"):
-            key = path.stem.split("-")[0]
+        for name in _listed(self.failed_dir, ".json"):
+            key = name[: -len(".json")].split("-")[0]
             counts[key] = counts.get(key, 0) + 1
         return counts
 

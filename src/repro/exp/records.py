@@ -27,7 +27,7 @@ from repro.sim.metrics import MetricReport
 from repro.utils.durable import seal_line
 
 if TYPE_CHECKING:
-    from repro.experiments.harness import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
 
 __all__ = ["ExperimentTask", "TaskResult", "task_key", "canonical_json"]
 
@@ -89,7 +89,7 @@ class ExperimentTask:
         Root seed of this cell. It overrides ``config.seed``, so one
         config fans out over many seeds without copies.
     config:
-        The :class:`~repro.experiments.harness.ExperimentConfig` sizing.
+        The :class:`~repro.experiments.config.ExperimentConfig` sizing.
     train:
         Curriculum-train trainable methods before evaluation.
     case_study:
@@ -149,7 +149,7 @@ class ExperimentTask:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentTask":
-        from repro.experiments.harness import ExperimentConfig
+        from repro.experiments.config import ExperimentConfig
         from repro.sched.ga_config import NSGA2Config
 
         config = dict(data["config"])

@@ -29,8 +29,6 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.exp.cache import ResultCache
 from repro.exp.records import ExperimentTask, TaskResult
 from repro.exp.tasks import execute_task, init_worker, worker_context
@@ -39,7 +37,7 @@ from repro.obs.progress import ProgressLine
 from repro.utils.durable import OK, append_line, scan_sealed_jsonl
 
 if TYPE_CHECKING:
-    from repro.experiments.harness import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
 
 __all__ = ["ExperimentRunner", "grid_tasks", "spawn_grid_seeds", "pivot_results"]
 
@@ -51,6 +49,8 @@ def spawn_grid_seeds(root_seed: int, n: int) -> list[int]:
     the streams are statistically independent, reproducible, and stable
     under grid reordering (cell ``i`` always receives the same seed).
     """
+    import numpy as np
+
     children = np.random.SeedSequence(root_seed).spawn(n)
     return [int(c.generate_state(1, dtype=np.uint32)[0]) for c in children]
 

@@ -24,7 +24,7 @@ from repro.exp.records import ExperimentTask, TaskResult
 from repro.obs import runtime as _obs_runtime
 
 if TYPE_CHECKING:
-    from repro.experiments.harness import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig
     from repro.sched.base import Scheduler
     from repro.sim.simulator import SimulationResult
 
@@ -35,11 +35,18 @@ def worker_context(start_method: str | None = None):
     """The multiprocessing context cell-executing processes start under
     (pool and queue workers alike): ``start_method`` when given, else
     "fork" where available (cheap, inherits the warm interpreter) and
-    "spawn" elsewhere."""
+    "spawn" elsewhere.
+
+    Under "fork" it first imports what a cell runs (NumPy with it), so
+    that every child inherits those modules instead of importing its
+    own: compiling a scenario loaded none of them."""
     import multiprocessing
 
     if start_method is None:
         start_method = "fork" if sys.platform.startswith("linux") else "spawn"
+    if start_method == "fork":
+        import repro.experiments.harness  # noqa: F401
+        import repro.sim.simulator  # noqa: F401
     return multiprocessing.get_context(start_method)
 
 
@@ -140,9 +147,9 @@ def replay_cell(
     Eq. 1 goal log (``goal_series()``); off, that policy refreshes the
     goal only where a decision reads it.
     """
-    # Imported at call time: repro.experiments.harness imports the
-    # runner, worker processes should only pay for what the cell
-    # touches, and the end-to-end tracer wraps these module attributes.
+    # Imported at call time: these are the execution layer (NumPy with
+    # it), which compiling a scenario never loads, and the end-to-end
+    # tracer wraps these module attributes.
     from repro.experiments.harness import make_method, prepare_base_trace, train_method
     from repro.sim.simulator import Simulator
     from repro.workload.suites import build_case_study_workload, build_workload, powered_system

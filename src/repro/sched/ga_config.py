@@ -1,6 +1,6 @@
 """The GA's hyper-parameters, apart from the GA itself.
 
-Every :class:`~repro.experiments.harness.ExperimentConfig` carries an
+Every :class:`~repro.experiments.config.ExperimentConfig` carries an
 :class:`NSGA2Config`, so building a config — which every run does —
 reads this module and not the optimizer body in :mod:`repro.sched.ga`,
 which only a cell that runs the GA imports.

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.cluster.system import BURST_BUFFER, NODE, POWER, SystemConfig
 
-from repro.cluster.resources import BURST_BUFFER, NODE, POWER, SystemConfig
-from repro.workload.job import Job
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.workload.job import Job
 
 __all__ = ["MetricReport", "compute_metrics"]
 
@@ -103,7 +106,13 @@ class MetricReport:
 
 
 def compute_metrics(jobs: list[Job], system: SystemConfig) -> MetricReport:
-    """Compute the §IV-B metrics over a finished job list."""
+    """Compute the §IV-B metrics over a finished job list.
+
+    NumPy is imported here, once per replay, so that reading and writing
+    a :class:`MetricReport` does not load it.
+    """
+    import numpy as np
+
     finished = [j for j in jobs if j.finished]
     if not finished:
         return MetricReport(
@@ -148,6 +157,8 @@ def _p95(x: np.ndarray) -> float:
     """``np.percentile(x, 95)`` bit for bit, without the ``numpy.ma``
     import it makes on first use: the same partition, the same virtual
     index and numpy's two-sided ``_lerp``."""
+    import numpy as np
+
     n = len(x)
     index = (n - 1) * 0.95
     lo = math.floor(index)

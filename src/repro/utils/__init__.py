@@ -1,5 +1,7 @@
 """Shared utilities: deterministic RNG handling and small helpers."""
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro._lazy import lazy_exports
 
-__all__ = ["as_generator", "spawn_generators"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.utils.rng": ["as_generator", "spawn_generators"],
+})

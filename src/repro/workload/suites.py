@@ -23,18 +23,22 @@ within a certain range".
 S6–S10 (case study) replicate S1–S5 and add a per-job power profile:
 100–215 W per node (KNL 7230 TDP bounds), 60 W idle, 500 kW facility
 budget — scaled by the same system fraction.
+
+The tables import no NumPy (``repro list`` prints them); the builders
+import it, with the Darshan generator, once per trace they build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.cluster.system import BURST_BUFFER, NODE, POWER, SystemConfig
 
-from repro.cluster.resources import BURST_BUFFER, NODE, POWER, SystemConfig
-from repro.utils.rng import as_generator
-from repro.workload.darshan import generate_darshan_records
-from repro.workload.job import Job
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.workload.job import Job
 
 __all__ = [
     "WorkloadSpec",
@@ -132,6 +136,10 @@ def _empirical_bb_pool(
     (tiny traces or aggressive truncation), a log-uniform fill — the
     smooth analogue of the truncated heavy tail — tops it up.
     """
+    import numpy as np
+
+    from repro.workload.darshan import generate_darshan_records
+
     records = generate_darshan_records(base_jobs, seed=rng)
     scale = bb_capacity / _THETA_BB_TB
     sizes = np.array([r.bytes_moved_gb / 1024.0 * scale for r in records])
@@ -165,6 +173,10 @@ def build_workload(
         from repro.api.registry import WORKLOADS
 
         return WORKLOADS.get(spec).build(base_jobs, system, seed)
+    import numpy as np
+
+    from repro.utils.rng import as_generator
+
     rng = as_generator(seed)
     node_cap = system.capacity(NODE)
     bb_cap = system.capacity(BURST_BUFFER)
@@ -211,6 +223,8 @@ def _attach_power_profiles(
     Sharma et al. that the paper cites — since it could otherwise never
     be scheduled at all.
     """
+    import numpy as np
+
     lo, hi = POWER_PER_NODE_RANGE
     budget = system.capacity(POWER) if POWER in system.names else None
     for job in jobs:

@@ -193,6 +193,43 @@ class TestWorkQueue:
         queue.failed_dir.rename(tmp_path / "moved")
         assert queue.failure_count("k1") == 0 and queue.failure_errors("k1") == []
 
+    def test_listings_name_what_a_pathlib_glob_named(self, tmp_path, monkeypatch):
+        """``done_keys``, ``failures`` and the batch scan list with
+        ``os.listdir``; every name the glob gave, and no other, in its order."""
+        queue = WorkQueue(tmp_path)
+        keys = enqueue(queue, tiny_tasks(n_seeds=3))
+        ensure_enqueued(queue, grid_tasks(["heuristic"], ["S2"], tiny_config(), n_seeds=2))
+        queue.mark_done(keys[0], "w0")
+        queue.record_failure(keys[1], "w0", "boom")
+        queue.record_failure(keys[1], "w1", "boom")
+        for directory in (queue.done_dir, queue.failed_dir, queue.tasks_dir):
+            (directory / ".k9-1-w0.tmp").write_text("{")  # a write in flight
+            (directory / ".k8-1-w0.json").write_text("{}")  # glob names dot-files
+            (directory / "odd.json").write_text("{}")  # no dash
+            (directory / "notes.txt").write_text("")
+            (directory / "sub.json").mkdir()
+        (queue.tasks_dir / ".batch-9.jsonl").write_text("")
+        (queue.tasks_dir / "batch-9.jsonl.tmp").write_text("")
+
+        assert queue.done_keys() == {p.stem for p in queue.done_dir.glob("*.json")}
+        globbed: dict[str, int] = {}
+        for path in queue.failed_dir.glob("*.json"):
+            key = path.stem.split("-")[0]
+            globbed[key] = globbed.get(key, 0) + 1
+        assert queue.failures() == globbed and globbed[keys[1]] == 2
+
+        loaded = []
+        monkeypatch.setattr(queue, "_load_batch", lambda path: loaded.append(path) or {})
+        queue._batches()
+        assert loaded == sorted(queue.tasks_dir.glob("batch-*.jsonl"))
+        assert len(loaded) == 2
+
+        empty = WorkQueue(tmp_path / "fresh")
+        for directory in (empty.done_dir, empty.failed_dir, empty.tasks_dir):
+            directory.rmdir()
+        assert empty.done_keys() == set() and empty.failures() == {}
+        assert empty._batches() == []
+
     def test_meta_roundtrip(self, tmp_path):
         queue = WorkQueue(tmp_path)
         queue.write_meta(trace_dir="/tmp/t", batch_episodes=4)

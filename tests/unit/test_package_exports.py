@@ -20,12 +20,14 @@ import repro
 
 LAZY_PACKAGES = (
     "repro",
+    "repro.cluster",
     "repro.core",
     "repro.sched",
     "repro.sim",
     "repro.workload",
     "repro.experiments",
     "repro.obs",
+    "repro.utils",
 )
 
 _SRC = Path(repro.__file__).resolve().parents[1]
@@ -74,6 +76,21 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
         assert not hasattr(module, "no_such_name")
+
+
+@pytest.mark.parametrize("old,new,names", [
+    ("repro.cluster.resources", "repro.cluster.system",
+     ["ResourceSpec", "SystemConfig", "NODE", "BURST_BUFFER", "POWER"]),
+    ("repro.experiments.harness", "repro.experiments.config", ["ExperimentConfig"]),
+])
+def test_a_moved_name_resolves_from_its_old_module(old, new, names):
+    """The spec-layer names left the NumPy-bound modules; importing them
+    from there still gives the one object."""
+    for name in names:
+        assert getattr(importlib.import_module(old), name) is getattr(
+            importlib.import_module(new), name
+        ), name
+        assert name in importlib.import_module(old).__all__
 
 
 def test_star_import_in_a_fresh_interpreter():
