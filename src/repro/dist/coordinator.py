@@ -138,6 +138,15 @@ def _acquire_leadership(
         time.sleep(POLL_INTERVAL_S)
 
 
+def _retire(queue: WorkQueue, owner: str) -> None:
+    """Unlink the coordinator's lease token names at exit (best-effort:
+    a stray token is one small file)."""
+    try:
+        queue.leases.retire(owner)
+    except OSError:
+        pass
+
+
 def dispatch_tasks(
     queue_dir: str | os.PathLike,
     tasks: list[ExperimentTask],
@@ -166,6 +175,7 @@ def dispatch_tasks(
     owner = coordinator_owner()
     attached = _acquire_leadership(queue, owner, keys)
     if attached is not None:
+        _retire(queue, owner)
         return attached
     if session is not None:
         session.event(
@@ -275,6 +285,7 @@ def dispatch_tasks(
             queue.leases.release(COORDINATOR_KEY, owner)
         except OSError:
             pass  # best-effort: an orphan leader lease ages out
+        _retire(queue, owner)
 
     merged = queue.merged_results()
     quarantined = queue.quarantine_count()

@@ -1,14 +1,23 @@
-"""The serverless lease protocol: atomic file claims with expiry.
+"""The serverless lease protocol: hard-link claims that expire with their owner.
 
-A lease is one small JSON file under ``<queue>/leases/<key>.json``
-holding the owner id, claim time and expiry. The protocol needs no
-coordinator process — only three filesystem primitives that are atomic
-on every POSIX filesystem (and NFS with close-to-open consistency):
+Each lease owner (a queue worker, or the coordinator for its leader
+lease) keeps one small **token** file,
+``<queue>/leases/.tokens/<owner>.json``, holding ``{"owner", "ttl"}``
+and written whole before anything links to it. A lease is a hard link
+to its owner's token at ``<queue>/leases/<key>.json``; it expires one
+``ttl`` after the inode's mtime. The protocol needs no coordinator
+process — only three filesystem primitives that are atomic on every
+POSIX filesystem (and NFS with close-to-open consistency):
 
-* **claim** — ``open(..., O_CREAT | O_EXCL)``: exactly one contender
-  creates the file, everyone else sees ``FileExistsError`` and moves on.
-* **renew** — rewrite via temp file + ``os.replace``: readers observe
-  either the old lease or the new one, never a torn intermediate.
+* **claim** — ``link(token, leases/<key>.json)``: exactly one
+  contender's link lands, everyone else sees ``FileExistsError`` and
+  moves on. The claimer touches its token first, so a fresh claim gets
+  a full ttl. A claim creates no file.
+* **renew** — touch the token: every lease an owner holds is the same
+  inode, so one ``utime`` per heartbeat tick renews them all. A held
+  lease whose name now has another inode, or none, was reaped (and
+  perhaps re-claimed): it is lost, and the successor's lease is never
+  touched.
 * **reap** — ``os.rename`` of an *expired* lease to a unique tombstone:
   only one reaper wins the rename (the loser gets ``FileNotFoundError``),
   after which the key is open for a fresh claim race.
@@ -17,9 +26,14 @@ Every one of those calls goes through the :class:`~repro.dist.store.Store`
 seam, which classifies and retries transient storage errors. The seam
 never weakens atomicity:
 ``EEXIST``/``ENOENT`` stay semantic (they *are* the protocol), and a
-read that keeps flaking resolves **conservatively** — an unreadable
+stat that keeps flaking resolves **conservatively** — an unreadable
 claim is treated as still-claimed for one ttl, never as unclaimed,
 because "unclaimed" is the answer that invites a double claim.
+
+Done markers are links to the publisher's token too (see
+:meth:`repro.dist.queue.WorkQueue.mark_done`), so a token backs at most
+``TOKEN_LINKS`` links before its owner starts the next one: ext4 caps
+an inode at 65,000.
 
 The protocol minimises duplicate work; it does not have to prevent it.
 If a straggler finishes a cell whose lease was reaped and re-issued,
@@ -30,19 +44,26 @@ keeps either copy (see :meth:`repro.dist.queue.WorkQueue.merged_results`).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.dist.store import Store
 from repro.obs.logbridge import get_logger, kv
 
-__all__ = ["Lease", "LeaseBoard"]
+__all__ = ["Lease", "LeaseBoard", "TOKEN_LINKS"]
 
 _log = get_logger("repro.dist.lease")
+
+#: links one token takes — a cell's claim and its done marker are two —
+#: before its owner starts the next, so a token backs at most 4,096
+#: cells and one file is created per 4,096 cells
+TOKEN_LINKS = 8192
 
 
 @dataclass
@@ -51,31 +72,19 @@ class Lease:
 
     key: str
     owner: str
-    claimed_at: float
     expires_at: float
-    renewals: int = 0
 
     def expired(self, now: float | None = None) -> bool:
         return (time.time() if now is None else now) >= self.expires_at
 
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "owner": self.owner,
-            "claimed_at": self.claimed_at,
-            "expires_at": self.expires_at,
-            "renewals": self.renewals,
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Lease":
-        return cls(
-            key=data["key"],
-            owner=data["owner"],
-            claimed_at=float(data["claimed_at"]),
-            expires_at=float(data["expires_at"]),
-            renewals=int(data.get("renewals", 0)),
-        )
+@dataclass(eq=False)
+class _Token:
+    """One token file of an owner in this process."""
+
+    path: Path
+    ino: int
+    links: int = 0
 
 
 class LeaseBoard:
@@ -95,17 +104,67 @@ class LeaseBoard:
         self.root.mkdir(parents=True, exist_ok=True)
         self._tombstones = self.root / ".reaped"
         self._tombstones.mkdir(exist_ok=True)
+        self.tokens_dir = self.root / ".tokens"
+        self.tokens_dir.mkdir(exist_ok=True)
+        #: each owner's tokens on this board, the current one last
+        self._tokens: dict[str, list[_Token]] = {}
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    # -- tokens -----------------------------------------------------------
+
+    def _token(self, owner: str) -> _Token:
+        """``owner``'s current token; the first use, and the use past
+        ``TOKEN_LINKS``, creates a new one under a name no file has."""
+        tokens = self._tokens.setdefault(owner, [])
+        if tokens and tokens[-1].links < TOKEN_LINKS:
+            return tokens[-1]
+        payload = {"owner": owner, "ttl": self.ttl}
+        for n in itertools.count(len(tokens)):
+            path = self.tokens_dir / (
+                f"{owner}.json" if n == 0 else f"{owner}.{n}.json"
+            )
+            if self.store.create_excl_json(path, payload):
+                break
+        token = _Token(path, self.store.stat(path).st_ino)
+        tokens.append(token)
+        return token
+
+    def _link(self, token: _Token, path: Path) -> bool:
+        if not self.store.link(token.path, path):
+            return False
+        token.links += 1
+        return True
+
+    def link_token(self, owner: str, path: str | os.PathLike) -> bool:
+        """Hard-link ``owner``'s token as ``path``; False when ``path``
+        already exists."""
+        return self._link(self._token(owner), Path(path))
+
+    def retire(self, owner: str) -> None:
+        """Unlink ``owner``'s token names at a clean exit. The links in
+        ``done/`` keep the inode; a lease still linked to it is no
+        longer renewed and ages out."""
+        for token in self._tokens.pop(owner, ()):
+            try:
+                self.store.unlink(token.path)
+            except FileNotFoundError:
+                pass
+
     # -- protocol ---------------------------------------------------------
 
     def try_claim(self, key: str, owner: str, now: float | None = None) -> bool:
-        """Attempt the O_EXCL claim; True when this owner won the race."""
-        now = time.time() if now is None else now
-        lease = Lease(key=key, owner=owner, claimed_at=now, expires_at=now + self.ttl)
-        return self.store.create_excl_json(self._path(key), lease.to_json_dict())
+        """Touch the owner's token and link it as ``key``'s lease; True
+        when this owner won the race, or already holds the lease.
+
+        The re-take matters after a release that failed: the orphan is
+        this owner's inode, which every claim and tick touches, so it
+        would never age out while the owner lives.
+        """
+        token = self._token(owner)
+        self.store.touch(token.path, now)
+        return self._link(token, self._path(key)) or self._holds(key, owner)
 
     def _still_claimed(self, key: str) -> Lease:
         """The conservative answer when a claim file cannot be judged.
@@ -114,63 +173,69 @@ class LeaseBoard:
         (two owners, one cell); reading it as claimed-for-one-more-ttl
         merely delays a re-issue. Always take the delay.
         """
-        now = time.time()
-        return Lease(
-            key=key, owner="?unreadable", claimed_at=now,
-            expires_at=now + self.ttl,
-        )
+        return Lease(key=key, owner="?unreadable", expires_at=time.time() + self.ttl)
 
     def read(self, key: str) -> Lease | None:
-        """The current lease on ``key``, or None when unclaimed/torn."""
+        """The current lease on ``key``, or None when unclaimed."""
+        return self._read(key, self._path(key))
+
+    def _read(self, key: str, path: Path) -> Lease | None:
         try:
-            text = self.store.read_text(self._path(key))
-            return Lease.from_json_dict(json.loads(text))
+            text = self.store.read_text(path)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError, ValueError):
-            # A torn claim write (crash inside the O_EXCL fill). It can
-            # never be renewed, so it ages out like any silent owner:
-            # treat it as expired-at-claim once it is older than a ttl.
-            try:
-                age = time.time() - self.store.stat_mtime(self._path(key))
-            except FileNotFoundError:
-                return None  # reaped between read and stat: unclaimed
-            except OSError as exc:
-                # A stat flake must not read a *claimed* key as
-                # unclaimed — that is the double-claim answer. Report
-                # it and hold the claim for one more ttl instead.
-                _log.warning(
-                    "stat flaked on torn lease; treating as still claimed",
-                    extra=kv(key=key, error=str(exc)),
-                )
-                return self._still_claimed(key)
-            if age >= self.ttl:
-                return Lease(key=key, owner="?torn", claimed_at=0.0, expires_at=0.0)
-            return Lease(
-                key=key, owner="?torn", claimed_at=time.time(),
-                expires_at=time.time() + self.ttl,
+        try:
+            mtime = self.store.stat(path).st_mtime
+        except FileNotFoundError:
+            return None  # reaped between read and stat: unclaimed
+        except OSError as exc:
+            # A stat flake must not read a *claimed* key as unclaimed —
+            # that is the double-claim answer. Report it and hold the
+            # claim for one more ttl instead.
+            _log.warning(
+                "stat flaked on a lease; treating as still claimed",
+                extra=kv(key=key, error=str(exc)),
             )
+            return self._still_claimed(key)
+        try:
+            doc = json.loads(text)
+            owner, ttl = str(doc["owner"]), float(doc.get("ttl", self.ttl))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            # Not a token (a token is written whole before anything links
+            # to it): no owner renews it, so it ages out like a silent one.
+            owner, ttl = "?torn", self.ttl
+        return Lease(key=key, owner=owner, expires_at=mtime + ttl)
 
-    def renew(self, key: str, owner: str, now: float | None = None) -> bool:
-        """Extend the expiry of ``owner``'s lease (heartbeat).
+    def renew(
+        self, owner: str, keys: Iterable[str], now: float | None = None
+    ) -> set[str]:
+        """Renew ``owner``'s leases on ``keys`` (heartbeat); the keys it
+        has lost.
 
-        Returns False — without touching the file — when the lease is
-        gone or has been reaped and re-claimed by someone else, so a
-        straggler can never clobber the new owner's lease.
+        Touching the owner's tokens renews every lease it holds. A key
+        whose lease is gone, or is another inode (reaped and
+        re-claimed), is lost — and the new owner's lease is never
+        touched.
         """
-        now = time.time() if now is None else now
-        lease = self.read(key)
-        if lease is None or lease.owner != owner:
+        for token in self._tokens.get(owner, ()):
+            self.store.touch(token.path, now)
+        return {key for key in keys if not self._holds(key, owner)}
+
+    def _holds(self, key: str, owner: str) -> bool:
+        """Whether ``key``'s lease is a link to one of ``owner``'s tokens."""
+        try:
+            ino = self.store.stat(self._path(key)).st_ino
+        except FileNotFoundError:
             return False
-        lease.expires_at = now + self.ttl
-        lease.renewals += 1
-        self.store.atomic_write_json(self._path(key), lease.to_json_dict())
-        return True
+        return any(token.ino == ino for token in self._tokens.get(owner, ()))
 
     def release(self, key: str, owner: str) -> bool:
-        """Drop ``owner``'s lease after a publish; True when removed."""
-        lease = self.read(key)
-        if lease is None or lease.owner != owner:
+        """Drop ``owner``'s lease after a publish; True when removed.
+
+        Only while the lease is still a link to this owner's token, so a
+        straggler never removes its successor's lease.
+        """
+        if not self._holds(key, owner):
             return False
         try:
             self.store.unlink(self._path(key))
@@ -183,9 +248,9 @@ class LeaseBoard:
 
         Atomic via rename-to-tombstone: of N concurrent reapers exactly
         one wins (the others get ``FileNotFoundError``), and a lease
-        renewed between the expiry check and the rename is re-read from
-        the tombstone and restored, so a live owner is never evicted by
-        a slow reaper.
+        renewed between the expiry check and the rename — the tombstone
+        is the same inode, so it sees the owner's touch — is restored,
+        so a live owner is never evicted by a slow reaper.
         """
         lease = self.read(key)
         if lease is None or not lease.expired(now):
@@ -196,8 +261,8 @@ class LeaseBoard:
         except FileNotFoundError:
             return False  # another reaper won
         try:
-            current = Lease.from_json_dict(json.loads(self.store.read_text(tomb)))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
+            current = self._read(key, tomb)
+        except OSError:
             current = None
         if current is not None and not current.expired(now):
             # The owner heartbeated in the race window; put it back.

@@ -8,8 +8,9 @@ filesystem)::
       manifest.json                  # CRC-sealed run manifest (repro.dist.manifest)
       staging/batch-g<n>.jsonl       # batch specs awaiting manifest seal
       tasks/batch-g<n>.jsonl         # published batch specs (one line per cell)
-      leases/<key>.json              # lease protocol (repro.dist.lease)
-      done/<key>.json                # completion marker: {worker, host, t}
+      leases/<key>.json              # lease: a link to its owner's token
+      leases/.tokens/<owner>.json    # lease token {owner, ttl} (repro.dist.lease)
+      done/<key>.json                # completion marker: a link to the publisher's token
       failed/<key>-<attempt>.json    # per-attempt execution failures
       results/journal-<worker>.jsonl # per-worker journal shards
       quarantine/<origin>-L<n>.json  # detected-corrupt records + provenance
@@ -441,18 +442,33 @@ class WorkQueue:
         and marked done under that other key, leaving this cell
         claimable forever; failing instead lets ``MAX_ATTEMPTS`` poison it.
         """
-        for batch in self._batches():  # the earliest generation wins
+        spec = self._spec(key)
+        if spec is None:
+            raise FileNotFoundError(
+                f"no task spec for {key} under {self.tasks_dir}"
+            )
+        task = ExperimentTask.from_json_dict(spec)
+        if task.key() != key:
+            raise ValueError(
+                f"task spec queued under {key} hashes to "
+                f"{task.key()}; refusing to run it"
+            )
+        return task
+
+    def _spec(self, key: str) -> dict | None:
+        """``key``'s spec from the earliest generation that has it.
+
+        The batches already parsed answer first; ``tasks/`` is listed
+        only on a miss. A listing can only add later generations, so a
+        cached hit is the earliest.
+        """
+        for _name, batch in sorted(self._batch_cache.items()):
             if key in batch:
-                task = ExperimentTask.from_json_dict(batch[key])
-                if task.key() != key:
-                    raise ValueError(
-                        f"task spec queued under {key} hashes to "
-                        f"{task.key()}; refusing to run it"
-                    )
-                return task
-        raise FileNotFoundError(
-            f"no task spec for {key} under {self.tasks_dir}"
-        )
+                return batch[key]
+        for batch in self._batches():
+            if key in batch:
+                return batch[key]
+        return None
 
     # -- completion -------------------------------------------------------
 
@@ -463,12 +479,11 @@ class WorkQueue:
         return {name[: -len(".json")] for name in _listed(self.done_dir, ".json")}
 
     def mark_done(self, key: str, worker_id: str) -> None:
-        """Write the O(1) completion marker (idempotent last-wins)."""
-        self.store.atomic_write_json(
-            self.done_dir / f"{key}.json",
-            {"worker_id": worker_id, "hostname": socket.gethostname(),
-             "finished_at": time.time()},
-        )
+        """Link the completion marker to ``worker_id``'s lease token, so
+        finishing a cell creates no file. A cell already done (a
+        straggler's duplicate publish) keeps the marker it has; only the
+        marker's existence is ever read."""
+        self.leases.link_token(worker_id, self.done_dir / f"{key}.json")
 
     # -- failures ---------------------------------------------------------
 
@@ -717,7 +732,6 @@ class WorkQueue:
                     "owner": lease.owner,
                     "live": not leader_dead(lease, now),
                     "expires_at": lease.expires_at,
-                    "renewals": lease.renewals,
                 }
                 continue
             if lease.key in done:

@@ -73,8 +73,9 @@ def classify_errno(code: int | None) -> str:
     """``"transient"`` | ``"permanent"`` | ``"semantic"`` for an errno.
 
     Semantic errnos (``ENOENT``, ``EEXIST``, …) are part of the lease
-    protocol's contract — losing an ``O_EXCL`` race *is* ``EEXIST`` —
-    and must propagate to the caller untouched, never retried.
+    protocol's contract — losing a claim's ``link`` race *is*
+    ``EEXIST`` — and must propagate to the caller untouched, never
+    retried.
     """
     if code in TRANSIENT_ERRNOS:
         return "transient"
@@ -241,9 +242,25 @@ class Store:
         """Parse a JSON document (parse errors propagate to the caller)."""
         return json.loads(self.read_text(path))
 
-    def stat_mtime(self, path: str | os.PathLike) -> float:
+    def stat(self, path: str | os.PathLike) -> os.stat_result:
+        """``path``'s status by ``open`` + ``fstat``: the open makes an NFS
+        client revalidate the name and the attributes (close-to-open),
+        where a bare ``stat`` may answer from its cache."""
         path = Path(path)
-        return self._run("stat", path, lambda: path.stat().st_mtime)
+
+        def fstat() -> os.stat_result:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                return os.fstat(fd)
+            finally:
+                os.close(fd)
+
+        return self._run("stat", path, fstat)
+
+    def stat_mtime(self, path: str | os.PathLike) -> float:
+        """``path``'s mtime; nothing in ``src/`` calls it, but
+        ``benchmarks/e2e/trace.py`` wraps it by name."""
+        return self.stat(path).st_mtime
 
     def atomic_write_json(self, path: str | os.PathLike, payload: dict) -> None:
         """Write ``payload`` via temp file + ``os.replace`` (idempotent,
@@ -281,19 +298,17 @@ class Store:
         self._run("append", path, lambda: append_line(path, line))
 
     def create_excl_json(self, path: str | os.PathLike, payload: dict) -> bool:
-        """``O_CREAT | O_EXCL`` claim write; False when the race is lost.
+        """``O_CREAT | O_EXCL`` write; False when ``path`` already exists.
 
-        ``FileExistsError`` is semantic (exactly-one-winner is the
-        point); transient errors on the *open* retry safely — if an
-        earlier attempt did create the file, the retry loses the race
-        to itself and the claim ages out as a torn lease, which is the
-        conservative outcome.
+        ``FileExistsError`` is semantic; transient errors retry — if an
+        earlier attempt did create the file, the retry finds it and
+        answers False, leaving that file behind.
         """
         path = Path(path)
 
         def create() -> bool:
             try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except FileExistsError:
                 return False
             with os.fdopen(fd, "w") as handle:
@@ -301,6 +316,40 @@ class Store:
             return True
 
         return self._run("create", path, create)
+
+    def link(self, src: str | os.PathLike, dst: str | os.PathLike) -> bool:
+        """Hard-link ``src`` as ``dst``; False when ``dst`` already exists.
+
+        ``FileExistsError`` is semantic: exactly one ``link`` to a name
+        lands, which is what makes a claim exclusive. A retry after a
+        transient error may meet the link its own earlier attempt made;
+        ``dst`` then has ``src``'s inode, and that reads as a win.
+        """
+        src, dst = Path(src), Path(dst)
+        attempted = False
+
+        def attempt() -> bool:
+            nonlocal attempted
+            first, attempted = not attempted, True
+            try:
+                os.link(src, dst)
+            except FileExistsError:
+                if first:
+                    return False
+                try:
+                    return os.path.samefile(src, dst)
+                except FileNotFoundError:
+                    return False
+            return True
+
+        return self._run("link", dst, attempt)
+
+    def touch(self, path: str | os.PathLike, now: float | None = None) -> None:
+        """Set ``path``'s access and modification times to ``now``
+        (default: the current time)."""
+        path = Path(path)
+        times = None if now is None else (now, now)
+        self._run("touch", path, lambda: os.utime(path, times))
 
     def replace(self, src: str | os.PathLike, dst: str | os.PathLike) -> None:
         src, dst = Path(src), Path(dst)

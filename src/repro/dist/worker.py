@@ -18,6 +18,8 @@ them, or ``COMMIT_AGE_S`` worth, share one journal fsync, their leases
 renewed by the worker's single :class:`Heartbeat` until the done
 markers are down. What lands in the queue directory is unchanged, only
 when; a crash before a commit loses work the lease protocol re-issues.
+A cell creates no file: its lease and its done marker are hard links
+to the worker's lease token.
 
 Storage robustness (this layer's contribution on shared mounts):
 
@@ -102,8 +104,10 @@ class Heartbeat(threading.Thread):
 
     One thread per owner: the worker calls :meth:`hold` when it wins a
     claim and :meth:`drop` just before the release, so cells whose
-    results are still waiting for their group commit stay leased. The
-    coordinator runs one over its single leader lease.
+    results are still waiting for their group commit stay leased. Each
+    tick touches the owner's token once, which renews every held lease,
+    and checks each held lease is still a link to it. The coordinator
+    runs one over its single leader lease.
     """
 
     def __init__(
@@ -121,12 +125,12 @@ class Heartbeat(threading.Thread):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._halt = threading.Event()
         self._held: set[str] = set() if key is None else {key}
-        #: serialises a renewal against :meth:`drop`, so a lease is
-        #: never rewritten after its owner released it
+        #: serialises a tick against :meth:`drop`, so a key is never
+        #: judged lost after its owner released it
         self._lock = threading.Lock()
-        #: held keys whose renewal was refused (lease reaped and
-        #: re-claimed); execution continues — the publish is idempotent
-        #: — but the owner knows it became a straggler on those cells.
+        #: held keys whose lease was lost (reaped, perhaps re-claimed);
+        #: execution continues — the publish is idempotent — but the
+        #: owner knows it became a straggler on those cells.
         self.lost: set[str] = set()
 
     @property
@@ -141,8 +145,8 @@ class Heartbeat(threading.Thread):
     def drop(self, key: str) -> bool:
         """Stop renewing ``key``; False when its lease had been lost.
 
-        Returns only once no renewal of ``key`` is in flight, so the
-        caller's release cannot be undone by a late rewrite.
+        Returns only once no tick is in flight, so a tick cannot judge
+        the lease after the caller released it.
         """
         with self._lock:
             self._held.discard(key)
@@ -152,35 +156,35 @@ class Heartbeat(threading.Thread):
 
     def run(self) -> None:
         while not self._halt.wait(self.interval):
-            for key in list(self._held):
-                with self._lock:
-                    if key in self._held:
-                        self._renew(key)
+            if self._held:
+                self._tick()
 
-    def _renew(self, key: str) -> None:
-        try:
-            renewed = self.queue.leases.renew(key, self.owner)
-        except OSError as exc:
-            # A store flake is not a refusal: the lease may well still
-            # be ours. Keep beating — renewal succeeding on a later
-            # tick is exactly how a degraded worker holds its claim
-            # through a storage brown-out.
-            self.metrics.counter("lease.renew_errors").inc()
-            _log.warning(
-                "lease renewal errored; will keep trying",
-                extra=kv(key=key, error=str(exc)),
-            )
-            return
-        if renewed:
-            self.metrics.counter("lease.renews").inc()
-            return
-        if key not in self.lost:
-            _log.warning(
-                "lease renewal refused; continuing as straggler",
-                extra=kv(key=key, worker_id=self.owner),
-            )
-        self.metrics.counter("lease.renew_refused").inc()
-        self.lost.add(key)
+    def _tick(self) -> None:
+        with self._lock:
+            held = set(self._held)
+            try:
+                lost = self.queue.leases.renew(self.owner, held)
+            except OSError as exc:
+                # A store flake is not a refusal: the leases may well
+                # still be ours. Keep beating — renewal succeeding on a
+                # later tick is exactly how a degraded worker holds its
+                # claims through a storage brown-out.
+                self.metrics.counter("lease.renew_errors").inc()
+                _log.warning(
+                    "lease renewal errored; will keep trying",
+                    extra=kv(held=len(held), error=str(exc)),
+                )
+                return
+            if len(lost) < len(held):
+                self.metrics.counter("lease.renews").inc(len(held) - len(lost))
+            if lost:
+                for key in sorted(lost - self.lost):
+                    _log.warning(
+                        "lease renewal refused; continuing as straggler",
+                        extra=kv(key=key, worker_id=self.owner),
+                    )
+                self.metrics.counter("lease.renew_refused").inc(len(lost))
+                self.lost |= lost
 
     def stop(self) -> None:
         self._halt.set()
@@ -310,6 +314,10 @@ class QueueWorker:
                 self._work()
         finally:
             self._heartbeat.stop()
+            self._best_effort(
+                lambda: self.queue.leases.retire(self.worker_id),
+                "lease token retire",
+            )
         return self.report
 
     def _work(self) -> None:
@@ -524,8 +532,10 @@ class QueueWorker:
         return True
 
     def _release(self, key: str) -> bool:
-        """Stop renewing ``key`` and drop its lease (best-effort: an
-        orphan ages out); False when the lease was lost mid-execution."""
+        """Stop renewing ``key`` and drop its lease; False when the lease
+        was lost mid-execution. Best-effort: an orphan is this worker's
+        to re-take on its next claim of the cell, and ages out once the
+        worker exits."""
         owned = self._heartbeat.drop(key)
         self._best_effort(
             lambda: self.queue.leases.release(key, self.worker_id),
@@ -643,7 +653,7 @@ class QueueWorker:
 
     def _commit(self) -> None:
         """Publish every pending result under one fsync: k sealed lines,
-        then k done markers, then k lease releases."""
+        then k done-marker links, then k lease releases."""
         batch, self._pending = self._pending, []
         if not batch:
             return

@@ -10,8 +10,8 @@ from outside, as subclasses of seams the layer already has:
 * :class:`FaultyWorker` — a :class:`~repro.dist.worker.QueueWorker`
   that dies after its n-th won claim, dies or stalls just before a
   finished result joins the pending group commit, does its IO through
-  a :class:`FaultStore` and renews through a heartbeat that can go
-  quiet;
+  a :class:`FaultStore` and renews through a heartbeat whose ticks can
+  go quiet;
 * :class:`FaultyQueue` — the coordinator's
   :class:`~repro.dist.queue.WorkQueue`, which SIGKILLs the coordinator
   at a run-lifecycle point.
@@ -26,9 +26,9 @@ same failure on every run:
   finished, before it joins the pending group commit (it and whatever
   was still pending are lost; every held cell re-issues).
 * ``drop_heartbeats_after=n`` — the heartbeat stops renewing after *n*
-  renewals (a straggler: the worker keeps executing, its lease expires,
-  the cell is re-issued elsewhere and the late publish lands
-  idempotently).
+  ticks that held a lease (a straggler: the worker keeps executing, its
+  token is no longer touched, its leases expire, the cell is re-issued
+  elsewhere and the late publish lands idempotently).
 * ``delay_publish_s=t`` — sleep at that same point for every result
   (publish skew).
 * ``kill_coordinator_at=point`` — SIGKILL the *coordinator* at
@@ -43,7 +43,10 @@ same failure on every run:
        "nth": 2, "count": 1, "torn": true, "delay_s": 0.0}
 
   ``op`` names the store operation (``read``/``write``/``append``/
-  ``create``/``replace``/``rename``/``unlink``/``stat``, or ``any``);
+  ``create``/``link``/``touch``/``replace``/``rename``/``unlink``/
+  ``stat``, or ``any``): a claim and a done marker are ``link``s to the
+  owner's token under ``leases/.tokens/``, which a claim and each
+  heartbeat tick ``touch``;
   ``path`` is an fnmatch pattern against the full path (an implicit
   leading ``*`` makes ``results/*`` match anywhere under the queue);
   the fault fires on the ``nth`` matching operation (1-based) and the
@@ -96,8 +99,8 @@ COORDINATOR_KILL_POINTS = ("staged", "sealed", "dispatch", "merge")
 
 #: store operations an ``io_faults`` entry may target
 IO_FAULT_OPS = frozenset({
-    "read", "write", "append", "create", "replace", "rename", "unlink",
-    "stat", "any",
+    "read", "write", "append", "create", "link", "touch", "replace",
+    "rename", "unlink", "stat", "any",
 })
 
 _IO_FAULT_KEYS = frozenset({
@@ -385,15 +388,15 @@ class FaultStore(Store):
 
 class FaultyHeartbeat(Heartbeat):
     """A heartbeat that stops renewing after ``drop_heartbeats_after``
-    renewals."""
+    ticks."""
 
     def __init__(self, faults: FaultInjector, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.faults = faults
 
-    def _renew(self, key: str) -> None:
+    def _tick(self) -> None:
         if self.faults.on_heartbeat():
-            super()._renew(key)
+            super()._tick()
 
 
 #: plans by id prefix, set by :func:`install`

@@ -274,3 +274,7 @@ class TestCoordinatorCrash:
         # Attach mode never stole the leader lease.
         lease = queue.leases.read(COORDINATOR_KEY)
         assert lease is not None and lease.owner == owner
+        # The attached run unlinked its own token; the impersonated
+        # leader's is the only one left.
+        tokens = sorted(path.name for path in queue.leases.tokens_dir.iterdir())
+        assert tokens == [f"{owner}.json"]

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
+import json
 import os
+import tempfile
 
 import pytest
 
+import repro.dist.lease as lease_module
 import repro.exp.records as records
 from repro.dist.lease import LeaseBoard
 from repro.dist.manifest import ensure_enqueued
@@ -74,11 +78,12 @@ class TestLeaseBoard:
         board = LeaseBoard(tmp_path, ttl=30.0)
         board.try_claim("cell", "alice", now=1000.0)
         before = board.read("cell").expires_at
-        assert board.renew("cell", "alice", now=1010.0)
+        assert board.renew("alice", ["cell"], now=1010.0) == set()
         after = board.read("cell")
-        assert after.expires_at > before and after.renewals == 1
-        assert not board.renew("cell", "bob")
+        assert after.expires_at > before
+        assert board.renew("bob", ["cell"]) == {"cell"}
         assert board.read("cell").owner == "alice"
+        assert board.read("cell").expires_at == after.expires_at
 
     def test_release_requires_ownership(self, tmp_path):
         board = LeaseBoard(tmp_path, ttl=30.0)
@@ -144,6 +149,23 @@ class TestWorkQueue:
         loaded = queue.load_task(key)
         assert loaded.key() == key == task.key()
         assert loaded.config == task.config
+
+    def test_load_task_lists_tasks_only_on_a_cache_miss(self, tmp_path, monkeypatch):
+        queue = WorkQueue(tmp_path)
+        first = enqueue(queue, tiny_tasks(n_seeds=2))
+        listings = []
+        batches = queue._batches
+        monkeypatch.setattr(queue, "_batches", lambda: listings.append(1) or batches())
+        assert queue.load_task(first[0]).key() == first[0]
+        assert len(listings) == 1  # a cold cache lists tasks/ once
+        assert [queue.load_task(key).key() for key in first] == first
+        assert len(listings) == 1  # a parsed batch answers without listing
+        later = enqueue(queue, grid_tasks(["heuristic"], ["S2"], tiny_config(), n_seeds=1))
+        listed = len(listings)
+        assert queue.load_task(later[0]).key() == later[0]  # the next generation
+        assert len(listings) == listed + 1
+        with pytest.raises(FileNotFoundError, match="no task spec"):
+            queue.load_task("0" * 24)
 
     def test_publish_marks_done_and_merges(self, tmp_path):
         queue = WorkQueue(tmp_path)
@@ -716,22 +738,268 @@ class TestDegradedMode:
     def test_heartbeat_survives_store_flakes(self, tmp_path):
         from repro.dist.worker import Heartbeat
 
+        import time
+
         queue = WorkQueue(tmp_path / "q")
-        queue.leases.try_claim("cell", "hb-owner")
+        queue.leases.try_claim("cell", "hb-owner", now=time.time() - 5.0)
+        before = queue.leases.read("cell").expires_at
         plan = FaultPlan(io_faults=[
-            {"op": "write", "path": "leases/*", "errno": "EIO", "count": 1},
+            {"op": "touch", "path": "leases/*", "errno": "EIO", "count": 1},
         ])
         queue.use_store(storm_store(plan, retry=RetryPolicy(max_retries=0, seed="h")))
         heartbeat = Heartbeat(queue, "cell", "hb-owner", interval=0.01)
         heartbeat.start()
-        import time
-
         time.sleep(0.2)
         heartbeat.stop()
         # The first renewal errored (EIO, no retries) but the thread
         # kept beating and later renewals extended the lease.
         assert heartbeat.owned
-        assert queue.leases.read("cell").renewals >= 1
+        assert heartbeat.metrics.snapshot()["counters"]["lease.renew_errors"] == 1
+        assert queue.leases.read("cell").expires_at > before
+
+
+class TestLinkClaims:
+    """A lease and a done marker are hard links to the owner's token;
+    its mtime plus its ttl is the expiry."""
+
+    def test_a_claim_retried_after_a_transient_error_is_won(self, tmp_path, monkeypatch):
+        """The first ``link`` lands and then reports EIO: the retry meets
+        its own link, so the claim is won at once — not left behind as a
+        foreign lease that strands the cell for a ttl."""
+        queue = WorkQueue(tmp_path)
+        keys = enqueue(queue, tiny_tasks(n_seeds=1))
+        real_link = os.link
+        flaked = []
+
+        def link_then_eio(src, dst):
+            real_link(src, dst)
+            if not flaked:
+                flaked.append(dst)
+                raise OSError(errno.EIO, "reply lost after the link landed")
+
+        monkeypatch.setattr(os, "link", link_then_eio)
+        executed: list = []
+        worker = make_worker(queue, served(executed), worker_id="flaky")
+        worker.store._sleep = lambda _s: None
+        claim = queue.leases.try_claim
+        won: list = []
+        monkeypatch.setattr(
+            queue.leases, "try_claim",
+            lambda *args, **kwargs: won.append(claim(*args, **kwargs)) or won[-1],
+        )
+        report = worker.run()
+        assert flaked == [queue.leases._path(keys[0])]
+        assert won == [True]
+        assert executed == report.executed == keys
+        assert worker.metrics.snapshot()["counters"]["store.retried.link"] == 1
+        assert queue.leases.leases() == [] and queue.is_done(keys[0])
+
+    def test_a_drain_creates_no_file_per_cell(self, tmp_path, monkeypatch, size_only_commits):
+        """File creations while a worker drains 4 cells equal those while
+        it drains 12; each lease and done marker is the worker's token."""
+        real_open, real_mkstemp, real_mkdir = os.open, tempfile.mkstemp, os.mkdir
+        created: list = []
+
+        def counting_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                created.append(path)
+            return real_open(path, flags, *args, **kwargs)
+
+        def counting_mkstemp(*args, **kwargs):
+            created.append("mkstemp")
+            return real_mkstemp(*args, **kwargs)
+
+        def counting_mkdir(path, *args, **kwargs):
+            created.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        def drain(n: int) -> tuple[int, list, list]:
+            queue = WorkQueue(tmp_path / f"q{n}")
+            keys = enqueue(queue, tiny_tasks(n_seeds=n))
+            token = queue.root / "leases" / ".tokens" / "solo.json"
+            held: list = []  # (lease, token) stats while each cell runs
+
+            def execute(task, *args):
+                held.append((
+                    os.stat(queue.leases._path(task.key())),
+                    os.stat(token) if token.exists() else None,
+                ))
+                return make_result(task.key())
+
+            worker = make_worker(queue, execute, worker_id="solo")
+            created.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "open", counting_open)
+                patch.setattr(tempfile, "mkstemp", counting_mkstemp)
+                patch.setattr(os, "mkdir", counting_mkdir)
+                report = worker.run()
+            assert sorted(report.executed) == sorted(keys)
+            markers = [os.stat(queue.done_dir / f"{key}.json") for key in keys]
+            return len(created), held, markers
+
+        (few, *_), (many, held, markers) = drain(4), drain(12)
+        assert few == many
+        token = held[0][1]
+        assert token is not None
+        assert all(os.path.samestat(lease, token) for lease, _ in held)
+        assert all(os.path.samestat(marker, token) for marker in markers)
+
+    def test_a_lease_whose_release_keeps_failing_is_re_taken(self, tmp_path):
+        """Every lease unlink fails for good (EIO), so a failed cell's
+        release leaves its lease behind. That orphan is the worker's own
+        token, touched by each claim, so it never ages out while the
+        worker lives: the worker re-takes it, the cell runs again and
+        the grid drains."""
+        import threading
+
+        queue = WorkQueue(tmp_path / "q")
+        keys = enqueue(queue, tiny_tasks(n_seeds=3))
+        plan = FaultPlan(io_faults=[
+            {"op": "unlink", "path": "leases/*", "errno": "EIO", "count": 0},
+        ])
+        attempts: list = []
+
+        def fail_first_attempt(task, *args):
+            attempts.append(task.key())
+            if attempts.count(keys[0]) == 1 and task.key() == keys[0]:
+                raise RuntimeError("the first attempt fails")
+            return make_result(task.key())
+
+        worker = make_worker(
+            queue, fail_first_attempt, FaultyWorker, worker_id="orphan",
+            poll_interval=0.01, plan=plan, spool_dir=tmp_path / "spool",
+        )
+        worker.store._sleep = lambda _s: None
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        thread.join(timeout=20.0)
+        stuck = thread.is_alive()
+        worker.max_cells = 0  # stops a stuck worker at its next pass
+        assert not stuck, "the orphaned cell was never re-issued"
+        assert worker.report.failed == [keys[0]]
+        assert attempts.count(keys[0]) == 2
+        assert sorted(worker.report.executed) == sorted(keys)
+        assert queue.done_keys() == set(keys)
+
+    def test_expiry_is_the_claimers_ttl_not_the_readers(self, tmp_path):
+        LeaseBoard(tmp_path, ttl=0.05).try_claim("cell", "quick", now=1000.0)
+        reader = LeaseBoard(tmp_path, ttl=30.0)
+        lease = reader.read("cell")
+        assert lease.owner == "quick"
+        assert lease.expires_at == pytest.approx(1000.05)
+        assert reader.reap("cell", now=1000.1)
+
+    def test_a_lease_of_the_previous_version_expires_a_board_ttl_after_its_mtime(
+        self, tmp_path
+    ):
+        board = LeaseBoard(tmp_path, ttl=30.0)
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({
+            "key": "cell", "owner": "old", "claimed_at": 1.0,
+            "expires_at": 31.0, "renewals": 2,
+        }))
+        os.utime(path, (1000.0, 1000.0))
+        lease = board.read("cell")
+        assert (lease.owner, lease.expires_at) == ("old", 1030.0)
+        assert not board.reap("cell", now=1029.0)
+        assert board.reap("cell", now=1030.0)
+
+    def test_a_touch_in_the_reap_window_restores_the_lease(self, tmp_path, monkeypatch):
+        """The tombstone is the lease's inode: a heartbeat that lands
+        between the reaper's rename and its re-check is seen."""
+        board = LeaseBoard(tmp_path, ttl=30.0)
+        board.try_claim("cell", "slow", now=1000.0)
+        rename = board.store.rename
+
+        def rename_then_beat(src, dst):
+            rename(src, dst)
+            board.store.touch(board.tokens_dir / "slow.json", now=1100.0)
+
+        monkeypatch.setattr(board.store, "rename", rename_then_beat)
+        assert not board.reap("cell", now=1050.0)
+        assert board.read("cell").expires_at == 1130.0
+        assert board.renew("slow", ["cell"]) == set()  # still its own link
+        assert list(board._tombstones.iterdir()) == []
+
+    def test_a_token_backs_at_most_token_links(self, tmp_path, monkeypatch):
+        """Past ``TOKEN_LINKS`` the owner starts its next token; one tick
+        touches every token behind a held lease; a clean exit unlinks
+        the token names and the done markers keep the inodes."""
+        monkeypatch.setattr(lease_module, "TOKEN_LINKS", 2)
+        queue = WorkQueue(tmp_path)
+        board = queue.leases
+        for key in ("a", "b", "c"):
+            assert board.try_claim(key, "w", now=1000.0)
+        queue.mark_done("a", "w")
+        tokens = sorted(p.name for p in board.tokens_dir.iterdir())
+        assert tokens == ["w.1.json", "w.json"]
+        assert os.path.samefile(board._path("a"), board.tokens_dir / "w.json")
+        assert os.path.samefile(board._path("c"), board.tokens_dir / "w.1.json")
+        assert os.path.samefile(queue.done_dir / "a.json", board.tokens_dir / "w.1.json")
+        assert board.renew("w", ["a", "b", "c"], now=2000.0) == set()
+        assert {lease.expires_at for lease in board.leases()} == {2030.0}
+        assert all(board.release(key, "w") for key in ("a", "b", "c"))
+        board.retire("w")
+        assert list(board.tokens_dir.iterdir()) == [] and board.leases() == []
+        assert queue.is_done("a") and os.stat(queue.done_dir / "a.json").st_nlink == 1
+
+    def test_a_duplicate_publish_keeps_the_first_marker(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        queue.publish("w0", make_result("k1", "w0"))
+        queue.publish("w1", make_result("k1", "w1"))
+        tokens = queue.leases.tokens_dir
+        assert os.path.samefile(queue.done_dir / "k1.json", tokens / "w0.json")
+        assert not os.path.samefile(queue.done_dir / "k1.json", tokens / "w1.json")
+
+    def test_racing_claimers_win_each_key_exactly_once(self, tmp_path):
+        """Six owners, each on its own board, race for the same keys from
+        threads (more than this box's cores) with a short switch
+        interval: every key has one winner, and its lease is that
+        winner's token."""
+        import sys
+        import threading
+
+        keys = [f"k{i:03d}" for i in range(60)]
+        boards = [LeaseBoard(tmp_path, ttl=30.0) for _ in range(6)]
+        wins: dict[str, list[str]] = {key: [] for key in keys}
+        start = threading.Barrier(len(boards))
+
+        def claim_all(index: int) -> None:
+            owner = f"o{index}"
+            start.wait(timeout=10.0)
+            for key in keys[index:] + keys[:index]:
+                if boards[index].try_claim(key, owner):
+                    wins[key].append(owner)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=claim_all, args=(i,)) for i in range(len(boards))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(owners) == 1 for owners in wins.values()), wins
+        for key, (owner,) in wins.items():
+            token = tmp_path / ".tokens" / f"{owner}.json"
+            assert os.path.samefile(tmp_path / f"{key}.json", token)
+            assert boards[0].read(key).owner == owner
+
+    def test_a_reused_owner_id_never_renews_its_predecessors_leases(self, tmp_path):
+        """A restarted ``--worker-id`` gets a token of its own, so the
+        dead incarnation's leases still age out."""
+        LeaseBoard(tmp_path, ttl=30.0).try_claim("dead", "same", now=1000.0)
+        board = LeaseBoard(tmp_path, ttl=30.0)
+        board.try_claim("live", "same", now=1000.0)
+        board.renew("same", ["live"], now=2000.0)
+        assert board.read("dead").expires_at == 1030.0
+        assert board.read("live").expires_at == 2030.0
+        assert board.release("live", "same") and not board.release("dead", "same")
 
 
 def served(executed: list | None = None):
@@ -823,9 +1091,11 @@ class TestOnePassDrain:
         worker = make_worker(queue, served(), worker_id="me")
         ops = count_store_ops(worker)
         assert worker._scan_once() is True
-        # keys[0]: refused create, then one read; keys[1]: create only.
-        assert ops.count("create leases") == 2
-        assert ops.count("read leases") == 1 + 1  # + the release's own read
+        # keys[0]: touch + refused link + a stat for a lease of its own,
+        # then one read (content + stat); keys[1]: touch + link only.
+        assert ops.count("touch .tokens") == ops.count("link leases") == 2
+        assert ops.count("read leases") == 1
+        assert ops.count("stat leases") == 2 + 1  # + the release's inode check
 
 
 class TestGroupCommit:
@@ -875,7 +1145,7 @@ class TestGroupCommit:
             ["heuristic"], ["S1"], tiny_config(), n_seeds=6
         ))
         plan = FaultPlan(io_faults=[
-            {"op": "create", "path": "leases/*", "errno": "ENOSPC",
+            {"op": "link", "path": "leases/*", "errno": "ENOSPC",
              "nth": 4, "count": 0},
         ])
         executed: list = []
@@ -998,7 +1268,7 @@ class TestOneHeartbeatPerWorker:
         worker.run()
         # start + exit (the drain never reaches the interval), each one
         # registration and one snapshot — not one per cell.
-        assert ops.count("write done") == 40
+        assert ops.count("link done") == 40
         assert ops.count("write workers") == ops.count("write metrics") == 2
         (registration,) = queue.workers()
         assert registration["exited"] is True

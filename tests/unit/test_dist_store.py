@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import errno
 import json
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -195,11 +197,46 @@ class TestStoreRetry:
             store.read_text(tmp_path / "missing.json")
         assert sleeps == []
 
-    def test_create_excl_lost_race_is_not_an_error(self, tmp_path):
+    def test_link_lost_race_is_not_an_error(self, tmp_path):
         store, _ = quiet_store()
-        assert store.create_excl_json(tmp_path / "lease.json", {"o": "a"})
-        assert not store.create_excl_json(tmp_path / "lease.json", {"o": "b"})
+        for owner in ("a", "b"):
+            (tmp_path / f"{owner}.json").write_text(json.dumps({"o": owner}))
+        assert store.link(tmp_path / "a.json", tmp_path / "lease.json")
+        assert not store.link(tmp_path / "b.json", tmp_path / "lease.json")
         assert json.loads((tmp_path / "lease.json").read_text()) == {"o": "a"}
+        # A first attempt meeting its own source's inode still lost: only
+        # a retry may count an existing link as its own.
+        assert not store.link(tmp_path / "a.json", tmp_path / "lease.json")
+
+    def test_a_retried_link_that_landed_is_a_win(self, tmp_path, monkeypatch):
+        """The first attempt links and then reports EIO: the retry meets
+        its own link and wins; another file's link still loses."""
+        store, sleeps = quiet_store()
+        real_link = os.link
+        calls = []
+
+        def flaky_link(src, dst):
+            calls.append(dst)
+            real_link(src, dst)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "reply lost after the link landed")
+
+        monkeypatch.setattr(os, "link", flaky_link)
+        (tmp_path / "a.json").write_text("{}")
+        (tmp_path / "b.json").write_text("{}")
+        assert store.link(tmp_path / "a.json", tmp_path / "lease.json")
+        assert len(calls) == 2 and len(sleeps) == 1
+        assert not store.link(tmp_path / "b.json", tmp_path / "lease.json")
+        assert os.path.samefile(tmp_path / "a.json", tmp_path / "lease.json")
+
+    def test_touch_sets_the_mtime(self, tmp_path):
+        store, _ = quiet_store()
+        path = tmp_path / "token.json"
+        path.write_text("{}")
+        store.touch(path, now=1000.0)
+        assert store.stat(path).st_mtime == 1000.0 == store.stat_mtime(path)
+        store.touch(path)
+        assert abs(store.stat(path).st_mtime - time.time()) < 60.0
 
     def test_metrics_count_retries(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
