@@ -27,7 +27,11 @@ behind them may move. Removed from it so far:
 * ``register_scheduler``'s ``multi_resource=``, with
   ``SchedulerEntry.multi_resource`` and the ``multi_resource`` key of
   ``capabilities()`` and ``describe_components()`` (``repro list
-  --json``) — every policy handles any number of resources.
+  --json``) — every policy handles any number of resources;
+* the scenario key ``execution.dispatch`` — a scenario that sets it is
+  rejected as an unknown ``execution`` field: ``execution.queue_dir``
+  (or ``run_scenario(queue_dir=)``) names a queue directory, and more
+  than one worker without one runs a private temporary queue.
 """
 
 from repro.api.facade import (

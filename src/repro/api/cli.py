@@ -27,9 +27,9 @@ Seven subcommands, each a thin shell over :mod:`repro.api`:
     queue drains.
 ``repro doctor QUEUE_DIR``
     Audit a queue directory after an incident: corrupt/unsealed
-    manifests, orphan or expired leases, dead coordinators, stale
-    worker registrations, leftover staging/temp files, quarantine and
-    spool backlog. Dry-run by default; ``--repair`` applies the safe
+    manifests, orphan or expired leases and tokens, dead coordinators,
+    stale worker registrations, leftover staging/temp files, quarantine
+    and spool backlog. Dry-run by default; ``--repair`` applies the safe
     mechanical repairs. Exit 0 when the audit is clean.
 ``repro trace export --telemetry DIR``
     Convert a ``--telemetry`` run's span records into one Chrome-trace
@@ -91,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "width; default: the scenario's "
                             "execution.workers, else 1)")
     p_run.add_argument("--queue", default=None, metavar="DIR",
-                       help="dispatch through the shared work queue at DIR "
-                            "(repro.dist) instead of the local process "
-                            "pool; elastic 'repro work' workers may join")
+                       help="run on the shared work queue at DIR, not a "
+                            "private temporary one: 'repro work' workers "
+                            "may join, and a re-run resumes")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario's root seed (replaces an "
                             "explicit seeds list)")
@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Walk one queue directory and report every anomaly "
                     "the dispatch layer understands: corrupt or unsealed "
                     "run manifests, unpromoted/orphan batch files, dead "
-                    "coordinators, orphan and expired leases, stale "
-                    "worker registrations, leftover temp files, "
+                    "coordinators, orphan and expired leases and "
+                    "tokens, stale worker registrations, leftover temp files, "
                     "quarantine contents and spool backlog. Dry-run by "
                     "default: nothing is touched without --repair. Exit "
                     "0 when nothing unrepaired at warning-or-worse "

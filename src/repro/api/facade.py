@@ -149,12 +149,11 @@ def run_scenario(
     cache, the checkpoint journal, the work queue and the progress bar.
     Results are bit-identical for any worker count.
 
-    A scenario with an ``execution`` block picks its dispatch mode:
-    ``{"dispatch": "queue", "queue_dir": ..., "workers": N}`` runs the
-    grid through the shared-directory work queue (:mod:`repro.dist`) —
-    elastic ``repro work`` workers may join mid-run. Explicit
-    ``n_workers``/``queue_dir`` arguments override the block's values;
-    metrics are bit-identical in every mode.
+    A scenario's ``execution`` block says how it runs: ``queue_dir``
+    names a work queue (:mod:`repro.dist`) that elastic ``repro work``
+    workers may join, and ``workers`` above 1 without one runs a private
+    temporary queue. Explicit ``n_workers``/``queue_dir`` arguments
+    override the block's values; metrics are bit-identical in every mode.
     """
     scenario = load_scenario(source)
     execution = scenario.execution or {}
@@ -164,8 +163,6 @@ def run_scenario(
         n_workers=n_workers,
         cache_dir=cache_dir,
         checkpoint_path=checkpoint_path,
-        # Scenario validation already ties execution.dispatch to
-        # execution.queue_dir; the runner derives the path from this.
         queue_dir=(
             queue_dir if queue_dir is not None else execution.get("queue_dir")
         ),

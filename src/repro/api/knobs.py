@@ -55,7 +55,6 @@ KNOBS = (
     ("config", "ga", "map", None),
     ("ExperimentConfig", "ga_config", None, None),
     ("ExperimentConfig", "system_name", "str", "non-empty"),
-    ("execution", "dispatch", "str", ("pool", "queue")),
     ("execution?", "queue_dir", "str", "non-empty"),
     ("execution?", "workers", "int", "positive"),
     ("execution? work?", "lease_ttl", "num", "positive"),

@@ -30,15 +30,13 @@ are loaded lazily on first lookup, so importing this module stays
 dependency-free (no cycles with the packages whose components it
 names).
 
-Note on process pools: registrations made at runtime are inherited by
+Note on worker processes: registrations made at runtime are inherited by
 ``fork``-started workers (the default on Linux) but not by ``spawn``
-workers, which start from a fresh interpreter. Plugins therefore
-register at import time in an importable module;
-:func:`registration_modules` lists the modules behind the current
-registrations and :func:`import_plugin_modules` re-imports them inside
-a worker — :class:`~repro.exp.runner.ExperimentRunner` wires the pair
-through its pool initializer, so spawn-based grids resolve plugins
-exactly like fork-based ones. Components registered from ``__main__``
+workers. Plugins therefore register at import time in an importable
+module; :func:`registration_modules` lists the modules behind the
+current registrations, and every worker's start-up
+(:func:`~repro.exp.tasks.init_worker`) re-imports them with
+:func:`import_plugin_modules`. Components registered from ``__main__``
 cannot be re-imported by name and remain fork-only.
 """
 
@@ -310,7 +308,7 @@ def registration_modules() -> tuple[str, ...]:
 
 
 def import_plugin_modules(modules: tuple[str, ...]) -> None:
-    """Process-pool initializer: re-create registrations in a worker.
+    """Worker start-up: re-create registrations in a worker.
 
     Under ``fork`` the modules are already imported and each import is
     a cached no-op; under ``spawn`` the fresh interpreter executes each

@@ -115,9 +115,9 @@ class Scenario:
     config: Mapping = field(default_factory=dict)
     #: execution section — *how* the grid runs, never *what* it
     #: computes (task keys and metrics are dispatch-invariant). Keys:
-    #: ``dispatch`` ("pool" | "queue"), ``queue_dir`` (shared work-queue
-    #: directory, required for "queue"), ``workers`` (local worker
-    #: count), ``lease_ttl`` (queue-mode lease expiry, seconds),
+    #: ``queue_dir`` (shared work-queue directory; without it more than
+    #: one worker runs a private temporary queue), ``workers`` (local
+    #: worker count), ``lease_ttl`` (queue-mode lease expiry, seconds),
     #: ``cell_timeout_s`` (queue-mode per-cell execution deadline) and
     #: ``supervise`` (queue mode: respawn crashed local workers).
     execution: Mapping = field(default_factory=dict)
@@ -269,19 +269,6 @@ class Scenario:
                 f"does not accept: {list(unknown_kwargs)}; accepted: "
                 f"{sorted(entry.allowed_kwargs or ())}",
             )
-
-        dispatch = self.execution.get("dispatch", "pool")
-        queue_dir = self.execution.get("queue_dir")
-        _require(
-            dispatch != "queue" or queue_dir is not None,
-            "execution.dispatch='queue' needs execution.queue_dir "
-            "(the shared work-queue directory)",
-        )
-        _require(
-            queue_dir is None or dispatch == "queue",
-            "execution.queue_dir given but execution.dispatch is "
-            "'pool'; set dispatch='queue' to use the work queue",
-        )
 
         # Surface system/sizing mismatches, missing workload resources and
         # unhashable option values now rather than deep inside a worker.
@@ -461,7 +448,7 @@ class Scenario:
         the same content hash identically, which is what keeps the task
         config hashes — and therefore the result cache — stable. The
         ``execution`` section is excluded: it decides *how* cells run
-        (pool vs queue, worker count), never what they compute, so
+        (inline vs queue, worker count), never what they compute, so
         flipping dispatch modes must not invalidate anything.
         """
         doc = self.to_dict()

@@ -1,7 +1,7 @@
 """Distributed experiment dispatch over a shared-directory work queue.
 
-The coordination layer that promotes the experiment engine from a
-single-host process pool to an elastic multi-worker service: grid cells
+The coordination layer that runs every multi-worker grid of the
+experiment engine as an elastic multi-worker service: grid cells
 become lease-able task records in a shared directory
 (:class:`~repro.dist.queue.WorkQueue`), claimed via an atomic serverless
 lease protocol (:class:`~repro.dist.lease.LeaseBoard`), executed by any

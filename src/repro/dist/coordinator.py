@@ -1,7 +1,7 @@
 """Queue-mode grid dispatch: enqueue, launch workers, collect.
 
 :func:`dispatch_tasks` is what :class:`~repro.exp.runner.ExperimentRunner`
-delegates to when it was given a ``queue_dir``. It plays the
+delegates to for a ``queue_dir`` or more than one worker. It plays the
 *coordinator* role of the lease protocol — which is deliberately thin,
 because the protocol is serverless: the coordinator seals the run
 manifest (the deterministic grid expansion, published by an atomic
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable
 
 from repro.dist.manifest import (
     COORDINATOR_KEY,
@@ -156,6 +157,7 @@ def dispatch_tasks(
     mp_start_method: str | None = None,
     cell_timeout_s: float | None = None,
     supervise: bool = False,
+    on_progress: Callable[[int], None] | None = None,
 ) -> dict[str, TaskResult]:
     """Run ``tasks`` through a shared-directory queue; results by key.
 
@@ -166,6 +168,10 @@ def dispatch_tasks(
     never otherwise), and coordinates until every cell has a published
     result, draining inline if all workers are lost with no elastic
     replacement in sight.
+
+    A cell done before any worker started comes back with ``source ==
+    "queue"``. ``on_progress`` gets the count of done cells from each
+    pass's frontier snapshot.
     """
     queue = WorkQueue(queue_dir, lease_ttl=lease_ttl)
     session = _obs_runtime.session
@@ -221,7 +227,9 @@ def dispatch_tasks(
             owed = [k for k in frontier.claimable if k in key_set]
             return owed + poisoned, poisoned
 
-        if n_workers >= 1 and outstanding()[0]:
+        owed = outstanding()[0]
+        recalled = key_set.difference(owed)
+        if n_workers >= 1 and owed:
             supervisor = WorkerSupervisor(
                 queue,
                 n_workers,
@@ -236,6 +244,8 @@ def dispatch_tasks(
             # strikes are on record before the queue is read.
             supervised = supervisor is not None and not supervisor.step()
             pending, poisoned = outstanding()
+            if on_progress is not None:
+                on_progress(len(key_set) - len(pending))
             if not pending:
                 break
             if session is not None:
@@ -319,6 +329,8 @@ def dispatch_tasks(
             workers_merged=aggregate.get("merged_from", 0),
         )
     _log.info("grid drained", extra=kv(cells=len(keys)))
+    for key in recalled:
+        merged[key].source = "queue"
     return {k: merged[k] for k in keys}
 
 

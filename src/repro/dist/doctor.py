@@ -20,6 +20,9 @@ severity and (where safe) a mechanical repair:
 * orphan leases on cells already done, and expired leases on pending
   cells (repair: force-release / reap);
 * leftover reap tombstones (repair: delete);
+* lease tokens of dead owners: no lease held, no live ``workers/``
+  record, untouched for a ttl (repair: unlink the name — the done
+  markers keep their own links to the inode);
 * stale worker registrations that stopped heartbeating without an exit
   record (repair: mark exited+stale);
 * leftover atomic-write temp files (repair: delete);
@@ -39,7 +42,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.dist.manifest import ManifestCorrupt, leader_dead
+from repro.dist.manifest import ManifestCorrupt, leader_dead, local_pid_gone
 from repro.dist.queue import MAX_ATTEMPTS, WorkQueue
 from repro.obs.logbridge import get_logger, kv
 
@@ -268,6 +271,29 @@ class _Audit:
                     fix=lambda p=path: p.unlink(),
                 )
 
+    def tokens(self):
+        """Tokens of owners that died without a clean exit: no lease
+        held (a live coordinator holds its own), no live ``workers/``
+        record (a live idle worker has one), untouched for a ttl."""
+        board, now = self.queue.leases, time.time()
+        alive = {lease.owner for lease in board.leases()} | {
+            w.get("worker_id") for w in self.queue.workers()
+            if not w.get("exited")
+            and now - float(w.get("last_seen", now)) <= self.stale_worker_s
+            and not local_pid_gone(w.get("hostname", ""), w.get("pid"))
+        }
+        for path in sorted(board.tokens_dir.glob("*.json")):
+            token = board._read(path.stem, path)
+            if token is None or token.owner in alive or not token.expired(now):
+                continue
+            self.add(
+                "token-orphan", "info", path,
+                f"lease token of {token.owner}, which holds no lease and "
+                f"is not running (died without a clean exit); harmless",
+                repair="unlink it (the done markers keep their links)",
+                fix=lambda p=path: p.unlink(),
+            )
+
     def cells(self, manifest, done: set):
         queue = self.queue
         keys = queue.task_keys()
@@ -381,6 +407,7 @@ def audit_queue(
     done = queue.done_keys()
     audit.batches(manifest)
     audit.leases(done)
+    audit.tokens()
     audit.cells(manifest, done)
     audit.workers()
     audit.debris()

@@ -52,6 +52,7 @@ __all__ = [
     "COORDINATOR_KEY",
     "coordinator_owner",
     "leader_dead",
+    "local_pid_gone",
 ]
 
 #: the manifest document, directly under the queue root
@@ -88,13 +89,19 @@ def leader_dead(lease, now: float | None = None) -> bool:
         return True
     prefix, _, body = lease.owner.partition("-")
     host, sep, pid_text = body.rpartition("-")
-    if prefix != "coord" or not sep or host != _host():
+    return prefix == "coord" and bool(sep) and local_pid_gone(host, pid_text)
+
+
+def local_pid_gone(host: str, pid) -> bool:
+    """Whether ``pid`` names a process of *this* host that no longer
+    runs; a foreign host, or a pid alive or unprobeable, reads False."""
+    if str(host).split(".")[0] != _host():
         return False
     try:
-        os.kill(int(pid_text), 0)
+        os.kill(int(pid), 0)
     except ProcessLookupError:
         return True
-    except (OSError, ValueError):
+    except (OSError, ValueError, TypeError):
         return False  # alive (EPERM), unprobeable or not a pid
     return False
 

@@ -184,12 +184,13 @@ class TaskResult:
     metrics: dict[str, MetricReport]
     wall_time: float
     worker_pid: int = field(default_factory=os.getpid)
-    #: "run" (executed now), "cache" (result cache hit) or
-    #: "checkpoint" (restored while resuming an interrupted grid)
+    #: "run" (executed now), "cache" (result cache hit), "checkpoint"
+    #: (restored while resuming an interrupted grid) or "queue" (already
+    #: done in the queue directory before the dispatch started)
     source: str = "run"
     label: str = ""
-    #: queue-dispatch worker that executed the cell ("" outside queue
-    #: mode — the process-pool path is identified by ``worker_pid``)
+    #: queue-dispatch worker that executed the cell ("" for a cell run
+    #: inline)
     worker_id: str = ""
     #: host the cell executed on; with ``worker_id`` this makes merged
     #: multi-worker journal shards auditable

@@ -1,8 +1,10 @@
-"""The parallel experiment engine.
+"""The experiment engine.
 
-:class:`ExperimentRunner` fans a list of :class:`ExperimentTask` cells
-out over a :class:`~concurrent.futures.ProcessPoolExecutor` (or runs
-them inline with ``n_workers=1``), with three layers of reuse:
+:class:`ExperimentRunner` runs a list of :class:`ExperimentTask` cells
+inline (one worker, or one pending cell) or through the crash-safe
+shared-directory work queue (:mod:`repro.dist`): in the caller's
+``queue_dir``, or else in a private temporary directory removed once
+the grid is done. Three layers of reuse sit in front of execution:
 
 1. **Result cache** — an on-disk store keyed by the task's config hash;
    identical cells across runs (and across grids) are never recomputed.
@@ -12,7 +14,7 @@ them inline with ``n_workers=1``), with three layers of reuse:
 3. **Deduplication** — identical cells inside one submission execute
    once and share the result.
 
-Determinism: the serial and parallel paths call the same
+Determinism: the inline and queue paths call the same
 :func:`~repro.exp.tasks.execute_task`, and every cell's randomness
 derives from its own seed, so worker count and completion order cannot
 change any metric value (``tests/integration/test_runner_determinism.py``
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.exp.cache import ResultCache
 from repro.exp.records import ExperimentTask, TaskResult
-from repro.exp.tasks import execute_task, init_worker, worker_context
+from repro.exp.tasks import execute_task
 from repro.obs import runtime as _obs_runtime
 from repro.obs.progress import ProgressLine
 from repro.utils.durable import OK, append_line, scan_sealed_jsonl
@@ -125,8 +127,10 @@ class ExperimentRunner:
     Parameters
     ----------
     n_workers:
-        Worker processes; ``1`` runs inline (no pool, no pickling) and
-        ``None`` uses the machine's CPU count.
+        Worker processes; ``1`` runs inline and ``None`` uses the
+        machine's CPU count. More, without a ``queue_dir``, run a private
+        temporary queue: removed on success, kept and named in the error
+        on failure, so passing it as ``queue_dir`` resumes the grid.
     cache_dir:
         Enable the on-disk result cache at this directory.
     checkpoint_path:
@@ -134,21 +138,17 @@ class ExperimentRunner:
         this JSONL file as they finish, and a later run with the same
         path skips them.
     mp_start_method:
-        Process start method; default "fork" where available (cheap,
-        inherits the warm interpreter) and "spawn" elsewhere.
+        Start method of the queue's local workers; default "fork" where
+        available (cheap, inherits the warm interpreter), else "spawn".
     queue_dir:
-        Without it pending cells run inline or fan out over a local
-        :class:`~concurrent.futures.ProcessPoolExecutor`; with it they
-        are dispatched through the shared-directory work queue at
-        ``queue_dir`` (:mod:`repro.dist`): ``n_workers`` local worker
-        processes are started, external ``repro work --queue DIR``
-        workers on any host sharing the directory may join or leave
-        mid-grid, and crashed workers' cells are re-issued. Reusing the
-        directory resumes a half-finished grid — published cells are
-        never re-executed. Pure execution choice — metrics, cache keys
-        and checkpoints are bit-identical to the pool and serial paths.
-        The read-only :attr:`dispatch` property (``"pool"`` |
-        ``"queue"``) names the path taken, for telemetry.
+        Dispatch pending cells through the shared-directory work queue
+        at ``queue_dir`` (:mod:`repro.dist`) at any worker count:
+        external ``repro work --queue DIR`` workers on any host sharing
+        the directory may join or leave mid-grid, and crashed workers'
+        cells are re-issued. Reusing the directory resumes a grid: a
+        cell already published comes back with ``source == "queue"``.
+        Metrics, cache keys and checkpoints are bit-identical to the
+        inline path; :attr:`dispatch` names the path, for telemetry.
     lease_ttl:
         Queue-mode lease expiry in seconds; a worker silent for this
         long forfeits its cell to re-issue.
@@ -164,7 +164,7 @@ class ExperimentRunner:
         failure strike and is released at once.
     progress:
         Live one-line stderr progress (done/total cells, recalled
-        count, elapsed/ETA) for the serial and pool paths. ``None``
+        count, elapsed/ETA) on both paths. ``None``
         (default) auto-enables only when stderr is a TTY, so piped
         runs, CI logs and ``--json`` output stay clean; ``True``/
         ``False`` force it. Purely cosmetic — never touches results.
@@ -208,8 +208,8 @@ class ExperimentRunner:
 
     @property
     def dispatch(self) -> str:
-        """``"queue"`` when a ``queue_dir`` was given, else ``"pool"``."""
-        return "queue" if self.queue_dir is not None else "pool"
+        """``"queue"`` with a ``queue_dir`` or workers, else ``"inline"``."""
+        return "queue" if self.queue_dir is not None or self.n_workers > 1 else "inline"
 
     # -- checkpointing ----------------------------------------------------
 
@@ -282,13 +282,13 @@ class ExperimentRunner:
                     if session is not None
                     else contextlib.nullcontext()
                 ):
-                    if self.dispatch == "queue":
-                        self._run_queue(pending, resolved)
-                    elif self.n_workers == 1 or len(pending) == 1:
+                    if self.queue_dir is None and (
+                        self.n_workers == 1 or len(pending) == 1
+                    ):
                         for task in pending.values():
                             self._record(resolved, execute_task(task))
                     else:
-                        self._run_pool(pending, resolved)
+                        self._run_queue(pending, resolved)
         finally:
             line, self._progress_line = self._progress_line, None
             line.close()
@@ -324,7 +324,7 @@ class ExperimentRunner:
         if result.key not in self._journaled_keys:
             self._append_checkpoint(result)
             self._journaled_keys.add(result.key)
-        if self.cache is not None and result.source == "run":
+        if self.cache is not None and result.source in ("run", "queue"):
             self.cache.put(result)
         if result.source != "run":
             self._recalled += 1
@@ -335,6 +335,7 @@ class ExperimentRunner:
             counter = {
                 "cache": "runner.cache_hits",
                 "checkpoint": "runner.checkpoint_hits",
+                "queue": "runner.queue_hits",
             }.get(result.source, "runner.cells_run")
             session.metrics.counter(counter).inc()
             session.event(
@@ -346,77 +347,43 @@ class ExperimentRunner:
                 wall_s=result.wall_time,
             )
 
-    def _run_pool(
-        self,
-        pending: dict[str, ExperimentTask],
-        resolved: dict[str, TaskResult],
-    ) -> None:
-        # Each worker starts through init_worker, given the plugin
-        # modules a spawn child would otherwise lack.
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.api.registry import registration_modules
-
-        context = worker_context(self.mp_start_method)
-        workers = min(self.n_workers, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=init_worker,
-            initargs=(registration_modules(),),
-        ) as pool:
-            futures = {
-                pool.submit(execute_task, task): key
-                for key, task in pending.items()
-            }
-            # Drain as results land so the checkpoint journal always
-            # reflects real progress, even if a later cell crashes.
-            waiting = set(futures)
-            lost: list[str] = []
-            while waiting:
-                finished, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        # A dead worker fails every unfinished future;
-                        # keep draining so the ones that did finish are
-                        # still recorded before we report.
-                        lost.append(futures[future])
-                    else:
-                        self._record(resolved, result)
-            if lost:
-                raise RuntimeError(
-                    f"a pool worker process died (killed, out of memory, "
-                    f"or os._exit) with {len(lost)} cell(s) in flight: "
-                    f"{sorted(lost)}. Every cell that finished is recorded "
-                    f"— the checkpoint journal and result cache are intact "
-                    f"— so re-running the same grid executes only these."
-                )
-
     def _run_queue(
         self,
         pending: dict[str, ExperimentTask],
         resolved: dict[str, TaskResult],
     ) -> None:
-        """Dispatch pending cells through the shared-directory queue.
-
-        The cache/checkpoint recall layers above are untouched: only
-        genuinely pending cells are enqueued, and every published result
-        flows back through :meth:`_record`, so the coordinator's journal
-        and cache end up identical to a pool run's.
-        """
+        """Dispatch the pending cells (only those) through the queue;
+        every result flows back through :meth:`_record`."""
         from repro.dist.coordinator import dispatch_tasks
 
-        results = dispatch_tasks(
-            self.queue_dir,
-            list(pending.values()),
-            n_workers=self.n_workers,
-            lease_ttl=self.lease_ttl,
-            mp_start_method=self.mp_start_method,
-            cell_timeout_s=self.cell_timeout_s,
-            supervise=self.supervise,
-        )
+        queue_dir = self.queue_dir
+        if queue_dir is None:
+            import tempfile
+
+            queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
+        line, before = self._progress_line, len(resolved)
+        try:
+            results = dispatch_tasks(
+                queue_dir,
+                list(pending.values()),
+                n_workers=min(self.n_workers, len(pending)),
+                lease_ttl=self.lease_ttl,
+                mp_start_method=self.mp_start_method,
+                cell_timeout_s=self.cell_timeout_s,
+                supervise=self.supervise,
+                on_progress=lambda done: line.update(before + done),
+            )
+        except Exception as exc:
+            if self.queue_dir is not None:
+                raise
+            raise RuntimeError(
+                f"grid dispatch failed: {exc}\nIts queue is kept at {queue_dir}: "
+                f"re-run with queue_dir (repro run --queue {queue_dir}) to "
+                f"execute only the unfinished cells."
+            ) from exc
+        if self.queue_dir is None:
+            import shutil
+
+            shutil.rmtree(queue_dir, ignore_errors=True)
         for key in pending:
             self._record(resolved, results[key])

@@ -1,8 +1,8 @@
 """Task execution: the one function every runner mode goes through.
 
 :func:`execute_task` is deliberately the *only* code path that turns an
-:class:`ExperimentTask` into metrics — the serial loop and the process
-pool both call it, so "parallel equals serial" holds by construction
+:class:`ExperimentTask` into metrics — the inline loop and every queue
+worker call it, so "parallel equals serial" holds by construction
 rather than by careful bookkeeping. It is a pure function of the task:
 every RNG stream inside derives from ``task.seed`` (via the library's
 ``SeedSequence``-based spawning), so re-running a task anywhere, in any
@@ -32,10 +32,9 @@ __all__ = ["execute_task", "init_worker", "replay_cell", "worker_context"]
 
 
 def worker_context(start_method: str | None = None):
-    """The multiprocessing context cell-executing processes start under
-    (pool and queue workers alike): ``start_method`` when given, else
-    "fork" where available (cheap, inherits the warm interpreter) and
-    "spawn" elsewhere.
+    """The multiprocessing context the queue's local workers start
+    under: ``start_method`` when given, else "fork" where available
+    (cheap, inherits the warm interpreter) and "spawn" elsewhere.
 
     Under "fork" it first imports what a cell runs (NumPy with it), so
     that every child inherits those modules instead of importing its
@@ -51,7 +50,7 @@ def worker_context(start_method: str | None = None):
 
 
 def init_worker(modules: tuple[str, ...] = ()) -> None:
-    """The start-up of every worker process (pool, supervised and
+    """The start-up of every worker process (supervised and
     ``repro work``): one BLAS thread
     (:func:`~repro.utils.blas.limit_blas_threads`), then the plugin
     registration ``modules`` re-imported, so a ``spawn`` child resolves
@@ -77,7 +76,7 @@ def execute_task(task: ExperimentTask) -> TaskResult:
     task_key = task.key()
     # One cell span (build → train → evaluate) with the cell key bound
     # into every event/log record emitted inside — including those from
-    # a pool worker, whose fork-aware sink files this span lands in.
+    # a queue worker, whose fork-aware sink files this span lands in.
     obs_session = _obs_runtime.session
     _cell_obs = contextlib.ExitStack()
     if obs_session is not None:
@@ -116,8 +115,8 @@ def execute_task(task: ExperimentTask) -> TaskResult:
     if obs_session is not None:
         obs_session.metrics.counter("cells.executed").inc()
         obs_session.metrics.histogram("cell.wall_s").observe(result.wall_time)
-        # Persist this process's snapshot per cell: pool children have no
-        # other flush point before the pool tears them down.
+        # Persist this process's snapshot per cell: a worker may be
+        # killed with no other flush point.
         obs_session.write_metrics()
     return result
 

@@ -15,7 +15,7 @@ win on collision.
 Writing goes through :class:`JsonlSink`, which is **fork-aware**: files
 are suffixed with the writer's pid (``events-<pid>.jsonl``) and the
 sink lazily reopens under a new name when it notices the pid changed,
-so pool workers forked mid-session never interleave bytes with their
+so queue workers forked mid-session never interleave bytes with their
 parent. Every record is flushed on write — an event log that loses its
 tail on SIGKILL would be useless for exactly the crashes it exists to
 explain.

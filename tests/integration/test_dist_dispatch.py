@@ -71,10 +71,10 @@ class TestQueueDispatchIdentity:
         assert all(r.worker_id for r in ordered)
         assert all(r.hostname for r in ordered)
 
-    def test_runner_queue_mode_matches_pool_journal(
+    def test_runner_queue_mode_feeds_cache_and_journal(
         self, grid_config, serial_exact, tmp_path
     ):
-        """dispatch='queue' feeds the same cache/checkpoint layers."""
+        """A queue run feeds the same cache/checkpoint layers."""
         tasks = _tasks(grid_config)
         runner = ExperimentRunner(
             n_workers=2,

@@ -76,28 +76,32 @@ def test_unsupervised_crash_strikes_and_releases_the_held_cell(
 
 
 class TestDerivedDispatch:
-    def test_dispatch_is_derived_from_queue_dir(self, tmp_path):
-        assert ExperimentRunner().dispatch == "pool"
+    def test_dispatch_is_derived_from_queue_dir_and_workers(self, tmp_path):
+        assert ExperimentRunner().dispatch == "inline"
+        assert ExperimentRunner(n_workers=2).dispatch == "queue"
         assert ExperimentRunner(queue_dir=tmp_path / "q").dispatch == "queue"
         with pytest.raises(TypeError):
             ExperimentRunner(dispatch="queue", queue_dir=tmp_path / "q")
 
-    def test_scenario_execution_dispatch_key_still_loads_and_runs(
-        self, tmp_path
-    ):
+    def test_scenario_execution_dispatch_key_is_refused(self, tmp_path):
+        """``execution.dispatch`` selected nothing a ``queue_dir`` did
+        not, and is gone: a scenario that sets it is rejected, naming
+        the key, before anything runs."""
         from repro.api import run_scenario
 
-        result = run_scenario({
-            "methods": ["heuristic"],
-            "workloads": ["S1"],
-            "system": {"name": "mini_theta", "nodes": 32, "bb_units": 16},
-            "train": False,
-            "config": {"n_jobs": 15, "window_size": 5},
-            "execution": {
-                "dispatch": "queue",
-                "queue_dir": str(tmp_path / "q"),
-                "workers": 1,
-            },
-        })
-        assert result.reports["S1"]["heuristic"].n_jobs == 15
-        assert WorkQueue(tmp_path / "q", create=False).status().done == 1
+        with pytest.raises(
+            ValueError, match=r"unknown execution field\(s\) \['dispatch'\]"
+        ):
+            run_scenario({
+                "methods": ["heuristic"],
+                "workloads": ["S1"],
+                "system": {"name": "mini_theta", "nodes": 32, "bb_units": 16},
+                "train": False,
+                "config": {"n_jobs": 15, "window_size": 5},
+                "execution": {
+                    "dispatch": "queue",
+                    "queue_dir": str(tmp_path / "q"),
+                    "workers": 1,
+                },
+            })
+        assert not (tmp_path / "q").exists()

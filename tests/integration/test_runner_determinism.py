@@ -4,8 +4,9 @@ The engine's core guarantee — serial and parallel execution of the same
 grid produce bit-identical :class:`MetricReport` values — is what lets
 every later scaling PR swap execution strategies without a result audit.
 These tests lock it down with exact (``==``, not approximate) float
-comparisons, across worker counts, task orderings, and the cache/
-checkpoint recall paths.
+comparisons, across worker counts (more than one runs the grid on a
+private temporary queue), task orderings, and the cache/checkpoint/
+queue recall paths.
 """
 
 from __future__ import annotations
@@ -264,53 +265,125 @@ class TestScenarioCompilation:
             SCHEDULERS.unregister("toy_lifo")
 
 
-class TestPoolWorkerDeath:
-    def test_dead_worker_names_lost_cells_and_a_rerun_resumes(
-        self, grid_config, tmp_path
-    ):
-        """A pool worker killed mid-grid (OOM, SIGKILL, os._exit) must
-        not cost the cells that finished: they are journaled before the
-        run raises, the error names what was in flight, and a second
-        run() executes only those."""
+class TestPrivateQueue:
+    """More than one worker and no ``queue_dir``: the grid runs on a
+    private temporary queue, removed on success and kept on failure."""
+
+    def test_a_killed_worker_costs_no_finished_cell(self, grid_config, tmp_path):
+        """A queue worker killed mid-grid (OOM, SIGKILL, os._exit) costs
+        no published cell: the cell it held takes a strike and is
+        re-issued, the other worker and then the coordinator's inline
+        drain finish the grid, and no cell runs again once published."""
         import os
 
         from repro.api import SCHEDULERS, register_scheduler
 
         parent = os.getpid()
+        builds = tmp_path / "builds"
+        builds.mkdir()
 
-        @register_scheduler("dies_in_pool", description="os._exit in a child")
-        def dies_in_pool(system, window_size=10, seed=None):
+        @register_scheduler("dies_in_worker", description="os._exit in a child")
+        def dies_in_worker(system, window_size=10, seed=None):
             if os.getpid() != parent:
                 os._exit(3)
             return SCHEDULERS.get("heuristic").build(
                 system, window_size=window_size, seed=seed
             )
 
+        @register_scheduler("counted", description="heuristic, logging its builds")
+        def counted(system, window_size=10, seed=None):
+            with open(builds / str(seed), "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return SCHEDULERS.get("heuristic").build(
+                system, window_size=window_size, seed=seed
+            )
+
         try:
-            tasks = grid_tasks(
-                ["heuristic"], ["S1"], grid_config, n_seeds=3
-            ) + grid_tasks(["dies_in_pool"], ["S1"], grid_config)
+            healthy = grid_tasks(["counted"], ["S1"], grid_config, n_seeds=3)
+            serial = ExperimentRunner(n_workers=1).run(healthy)
+            tasks = healthy + grid_tasks(["dies_in_worker"], ["S1"], grid_config)
             ckpt = tmp_path / "ckpt.jsonl"
-            with pytest.raises(RuntimeError, match="pool worker process died") as exc:
-                ExperimentRunner(
-                    n_workers=2, mp_start_method="fork", checkpoint_path=ckpt
-                ).run(tasks)
-            message = str(exc.value)
-            assert "re-running the same grid" in message
-            assert tasks[-1].key() in message  # the killer was in flight
-            lost = {t.key() for t in tasks if t.key() in message}
-            survivor = ExperimentRunner(n_workers=1, checkpoint_path=ckpt)
-            finished = set(survivor._load_checkpoint())
-            # Whatever finished before the death is in the journal …
-            assert finished and finished == {t.key() for t in tasks} - lost
-            # … and the re-run (inline: the parent does not die) executes
-            # only the rest.
-            resumed = survivor.run(tasks)
-            assert [r.source for r in resumed] == [
-                "checkpoint" if t.key() in finished else "run" for t in tasks
-            ]
+            results = ExperimentRunner(
+                n_workers=2, mp_start_method="fork", checkpoint_path=ckpt,
+                lease_ttl=1.0,
+            ).run(tasks)
+            assert [r.source for r in results] == ["run"] * len(tasks)
+            assert _exact(results[:-1]) == _exact(serial)
+            # The killer finished only in the coordinator's own process.
+            assert results[-1].worker_id.startswith("coord-")
+            # After the serial build, the last build of each cell is the
+            # one whose result was published: none ran after it.
+            for result in results[:-1]:
+                pids = (builds / str(result.seed)).read_text().split()
+                assert pids[0] == str(parent) and len(pids) >= 2
+                assert pids[-1] == str(result.worker_pid)
+            # Every cell is journaled, so a re-run executes none.
+            resumed = ExperimentRunner(n_workers=1, checkpoint_path=ckpt).run(tasks)
+            assert [r.source for r in resumed] == ["checkpoint"] * len(tasks)
         finally:
-            SCHEDULERS.unregister("dies_in_pool")
+            SCHEDULERS.unregister("dies_in_worker")
+            SCHEDULERS.unregister("counted")
+
+    def test_a_finished_run_leaves_tmpdir_as_it_found_it(
+        self, grid_config, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        tasks = grid_tasks(["heuristic"], ["S1"], grid_config, n_seeds=2)
+        runner = ExperimentRunner(n_workers=2)
+        assert runner.dispatch == "queue"
+        runner.run(tasks)
+        assert list(scratch.iterdir()) == []
+
+    def test_a_failed_dispatch_keeps_its_queue_and_a_rerun_resumes(
+        self, grid_config, tmp_path, monkeypatch
+    ):
+        """The error names the kept directory; given as ``queue_dir``,
+        it recalls the cells that finished and executes only the rest."""
+        import tempfile
+
+        from repro.dist import coordinator
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        tasks = grid_tasks(["heuristic"], ["S1"], grid_config, n_seeds=4)
+        dispatch = coordinator.dispatch_tasks
+
+        def dies_halfway(queue_dir, cells, **kwargs):
+            dispatch(queue_dir, cells[:2], **kwargs)
+            raise OSError("store went away")
+
+        monkeypatch.setattr(coordinator, "dispatch_tasks", dies_halfway)
+        with pytest.raises(RuntimeError, match="store went away") as exc:
+            ExperimentRunner(n_workers=2, lease_ttl=5.0).run(tasks)
+        (kept,) = tmp_path.glob("repro-queue-*")
+        assert str(kept) in str(exc.value)
+
+        monkeypatch.setattr(coordinator, "dispatch_tasks", dispatch)
+        resumed = ExperimentRunner(n_workers=2, queue_dir=kept, lease_ttl=5.0).run(tasks)
+        assert [r.source for r in resumed] == ["queue"] * 2 + ["run"] * 2
+        assert _exact(resumed) == _exact(ExperimentRunner(n_workers=1).run(tasks))
+
+    def test_progress_follows_the_frontier_snapshots(self, grid_config, tmp_path):
+        """The coordinator reports the done count of each pass's
+        frontier snapshot: it only grows, and ends at the grid."""
+        from repro.dist import dispatch_tasks
+
+        tasks = grid_tasks(["heuristic"], ["S1"], grid_config, n_seeds=3)
+        seen: list[int] = []
+        dispatch_tasks(tmp_path / "q", tasks, n_workers=2, on_progress=seen.append)
+        assert seen == sorted(seen) and seen[-1] == len(tasks)
+
+    def test_a_recalled_queue_cell_reports_its_source(self, grid_config, tmp_path):
+        tasks = grid_tasks(["heuristic"], ["S1"], grid_config, n_seeds=2)
+        first = ExperimentRunner(n_workers=2, queue_dir=tmp_path / "q").run(tasks)
+        again = ExperimentRunner(n_workers=2, queue_dir=tmp_path / "q").run(tasks)
+        assert [r.source for r in first] == ["run", "run"]
+        assert [r.source for r in again] == ["queue", "queue"]
+        assert _exact(again) == _exact(first)
 
 
 class TestSeedSpawning:

@@ -77,26 +77,23 @@ class TestRegistrationShipping:
 
 class TestSpawnGridSmoke:
     @pytest.mark.parametrize(
-        ("start_method", "queue"),
-        [("spawn", False), ("fork", False), ("spawn", True), ("fork", True)],
-        ids=["spawn", "fork", "spawn-queue", "fork-queue"],
+        "start_method", ["spawn", "fork"], ids=["spawn-queue", "fork-queue"]
     )
-    def test_plugin_grid_runs_under_pool(
-        self, plugin, smoke_config, start_method, queue, tmp_path
+    def test_plugin_grid_runs_on_queue_workers(
+        self, plugin, smoke_config, start_method, tmp_path
     ):
         """The regression: a spawn worker resolving a plugin-registered
-        method, in a process pool or as a queue worker (which finds the
-        plugin on the parent's ``sys.path``, a prepended temp dir).
-        Metrics must equal the serial run bit-for-bit."""
+        method as a queue worker (which finds the plugin on the parent's
+        ``sys.path``, a prepended temp dir). Metrics must equal the
+        serial run bit-for-bit."""
         tasks = grid_tasks([plugin], ["S1"], smoke_config, n_seeds=2)
         serial = ExperimentRunner(n_workers=1).run(tasks)
-        pooled = ExperimentRunner(
-            n_workers=2, mp_start_method=start_method,
-            queue_dir=tmp_path / "q" if queue else None,
+        queued = ExperimentRunner(
+            n_workers=2, mp_start_method=start_method, queue_dir=tmp_path / "q",
         ).run(tasks)
         assert [
             (r.key, {w: m.full_dict() for w, m in r.metrics.items()})
-            for r in pooled
+            for r in queued
         ] == [
             (r.key, {w: m.full_dict() for w, m in r.metrics.items()})
             for r in serial

@@ -1,4 +1,4 @@
-"""Pool and queue workers run one BLAS thread, whatever the parent runs.
+"""Queue workers run one BLAS thread, whatever the parent runs.
 
 A worker forked from a process whose OpenBLAS runs every core would
 inherit that count, and N workers would run N × cores threads. Each test
@@ -62,7 +62,7 @@ def _reported(out) -> dict[int, int]:
     return {int(path.name): int(path.read_text()) for path in out.iterdir()}
 
 
-def test_pool_worker_runs_one_blas_thread(probe):
+def test_private_queue_worker_runs_one_blas_thread(probe):
     ExperimentRunner(n_workers=2, mp_start_method="fork").run(_tasks())
     reported = _reported(probe)
     assert reported and os.getpid() not in reported

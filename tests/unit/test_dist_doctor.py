@@ -174,6 +174,53 @@ def test_orphan_and_expired_task_leases(tmp_path):
     assert queue.leases.read(pending_key) is None
 
 
+def test_token_orphan_is_a_dead_owners_token_only(tmp_path):
+    """A lease token whose owner holds no lease and is not running is an
+    ``info`` finding that ``--repair`` unlinks, leaving the done markers
+    linked to its inode; a live coordinator (it holds
+    ``__coordinator__``) and a live idle worker (a fresh record) are
+    never flagged."""
+    import os
+
+    queue = WorkQueue(tmp_path / "q", lease_ttl=0.05)
+    tasks = tiny_tasks(n_seeds=5)
+    ensure_enqueued(queue, tasks)
+    host = socket.gethostname().split(".")[0]
+    leader = WorkQueue(tmp_path / "q", lease_ttl=30.0).leases
+    assert leader.try_claim(COORDINATOR_KEY, f"coord-{host}-{os.getpid()}")
+    records = {
+        "w-exited": {"exited": True},
+        "w-stale": {"last_seen": time.time() - 3600},
+        "w-killed": {"pid": dead_pid()},  # fresh record, pid gone
+        "w-idle": {},
+    }
+    for task, (owner, record) in zip(tasks, records.items()):
+        assert queue.leases.try_claim(task.key(), owner)
+        queue.mark_done(task.key(), owner)
+        assert queue.leases.release(task.key(), owner)
+        queue.register_worker(owner, **record)
+    # Dead, but still holding a lease: the lease findings own it first.
+    assert queue.leases.try_claim(tasks[-1].key(), "w-holding")
+    queue.register_worker("w-holding", exited=True)
+    time.sleep(0.1)  # every token is past its ttl
+    tokens = queue.leases.tokens_dir
+
+    dry = audit_queue(tmp_path / "q", stale_worker_s=60.0)
+    orphans = [f for f in dry.findings if f.check == "token-orphan"]
+    assert sorted(f.path for f in orphans) == sorted(
+        str(tokens / f"{owner}.json") for owner in ("w-exited", "w-stale", "w-killed")
+    )
+    assert {f.severity for f in orphans} == {"info"}
+    assert not any(f.repaired for f in orphans)
+
+    fixed = audit_queue(tmp_path / "q", repair=True, stale_worker_s=60.0)
+    assert all(f.repaired for f in fixed.findings if f.check == "token-orphan")
+    assert sorted(p.name for p in tokens.iterdir()) == sorted(
+        [f"coord-{host}-{os.getpid()}.json", "w-idle.json"]
+    )
+    assert queue.done_keys() == {t.key() for t in tasks[:-1]}
+
+
 def test_tombstones_and_tmp_debris_are_info(tmp_path):
     queue = WorkQueue(tmp_path / "q")
     (queue.leases._tombstones / "k1.json").write_text("{}")

@@ -18,7 +18,7 @@ SCENARIO_KEYS = {
     },
     "system": {"name", "nodes", "bb_units"},
     "execution": {
-        "dispatch", "queue_dir", "workers", "lease_ttl", "cell_timeout_s", "supervise",
+        "queue_dir", "workers", "lease_ttl", "cell_timeout_s", "supervise",
     },
     "config": {
         "n_jobs", "window_size", "jobs_per_trainset", "curriculum_sets",
@@ -93,7 +93,6 @@ class TestKindRule:
         ("work", "cell_timeout", 0.0),  # 0: no watchdog
         ("doctor", "stale_after", 0.0),  # 0: every unexited worker is stale
         ("queue-status", "watch", None),  # no --watch: one snapshot
-        ("execution", "dispatch", "queue"),
     ])
     def test_accepts(self, section, key, value):
         check_knobs(section, {key: value})

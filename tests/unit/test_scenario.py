@@ -386,7 +386,7 @@ SCALAR_KINDS = {
         and all(is_int(n) and n >= 0 for n in v),
     },
     "execution": {
-        "dispatch": str, "queue_dir": str, "workers": is_int, "lease_ttl": is_number,
+        "queue_dir": str, "workers": is_int, "lease_ttl": is_number,
         "cell_timeout_s": is_number, "supervise": bool,
     },
 }
@@ -405,7 +405,7 @@ def assert_well_typed(scenario: Scenario) -> None:
         for key, value in getattr(scenario, section).items():
             # null reads as "not given" where the section allows it
             assert (value is None and section in ("system", "execution")
-                    and key not in ("name", "dispatch", "supervise")
+                    and key not in ("name", "supervise")
                     ) or has_kind(value, kinds[key]), (section, key, value)
 
 
