@@ -26,7 +26,7 @@ __all__ = ["build_cnn_state_module"]
 class _ToSequence(Layer):
     """View a flat (B, F) state as a (B, F, 1) one-channel sequence."""
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return x[:, :, None]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

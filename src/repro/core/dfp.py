@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.layers import Dense, LeakyReLU, SlotDense
+from repro.nn.layers import Dense, LeakyReLU, SlotDense, reuse
 from repro.nn.losses import mse_loss
-from repro.nn.network import InferenceWorkspace, Sequential, reject_unknown_keys
+from repro.nn.network import Sequential, reject_unknown_keys
 from repro.nn.optim import Adam
 from repro.utils.rng import as_generator, spawn_generators
 
@@ -311,15 +311,9 @@ class DFPNetwork:
                 [joint, c.stream_hidden, c.n_actions * c.pred_dim], rngs[9:11], False
             )
         self._joint_splits: tuple[int, int] = (state_out, state_out + c.module_out)
-        # Reused inference buffers: one workspace per entry shape class
-        # (per-decision scoring vs batched replay scoring), so the two
-        # paths do not thrash each other's buffers; the workspace path is
-        # bit-identical to the allocating one.
-        self._score_ws = InferenceWorkspace()
-        self._batch_ws = InferenceWorkspace()
-        # ``forward``/``backward`` pack their joint and head tensors here
-        # (always float64; the layers own their activation buffers).
-        self._train_ws = InferenceWorkspace()
+        # The joint, slot and joint-gradient packing (:func:`reuse`); the
+        # layers own their activation buffers.
+        self._buffers: dict[str, np.ndarray] = {}
 
     @property
     def layers(self) -> list:
@@ -337,69 +331,53 @@ class DFPNetwork:
     # -- forward / backward ------------------------------------------------
 
     def forward(
-        self,
-        state: np.ndarray,
-        measurement: np.ndarray,
-        goal: np.ndarray,
-        training: bool = False,
+        self, state: np.ndarray, measurement: np.ndarray, goal: np.ndarray
     ) -> np.ndarray:
         """Predict future measurement changes: (B, n_actions, pred_dim).
 
-        The result is a fresh array; with ``training`` the intermediate
-        activations live in buffers the layers reuse batch after batch.
+        The result is a fresh array; the intermediate activations live
+        in buffers the layers own, valid until the next forward, so a
+        training forward runs its :meth:`backward` straight after.
+        Inputs of any real dtype are taken as float64.
         """
         c = self.config
-        ws = self._train_ws
-        joint = self._joint_into(
-            ws,
-            self.state_net.forward(state, training=training),
-            self.meas_net.forward(measurement, training=training),
-            self.goal_net.forward(goal, training=training),
+        state, joint = self._joint(state, measurement, goal)
+        expectation = self.expectation_stream.forward(joint)
+        actions = self.action_stream.forward(self._action_input(state, joint)).reshape(
+            joint.shape[0], c.n_actions, c.pred_dim
         )
-        expectation = self.expectation_stream.forward(joint, training=training)
-        actions = self.action_stream.forward(
-            self._action_input(ws, state, joint), training=training
-        ).reshape(joint.shape[0], c.n_actions, c.pred_dim)
         # Dueling normalisation: per-(measurement, offset) zero mean
         # across actions, so the expectation stream carries the average.
         normalised = actions - actions.mean(axis=1, keepdims=True)
         return expectation[:, None, :] + normalised
 
-    def _joint_into(
-        self, ws: InferenceWorkspace, s: np.ndarray, m: np.ndarray, g: np.ndarray
-    ) -> np.ndarray:
-        """Pack the three input modules' outputs into the reused
-        joint-representation buffer (what ``np.concatenate`` built)."""
-        joint = ws.buffer("joint", (s.shape[0], self._joint_dim))
+    #: The name ``DFPAgent.action_scores_batch`` calls (and
+    #: ``benchmarks/e2e/trace.py`` times): the one forward.
+    forward_infer = forward
+
+    def _joint(self, state, measurement, goal) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 state and the joint representation: the three
+        input modules' outputs packed into the reused buffer (what
+        ``np.concatenate`` built)."""
+        state = np.ascontiguousarray(state, dtype=np.float64)
+        s = self.state_net.forward(state)
+        m = self.meas_net.forward(np.ascontiguousarray(measurement, dtype=np.float64))
+        g = self.goal_net.forward(np.ascontiguousarray(goal, dtype=np.float64))
+        joint = reuse(self._buffers, "joint", (s.shape[0], self._joint_dim))
         i, j = self._joint_splits
         joint[:, :i] = s
         joint[:, i:j] = m
         joint[:, j:] = g
-        return joint
+        return state, joint
 
-    def _infer_joint(
-        self,
-        ws: InferenceWorkspace,
-        state: np.ndarray,
-        measurement: np.ndarray,
-        goal: np.ndarray,
-    ) -> np.ndarray:
-        """The joint representation on the inference path."""
-        return self._joint_into(
-            ws,
-            self.state_net.infer(state, ws, "state"),
-            self.meas_net.infer(measurement, ws, "meas"),
-            self.goal_net.infer(goal, ws, "goal"),
-        )
-
-    def _action_input(self, ws: InferenceWorkspace, state: np.ndarray, joint: np.ndarray):
+    def _action_input(self, state: np.ndarray, joint: np.ndarray):
         """What the action stream consumes: the joint representation —
         for the shared head paired with the window's slot features as
         (B·A, slot) rows of a reused buffer (see :class:`SlotDense`)."""
         c = self.config
         if c.action_stream != "shared":
             return joint
-        slots = ws.buffer("slots", (joint.shape[0] * c.n_actions, c.slot_dim))
+        slots = reuse(self._buffers, "slots", (joint.shape[0] * c.n_actions, c.slot_dim))
         slots.reshape(joint.shape[0], -1)[...] = state[:, : c.n_actions * c.slot_dim]
         return joint, slots
 
@@ -410,8 +388,8 @@ class DFPNetwork:
         goal: np.ndarray,
         weights: np.ndarray,
     ) -> np.ndarray:
-        """Goal-weighted action scores, (B, n_actions) — the inference
-        fast path.
+        """Goal-weighted action scores, (B, n_actions) — the scheduler's
+        scoring path.
 
         The final layer of each stream is linear and the dueling
         normalisation commutes with a dot product, so the objective
@@ -422,33 +400,27 @@ class DFPNetwork:
         (B, n_actions, pred_dim) prediction tensor. Numerically equal to
         ``forward(...) @ weights`` up to float re-association.
 
-        Every intermediate activation lives in the network's reused
-        inference workspace — the per-decision tile allocations of the
-        layer-by-layer path are gone, and the scheduler's once-per-
-        selection call runs allocation-free in steady state. The
-        returned array is freshly allocated and safe to keep.
+        The other layers run their one ``forward`` into the buffers they
+        own, so the once-per-selection call allocates no activation in
+        steady state. The returned array is fresh and safe to keep.
         """
         c = self.config
-        ws = self._score_ws
-        state = np.ascontiguousarray(state, dtype=np.float64)
-        measurement = np.ascontiguousarray(measurement, dtype=np.float64)
-        goal = np.ascontiguousarray(goal, dtype=np.float64)
+        state, joint = self._joint(state, measurement, goal)
         weights = np.asarray(weights, dtype=np.float64)
-        joint = self._infer_joint(ws, state, measurement, goal)
         batch = joint.shape[0]
 
         exp_h = joint
-        for li, layer in enumerate(self.expectation_stream.layers[:-1]):
-            exp_h = layer.infer(exp_h, ws, ("exp", li))
+        for layer in self.expectation_stream.layers[:-1]:
+            exp_h = layer.forward(exp_h)
         exp_last = self.expectation_stream.layers[-1]
         expectation = exp_h @ (exp_last.params["W"] @ weights) + (
             exp_last.params["b"] @ weights
         )  # (B,)
 
         act_last = self.action_stream.layers[-1]
-        act_h = self._action_input(ws, state, joint)
-        for li, layer in enumerate(self.action_stream.layers[:-1]):
-            act_h = layer.infer(act_h, ws, ("act", li))
+        act_h = self._action_input(state, joint)
+        for layer in self.action_stream.layers[:-1]:
+            act_h = layer.forward(act_h)
         if c.action_stream == "shared":
             actions = (
                 act_h @ (act_last.params["W"] @ weights)
@@ -463,31 +435,6 @@ class DFPNetwork:
         actions = actions - actions.mean(axis=1, keepdims=True)
         return expectation[:, None] + actions
 
-    def forward_infer(
-        self,
-        state: np.ndarray,
-        measurement: np.ndarray,
-        goal: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`forward` for inference: same predictions (bit-identical),
-        no gradient caches, intermediates in the batched
-        workspace. Rows may carry different goals, so the weight folding
-        of :meth:`forward_scores` does not apply. Only
-        :meth:`DFPAgent.action_scores_batch` calls it.
-        """
-        c = self.config
-        ws = self._batch_ws
-        state = np.ascontiguousarray(state, dtype=np.float64)
-        measurement = np.ascontiguousarray(measurement, dtype=np.float64)
-        goal = np.ascontiguousarray(goal, dtype=np.float64)
-        joint = self._infer_joint(ws, state, measurement, goal)
-        expectation = self.expectation_stream.infer(joint, ws, "exp")
-        actions = self.action_stream.infer(
-            self._action_input(ws, state, joint), ws, "act"
-        ).reshape(joint.shape[0], c.n_actions, c.pred_dim)
-        normalised = actions - actions.mean(axis=1, keepdims=True)
-        return expectation[:, None, :] + normalised
-
     def backward(self, grad_pred: np.ndarray) -> None:
         """Backpropagate d(loss)/d(prediction) through both streams."""
         c = self.config
@@ -495,7 +442,7 @@ class DFPNetwork:
         grad_exp = grad_pred.sum(axis=1)
         # y_a = A_a - mean_a(A)  =>  dA_a = dy_a - mean_a(dy).
         grad_act = grad_pred - grad_pred.mean(axis=1, keepdims=True)
-        grad_joint = self._train_ws.buffer("grad_joint", (batch, self._joint_dim))
+        grad_joint = reuse(self._buffers, "grad_joint", (batch, self._joint_dim))
         grad_exp_joint = self.expectation_stream.backward(grad_exp)
         # The shared head sees one row per (sample, slot) and sums the
         # joint gradient back over slots itself (:class:`SlotDense`).
@@ -563,7 +510,7 @@ class DFPAgent:
         self.optimizer = Adam(self.network.layers, lr=config.lr)
         self.replay = StratifiedReplay(config.replay_capacity)
         self.epsilon = config.epsilon_start
-        self._minibatch = InferenceWorkspace()  # train_batch gathers into it
+        self._minibatch: dict[str, np.ndarray] = {}  # train_batch gathers into it
         # Goal vectors are constant within a scheduling instance but the
         # agent scores once per selection — memoise the last flattening.
         self._weights_key: bytes | None = None
@@ -571,30 +518,23 @@ class DFPAgent:
 
     # -- acting ------------------------------------------------------------
 
-    def _objective_weights(self, goal: np.ndarray) -> np.ndarray:
-        """The memoised (pred_dim,) objective vector — no defensive copy.
-
-        Internal fast path: the scoring calls below only *read* the
-        vector, so the per-decision copy the public accessor makes is
-        pure overhead there.
-        """
-        key = goal.tobytes()
-        if key != self._weights_key:
-            c = self.config
-            w = np.asarray(c.temporal_weights)
-            self._weights = (w[:, None] * goal[None, :]).reshape(c.pred_dim)
-            self._weights_key = key
-        return self._weights
-
     def objective_weights(self, goal: np.ndarray) -> np.ndarray:
         """Flatten goal × temporal weights to a (pred_dim,) vector.
 
         The pursued objective is ``Σ_τ w_τ · g · Δm̂_τ`` — the dot
         product of predicted measurement changes with the goal, weighted
-        over temporal offsets.
+        over temporal offsets. The vector is memoised per goal (a goal
+        is constant within a scheduling instance) and read-only, so no
+        caller can poison the memo and none needs a copy.
         """
-        # Copy so a caller mutating the result cannot poison the cache.
-        return self._objective_weights(goal).copy()
+        key = goal.tobytes()
+        if key != self._weights_key:
+            c = self.config
+            w = np.asarray(c.temporal_weights)
+            weights = (w[:, None] * goal[None, :]).reshape(c.pred_dim)
+            weights.setflags(write=False)
+            self._weights, self._weights_key = weights, key
+        return self._weights
 
     def action_scores(
         self, state: np.ndarray, measurement: np.ndarray, goal: np.ndarray
@@ -613,7 +553,7 @@ class DFPAgent:
             state[None, :],
             measurement[None, :],
             goal[None, :],
-            self._objective_weights(goal),
+            self.objective_weights(goal),
         )
         return scores[0]
 
@@ -734,7 +674,7 @@ class DFPAgent:
 
     def _gather(self, name: str, rows: list[np.ndarray], width: int) -> np.ndarray:
         """``np.vstack(rows)`` into the reused ``(len(rows), width)`` buffer."""
-        out = self._minibatch.buffer(name, (len(rows), width))
+        out = reuse(self._minibatch, name, (len(rows), width))
         np.concatenate(rows, out=out.reshape(-1))
         return out
 
@@ -751,7 +691,7 @@ class DFPAgent:
         actions = np.array([e.action for e in batch])
         targets_taken = self._gather("target", [e.target for e in batch], c.pred_dim)
 
-        preds = self.network.forward(states, meas, goals, training=True)
+        preds = self.network.forward(states, meas, goals)
         targets = preds.copy()
         targets[np.arange(n), actions] = targets_taken
         mask = np.zeros_like(preds)

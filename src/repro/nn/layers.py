@@ -2,16 +2,18 @@
 
 Each layer follows the same protocol:
 
-* ``forward(x, training=False)`` caches whatever the backward pass needs
-  and returns the output,
+* ``forward(x)`` caches whatever the backward pass needs and returns
+  the output — one forward, whether a decision is being scored or a
+  minibatch trained,
 * ``backward(grad_out)`` consumes the upstream gradient and returns the
   gradient with respect to the layer input, overwriting the parameter
   gradients in ``self.grads`` (nothing accumulates; nothing is zeroed),
-* ``Dense`` and ``LeakyReLU`` — the layers every training step runs —
-  write ``forward(x, training=True)`` and ``backward`` results into
-  buffers they own and reuse, so those arrays are valid only until the
-  layer's next training forward / backward; ``forward(x)`` without
-  ``training`` returns a fresh array the caller may keep,
+* ``Dense``, ``SlotDense`` and ``LeakyReLU`` — the layers the DFP network
+  runs — write ``forward`` and ``backward`` results into buffers they
+  own and reuse (:meth:`Layer._buffer`), so a returned array is valid
+  only until the same layer's next forward / backward: copy what must
+  outlive it, and run a training forward and its ``backward`` back to
+  back,
 * ``params`` / ``grads`` are dicts keyed by parameter name so optimizers
   and serialisation can treat all layers uniformly,
 * ``params`` of a weighted layer (``Dense``, ``SlotDense``, ``Conv1D``)
@@ -34,6 +36,7 @@ from repro.nn.init import he_init
 from repro.utils.rng import as_generator
 
 __all__ = [
+    "reuse",
     "Layer",
     "Dense",
     "SlotDense",
@@ -41,6 +44,16 @@ __all__ = [
     "Flatten",
     "LeakyReLU",
 ]
+
+
+def reuse(buffers: dict, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """``buffers[name]``, a persistent scratch array reallocated only when
+    ``shape`` changes — the one buffer rule of the layers, the DFP
+    network's packing and its agent's minibatch."""
+    buf = buffers.get(name)
+    if buf is None or buf.shape != shape:
+        buf = buffers[name] = np.empty(shape, dtype=dtype)
+    return buf
 
 
 class Layer:
@@ -81,41 +94,22 @@ class Layer:
         ``backward`` wrote, in place — optimisers hold views of them.
 
         The arrays appear, as zeros, at first access (the first backward
-        pass or optimiser step), so a process that only ever runs
-        ``infer`` never holds a dead copy of its weights.
+        pass or optimiser step), so a process that only ever scores
+        never holds a dead copy of its weights.
         """
         if self._grads is None:
             self._grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         return self._grads
 
     def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """The layer's persistent ``name`` scratch array, reallocated only
-        when the batch shape changes."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape, dtype=dtype)
-        return buf
+        """The layer's persistent ``name`` scratch array (:func:`reuse`)."""
+        return reuse(self._buffers, name, shape, dtype)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def infer(self, x: np.ndarray, workspace=None, key=None) -> np.ndarray:
-        """Inference-only forward pass.
-
-        Unlike :meth:`forward` it neither caches activations for a
-        backward pass nor (for layers that override it) allocates fresh
-        output arrays: with an
-        :class:`~repro.nn.network.InferenceWorkspace` the output lands
-        in a reused per-``key`` buffer. Values are bit-identical to
-        :meth:`forward`. The default falls back to ``forward``.
-        """
-        return self.forward(x)
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
 
 
 class Dense(Layer):
@@ -145,14 +139,12 @@ class Dense(Layer):
         self._defer((in_features, out_features), rng)
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"Dense expected input (B, {self.in_features}), got {x.shape}"
             )
         self._x = x
-        if not training:
-            return x @ self.params["W"] + self.params["b"]
         out = self._buffer("out", (x.shape[0], self.out_features))
         np.matmul(x, self.params["W"], out=out)
         out += self.params["b"]
@@ -167,14 +159,6 @@ class Dense(Layer):
             return None
         grad_in = self._buffer("grad_in", self._x.shape)
         return np.matmul(grad_out, self.params["W"].T, out=grad_in)
-
-    def infer(self, x: np.ndarray, workspace=None, key=None) -> np.ndarray:
-        if workspace is None:
-            return x @ self.params["W"] + self.params["b"]
-        out = workspace.buffer(key, (x.shape[0], self.out_features))
-        np.matmul(x, self.params["W"], out=out)
-        out += self.params["b"]
-        return out
 
 
 class SlotDense(Dense):
@@ -194,22 +178,16 @@ class SlotDense(Dense):
         super().__init__(joint_features + slot_features, out_features, rng=rng)
         self.joint_features = joint_features
 
-    def _pre(self, x, buffer=lambda name, shape: np.empty(shape)) -> np.ndarray:
-        """The definition, in arrays from ``buffer(name, shape)`` (fresh
-        ones by default)."""
-        joint, slots = x
+    def forward(self, x) -> np.ndarray:
+        joint, slots = self._x = x
         j, batch, width = self.joint_features, joint.shape[0], self.out_features
         w = self.params["W"]
-        base = np.matmul(joint, w[:j], out=buffer("base", (batch, width)))
+        base = np.matmul(joint, w[:j], out=self._buffer("base", (batch, width)))
         base += self.params["b"]
-        out = np.matmul(slots, w[j:], out=buffer("out", (slots.shape[0], width)))
+        out = np.matmul(slots, w[j:], out=self._buffer("out", (slots.shape[0], width)))
         rows = out.reshape(batch, -1, width)
         rows += base[:, None, :]
         return out
-
-    def forward(self, x, training: bool = False) -> np.ndarray:
-        self._x = x
-        return self._pre(x, self._buffer) if training else self._pre(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -224,11 +202,6 @@ class SlotDense(Dense):
         np.sum(summed, axis=0, out=self.grads["b"])
         grad_in = self._buffer("grad_in", joint.shape)
         return np.matmul(summed, self.params["W"][:j].T, out=grad_in)
-
-    def infer(self, x, workspace=None, key=None) -> np.ndarray:
-        if workspace is None:
-            return self._pre(x)
-        return self._pre(x, lambda name, shape: workspace.buffer((key, name), shape))
 
 
 class Conv1D(Layer):
@@ -274,7 +247,7 @@ class Conv1D(Layer):
         idx = starts[:, None] + np.arange(self.kernel_size)[None, :]
         return x[:, idx, :]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ValueError(
                 f"Conv1D expected input (B, L, {self.in_channels}), got {x.shape}"
@@ -314,7 +287,7 @@ class Flatten(Layer):
         super().__init__()
         self._x_shape: tuple[int, ...] | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -328,8 +301,8 @@ class LeakyReLU(Layer):
     """Leaky rectifier used by the MRSch state module (paper §III-A).
 
     ``alpha`` must be in [0, 1]: there the rectifier is ``max(x, αx)``
-    and its slope ``max(x > 0, α)``, the forms the training and
-    workspace passes compute.
+    and its slope ``max(x > 0, α)``, the forms ``forward`` and
+    ``backward`` compute.
     """
 
     def __init__(self, alpha: float = 0.01) -> None:
@@ -339,10 +312,7 @@ class LeakyReLU(Layer):
         self.alpha = alpha
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training:
-            self._mask = x > 0
-            return np.where(self._mask, x, self.alpha * x)
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = np.greater(x, 0, out=self._buffer("mask", x.shape, bool))
         out = self._buffer("out", x.shape)
         np.multiply(x, self.alpha, out=out)
@@ -356,11 +326,3 @@ class LeakyReLU(Layer):
         grad_in = self._buffer("grad_in", grad_out.shape)
         np.maximum(self._mask, self.alpha, out=grad_in)
         return np.multiply(grad_out, grad_in, out=grad_in)
-
-    def infer(self, x: np.ndarray, workspace=None, key=None) -> np.ndarray:
-        if workspace is None:
-            return np.where(x > 0, x, self.alpha * x)
-        out = workspace.buffer(key, x.shape)
-        np.multiply(x, self.alpha, out=out)
-        np.maximum(x, out, out=out)
-        return out

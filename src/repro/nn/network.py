@@ -1,5 +1,4 @@
-"""Sequential container chaining layers into a network, plus the
-reusable-buffer workspace the inference fast path runs on."""
+"""Sequential container chaining layers into a network."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["Sequential", "InferenceWorkspace", "reject_unknown_keys"]
+__all__ = ["Sequential", "reject_unknown_keys"]
 
 
 def reject_unknown_keys(state: dict, known: set[str]) -> None:
@@ -15,32 +14,6 @@ def reject_unknown_keys(state: dict, known: set[str]) -> None:
     unknown = sorted(set(state) - known)
     if unknown:
         raise KeyError(f"unexpected parameters: {', '.join(unknown)}")
-
-
-class InferenceWorkspace:
-    """Reused float64 output buffers for inference.
-
-    The per-decision scoring path used to allocate every intermediate
-    activation afresh — tens of small arrays per scheduling decision.
-    A workspace hands each ``(chain, layer)`` key a persistent output
-    buffer instead, so steady-state inference performs zero activation
-    allocations.
-
-    Buffers are recycled by key: the result a layer returns is only
-    valid until the same key is used again. Chains therefore give every
-    layer its own key, and public APIs copy anything they hand out.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[tuple, np.ndarray] = {}
-
-    def buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
-        """A persistent ``shape``-sized scratch array for ``key``."""
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=np.float64)
-            self._buffers[key] = buf
-        return buf
 
 
 class Sequential:
@@ -58,22 +31,11 @@ class Sequential:
         self.layers.append(layer)
         return self
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the chain; the result is the last layer's output, valid
+        until that layer's next forward (see :mod:`repro.nn.layers`)."""
         for layer in self.layers:
-            x = layer.forward(x, training=training)
-        return x
-
-    def infer(
-        self, x: np.ndarray, workspace: InferenceWorkspace | None = None, key: str = ""
-    ) -> np.ndarray:
-        """Inference-only forward pass (bit-identical values).
-
-        With a workspace, intermediate activations land in reused
-        buffers — the returned array is workspace-owned and valid only
-        until the next ``infer`` through the same keys.
-        """
-        for i, layer in enumerate(self.layers):
-            x = layer.infer(x, workspace, (key, i))
+            x = layer.forward(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
@@ -115,9 +77,6 @@ class Sequential:
                         f"shape mismatch for {key}: {state[key].shape} vs {param.shape}"
                     )
                 param[...] = state[key]
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -167,7 +167,7 @@ class ScalarRLScheduler(Scheduler):
         masks = np.vstack([step[1] for step in self._episode])
         actions = np.array([step[2] for step in self._episode])
 
-        logits = self.policy.forward(obs, training=True)
+        logits = self.policy.forward(obs)
         logits = np.where(masks, logits, _NEG_INF)
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)

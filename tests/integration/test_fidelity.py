@@ -13,6 +13,7 @@ tier-1 tests of their own.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import combinations
 from pathlib import Path
@@ -137,6 +138,15 @@ class TestFigureScenarios:
             for report in per.values():
                 assert 0.0 <= report.node_util <= 1.0
                 assert report.n_jobs == config.n_jobs
+        # Both state modules train and score through every layer forward
+        # (the CNN's Conv1D → Flatten → Dense too): any change to what a
+        # forward computes moves this digest of every report.
+        reports = {
+            workload: {label: report.full_dict() for label, report in per.items()}
+            for workload, per in result.reports.items()
+        }
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == "6db3000bed984b78e2bebfb7ce46ddf72e3b2b17e14ed0e161dad3a84450eb86"
 
     def test_easy_backfilling_pays_on_s4(self):
         """FCFS with EASY keeps the nodes busier and the queue shorter

@@ -54,7 +54,7 @@ __all__ = [
 
 
 class ReferenceDense(Dense):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"Dense expected input (B, {self.in_features}), got {x.shape}"
@@ -71,7 +71,7 @@ class ReferenceDense(Dense):
 
 
 class ReferenceSlotDense(SlotDense):
-    def forward(self, x, training: bool = False) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         joint, slots = self._x = x
         j = self.joint_features
         w, b = self.params["W"], self.params["b"]
@@ -108,7 +108,7 @@ class ConcatenatedSlotDense(SlotDense):
     """The parent layout: a plain ``Dense`` over the concatenation, the
     joint gradient summed back over slots afterwards."""
 
-    def forward(self, x, training: bool = False) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         self._x = x
         return concatenated_head(*x, self.params["W"], self.params["b"])
 
@@ -120,12 +120,9 @@ class ConcatenatedSlotDense(SlotDense):
         grad_joint = (grad_out @ self.params["W"].T)[:, : self.joint_features]
         return grad_joint.reshape(joint.shape[0], -1, self.joint_features).sum(axis=1)
 
-    def infer(self, x, workspace=None, key=None) -> np.ndarray:
-        return self.forward(x)
-
 
 class ReferenceLeakyReLU(LeakyReLU):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return np.where(self._mask, x, self.alpha * x)
 
@@ -177,23 +174,23 @@ def zero_grads(layers) -> None:
 
 
 class ReferenceDFPNetwork(DFPNetwork):
-    def forward(self, state, measurement, goal, training: bool = False) -> np.ndarray:
+    def forward(self, state, measurement, goal) -> np.ndarray:
         c = self.config
-        s = self.state_net.forward(state, training=training)
-        m = self.meas_net.forward(measurement, training=training)
-        g = self.goal_net.forward(goal, training=training)
+        s = self.state_net.forward(state)
+        m = self.meas_net.forward(measurement)
+        g = self.goal_net.forward(goal)
         joint = np.concatenate([s, m, g], axis=1)
-        expectation = self.expectation_stream.forward(joint, training=training)
+        expectation = self.expectation_stream.forward(joint)
         batch = joint.shape[0]
         if c.action_stream == "shared":
             slots = state[:, : c.n_actions * c.slot_dim].reshape(
                 batch * c.n_actions, c.slot_dim
             )
-            actions = self.action_stream.forward(
-                (joint, slots), training=training
-            ).reshape(batch, c.n_actions, c.pred_dim)
+            actions = self.action_stream.forward((joint, slots)).reshape(
+                batch, c.n_actions, c.pred_dim
+            )
         else:
-            raw = self.action_stream.forward(joint, training=training)
+            raw = self.action_stream.forward(joint)
             actions = raw.reshape(batch, c.n_actions, c.pred_dim)
         normalised = actions - actions.mean(axis=1, keepdims=True)
         return expectation[:, None, :] + normalised
@@ -231,7 +228,7 @@ class ReferenceDFPAgent(DFPAgent):
         actions = np.array([e.action for e in batch])
         targets_taken = np.vstack([e.target for e in batch])
 
-        preds = self.network.forward(states, meas, goals, training=True)
+        preds = self.network.forward(states, meas, goals)
         targets = preds.copy()
         targets[np.arange(n), actions] = targets_taken
         mask = np.zeros_like(preds)

@@ -22,7 +22,7 @@ class TestBuild:
     def test_gradients_flow(self, rng):
         module, _ = build_cnn_state_module(60, out_dim=8, rng=rng)
         x = rng.random((2, 60))
-        module.forward(x, training=True)
+        module.forward(x)
         grad_in = module.backward(np.ones((2, 8)))
         assert grad_in.shape == x.shape
         has_grad = any(

@@ -237,6 +237,13 @@ class TestAgentActing:
         w = agent.objective_weights(np.array([0.3, 0.7]))
         # offsets weights (0.5, 1.0) ⊗ goal (0.3, 0.7)
         np.testing.assert_allclose(w, [0.15, 0.35, 0.3, 0.7])
+        # Memoised per goal and read-only: no caller can poison the memo.
+        assert agent.objective_weights(np.array([0.3, 0.7])) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+        np.testing.assert_allclose(
+            agent.objective_weights(np.array([0.6, 0.4])), [0.3, 0.2, 0.6, 0.4]
+        )
 
     def test_act_respects_mask(self, rng):
         agent = DFPAgent(small_config(), rng=3)
@@ -428,9 +435,44 @@ class TestTrainingStepStorage:
         again = agent.network.forward(s + 1.0, m, g)
         assert not np.shares_memory(kept, again)
         np.testing.assert_array_equal(kept, snapshot)
-        layer = agent.network.state_net.layers[0]
-        out = layer.forward(s)
-        assert not np.shares_memory(out, layer.forward(s, training=True))
+
+    @pytest.mark.parametrize("stream", ["shared", "dense"])
+    def test_scoring_between_batches_changes_nothing(self, stream):
+        """Scoring and training run through the same layer buffers:
+        scoring one decision (B=1) and a batch (B=8) before every
+        minibatch leaves every loss, weight and Adam moment of 20
+        batches bit-equal to a twin that never scores, and a score kept
+        across a minibatch is unchanged."""
+        config = small_config(action_stream=stream)
+        rng = np.random.default_rng(5)
+        steps = [(rng.random(12), rng.random(2), rng.random(2), i % 4, i % 6 == 0)
+                 for i in range(48)]
+        future = [rng.random(2) for _ in steps]
+        plain, scored = DFPAgent(config, rng=4), DFPAgent(config, rng=4)
+        for agent in (plain, scored):
+            agent.record_episode(steps, future)
+        one = steps[0][:3]
+        batch = tuple(np.stack([step[k] for step in steps[:8]]) for k in range(3))
+
+        losses = []
+        for _ in range(20):
+            scored.action_scores(*one)
+            scored.action_scores_batch(*batch)
+            losses.append(scored.train_batch())
+        assert losses == [plain.train_batch() for _ in range(20)]
+        for layer, twin in zip(scored.network.layers, plain.network.layers, strict=True):
+            for name in layer.params:
+                np.testing.assert_array_equal(layer.params[name], twin.params[name])
+        moments, twin_moments = scored.optimizer, plain.optimizer
+        assert moments._m.keys() == twin_moments._m.keys()
+        for key in moments._m:
+            np.testing.assert_array_equal(moments._m[key], twin_moments._m[key])
+            np.testing.assert_array_equal(moments._v[key], twin_moments._v[key])
+
+        kept = scored.network.forward_scores(*batch, scored.objective_weights(one[2]))
+        snapshot = kept.copy()
+        scored.train_batch()
+        np.testing.assert_array_equal(kept, snapshot)
 
     def test_save_load_then_continue_is_uninterrupted_training(self, tmp_path):
         straight, resumed = self._agent(), self._agent()

@@ -2,7 +2,8 @@
 
 Contracts pinned here:
 
-* the workspace-backed ``forward_scores``/``forward_infer`` are
+* ``forward_scores`` and ``forward`` (``forward_infer`` is the same
+  method), running every layer into the buffers it owns, are
   **bit-identical** to the allocating layer-by-layer computation in
   float64 (buffer reuse must never change a score);
 * returned score arrays are safe to hold across calls (no aliasing of
@@ -120,12 +121,13 @@ class TestWorkspaceInference:
         )
 
     def test_training_forward_is_the_same_forward(self, net_and_inputs):
-        """One definition: the buffered training forward, the allocating
-        one and ``forward_infer`` agree bit for bit, and the folded
-        ``forward_scores`` stays within its 1e-12 of them."""
+        """One definition: ``forward_infer`` is ``forward``, a repeated
+        forward over the reused buffers agrees bit for bit, and the folded
+        ``forward_scores`` stays within its 1e-12 of it."""
         net, state, meas, goal, weights = net_and_inputs
+        assert DFPNetwork.forward_infer is DFPNetwork.forward
         plain = net.forward(state, meas, goal)
-        np.testing.assert_array_equal(net.forward(state, meas, goal, training=True), plain)
+        np.testing.assert_array_equal(net.forward(state, meas, goal), plain)
         np.testing.assert_array_equal(net.forward_infer(state, meas, goal), plain)
         np.testing.assert_allclose(
             net.forward_scores(state, meas, goal, weights), plain @ weights,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn.init import he_init
 from repro.nn.layers import Conv1D, Dense, Flatten, LeakyReLU, SlotDense
-from repro.nn.network import InferenceWorkspace
 
 
 class TestDense:
@@ -51,11 +50,11 @@ class TestDense:
         layer, twin = make(), make()
         x = rng.normal(size=x_shape)
         first, second = rng.normal(size=(2, *out_shape))
-        layer.forward(x, training=True)
+        layer.forward(x)
         layer.backward(first)
         arrays = dict(layer.grads)
         layer.backward(second)
-        twin.forward(x, training=True)
+        twin.forward(x)
         twin.backward(second)
         for name, grad in layer.grads.items():
             assert grad is arrays[name]
@@ -66,8 +65,8 @@ class TestDense:
         writes them."""
         layer = Dense(3, 2, rng=rng)
         x = rng.random((4, 3))
-        layer.infer(x)
-        layer.forward(x, training=True)
+        layer.forward(x[:1])
+        layer.forward(x)
         assert layer._grads is None
         layer.backward(np.ones((4, 2)))
         np.testing.assert_array_equal(layer.grads["W"], x.T @ np.ones((4, 2)))
@@ -132,8 +131,6 @@ class TestActivations:
         expected = np.where(x > 0, x, alpha * x)
         layer = LeakyReLU(alpha)
         np.testing.assert_array_equal(layer.forward(x), expected)
-        np.testing.assert_array_equal(layer.forward(x, training=True), expected)
-        np.testing.assert_array_equal(layer.infer(x, InferenceWorkspace(), "k"), expected)
         slope = layer.backward(np.ones_like(x))
         np.testing.assert_array_equal(slope, np.where(x > 0, 1.0, alpha))
 

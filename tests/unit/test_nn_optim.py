@@ -109,7 +109,7 @@ class TestGradientClipping:
         layer = Dense(3, 2, rng=rng)
         opt = Adam([layer], lr=0.1)
         before = {name: param.copy() for name, param in layer.params.items()}
-        layer.forward(rng.normal(size=(4, 3)), training=True)
+        layer.forward(rng.normal(size=(4, 3)))
         layer.backward(np.full((4, 2), np.nan))
         with pytest.raises(FloatingPointError):
             opt.clip_gradients(1.0)
@@ -134,7 +134,7 @@ def test_parameter_replaced_after_first_step_is_refused(rng):
     them after the layer dropped one would train a dead array."""
     net = Sequential([Dense(2, 4, rng=rng), Dense(4, 1, rng=rng)])
     opt = Adam(net.layers, lr=0.1)
-    net.forward(np.ones((3, 2)), training=True)
+    net.forward(np.ones((3, 2)))
     net.backward(np.ones((3, 1)))
     opt.step()
     replaced = net.layers[1].params["W"] = net.layers[1].params["W"].copy()
