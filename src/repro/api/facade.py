@@ -252,9 +252,9 @@ def run_single(
     The cell a grid runs (:func:`repro.exp.tasks.replay_cell`), keeping
     the scheduler — for agent internals such as the MRSch goal log
     behind Figs 8–9 — and replayed with ``record_timeline`` on: the
-    utilization timeline, and the Eq. 1 goal logged at every scheduling
-    instance (``scheduler.goal_series()``, empty after a grid cell's
-    unrecorded replay). Extra ``kwargs`` reach the scheduler constructor
+    Eq. 1 goal is logged at every scheduling instance
+    (``scheduler.goal_series()``, empty after a grid cell's unrecorded
+    replay). Extra ``kwargs`` reach the scheduler constructor
     (a scenario's per-method options).
     """
     from repro.exp.tasks import replay_cell

@@ -29,8 +29,8 @@ class _ToSequence(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x[:, :, None]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out[:, :, 0]
+    def backward(self, grad_out: np.ndarray | None) -> np.ndarray | None:
+        return None if grad_out is None else grad_out[:, :, 0]
 
 
 def build_cnn_state_module(
@@ -49,9 +49,10 @@ def build_cnn_state_module(
     """
     rng = as_generator(rng)
     rngs = spawn_generators(rng, 3)
-    conv1 = Conv1D(1, channels[0], kernel_sizes[0], stride=strides[0], rng=rngs[0])
+    # The raw state feeds conv1: nothing reads its input gradient.
+    conv1 = Conv1D(1, channels[0], kernel_sizes[0], strides[0], rng=rngs[0], input_grad=False)
     len1 = conv1.output_length(state_dim)
-    conv2 = Conv1D(channels[0], channels[1], kernel_sizes[1], stride=strides[1], rng=rngs[1])
+    conv2 = Conv1D(channels[0], channels[1], kernel_sizes[1], strides[1], rng=rngs[1])
     len2 = conv2.output_length(len1)
     flat_dim = len2 * channels[1]
     module = Sequential(

@@ -65,8 +65,8 @@ def init_worker(modules: tuple[str, ...] = ()) -> None:
 def execute_task(task: ExperimentTask) -> TaskResult:
     """Run one grid cell (:func:`replay_cell`) and keep its metrics.
 
-    Each workload replays without the utilization timeline or the Eq. 1
-    goal log: nothing in a cell reads them.
+    Each workload replays without the Eq. 1 goal log: nothing in a cell
+    reads it.
     """
     t0 = time.perf_counter()
     config = task.config
@@ -141,10 +141,9 @@ def replay_cell(
     iterator of ``(workload, SimulationResult)``: each workload is one
     :meth:`Simulator.run <repro.sim.simulator.Simulator.run>`, made when
     the iterator reaches it, so a caller that keeps only the metrics
-    holds one replay at a time. ``record_timeline`` records each
-    replay's utilization timeline and, for a policy that keeps one, the
-    Eq. 1 goal log (``goal_series()``); off, that policy refreshes the
-    goal only where a decision reads it.
+    holds one replay at a time. ``record_timeline`` makes a policy that
+    keeps the Eq. 1 goal log (``goal_series()``) log the goal at every
+    instance; off, it refreshes the goal only where a decision reads it.
     """
     # Imported at call time: these are the execution layer (NumPy with
     # it), which compiling a scenario never loads, and the end-to-end

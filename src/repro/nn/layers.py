@@ -210,7 +210,8 @@ class Conv1D(Layer):
     Used by the CNN state-module variant (paper Fig. 3). Implemented via
     an im2col-style window expansion so the inner product is one matmul.
     Like :class:`Dense`, it draws ``W`` at the first read of ``params``
-    from the ``rng`` it owns.
+    from the ``rng`` it owns, and ``input_grad=False`` (a layer fed raw
+    inputs) makes ``backward`` skip the input gradient and return ``None``.
     """
 
     def __init__(
@@ -220,6 +221,7 @@ class Conv1D(Layer):
         kernel_size: int,
         stride: int = 1,
         rng: np.random.Generator | int | None = None,
+        input_grad: bool = True,
     ) -> None:
         super().__init__()
         if kernel_size <= 0 or stride <= 0:
@@ -228,6 +230,7 @@ class Conv1D(Layer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
+        self.input_grad = input_grad
         self._defer((kernel_size, in_channels, out_channels), rng)
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
@@ -260,7 +263,7 @@ class Conv1D(Layer):
         w = self.params["W"].reshape(-1, self.out_channels)
         return flat @ w + self.params["b"]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         batch, out_len = grad_out.shape[0], grad_out.shape[1]
@@ -268,6 +271,8 @@ class Conv1D(Layer):
         grad_w = self.grads["W"].reshape(-1, self.out_channels)
         np.einsum("bof,bok->fk", flat, grad_out, out=grad_w)
         np.sum(grad_out, axis=(0, 1), out=self.grads["b"])
+        if not self.input_grad:
+            return None
 
         w = self.params["W"].reshape(-1, self.out_channels)
         grad_cols = (grad_out @ w.T).reshape(

@@ -119,8 +119,8 @@ class SchedulingContext:
     #: jobs started during this instance (filled by the scheduler loop)
     started: list[Job] = field(default_factory=list)
     #: the replay records its timeline (the simulator's own flag): a
-    #: policy then logs what it would otherwise skip, such as the Eq. 1
-    #: goal at every instance. A hand-built context records.
+    #: policy that keeps the Eq. 1 goal log logs the goal at every
+    #: instance. A hand-built context records.
     record_timeline: bool = True
 
     def __post_init__(self) -> None:

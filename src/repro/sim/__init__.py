@@ -10,15 +10,13 @@ re-implements those semantics:
     Typed events and a deterministic binary-heap event queue.
 ``episode``
     Snapshot/restore-able per-episode mutable state (pool, queue,
-    events, recorder, running set).
+    events, running set).
 ``simulator``
     The engine: submit/end event processing, scheduler invocation,
     job start bookkeeping.
 ``metrics``
     Paper §IV-B metrics (node/BB utilization, average wait, average
     slowdown) and power metrics for §V-E.
-``recorder``
-    Timeline recording of measurements and goal vectors (Figs 8–9).
 """
 
 from repro._lazy import lazy_exports
@@ -28,5 +26,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.episode": ["EpisodeState"],
     "repro.sim.simulator": ["Simulator", "SimulationResult"],
     "repro.sim.metrics": ["MetricReport", "compute_metrics"],
-    "repro.sim.recorder": ["TimelineRecorder"],
 })

@@ -1,12 +1,11 @@
 """Snapshot/restore-able per-episode simulation state.
 
-The event loop in :class:`~repro.sim.simulator.Simulator` owns five
+The event loop in :class:`~repro.sim.simulator.Simulator` owns four
 pieces of mutable state — pool arrays (plus their dirty trackers), the
-waiting :class:`~repro.sched.jobqueue.JobQueue`, the event heap, the
-timeline recorder and the :class:`~repro.sched.jobqueue.RunningJobs`
-table. :class:`EpisodeState` factors them behind one boundary, so a
-whole episode can be checkpointed mid-run and restored bit-exactly
-(``snapshot``/``restore``).
+waiting :class:`~repro.sched.jobqueue.JobQueue`, the event heap and the
+:class:`~repro.sched.jobqueue.RunningJobs` table. :class:`EpisodeState`
+factors them behind one boundary, so a whole episode can be
+checkpointed mid-run and restored bit-exactly (``snapshot``/``restore``).
 
 The pool object survives :meth:`load` calls (it is reset, never
 rebound), so incremental state encoders that attach to it by identity
@@ -22,7 +21,6 @@ from repro.sched.base import Scheduler, SchedulingContext
 from repro.sched.jobqueue import JobQueue, RunningJobs
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.metrics import MetricReport, compute_metrics
-from repro.sim.recorder import TimelineRecorder
 from repro.workload.job import Job
 
 __all__ = ["EpisodeState", "SimulationResult"]
@@ -34,7 +32,6 @@ class SimulationResult:
 
     jobs: list[Job]
     metrics: MetricReport
-    recorder: TimelineRecorder
     makespan: float
     n_scheduling_instances: int
 
@@ -47,11 +44,10 @@ class EpisodeState:
     system:
         Resource configuration.
     record_timeline:
-        Record a utilization sample at every scheduling instance; the
-        contexts this episode builds carry the flag, so a policy that
+        Carried by every context this episode builds: a policy that
         keeps the Eq. 1 goal log (MRSch, ``prior``) logs the goal at
-        every instance too. Off, it refreshes the goal only where a
-        decision reads it and logs nothing.
+        every instance (``goal_series()``). Off, it refreshes the goal
+        only where a decision reads it and logs nothing.
     """
 
     def __init__(self, system: SystemConfig, record_timeline: bool = True) -> None:
@@ -61,7 +57,6 @@ class EpisodeState:
         self.now = 0.0
         self.queue: JobQueue = JobQueue(system.names)
         self.events = EventQueue()
-        self.recorder = TimelineRecorder(system.n_resources)
         self.n_instances = 0
         self.jobs: list[Job] = []
         #: executing jobs in start order — O(1) END handling
@@ -79,7 +74,6 @@ class EpisodeState:
         self.queue = JobQueue(self.system.names)
         self.now = 0.0
         self.events = EventQueue()
-        self.recorder = TimelineRecorder(self.system.n_resources)
         self.n_instances = 0
         self.jobs = []
         self.running = RunningJobs(self.system.names)
@@ -131,10 +125,8 @@ class EpisodeState:
         )
 
     def end_instance(self) -> None:
-        """Close one scheduling instance (count it, sample utilization)."""
+        """Close one scheduling instance (count it)."""
         self.n_instances += 1
-        if self.record_timeline:
-            self.recorder.record_utilization(self.now, self.pool.utilizations())
 
     def finish(self) -> SimulationResult:
         """Check completion and package the episode's result."""
@@ -145,7 +137,6 @@ class EpisodeState:
         return SimulationResult(
             jobs=self.jobs,
             metrics=compute_metrics(self.jobs, self.system),
-            recorder=self.recorder,
             makespan=makespan,
             n_scheduling_instances=self.n_instances,
         )
@@ -184,7 +175,6 @@ class EpisodeState:
             "events": self.events.snapshot(),
             "queue": [job.job_id for job in self.queue],
             "running": [job.job_id for job in self.running],
-            "recorder": self.recorder.snapshot(),
             "jobs": {
                 job.job_id: (job.start_time, job.end_time) for job in self.jobs
             },
@@ -203,7 +193,6 @@ class EpisodeState:
         self.n_instances = snap["n_instances"]
         self.pool.restore(snap["pool"])
         self.events.restore(snap["events"])
-        self.recorder.restore(snap["recorder"])
         by_id = {job.job_id: job for job in self.jobs}
         for jid, (start, end) in snap["jobs"].items():
             job = by_id[jid]

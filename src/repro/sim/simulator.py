@@ -34,10 +34,10 @@ class Simulator:
     scheduler:
         Policy under test (reset at the start of every :meth:`run`).
     record_timeline:
-        Record utilization samples at every event, and the Eq. 1 goal
-        log of a policy that keeps one (``goal_series()``, Figs 8–9).
-        Off, such a policy refreshes the goal only where a decision
-        reads it and logs nothing.
+        Log the Eq. 1 goal at every scheduling instance, for a policy
+        that keeps the log (``goal_series()``, Figs 8–9). Off, such a
+        policy refreshes the goal only where a decision reads it and
+        logs nothing.
     """
 
     def __init__(

@@ -18,7 +18,9 @@ asked, so its pin would pass with any weights; the seed-15 row, whose
 expected value lives here, runs the untrained network and holds the
 weights it draws. The seed-7 goal-series row holds every Eq. 1 goal
 vector of the same replay, bit for bit, and its three-resource twin
-those of the power-extended case-study replay S6.
+those of the power-extended case-study replay S6. The seed-7
+``optimization`` row, expected value here too, holds the GA baseline,
+which no benchmark workload runs.
 """
 
 from __future__ import annotations
@@ -204,6 +206,24 @@ def test_replay_fcfs_seed7_deep_queue_digest():
     scenario = {**scenario, "config": {**scenario["config"], "n_jobs": 8000}}
     results = run_scenario(scenario, progress=False).results
     assert _load("check").result_digest(results) == REPLAY_FCFS_SEED7_DEEP
+
+
+#: The ``optimization`` (NSGA-II) arm untrained over S1/S3/S5 on a
+#: 32-node, 16-unit mini-Theta at seed 7: queues form on every workload,
+#: so the GA orders real windows. The fidelity gate's tier-1 subset
+#: skips this arm (its census cells cost seconds each); this pin holds
+#: the GA's schedules. Computed before any change to ``sched/ga.py``.
+OPTIMIZATION_SEED7 = "90afee25245ab9fe5def49fc7e591936fbf06e56307287b02dde3d9f93775082"
+
+
+def test_optimization_seed7_digest():
+    scenario = {
+        "methods": ["optimization"], "workloads": ["S1", "S3", "S5"], "train": False,
+        "system": {"name": "mini_theta", "nodes": 32, "bb_units": 16},
+        "config": {"n_jobs": 40}, "seed": 7,
+    }
+    results = run_scenario(scenario, progress=False).results
+    assert _load("check").result_digest(results) == OPTIMIZATION_SEED7
 
 
 def _goal_series(workloads, case_study: bool = False) -> tuple[str, int]:

@@ -259,7 +259,7 @@ class TestOneReplayPerWorkload:
 
 class TestTheInstanceOverhead:
     """A cell replays with one scheduling context per ``Simulator.run``
-    and without the utilization timeline, which nothing in it reads."""
+    and without the Eq. 1 goal log, which nothing in it reads."""
 
     @pytest.mark.parametrize("method", ["heuristic", "mrsch"])
     def test_one_context_per_replay(self, method, sim_calls, monkeypatch):
@@ -287,12 +287,22 @@ class TestTheInstanceOverhead:
         assert first.started is not second.started
 
     @pytest.mark.parametrize("method", ["heuristic", "mrsch"])
-    def test_the_timeline_does_not_move_a_cell(self, method, sim_calls, monkeypatch):
+    def test_the_timeline_does_not_move_a_cell(self, method, monkeypatch):
+        """Recording on or off, a cell's metrics are the same; only a
+        recorded replay fills the goal log, one goal per instance."""
+        logged = []  # (instances, goals logged) per replay; None: no log
+        run = Simulator.run
+
+        def counting(self, jobs):
+            result = run(self, jobs)
+            series = getattr(self.scheduler, "goal_series", None)
+            goals = None if series is None else len(series()[0])
+            logged.append((result.n_scheduling_instances, goals))
+            return result
+
+        monkeypatch.setattr(Simulator, "run", counting)
         task = cell(MINI, method=method, workloads=("S1", "S3"))
         lean = execute_task(task)
-        assert all(
-            not r.recorder.utilization_series[0].size for _, _, r in sim_calls
-        )
         build = Simulator.__init__
 
         def recording(self, system, scheduler, record_timeline=False):
@@ -300,7 +310,11 @@ class TestTheInstanceOverhead:
 
         monkeypatch.setattr(Simulator, "__init__", recording)
         full = execute_task(task)
-        assert all(r.recorder.utilization_series[0].size for _, _, r in sim_calls[2:])
+        if method == "heuristic":
+            assert [goals for _, goals in logged] == [None] * 4
+        else:
+            assert [goals for _, goals in logged[:2]] == [0, 0]
+            assert all(goals == n and n > 1 for n, goals in logged[2:])
         assert {w: m.full_dict() for w, m in full.metrics.items()} == {
             w: m.full_dict() for w, m in lean.metrics.items()
         }

@@ -96,19 +96,20 @@ class TestHarness:
     def test_run_single_replays_the_cell_execute_task_replays(
         self, tiny_config, method, workload, train, case_study
     ):
-        """One cell body: ``run_single`` keeps the scheduler and the
-        timeline, ``execute_task`` the metrics — of the same replay."""
+        """One cell body: ``run_single`` keeps the scheduler and its
+        goal log, ``execute_task`` the metrics — of the same replay."""
         from repro.exp import ExperimentTask
         from repro.exp.tasks import execute_task
 
-        result, _ = run_single(workload, method, tiny_config, train=train)
+        result, sched = run_single(workload, method, tiny_config, train=train)
         task = ExperimentTask(
             method, (workload,), tiny_config.seed, tiny_config,
             train=train, case_study=case_study,
         )
         cell = execute_task(task).metrics[workload]
         assert result.metrics.full_dict() == cell.full_dict()
-        assert len(result.recorder.utilization_series[0]) > 0
+        times, goals = sched.goal_series()
+        assert len(times) == len(goals) == result.n_scheduling_instances
 
 
 class TestReport:

@@ -197,3 +197,42 @@ def test_the_counter_is_reset_per_run(tiny_system, tiny_trace):
     assert sched.goal_refreshes == first.n_scheduling_instances
     sim.run(tiny_trace)
     assert sched.goal_refreshes == first.n_scheduling_instances
+
+
+def test_the_goal_log_is_reset_per_run(tiny_system, tiny_trace):
+    sched = make_method("prior", tiny_system, ExperimentConfig(nodes=16, bb_units=8))
+    sim = Simulator(tiny_system, sched)
+    first = sim.run(tiny_trace)
+    times, goals = sched.goal_series()
+    sim.run(tiny_trace)
+    again_times, again_goals = sched.goal_series()
+    assert len(again_times) == first.n_scheduling_instances
+    assert again_times.tobytes() == times.tobytes()
+    assert again_goals.tobytes() == goals.tobytes()
+
+
+def test_every_logged_goal_is_a_simplex_point(tiny_system, tiny_trace):
+    sched = make_method("prior", tiny_system, ExperimentConfig(nodes=16, bb_units=8))
+    Simulator(tiny_system, sched).run(tiny_trace)
+    _, goals = sched.goal_series()
+    assert goals.shape[1] == tiny_system.n_resources
+    assert np.all(goals >= 0.0)
+    np.testing.assert_allclose(goals.sum(axis=1), 1.0)
+
+
+def test_a_frozen_goal_logs_uniform_weights_as_separate_rows(tiny_system, tiny_trace):
+    sched = PriorScheduler(tiny_system, dynamic_goal=False)
+    result = Simulator(tiny_system, sched).run(tiny_trace)
+    _, goals = sched.goal_series()
+    assert goals.tolist() == [[0.5, 0.5]] * result.n_scheduling_instances
+    logged = [goal for _, goal in sched.goal_log]
+    assert len({id(goal) for goal in logged}) == len(logged)
+
+
+def test_recording_the_goal_log_moves_no_decision(tiny_system, tiny_trace):
+    def replay(record):
+        sched = make_method("prior", tiny_system, ExperimentConfig(nodes=16, bb_units=8))
+        result = Simulator(tiny_system, sched, record_timeline=record).run(tiny_trace)
+        return [(j.job_id, j.start_time) for j in result.jobs], result.metrics.full_dict()
+
+    assert replay(True) == replay(False)

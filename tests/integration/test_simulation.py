@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.api import SCHEDULERS
 from repro.cluster.resources import BURST_BUFFER, NODE, ResourceSpec, SystemConfig
 from repro.sched.ga import NSGA2Config
+from repro.sim.episode import EpisodeState
 from repro.sim.simulator import Simulator
 from repro.workload.suites import build_workload
 from repro.workload.theta import ThetaTraceConfig, generate_theta_trace
@@ -127,11 +128,18 @@ class TestSimulatorEdgeCases:
         # At most one instance per event time; at least one per job.
         assert result.n_scheduling_instances >= len(tiny_trace)
 
-    def test_utilization_recorded(self, tiny_system, tiny_trace):
+    def test_utilization_in_unit_interval_at_every_instance(self, tiny_system, tiny_trace):
         sched = SCHEDULERS.get("heuristic").build(tiny_system)
-        result = Simulator(tiny_system, sched).run(tiny_trace)
-        times, values = result.recorder.utilization_series
-        assert times.size == result.n_scheduling_instances
+        state = EpisodeState(tiny_system)
+        state.load(tiny_trace)
+        sched.reset()
+        values = []
+        while state.advance():
+            sched.schedule(state.context())
+            values.append(state.pool.utilizations().copy())
+            state.end_instance()
+        values = np.vstack(values)
+        assert len(values) == state.finish().n_scheduling_instances
         assert values.shape[1] == tiny_system.n_resources
         assert np.all(values >= 0) and np.all(values <= 1)
 

@@ -11,7 +11,8 @@ result twice).
 
 from __future__ import annotations
 
-import numpy as np
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,16 +129,19 @@ def _episode_fingerprint(state: EpisodeState) -> tuple:
 
 
 def _finish(scheduler, state: EpisodeState) -> tuple:
-    """Drive a loaded episode to its end; fully-resolved outcome."""
+    """Drive a loaded episode to its end; fully-resolved outcome, with
+    the pool's utilization at every instance."""
+    utilizations = []
     while state.advance():
         scheduler.schedule(state.context())
+        utilizations.append(state.pool.utilizations().tobytes())
         state.end_instance()
     result = state.finish()
     return (
         [(j.job_id, j.start_time, j.end_time) for j in result.jobs],
         result.metrics.full_dict(),
         result.n_scheduling_instances,
-        result.recorder.utilization_series[1].tobytes(),
+        b"".join(utilizations),
     )
 
 
@@ -188,24 +192,109 @@ class TestEpisodeSnapshotRestore:
         state.restore(snap)
         assert [job.job_id for job in state.queue] == order == [2, 3]
 
-    def test_recorder_survives_restore(self, mini_system, trace):
-        state = EpisodeState(mini_system)
-        state.load(trace)
+
+class TestEpisodeLifecycle:
+    """``load`` / ``advance`` / ``end_instance`` / ``finish`` on one episode."""
+
+    @staticmethod
+    def _jobs():
+        # Two jobs share t=0; job 3's submit coincides with job 1's end.
+        return [
+            make_job(job_id=3, submit=100.0, runtime=40.0, nodes=2),
+            make_job(job_id=2, submit=0.0, runtime=50.0, nodes=4, bb=1),
+            make_job(job_id=1, submit=0.0, runtime=100.0, nodes=8),
+        ]
+
+    def test_load_copies_the_callers_jobs_in_submission_order(self):
+        jobs = self._jobs()
+        state = EpisodeState(SYSTEM)
+        state.load(jobs)
+        assert [job.job_id for job in state.jobs] == [1, 2, 3]
+        assert not any(copy is job for copy in state.jobs for job in jobs)
+        state.run_to_completion(FCFSScheduler(window_size=5))
+        assert all(job.start_time is None and job.end_time is None for job in jobs)
+
+    def test_one_instance_per_distinct_event_time(self):
+        state = EpisodeState(SYSTEM)
+        state.load(self._jobs())
+        times = []
+        while state.advance():
+            times.append(state.now)
+            FCFSScheduler(window_size=5).schedule(state.context())
+            state.end_instance()
+        # Submits at 0 and 100, ends at 50, 100 and 140: four instants.
+        assert times == [0.0, 50.0, 100.0, 140.0]
+        assert state.finish().n_scheduling_instances == len(times)
+
+    def test_load_resets_a_finished_episode(self):
+        state = EpisodeState(SYSTEM)
+        pool = state.pool
+        state.load(self._jobs())
+        first = state.run_to_completion(FCFSScheduler(window_size=5))
+        assert first.makespan == 140.0
+        state.load([make_job(job_id=9, submit=5.0, runtime=10.0)])
+        assert state.pool is pool
+        assert (state.now, state.n_instances) == (0.0, 0)
+        assert len(state.queue) == 0 and len(state.running) == 0
+        assert pool.running_jobs() == []
+        assert pool.utilizations().tolist() == [0.0, 0.0]
+        second = state.run_to_completion(FCFSScheduler(window_size=5))
+        assert (second.makespan, second.n_scheduling_instances) == (15.0, 2)
+
+    def test_finish_rejects_unfinished_jobs(self):
+        state = EpisodeState(SYSTEM)
+        state.load(self._jobs())
+        assert state.advance()
+        FCFSScheduler(window_size=5).schedule(state.context())
+        state.end_instance()
+        with pytest.raises(RuntimeError, match="unfinished jobs"):
+            state.finish()
+
+    def test_an_empty_episode_finishes_at_time_zero(self):
+        state = EpisodeState(SYSTEM)
+        state.load([])
+        assert not state.advance()
+        result = state.finish()
+        assert (result.jobs, result.makespan, result.n_scheduling_instances) == ([], 0.0, 0)
+
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+    def test_every_context_carries_the_record_flag(self, record):
+        state = EpisodeState(SYSTEM, record_timeline=record)
+        state.load(self._jobs())
+        assert state.advance()
+        ctx = state.context()
+        assert ctx.record_timeline is record
+        assert (ctx.now, ctx.pool, ctx.queue) == (0.0, state.pool, state.queue)
+
+    def test_restore_rewinds_the_clock_and_instance_count(self):
+        state = EpisodeState(SYSTEM)
+        state.load(self._jobs())
         sched = FCFSScheduler(window_size=5)
-        sched.reset()
-        for _ in range(5):
-            state.advance()
+        for _ in range(2):
+            assert state.advance()
             sched.schedule(state.context())
             state.end_instance()
         snap = state.snapshot()
-        times, values = state.recorder.utilization_series
-        state.advance()
+        state.run_to_completion(sched)
+        assert (state.now, state.n_instances) == (140.0, 4)
+        state.restore(snap)
+        assert (state.now, state.n_instances) == (50.0, 2)
+        assert [job.job_id for job in state.running] == [1]
+
+    def test_a_snapshot_does_not_follow_the_live_episode(self):
+        state = EpisodeState(SYSTEM)
+        state.load(self._jobs())
+        sched = FCFSScheduler(window_size=5)
+        assert state.advance()
         sched.schedule(state.context())
         state.end_instance()
-        state.restore(snap)
-        t2, v2 = state.recorder.utilization_series
-        np.testing.assert_array_equal(t2, times)
-        np.testing.assert_array_equal(v2, values)
+        snap = state.snapshot()
+        frozen = copy.deepcopy(snap)
+        state.run_to_completion(sched)
+        assert snap["now"] == frozen["now"] and snap["jobs"] == frozen["jobs"]
+        assert snap["queue"] == frozen["queue"] and snap["running"] == frozen["running"]
+        for name in SYSTEM.names:
+            assert snap["pool"]["busy"][name].tobytes() == frozen["pool"]["busy"][name].tobytes()
 
 
 class TestRunningTable:

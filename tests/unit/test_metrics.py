@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.resources import NODE, POWER, ResourceSpec, SystemConfig
 from repro.sim.metrics import _p95, compute_metrics
-from repro.sim.recorder import TimelineRecorder
 from tests.conftest import make_job
 
 
@@ -110,33 +109,3 @@ class TestP95:
         x = np.array([3.0, 1.0, 2.0])
         _p95(x)
         assert x.tolist() == [3.0, 1.0, 2.0]
-
-
-class TestRecorder:
-    def test_time_weighted_mean(self):
-        rec = TimelineRecorder()
-        rec.record_utilization(0.0, np.array([0.0]))
-        rec.record_utilization(10.0, np.array([1.0]))
-        rec.record_utilization(30.0, np.array([0.5]))
-        # step function: 0.0 for 10s, 1.0 for 20s => (0*10 + 1*20)/30
-        mean = rec.time_weighted_mean_utilization()
-        assert mean[0] == pytest.approx(20 / 30)
-
-    def test_single_sample(self):
-        rec = TimelineRecorder()
-        rec.record_utilization(5.0, np.array([0.7]))
-        assert rec.time_weighted_mean_utilization()[0] == pytest.approx(0.7)
-
-    def test_empty_series(self):
-        rec = TimelineRecorder()
-        times, values = rec.utilization_series
-        assert times.size == 0
-        assert rec.time_weighted_mean_utilization().size == 0
-
-    def test_values_copied(self):
-        rec = TimelineRecorder()
-        v = np.array([0.5])
-        rec.record_utilization(0.0, v)
-        v[0] = 99.0
-        _, values = rec.utilization_series
-        assert values[0, 0] == 0.5

@@ -160,6 +160,20 @@ class TestConv1D:
         with pytest.raises(ValueError, match="expected input"):
             conv.forward(np.zeros((1, 5, 3)))
 
+    def test_without_input_grad_the_weight_gradients_are_the_same(self, rng):
+        """``input_grad=False`` returns ``None`` and writes the same
+        ``W`` / ``b`` gradients as the layer that computes its input's."""
+        x = rng.normal(size=(3, 17, 2))
+        grad_out = rng.normal(size=(3, 5, 4))
+        full = Conv1D(2, 4, kernel_size=5, stride=3, rng=9)
+        raw = Conv1D(2, 4, kernel_size=5, stride=3, rng=9, input_grad=False)
+        for layer in (full, raw):
+            layer.forward(x)
+        assert full.backward(grad_out).shape == x.shape
+        assert raw.backward(grad_out) is None
+        for name in ("W", "b"):
+            np.testing.assert_array_equal(raw.grads[name], full.grads[name])
+
     def test_invalid_hyperparams(self):
         with pytest.raises(ValueError):
             Conv1D(1, 1, kernel_size=0)

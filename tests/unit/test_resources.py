@@ -140,6 +140,40 @@ class TestPoolBasics:
         assert not pool.can_fit(make_job(job_id=4, nodes=7, bb=0))
 
 
+class TestUtilizations:
+    """``utilizations()``: busy / capacity per resource, config order."""
+
+    def test_an_idle_pool_reads_zero_for_every_resource(self, tiny_system):
+        util = ResourcePool(tiny_system).utilizations()
+        assert util.shape == (tiny_system.n_resources,)
+        assert util.tolist() == [0.0, 0.0]
+
+    def test_each_resource_reads_busy_over_capacity(self, tiny_system):
+        pool = ResourcePool(tiny_system)
+        pool.allocate(make_job(job_id=1, nodes=4, bb=2), now=0.0)
+        pool.allocate(make_job(job_id=2, nodes=2, bb=0), now=0.0)
+        assert pool.utilizations().tolist() == [6 / 16, 2 / 8]
+        for i, name in enumerate(tiny_system.names):
+            assert pool.utilizations()[i] == pool.utilization(name)
+
+    def test_a_full_pool_reads_one_and_a_release_reads_zero_again(self, tiny_system):
+        pool = ResourcePool(tiny_system)
+        job = make_job(nodes=16, bb=8)
+        pool.allocate(job, now=0.0)
+        assert pool.utilizations().tolist() == [1.0, 1.0]
+        pool.release(job)
+        assert pool.utilizations().tolist() == [0.0, 0.0]
+
+    def test_restore_brings_back_the_snapshotted_utilizations(self, tiny_system):
+        pool = ResourcePool(tiny_system)
+        pool.allocate(make_job(job_id=1, nodes=8, bb=4), now=0.0)
+        snap = pool.snapshot()
+        pool.allocate(make_job(job_id=2, nodes=8, bb=4), now=1.0)
+        assert pool.utilizations().tolist() == [1.0, 1.0]
+        pool.restore(snap)
+        assert pool.utilizations().tolist() == [0.5, 0.5]
+
+
 class TestUnitState:
     def test_free_units_encode_zero(self, tiny_system):
         pool = ResourcePool(tiny_system)
