@@ -116,7 +116,7 @@ class SystemConfig:
 
         Contention *ratios* — not absolute unit counts — drive every
         result in the paper, so the experiment harness defaults to this
-        configuration (see DESIGN.md §5).
+        configuration.
         """
         return cls(
             resources=(

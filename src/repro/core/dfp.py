@@ -56,7 +56,7 @@ class DFPConfig:
     #: temporal offsets, in scheduling decisions, at which future
     #: measurement changes are predicted. Starting at 2 (not 1) dilutes
     #: the instantaneous "grab the biggest job" signal that short
-    #: horizons over-reward; see EXPERIMENTS.md calibration notes.
+    #: horizons over-reward.
     offsets: tuple[int, ...] = (2, 4, 8, 16)
     #: relative weight of each offset in the action-selection objective;
     #: later offsets matter more (long-term effect), as in the DFP paper

@@ -109,7 +109,7 @@ class StateEncoder:
         currently fits is linearly readable. At the paper's training
         volume the network can distil this from the raw availability
         bits; at laptop-scale budgets the restatement is what makes the
-        fit condition learnable (see DESIGN.md §2).
+        fit condition learnable.
         """
         if window_size <= 0:
             raise ValueError("window_size must be positive")

@@ -8,10 +8,11 @@ the §III-D curriculum;
 :func:`repro.exp.tasks.replay_cell` puts these steps together and
 replays the evaluation workloads.
 
-Scale note: defaults target the miniature Theta (DESIGN.md §5) so that a
-full (4 methods × 5 workloads) grid runs in minutes on a laptop. All the
-knobs — node/BB counts, job counts, GA budget, training episodes — are
-explicit, so the same harness drives full-scale runs.
+Scale note: defaults target the miniature Theta
+(``SystemConfig.mini_theta``) so that a full (4 methods × 5 workloads)
+grid runs in minutes on a laptop. All the knobs — node/BB counts, job
+counts, GA budget, training episodes — are explicit, so the same harness
+drives full-scale runs.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Snapshot/restore-able per-episode simulation state.
 
-The event loop in :class:`~repro.sim.simulator.Simulator` owns four
+The event loop in :class:`~repro.sim.simulator.Simulator` owns five
 pieces of mutable state — pool arrays (plus their dirty trackers), the
-waiting :class:`~repro.sched.jobqueue.JobQueue`, the event heap and the
-:class:`~repro.sched.jobqueue.RunningJobs` table. :class:`EpisodeState`
-factors them behind one boundary, so a whole episode can be
-checkpointed mid-run and restored bit-exactly (``snapshot``/``restore``).
+waiting :class:`~repro.sched.jobqueue.JobQueue`, the arrival cursor, the
+heap of job ENDs and the :class:`~repro.sched.jobqueue.RunningJobs`
+table. :class:`EpisodeState` factors them behind one boundary, so a
+whole episode can be checkpointed mid-run and restored bit-exactly
+(``snapshot``/``restore``). The episode with every arrival a SUBMIT
+event on the heap is the oracle in ``tests/unit/_sim_reference.py``.
 
 The pool object survives :meth:`load` calls (it is reset, never
 rebound), so incremental state encoders that attach to it by identity
@@ -39,6 +41,9 @@ class SimulationResult:
 class EpisodeState:
     """The full mutable state of one trace-replay episode.
 
+    ``jobs`` are the loaded copies in submission order, ``jobs[arrivals:]``
+    yet to arrive; ``events`` holds only job ENDs (one push and pop a job).
+
     Parameters
     ----------
     system:
@@ -59,13 +64,14 @@ class EpisodeState:
         self.events = EventQueue()
         self.n_instances = 0
         self.jobs: list[Job] = []
+        self.arrivals = 0
         #: executing jobs in start order — O(1) END handling
         self.running = RunningJobs(system.names)
 
     # -- lifecycle ---------------------------------------------------------
 
     def load(self, jobs: list[Job]) -> None:
-        """Reset all state and seed the event queue with ``jobs``.
+        """Reset all state and queue ``jobs`` for arrival.
 
         Jobs are copied; the caller's list is never mutated, so the same
         trace can be replayed under many schedulers.
@@ -76,36 +82,43 @@ class EpisodeState:
         self.events = EventQueue()
         self.n_instances = 0
         self.jobs = []
+        self.arrivals = 0
         self.running = RunningJobs(self.system.names)
         for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
             self.system.validate_job(job)
-            copy = job.copy()
-            self.jobs.append(copy)
-            self.events.push(Event(copy.submit_time, EventKind.SUBMIT, copy))
+            self.jobs.append(job.copy())
 
     def advance(self) -> bool:
         """Apply the next instant's events; ``False`` once drained.
 
         One ``True`` return corresponds to exactly one scheduling
         trigger: all simultaneous events are applied before the
-        scheduler sees the new state (CQSim's trigger model).
+        scheduler sees the new state (CQSim's trigger model), ENDs
+        before the arrivals the cursor merges in at equal times.
         """
-        if not self.events:
+        events, jobs, i = self.events, self.jobs, self.arrivals
+        n = len(jobs)
+        if events:
+            now = events.peek_time()
+            if i < n and jobs[i].submit_time < now:
+                now = jobs[i].submit_time
+        elif i < n:
+            now = jobs[i].submit_time
+        else:
             return False
-        batch = self.events.pop_simultaneous()
-        self.now = batch[0].time
-        for event in batch:
-            self.apply(event)
+        self.now = now
+        if events and events.peek_time() == now:
+            for event in events.pop_simultaneous():
+                job = event.job
+                job.end_time = now
+                self.pool.release(job)
+                self.running.remove(job)
+        append = self.queue.append
+        while i < n and jobs[i].submit_time == now:
+            append(jobs[i])
+            i += 1
+        self.arrivals = i
         return True
-
-    def apply(self, event: Event) -> None:
-        if event.kind is EventKind.SUBMIT:
-            self.queue.append(event.job)
-        else:  # END
-            job = event.job
-            job.end_time = self.now
-            self.pool.release(job)
-            self.running.remove(job)
 
     def start_job(self, job: Job) -> None:
         self.pool.allocate(job, self.now)
@@ -130,7 +143,7 @@ class EpisodeState:
 
     def finish(self) -> SimulationResult:
         """Check completion and package the episode's result."""
-        unfinished = [j.job_id for j in self.jobs if not j.finished]
+        unfinished = [j.job_id for j in self.jobs if j.end_time is None]
         if unfinished:
             raise RuntimeError(f"simulation ended with unfinished jobs: {unfinished[:5]}")
         makespan = max((j.end_time or 0.0) for j in self.jobs) if self.jobs else 0.0
@@ -171,6 +184,7 @@ class EpisodeState:
         return {
             "now": self.now,
             "n_instances": self.n_instances,
+            "arrivals": self.arrivals,
             "pool": self.pool.snapshot(),
             "events": self.events.snapshot(),
             "queue": [job.job_id for job in self.queue],
@@ -191,6 +205,7 @@ class EpisodeState:
         """
         self.now = snap["now"]
         self.n_instances = snap["n_instances"]
+        self.arrivals = snap["arrivals"]
         self.pool.restore(snap["pool"])
         self.events.restore(snap["events"])
         by_id = {job.job_id: job for job in self.jobs}

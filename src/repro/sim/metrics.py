@@ -113,7 +113,7 @@ def compute_metrics(jobs: list[Job], system: SystemConfig) -> MetricReport:
     """
     import numpy as np
 
-    finished = [j for j in jobs if j.finished]
+    finished = [j for j in jobs if j.end_time is not None]
     if not finished:
         return MetricReport(
             utilization={name: 0.0 for name in system.names},
@@ -130,16 +130,17 @@ def compute_metrics(jobs: list[Job], system: SystemConfig) -> MetricReport:
 
     utilization: dict[str, float] = {}
     for name in system.names:
-        used = sum(j.request(name) * j.runtime for j in finished)
+        used = sum(j.requests.get(name, 0) * j.runtime for j in finished)
         utilization[name] = used / (system.capacity(name) * span)
 
-    waits = np.array([j.wait_time for j in finished])
-    slowdowns = np.array([j.slowdown for j in finished])
+    waits = np.array([j.start_time - j.submit_time for j in finished])  # Job.wait_time
+    runtimes = np.array([j.runtime for j in finished])
+    slowdowns = (waits + runtimes) / runtimes  # Job.slowdown
 
     avg_power = 0.0
     if POWER in system.names:
         # Mean power draw of running jobs over the whole span, in units.
-        avg_power = sum(j.request(POWER) * j.runtime for j in finished) / span
+        avg_power = sum(j.requests.get(POWER, 0) * j.runtime for j in finished) / span
 
     return MetricReport(
         utilization=utilization,

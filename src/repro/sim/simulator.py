@@ -75,7 +75,9 @@ class Simulator:
         """Replay ``jobs`` to completion and return metrics.
 
         Jobs are copied; the caller's list is never mutated, so the same
-        trace can be replayed under many schedulers.
+        trace can be replayed under many schedulers. Arrivals come off a
+        cursor over the copies in submission order; only job ENDs go
+        through the event heap (:class:`~repro.sim.episode.EpisodeState`).
         """
         session = _obs_runtime.session
         if session is None:

@@ -30,6 +30,7 @@ import it, with the Darshan generator, once per trace they build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -119,6 +120,31 @@ CASE_STUDY_SPECS: dict[str, WorkloadSpec] = {
 }
 
 
+#: The last Darshan draw, ``(base list, node requests, generator state
+#: before, volumes, state after)``: a cell's S1–S10 draw it over one base
+#: trace from one seed. Holding the list keeps its ``id`` from reuse.
+_darshan_draw: tuple | None = None
+
+
+def _darshan_volumes(base_jobs: list[Job], rng: np.random.Generator) -> tuple[float, ...]:
+    """``generate_darshan_records(base_jobs, seed=rng)``'s volumes (GB); a
+    repeat of the last draw restores the generator state after it."""
+    global _darshan_draw
+    from repro.workload.darshan import generate_darshan_records
+
+    key = (base_jobs, [job.request(NODE) for job in base_jobs], rng.bit_generator.state)
+    last = _darshan_draw
+    # PCG64, the library's generator, has a state of ints that == compares.
+    pcg = key[2]["bit_generator"] == "PCG64"
+    if pcg and last is not None and last[0] is base_jobs and last[1:3] == key[1:]:
+        rng.bit_generator.state = last[4]
+        return last[3]
+    volumes = tuple(r.bytes_moved_gb for r in generate_darshan_records(base_jobs, seed=rng))
+    if pcg:
+        _darshan_draw = (*key, volumes, rng.bit_generator.state)
+    return volumes
+
+
 def _empirical_bb_pool(
     base_jobs: list[Job],
     lo_units: float,
@@ -138,11 +164,8 @@ def _empirical_bb_pool(
     """
     import numpy as np
 
-    from repro.workload.darshan import generate_darshan_records
-
-    records = generate_darshan_records(base_jobs, seed=rng)
     scale = bb_capacity / _THETA_BB_TB
-    sizes = np.array([r.bytes_moved_gb / 1024.0 * scale for r in records])
+    sizes = np.array(_darshan_volumes(base_jobs, rng), dtype=float) / 1024.0 * scale
     pool = sizes[(sizes >= lo_units) & (sizes <= hi_units)]
     min_pool = max(32, len(base_jobs) // 8)
     if pool.size < min_pool:
@@ -173,8 +196,6 @@ def build_workload(
         from repro.api.registry import WORKLOADS
 
         return WORKLOADS.get(spec).build(base_jobs, system, seed)
-    import numpy as np
-
     from repro.utils.rng import as_generator
 
     rng = as_generator(seed)
@@ -182,7 +203,7 @@ def build_workload(
     bb_cap = system.capacity(BURST_BUFFER)
     lo_units = spec.bb_lo_frac * bb_cap
     hi_units = max(lo_units, spec.bb_hi_frac * bb_cap)
-    pool = _empirical_bb_pool(base_jobs, lo_units, hi_units, bb_cap, rng)
+    pool = _empirical_bb_pool(base_jobs, lo_units, hi_units, bb_cap, rng).tolist()
 
     jobs: list[Job] = []
     for job in base_jobs:
@@ -191,7 +212,7 @@ def build_workload(
         new.requests[NODE] = min(nodes, node_cap)
         if rng.random() < spec.bb_fraction:
             # The stream ``rng.choice(pool)`` draws, without its overhead.
-            units = int(np.ceil(pool[rng.integers(0, pool.size)]))
+            units = math.ceil(pool[rng.integers(0, len(pool))])
             new.requests[BURST_BUFFER] = min(max(1, units), bb_cap)
         else:
             new.requests[BURST_BUFFER] = 0
@@ -223,14 +244,12 @@ def _attach_power_profiles(
     Sharma et al. that the paper cites — since it could otherwise never
     be scheduled at all.
     """
-    import numpy as np
-
     lo, hi = POWER_PER_NODE_RANGE
     budget = system.capacity(POWER) if POWER in system.names else None
     for job in jobs:
         per_node_w = rng.uniform(lo, hi)
         total_w = per_node_w * job.request(NODE)
-        units = max(1, int(np.ceil(total_w / POWER_UNIT_W)))
+        units = max(1, math.ceil(total_w / POWER_UNIT_W))
         if budget is not None:
             units = min(units, budget)
         job.requests[POWER] = units

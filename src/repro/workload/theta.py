@@ -117,23 +117,23 @@ def _sample_arrivals(cfg: ThetaTraceConfig, rng: np.random.Generator) -> np.ndar
     return arrivals
 
 
-def _sample_nodes(cfg: ThetaTraceConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+def _sample_nodes(cfg: ThetaTraceConfig, rng: np.random.Generator, n: int) -> list[int]:
     """Mixture node-count distribution capped at the machine size."""
-    max_pow = int(np.log2(cfg.total_nodes)) if cfg.total_nodes > 1 else 0
-    nodes = np.empty(n, dtype=np.int64)
-    kind = rng.random(n)
-    for i in range(n):
-        if kind[i] < cfg.p_capability:
+    total = cfg.total_nodes
+    max_pow = int(np.log2(total)) if total > 1 else 0
+    nodes = []
+    for kind in rng.random(n).tolist():
+        if kind < cfg.p_capability:
             # Capability run: 50-100% of the machine.
-            nodes[i] = rng.integers(cfg.total_nodes // 2, cfg.total_nodes + 1)
-        elif kind[i] < cfg.p_capability + cfg.p_power_of_two:
+            size = int(rng.integers(total // 2, total + 1))
+        elif kind < cfg.p_capability + cfg.p_power_of_two:
             # Power-of-two request, biased toward mid sizes.
-            exponent = rng.binomial(max_pow, 0.45)
-            nodes[i] = 2**exponent
+            size = 2 ** int(rng.binomial(max_pow, 0.45))
         else:
             # Small geometric tail (debug / single-node work).
-            nodes[i] = min(cfg.total_nodes, 1 + rng.geometric(1.0 / cfg.small_job_mean))
-    return np.clip(nodes, 1, cfg.total_nodes)
+            size = min(total, 1 + int(rng.geometric(1.0 / cfg.small_job_mean)))
+        nodes.append(min(max(size, 1), total))
+    return nodes
 
 
 def _sample_runtimes(cfg: ThetaTraceConfig, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -168,13 +168,14 @@ def generate_theta_trace(
     nodes = _sample_nodes(cfg, rng, cfg.n_jobs)
     runtimes = _sample_runtimes(cfg, rng, cfg.n_jobs)
     walltimes = _sample_walltimes(cfg, rng, runtimes)
+    columns = zip(arrivals.tolist(), runtimes.tolist(), walltimes.tolist(), nodes)
     return [
         Job(
-            job_id=i + 1,
-            submit_time=float(arrivals[i]),
-            runtime=float(runtimes[i]),
-            walltime=float(walltimes[i]),
-            requests={cfg.node_resource: int(nodes[i])},
+            job_id=i,
+            submit_time=submit,
+            runtime=runtime,
+            walltime=walltime,
+            requests={cfg.node_resource: size},
         )
-        for i in range(cfg.n_jobs)
+        for i, (submit, runtime, walltime, size) in enumerate(columns, start=1)
     ]

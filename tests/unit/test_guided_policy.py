@@ -1,6 +1,6 @@
 """Tests for the prior-guided MRSch policy and stratified replay.
 
-The feasibility prior (DESIGN.md §2 calibration) ranks fitting jobs by
+The feasibility prior (``repro.core.prior``) ranks fitting jobs by
 goal-weighted demand and non-fitting jobs by queue age; DFP predictions
 act as a bounded tie-break. Stratified replay keeps the rare
 reservation-terminal experiences visible during training.

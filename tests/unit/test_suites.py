@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.resources import BURST_BUFFER, NODE, POWER, SystemConfig
+from repro.workload import suites
 from repro.workload.suites import (
     CASE_STUDY_SPECS,
     POWER_PER_NODE_RANGE,
@@ -171,3 +172,101 @@ class TestCaseStudy:
     def test_non_power_spec_rejected(self, base_trace, system):
         with pytest.raises(ValueError):
             build_case_study_workload(WORKLOAD_SPECS["S1"], base_trace, system)
+
+
+def _requests(jobs) -> list:
+    return [(j.job_id, j.submit_time, j.runtime, j.walltime, j.requests) for j in jobs]
+
+
+class TestSharedDarshanDraw:
+    """The workloads of a cell draw one set of Darshan volumes.
+
+    ``_darshan_volumes`` keeps the last draw with its key (the base list,
+    its node requests, the generator state before the draw) and on a
+    repeat restores the generator state after it. The oracle is the
+    unshared build: the same call with the entry cleared first.
+    """
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        from repro.workload import darshan
+
+        calls = []
+        draw = darshan.generate_darshan_records
+
+        def spy(jobs, **kwargs):
+            calls.append(jobs)
+            return draw(jobs, **kwargs)
+
+        monkeypatch.setattr(darshan, "generate_darshan_records", spy)
+        monkeypatch.setattr(suites, "_darshan_draw", None)
+        return calls
+
+    @staticmethod
+    def _build(name, base, system, seed, shared=True):
+        if not shared:
+            suites._darshan_draw = None
+        if name in CASE_STUDY_SPECS:
+            return build_case_study_workload(name, base, system, seed=seed)[0]
+        return build_workload(name, base, system, seed=seed)
+
+    def test_a_cell_draws_once_and_builds_what_unshared_builds_build(
+        self, base_trace, system, draws
+    ):
+        names = [*WORKLOAD_SPECS, *CASE_STUDY_SPECS]
+        shared = [self._build(name, base_trace, system, 5) for name in names]
+        assert len(draws) == 1
+        for name, jobs in zip(names, shared):
+            assert _requests(jobs) == _requests(
+                self._build(name, base_trace, system, 5, shared=False)
+            ), name
+        assert len(draws) == 1 + len(names)
+        assert all(POWER in j.requests for j in shared[-1])
+
+    def test_node_requests_changed_in_place_are_redrawn(self, base_trace, system, draws):
+        base = [job.copy() for job in base_trace]
+        build_workload("S1", base, system, seed=3)
+        build_workload("S1", base, system, seed=3)
+        assert len(draws) == 1
+        base[0].requests[NODE] = base[0].request(NODE) % 64 + 1
+        got = build_workload("S1", base, system, seed=3)
+        assert len(draws) == 2
+        assert _requests(got) == _requests(self._build("S1", base, system, 3, shared=False))
+
+    def test_another_seed_or_list_is_redrawn(self, base_trace, system, draws):
+        build_workload("S2", base_trace, system, seed=3)
+        build_workload("S2", base_trace, system, seed=4)
+        build_workload("S2", list(base_trace), system, seed=4)
+        assert len(draws) == 3
+
+    def test_a_callers_generator_ends_where_the_unshared_build_leaves_it(
+        self, base_trace, system, draws
+    ):
+        build_workload("S2", base_trace, system, seed=np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        got = build_workload("S4", base_trace, system, seed=rng)
+        assert len(draws) == 1
+        want_rng = np.random.default_rng(8)
+        want = self._build("S4", base_trace, system, want_rng, shared=False)
+        assert _requests(got) == _requests(want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert rng.random(4).tolist() == want_rng.random(4).tolist()
+
+    def test_one_entry_is_held(self, base_trace, system, draws):
+        other = [job.copy() for job in base_trace[:200]]
+        build_workload("S1", base_trace, system, seed=2)
+        build_workload("S1", other, system, seed=2)
+        entry = suites._darshan_draw
+        assert isinstance(entry, tuple) and entry[0] is other
+        build_workload("S1", base_trace, system, seed=2)
+        assert len(draws) == 3  # the first list's draw was dropped
+        assert suites._darshan_draw[0] is base_trace
+
+    def test_a_generator_whose_state_holds_arrays_is_not_kept(self, base_trace, system, draws):
+        def mt():
+            return np.random.Generator(np.random.MT19937(6))
+
+        a = build_workload("S3", base_trace, system, seed=mt())
+        b = build_workload("S3", base_trace, system, seed=mt())
+        assert _requests(a) == _requests(b)
+        assert len(draws) == 2 and suites._darshan_draw is None

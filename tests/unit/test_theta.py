@@ -94,6 +94,50 @@ class TestGeneration:
     def test_empty_trace(self):
         assert generate_theta_trace(ThetaTraceConfig(n_jobs=0), seed=0) == []
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ThetaTraceConfig(n_jobs=300),
+            ThetaTraceConfig(total_nodes=4392, n_jobs=300, diurnal=False),
+            ThetaTraceConfig(total_nodes=1, n_jobs=40),
+            ThetaTraceConfig(total_nodes=64, n_jobs=200, p_capability=0.4),
+        ],
+        ids=["mini", "theta-flat", "one-node", "capability"],
+    )
+    def test_python_columns_build_what_numpy_scalars_built(self, cfg):
+        """The trace is built from ``tolist()`` columns and a list of node
+        counts; the NumPy-scalar build it replaced is the oracle."""
+        from repro.workload import theta
+
+        def numpy_nodes(rng, n):
+            max_pow = int(np.log2(cfg.total_nodes)) if cfg.total_nodes > 1 else 0
+            nodes = np.empty(n, dtype=np.int64)
+            kind = rng.random(n)
+            for i in range(n):
+                if kind[i] < cfg.p_capability:
+                    nodes[i] = rng.integers(cfg.total_nodes // 2, cfg.total_nodes + 1)
+                elif kind[i] < cfg.p_capability + cfg.p_power_of_two:
+                    nodes[i] = 2 ** rng.binomial(max_pow, 0.45)
+                else:
+                    nodes[i] = min(cfg.total_nodes, 1 + rng.geometric(1.0 / cfg.small_job_mean))
+            return np.clip(nodes, 1, cfg.total_nodes)
+
+        rng = np.random.default_rng(17)
+        arrivals = theta._sample_arrivals(cfg, rng)
+        nodes = numpy_nodes(rng, cfg.n_jobs)
+        runtimes = theta._sample_runtimes(cfg, rng, cfg.n_jobs)
+        walltimes = theta._sample_walltimes(cfg, rng, runtimes)
+        want = [
+            (i + 1, float(arrivals[i]), float(runtimes[i]), float(walltimes[i]),
+             {NODE: int(nodes[i])})
+            for i in range(cfg.n_jobs)
+        ]
+        jobs = generate_theta_trace(cfg, seed=17)
+        got = [(j.job_id, j.submit_time, j.runtime, j.walltime, j.requests) for j in jobs]
+        assert got == want
+        assert {type(j.submit_time) for j in jobs} == {type(j.walltime) for j in jobs} == {float}
+        assert {type(j.requests[NODE]) for j in jobs} == {int}
+
     def test_sorted_by_submit_with_sequential_ids(self):
         jobs = generate_theta_trace(ThetaTraceConfig(n_jobs=100), seed=3)
         submits = [j.submit_time for j in jobs]
