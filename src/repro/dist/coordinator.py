@@ -62,6 +62,7 @@ from repro.dist.queue import WorkQueue
 from repro.dist.supervise import DEFAULT_MAX_CRASHES, POLL_INTERVAL_S, WorkerSupervisor
 from repro.dist.worker import Heartbeat, QueueWorker
 from repro.exp.records import ExperimentTask, TaskResult
+from repro.exp.tasks import worker_context
 from repro.obs import runtime as _obs_runtime
 from repro.obs.logbridge import get_logger, kv
 from repro.obs.metrics import merge_snapshots
@@ -230,6 +231,7 @@ def dispatch_tasks(
         owed = outstanding()[0]
         recalled = key_set.difference(owed)
         if n_workers >= 1 and owed:
+            worker_context(mp_start_method, tasks)  # imports before any fork
             supervisor = WorkerSupervisor(
                 queue,
                 n_workers,
@@ -287,6 +289,9 @@ def dispatch_tasks(
                 supervisor.sleep()
             else:
                 time.sleep(POLL_INTERVAL_S)
+        # Every cell is published: merge while the workers write their
+        # exit records, not after them.
+        merged = queue.merged_results()
     finally:
         if supervisor is not None:
             supervisor.stop()
@@ -297,7 +302,6 @@ def dispatch_tasks(
             pass  # best-effort: an orphan leader lease ages out
         _retire(queue, owner)
 
-    merged = queue.merged_results()
     quarantined = queue.quarantine_count()
     if quarantined:
         _log.warning(

@@ -73,7 +73,7 @@ STOP_GRACE_S = 30.0
 
 
 def _worker_process_entry(
-    queue_dir: str,
+    queue: WorkQueue | str,
     worker_id: str,
     lease_ttl: float,
     modules: tuple[str, ...],
@@ -84,7 +84,7 @@ def _worker_process_entry(
     :class:`QueueWorker` with the remaining keyword ``options``."""
     init_worker(modules)
     QueueWorker(
-        queue_dir, worker_id=worker_id, lease_ttl=lease_ttl, **options
+        queue, worker_id=worker_id, lease_ttl=lease_ttl, **options
     ).run()
 
 
@@ -359,7 +359,9 @@ class WorkerSupervisor:
         proc = self._context.Process(
             target=_worker_process_entry,
             args=(
-                str(self.queue.root),
+                # A forked child inherits the handle, parsed batches and all.
+                self.queue if self._context.get_start_method() == "fork"
+                else str(self.queue.root),
                 worker_id,
                 self.queue.leases.ttl,
                 registration_modules(),

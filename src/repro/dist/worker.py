@@ -84,7 +84,7 @@ COMMIT_CELLS = 8
 COMMIT_AGE_S = 0.25
 #: first sleep of a worker that found nothing claimable; doubles up to
 #: ``poll_interval`` while the queue stays idle
-IDLE_BACKOFF_S = 0.01
+IDLE_BACKOFF_S = 0.002
 
 
 def new_worker_id() -> str:
@@ -283,6 +283,8 @@ class QueueWorker:
         self._pending: list = []  # TaskResults awaiting their group commit
         self._pending_since = 0.0  # when the oldest pending cell was claimed
         self._store_strikes = 0
+        #: the last pass ran nothing, or stopped at peers' cells
+        self._stalled = False
         self._started_at = time.time()
         self._progress_published_at = 0.0
         # Renew at a quarter of the ttl so a healthy worker never comes
@@ -373,7 +375,7 @@ class QueueWorker:
                     )
                     break
             # Nothing claimable, but a peer still holds cells: it is
-            # usually milliseconds from done, so back off 10 ms → 20 →
+            # usually milliseconds from done, so back off 2 ms → 4 →
             # … → poll_interval instead of sleeping the full interval.
             time.sleep(min(idle_s, self.poll_interval))
             idle_s *= 2.0
@@ -472,22 +474,42 @@ class QueueWorker:
     def _scan_once(self) -> bool:
         """One pass over one frontier snapshot; True when a cell executed.
 
-        The walk starts at a per-worker offset and wraps, so concurrent
-        workers spread over the grid instead of racing for the same
-        keys. Claims are lazy — one cell at a time, never ahead of
-        execution — and whatever is still pending when the pass ends,
-        for any reason, is committed before it returns.
+        The walk goes forward from a per-worker offset until it meets a
+        cell a peer holds, then backward from just before the offset
+        until it meets another: two workers meet once, where one
+        trailing the other would leapfrog its leased cells. A pass that
+        ran nothing by then walks on; past peers both ways, and in the
+        pass after a stalled one, it reads each lease before claiming.
+        Claims are lazy — one cell at a time, never ahead of execution —
+        and whatever is still pending when the pass ends, for any
+        reason, is committed before it returns.
         """
         keys = self.queue.frontier().claimable
         offset = zlib.crc32(self.worker_id.encode()) % max(1, len(keys))
-        progress = False
+        ring = keys[offset:] + keys[:offset]
+        ahead, behind, met = 0, len(ring), 0
+        look, progress, stopped = self._stalled, False, False
         try:
-            for key in keys[offset:] + keys[:offset]:
-                if self._budget_spent():
-                    break
+            while ahead < behind and not self._budget_spent():
+                if met:
+                    behind -= 1
+                    key = ring[behind]
+                else:
+                    key, ahead = ring[ahead], ahead + 1
                 # The snapshot ages as the pass goes on; a stat spares
                 # the claim/release round trip on cells a peer finished.
-                if self.queue.is_done(key) or not self._claim(key):
+                if self.queue.is_done(key):
+                    continue
+                if look and self._peer_holds(key):
+                    taken = False
+                elif not (taken := self._claim(key)):
+                    self.metrics.counter("lease.conflicts").inc()
+                if not taken:
+                    met += 1
+                    look = look or met > 1
+                    if met > 1 and progress:
+                        stopped = True
+                        break
                     continue
                 strikes = self.queue.failure_count(key)
                 if strikes >= MAX_ATTEMPTS:  # poisoned since the snapshot
@@ -497,7 +519,14 @@ class QueueWorker:
                 self._execute_cell(key, alone=strikes > 0)
         finally:
             self._commit()
+        self._stalled = stopped or not progress
         return progress
+
+    def _peer_holds(self, key: str) -> bool:
+        """Whether another owner's live lease holds ``key``: one read,
+        where a refused claim is a touch, a link and that read."""
+        lease = self.queue.leases.read(key)
+        return lease is not None and lease.owner != self.worker_id and not lease.expired()
 
     def _claim(self, key: str) -> bool:
         """Win ``key``'s lease — reaping an expired one in the way — and

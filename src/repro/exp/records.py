@@ -55,6 +55,64 @@ def _canonicalize(obj):
     raise TypeError(f"cannot canonicalise {type(obj).__name__} for hashing")
 
 
+def _config_state(config) -> tuple:
+    """The objects a config's fields hold, a list field copied."""
+    return tuple(
+        tuple(value) if type(value) is list else value
+        for value in vars(config).values()
+    )
+
+
+def _same_objects(old: tuple, new: tuple) -> bool:
+    """Whether two states hold the same objects, copies item by item."""
+    return len(old) == len(new) and all(
+        a is b or (type(a) is tuple and type(b) is tuple and _same_objects(a, b))
+        for a, b in zip(old, new)
+    )
+
+
+class _ConfigRendering:
+    """One :class:`ExperimentConfig`'s hashing and spec renderings.
+
+    Every cell of a grid shares one config, a mutable dataclass, so the
+    last config rendered is remembered with the objects its fields held
+    then. A field assigned since (or a list field changed in place)
+    renders afresh; the memo keeps those objects alive, so an identity
+    it compares cannot have been reused.
+    """
+
+    __slots__ = ("config", "state", "canonical", "_spec")
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.state = _config_state(config)
+        self.canonical = _canonicalize(config)
+        self._spec: dict | None = None
+
+    def spec(self) -> dict:
+        """The constructor fields (:meth:`ExperimentTask.to_json_dict`'s
+        ``config``), a fresh copy per call."""
+        if self._spec is None:
+            self._spec = dataclasses.asdict(self.config)
+        spec = dict(self._spec)
+        spec["curriculum_sets"] = list(spec["curriculum_sets"])
+        spec["ga_config"] = dict(spec["ga_config"])
+        return spec
+
+
+_last_rendering: _ConfigRendering | None = None
+
+
+def _rendered(config) -> _ConfigRendering:
+    global _last_rendering
+    rendering = _last_rendering
+    if rendering is None or rendering.config is not config or not _same_objects(
+        rendering.state, _config_state(config)
+    ):
+        rendering = _last_rendering = _ConfigRendering(config)
+    return rendering
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON rendering used for config hashing."""
     return json.dumps(_canonicalize(obj), sort_keys=True, separators=(",", ":"))
@@ -68,8 +126,13 @@ _SEMANTIC_FIELDS = ("method", "workloads", "seed", "config", "train", "case_stud
 
 def task_key(task: "ExperimentTask") -> str:
     """Stable hex digest identifying a task's semantic configuration."""
-    fields = {f: getattr(task, f) for f in _SEMANTIC_FIELDS}
-    payload = canonical_json({"schema": TASK_SCHEMA_VERSION, "task": fields})
+    fields = {f: _canonicalize(getattr(task, f)) for f in _SEMANTIC_FIELDS if f != "config"}
+    fields["config"] = _rendered(task.config).canonical
+    # canonical_json of the same payload, the config's part rendered once
+    payload = json.dumps(
+        {"schema": TASK_SCHEMA_VERSION, "task": fields},
+        sort_keys=True, separators=(",", ":"),
+    )
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
@@ -134,13 +197,11 @@ class ExperimentTask:
         to the identical :func:`task_key` — a queued cell claimed on
         another host resolves to the same cache/journal entry.
         """
-        config = dataclasses.asdict(self.config)
-        config["curriculum_sets"] = list(config["curriculum_sets"])
         return {
             "method": self.method,
             "workloads": list(self.workloads),
             "seed": self.seed,
-            "config": config,
+            "config": _rendered(self.config).spec(),
             "train": self.train,
             "case_study": self.case_study,
             "extra": [[name, value] for name, value in self.extra],

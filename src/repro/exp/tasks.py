@@ -17,7 +17,7 @@ import contextlib
 import dataclasses
 import sys
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
 
 from repro.exp.records import ExperimentTask, TaskResult
@@ -31,22 +31,63 @@ if TYPE_CHECKING:
 __all__ = ["execute_task", "init_worker", "replay_cell", "worker_context"]
 
 
-def worker_context(start_method: str | None = None):
+def worker_context(start_method: str | None = None, tasks: Iterable[ExperimentTask] = ()):
     """The multiprocessing context the queue's local workers start
     under: ``start_method`` when given, else "fork" where available
     (cheap, inherits the warm interpreter) and "spawn" elsewhere.
 
-    Under "fork" it first imports what a cell runs (NumPy with it), so
-    that every child inherits those modules instead of importing its
-    own: compiling a scenario loaded none of them."""
+    Under "fork" it first imports what a worker and its cells run, so
+    that every child inherits those modules instead of compiling its
+    own (compiling a scenario loaded none of them): :func:`init_worker`'s
+    :mod:`repro.utils.blas` (``ctypes``), :mod:`repro.experiments.harness`
+    and :mod:`repro.sim.simulator` (NumPy with them), ``numpy.random``
+    and the Darshan trace builder :mod:`repro.workload.darshan`; then,
+    for each method among ``tasks``, the modules its registered factory
+    imports when called (a builtin's scheduler class, so a grid of
+    heuristic cells loads no :mod:`repro.nn`), and
+    :mod:`repro.core.training` when such a cell trains a trainable
+    method. Nothing is built; a method that is unknown or fails to
+    import is left to its cells, which report it."""
     import multiprocessing
 
     if start_method is None:
         start_method = "fork" if sys.platform.startswith("linux") else "spawn"
     if start_method == "fork":
+        import importlib
+
+        import numpy.random  # noqa: F401
+
         import repro.experiments.harness  # noqa: F401
         import repro.sim.simulator  # noqa: F401
+        import repro.utils.blas  # noqa: F401
+        import repro.workload.darshan  # noqa: F401
+        from repro.api.registry import SCHEDULERS
+
+        for method, train in {(task.method, task.train) for task in tasks}:
+            with contextlib.suppress(KeyError, ImportError):
+                entry = SCHEDULERS.get(method)
+                for module in _imported_when_called(entry.factory):
+                    importlib.import_module(module)
+                if train and entry.trainable:
+                    import repro.core.training  # noqa: F401
     return multiprocessing.get_context(start_method)
+
+
+def _imported_when_called(factory) -> list[str]:
+    """The absolute imports in a factory function's own body: a builtin
+    imports its scheduler class there, so listing names stays cheap."""
+    import dis
+
+    code = getattr(factory, "__code__", None)
+    if code is None:  # a class: its module is imported already
+        return []
+    steps = list(dis.get_instructions(code))
+    # ``import m`` / ``from m import x`` push the level, the names, then
+    # IMPORT_NAME; level 0 is an absolute import.
+    return [
+        step.argval for level, step in zip(steps, steps[2:])
+        if step.opname == "IMPORT_NAME" and level.argval == 0
+    ]
 
 
 def init_worker(modules: tuple[str, ...] = ()) -> None:

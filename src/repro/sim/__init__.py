@@ -7,7 +7,7 @@ scheduling requests to the policy under test (§IV). This package
 re-implements those semantics:
 
 ``events``
-    Typed events and a deterministic binary-heap event queue.
+    Job-end events and a deterministic binary-heap event queue.
 ``episode``
     Snapshot/restore-able per-episode mutable state (pool, queue,
     events, running set).
@@ -22,7 +22,7 @@ re-implements those semantics:
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.sim.events": ["Event", "EventKind", "EventQueue"],
+    "repro.sim.events": ["Event", "EventQueue"],
     "repro.sim.episode": ["EpisodeState"],
     "repro.sim.simulator": ["Simulator", "SimulationResult"],
     "repro.sim.metrics": ["MetricReport", "compute_metrics"],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.cluster.resources import ResourcePool, SystemConfig
 from repro.sched.base import Scheduler, SchedulingContext
 from repro.sched.jobqueue import JobQueue, RunningJobs
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricReport, compute_metrics
 from repro.workload.job import Job
 
@@ -124,7 +124,7 @@ class EpisodeState:
         self.pool.allocate(job, self.now)
         job.start_time = self.now
         self.running.add(job)
-        self.events.push(Event(self.now + job.runtime, EventKind.END, job))
+        self.events.push(Event(self.now + job.runtime, job))
 
     def context(self) -> SchedulingContext:
         return SchedulingContext(

@@ -110,6 +110,7 @@ def test_cold_run_loads_only_what_its_cells_run(tmp_path):
     unwanted = {
         "numpy.ma", "repro.core.training", "repro.eval", "repro.sched.ga",
         "repro.obs.logbridge", "multiprocessing", "concurrent.futures",
+        "statistics",
     }
     assert not unwanted & loaded, sorted(unwanted & loaded)
 
@@ -158,3 +159,48 @@ def test_forked_workers_inherit_what_a_cell_runs(start_method, inherited):
     )
     assert (EXECUTION <= loaded) is inherited
     assert ("repro.sim.simulator" in loaded) is inherited
+
+
+#: the smoke sizing, one untrained cell per method
+_GRID = {"workloads": ["S1"], "system": {"name": "mini_theta", "nodes": 32, "bb_units": 16},
+         "config": {"n_jobs": 40, "window_size": 5}, "seed": 3, "train": False}
+
+
+def imported_by_cells(methods: list[str]) -> tuple[set[str], set[str]]:
+    """In a fresh interpreter: the modules loaded once the coordinator's
+    pre-fork imports (``worker_context("fork", tasks)``) ran for a grid
+    of ``methods``, and those a worker's start-up and its cells then
+    import on their own."""
+    script = (
+        "import json, sys\n"
+        "import repro.api\n"
+        "from repro.exp.tasks import execute_task, init_worker, worker_context\n"
+        f"tasks = repro.api.load_scenario({dict(_GRID, methods=methods)!r}).compile()\n"
+        "worker_context('fork', tasks)\n"
+        "before = set(sys.modules)\n"
+        "init_worker()\n"
+        "for task in tasks:\n"
+        "    execute_task(task)\n"
+        "print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=_SRC,
+    )
+    assert done.returncode == 0, done.stderr
+    before, new = json.loads(done.stdout.splitlines()[-1])
+    return set(before), set(new)
+
+
+def test_the_coordinators_pre_fork_imports_cover_its_cells():
+    """A worker's start-up, a heuristic and an MRSch cell import no
+    ``repro`` module and no ``statistics`` of their own: a forked worker
+    inherits all of it."""
+    _, new = imported_by_cells(["heuristic", "mrsch"])
+    cell_imports = {m for m in new if m.startswith("repro.") or m == "statistics"}
+    assert not cell_imports, sorted(cell_imports)
+
+
+def test_a_heuristic_grid_forks_without_the_network_stack():
+    before, new = imported_by_cells(["heuristic"])
+    assert {"repro.sched.fcfs", "repro.workload.darshan"} <= before
+    assert not {m for m in before | new if m.startswith("repro.nn")}

@@ -11,6 +11,9 @@ cursor to this form, start for start and instance for instance.
 * :class:`HeapEpisode` — that episode, as a subclass: ``start_job``,
   ``context``, ``finish`` and ``snapshot`` / ``restore`` are shared (the
   SUBMIT events ride in the heap's snapshot).
+* :class:`KindedEventQueue` — the heap it runs on, the one the simulator
+  used: entries ``(time, kind, seq, event)``, so ENDs (the simulator's
+  :class:`~repro.sim.events.Event`) come before SUBMITs at equal times.
 * :func:`as_reference` — re-classes a simulator's episode onto it, so a
   twin run differs from the one under test only in how arrivals come in.
 * :func:`reference_metrics` — ``compute_metrics``' wait and slowdown
@@ -20,14 +23,53 @@ cursor to this form, start for start and instance for instance.
 
 from __future__ import annotations
 
+import heapq
+from enum import IntEnum
+
 import numpy as np
 
 from repro.sched.jobqueue import JobQueue, RunningJobs
 from repro.sim.episode import EpisodeState
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.metrics import _p95
 
-__all__ = ["HeapEpisode", "as_reference", "reference_metrics"]
+__all__ = [
+    "EventKind", "Submit", "kind_of", "KindedEventQueue", "HeapEpisode", "as_reference",
+    "reference_metrics",
+]
+
+
+class EventKind(IntEnum):
+    """Event types, ordered by processing priority at equal times."""
+
+    END = 0
+    SUBMIT = 1
+
+
+class Submit:
+    """The arrival of ``job`` at ``time``."""
+
+    __slots__ = ("time", "job")
+    kind = EventKind.SUBMIT
+
+    def __init__(self, time: float, job) -> None:
+        if time < 0:
+            raise ValueError("event time must be non-negative")
+        self.time = time
+        self.job = job
+
+
+def kind_of(event) -> EventKind:
+    """A :class:`Submit`'s kind, or END for the simulator's events."""
+    return getattr(event, "kind", EventKind.END)
+
+
+class KindedEventQueue(EventQueue):
+    """The simulator's queue with the kind tie-break back in its entries."""
+
+    def push(self, event) -> None:
+        heapq.heappush(self._heap, (event.time, int(kind_of(event)), self._seq, event))
+        self._seq += 1
 
 
 class HeapEpisode(EpisodeState):
@@ -35,7 +77,7 @@ class HeapEpisode(EpisodeState):
         self.pool.reset()
         self.queue = JobQueue(self.system.names)
         self.now = 0.0
-        self.events = EventQueue()
+        self.events = KindedEventQueue()
         self.n_instances = 0
         self.jobs = []
         self.arrivals = 0  # unread: every arrival is a SUBMIT event
@@ -44,7 +86,7 @@ class HeapEpisode(EpisodeState):
             self.system.validate_job(job)
             copy = job.copy()
             self.jobs.append(copy)
-            self.events.push(Event(copy.submit_time, EventKind.SUBMIT, copy))
+            self.events.push(Submit(copy.submit_time, copy))
 
     def advance(self) -> bool:
         if not self.events:
@@ -55,8 +97,8 @@ class HeapEpisode(EpisodeState):
             self.apply(event)
         return True
 
-    def apply(self, event: Event) -> None:
-        if event.kind is EventKind.SUBMIT:
+    def apply(self, event) -> None:
+        if kind_of(event) is EventKind.SUBMIT:
             self.queue.append(event.job)
         else:  # END
             job = event.job

@@ -60,6 +60,19 @@ class TestRecordGeneration:
         # The record draw itself is untouched by the quantile.
         assert [r.job_id for r in none_over] == [r.job_id for r in all_over]
 
+    @pytest.mark.parametrize("p", [
+        0.1718 / 0.40, 0.074, 0.075, 0.925, 0.926, 1e-11, 2e-11, 1e-300, 1 - 1e-12,
+    ] + [i / 200 for i in range(1, 200)])
+    def test_quantile_is_normal_dist_inv_cdf_bit_for_bit(self, p):
+        """The default conditional share, either side of the kernel's
+        branch edges (``|p - 0.5| = 0.425``, and ``p ≈ 1.4e-11`` in the
+        tails), both far tails and a grid over (0, 1)."""
+        from statistics import NormalDist
+
+        from repro.workload.darshan import _normal_quantile
+
+        assert _normal_quantile(p).hex() == NormalDist().inv_cdf(p).hex()
+
     def test_node_scaling_effect(self):
         """With node scaling on, volume correlates with node count."""
         jobs = [make_job(job_id=i, nodes=1 if i < 500 else 64) for i in range(1000)]

@@ -1098,6 +1098,73 @@ class TestOnePassDrain:
         assert ops.count("stat leases") == 2 + 1  # + the release's inode check
 
 
+def walk_ring(queue: WorkQueue, worker_id: str) -> list[str]:
+    """The claimable keys in the order ``worker_id`` walks them forward:
+    from its crc32 offset, wrapping."""
+    import zlib
+
+    keys = queue.frontier().claimable
+    offset = zlib.crc32(worker_id.encode()) % len(keys)
+    return keys[offset:] + keys[:offset]
+
+
+class TestWalkMeetsPeersOnce:
+    """Forward from the offset until a peer's lease refuses a claim,
+    then backward from just before it until one refuses again."""
+
+    def _queue(self, tmp_path, n_seeds):
+        queue = WorkQueue(tmp_path, lease_ttl=30.0)
+        enqueue(queue, tiny_tasks(n_seeds))
+        return queue
+
+    def test_a_pass_turns_at_one_peer_and_stops_at_the_next(self, tmp_path):
+        queue = self._queue(tmp_path, 10)
+        ring = walk_ring(queue, "me")
+        for key in (ring[3], ring[7]):
+            assert queue.leases.try_claim(key, "peer")
+        executed: list = []
+        worker = make_worker(queue, served(executed), worker_id="me")
+        assert worker._scan_once() is True
+        assert executed == [ring[0], ring[1], ring[2], ring[9], ring[8]]
+        assert worker._stalled
+        # The next pass starts from a fresh snapshot, reads each lease
+        # before claiming (the peer's two refuse no claim) and takes the
+        # rest.
+        executed.clear()
+        assert worker._scan_once() is True
+        assert sorted(executed) == sorted(ring[4:7])
+        assert worker._stalled  # it met the peer's two again
+        counters = worker.metrics.snapshot()["counters"]
+        assert counters["lease.claims"] == 8
+        assert counters["lease.conflicts"] == 2
+
+    def test_a_pass_that_ran_nothing_walks_past_both_peers(
+        self, tmp_path, monkeypatch
+    ):
+        """Refused both ways before running a cell, the pass walks on,
+        so a free cell beyond the peers' is not left behind; it looks at
+        the leases there before claiming, so a third peer costs a read."""
+        queue = self._queue(tmp_path, 6)
+        ring = walk_ring(queue, "me")
+        stale = queue.frontier()
+        monkeypatch.setattr(queue, "frontier", lambda: stale)
+        for key in (ring[0], ring[5], ring[4]):
+            assert queue.leases.try_claim(key, "peer")
+        for key in (ring[1], ring[3]):  # finished since the snapshot
+            queue.publish("peer", make_result(key, "peer"))
+        executed: list = []
+        worker = make_worker(queue, served(executed), worker_id="me")
+        ops = count_store_ops(worker)
+        assert worker._scan_once() is True
+        assert executed == [ring[2]]
+        assert not worker._stalled
+        assert worker.metrics.snapshot()["counters"]["lease.conflicts"] == 2
+        # ring[0] and ring[5] refused a claim; ring[4] and ring[2] were
+        # looked at first, and only ring[2] claimed.
+        assert ops.count("link leases") == 3
+        assert ops.count("read leases") == 2 + 2
+
+
 class TestGroupCommit:
     def test_max_cells_executes_exactly_n_and_publishes_them(self, tmp_path):
         queue = WorkQueue(tmp_path)

@@ -132,6 +132,57 @@ class TestKeyHashedOnce:
         assert moved.key() == make_task(seed=8).key() != task.key()
 
 
+def plain_key(task: ExperimentTask) -> str:
+    """:func:`task_key` as the whole payload's canonical JSON, the
+    config walked afresh (no rendering kept between calls)."""
+    fields = {f: getattr(task, f) for f in records._SEMANTIC_FIELDS}
+    payload = canonical_json({"schema": records.TASK_SCHEMA_VERSION, "task": fields})
+    return records.hashlib.sha256(payload.encode()).hexdigest()[:24]
+
+
+class TestConfigRenderedOncePerGrid:
+    """A grid's cells share one config; it is rendered once, and again
+    whenever it changed since."""
+
+    def test_cells_sharing_a_config_hash_and_queue_as_if_rendered_alone(self):
+        from repro.exp.runner import grid_tasks
+
+        config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=20, curriculum_sets=[1, 0, 2])
+        for task in grid_tasks(["heuristic", "fcfs"], ["S1"], config, n_seeds=3):
+            assert task.key() == plain_key(task)
+            spec = task.to_json_dict()["config"]
+            assert spec == {**dataclasses.asdict(config), "curriculum_sets": [1, 0, 2]}
+
+    def test_a_config_mutated_after_a_compile_hashes_to_its_new_key(self):
+        from repro.exp.runner import grid_tasks
+        from repro.sched.ga_config import NSGA2Config
+
+        config = ExperimentConfig(nodes=32, bb_units=16, n_jobs=20, curriculum_sets=[1, 1, 1])
+        first = grid_tasks(["heuristic"], ["S1"], config)[0].key()
+        seen = {first}
+        for mutate in (
+            lambda c: setattr(c, "n_jobs", 21),
+            lambda c: setattr(c, "mean_interarrival", 600),  # == 600.0, renders "600"
+            lambda c: c.curriculum_sets.__setitem__(0, 2),  # in place
+            lambda c: setattr(c, "ga_config", NSGA2Config(population=4, generations=2)),
+        ):
+            mutate(config)
+            (task,) = grid_tasks(["heuristic"], ["S1"], config)
+            assert task.key() == plain_key(task) not in seen
+            spec = task.to_json_dict()["config"]
+            assert spec == {**dataclasses.asdict(config),
+                            "curriculum_sets": list(config.curriculum_sets)}
+            seen.add(task.key())
+
+    def test_a_spec_is_a_copy_its_reader_may_change(self):
+        task = make_task()
+        spec = task.to_json_dict()
+        spec["config"]["n_jobs"] = 99
+        spec["config"]["ga_config"]["population"] = 99
+        spec["config"]["curriculum_sets"].append(9)
+        assert make_task().to_json_dict() == task.to_json_dict() != spec
+
+
 class TestTaskResultJson:
     def test_roundtrip_is_lossless(self):
         result = TaskResult(
